@@ -215,7 +215,7 @@ int main(int argc, char **argv) {
   (void)GpuWallSeconds;
 
   // MPE-as-classifier leg (docs/queries.md): score every image by each
-  // class's max-product log-probability (executeMpe under full
+  // class's max-product log-probability (an MPE request under full
   // evidence, so the traceback completes nothing and the score is the
   // best single explanation) and argmax over classes. On this data the
   // best explanation tracks the full likelihood, so the decision must
@@ -240,11 +240,14 @@ int main(int argc, char **argv) {
     MpeKernels.push_back(Kernel.takeValue());
   }
   std::vector<double> MpeAssignments(W.NumSamples * W.NumFeatures);
-  auto [MpeSeconds, MpeAccuracy] = classify([&](unsigned Class,
-                                                double *Out) {
-    MpeKernels[Class].executeMpe(W.Data.data(), MpeAssignments.data(),
-                                 Out, W.NumSamples);
-  });
+  auto RunMpe = [&](unsigned Class, double *Out) {
+    MpeKernels[Class].run({.Kind = vm::QueryKind::Mpe,
+                           .Input = W.Data.data(),
+                           .Output = Out,
+                           .Rows = MpeAssignments.data(),
+                           .NumSamples = W.NumSamples});
+  };
+  auto [MpeSeconds, MpeAccuracy] = classify(RunMpe);
 
   // Decision agreement between the two classifiers over all images.
   size_t Agree = 0;
@@ -257,10 +260,7 @@ int main(int argc, char **argv) {
       CpuKernels[Class].execute(W.Data.data(),
                                 JointScores[Class].data(),
                                 W.NumSamples);
-      MpeKernels[Class].executeMpe(W.Data.data(),
-                                   MpeAssignments.data(),
-                                   MpeScores[Class].data(),
-                                   W.NumSamples);
+      RunMpe(Class, MpeScores[Class].data());
     }
     for (size_t S = 0; S < W.NumSamples; ++S) {
       unsigned BestJoint = 0, BestMpe = 0;

@@ -79,7 +79,7 @@ int main() {
   Expected<CompiledKernel> Again =
       Cache.getOrCompile(Model, Query, Options);
   if (Again) {
-    KernelCache::Statistics CacheStats = Cache.getStatistics();
+    KernelCache::Stats CacheStats = Cache.getStats();
     std::printf("kernel cache: %llu hit(s), %llu miss(es)\n",
                 static_cast<unsigned long long>(CacheStats.Hits),
                 static_cast<unsigned long long>(CacheStats.Misses));

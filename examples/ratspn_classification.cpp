@@ -129,7 +129,7 @@ int main() {
                     static_cast<double>(kNumImages));
   }
 
-  KernelCache::Statistics CacheStats = Cache.getStatistics();
+  KernelCache::Stats CacheStats = Cache.getStats();
   std::printf("\nkernel cache: %llu hit(s), %llu compile(s) for %zu "
               "resident kernels\n",
               static_cast<unsigned long long>(CacheStats.Hits),

@@ -12,13 +12,12 @@
 #include "support/Timer.h"
 #include "vm/ParamTable.h"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <shared_mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -67,6 +66,38 @@ using SampleFn = void (*)(const double *, double *, size_t,
 using ParamsFn = void (*)(const double *, double *, size_t,
                           const double *);
 
+/// The emitted entry points of one shared object; the query and params
+/// entry points are null unless the program needs them.
+struct NativeEntryPoints {
+  KernelFn Kernel = nullptr;
+  MpeFn Mpe = nullptr;
+  SampleFn Sample = nullptr;
+  ParamsFn Params = nullptr;
+};
+
+/// What a native kernel serves: the program's query kinds, minus those
+/// whose entry point the shared object lacks. Indexed requests offset
+/// the external buffers per run, which is only valid when the input is
+/// row-major and the output carries one value per sample (the shape of
+/// every joint/marginal kernel).
+runtime::EngineCapabilities
+nativeCapabilities(const vm::KernelProgram &Program,
+                   const NativeEntryPoints &Entry) {
+  runtime::EngineCapabilities Caps = runtime::EngineCapabilities::of(Program);
+  if (!Entry.Mpe)
+    Caps.Kinds &= ~runtime::kindBit(vm::QueryKind::Mpe);
+  if (!Entry.Sample)
+    Caps.Kinds &= ~runtime::kindBit(vm::QueryKind::Sample);
+  if (!Entry.Params)
+    Caps.ParamTables = false;
+  for (const vm::BufferInfo &Info : Program.Buffers)
+    if (Info.Columns > 1 &&
+        ((Info.Role == vm::BufferInfo::Kind::Input && Info.Transposed) ||
+         Info.Role == vm::BufferInfo::Kind::Output))
+      Caps.ParamTables = false;
+  return Caps;
+}
+
 /// ExecutionEngine over a dlopen'ed native kernel. Retains the portable
 /// program so `getProgram`-based consumers (saveCompiledKernel, work
 /// accounting) behave exactly as with the VM engines. Owns the shared
@@ -74,28 +105,17 @@ using ParamsFn = void (*)(const double *, double *, size_t,
 /// directory.
 class NativeEngine : public runtime::ExecutionEngine {
 public:
-  NativeEngine(vm::KernelProgram TheProgram, void *Handle, KernelFn Fn,
-               MpeFn Mpe, SampleFn Sample, ParamsFn Params,
-               std::string ArtifactDir, bool KeepArtifacts,
-               std::string Description)
-      : Program(std::move(TheProgram)), Handle(Handle), Fn(Fn), Mpe(Mpe),
-        Sample(Sample), Params(Params),
+  NativeEngine(vm::KernelProgram TheProgram, void *Handle,
+               NativeEntryPoints Entry, std::string ArtifactDir,
+               bool KeepArtifacts, std::string Description)
+      : ExecutionEngine(nativeCapabilities(TheProgram, Entry)),
+        Program(std::move(TheProgram)), Handle(Handle), Entry(Entry),
         ArtifactDir(std::move(ArtifactDir)),
         KeepArtifacts(KeepArtifacts),
         Description(std::move(Description)) {
-    // executeIndexed offsets the external buffers per run, which is only
-    // valid when the input is row-major and the output carries one value
-    // per sample (the shape of every joint/marginal kernel).
-    for (const vm::BufferInfo &Info : Program.Buffers) {
-      if (Info.Role == vm::BufferInfo::Kind::Input) {
+    for (const vm::BufferInfo &Info : Program.Buffers)
+      if (Info.Role == vm::BufferInfo::Kind::Input)
         NumFeatures = Info.Columns;
-        if (Info.Transposed && Info.Columns > 1)
-          SubBatchable = false;
-      } else if (Info.Role == vm::BufferInfo::Kind::Output) {
-        if (Info.Columns > 1)
-          SubBatchable = false;
-      }
-    }
   }
 
   ~NativeEngine() override {
@@ -110,108 +130,58 @@ public:
   NativeEngine(const NativeEngine &) = delete;
   NativeEngine &operator=(const NativeEngine &) = delete;
 
-  void execute(const double *Input, double *Output, size_t NumSamples,
-               runtime::ExecutionStats *Stats = nullptr) const override {
-    Timer WallTimer;
-    Fn(Input, Output, NumSamples);
-    if (Stats) {
-      *Stats = runtime::ExecutionStats();
-      Stats->WallNs = WallTimer.elapsedNs();
-      Stats->NumSamples = NumSamples;
-    }
-  }
-
-  bool executeMpe(const double *Evidence, double *Assignments,
-                  double *LogProbs, size_t NumSamples,
-                  runtime::ExecutionStats *Stats = nullptr) const override {
-    if (!Mpe)
+  bool run(const runtime::RunRequest &Request,
+           runtime::ExecutionStats *Stats = nullptr) const override {
+    std::optional<std::vector<const std::vector<double> *>> Blocks;
+    if (Request.TableIndices &&
+        !(Blocks = Tables.resolve(Request.TableIndices, Request.NumSamples)))
       return false;
-    Timer WallTimer;
-    Mpe(Evidence, Assignments, LogProbs, NumSamples);
-    if (Stats) {
-      *Stats = runtime::ExecutionStats();
-      Stats->WallNs = WallTimer.elapsedNs();
-      Stats->NumSamples = NumSamples;
-    }
-    return true;
-  }
-
-  bool executeSample(const double *Evidence, double *Samples,
-                     size_t NumSamples, uint64_t Seed,
-                     runtime::ExecutionStats *Stats = nullptr) const override {
-    if (!Sample)
-      return false;
-    Timer WallTimer;
-    Sample(Evidence, Samples, NumSamples, Seed);
-    if (Stats) {
-      *Stats = runtime::ExecutionStats();
-      Stats->WallNs = WallTimer.elapsedNs();
-      Stats->NumSamples = NumSamples;
-    }
-    return true;
-  }
-
-  bool supportsParamTables() const override {
-    return Program.Parameterized && Params && SubBatchable;
+    return timedRun(Request, Stats, [&](runtime::ExecutionStats &) {
+      size_t N = Request.NumSamples;
+      switch (Request.Kind) {
+      case vm::QueryKind::Mpe:
+        Entry.Mpe(Request.Input, Request.Rows, Request.Output, N);
+        return;
+      case vm::QueryKind::Sample:
+        Entry.Sample(Request.Input, Request.Rows, N, Request.Seed);
+        return;
+      case vm::QueryKind::Joint:
+      case vm::QueryKind::Marginal:
+        break;
+      }
+      if (!Blocks) {
+        Entry.Kernel(Request.Input, Request.Output, N);
+        return;
+      }
+      // Each run is an ordinary sub-batch of the row-major input and the
+      // one-value-per-sample output.
+      vm::forEachTableRun(Request.TableIndices, N,
+                      [&](size_t Begin, size_t End, uint32_t Table) {
+                        Entry.Params(Request.Input + Begin * NumFeatures,
+                                     Request.Output + Begin, End - Begin,
+                                     (*Blocks)[Table]->data());
+                      });
+    });
   }
 
   int32_t addParamTable(const double *Raw, size_t NumParams) override {
-    if (!supportsParamTables() || NumParams != Program.NumParams)
+    if (!getCapabilities().ParamTables || NumParams != Program.NumParams)
       return -1;
-    std::unique_lock<std::shared_mutex> Lock(TablesMutex);
-    for (size_t I = 0; I < TableParams.size(); ++I)
-      if (TableParams[I].size() == NumParams &&
-          std::equal(TableParams[I].begin(), TableParams[I].end(), Raw))
-        return static_cast<int32_t>(I);
     // Bind the raw parameters into a copy of the portable program, then
     // flatten its side tables into the block layout the emitted kernel
     // reads (vm::flattenTaskTables per task, tasks concatenated).
-    vm::KernelProgram Bound =
-        vm::bindParams(Program, std::span<const double>(Raw, NumParams));
-    std::vector<double> Block;
-    for (const vm::TaskProgram &Task : Bound.Tasks) {
-      std::vector<double> Flat = vm::flattenTaskTables(Task);
-      Block.insert(Block.end(), Flat.begin(), Flat.end());
-    }
-    TableBlocks.push_back(std::move(Block));
-    TableParams.emplace_back(Raw, Raw + NumParams);
-    return static_cast<int32_t>(TableParams.size() - 1);
-  }
-
-  bool executeIndexed(const double *Input, const uint32_t *TableIndices,
-                      double *Output, size_t NumSamples,
-                      runtime::ExecutionStats *Stats) const override {
-    if (!supportsParamTables())
-      return false;
-    Timer WallTimer;
-    std::vector<const double *> Blocks;
-    {
-      std::shared_lock<std::shared_mutex> Lock(TablesMutex);
-      Blocks.reserve(TableBlocks.size());
-      for (const std::vector<double> &Block : TableBlocks)
-        Blocks.push_back(Block.data());
-    }
-    for (size_t I = 0; I < NumSamples; ++I)
-      if (TableIndices[I] >= Blocks.size())
-        return false;
-    // Maximal equal-index runs execute as ordinary sub-batches of the
-    // row-major input / one-value-per-sample output.
-    size_t RunBegin = 0;
-    while (RunBegin < NumSamples) {
-      size_t RunEnd = RunBegin + 1;
-      while (RunEnd < NumSamples &&
-             TableIndices[RunEnd] == TableIndices[RunBegin])
-        ++RunEnd;
-      Params(Input + RunBegin * NumFeatures, Output + RunBegin,
-             RunEnd - RunBegin, Blocks[TableIndices[RunBegin]]);
-      RunBegin = RunEnd;
-    }
-    if (Stats) {
-      *Stats = runtime::ExecutionStats();
-      Stats->WallNs = WallTimer.elapsedNs();
-      Stats->NumSamples = NumSamples;
-    }
-    return true;
+    return Tables.add(std::span<const double>(Raw, NumParams),
+                      [this](std::span<const double> Params) {
+                        std::vector<double> Block;
+                        for (const vm::TaskProgram &Task :
+                             vm::bindParams(Program, Params).Tasks) {
+                          std::vector<double> Flat =
+                              vm::flattenTaskTables(Task);
+                          Block.insert(Block.end(), Flat.begin(),
+                                       Flat.end());
+                        }
+                        return Block;
+                      });
   }
 
   const vm::KernelProgram *getProgram() const override { return &Program; }
@@ -225,28 +195,13 @@ public:
 private:
   vm::KernelProgram Program;
   void *Handle;
-  KernelFn Fn;
-  /// Optional query entry points; null unless the program was compiled
-  /// for the matching query kind.
-  MpeFn Mpe;
-  SampleFn Sample;
-  /// Parameterized entry point; null unless the program was compiled
-  /// with Parameterize (merged-model kernels).
-  ParamsFn Params;
+  NativeEntryPoints Entry;
   uint32_t NumFeatures = 1;
-  bool SubBatchable = true;
   std::string ArtifactDir;
   bool KeepArtifacts;
   std::string Description;
-
-  /// Registered weight tables: raw parameters (for idempotent
-  /// re-registration) and the flattened per-model blocks the emitted
-  /// kernel consumes. Guarded by TablesMutex; inner vectors never move
-  /// once registered, so executeIndexed snapshots data pointers under a
-  /// shared lock.
-  mutable std::shared_mutex TablesMutex;
-  std::vector<std::vector<double>> TableParams;
-  std::vector<std::vector<double>> TableBlocks;
+  /// Flattened per-model parameter blocks the params entry point reads.
+  vm::ParamTableSet<std::vector<double>> Tables;
 };
 
 #endif // SPNC_CPP_BACKEND_POSIX
@@ -395,17 +350,18 @@ CppBackend::materialize(vm::KernelProgram Program,
     return FailAndCleanup("cpp backend: cannot load '" + SoPath +
                           "': " + (DlError ? DlError : "unknown error"));
   }
-  auto Fn = reinterpret_cast<KernelFn>(dlsym(Handle, kCppKernelSymbol));
-  if (!Fn) {
+  NativeEntryPoints Entry;
+  Entry.Kernel = reinterpret_cast<KernelFn>(dlsym(Handle, kCppKernelSymbol));
+  if (!Entry.Kernel) {
     dlclose(Handle);
     return FailAndCleanup("cpp backend: '" + SoPath + "' has no '" +
                           std::string(kCppKernelSymbol) + "' symbol");
   }
   // Query entry points are emitted only for MPE/sampling programs; the
   // params entry point only for parameterized (merged-model) programs.
-  auto Mpe = reinterpret_cast<MpeFn>(dlsym(Handle, kCppMpeSymbol));
-  auto Sample = reinterpret_cast<SampleFn>(dlsym(Handle, kCppSampleSymbol));
-  auto Params = reinterpret_cast<ParamsFn>(dlsym(Handle, kCppParamsSymbol));
+  Entry.Mpe = reinterpret_cast<MpeFn>(dlsym(Handle, kCppMpeSymbol));
+  Entry.Sample = reinterpret_cast<SampleFn>(dlsym(Handle, kCppSampleSymbol));
+  Entry.Params = reinterpret_cast<ParamsFn>(dlsym(Handle, kCppParamsSymbol));
 
   std::string Description = "cpp native (" + Compiler;
   for (const std::string &Flag : Options.ExtraFlags)
@@ -414,8 +370,7 @@ CppBackend::materialize(vm::KernelProgram Program,
 
   CompiledArtifact Artifact;
   Artifact.Engine = std::make_shared<NativeEngine>(
-      std::move(Program), Handle, Fn, Mpe, Sample, Params, Dir, Keep,
-      std::move(Description));
+      std::move(Program), Handle, Entry, Dir, Keep, std::move(Description));
   Artifact.BackendName = getName();
   Artifact.Fingerprint = artifactFingerprint();
   return Artifact;

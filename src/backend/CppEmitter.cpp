@@ -12,7 +12,7 @@
 //   * one sample loop per kernel step, with a fresh register file per
 //     iteration — a straight-line basic block the host compiler's
 //     auto-vectorizer can work on,
-//   * arithmetic copied cast-for-cast from vm::executeSample, with all
+//   * arithmetic copied cast-for-cast from vm::interpretSample, with all
 //     constants spelled as hexadecimal float literals so no precision
 //     is lost in the round trip through source text.
 //
@@ -163,7 +163,7 @@ std::string paramExpr(size_t Idx) {
 }
 
 /// Emits the body of one instruction at indentation \p Indent. The
-/// arithmetic mirrors vm::executeSample cast for cast; see that
+/// arithmetic mirrors vm::interpretSample cast for cast; see that
 /// function for the semantics being reproduced. With \p PL non-null
 /// (parameterized programs) every side-table read goes through the
 /// parameter block "p" instead of a baked literal; the values are the

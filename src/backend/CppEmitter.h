@@ -64,7 +64,7 @@ inline constexpr const char *kCppMpeSymbol = "spnc_kernel_mpe";
 ///   void spnc_kernel_sample(const double *in, double *samples,
 ///                           size_t n, unsigned long long seed);
 /// Replicates the vm/Traceback.h RNG contract, so a fixed seed yields
-/// the same rows as the VM engine's executeSample.
+/// the same rows as the VM engine's sampling requests.
 inline constexpr const char *kCppSampleSymbol = "spnc_kernel_sample";
 
 /// Renders \p Program as a complete C++17 translation unit. Fails on

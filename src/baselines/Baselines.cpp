@@ -10,7 +10,6 @@
 #include "dialects/lospn/LoSPNOps.h"
 #include "support/Compiler.h"
 #include "support/Random.h"
-#include "support/Timer.h"
 #include "vm/Traceback.h"
 
 #include <algorithm>
@@ -214,67 +213,55 @@ void TfGraphExecutor::execute(const double *Input, double *Output,
 // ExecutionEngine adapters
 //===----------------------------------------------------------------------===//
 
-void InterpreterEngine::execute(const double *Input, double *Output,
-                                size_t NumSamples,
-                                runtime::ExecutionStats *Stats) const {
-  Timer WallTimer;
-  Interpreter.execute(Input, Output, NumSamples);
-  if (Stats) {
-    *Stats = runtime::ExecutionStats();
-    Stats->WallNs = WallTimer.elapsedNs();
-    Stats->NumSamples = NumSamples;
-  }
-}
+InterpreterEngine::InterpreterEngine(const spn::Model &TheModel)
+    : ExecutionEngine({runtime::kindBit(vm::QueryKind::Joint) |
+                       runtime::kindBit(vm::QueryKind::Marginal) |
+                       runtime::kindBit(vm::QueryKind::Mpe) |
+                       runtime::kindBit(vm::QueryKind::Sample)}),
+      TheModel(TheModel), Interpreter(TheModel),
+      NumNodes(TheModel.computeStats().NumNodes) {}
 
-bool InterpreterEngine::executeMpe(const double *Evidence,
-                                   double *Assignments, double *LogProbs,
-                                   size_t NumSamples,
-                                   runtime::ExecutionStats *Stats) const {
-  Timer WallTimer;
-  unsigned NumFeatures = TheModel.getNumFeatures();
-  for (size_t S = 0; S < NumSamples; ++S) {
-    double LogProb = TheModel.evalMpe(
-        std::span<const double>(Evidence + S * NumFeatures, NumFeatures),
-        std::span<double>(Assignments + S * NumFeatures, NumFeatures));
-    if (LogProbs)
-      LogProbs[S] = LogProb;
-  }
-  if (Stats) {
-    *Stats = runtime::ExecutionStats();
-    Stats->WallNs = WallTimer.elapsedNs();
-    Stats->NumSamples = NumSamples;
-  }
-  return true;
-}
-
-bool InterpreterEngine::executeSample(const double *Evidence,
-                                      double *Samples, size_t NumSamples,
-                                      uint64_t Seed,
-                                      runtime::ExecutionStats *Stats) const {
-  Timer WallTimer;
-  unsigned NumFeatures = TheModel.getNumFeatures();
-  for (size_t S = 0; S < NumSamples; ++S) {
-    Rng R(vm::perSampleSeed(Seed, S));
-    TheModel.sampleAncestral(
-        std::span<const double>(Evidence + S * NumFeatures, NumFeatures),
-        std::span<double>(Samples + S * NumFeatures, NumFeatures), R);
-  }
-  if (Stats) {
-    *Stats = runtime::ExecutionStats();
-    Stats->WallNs = WallTimer.elapsedNs();
-    Stats->NumSamples = NumSamples;
-  }
-  return true;
-}
-
-void TfGraphEngine::execute(const double *Input, double *Output,
-                            size_t NumSamples,
+bool InterpreterEngine::run(const runtime::RunRequest &Request,
                             runtime::ExecutionStats *Stats) const {
-  Timer WallTimer;
-  Executor.execute(Input, Output, NumSamples);
-  if (Stats) {
-    *Stats = runtime::ExecutionStats();
-    Stats->WallNs = WallTimer.elapsedNs();
-    Stats->NumSamples = NumSamples;
-  }
+  return timedRun(Request, Stats, [&](runtime::ExecutionStats &) {
+    size_t NumFeatures = TheModel.getNumFeatures();
+    auto Evidence = [&](size_t S) {
+      return std::span<const double>(Request.Input + S * NumFeatures,
+                                     NumFeatures);
+    };
+    auto OutRow = [&](size_t S) {
+      return std::span<double>(Request.Rows + S * NumFeatures, NumFeatures);
+    };
+    switch (Request.Kind) {
+    case vm::QueryKind::Joint:
+    case vm::QueryKind::Marginal:
+      Interpreter.execute(Request.Input, Request.Output,
+                          Request.NumSamples);
+      return;
+    case vm::QueryKind::Mpe:
+      for (size_t S = 0; S < Request.NumSamples; ++S) {
+        double LogProb = TheModel.evalMpe(Evidence(S), OutRow(S));
+        if (Request.Output)
+          Request.Output[S] = LogProb;
+      }
+      return;
+    case vm::QueryKind::Sample:
+      for (size_t S = 0; S < Request.NumSamples; ++S) {
+        Rng R(vm::perSampleSeed(Request.Seed, S));
+        TheModel.sampleAncestral(Evidence(S), OutRow(S), R);
+      }
+      return;
+    }
+  });
+}
+
+TfGraphEngine::TfGraphEngine(const spn::Model &TheModel)
+    : ExecutionEngine({runtime::kindBit(vm::QueryKind::Joint)}),
+      Executor(TheModel), NumNodes(TheModel.computeStats().NumNodes) {}
+
+bool TfGraphEngine::run(const runtime::RunRequest &Request,
+                        runtime::ExecutionStats *Stats) const {
+  return timedRun(Request, Stats, [&](runtime::ExecutionStats &) {
+    Executor.execute(Request.Input, Request.Output, Request.NumSamples);
+  });
 }

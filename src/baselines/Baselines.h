@@ -75,27 +75,32 @@ private:
 
 /// Presents the SPFlow-equivalent interpreter through the unified
 /// runtime::ExecutionEngine interface, so baselines plug into the same
-/// harnesses (and kernel cache) as compiled kernels. The adapted model
-/// must outlive the engine.
+/// harnesses (and kernel cache) as compiled kernels. Serves joint,
+/// marginal, MPE and sampling requests; it is the oracle every compiled
+/// engine is differential-tested against. The adapted model must
+/// outlive the engine.
 class InterpreterEngine : public runtime::ExecutionEngine {
 public:
-  explicit InterpreterEngine(const spn::Model &TheModel)
-      : TheModel(TheModel), Interpreter(TheModel),
-        NumNodes(TheModel.computeStats().NumNodes) {}
+  explicit InterpreterEngine(const spn::Model &TheModel);
 
+  /// Joint/marginal requests run the per-sample interpreter. MPE uses
+  /// the model's reference traceback (Model::evalMpe), sampling
+  /// Model::sampleAncestral with the shared per-sample seeding contract
+  /// (vm::perSampleSeed), so sample I depends only on (Seed, I).
+  bool run(const runtime::RunRequest &Request,
+           runtime::ExecutionStats *Stats = nullptr) const override;
+
+  /// Shorthand for a joint request over \p NumSamples rows (NaN
+  /// features are marginalized, as the interpreter always does).
   void execute(const double *Input, double *Output, size_t NumSamples,
-               runtime::ExecutionStats *Stats = nullptr) const override;
-  /// MPE via the model's reference traceback (Model::evalMpe). This is
-  /// the oracle every compiled MPE path is differential-tested against.
-  bool executeMpe(const double *Evidence, double *Assignments,
-                  double *LogProbs, size_t NumSamples,
-                  runtime::ExecutionStats *Stats = nullptr) const override;
-  /// Ancestral sampling via Model::sampleAncestral, using the shared
-  /// per-sample seeding contract (vm::perSampleSeed) so sample I depends
-  /// only on (Seed, I).
-  bool executeSample(const double *Evidence, double *Samples,
-                     size_t NumSamples, uint64_t Seed,
-                     runtime::ExecutionStats *Stats = nullptr) const override;
+               runtime::ExecutionStats *Stats = nullptr) const {
+    run({.Input = Input, .Output = Output, .NumSamples = NumSamples},
+        Stats);
+  }
+
+  /// The interpreter evaluates the model's own parameters: always -1.
+  int32_t addParamTable(const double *, size_t) override { return -1; }
+
   /// Model-derived accounting: one work unit per SPN node evaluated
   /// per sample (there is no compiled program to count instructions
   /// from).
@@ -119,15 +124,19 @@ private:
 };
 
 /// Presents the Tensorflow-translation baseline through the unified
-/// runtime::ExecutionEngine interface. The adapted model must outlive
-/// the engine. Marginalized (NaN) evidence is unsupported.
+/// runtime::ExecutionEngine interface. Serves joint requests only:
+/// marginalized (NaN) evidence is unsupported, as in the paper's TF
+/// translation. The adapted model must outlive the engine.
 class TfGraphEngine : public runtime::ExecutionEngine {
 public:
-  explicit TfGraphEngine(const spn::Model &TheModel)
-      : Executor(TheModel), NumNodes(TheModel.computeStats().NumNodes) {}
+  explicit TfGraphEngine(const spn::Model &TheModel);
 
-  void execute(const double *Input, double *Output, size_t NumSamples,
-               runtime::ExecutionStats *Stats = nullptr) const override;
+  bool run(const runtime::RunRequest &Request,
+           runtime::ExecutionStats *Stats = nullptr) const override;
+
+  /// The graph evaluates the model's own parameters: always -1.
+  int32_t addParamTable(const double *, size_t) override { return -1; }
+
   /// Model-derived accounting: one whole-batch op per SPN node.
   runtime::EngineAccounting getAccounting() const override {
     runtime::EngineAccounting Accounting;

@@ -28,7 +28,7 @@ enum class ComputeType : uint8_t { Auto, F32, F64 };
 
 /// The inference task a kernel is compiled for (docs/queries.md). The
 /// numeric values are a stable on-disk contract (kernel cache keys and
-/// the `.spnk` v4 header) and must not be reordered.
+/// the `.spnk` header) and must not be reordered.
 enum class QueryKind : uint8_t {
   /// Joint probability of fully observed evidence.
   Joint = 0,

@@ -140,9 +140,22 @@ struct GpuExecutor::StreamLease {
   unsigned Concurrency = 1;
 };
 
+namespace {
+
+/// The program's query kinds; the simulated device has no weight tables.
+runtime::EngineCapabilities deviceCapabilities(const KernelProgram &Program) {
+  runtime::EngineCapabilities Capabilities =
+      runtime::EngineCapabilities::of(Program);
+  Capabilities.ParamTables = false;
+  return Capabilities;
+}
+
+} // namespace
+
 GpuExecutor::GpuExecutor(KernelProgram TheProgram,
                          GpuDeviceConfig TheConfig, unsigned TheBlockSize)
-    : Program(std::move(TheProgram)), Config(TheConfig),
+    : ExecutionEngine(deviceCapabilities(TheProgram)),
+      Program(std::move(TheProgram)), Config(TheConfig),
       BlockSize(TheBlockSize ? TheBlockSize : kDefaultBlockSize) {
   assert(Program.NumInputs == 1 && Program.NumOutputs == 1 &&
          "simulator supports kernels with one input and one output");
@@ -288,7 +301,7 @@ void runOnDevice(const KernelProgram &Program,
 
     Timer HostTimer;
     for (size_t S = 0; S < NumSamples; ++S)
-      executeSample(Task, Bindings.data(), S, Registers.data());
+      interpretSample(Task, Bindings.data(), S, Registers.data());
     uint64_t HostNs = HostTimer.elapsedNs();
 
     double Occupancy =
@@ -340,37 +353,6 @@ void runOnDevice(const KernelProgram &Program,
 }
 
 } // namespace
-
-void GpuExecutor::execute(const double *Input, double *Output,
-                          size_t NumSamples,
-                          GpuExecutionStats *Stats) const {
-  GpuExecutionStats Local;
-  GpuExecutionStats &S = Stats ? *Stats : Local;
-  S = GpuExecutionStats();
-  StreamLease Lease(*this);
-  if (Program.UseF32)
-    runOnDevice<float>(Program, Config, BlockSize, Input, Output,
-                       NumSamples, S);
-  else
-    runOnDevice<double>(Program, Config, BlockSize, Input, Output,
-                        NumSamples, S);
-  Lease.account(S);
-}
-
-void GpuExecutor::execute(const double *Input, double *Output,
-                          size_t NumSamples,
-                          runtime::ExecutionStats *Stats) const {
-  Timer WallTimer;
-  GpuExecutionStats GpuStats;
-  execute(Input, Output, NumSamples, &GpuStats);
-  if (Stats) {
-    *Stats = runtime::ExecutionStats();
-    Stats->WallNs = WallTimer.elapsedNs();
-    Stats->NumSamples = NumSamples;
-    Stats->HasGpuStats = true;
-    Stats->Gpu = GpuStats;
-  }
-}
 
 namespace {
 
@@ -424,7 +406,7 @@ void runQueryOnDevice(const KernelProgram &Program,
   std::vector<T> Registers(Task.NumRegisters);
   std::vector<int32_t> Stack;
   for (size_t S = 0; S < NumSamples; ++S) {
-    executeSample(Task, Bindings.data(), S, Registers.data());
+    interpretSample(Task, Bindings.data(), S, Registers.data());
     const double *Row = Evidence + S * NumFeatures;
     double *OutRow = Rows + S * NumFeatures;
     for (uint32_t F = 0; F < NumFeatures; ++F)
@@ -457,76 +439,43 @@ void runQueryOnDevice(const KernelProgram &Program,
 
 } // namespace
 
-bool GpuExecutor::executeMpe(const double *Evidence, double *Assignments,
-                             double *LogProbs, size_t NumSamples,
-                             runtime::ExecutionStats *Stats) const {
-  if (Program.Query != QueryKind::Mpe || Program.Plan.empty() ||
-      Program.Tasks.size() != 1)
-    return false;
-  Timer WallTimer;
-  GpuExecutionStats GpuStats;
-  std::vector<double> UpStorage;
-  double *Up = LogProbs;
-  if (!Up) {
-    UpStorage.resize(NumSamples);
-    Up = UpStorage.data();
-  }
-  {
-    StreamLease Lease(*this);
-    if (Program.UseF32)
-      runQueryOnDevice<float>(Program, Config, BlockSize, QueryKind::Mpe,
-                              Evidence, Assignments, Up, NumSamples, 0,
-                              GpuStats);
-    else
-      runQueryOnDevice<double>(Program, Config, BlockSize,
-                               QueryKind::Mpe, Evidence, Assignments, Up,
-                               NumSamples, 0, GpuStats);
-    Lease.account(GpuStats);
-  }
-  if (LogProbs && !Program.LogSpace)
-    for (size_t I = 0; I < NumSamples; ++I)
-      LogProbs[I] = std::log(LogProbs[I]);
-  if (Stats) {
-    *Stats = runtime::ExecutionStats();
-    Stats->WallNs = WallTimer.elapsedNs();
-    Stats->NumSamples = NumSamples;
-    Stats->HasGpuStats = true;
-    Stats->Gpu = GpuStats;
-  }
-  return true;
-}
-
-bool GpuExecutor::executeSample(const double *Evidence, double *Samples,
-                                size_t NumSamples, uint64_t Seed,
-                                runtime::ExecutionStats *Stats) const {
-  if (Program.Query != QueryKind::Sample || Program.Plan.empty() ||
-      Program.Tasks.size() != 1)
-    return false;
-  Timer WallTimer;
-  GpuExecutionStats GpuStats;
-  std::vector<double> UpStorage(NumSamples);
-  {
-    StreamLease Lease(*this);
-    if (Program.UseF32)
-      runQueryOnDevice<float>(Program, Config, BlockSize,
-                              QueryKind::Sample, Evidence, Samples,
-                              UpStorage.data(), NumSamples, Seed,
-                              GpuStats);
-    else
-      runQueryOnDevice<double>(Program, Config, BlockSize,
-                               QueryKind::Sample, Evidence, Samples,
-                               UpStorage.data(), NumSamples, Seed,
-                               GpuStats);
-    Lease.account(GpuStats);
-  }
-  if (Stats) {
-    *Stats = runtime::ExecutionStats();
-    Stats->WallNs = WallTimer.elapsedNs();
-    Stats->NumSamples = NumSamples;
-    Stats->HasGpuStats = true;
-    Stats->Gpu = GpuStats;
-  }
-  return true;
+bool GpuExecutor::run(const runtime::RunRequest &Request,
+                      runtime::ExecutionStats *Stats) const {
+  return timedRun(Request, Stats, [&](runtime::ExecutionStats &S) {
+    S.HasGpuStats = true;
+    size_t N = Request.NumSamples;
+    if (Request.Kind != QueryKind::Mpe &&
+        Request.Kind != QueryKind::Sample) {
+      StreamLease Lease(*this);
+      if (Program.UseF32)
+        runOnDevice<float>(Program, Config, BlockSize, Request.Input,
+                           Request.Output, N, S.Gpu);
+      else
+        runOnDevice<double>(Program, Config, BlockSize, Request.Input,
+                            Request.Output, N, S.Gpu);
+      Lease.account(S.Gpu);
+      return;
+    }
+    // MPE reports the root values in Output when asked for them.
+    bool ReportUp = Request.Kind == QueryKind::Mpe && Request.Output;
+    std::vector<double> UpStorage(ReportUp ? 0 : N);
+    double *Up = ReportUp ? Request.Output : UpStorage.data();
+    {
+      StreamLease Lease(*this);
+      if (Program.UseF32)
+        runQueryOnDevice<float>(Program, Config, BlockSize, Request.Kind,
+                                Request.Input, Request.Rows, Up, N,
+                                Request.Seed, S.Gpu);
+      else
+        runQueryOnDevice<double>(Program, Config, BlockSize, Request.Kind,
+                                 Request.Input, Request.Rows, Up, N,
+                                 Request.Seed, S.Gpu);
+      Lease.account(S.Gpu);
+    }
+    if (ReportUp && !Program.LogSpace)
+      for (size_t I = 0; I < N; ++I)
+        Up[I] = std::log(Up[I]);
+  });
 }
 
 std::string GpuExecutor::describe() const {

@@ -100,7 +100,8 @@ double computeSpillSlowdown(const GpuDeviceConfig &Config,
                             unsigned RegistersPerThread);
 
 /// Executes compiled kernels on the simulated device. Implements the
-/// unified runtime::ExecutionEngine interface; `execute` is thread-safe —
+/// unified runtime::ExecutionEngine interface, serving the query kinds
+/// EngineCapabilities::of(Program) names; `run` is thread-safe —
 /// the simulated device breakdown is returned per call. The program and
 /// device model are immutable after construction; the only mutable state
 /// is the stream pool: each calling thread is stickily assigned one of
@@ -132,7 +133,7 @@ public:
   unsigned getNumStreams() const;
 
   /// The stream the calling thread is (stickily) assigned to, assigning
-  /// one round-robin on first use — the same policy every execute() call
+  /// one round-robin on first use — the same policy every run() call
   /// applies.
   unsigned streamForCallingThread() const;
 
@@ -149,32 +150,19 @@ public:
   }
   std::string describe() const override;
 
-  /// Runs the kernel; same buffer conventions as CpuExecutor. Fills
-  /// \p Stats with the simulated device time breakdown when provided.
-  /// (No default argument: the three-argument call resolves to the
-  /// ExecutionEngine overload below.)
-  void execute(const double *Input, double *Output, size_t NumSamples,
-               GpuExecutionStats *Stats) const;
+  /// Runs the request on the simulated device with CpuExecutor's
+  /// buffer conventions and returns the simulated breakdown in
+  /// \p Stats->Gpu (HasGpuStats set). MPE runs the upward pass with the
+  /// program's register width (f32 for UseF32 programs — near-tie argmax
+  /// decisions can differ from f64 engines) and the traceback on the
+  /// device per sample; evidence upload and row download are accounted
+  /// like the joint transfers. Sampling follows the CPU engines'
+  /// per-sample-index seeding contract (docs/queries.md).
+  bool run(const runtime::RunRequest &Request,
+           runtime::ExecutionStats *Stats = nullptr) const override;
 
-  /// ExecutionEngine entry point; the simulated breakdown is returned in
-  /// \p Stats->Gpu with HasGpuStats set.
-  void execute(const double *Input, double *Output, size_t NumSamples,
-               runtime::ExecutionStats *Stats = nullptr) const override;
-
-  /// MPE completion on the simulated device. The upward pass runs with
-  /// the program's register width (f32 for UseF32 programs — near-tie
-  /// argmax decisions can differ from f64 engines), the traceback on the
-  /// device per sample; evidence upload and assignment download are
-  /// accounted like execute()'s transfers.
-  bool executeMpe(const double *Evidence, double *Assignments,
-                  double *LogProbs, size_t NumSamples,
-                  runtime::ExecutionStats *Stats = nullptr) const override;
-
-  /// Ancestral sampling on the simulated device; same per-sample-index
-  /// seeding contract as the CPU engines (docs/queries.md).
-  bool executeSample(const double *Evidence, double *Samples,
-                     size_t NumSamples, uint64_t Seed,
-                     runtime::ExecutionStats *Stats = nullptr) const override;
+  /// The simulated device serves no weight tables: always -1.
+  int32_t addParamTable(const double *, size_t) override { return -1; }
 
 private:
   struct DeviceState;

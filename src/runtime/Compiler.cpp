@@ -91,16 +91,10 @@ Expected<CompiledKernel> spnc::runtime::loadCompiledKernel(
     return Err;
   }
   std::fclose(File);
-  vm::BinaryInfo Info;
-  Expected<vm::KernelProgram> Program = vm::decodeProgram(Blob, &Info);
+  Expected<vm::KernelProgram> Program = vm::decodeProgram(Blob);
   if (!Program)
     return makeError("cannot load '" + Path +
                      "': " + Program.getError().message());
-  if (!Info.Checksummed)
-    std::fprintf(stderr,
-                 "warning: '%s' uses legacy kernel binary format v%u "
-                 "(no checksum); re-save it to upgrade to v%u\n",
-                 Path.c_str(), Info.Version, vm::kProgramBinaryVersion);
 
   // Resolve the engine from the lowering target recorded in the binary
   // header; warn when an explicit target contradicts it (the program

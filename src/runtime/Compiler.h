@@ -26,6 +26,7 @@
 #include "support/Expected.h"
 #include "support/LogicalResult.h"
 
+#include <cassert>
 #include <memory>
 #include <string>
 
@@ -34,54 +35,44 @@ namespace runtime {
 
 /// A compiled, loaded query kernel ready for execution. A thin handle on
 /// a shared, immutable ExecutionEngine: copying a CompiledKernel shares
-/// the engine, and `execute` is safe to call from multiple threads.
+/// the engine, and `run` is safe to call from multiple threads.
 class CompiledKernel {
 public:
   CompiledKernel() = default;
   explicit CompiledKernel(std::shared_ptr<ExecutionEngine> TheEngine)
       : Engine(std::move(TheEngine)) {}
 
-  /// Runs inference on \p NumSamples samples ([sample][feature] doubles).
-  /// \p Output receives one (log-)probability per sample; \p Stats
-  /// receives the per-call statistics (wall clock, and the simulated
-  /// device breakdown for GPU engines) when provided.
+  /// Runs \p Request on the engine; false when the kernel does not
+  /// serve it (see ExecutionEngine::run).
+  bool run(const RunRequest &Request,
+           ExecutionStats *Stats = nullptr) const {
+    return Engine->run(Request, Stats);
+  }
+
+  /// Shorthand for a joint request: \p Output receives one
+  /// (log-)probability per sample of \p Input ([sample][feature]
+  /// doubles; NaN features are marginalized when the kernel was compiled
+  /// for them), \p Stats the per-call statistics (wall clock, and the
+  /// simulated device breakdown for GPU engines) when provided.
   void execute(const double *Input, double *Output, size_t NumSamples,
                ExecutionStats *Stats = nullptr) const {
-    Engine->execute(Input, Output, NumSamples, Stats);
+    [[maybe_unused]] bool Served = run(
+        {.Input = Input, .Output = Output, .NumSamples = NumSamples}, Stats);
+    assert(Served && "kernel does not serve joint requests");
   }
 
-  /// MPE completion; forwards to ExecutionEngine::executeMpe. Returns
-  /// false when the kernel was not compiled for QueryKind::Mpe.
-  bool executeMpe(const double *Evidence, double *Assignments,
-                  double *LogProbs, size_t NumSamples,
-                  ExecutionStats *Stats = nullptr) const {
-    return Engine->executeMpe(Evidence, Assignments, LogProbs, NumSamples,
-                              Stats);
-  }
-
-  /// Ancestral sampling; forwards to ExecutionEngine::executeSample.
-  /// Returns false when the kernel was not compiled for
-  /// QueryKind::Sample.
-  bool executeSample(const double *Evidence, double *Samples,
-                     size_t NumSamples, uint64_t Seed,
-                     ExecutionStats *Stats = nullptr) const {
-    return Engine->executeSample(Evidence, Samples, NumSamples, Seed,
-                                 Stats);
-  }
-
-  /// Weight-table support of merged-model kernels; forwards to the
-  /// ExecutionEngine trio (docs/merging.md).
-  bool supportsParamTables() const {
-    return Engine->supportsParamTables();
-  }
-  int32_t addParamTable(const double *Params, size_t NumParams) const {
-    return Engine->addParamTable(Params, NumParams);
-  }
+  /// Shorthand for a joint request whose row I is evaluated under the
+  /// weight table \p TableIndices[I] (merged-model kernels,
+  /// docs/merging.md). Returns false, writing nothing, when the kernel
+  /// has no weight tables or an index is unknown.
   bool executeIndexed(const double *Input, const uint32_t *TableIndices,
                       double *Output, size_t NumSamples,
                       ExecutionStats *Stats = nullptr) const {
-    return Engine->executeIndexed(Input, TableIndices, Output, NumSamples,
-                                  Stats);
+    return run({.Input = Input,
+                .Output = Output,
+                .NumSamples = NumSamples,
+                .TableIndices = TableIndices},
+               Stats);
   }
 
   Target getTarget() const { return Engine->getTarget(); }
@@ -113,11 +104,10 @@ Expected<CompiledKernel> compileModel(const spn::Model &TheModel,
                                       const CompilerOptions &Options,
                                       CompileStats *Stats = nullptr);
 
-/// Saves the kernel's compiled program to \p Path in the current
-/// (checksummed, query-tagged v4) `.spnk` format — see
-/// docs/spnk-format.md (the
+/// Saves the kernel's compiled program to \p Path in the current `.spnk`
+/// format (vm::kProgramBinaryVersion, see docs/spnk-format.md) — the
 /// analog of keeping the emitted object file around, enabling
-/// compile-once/run-many). The write is atomic: the blob goes to a
+/// compile-once/run-many. The write is atomic: the blob goes to a
 /// temporary file that is renamed over \p Path only after a complete
 /// write, so a failure never leaves a truncated kernel behind. On
 /// failure, \p ErrorMessage (when non-null) receives an errno-based
@@ -127,16 +117,16 @@ LogicalResult saveCompiledKernel(const CompiledKernel &Kernel,
                                  std::string *ErrorMessage = nullptr);
 
 /// Loads a program saved by saveCompiledKernel and wraps it in an
-/// executor. The `.spnk` content checksum is verified before the
-/// program is trusted: truncated or bit-rotted files fail with a
-/// checksum-mismatch error instead of executing garbage. Legacy
-/// (pre-v3, checksum-less) files still load, with a warning on stderr.
-/// With Target::Auto (the default) the engine matching the recorded
-/// lowering target is selected: kernels lowered with table lookups run
-/// on the CPU executor, select-cascade kernels on the GPU simulator. An
-/// explicit target always wins — programs are target-independent and
-/// run on either engine — but a warning is printed when it contradicts
-/// the recorded lowering.
+/// executor. Only the current format version loads, and the content
+/// checksum and every index in the program are checked before it is
+/// trusted: truncated, bit-rotted or malformed files fail with an error
+/// instead of executing garbage or reading out of bounds (see
+/// vm::decodeProgram). With Target::Auto (the default) the engine
+/// matching the recorded lowering target is selected: kernels lowered
+/// with table lookups run on the CPU executor, select-cascade kernels on
+/// the GPU simulator. An explicit target always wins — programs are
+/// target-independent and run on either engine — but a warning is
+/// printed when it contradicts the recorded lowering.
 Expected<CompiledKernel> loadCompiledKernel(
     const std::string &Path, Target TheTarget = Target::Auto,
     vm::ExecutionConfig Execution = {},

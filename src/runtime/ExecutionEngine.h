@@ -8,11 +8,13 @@
 /// \file
 /// The one interface every way of running an SPN inference implements:
 /// the compiled CPU executors (vm::CpuExecutor), the simulated GPU device
-/// (gpusim::GpuExecutor) and the baseline adapters
-/// (baselines::InterpreterEngine / baselines::TfGraphEngine). Target
-/// selection happens exactly once — when the concrete engine is
-/// constructed — and execution statistics are returned per call, so one
-/// engine instance can safely serve concurrent callers.
+/// (gpusim::GpuExecutor), the native kernels of the cpp backend and the
+/// baseline adapters (baselines::InterpreterEngine /
+/// baselines::TfGraphEngine). Every query goes through one entry point,
+/// `run`, keyed by the request's query kind. Target selection and the
+/// set of requests an engine serves are fixed when the concrete engine
+/// is constructed, and execution statistics are returned per call, so
+/// one engine instance can safely serve concurrent callers.
 ///
 /// This header is layer-neutral by design: it is header-only (no link
 /// dependency) and depends only on the bytecode types and the plain GPU
@@ -25,6 +27,7 @@
 #define SPNC_RUNTIME_EXECUTIONENGINE_H
 
 #include "gpusim/GpuStats.h"
+#include "support/Timer.h"
 #include "vm/Bytecode.h"
 
 #include <cstddef>
@@ -52,9 +55,9 @@ inline const char *targetName(Target TheTarget) {
   return "<invalid>";
 }
 
-/// Per-call execution statistics. Filled by ExecutionEngine::execute when
+/// Per-call execution statistics. Filled by ExecutionEngine::run when
 /// the caller passes a non-null pointer; engines never retain mutable
-/// per-call state, which keeps execute() safe to call from many threads.
+/// per-call state, which keeps run() safe to call from many threads.
 struct ExecutionStats {
   /// Measured host wall clock of the call.
   uint64_t WallNs = 0;
@@ -83,93 +86,114 @@ struct EngineAccounting {
   bool Compiled = false;
 };
 
-/// Abstract execution engine: runs inference over a batch of samples.
-/// Implementations must be immutable after construction so that
-/// `execute` can be invoked concurrently.
+/// One engine call: the query to answer and the buffers it reads and
+/// writes. Every query is an upward pass, MPE and sampling add a
+/// downward pass (docs/queries.md):
+///
+///  * Joint / Marginal: `Output` receives the kernel's output buffer, one
+///    (log-)probability per sample. A marginal request says rows may
+///    hold NaN (marginalized) features, which only a marginal-capable
+///    engine evaluates; otherwise both run the same pass.
+///  * Mpe: `Rows` receives the completed rows and `Output`, when set, the
+///    log-probability of each completed row.
+///  * Sample: `Rows` receives one ancestral sample per evidence row;
+///    sample I depends only on `Seed` and I, so a fixed seed is
+///    reproducible regardless of batching.
+///
+/// `Input` and `Rows` are row-major [sample][feature] doubles, NaN =
+/// unobserved.
+struct RunRequest {
+  vm::QueryKind Kind = vm::QueryKind::Joint;
+  const double *Input = nullptr;
+  double *Output = nullptr;
+  double *Rows = nullptr;
+  size_t NumSamples = 0;
+  /// Joint/marginal only: row I is evaluated under weight table
+  /// TableIndices[I] (indices from addParamTable, docs/merging.md); null
+  /// evaluates the engine's own parameters. Each maximal run of equal
+  /// indices executes as one sub-batch, so rows should arrive grouped
+  /// by table.
+  const uint32_t *TableIndices = nullptr;
+  /// Sampling seed.
+  uint64_t Seed = 0;
+};
+
+/// The bit of \p Kind in EngineCapabilities::Kinds.
+constexpr unsigned kindBit(vm::QueryKind Kind) {
+  return 1u << static_cast<unsigned>(Kind);
+}
+
+/// The requests an engine serves, fixed when it is constructed.
+struct EngineCapabilities {
+  /// The query kinds run() accepts, one kindBit each.
+  unsigned Kinds = 0;
+  /// run() accepts per-row weight-table indices.
+  bool ParamTables = false;
+
+  bool serves(vm::QueryKind Kind) const { return Kinds & kindBit(Kind); }
+
+  /// What an engine running \p Program serves: the program's own query
+  /// kind (a marginal program serves joint requests too), and weight
+  /// tables when it is parameterized. MPE and sampling need the
+  /// traceback plan, which only single-task programs carry.
+  static EngineCapabilities of(const vm::KernelProgram &Program) {
+    EngineCapabilities Caps;
+    Caps.ParamTables = Program.Parameterized;
+    switch (Program.Query) {
+    case vm::QueryKind::Marginal:
+      Caps.Kinds = kindBit(vm::QueryKind::Marginal);
+      [[fallthrough]];
+    case vm::QueryKind::Joint:
+      Caps.Kinds |= kindBit(vm::QueryKind::Joint);
+      break;
+    case vm::QueryKind::Mpe:
+    case vm::QueryKind::Sample:
+      if (!Program.Plan.empty() && Program.Tasks.size() == 1)
+        Caps.Kinds = kindBit(Program.Query);
+      break;
+    }
+    return Caps;
+  }
+};
+
+/// Abstract execution engine: answers queries over a batch of samples.
+/// Implementations must be immutable after construction (apart from
+/// addParamTable) so that `run` can be invoked concurrently.
 class ExecutionEngine {
 public:
   virtual ~ExecutionEngine() = default;
 
-  /// Runs inference on \p NumSamples samples (row-major
-  /// [sample][feature] doubles). \p Output receives one (log-)probability
-  /// per sample. Fills \p Stats with per-call statistics when provided.
-  /// Thread-safe: concurrent calls on one engine are allowed. Never
-  /// fails; input shape correctness is the caller's contract.
-  virtual void execute(const double *Input, double *Output,
-                       size_t NumSamples,
-                       ExecutionStats *Stats = nullptr) const = 0;
-
-  /// Runs MPE (most probable explanation) completion on \p NumSamples
-  /// evidence rows (row-major [sample][feature] doubles, NaN =
-  /// unobserved). \p Assignments receives the completed rows in the same
-  /// layout; \p LogProbs (optional) one log-probability of the completed
-  /// assignment per sample. Returns false when this engine does not
-  /// serve MPE (it was not compiled for QueryKind::Mpe, or the engine
-  /// kind has no traceback support); no output is written then.
-  /// Thread-safe like execute().
-  virtual bool executeMpe(const double *Evidence, double *Assignments,
-                          double *LogProbs, size_t NumSamples,
-                          ExecutionStats *Stats = nullptr) const {
-    (void)Evidence;
-    (void)Assignments;
-    (void)LogProbs;
-    (void)NumSamples;
-    (void)Stats;
-    return false;
-  }
-
-  /// Draws \p NumSamples ancestral samples conditioned on the evidence
-  /// rows (NaN = unobserved/to-be-sampled; pass all-NaN rows for
-  /// unconditional sampling). \p Samples receives the completed rows.
-  /// Sample I depends only on \p Seed and I (docs/queries.md), so a
-  /// fixed seed is reproducible per engine regardless of batching.
-  /// Returns false when this engine does not serve sampling. Thread-safe
-  /// like execute().
-  virtual bool executeSample(const double *Evidence, double *Samples,
-                             size_t NumSamples, uint64_t Seed,
-                             ExecutionStats *Stats = nullptr) const {
-    (void)Evidence;
-    (void)Samples;
-    (void)NumSamples;
-    (void)Seed;
-    (void)Stats;
-    return false;
-  }
-
-  /// Weight-table support (merged-model serving, docs/merging.md): true
-  /// when this engine runs a parameterized program and can rebind its
-  /// tunable slots per model via addParamTable / executeIndexed.
-  virtual bool supportsParamTables() const { return false; }
+  /// Runs \p Request and fills \p Stats when provided. Returns false,
+  /// with no output written, when this engine does not serve the
+  /// request (see serves()) or a table index names no registered table.
+  /// Thread-safe: concurrent calls on one engine are allowed. Input
+  /// shape correctness is the caller's contract.
+  virtual bool run(const RunRequest &Request,
+                   ExecutionStats *Stats = nullptr) const = 0;
 
   /// Registers a per-model weight table: \p Params is the raw canonical
   /// parameter vector (merge::extractParams order, length must match the
-  /// program's NumParams). Returns the table index for executeIndexed,
-  /// or -1 when this engine has no table support or the length is wrong.
-  /// Idempotent: registering identical content returns the existing
-  /// index. The one sanctioned mutation after construction — safe to
-  /// call concurrently with execute()/executeIndexed().
-  virtual int32_t addParamTable(const double *Params, size_t NumParams) {
-    (void)Params;
-    (void)NumParams;
-    return -1;
-  }
+  /// program's NumParams). Returns the table index for
+  /// RunRequest::TableIndices, or -1 when this engine has no weight
+  /// tables or the length is wrong. Registering identical content
+  /// returns the existing index. The one sanctioned mutation after
+  /// construction — safe to call concurrently with run().
+  virtual int32_t addParamTable(const double *Params, size_t NumParams) = 0;
 
-  /// Cross-model batch execution: like execute(), but row I is evaluated
-  /// under the weight table \p TableIndices[I] (indices from
-  /// addParamTable). Rows should arrive grouped by table index — the
-  /// engine splits the batch into maximal equal-index runs. Returns
-  /// false (writing nothing) when tables are unsupported or an index is
-  /// unknown. Thread-safe like execute().
-  virtual bool executeIndexed(const double *Input,
-                              const uint32_t *TableIndices, double *Output,
-                              size_t NumSamples,
-                              ExecutionStats *Stats = nullptr) const {
-    (void)Input;
-    (void)TableIndices;
-    (void)Output;
-    (void)NumSamples;
-    (void)Stats;
-    return false;
+  /// The requests this engine serves. Constant for its lifetime.
+  const EngineCapabilities &getCapabilities() const { return Capabilities; }
+
+  /// True when \p Request is within getCapabilities() and carries the
+  /// buffer its kind writes.
+  bool serves(const RunRequest &Request) const {
+    if (!Capabilities.serves(Request.Kind))
+      return false;
+    bool Likelihood = Request.Kind == vm::QueryKind::Joint ||
+                      Request.Kind == vm::QueryKind::Marginal;
+    if (Request.TableIndices && !(Likelihood && Capabilities.ParamTables))
+      return false;
+    return Request.NumSamples == 0 ||
+           (Likelihood ? Request.Output : Request.Rows) != nullptr;
   }
 
   /// The compiled program backing this engine, or null for engines that
@@ -187,8 +211,7 @@ public:
     if (const vm::KernelProgram *Program = getProgram()) {
       Accounting.Compiled = true;
       Accounting.NumTasks = Program->Tasks.size();
-      for (const vm::TaskProgram &Task : Program->Tasks)
-        Accounting.NumInstructions += Task.Code.size();
+      Accounting.NumInstructions = Program->totalInstructions();
     }
     return Accounting;
   }
@@ -200,6 +223,33 @@ public:
   /// One-line human-readable description (engine kind + configuration).
   /// Thread-safe.
   virtual std::string describe() const = 0;
+
+protected:
+  explicit ExecutionEngine(EngineCapabilities TheCapabilities)
+      : Capabilities(TheCapabilities) {}
+
+  /// The frame every run() shares: refuses a request this engine does
+  /// not serve, otherwise calls \p Body with a statistics record to add
+  /// engine-specific detail to (the simulated GPU breakdown), and
+  /// stamps the wall clock and sample count into \p Stats.
+  template <typename BodyFn>
+  bool timedRun(const RunRequest &Request, ExecutionStats *Stats,
+                BodyFn &&Body) const {
+    if (!serves(Request))
+      return false;
+    Timer WallTimer;
+    ExecutionStats Local;
+    Body(Local);
+    if (Stats) {
+      Local.WallNs = WallTimer.elapsedNs();
+      Local.NumSamples = Request.NumSamples;
+      *Stats = Local;
+    }
+    return true;
+  }
+
+private:
+  EngineCapabilities Capabilities;
 };
 
 } // namespace runtime

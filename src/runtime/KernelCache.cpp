@@ -26,10 +26,8 @@ using namespace spnc::runtime;
 
 namespace {
 
-/// The backend a cache without an explicit `Config::TheBackend` uses —
-/// the bytecode VM path, matching the pre-registry behavior (and the
-/// pre-registry cache keys: the VM backend's identity is folded into
-/// every key, including those of legacy makeKey callers).
+/// The backend a cache without an explicit `Config::TheBackend` uses:
+/// the bytecode VM path.
 const backend::Backend &defaultBackend() {
   static const backend::VmBackend Vm;
   return Vm;
@@ -78,24 +76,6 @@ uint64_t KernelCache::stageFingerprint(
   return Seed;
 }
 
-uint64_t KernelCache::makeKey(const spn::Model &Model,
-                              const spn::QueryConfig &Query,
-                              const PipelineConfig &Config) {
-  // Default stage set: hashing the freshly-built pipeline keeps this
-  // overload's keys identical to what getOrCompile computes when no
-  // ConfigurePipeline hook is installed.
-  return makeKey(Model, Query, Config,
-                 stageFingerprint(CompilationPipeline(Config)));
-}
-
-uint64_t KernelCache::makeKey(const spn::Model &Model,
-                              const spn::QueryConfig &Query,
-                              const PipelineConfig &Config,
-                              uint64_t StageFingerprint) {
-  return makeKey(Model, Query, Config, StageFingerprint,
-                 defaultBackend());
-}
-
 namespace {
 
 /// Folds the non-model key components onto \p ModelHash — shared by the
@@ -107,8 +87,8 @@ uint64_t combineKey(uint64_t ModelHash, const spn::QueryConfig &Query,
                     const backend::Backend &TheBackend) {
   size_t Seed = ModelHash;
   // Query.Kind participates in the key, so a cache populated with
-  // joint/marginal kernels (or old query-less keys) never serves an MPE
-  // or sampling request — it misses and recompiles transparently.
+  // joint/marginal kernels never serves an MPE or sampling request — it
+  // misses and recompiles transparently.
   hashCombineSeed(Seed,
                   hashCombine(Query.BatchSize, Query.LogSpace,
                               Query.SupportMarginal,
@@ -153,24 +133,16 @@ std::string KernelCache::tuningRecordPath(uint64_t ModelHash) const {
 
 namespace {
 
-/// Outcome of probing the disk tier for one key.
-struct DiskProbe {
-  /// The file existed (so a decode failure means corruption, not a
-  /// plain miss).
-  bool Existed = false;
-  /// The entry predates the checksummed format (v3).
-  bool Legacy = false;
-};
-
 /// Reads and decodes a cached `.spnk`; any failure (missing file, short
-/// read, bad blob, checksum mismatch) returns an error the caller
-/// treats as a miss. \p Probe distinguishes corruption from absence.
+/// read, bad blob, checksum mismatch, older format version) returns an
+/// error the caller treats as a miss. \p Existed distinguishes
+/// corruption from absence.
 Expected<vm::KernelProgram> loadCachedProgram(const std::string &Path,
-                                              DiskProbe &Probe) {
+                                              bool &Existed) {
   std::FILE *File = std::fopen(Path.c_str(), "rb");
   if (!File)
     return makeError("no cache entry at '" + Path + "'");
-  Probe.Existed = true;
+  Existed = true;
   std::vector<uint8_t> Blob;
   uint8_t Chunk[4096];
   size_t Read;
@@ -180,17 +152,7 @@ Expected<vm::KernelProgram> loadCachedProgram(const std::string &Path,
   std::fclose(File);
   if (ReadError)
     return makeError("cannot read cache entry '" + Path + "'");
-  vm::BinaryInfo Info;
-  Expected<vm::KernelProgram> Program = vm::decodeProgram(Blob, &Info);
-  if (Program && !Info.Checksummed) {
-    Probe.Legacy = true;
-    std::fprintf(stderr,
-                 "warning: kernel cache entry '%s' uses legacy binary "
-                 "format v%u (no checksum); it will be trusted as-is — "
-                 "delete it to re-save in format v%u\n",
-                 Path.c_str(), Info.Version, vm::kProgramBinaryVersion);
-  }
-  return Program;
+  return vm::decodeProgram(Blob);
 }
 
 } // namespace
@@ -353,18 +315,18 @@ KernelCache::getOrCompileImpl(uint64_t ModelHash, const spn::Model &Model,
   // distinct keys make progress concurrently; duplicate concurrent work
   // on the same key is resolved at insertion (first wins).
   bool FromDisk = false;
-  DiskProbe Probe;
+  bool Existed = false;
   std::shared_ptr<ExecutionEngine> Engine;
   std::string Path = entryPath(Key);
   uint64_t PrunedFiles = 0, PrunedBytes = 0;
   if (!Path.empty()) {
-    Expected<vm::KernelProgram> Cached = loadCachedProgram(Path, Probe);
+    Expected<vm::KernelProgram> Cached = loadCachedProgram(Path, Existed);
     if (Cached &&
         Cached->Query != static_cast<vm::QueryKind>(Query.Kind)) {
       // Defense in depth: the query kind participates in the cache key,
-      // so this only triggers when an entry written before query
-      // tagging (or a hand-copied file) occupies the slot. Serving it
-      // would answer the wrong inference task — recompile instead.
+      // so this only triggers when a hand-copied file occupies the slot.
+      // Serving it would answer the wrong inference task — recompile
+      // instead.
       Cached = makeError(
           "compiled for query kind " +
           std::to_string(static_cast<unsigned>(Cached->Query)) +
@@ -398,7 +360,7 @@ KernelCache::getOrCompileImpl(uint64_t ModelHash, const spn::Model &Model,
                      Path.c_str(),
                      Artifact.getError().message().c_str());
       }
-    } else if (Probe.Existed) {
+    } else if (Existed) {
       std::fprintf(stderr,
                    "warning: rejecting kernel cache entry '%s': %s "
                    "(recompiling)\n",
@@ -426,7 +388,7 @@ KernelCache::getOrCompileImpl(uint64_t ModelHash, const spn::Model &Model,
   std::lock_guard<std::mutex> Lock(Mutex);
   Counters.DiskPrunedFiles += PrunedFiles;
   Counters.DiskPrunedBytes += PrunedBytes;
-  if (Probe.Existed && !FromDisk)
+  if (Existed && !FromDisk)
     ++Counters.CorruptedDiskEntries;
   auto It = Entries.find(Key);
   if (It != Entries.end()) {
@@ -437,13 +399,10 @@ KernelCache::getOrCompileImpl(uint64_t ModelHash, const spn::Model &Model,
   LruOrder.push_front(Key);
   It = Entries.emplace(Key, Entry{std::move(Engine), LruOrder.begin()})
            .first;
-  if (FromDisk) {
+  if (FromDisk)
     ++Counters.DiskHits;
-    if (Probe.Legacy)
-      ++Counters.LegacyDiskEntries;
-  } else {
+  else
     ++Counters.Recompiles;
-  }
   CompiledKernel Result(It->second.Engine);
   enforceCapacity();
   return Result;

@@ -30,13 +30,12 @@
 ///    `.spnk` size; exceeding it prunes the oldest files first (the
 ///    just-written entry is never pruned).
 ///
-/// Disk entries are integrity-checked: the `.spnk` header carries a
-/// content checksum (format v3), verified on every disk-tier hit.
-/// Corrupted, truncated or unreadable entries are never an error — the
-/// kernel is recompiled, the entry rewritten, and the rejection counted
-/// in `Stats::CorruptedDiskEntries`. Legacy (pre-v3, checksum-less)
-/// entries still load, with a warning and a `Stats::LegacyDiskEntries`
-/// count.
+/// Disk entries are integrity-checked on every disk-tier hit: the
+/// `.spnk` content checksum and every index of the decoded program (see
+/// vm::decodeProgram). Corrupted, truncated, unreadable or older-format
+/// entries are never an error — the kernel is recompiled, the entry
+/// rewritten in the current format, and the rejection counted in
+/// `Stats::CorruptedDiskEntries`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -123,14 +122,11 @@ public:
     /// size.
     uint64_t DiskPrunedFiles = 0;
     uint64_t DiskPrunedBytes = 0;
-    /// Disk entries rejected as unreadable, truncated or failing the
-    /// content checksum (each one triggered a transparent recompile).
+    /// Disk entries rejected as unreadable, truncated, failing the
+    /// content checksum or the index checks, or written in an older
+    /// format version (each one triggered a transparent recompile).
     uint64_t CorruptedDiskEntries = 0;
-    /// Disk entries loaded from a pre-checksum (v1/v2) `.spnk`.
-    uint64_t LegacyDiskEntries = 0;
   };
-  /// Legacy name of the counters struct (pre-LRU API).
-  using Statistics = Stats;
 
   /// An in-memory-only cache with the default LRU capacity.
   KernelCache() = default;
@@ -157,11 +153,6 @@ public:
   /// concurrently.
   static uint64_t contentHash(const spn::Model &Model);
 
-  /// Legacy spelling of contentHash() (the pre-merging name).
-  static uint64_t hashModel(const spn::Model &Model) {
-    return contentHash(Model);
-  }
-
   /// Structural hash of \p Model: node kinds, wiring, leaf families and
   /// scopes — tunable parameters (sum weights, bucket masses, category
   /// probabilities, Gaussian mean/stddev) excluded, so a weight-only
@@ -176,28 +167,11 @@ public:
   /// is finished; never fails.
   static uint64_t stageFingerprint(const CompilationPipeline &Pipeline);
 
-  /// The cache key for compiling \p Model for \p Query under \p Config
-  /// with a default (unconfigured) stage set. Thread-safe; never fails.
-  static uint64_t makeKey(const spn::Model &Model,
-                          const spn::QueryConfig &Query,
-                          const PipelineConfig &Config);
-
-  /// The cache key for a pipeline whose stage fingerprint is
-  /// \p StageFingerprint (see stageFingerprint()). This is the key
-  /// getOrCompile actually uses; the three-argument overload delegates
-  /// here with the default pipeline's fingerprint. Thread-safe; never
-  /// fails.
-  static uint64_t makeKey(const spn::Model &Model,
-                          const spn::QueryConfig &Query,
-                          const PipelineConfig &Config,
-                          uint64_t StageFingerprint);
-
-  /// The cache key additionally covering \p TheBackend's identity (its
-  /// name and artifact fingerprint). This is what getOrCompile uses on
-  /// a backend-configured cache; the four-argument overload delegates
-  /// here with the default VM backend, so legacy callers and
-  /// default-configured caches keep computing identical keys.
-  /// Thread-safe; never fails.
+  /// The key getOrCompile uses for compiling \p Model for \p Query
+  /// under \p Config, with a pipeline whose stage fingerprint is
+  /// \p StageFingerprint (see stageFingerprint()) on \p TheBackend (its
+  /// name and artifact fingerprint; a cache without a configured
+  /// backend uses backend::VmBackend). Thread-safe; never fails.
   static uint64_t makeKey(const spn::Model &Model,
                           const spn::QueryConfig &Query,
                           const PipelineConfig &Config,
@@ -219,7 +193,7 @@ public:
 
   /// A merged-path result: the group's shared kernel plus the index of
   /// this model's weight table inside the kernel's engine (the row tag
-  /// ExecutionEngine::executeIndexed consumes).
+  /// RunRequest::TableIndices carries).
   struct MergedKernel {
     CompiledKernel Kernel;
     int32_t TableIndex = -1;
@@ -252,9 +226,6 @@ public:
   /// A consistent snapshot of the observability counters. Thread-safe.
   Stats getStats() const;
 
-  /// Legacy spelling of getStats().
-  Statistics getStatistics() const { return getStats(); }
-
   const std::string &getDirectory() const { return TheConfig.Directory; }
 
   /// The active configuration (immutable after construction).
@@ -265,7 +236,7 @@ public:
   std::string entryPath(uint64_t Key) const;
 
   /// Path of the per-model tuning-record sidecar
-  /// (`<dir>/<hashModel hex>.tune.json`, empty when the cache is
+  /// (`<dir>/<contentHash hex>.tune.json`, empty when the cache is
   /// in-memory only). Keyed on the model hash alone — unlike `.spnk`
   /// entries, a record *selects* the compile options rather than being
   /// keyed by them — and the `.tune.json` extension keeps records

@@ -164,7 +164,6 @@ void spnc::runtime::writeKernelCacheReport(
   W.member("disk_pruned_files", Stats.DiskPrunedFiles);
   W.member("disk_pruned_bytes", Stats.DiskPrunedBytes);
   W.member("corrupted_disk_entries", Stats.CorruptedDiskEntries);
-  W.member("legacy_disk_entries", Stats.LegacyDiskEntries);
   if (CacheConfig) {
     W.key("config");
     W.beginObject();

@@ -83,12 +83,11 @@ struct InferenceServer::Request {
 struct InferenceServer::ModelEntry {
   std::string Name;
   runtime::CompiledKernel Kernel;
-  /// The query the engine was compiled for; runBatch dispatches on its
-  /// Kind (likelihood vs MPE vs sampling entry point).
+  /// The query the engine was compiled for; runBatch requests its Kind.
   spn::QueryConfig Query;
   unsigned NumFeatures = 0;
   /// True for the shared entry of a merge group: requests carry a
-  /// weight-table index and batches execute through executeIndexed.
+  /// weight-table index and batches run with per-row table indices.
   bool Merged = false;
   /// Model names routed to this entry (1 unless Merged); Name is the
   /// first. Guarded by RoutingMutex, read only for error messages.
@@ -293,7 +292,7 @@ InferenceServer::addModel(const std::string &Name,
     return Kernel.getError();
 
   size_t ShardIndex =
-      placeOnShard(runtime::KernelCache::hashModel(Model), Shards.size());
+      placeOnShard(runtime::KernelCache::contentHash(Model), Shards.size());
   Shard &TheShard = *Shards[ShardIndex];
 
   auto Entry = std::make_unique<ModelEntry>();
@@ -733,7 +732,7 @@ void InferenceServer::runBatch(Shard &TheShard, Batch TheBatch) {
 
   // Merged batches mix requests for different models of one merge
   // group. Grouping same-model rows together (stable within a model,
-  // so FIFO order inside each model holds) lets executeIndexed run
+  // so FIFO order inside each model holds) lets the engine run
   // maximal per-table spans; the output scatter below walks the same
   // sorted order, so each rider still gets its own rows back.
   if (Model.Merged)
@@ -766,42 +765,30 @@ void InferenceServer::runBatch(Shard &TheShard, Batch TheBatch) {
     Offset += TheRequest.NumSamples;
   }
 
-  // Dispatch on the query kind the model was compiled for. Likelihood
-  // queries fill Output only; MPE fills Rows (assignments) and Output
-  // (log-probabilities); sampling fills Rows only, seeded from the
-  // configured base seed decorrelated per dispatched batch (the counter
-  // is server-wide, so no two batches of any shard share a stream).
+  // One request of the query kind the model was compiled for.
+  // Likelihood queries fill Output only; MPE fills Rows (assignments)
+  // and Output (log-probabilities); sampling fills Rows only, seeded
+  // from the configured base seed decorrelated per dispatched batch (the
+  // counter is server-wide, so no two batches of any shard share a
+  // stream).
+  runtime::RunRequest Run;
+  Run.Kind = static_cast<vm::QueryKind>(Model.Query.Kind);
+  Run.Input = Input.data();
+  Run.Output = Output.data();
+  Run.NumSamples = TheBatch.TotalSamples;
+  if (Model.Merged)
+    Run.TableIndices = TableIndices.data();
   std::vector<double> Rows;
-  bool Executed = true;
+  if (Model.Query.Kind == spn::QueryKind::Mpe ||
+      Model.Query.Kind == spn::QueryKind::Sample) {
+    Rows.resize(TheBatch.TotalSamples * NumFeatures);
+    Run.Rows = Rows.data();
+  }
+  if (Model.Query.Kind == spn::QueryKind::Sample)
+    Run.Seed = Config.SampleSeed ^
+               (0x9e3779b97f4a7c15ULL * (SampleBatchCounter.fetch_add(1) + 1));
   runtime::ExecutionStats ExecStats;
-  switch (Model.Query.Kind) {
-  case spn::QueryKind::Joint:
-  case spn::QueryKind::Marginal:
-    if (Model.Merged)
-      Executed = Model.Kernel.executeIndexed(
-          Input.data(), TableIndices.data(), Output.data(),
-          TheBatch.TotalSamples, &ExecStats);
-    else
-      Model.Kernel.execute(Input.data(), Output.data(),
-                           TheBatch.TotalSamples, &ExecStats);
-    break;
-  case spn::QueryKind::Mpe:
-    Rows.resize(TheBatch.TotalSamples * NumFeatures);
-    Executed = Model.Kernel.executeMpe(Input.data(), Rows.data(),
-                                       Output.data(),
-                                       TheBatch.TotalSamples, &ExecStats);
-    break;
-  case spn::QueryKind::Sample: {
-    Rows.resize(TheBatch.TotalSamples * NumFeatures);
-    uint64_t BatchSeed =
-        Config.SampleSeed ^
-        (0x9e3779b97f4a7c15ULL * (SampleBatchCounter.fetch_add(1) + 1));
-    Executed = Model.Kernel.executeSample(Input.data(), Rows.data(),
-                                          TheBatch.TotalSamples,
-                                          BatchSeed, &ExecStats);
-    break;
-  }
-  }
+  bool Executed = Model.Kernel.run(Run, &ExecStats);
   Clock::time_point Done = Clock::now();
 
   // Account first, then complete the promises: a submitter that

@@ -18,7 +18,7 @@
 ///  * the server runs `NumShards` independent shards, each with its own
 ///    batcher thread, request queues and worker pool. Models are placed
 ///    on shards by consistent hashing over the model hash
-///    (`KernelCache::hashModel`), so placement is deterministic and
+///    (`KernelCache::contentHash`), so placement is deterministic and
 ///    stable under shard-count changes; all shards compile through one
 ///    shared `runtime::KernelCache`;
 ///  * requests carry a `Priority` class (Interactive or Bulk). Each
@@ -42,7 +42,7 @@
 ///    share one request queue, so traffic for different models of a
 ///    merge group coalesces into the same micro-batch — each row
 ///    executes against its own model's weight table
-///    (`ExecutionEngine::executeIndexed`; docs/merging.md);
+///    (`RunRequest::TableIndices`; docs/merging.md);
 ///  * `shutdown()` drains in-flight work — every accepted request is
 ///    completed before the server stops.
 ///

@@ -28,7 +28,7 @@
 ///     "p99_latency_ns": ..., "evaluations": ..., "seed": ...
 ///   }
 ///
-/// `model_hash` is `KernelCache::hashModel` rendered as 16 hex digits
+/// `model_hash` is `KernelCache::contentHash` rendered as 16 hex digits
 /// (JSON numbers are doubles and cannot carry 64 bits exactly). Knob
 /// values keep their type: JSON numbers for integer/real knobs, strings
 /// for text knobs.
@@ -60,7 +60,7 @@ struct TuningRecord {
 
   /// Model name (diagnostics only; the hash is the identity).
   std::string ModelName;
-  /// KernelCache::hashModel of the tuned model.
+  /// KernelCache::contentHash of the tuned model.
   uint64_t ModelHash = 0;
   /// Printable objective the run optimized ("throughput",
   /// "p99-latency", "blend(latency-weight=0.5)").

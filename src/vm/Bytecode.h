@@ -215,7 +215,7 @@ struct BufferInfo {
 /// §IV-C). Recorded in the program (and its binary header) so a loaded
 /// kernel can default to the matching engine.
 enum class LoweringKind : uint8_t {
-  /// Pre-v2 binaries that did not record the lowering.
+  /// Not recorded (hand-built programs).
   Unknown = 0,
   TableLookup = 1,
   SelectCascade = 2,
@@ -223,7 +223,7 @@ enum class LoweringKind : uint8_t {
 
 /// The inference task a program was generated for. Mirrors
 /// `spn::QueryKind` (the vm layer must not depend on the frontend);
-/// numeric values are the on-disk contract of the `.spnk` v4 header.
+/// numeric values are the on-disk contract of the `.spnk` header.
 enum class QueryKind : uint8_t {
   Joint = 0,
   Marginal = 1,
@@ -318,8 +318,7 @@ struct KernelProgram {
   uint32_t BatchSize = 4096;
   /// The discrete-leaf lowering strategy this program was generated with.
   LoweringKind Lowering = LoweringKind::Unknown;
-  /// The inference task this program was generated for. Pre-v4 binaries
-  /// decode as Joint (they were all joint/marginal evidence kernels).
+  /// The inference task this program was generated for.
   QueryKind Query = QueryKind::Joint;
   /// Downward traceback plan (MPE / sampling programs only).
   TracebackPlan Plan;

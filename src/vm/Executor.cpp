@@ -9,7 +9,6 @@
 
 #include "support/Compiler.h"
 #include "support/ThreadPool.h"
-#include "support/Timer.h"
 #include "vm/ParamTable.h"
 #include "vm/Traceback.h"
 #include "vm/VecMath.h"
@@ -19,7 +18,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
-#include <mutex>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -92,9 +91,9 @@ static SPNC_ALWAYS_INLINE T scalarLogSumExp(T A, T B) {
 }
 
 template <typename T>
-void spnc::vm::executeSample(const TaskProgram &Task,
-                             const BufferBinding<T> *Buffers,
-                             size_t SampleIdx, T *Registers) {
+void spnc::vm::interpretSample(const TaskProgram &Task,
+                               const BufferBinding<T> *Buffers,
+                               size_t SampleIdx, T *Registers) {
   const T NegInf = -std::numeric_limits<T>::infinity();
   (void)NegInf;
   const Instruction *Inst = Task.Code.data();
@@ -287,12 +286,13 @@ void spnc::vm::executeSample(const TaskProgram &Task,
 }
 
 
-template void spnc::vm::executeSample<float>(const TaskProgram &,
-                                             const BufferBinding<float> *,
-                                             size_t, float *);
-template void spnc::vm::executeSample<double>(const TaskProgram &,
-                                              const BufferBinding<double> *,
-                                              size_t, double *);
+template void spnc::vm::interpretSample<float>(const TaskProgram &,
+                                               const BufferBinding<float> *,
+                                               size_t, float *);
+template void
+spnc::vm::interpretSample<double>(const TaskProgram &,
+                                  const BufferBinding<double> *, size_t,
+                                  double *);
 
 //===----------------------------------------------------------------------===//
 // Vector engine
@@ -569,7 +569,8 @@ void runBlock(const TaskProgram &Task, const BufferBinding<T> *Buffers,
 
 CpuExecutor::CpuExecutor(KernelProgram TheProgram,
                          ExecutionConfig TheConfig)
-    : Program(std::move(TheProgram)), Config(TheConfig) {
+    : ExecutionEngine(runtime::EngineCapabilities::of(TheProgram)),
+      Program(std::move(TheProgram)), Config(TheConfig) {
   assert((Config.VectorWidth == 1 || Config.VectorWidth == 4 ||
           Config.VectorWidth == 8 || Config.VectorWidth == 16) &&
          "unsupported vector width");
@@ -580,34 +581,6 @@ CpuExecutor::CpuExecutor(KernelProgram TheProgram,
 }
 
 CpuExecutor::~CpuExecutor() = default;
-
-void CpuExecutor::execute(const double *Input, double *Output,
-                          size_t NumSamples,
-                          runtime::ExecutionStats *Stats) const {
-  Timer WallTimer;
-  if (!Pool) {
-    executeChunk(Program, Input, Output, NumSamples, 0, NumSamples);
-  } else {
-    size_t Chunk =
-        Config.ChunkSize ? Config.ChunkSize : Program.BatchSize;
-    if (Chunk == 0)
-      Chunk = NumSamples;
-    size_t NumChunks = (NumSamples + Chunk - 1) / Chunk;
-    for (size_t C = 0; C < NumChunks; ++C) {
-      size_t Begin = C * Chunk;
-      size_t End = std::min(NumSamples, Begin + Chunk);
-      Pool->submit([this, Input, Output, NumSamples, Begin, End] {
-        executeChunk(Program, Input, Output, NumSamples, Begin, End);
-      });
-    }
-    Pool->wait();
-  }
-  if (Stats) {
-    *Stats = runtime::ExecutionStats();
-    Stats->WallNs = WallTimer.elapsedNs();
-    Stats->NumSamples = NumSamples;
-  }
-}
 
 std::string CpuExecutor::describe() const {
   std::string Desc = Config.VectorWidth <= 1
@@ -684,7 +657,7 @@ void runChunkTyped(const KernelProgram &Program,
       }
       const TaskProgram &Task = Program.Tasks[Step.Task];
       for (size_t I = 0; I < ChunkLen; ++I)
-        executeSample(Task, Bindings.data(), I, Registers.data());
+        interpretSample(Task, Bindings.data(), I, Registers.data());
     }
     return;
   }
@@ -734,7 +707,7 @@ void runChunkTyped(const KernelProgram &Program,
     }
     // Scalar epilogue for the remainder (paper §IV-B).
     for (size_t I = NumBlocks * W; I < ChunkLen; ++I)
-      executeSample(Task, Bindings.data(), I, Registers.data());
+      interpretSample(Task, Bindings.data(), I, Registers.data());
   }
 }
 
@@ -752,81 +725,33 @@ void CpuExecutor::executeChunk(const KernelProgram &TheProgram,
                           Begin, End);
 }
 
-//===----------------------------------------------------------------------===//
-// Weight tables (parameterized / merged-model programs, docs/merging.md)
-//===----------------------------------------------------------------------===//
+void CpuExecutor::dispatch(const KernelProgram &TheProgram,
+                           const double *Input, double *Output,
+                           size_t TotalSamples, size_t Begin,
+                           size_t End) const {
+  if (!Pool) {
+    executeChunk(TheProgram, Input, Output, TotalSamples, Begin, End);
+    return;
+  }
+  size_t Chunk = Config.ChunkSize ? Config.ChunkSize : Program.BatchSize;
+  if (Chunk == 0)
+    Chunk = TotalSamples;
+  for (size_t B = Begin; B < End; B += Chunk) {
+    size_t E = std::min(End, B + Chunk);
+    Pool->submit([this, &TheProgram, Input, Output, TotalSamples, B, E] {
+      executeChunk(TheProgram, Input, Output, TotalSamples, B, E);
+    });
+  }
+}
 
 int32_t CpuExecutor::addParamTable(const double *Params,
                                    size_t NumParams) {
-  if (!Program.Parameterized || NumParams != Program.NumParams)
+  if (!getCapabilities().ParamTables || NumParams != Program.NumParams)
     return -1;
-  std::unique_lock<std::shared_mutex> Lock(TablesMutex);
-  // Idempotent by exact content: a model re-registered after a cache hit
-  // gets its old index back.
-  for (size_t I = 0; I < TableParams.size(); ++I)
-    if (TableParams[I].size() == NumParams &&
-        std::equal(TableParams[I].begin(), TableParams[I].end(), Params))
-      return static_cast<int32_t>(I);
-  BoundPrograms.push_back(std::make_unique<KernelProgram>(
-      bindParams(Program, std::span<const double>(Params, NumParams))));
-  TableParams.emplace_back(Params, Params + NumParams);
-  return static_cast<int32_t>(TableParams.size() - 1);
-}
-
-bool CpuExecutor::executeIndexed(const double *Input,
-                                 const uint32_t *TableIndices,
-                                 double *Output, size_t NumSamples,
-                                 runtime::ExecutionStats *Stats) const {
-  if (!Program.Parameterized)
-    return false;
-  Timer WallTimer;
-  std::vector<const KernelProgram *> Bound;
-  {
-    std::shared_lock<std::shared_mutex> Lock(TablesMutex);
-    Bound.reserve(BoundPrograms.size());
-    for (const std::unique_ptr<KernelProgram> &P : BoundPrograms)
-      Bound.push_back(P.get());
-  }
-  for (size_t I = 0; I < NumSamples; ++I)
-    if (TableIndices[I] >= Bound.size())
-      return false;
-
-  size_t Chunk = Config.ChunkSize ? Config.ChunkSize : Program.BatchSize;
-  if (Chunk == 0)
-    Chunk = NumSamples;
-  auto Dispatch = [&](const KernelProgram *Table, size_t Begin,
-                      size_t End) {
-    if (!Pool) {
-      executeChunk(*Table, Input, Output, NumSamples, Begin, End);
-      return;
-    }
-    for (size_t B = Begin; B < End; B += Chunk) {
-      size_t E = std::min(End, B + Chunk);
-      Pool->submit([this, Table, Input, Output, NumSamples, B, E] {
-        executeChunk(*Table, Input, Output, NumSamples, B, E);
-      });
-    }
-  };
-  // Maximal runs of equal table index execute as ordinary sub-batches:
-  // the buffer bindings address [Begin, End) of the full batch, so every
-  // run reads and writes its own rows in place.
-  size_t RunBegin = 0;
-  while (RunBegin < NumSamples) {
-    size_t RunEnd = RunBegin + 1;
-    while (RunEnd < NumSamples &&
-           TableIndices[RunEnd] == TableIndices[RunBegin])
-      ++RunEnd;
-    Dispatch(Bound[TableIndices[RunBegin]], RunBegin, RunEnd);
-    RunBegin = RunEnd;
-  }
-  if (Pool)
-    Pool->wait();
-  if (Stats) {
-    *Stats = runtime::ExecutionStats();
-    Stats->WallNs = WallTimer.elapsedNs();
-    Stats->NumSamples = NumSamples;
-  }
-  return true;
+  return Tables.add(std::span<const double>(Params, NumParams),
+                    [this](std::span<const double> Raw) {
+                      return bindParams(Program, Raw);
+                    });
 }
 
 //===----------------------------------------------------------------------===//
@@ -864,7 +789,7 @@ void runQueryBatch(const KernelProgram &Program, QueryKind Kind,
   std::vector<T> Registers(Task.NumRegisters);
   std::vector<int32_t> Stack;
   for (size_t I = 0; I < NumSamples; ++I) {
-    executeSample(Task, Bindings.data(), I, Registers.data());
+    interpretSample(Task, Bindings.data(), I, Registers.data());
     const double *Row = Evidence + I * NumFeatures;
     double *OutRow = Rows + I * NumFeatures;
     // Pre-fill with the evidence so features outside the model's scope
@@ -879,56 +804,45 @@ void runQueryBatch(const KernelProgram &Program, QueryKind Kind,
 
 } // namespace
 
-bool CpuExecutor::executeMpe(const double *Evidence, double *Assignments,
-                             double *LogProbs, size_t NumSamples,
-                             runtime::ExecutionStats *Stats) const {
-  if (Program.Query != QueryKind::Mpe || Program.Plan.empty() ||
-      Program.Tasks.size() != 1)
+bool CpuExecutor::run(const runtime::RunRequest &Request,
+                      runtime::ExecutionStats *Stats) const {
+  std::optional<std::vector<const KernelProgram *>> Bound;
+  if (Request.TableIndices &&
+      !(Bound = Tables.resolve(Request.TableIndices, Request.NumSamples)))
     return false;
-  Timer WallTimer;
-  std::vector<double> UpStorage;
-  double *Up = LogProbs;
-  if (!Up) {
-    UpStorage.resize(NumSamples);
-    Up = UpStorage.data();
-  }
-  if (Program.UseF32)
-    runQueryBatch<float>(Program, QueryKind::Mpe, Evidence, Assignments,
-                         Up, NumSamples, 0);
-  else
-    runQueryBatch<double>(Program, QueryKind::Mpe, Evidence, Assignments,
-                          Up, NumSamples, 0);
-  // The engine contract reports log-probabilities even when the program
-  // computes in linear space.
-  if (LogProbs && !Program.LogSpace)
-    for (size_t I = 0; I < NumSamples; ++I)
-      LogProbs[I] = std::log(LogProbs[I]);
-  if (Stats) {
-    *Stats = runtime::ExecutionStats();
-    Stats->WallNs = WallTimer.elapsedNs();
-    Stats->NumSamples = NumSamples;
-  }
-  return true;
-}
-
-bool CpuExecutor::executeSample(const double *Evidence, double *Samples,
-                                size_t NumSamples, uint64_t Seed,
-                                runtime::ExecutionStats *Stats) const {
-  if (Program.Query != QueryKind::Sample || Program.Plan.empty() ||
-      Program.Tasks.size() != 1)
-    return false;
-  Timer WallTimer;
-  std::vector<double> UpStorage(NumSamples);
-  if (Program.UseF32)
-    runQueryBatch<float>(Program, QueryKind::Sample, Evidence, Samples,
-                         UpStorage.data(), NumSamples, Seed);
-  else
-    runQueryBatch<double>(Program, QueryKind::Sample, Evidence, Samples,
-                          UpStorage.data(), NumSamples, Seed);
-  if (Stats) {
-    *Stats = runtime::ExecutionStats();
-    Stats->WallNs = WallTimer.elapsedNs();
-    Stats->NumSamples = NumSamples;
-  }
-  return true;
+  return timedRun(Request, Stats, [&](runtime::ExecutionStats &) {
+    size_t N = Request.NumSamples;
+    if (Request.Kind == QueryKind::Mpe || Request.Kind == QueryKind::Sample) {
+      // MPE reports the root values in Output when asked for them.
+      bool ReportUp = Request.Kind == QueryKind::Mpe && Request.Output;
+      std::vector<double> UpStorage(ReportUp ? 0 : N);
+      double *Up = ReportUp ? Request.Output : UpStorage.data();
+      if (Program.UseF32)
+        runQueryBatch<float>(Program, Request.Kind, Request.Input,
+                             Request.Rows, Up, N, Request.Seed);
+      else
+        runQueryBatch<double>(Program, Request.Kind, Request.Input,
+                              Request.Rows, Up, N, Request.Seed);
+      // The engine contract reports log-probabilities even when the
+      // program computes in linear space.
+      if (ReportUp && !Program.LogSpace)
+        for (size_t I = 0; I < N; ++I)
+          Up[I] = std::log(Up[I]);
+      return;
+    }
+    // Indexed requests run each maximal run of equal table index as an
+    // ordinary sub-batch: the buffer bindings address [Begin, End) of
+    // the full batch, so every run reads and writes its own rows in
+    // place.
+    if (!Bound)
+      dispatch(Program, Request.Input, Request.Output, N, 0, N);
+    else
+      forEachTableRun(Request.TableIndices, N,
+                      [&](size_t Begin, size_t End, uint32_t Table) {
+                        dispatch(*(*Bound)[Table], Request.Input,
+                                 Request.Output, N, Begin, End);
+                      });
+    if (Pool)
+      Pool->wait();
+  });
 }

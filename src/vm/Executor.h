@@ -26,10 +26,10 @@
 
 #include "runtime/ExecutionEngine.h"
 #include "vm/Bytecode.h"
+#include "vm/ParamTable.h"
 
 #include <cstddef>
 #include <memory>
-#include <shared_mutex>
 #include <vector>
 
 namespace spnc {
@@ -58,7 +58,9 @@ struct ExecutionConfig {
 /// buffer (row-major [sample][feature] doubles) and one external output
 /// buffer are supported, matching the kernels the pipeline produces.
 /// Implements the unified runtime::ExecutionEngine interface; the engine
-/// is immutable after construction and `execute` is thread-safe.
+/// is immutable after construction (apart from its weight tables) and
+/// `run` is thread-safe. It serves the requests
+/// EngineCapabilities::of(Program) names.
 class CpuExecutor : public runtime::ExecutionEngine {
 public:
   CpuExecutor(KernelProgram Program, ExecutionConfig Config);
@@ -74,38 +76,25 @@ public:
   }
   std::string describe() const override;
 
-  /// Runs the kernel over \p NumSamples samples. \p Output receives one
-  /// value per sample and output slot, laid out [slot][sample].
-  void execute(const double *Input, double *Output, size_t NumSamples,
-               runtime::ExecutionStats *Stats = nullptr) const override;
-
-  /// MPE completion (programs compiled for QueryKind::Mpe): scalar
-  /// upward pass per sample followed by the argmax traceback over the
+  /// Joint/marginal requests run chunk-parallel on the configured
+  /// engine; the output is laid out [slot][sample]. MPE and sampling run
+  /// a scalar upward pass per sample followed by the traceback over the
   /// program's plan.
-  bool executeMpe(const double *Evidence, double *Assignments,
-                  double *LogProbs, size_t NumSamples,
-                  runtime::ExecutionStats *Stats = nullptr) const override;
+  bool run(const runtime::RunRequest &Request,
+           runtime::ExecutionStats *Stats = nullptr) const override;
 
-  /// Ancestral sampling (programs compiled for QueryKind::Sample):
-  /// scalar upward pass per sample followed by the posterior-weighted
-  /// traceback, seeded per sample index.
-  bool executeSample(const double *Evidence, double *Samples,
-                     size_t NumSamples, uint64_t Seed,
-                     runtime::ExecutionStats *Stats = nullptr) const override;
-
-  /// Weight-table support for parameterized (merged-model) programs:
-  /// each registered table is bound into a private copy of the program
-  /// once, so executeIndexed runs at the same per-sample cost as
-  /// execute().
-  bool supportsParamTables() const override {
-    return Program.Parameterized;
-  }
+  /// Weight tables of parameterized (merged-model) programs: each table
+  /// is bound into a private copy of the program once, so indexed
+  /// requests run at the same per-sample cost as plain ones.
   int32_t addParamTable(const double *Params, size_t NumParams) override;
-  bool executeIndexed(const double *Input, const uint32_t *TableIndices,
-                      double *Output, size_t NumSamples,
-                      runtime::ExecutionStats *Stats = nullptr) const override;
 
 private:
+  /// Runs samples [Begin, End) of a batch of \p TotalSamples through
+  /// \p TheProgram, split into chunks over the thread pool when one is
+  /// configured (the caller waits for the pool).
+  void dispatch(const KernelProgram &TheProgram, const double *Input,
+                double *Output, size_t TotalSamples, size_t Begin,
+                size_t End) const;
   void executeChunk(const KernelProgram &TheProgram, const double *Input,
                     double *Output, size_t TotalSamples, size_t Begin,
                     size_t End) const;
@@ -113,15 +102,7 @@ private:
   KernelProgram Program;
   ExecutionConfig Config;
   std::unique_ptr<ThreadPool> Pool;
-
-  /// Registered weight tables (raw canonical parameters, for idempotent
-  /// re-registration) and the per-table bound program copies. Guarded by
-  /// TablesMutex; the unique_ptr pointees are stable across vector
-  /// growth, so executeIndexed snapshots plain pointers under a shared
-  /// lock and runs lock-free afterwards.
-  mutable std::shared_mutex TablesMutex;
-  std::vector<std::vector<double>> TableParams;
-  std::vector<std::unique_ptr<KernelProgram>> BoundPrograms;
+  ParamTableSet<KernelProgram> Tables;
 };
 
 //===----------------------------------------------------------------------===//
@@ -147,16 +128,16 @@ struct BufferBinding {
 /// \p Registers (NumRegisters entries). Scalar reference engine; also the
 /// per-thread execution model of the GPU simulator.
 template <typename T>
-void executeSample(const TaskProgram &Task,
-                   const BufferBinding<T> *Buffers, size_t SampleIdx,
-                   T *Registers);
+void interpretSample(const TaskProgram &Task,
+                     const BufferBinding<T> *Buffers, size_t SampleIdx,
+                     T *Registers);
 
-extern template void executeSample<float>(const TaskProgram &,
-                                          const BufferBinding<float> *,
-                                          size_t, float *);
-extern template void executeSample<double>(const TaskProgram &,
-                                           const BufferBinding<double> *,
-                                           size_t, double *);
+extern template void interpretSample<float>(const TaskProgram &,
+                                            const BufferBinding<float> *,
+                                            size_t, float *);
+extern template void interpretSample<double>(const TaskProgram &,
+                                             const BufferBinding<double> *,
+                                             size_t, double *);
 
 } // namespace vm
 } // namespace spnc

@@ -28,6 +28,12 @@
 
 #include "vm/Bytecode.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <mutex>
+#include <optional>
+#include <shared_mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -64,6 +70,63 @@ bool verifySelfBinding(const KernelProgram &Program,
 /// The C++ backend indexes its per-model parameter blocks with this
 /// exact layout (CppEmitter computes the matching offsets).
 std::vector<double> flattenTaskTables(const TaskProgram &Task);
+
+/// The weight tables registered on one engine, each bound once into the
+/// engine's own form \p Bound (a rebound program for the VM, a flattened
+/// parameter block for the cpp backend). Registration deduplicates by
+/// content, so a model re-registered after a cache hit gets its old
+/// index back, and may run concurrently with resolve().
+template <typename Bound> class ParamTableSet {
+public:
+  /// Returns the index of the table holding \p Raw, binding new content
+  /// with \p Bind.
+  template <typename BindFn>
+  int32_t add(std::span<const double> Raw, BindFn &&Bind) {
+    std::unique_lock<std::shared_mutex> Lock(Mutex);
+    for (size_t I = 0; I < RawTables.size(); ++I)
+      if (std::ranges::equal(RawTables[I], Raw))
+        return static_cast<int32_t>(I);
+    BoundTables.push_back(std::make_unique<const Bound>(Bind(Raw)));
+    RawTables.emplace_back(Raw.begin(), Raw.end());
+    return static_cast<int32_t>(RawTables.size() - 1);
+  }
+
+  /// The bound tables by index, or nullopt when one of the \p NumRows
+  /// \p Indices names no registered table. The pointees never move, so
+  /// the snapshot stays valid while later tables are added.
+  std::optional<std::vector<const Bound *>>
+  resolve(const uint32_t *Indices, size_t NumRows) const {
+    std::vector<const Bound *> Tables;
+    {
+      std::shared_lock<std::shared_mutex> Lock(Mutex);
+      Tables.reserve(BoundTables.size());
+      for (const std::unique_ptr<const Bound> &Table : BoundTables)
+        Tables.push_back(Table.get());
+    }
+    for (size_t I = 0; I < NumRows; ++I)
+      if (Indices[I] >= Tables.size())
+        return std::nullopt;
+    return Tables;
+  }
+
+private:
+  mutable std::shared_mutex Mutex;
+  std::vector<std::vector<double>> RawTables;
+  std::vector<std::unique_ptr<const Bound>> BoundTables;
+};
+
+/// Calls \p Fn(Begin, End, Index) for each maximal run [Begin, End) of
+/// the \p NumRows rows that share one table index.
+template <typename RunFn>
+void forEachTableRun(const uint32_t *Indices, size_t NumRows, RunFn &&Fn) {
+  for (size_t Begin = 0; Begin < NumRows;) {
+    size_t End = Begin + 1;
+    while (End < NumRows && Indices[End] == Indices[Begin])
+      ++End;
+    Fn(Begin, End, Indices[Begin]);
+    Begin = End;
+  }
+}
 
 } // namespace vm
 } // namespace spnc

@@ -14,9 +14,9 @@
 ///
 /// The on-disk layout is a stable, documented contract: see
 /// docs/spnk-format.md for the byte-level specification and the version
-/// history. Since version 3 the header carries an FNV-1a content
-/// checksum over the payload, so truncated or bit-rotted blobs are
-/// rejected at decode time instead of executing garbage.
+/// history. The header carries an FNV-1a content checksum over the
+/// payload, so truncated or bit-rotted blobs are rejected at decode time
+/// instead of executing garbage.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,40 +33,30 @@
 namespace spnc {
 namespace vm {
 
-/// The header version `encodeProgram` writes. History (full table in
-/// docs/spnk-format.md): v1 initial format, v2 added the
-/// lowering-strategy byte, v3 added the FNV-1a payload checksum, v4
-/// added the query-kind byte and the traceback plan (MPE / sampling
-/// kernels), v5 added the parameterization header (Parameterized flag,
-/// NumParams) and the per-task parameter-site tables of merged-model
-/// programs (docs/merging.md). `decodeProgram` accepts every version
-/// from 1 to this value; pre-v4 blobs decode as QueryKind::Joint with an
-/// empty plan, pre-v5 blobs as non-parameterized programs.
+/// The header version `encodeProgram` writes and the only one
+/// `decodeProgram` reads. History (full table in docs/spnk-format.md):
+/// v1 initial format, v2 added the lowering-strategy byte, v3 the FNV-1a
+/// payload checksum, v4 the query-kind byte and the traceback plan (MPE
+/// / sampling kernels), v5 the parameterization header (Parameterized
+/// flag, NumParams) and the per-task parameter-site tables of
+/// merged-model programs (docs/merging.md). A `.spnk` is only a cache,
+/// so older files are rejected and recompiled rather than read.
 inline constexpr uint32_t kProgramBinaryVersion = 5;
 
-/// Metadata about a decoded blob, reported alongside the program so
-/// callers can warn about (and eventually refuse) legacy entries.
-struct BinaryInfo {
-  /// Header version of the decoded blob.
-  uint32_t Version = 0;
-  /// True when the blob carried a checksum that was verified (v3+);
-  /// false for legacy v1/v2 blobs, which are trusted after a purely
-  /// structural decode.
-  bool Checksummed = false;
-};
-
-/// Encodes \p Program into a self-contained byte blob in the current
-/// (v3, checksummed) format. Never fails.
+/// Encodes \p Program into a self-contained, checksummed byte blob in
+/// the current format. Never fails.
 std::vector<uint8_t> encodeProgram(const KernelProgram &Program);
 
-/// Decodes a program previously produced by encodeProgram (any version
-/// from v1 to kProgramBinaryVersion). For v3+ blobs the payload checksum
-/// is verified before any structural parsing; a mismatch (truncation,
-/// bit rot, partial write) fails with a "checksum mismatch" error.
-/// \p Info, when non-null, receives the blob's version/checksum status
-/// on success. Errors never leave a partially-filled program behind.
-Expected<KernelProgram> decodeProgram(std::span<const uint8_t> Blob,
-                                      BinaryInfo *Info = nullptr);
+/// Decodes a program produced by encodeProgram. The version must be
+/// kProgramBinaryVersion, and the payload checksum is verified before
+/// any structural parsing: a mismatch (truncation, bit rot, partial
+/// write) fails with a "checksum mismatch" error. The decoded program is
+/// then range-checked in one linear pass — opcodes, registers,
+/// side-table indices, buffer ids and roles, step tasks and copies,
+/// plan-node references and parameter sites — so a blob that carries a
+/// valid checksum over a bad index still fails, with an error naming the
+/// field. Errors never leave a partially-filled program behind.
+Expected<KernelProgram> decodeProgram(std::span<const uint8_t> Blob);
 
 } // namespace vm
 } // namespace spnc

@@ -75,7 +75,10 @@ std::vector<double> runEngine(const ExecutionEngine &Engine,
                               const std::vector<double> &Data,
                               size_t NumSamples) {
   std::vector<double> Output(NumSamples, 0.0);
-  Engine.execute(Data.data(), Output.data(), NumSamples);
+  EXPECT_TRUE(Engine.run({.Input = Data.data(),
+                          .Output = Output.data(),
+                          .NumSamples = NumSamples}))
+      << "engine refused a joint request: " << Engine.describe();
   return Output;
 }
 
@@ -292,14 +295,6 @@ TEST(BackendCacheKeyTest, BackendIdentityChangesKey) {
   uint64_t CppKey = KernelCache::makeKey(S.Model, Query, *Config,
                                          Fingerprint, Cpp);
   EXPECT_NE(VmKey, CppKey);
-
-  // The legacy overload folds in the default VM backend, so existing
-  // callers and backend-less caches keep computing VM keys.
-  uint64_t LegacyKey = KernelCache::makeKey(S.Model, Query, *Config);
-  uint64_t ExplicitVmKey = KernelCache::makeKey(
-      S.Model, Query, *Config,
-      KernelCache::stageFingerprint(CompilationPipeline(*Config)), Vm);
-  EXPECT_EQ(LegacyKey, ExplicitVmKey);
 }
 
 TEST(BackendCacheKeyTest, ToolchainFlagsChangeCppKey) {

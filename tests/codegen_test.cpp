@@ -128,7 +128,9 @@ TEST_F(CodegenTest, AllOptLevelsProduceIdenticalResults) {
     ASSERT_TRUE(static_cast<bool>(Program));
     CpuExecutor Exec(Program.takeValue(), ExecutionConfig());
     std::vector<double> Output(NumSamples);
-    Exec.execute(Data.data(), Output.data(), NumSamples);
+    ASSERT_TRUE(Exec.run({.Input = Data.data(),
+                          .Output = Output.data(),
+                          .NumSamples = NumSamples}));
     if (Level == 0) {
       Reference = Output;
       continue;
@@ -164,8 +166,12 @@ TEST_F(CodegenTest, GpuStrategyEmitsSelectCascades) {
   CpuExecutor A(CpuProgram.takeValue(), ExecutionConfig());
   CpuExecutor B(GpuProgram.takeValue(), ExecutionConfig());
   std::vector<double> OutA(NumSamples), OutB(NumSamples);
-  A.execute(Data.data(), OutA.data(), NumSamples);
-  B.execute(Data.data(), OutB.data(), NumSamples);
+  ASSERT_TRUE(A.run({.Input = Data.data(),
+                     .Output = OutA.data(),
+                     .NumSamples = NumSamples}));
+  ASSERT_TRUE(B.run({.Input = Data.data(),
+                     .Output = OutB.data(),
+                     .NumSamples = NumSamples}));
   for (size_t S = 0; S < NumSamples; ++S)
     EXPECT_NEAR(OutA[S], OutB[S], std::fabs(OutA[S]) * 1e-5 + 1e-5);
 }
@@ -228,7 +234,7 @@ TEST_F(CodegenTest, NonIntegerBucketsFallBackToSelectCascade) {
     CpuExecutor Exec(Program.takeValue(), ExecutionConfig());
     double Input[4] = {0.25, 0.6, 1.5, 5.0};
     double Output[4];
-    Exec.execute(Input, Output, 4);
+    ASSERT_TRUE(Exec.run({.Input = Input, .Output = Output, .NumSamples = 4}));
     EXPECT_NEAR(Output[0], 0.2, 1e-6);
     EXPECT_NEAR(Output[1], 0.5, 1e-6);
     EXPECT_NEAR(Output[2], 0.3, 1e-6);

@@ -70,7 +70,10 @@ Scenario makeScenario(size_t Index) {
 std::vector<double> runEngine(const ExecutionEngine &Engine,
                               const std::vector<double> &Data) {
   std::vector<double> Output(kNumSamples, 0.0);
-  Engine.execute(Data.data(), Output.data(), kNumSamples);
+  EXPECT_TRUE(Engine.run({.Input = Data.data(),
+                          .Output = Output.data(),
+                          .NumSamples = kNumSamples}))
+      << "engine refused a joint request: " << Engine.describe();
   return Output;
 }
 
@@ -224,17 +227,20 @@ struct MpeResult {
   std::vector<double> LogProbs;
 };
 
-/// executeMpe over \p Data; fails the enclosing test when the engine
-/// cannot serve MPE.
+/// An MPE request over \p Data; fails the enclosing test when the
+/// engine cannot serve MPE.
 MpeResult runMpe(const ExecutionEngine &Engine,
                  const std::vector<double> &Data,
                  unsigned NumFeatures) {
   MpeResult R;
   R.Assignments.resize(kNumSamples * NumFeatures, 0.0);
   R.LogProbs.resize(kNumSamples, 0.0);
-  EXPECT_TRUE(Engine.executeMpe(Data.data(), R.Assignments.data(),
-                                R.LogProbs.data(), kNumSamples))
-      << "engine refused executeMpe: " << Engine.describe();
+  EXPECT_TRUE(Engine.run({.Kind = vm::QueryKind::Mpe,
+                          .Input = Data.data(),
+                          .Output = R.LogProbs.data(),
+                          .Rows = R.Assignments.data(),
+                          .NumSamples = kNumSamples}))
+      << "engine refused an MPE request: " << Engine.describe();
   return R;
 }
 

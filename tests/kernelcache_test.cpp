@@ -5,18 +5,23 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "backend/VmBackend.h"
 #include "baselines/Baselines.h"
 #include "runtime/KernelCache.h"
+#include "vm/ProgramBinary.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <initializer_list>
 #include <memory>
 #include <span>
 #include <thread>
@@ -50,13 +55,17 @@ protected:
 
   void TearDown() override { std::filesystem::remove_all(TempDir); }
 
-  /// The disk key the cache uses for (Model, Query, Options).
+  /// The disk key an unconfigured cache uses for (Model, Query,
+  /// Options): the default pipeline's stage set on the VM backend.
   static uint64_t keyFor(const spn::Model &M,
                          const spn::QueryConfig &Query,
                          const CompilerOptions &Options) {
     Expected<PipelineConfig> Config = PipelineConfig::create(Options);
     EXPECT_TRUE(static_cast<bool>(Config));
-    return KernelCache::makeKey(M, Query, *Config);
+    return KernelCache::makeKey(
+        M, Query, *Config,
+        KernelCache::stageFingerprint(CompilationPipeline(*Config)),
+        backend::VmBackend());
   }
 
   /// Reads a cache file's bytes.
@@ -111,7 +120,7 @@ TEST_F(KernelCacheTest, SecondRequestIsAHit) {
   EXPECT_EQ(&First->getEngine(), &Second->getEngine());
   EXPECT_EQ(Cache.size(), 1u);
 
-  KernelCache::Statistics CacheStats = Cache.getStatistics();
+  KernelCache::Stats CacheStats = Cache.getStats();
   EXPECT_EQ(CacheStats.Hits, 1u);
   EXPECT_EQ(CacheStats.Misses, 1u);
   EXPECT_EQ(CacheStats.Recompiles, 1u);
@@ -168,7 +177,7 @@ TEST_F(KernelCacheTest, KeyIsSensitiveToPipelineAndQueryConfig) {
   ASSERT_TRUE(static_cast<bool>(
       Cache.getOrCompile(*Model, Marginal, Base)));
   EXPECT_EQ(Cache.size(), 3u);
-  EXPECT_EQ(Cache.getStatistics().Hits, 0u);
+  EXPECT_EQ(Cache.getStats().Hits, 0u);
 }
 
 TEST_F(KernelCacheTest, InvalidOptionsPropagateTheError) {
@@ -188,7 +197,7 @@ TEST_F(KernelCacheTest, DiskTierIsSharedAcrossInstances) {
     KernelCache Cache(TempDir.string());
     ASSERT_TRUE(static_cast<bool>(
         Cache.getOrCompile(*Model, spn::QueryConfig(), Options)));
-    EXPECT_EQ(Cache.getStatistics().Recompiles, 1u);
+    EXPECT_EQ(Cache.getStats().Recompiles, 1u);
     uint64_t Key = keyFor(*Model, spn::QueryConfig(), Options);
     EXPECT_TRUE(std::filesystem::exists(Cache.entryPath(Key)));
   }
@@ -200,7 +209,7 @@ TEST_F(KernelCacheTest, DiskTierIsSharedAcrossInstances) {
   Expected<CompiledKernel> Loaded =
       Fresh.getOrCompile(*Model, spn::QueryConfig(), Options, &Stats);
   ASSERT_TRUE(static_cast<bool>(Loaded));
-  KernelCache::Statistics CacheStats = Fresh.getStatistics();
+  KernelCache::Stats CacheStats = Fresh.getStats();
   EXPECT_EQ(CacheStats.DiskHits, 1u);
   EXPECT_EQ(CacheStats.Recompiles, 0u);
   EXPECT_EQ(Stats.TotalNs, 0u);
@@ -237,7 +246,7 @@ TEST_F(KernelCacheTest, CorruptedDiskEntryTriggersRecompile) {
   Expected<CompiledKernel> Kernel =
       Cache.getOrCompile(*Model, spn::QueryConfig(), Options);
   ASSERT_TRUE(static_cast<bool>(Kernel));
-  KernelCache::Statistics CacheStats = Cache.getStatistics();
+  KernelCache::Stats CacheStats = Cache.getStats();
   EXPECT_EQ(CacheStats.DiskHits, 0u);
   EXPECT_EQ(CacheStats.Recompiles, 1u);
 
@@ -245,7 +254,7 @@ TEST_F(KernelCacheTest, CorruptedDiskEntryTriggersRecompile) {
   KernelCache Fresh(TempDir.string());
   ASSERT_TRUE(static_cast<bool>(
       Fresh.getOrCompile(*Model, spn::QueryConfig(), Options)));
-  EXPECT_EQ(Fresh.getStatistics().DiskHits, 1u);
+  EXPECT_EQ(Fresh.getStats().DiskHits, 1u);
 }
 
 TEST_F(KernelCacheTest, UnwritableDirectoryStillServesKernels) {
@@ -264,7 +273,7 @@ TEST_F(KernelCacheTest, UnwritableDirectoryStillServesKernels) {
       Cache.getOrCompile(*Model, spn::QueryConfig(), CompilerOptions());
   ASSERT_TRUE(static_cast<bool>(Kernel));
   EXPECT_EQ(Cache.size(), 1u);
-  EXPECT_EQ(Cache.getStatistics().Recompiles, 1u);
+  EXPECT_EQ(Cache.getStats().Recompiles, 1u);
 }
 
 TEST_F(KernelCacheTest, ConcurrentRequestsShareOneEngine) {
@@ -297,7 +306,7 @@ TEST_F(KernelCacheTest, ConcurrentRequestsShareOneEngine) {
   EXPECT_EQ(Cache.size(), 1u);
   for (unsigned T = 1; T < kNumThreads; ++T)
     EXPECT_EQ(&Kernels[0].getEngine(), &Kernels[T].getEngine());
-  KernelCache::Statistics CacheStats = Cache.getStatistics();
+  KernelCache::Stats CacheStats = Cache.getStats();
   EXPECT_EQ(CacheStats.Hits + CacheStats.Misses, kNumThreads);
   EXPECT_GE(CacheStats.Recompiles, 1u);
 }
@@ -468,7 +477,7 @@ TEST_F(KernelCacheTest, BitFlippedDiskEntryIsRejectedAndRecompiled) {
   }
 }
 
-TEST_F(KernelCacheTest, LegacyV2DiskEntryLoadsWithWarning) {
+TEST_F(KernelCacheTest, LegacyV2DiskEntryIsRecompiled) {
   CompilerOptions Options;
   {
     KernelCache Cache(TempDir.string());
@@ -502,22 +511,249 @@ TEST_F(KernelCacheTest, LegacyV2DiskEntryLoadsWithWarning) {
   std::memcpy(Bytes.data() + 4, &Version, sizeof(Version));
   writeFile(Path, Bytes);
 
-  // v2 entries still load (with a warning) and count as legacy.
-  KernelCache Fresh(TempDir.string());
-  Expected<CompiledKernel> Kernel =
-      Fresh.getOrCompile(*Model, spn::QueryConfig(), Options);
-  ASSERT_TRUE(static_cast<bool>(Kernel));
-  KernelCache::Stats Stats = Fresh.getStats();
-  EXPECT_EQ(Stats.DiskHits, 1u);
-  EXPECT_EQ(Stats.LegacyDiskEntries, 1u);
-  EXPECT_EQ(Stats.Recompiles, 0u);
-  EXPECT_EQ(Stats.CorruptedDiskEntries, 0u);
+  // A pre-v5 entry is a corrupted entry: recompiled and rewritten in
+  // the current format.
+  {
+    KernelCache Fresh(TempDir.string());
+    Expected<CompiledKernel> Kernel =
+        Fresh.getOrCompile(*Model, spn::QueryConfig(), Options);
+    ASSERT_TRUE(static_cast<bool>(Kernel));
+    KernelCache::Stats Stats = Fresh.getStats();
+    EXPECT_EQ(Stats.DiskHits, 0u);
+    EXPECT_EQ(Stats.Recompiles, 1u);
+    EXPECT_EQ(Stats.CorruptedDiskEntries, 1u);
 
-  std::vector<double> Output(kNumSamples);
-  Kernel->execute(Data.data(), Output.data(), kNumSamples);
-  double Reference = Model->evalLogLikelihood(
-      std::span<const double>(Data.data(), NumFeatures));
-  EXPECT_NEAR(Output[0], Reference, std::fabs(Reference) * 1e-6 + 1e-6);
+    std::vector<double> Output(kNumSamples);
+    Kernel->execute(Data.data(), Output.data(), kNumSamples);
+    double Reference = Model->evalLogLikelihood(
+        std::span<const double>(Data.data(), NumFeatures));
+    EXPECT_NEAR(Output[0], Reference, std::fabs(Reference) * 1e-6 + 1e-6);
+  }
+  std::vector<uint8_t> Rewritten = readFile(Path);
+  ASSERT_GE(Rewritten.size(), 8u);
+  uint32_t RewrittenVersion = 0;
+  std::memcpy(&RewrittenVersion, Rewritten.data() + 4,
+              sizeof(RewrittenVersion));
+  EXPECT_EQ(RewrittenVersion, vm::kProgramBinaryVersion);
+
+  // The rewritten entry serves the next process from disk.
+  KernelCache Next(TempDir.string());
+  ASSERT_TRUE(static_cast<bool>(
+      Next.getOrCompile(*Model, spn::QueryConfig(), Options)));
+  KernelCache::Stats NextStats = Next.getStats();
+  EXPECT_EQ(NextStats.DiskHits, 1u);
+  EXPECT_EQ(NextStats.Recompiles, 0u);
+  EXPECT_EQ(NextStats.CorruptedDiskEntries, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Decoder index checks: tampered entries with a valid checksum
+//===----------------------------------------------------------------------===//
+
+/// Two histogram features under one sum: discrete leaves lower to table
+/// lookups on the CPU and to select cascades on the GPU.
+spn::Model makeHistogramModel() {
+  spn::Model Model(2, "histograms");
+  auto Hist = [&](unsigned Feature, double P) {
+    return Model.makeHistogram(Feature, {spn::HistogramBucket{0, 1, P},
+                                         spn::HistogramBucket{1, 2, 1 - P}});
+  };
+  Model.setRoot(
+      Model.makeSum({Model.makeProduct({Hist(0, 0.3), Hist(1, 0.6)}),
+                     Model.makeProduct({Hist(0, 0.8), Hist(1, 0.1)})},
+                    {0.4, 0.6}));
+  return Model;
+}
+
+/// The first instruction of \p P with one of the opcodes \p Ops.
+vm::Instruction &firstOf(vm::KernelProgram &P,
+                         std::initializer_list<vm::OpCode> Ops) {
+  for (vm::TaskProgram &Task : P.Tasks)
+    for (vm::Instruction &I : Task.Code)
+      if (std::find(Ops.begin(), Ops.end(), I.Op) != Ops.end())
+        return I;
+  ADD_FAILURE() << "program has no instruction with the requested opcode";
+  static vm::Instruction None;
+  return None;
+}
+
+/// The kernels the tampered fields live in.
+enum class Source { Speaker, SpeakerO2, HistogramCpu, HistogramGpu, Mpe, Merged };
+
+/// One tampered field: the kernel holding it, the corruption, and the
+/// text the decode error must carry to name the field.
+struct Tamper {
+  Source From;
+  const char *Field;
+  std::function<void(vm::KernelProgram &)> Apply;
+};
+
+class KernelCacheTamperTest : public KernelCacheTest {
+protected:
+  Expected<CompiledKernel> compile(KernelCache &Cache, Source From) {
+    CompilerOptions Options;
+    spn::QueryConfig Query;
+    switch (From) {
+    case Source::Speaker:
+      break;
+    case Source::SpeakerO2:
+      Options.OptLevel = 2;
+      break;
+    case Source::HistogramCpu:
+      return Cache.getOrCompile(Histograms, Query, Options);
+    case Source::HistogramGpu:
+      Options.TheTarget = Target::GPU;
+      return Cache.getOrCompile(Histograms, Query, Options);
+    case Source::Mpe:
+      Query.Kind = spn::QueryKind::Mpe;
+      break;
+    case Source::Merged: {
+      Expected<KernelCache::MergedKernel> Merged =
+          Cache.getOrCompileMerged(*Model, Query, Options);
+      if (!Merged)
+        return Merged.getError();
+      return Merged->Kernel;
+    }
+    }
+    return Cache.getOrCompile(*Model, Query, Options);
+  }
+
+  /// The one `.spnk` entry under \p Dir.
+  static std::string onlyEntry(const std::filesystem::path &Dir) {
+    std::vector<std::string> Entries;
+    for (const auto &Entry : std::filesystem::directory_iterator(Dir))
+      if (Entry.path().extension() == ".spnk")
+        Entries.push_back(Entry.path().string());
+    EXPECT_EQ(Entries.size(), 1u);
+    return Entries.empty() ? std::string() : Entries.front();
+  }
+
+  spn::Model Histograms = makeHistogramModel();
+};
+
+TEST_F(KernelCacheTamperTest, ResealedBadIndexIsRecompiled) {
+  constexpr uint32_t kFar = 1u << 20;
+  auto Task0 = [](vm::KernelProgram &P) -> vm::TaskProgram & {
+    return P.Tasks.front();
+  };
+  const Tamper Cases[] = {
+      {Source::Speaker, "opcode 200",
+       [&](vm::KernelProgram &P) {
+         Task0(P).Code.front().Op = static_cast<vm::OpCode>(200);
+       }},
+      {Source::Speaker, "register",
+       [&](vm::KernelProgram &P) {
+         Task0(P).Code.front().Dst = Task0(P).NumRegisters + 1000000;
+       }},
+      {Source::Speaker, "const-pool index 1073741824",
+       [](vm::KernelProgram &P) {
+         firstOf(P, {vm::OpCode::Const}).A = 1u << 30;
+       }},
+      {Source::Speaker, "gaussian index 1048576",
+       [&](vm::KernelProgram &P) {
+         firstOf(P, {vm::OpCode::Gaussian, vm::OpCode::GaussianLog}).B =
+             kFar;
+       }},
+      {Source::HistogramCpu, "table index 1048576",
+       [&](vm::KernelProgram &P) {
+         firstOf(P, {vm::OpCode::TableLookup}).B = kFar;
+       }},
+      {Source::HistogramGpu, "select index 1048576",
+       [&](vm::KernelProgram &P) {
+         firstOf(P, {vm::OpCode::SelectInRange}).B = kFar;
+       }},
+      {Source::Speaker, "load index 1048576",
+       [&](vm::KernelProgram &P) {
+         firstOf(P, {vm::OpCode::Load}).A = kFar;
+       }},
+      {Source::Speaker, "store index 1048576",
+       [&](vm::KernelProgram &P) {
+         firstOf(P, {vm::OpCode::Store}).A = kFar;
+       }},
+      {Source::SpeakerO2, "arg range end",
+       [&](vm::KernelProgram &P) {
+         firstOf(P, {vm::OpCode::AddN, vm::OpCode::MulN,
+                     vm::OpCode::LogSumExpN})
+             .A = kFar;
+       }},
+      {Source::Speaker, "buffer 1048576",
+       [&](vm::KernelProgram &P) { Task0(P).Loads.front().Buffer = kFar; }},
+      {Source::Speaker, "role 9",
+       [](vm::KernelProgram &P) {
+         P.Buffers.back().Role = static_cast<vm::BufferInfo::Kind>(9);
+       }},
+      {Source::Speaker, "task 77",
+       [](vm::KernelProgram &P) { P.Steps.front().Task = 77; }},
+      {Source::Speaker, "copy source 1048576",
+       [&](vm::KernelProgram &P) {
+         P.Steps.front() = vm::KernelStep{-1, static_cast<int32_t>(kFar), 0};
+       }},
+      {Source::Mpe, "child",
+       [](vm::KernelProgram &P) {
+         // The root's first child becomes the root itself: a cycle.
+         P.Plan.Nodes[P.Plan.Root].A = P.Plan.Root;
+       }},
+      {Source::Mpe, "root",
+       [](vm::KernelProgram &P) {
+         P.Plan.Root = static_cast<int32_t>(P.Plan.Nodes.size());
+       }},
+      {Source::Merged, "parameter",
+       [&](vm::KernelProgram &P) {
+         Task0(P).ParamSites.front().Param = P.NumParams;
+       }},
+      {Source::Merged, "slot index 1048576",
+       [&](vm::KernelProgram &P) {
+         Task0(P).ParamSites.front().Index = kFar;
+       }},
+  };
+  for (size_t C = 0; C < std::size(Cases); ++C) {
+    const Tamper &T = Cases[C];
+    SCOPED_TRACE(T.Field);
+    std::filesystem::path Dir = TempDir / ("tamper-" + std::to_string(C));
+    {
+      KernelCache Cache(Dir.string());
+      ASSERT_TRUE(static_cast<bool>(compile(Cache, T.From)));
+    }
+    std::string Path = onlyEntry(Dir);
+    Expected<vm::KernelProgram> Program = vm::decodeProgram(readFile(Path));
+    ASSERT_TRUE(static_cast<bool>(Program));
+    T.Apply(*Program);
+    // encodeProgram reseals: the checksum matches the tampered payload,
+    // so only the index checks can catch it.
+    std::vector<uint8_t> Blob = vm::encodeProgram(*Program);
+    writeFile(Path, Blob);
+    Expected<vm::KernelProgram> Decoded = vm::decodeProgram(Blob);
+    ASSERT_FALSE(static_cast<bool>(Decoded));
+    EXPECT_NE(Decoded.getError().message().find(T.Field), std::string::npos)
+        << Decoded.getError().message();
+
+    KernelCache Fresh(Dir.string());
+    ASSERT_TRUE(static_cast<bool>(compile(Fresh, T.From)));
+    KernelCache::Stats Stats = Fresh.getStats();
+    EXPECT_EQ(Stats.CorruptedDiskEntries, 1u);
+    EXPECT_EQ(Stats.Recompiles, 1u);
+    EXPECT_EQ(Stats.DiskHits, 0u);
+    EXPECT_TRUE(static_cast<bool>(vm::decodeProgram(readFile(Path))))
+        << "the recompiled entry was not rewritten";
+  }
+}
+
+TEST_F(KernelCacheTest, TamperedKernelFileFailsToLoad) {
+  // A const pointed at pool slot 2^30 and resealed used to load and then
+  // read far out of bounds in the interpreter.
+  Expected<CompiledKernel> Kernel =
+      compileModel(*Model, spn::QueryConfig(), CompilerOptions());
+  ASSERT_TRUE(static_cast<bool>(Kernel));
+  vm::KernelProgram Program = Kernel->getProgram();
+  firstOf(Program, {vm::OpCode::Const}).A = 1u << 30;
+  std::filesystem::create_directories(TempDir);
+  std::string Path = (TempDir / "tampered.spnk").string();
+  writeFile(Path, vm::encodeProgram(Program));
+  Expected<CompiledKernel> Loaded = loadCompiledKernel(Path);
+  ASSERT_FALSE(static_cast<bool>(Loaded));
+  EXPECT_NE(Loaded.getError().message().find("const-pool index"),
+            std::string::npos)
+      << Loaded.getError().message();
 }
 
 TEST_F(KernelCacheTest, BaselineEnginesReportAccounting) {
@@ -554,7 +790,7 @@ TEST_F(KernelCacheTest, ClearDropsEnginesButKeepsDisk) {
   // The next request misses in memory but recovers from disk.
   ASSERT_TRUE(static_cast<bool>(
       Cache.getOrCompile(*Model, spn::QueryConfig(), Options)));
-  KernelCache::Statistics CacheStats = Cache.getStatistics();
+  KernelCache::Stats CacheStats = Cache.getStats();
   EXPECT_EQ(CacheStats.DiskHits, 1u);
   EXPECT_EQ(CacheStats.Recompiles, 1u);
 }
@@ -621,8 +857,9 @@ TEST_F(KernelCacheTest, StageFingerprintSeparatesConfiguredPipelines) {
 }
 
 TEST_F(KernelCacheTest, DefaultKeyMatchesUnconfiguredGetOrCompile) {
-  // The three-argument makeKey must keep predicting the disk location
-  // getOrCompile uses when no ConfigurePipeline hook is installed —
+  // makeKey with the default pipeline's stage fingerprint and the VM
+  // backend must keep predicting the disk location getOrCompile uses
+  // when neither a ConfigurePipeline hook nor a backend is installed —
   // the contract external tooling relies on to prewarm cache dirs.
   CompilerOptions Options;
   KernelCache Cache(TempDir.string());
@@ -631,23 +868,17 @@ TEST_F(KernelCacheTest, DefaultKeyMatchesUnconfiguredGetOrCompile) {
   uint64_t Key = keyFor(*Model, spn::QueryConfig(), Options);
   EXPECT_TRUE(std::filesystem::exists(Cache.entryPath(Key)));
 
-  // And the four-argument overload agrees when handed the default
-  // pipeline's own fingerprint.
+  // Registering a stage changes the fingerprint, and with it the key.
   Expected<PipelineConfig> Config = PipelineConfig::create(Options);
   ASSERT_TRUE(static_cast<bool>(Config));
-  CompilationPipeline Default(*Config);
-  EXPECT_EQ(Key,
-            KernelCache::makeKey(*Model, spn::QueryConfig(), *Config,
-                                 KernelCache::stageFingerprint(Default)));
-
-  // Registering a stage changes the fingerprint, and with it the key.
-  ASSERT_FALSE(Default.registerStage(
+  CompilationPipeline Custom(*Config);
+  ASSERT_FALSE(Custom.registerStage(
       PipelineStage{"custom:checkpoint", "test stage",
                     /*Diagnostic=*/true},
       [](detail::StageContext &) { return std::nullopt; }));
-  EXPECT_NE(Key,
-            KernelCache::makeKey(*Model, spn::QueryConfig(), *Config,
-                                 KernelCache::stageFingerprint(Default)));
+  EXPECT_NE(Key, KernelCache::makeKey(*Model, spn::QueryConfig(), *Config,
+                                      KernelCache::stageFingerprint(Custom),
+                                      backend::VmBackend()));
 }
 
 } // namespace

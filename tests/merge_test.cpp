@@ -94,9 +94,6 @@ TEST(MergeTest, WeightEditChangesContentHashNotStructuralHash) {
   EXPECT_EQ(KernelCache::structuralHash(Original),
             KernelCache::structuralHash(Edited));
   EXPECT_TRUE(merge::isStructurallyIsomorphic(Original, Edited));
-  // The legacy spelling stays the content hash.
-  EXPECT_EQ(KernelCache::hashModel(Original),
-            KernelCache::contentHash(Original));
 }
 
 TEST(MergeTest, IsomorphicClassesShareSignature) {

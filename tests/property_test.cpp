@@ -30,6 +30,26 @@ using namespace spnc::runtime;
 
 namespace {
 
+/// Draws one ancestral sample per evidence row on \p Engine.
+bool drawSamples(const ExecutionEngine &Engine, const double *Evidence,
+                 double *Out, size_t NumSamples, uint64_t Seed) {
+  return Engine.run({.Kind = vm::QueryKind::Sample,
+                     .Input = Evidence,
+                     .Rows = Out,
+                     .NumSamples = NumSamples,
+                     .Seed = Seed});
+}
+
+/// Completes the evidence rows by MPE on \p Engine.
+bool completeMpe(const ExecutionEngine &Engine, const double *Evidence,
+                 double *Assignments, double *LogProbs, size_t NumSamples) {
+  return Engine.run({.Kind = vm::QueryKind::Mpe,
+                     .Input = Evidence,
+                     .Output = LogProbs,
+                     .Rows = Assignments,
+                     .NumSamples = NumSamples});
+}
+
 struct SweepCase {
   uint64_t ModelSeed;
   unsigned VectorWidth;
@@ -286,12 +306,12 @@ TEST(SamplingPropertyTest, FixedSeedIsDeterministic) {
     std::vector<double> First(NumSamples * NumFeatures);
     std::vector<double> Second(NumSamples * NumFeatures);
     std::vector<double> Other(NumSamples * NumFeatures);
-    ASSERT_TRUE(Kernel.executeSample(Evidence.data(), First.data(),
-                                     NumSamples, /*Seed=*/42));
-    ASSERT_TRUE(Kernel.executeSample(Evidence.data(), Second.data(),
-                                     NumSamples, /*Seed=*/42));
-    ASSERT_TRUE(Kernel.executeSample(Evidence.data(), Other.data(),
-                                     NumSamples, /*Seed=*/43));
+    ASSERT_TRUE(drawSamples(Kernel.getEngine(),
+                            Evidence.data(), First.data(), NumSamples, 42));
+    ASSERT_TRUE(drawSamples(Kernel.getEngine(),
+                            Evidence.data(), Second.data(), NumSamples, 42));
+    ASSERT_TRUE(drawSamples(Kernel.getEngine(),
+                            Evidence.data(), Other.data(), NumSamples, 43));
     EXPECT_EQ(First, Second)
         << (TheTarget == Target::GPU ? "gpu" : "cpu")
         << ": same seed must be bit-reproducible";
@@ -304,10 +324,10 @@ TEST(SamplingPropertyTest, FixedSeedIsDeterministic) {
   baselines::InterpreterEngine Oracle(Model);
   std::vector<double> First(NumSamples * NumFeatures);
   std::vector<double> Second(NumSamples * NumFeatures);
-  ASSERT_TRUE(Oracle.executeSample(Evidence.data(), First.data(),
-                                   NumSamples, /*Seed=*/42));
-  ASSERT_TRUE(Oracle.executeSample(Evidence.data(), Second.data(),
-                                   NumSamples, /*Seed=*/42));
+  ASSERT_TRUE(drawSamples(Oracle,
+                          Evidence.data(), First.data(), NumSamples, 42));
+  ASSERT_TRUE(drawSamples(Oracle,
+                          Evidence.data(), Second.data(), NumSamples, 42));
   EXPECT_EQ(First, Second);
 }
 
@@ -332,8 +352,8 @@ TEST(SamplingPropertyTest, EmpiricalMarginalsMatchExact) {
   const size_t NumSamples = 50000;
   std::vector<double> Evidence(NumSamples * 2, kNaN);
   std::vector<double> Out(NumSamples * 2);
-  ASSERT_TRUE(Kernel.executeSample(Evidence.data(), Out.data(),
-                                   NumSamples, /*Seed=*/1234));
+  ASSERT_TRUE(drawSamples(Kernel.getEngine(),
+                          Evidence.data(), Out.data(), NumSamples, 1234));
 
   // Exact bucket masses from the reference evaluator (NaN marginalizes
   // the Gaussian feature); drawn discrete values are bucket lower
@@ -383,16 +403,15 @@ TEST(SamplingPropertyTest, FullEvidenceEchoesThrough) {
 
   std::vector<double> Out(NumSamples * NumFeatures);
   baselines::InterpreterEngine Oracle(Model);
-  ASSERT_TRUE(Oracle.executeSample(Evidence.data(), Out.data(),
-                                   NumSamples, /*Seed=*/5));
+  ASSERT_TRUE(drawSamples(Oracle, Evidence.data(), Out.data(), NumSamples, 5));
   EXPECT_EQ(Out, Evidence) << "interpreter";
   for (Target TheTarget : {Target::CPU, Target::GPU}) {
     CompiledKernel Kernel =
         compileFor(Model, spn::QueryKind::Sample, TheTarget);
     ASSERT_TRUE(Kernel.getEngineShared() != nullptr);
     std::fill(Out.begin(), Out.end(), 0.0);
-    ASSERT_TRUE(Kernel.executeSample(Evidence.data(), Out.data(),
-                                     NumSamples, /*Seed=*/5));
+    ASSERT_TRUE(drawSamples(Kernel.getEngine(),
+                            Evidence.data(), Out.data(), NumSamples, 5));
     EXPECT_EQ(Out, Evidence)
         << (TheTarget == Target::GPU ? "gpu" : "cpu");
   }
@@ -426,8 +445,8 @@ TEST(MpeTieBreakTest, SumTieResolvesToLowestChildEverywhere) {
         compileFor(Model, spn::QueryKind::Mpe, TheTarget);
     ASSERT_TRUE(Kernel.getEngineShared() != nullptr);
     Assignment[0] = 0.0;
-    ASSERT_TRUE(Kernel.executeMpe(&Evidence, Assignment.data(),
-                                  &LogProb, 1));
+    ASSERT_TRUE(completeMpe(Kernel.getEngine(),
+                            &Evidence, Assignment.data(), &LogProb, 1));
     EXPECT_EQ(Assignment[0], -1.0)
         << (TheTarget == Target::GPU ? "gpu" : "cpu");
   }
@@ -453,7 +472,8 @@ TEST(MpeTieBreakTest, DiscreteModeTieResolvesToLowestBucket) {
   ASSERT_TRUE(Kernel.getEngineShared() != nullptr);
   Assignment[0] = -1.0;
   ASSERT_TRUE(
-      Kernel.executeMpe(&Evidence, Assignment.data(), &LogProb, 1));
+      completeMpe(Kernel.getEngine(),
+                  &Evidence, Assignment.data(), &LogProb, 1));
   EXPECT_EQ(Assignment[0], 0.0);
 }
 

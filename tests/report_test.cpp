@@ -265,7 +265,6 @@ TEST(KernelCacheReportTest, AllCountersPresentInDeclarationOrder) {
   Stats.DiskPrunedFiles = 5;
   Stats.DiskPrunedBytes = 6144;
   Stats.CorruptedDiskEntries = 1;
-  Stats.LegacyDiskEntries = 2;
   KernelCache::Config Config;
   Config.Directory = "/tmp/spnk-cache";
   Config.MaxEntries = 32;
@@ -281,8 +280,7 @@ TEST(KernelCacheReportTest, AllCountersPresentInDeclarationOrder) {
             (std::vector<std::string>{
                 "hits", "misses", "disk_hits", "recompiles", "evictions",
                 "disk_pruned_files", "disk_pruned_bytes",
-                "corrupted_disk_entries", "legacy_disk_entries",
-                "config"}));
+                "corrupted_disk_entries", "config"}));
   EXPECT_EQ(Doc->find("hits")->getNumber(), 3.0);
   EXPECT_EQ(Doc->find("disk_pruned_bytes")->getNumber(), 6144.0);
   const json::Value *ConfigValue = Doc->find("config");

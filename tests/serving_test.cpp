@@ -390,7 +390,7 @@ TEST_F(ServingTest, ShardedServerIsExactAndAggregatesAcrossShards) {
     ASSERT_TRUE(Placed.has_value());
     EXPECT_EQ(*Placed,
               InferenceServer::placeOnShard(
-                  KernelCache::hashModel(Models[M]), 4));
+                  KernelCache::contentHash(Models[M]), 4));
   }
   EXPECT_FALSE(Server.getModelShard("nope").has_value());
 

@@ -9,6 +9,7 @@
 #include "vm/Executor.h"
 #include "vm/ProgramBinary.h"
 #include "vm/VecMath.h"
+#include "support/Hashing.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
@@ -79,7 +80,7 @@ protected:
   std::vector<double> run(const TaskProgram &Task) {
     std::vector<double> Registers(Task.NumRegisters, 0.0);
     BufferBinding<double> NoBuffers[1] = {};
-    executeSample(Task, NoBuffers, 0, Registers.data());
+    interpretSample(Task, NoBuffers, 0, Registers.data());
     return Registers;
   }
 
@@ -274,7 +275,7 @@ TEST(BufferTest, RowMajorAndTransposedAddressing) {
 
   double Registers[1];
   for (size_t S = 0; S < 3; ++S)
-    executeSample(Task, Buffers, S, Registers);
+    interpretSample(Task, Buffers, S, Registers);
   EXPECT_DOUBLE_EQ(Output[0], 11);
   EXPECT_DOUBLE_EQ(Output[1], 21);
   EXPECT_DOUBLE_EQ(Output[2], 31);
@@ -322,7 +323,7 @@ TEST(BufferTest, MultiSlotTransposedOutput) {
   Buffers[1].Stride = 3;
   double Registers[2];
   for (size_t S = 0; S < 3; ++S)
-    executeSample(Task, Buffers, S, Registers);
+    interpretSample(Task, Buffers, S, Registers);
   // Slot 0 = the raw value, slot 1 = value + 100, each contiguous.
   EXPECT_DOUBLE_EQ(Output[0], 1);
   EXPECT_DOUBLE_EQ(Output[1], 2);
@@ -452,11 +453,17 @@ TEST(ProgramBinaryTest, RejectsCorruptBlobs) {
 }
 
 TEST(ProgramBinaryTest, ReportsCurrentVersionAndChecksum) {
+  // Header: magic, version word, then the FNV-1a checksum of the payload
+  // that starts at byte 16 (docs/spnk-format.md).
   std::vector<uint8_t> Blob = encodeProgram(makeSampleProgram());
-  BinaryInfo Info;
-  ASSERT_TRUE(static_cast<bool>(decodeProgram(Blob, &Info)));
-  EXPECT_EQ(Info.Version, kProgramBinaryVersion);
-  EXPECT_TRUE(Info.Checksummed);
+  ASSERT_GT(Blob.size(), 16u);
+  uint32_t Version = 0;
+  std::memcpy(&Version, Blob.data() + 4, sizeof(Version));
+  EXPECT_EQ(Version, kProgramBinaryVersion);
+  uint64_t Checksum = 0;
+  std::memcpy(&Checksum, Blob.data() + 8, sizeof(Checksum));
+  EXPECT_EQ(Checksum, fnv1a64(Blob.data() + 16, Blob.size() - 16));
+  EXPECT_TRUE(static_cast<bool>(decodeProgram(Blob)));
 }
 
 TEST(ProgramBinaryTest, ChecksumCatchesPayloadBitFlip) {
@@ -492,19 +499,25 @@ static std::vector<uint8_t> downgradeToV2(std::span<const uint8_t> V5) {
   return V2;
 }
 
-TEST(ProgramBinaryTest, LegacyV2BlobStillDecodes) {
+TEST(ProgramBinaryTest, PreV5BlobsAreRejected) {
+  // A real v2 layout is rejected on its version, before any parsing.
   KernelProgram Program = makeSampleProgram();
-  std::vector<uint8_t> V2 = downgradeToV2(encodeProgram(Program));
-  BinaryInfo Info;
-  Expected<KernelProgram> Restored = decodeProgram(V2, &Info);
-  ASSERT_TRUE(static_cast<bool>(Restored))
-      << Restored.getError().message();
-  EXPECT_EQ(Info.Version, 2u);
-  EXPECT_FALSE(Info.Checksummed);
-  EXPECT_EQ(Restored->Name, "sample");
-  EXPECT_EQ(Restored->Lowering, Program.Lowering);
-  ASSERT_EQ(Restored->Tasks.size(), 1u);
-  EXPECT_EQ(Restored->Tasks[0].Code.size(), 1u);
+  std::vector<uint8_t> Blob = encodeProgram(Program);
+  Expected<KernelProgram> V2 = decodeProgram(downgradeToV2(Blob));
+  ASSERT_FALSE(static_cast<bool>(V2));
+  EXPECT_NE(V2.getError().message().find("version 2"), std::string::npos)
+      << V2.getError().message();
+  // So is every older version word over the current payload.
+  for (uint32_t Version = 1; Version < kProgramBinaryVersion; ++Version) {
+    std::vector<uint8_t> Old = Blob;
+    std::memcpy(Old.data() + 4, &Version, sizeof(Version));
+    Expected<KernelProgram> Result = decodeProgram(Old);
+    ASSERT_FALSE(static_cast<bool>(Result)) << "v" << Version;
+    EXPECT_NE(Result.getError().message().find(
+                  "version " + std::to_string(Version)),
+              std::string::npos)
+        << Result.getError().message();
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -599,7 +612,9 @@ TEST_P(EngineEquivalenceTest, VectorMatchesScalar) {
   ExecutionConfig Scalar;
   CpuExecutor ScalarExec(Program, Scalar);
   std::vector<double> Expected(NumSamples);
-  ScalarExec.execute(Input.data(), Expected.data(), NumSamples);
+  ASSERT_TRUE(ScalarExec.run(
+      {.Input = Input.data(), .Output = Expected.data(),
+       .NumSamples = NumSamples}));
 
   ExecutionConfig Vector;
   Vector.VectorWidth = Width;
@@ -607,7 +622,9 @@ TEST_P(EngineEquivalenceTest, VectorMatchesScalar) {
   Vector.UseShuffle = UseShuffle;
   CpuExecutor VectorExec(makeRandomProgram(99, NumFeatures), Vector);
   std::vector<double> Actual(NumSamples);
-  VectorExec.execute(Input.data(), Actual.data(), NumSamples);
+  ASSERT_TRUE(VectorExec.run(
+      {.Input = Input.data(), .Output = Actual.data(),
+       .NumSamples = NumSamples}));
 
   for (size_t S = 0; S < NumSamples; ++S)
     EXPECT_NEAR(Actual[S], Expected[S],

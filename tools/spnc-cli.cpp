@@ -427,66 +427,48 @@ int runQuery(CompiledKernel &Kernel, spn::QueryKind Kind,
     return 0;
   }
 
-  switch (Kind) {
-  case spn::QueryKind::Joint:
-  case spn::QueryKind::Marginal: {
-    std::vector<double> Output(NumSamples);
-    if (MergedTable >= 0) {
-      // Merged kernel: every row of this invocation binds to the
-      // model's own weight table.
-      std::vector<uint32_t> Tables(
-          NumSamples, static_cast<uint32_t>(MergedTable));
-      if (!Kernel.executeIndexed(Data.data(), Tables.data(),
-                                 Output.data(), NumSamples)) {
-        std::fprintf(stderr,
-                     "engine cannot execute against weight table %d\n",
-                     MergedTable);
-        return 1;
-      }
-    } else {
-      Kernel.execute(Data.data(), Output.data(), NumSamples);
-    }
-    for (size_t S = 0; S < NumSamples; ++S)
+  bool Likelihood =
+      Kind == spn::QueryKind::Joint || Kind == spn::QueryKind::Marginal;
+  std::vector<double> Output(Kind == spn::QueryKind::Sample ? 0 : NumSamples);
+  std::vector<double> Rows(Likelihood ? 0 : NumSamples * NumFeatures);
+  RunRequest Run;
+  Run.Kind = static_cast<vm::QueryKind>(Kind);
+  Run.Input = Data.data();
+  Run.Output = Output.data();
+  Run.Rows = Rows.data();
+  Run.NumSamples = NumSamples;
+  Run.Seed = Options.Seed;
+  // Merged kernel: every row of this invocation binds to the model's
+  // own weight table.
+  std::vector<uint32_t> Tables;
+  if (MergedTable >= 0) {
+    Tables.assign(NumSamples, static_cast<uint32_t>(MergedTable));
+    Run.TableIndices = Tables.data();
+  }
+  if (!Kernel.run(Run)) {
+    if (MergedTable >= 0)
+      std::fprintf(stderr,
+                   "engine cannot execute against weight table %d\n",
+                   MergedTable);
+    else
+      std::fprintf(stderr,
+                   "engine cannot serve --query=%s (was the kernel "
+                   "compiled with --query=%s?)\n",
+                   spn::queryKindName(Kind), spn::queryKindName(Kind));
+    return 1;
+  }
+  for (size_t S = 0; S < NumSamples; ++S) {
+    if (Likelihood) {
       std::printf("%.10g\n", Output[S]);
-    return 0;
-  }
-  case spn::QueryKind::Mpe: {
-    std::vector<double> Rows(NumSamples * NumFeatures);
-    std::vector<double> LogProbs(NumSamples);
-    if (!Kernel.executeMpe(Data.data(), Rows.data(), LogProbs.data(),
-                           NumSamples)) {
-      std::fprintf(stderr,
-                   "engine cannot serve --query=mpe (was the kernel "
-                   "compiled with --query=mpe?)\n");
-      return 1;
+      continue;
     }
-    for (size_t S = 0; S < NumSamples; ++S) {
-      for (unsigned F = 0; F < NumFeatures; ++F)
-        std::printf("%s%.10g", F ? " " : "",
-                    Rows[S * NumFeatures + F]);
-      std::printf(" %.10g\n", LogProbs[S]);
-    }
-    return 0;
+    for (unsigned F = 0; F < NumFeatures; ++F)
+      std::printf("%s%.10g", F ? " " : "", Rows[S * NumFeatures + F]);
+    if (Kind == spn::QueryKind::Mpe)
+      std::printf(" %.10g", Output[S]);
+    std::printf("\n");
   }
-  case spn::QueryKind::Sample: {
-    std::vector<double> Rows(NumSamples * NumFeatures);
-    if (!Kernel.executeSample(Data.data(), Rows.data(), NumSamples,
-                              Options.Seed)) {
-      std::fprintf(stderr,
-                   "engine cannot serve --query=sample (was the kernel "
-                   "compiled with --query=sample?)\n");
-      return 1;
-    }
-    for (size_t S = 0; S < NumSamples; ++S) {
-      for (unsigned F = 0; F < NumFeatures; ++F)
-        std::printf("%s%.10g", F ? " " : "",
-                    Rows[S * NumFeatures + F]);
-      std::printf("\n");
-    }
-    return 0;
-  }
-  }
-  return 1;
+  return 0;
 }
 
 } // namespace
@@ -580,7 +562,7 @@ int main(int Argc, char **Argv) {
       PathConfig.Directory = Options.KernelCacheDir;
       KernelCache PathCache(PathConfig);
       RecordPath =
-          PathCache.tuningRecordPath(KernelCache::hashModel(*Model));
+          PathCache.tuningRecordPath(KernelCache::contentHash(*Model));
     }
     Expected<tuning::TuningRecord> Record =
         tuning::loadTuningRecord(RecordPath);
@@ -676,10 +658,10 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     unsigned NumFeatures = Kernel->getProgram().Buffers[0].Columns;
-    // The .spnk records the query kind it was compiled for (v4 header;
-    // legacy blobs decode as joint). An explicit --query that differs
-    // is an error — the kernel physically lacks the other entry point —
-    // while a bare invocation adopts the recorded kind.
+    // The .spnk records the query kind it was compiled for. An explicit
+    // --query that differs is an error — the kernel physically lacks the
+    // other entry point — while a bare invocation adopts the recorded
+    // kind.
     spn::QueryKind RecordedKind =
         static_cast<spn::QueryKind>(Kernel->getProgram().Query);
     if (Options.QueryExplicit && RecordedKind != Options.Query.Kind) {
@@ -906,8 +888,7 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr,
                    "kernel cache stats: hits=%llu misses=%llu "
                    "disk-hits=%llu recompiles=%llu evictions=%llu "
-                   "disk-pruned=%llu (%llu bytes) corrupted=%llu "
-                   "legacy=%llu\n",
+                   "disk-pruned=%llu (%llu bytes) corrupted=%llu\n",
                    static_cast<unsigned long long>(CacheStats.Hits),
                    static_cast<unsigned long long>(CacheStats.Misses),
                    static_cast<unsigned long long>(CacheStats.DiskHits),
@@ -919,9 +900,7 @@ int main(int Argc, char **Argv) {
                    static_cast<unsigned long long>(
                        CacheStats.DiskPrunedBytes),
                    static_cast<unsigned long long>(
-                       CacheStats.CorruptedDiskEntries),
-                   static_cast<unsigned long long>(
-                       CacheStats.LegacyDiskEntries));
+                       CacheStats.CorruptedDiskEntries));
   } else {
     Expected<backend::CompiledArtifact> Artifact =
         TheBackend->compile(*Pipeline, *Model, Options.Query, &CStats);

@@ -501,7 +501,7 @@ int main(int Argc, char **Argv) {
       PathConfig.Directory = Options.KernelCacheDir;
       runtime::KernelCache PathCache(PathConfig);
       RecordPath = PathCache.tuningRecordPath(
-          runtime::KernelCache::hashModel(Models.front().second));
+          runtime::KernelCache::contentHash(Models.front().second));
     }
     Expected<tuning::TuningRecord> Record =
         tuning::loadTuningRecord(RecordPath);

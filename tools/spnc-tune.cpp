@@ -235,7 +235,7 @@ int main(int Argc, char **Argv) {
                  Model.getError().message().c_str());
     return 1;
   }
-  uint64_t ModelHash = runtime::KernelCache::hashModel(*Model);
+  uint64_t ModelHash = runtime::KernelCache::contentHash(*Model);
 
   if (!Options.TracePath.empty()) {
     Expected<std::vector<TraceEvent>> Trace = loadSubmitTrace(
