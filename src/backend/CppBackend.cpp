@@ -12,6 +12,7 @@
 #include "support/Timer.h"
 #include "vm/ParamTable.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -19,12 +20,18 @@
 #include <filesystem>
 #include <optional>
 #include <span>
+#include <thread>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
 #define SPNC_CPP_BACKEND_POSIX 1
 #include <dlfcn.h>
+#include <fcntl.h>
+#include <sched.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
+extern char **environ;
 #endif
 
 using namespace spnc;
@@ -57,6 +64,73 @@ bool writeFile(const std::string &Path, const std::string &Content) {
 }
 
 #ifdef SPNC_CPP_BACKEND_POSIX
+
+/// CPUs this process may run on (its affinity mask), at least one.
+unsigned allowedCpus() {
+#ifdef __linux__
+  cpu_set_t Set;
+  if (sched_getaffinity(0, sizeof(Set), &Set) == 0)
+    return static_cast<unsigned>(std::max(1, CPU_COUNT(&Set)));
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+std::string commandLine(const std::vector<std::string> &Argv) {
+  std::string Line;
+  for (const std::string &Arg : Argv)
+    Line += (Line.empty() ? "" : " ") + Arg;
+  return Line;
+}
+
+/// Starts \p Argv (argv[0] looked up on PATH) with stdin from /dev/null
+/// and stdout and stderr into \p LogPath. Returns the child's pid, or -1
+/// with the reason in \p Failure.
+pid_t spawnLogged(const std::vector<std::string> &Argv,
+                  const std::string &LogPath, std::string &Failure) {
+  std::vector<char *> Args;
+  for (const std::string &Arg : Argv)
+    Args.push_back(const_cast<char *>(Arg.c_str()));
+  Args.push_back(nullptr);
+  posix_spawn_file_actions_t Actions;
+  posix_spawn_file_actions_init(&Actions);
+  posix_spawn_file_actions_addopen(&Actions, STDIN_FILENO, "/dev/null",
+                                   O_RDONLY, 0);
+  posix_spawn_file_actions_addopen(&Actions, STDOUT_FILENO, LogPath.c_str(),
+                                   O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  posix_spawn_file_actions_adddup2(&Actions, STDOUT_FILENO, STDERR_FILENO);
+  pid_t Pid = -1;
+  int Rc = posix_spawnp(&Pid, Args[0], &Actions, nullptr, Args.data(),
+                        environ);
+  posix_spawn_file_actions_destroy(&Actions);
+  if (Rc != 0) {
+    Failure = std::string("cannot start: ") + std::strerror(Rc);
+    return -1;
+  }
+  return Pid;
+}
+
+/// Reaps \p Pid; empty when it exited with status 0, else how it ended.
+std::string waitChild(pid_t Pid) {
+  int Status = 0;
+  while (waitpid(Pid, &Status, 0) < 0)
+    if (errno != EINTR)
+      return std::string("waitpid: ") + std::strerror(errno);
+  if (WIFEXITED(Status))
+    return WEXITSTATUS(Status) == 0
+               ? std::string()
+               : "exit status " + std::to_string(WEXITSTATUS(Status));
+  if (WIFSIGNALED(Status))
+    return "killed by signal " + std::to_string(WTERMSIG(Status));
+  return "abnormal termination";
+}
+
+/// Runs \p Argv to completion; empty on success, else how it failed.
+std::string runLogged(const std::vector<std::string> &Argv,
+                      const std::string &LogPath) {
+  std::string Failure;
+  pid_t Pid = spawnLogged(Argv, LogPath, Failure);
+  return Pid < 0 ? Failure : waitChild(Pid);
+}
 
 /// Signatures of the emitted entry points (see CppEmitter.h).
 using KernelFn = void (*)(const double *, double *, size_t);
@@ -238,10 +312,7 @@ bool CppBackend::isAvailable(std::string *Reason) const {
   std::lock_guard<std::mutex> Lock(ProbeMutex);
   if (!Probed) {
     Probed = true;
-    std::string Command = "\"";
-    Command += resolveCompiler();
-    Command += "\" --version > /dev/null 2>&1";
-    if (std::system(Command.c_str()) != 0) {
+    if (!runLogged({resolveCompiler(), "--version"}, "/dev/null").empty()) {
       std::string Message = "host compiler '";
       Message += resolveCompiler();
       Message += "' not found or not runnable";
@@ -271,23 +342,22 @@ CppBackend::compile(const runtime::CompilationPipeline &Pipeline,
       Pipeline.compile(Model, Query, Stats);
   if (!Program)
     return Program.getError();
-  Timer NativeTimer;
-  Expected<CompiledArtifact> Artifact =
-      materialize(Program.takeValue(), Pipeline.getConfig());
-  if (Artifact && Stats) {
-    // Account the emit+host-compile+load work as an extra stage of the
-    // §V-B1 breakdown.
-    Stats->Stages.push_back({"cpp-native", NativeTimer.elapsedNs()});
-    Stats->TotalNs += NativeTimer.elapsedNs();
-  }
-  return Artifact;
+  return build(Program.takeValue(), Pipeline.getConfig(), Stats);
 }
 
 Expected<CompiledArtifact>
 CppBackend::materialize(vm::KernelProgram Program,
                         const runtime::PipelineConfig &Config) const {
+  return build(std::move(Program), Config, nullptr);
+}
+
+Expected<CompiledArtifact>
+CppBackend::build(vm::KernelProgram Program,
+                  const runtime::PipelineConfig &Config,
+                  runtime::CompileStats *Stats) const {
 #ifndef SPNC_CPP_BACKEND_POSIX
   (void)Config;
+  (void)Stats;
   return makeError("cpp backend unavailable: requires a POSIX host");
 #else
   if (std::optional<Error> Err =
@@ -297,9 +367,11 @@ CppBackend::materialize(vm::KernelProgram Program,
   if (!isAvailable(&Reason))
     return makeError("cpp backend unavailable: " + Reason);
 
-  Expected<std::string> Source = emitCppKernel(Program);
-  if (!Source)
-    return Source.getError();
+  Timer EmitTimer;
+  Expected<std::vector<std::string>> Units =
+      emitCppKernel(Program, allowedCpus());
+  if (!Units)
+    return Units.getError();
 
   // Build directory: a fresh mkdtemp under WorkDir (or $TMPDIR/tmp).
   std::string Base = Options.WorkDir;
@@ -326,23 +398,63 @@ CppBackend::materialize(vm::KernelProgram Program,
     return makeError(Message);
   };
 
-  std::string SourcePath = Dir + "/kernel.cpp";
-  std::string SoPath = Dir + "/kernel.so";
-  std::string LogPath = Dir + "/compile.log";
-  if (!writeFile(SourcePath, *Source))
-    return FailAndCleanup("cpp backend: cannot write '" + SourcePath +
-                          "': " + std::strerror(errno));
-
+  // One compile job per unit, each with its own log.
+  struct Job {
+    std::string Name;
+    std::vector<std::string> Argv;
+    std::string LogPath;
+    pid_t Pid = -1;
+    std::string Failure;
+  };
   std::string Compiler = resolveCompiler();
-  std::string Command = "\"" + Compiler + "\" -std=c++17";
-  for (const std::string &Flag : Options.ExtraFlags)
-    Command += " " + Flag;
-  Command += " -fPIC -shared \"" + SourcePath + "\" -o \"" + SoPath +
-             "\" > \"" + LogPath + "\" 2>&1";
-  if (std::system(Command.c_str()) != 0)
-    return FailAndCleanup("cpp backend: host compilation failed "
-                          "(command: " +
-                          Command + "): " + readLogTail(LogPath));
+  std::vector<Job> Jobs(Units->size());
+  std::vector<std::string> LinkArgv = {Compiler};
+  LinkArgv.insert(LinkArgv.end(), Options.ExtraFlags.begin(),
+                  Options.ExtraFlags.end());
+  LinkArgv.insert(LinkArgv.end(), {"-fPIC", "-shared"});
+  for (size_t U = 0; U < Jobs.size(); ++U) {
+    Job &J = Jobs[U];
+    std::string Stem = Dir + "/unit" + std::to_string(U);
+    J.Name = "unit" + std::to_string(U) + ".cpp";
+    J.LogPath = Stem + ".log";
+    if (!writeFile(Stem + ".cpp", (*Units)[U]))
+      return FailAndCleanup("cpp backend: cannot write '" + Stem +
+                            ".cpp': " + std::strerror(errno));
+    J.Argv = {Compiler, "-std=c++17"};
+    J.Argv.insert(J.Argv.end(), Options.ExtraFlags.begin(),
+                  Options.ExtraFlags.end());
+    J.Argv.insert(J.Argv.end(),
+                  {"-fPIC", "-c", Stem + ".cpp", "-o", Stem + ".o"});
+    LinkArgv.push_back(Stem + ".o");
+  }
+  uint64_t EmitNs = EmitTimer.elapsedNs();
+
+  // All units compile at once (there are no more units than CPUs);
+  // every started compiler is reaped before any failure is reported.
+  Timer CompileTimer;
+  for (Job &J : Jobs)
+    J.Pid = spawnLogged(J.Argv, J.LogPath, J.Failure);
+  for (Job &J : Jobs)
+    if (J.Pid >= 0)
+      J.Failure = waitChild(J.Pid);
+  for (const Job &J : Jobs)
+    if (!J.Failure.empty())
+      return FailAndCleanup("cpp backend: host compilation of '" + J.Name +
+                            "' failed (" + J.Failure +
+                            "; command: " + commandLine(J.Argv) +
+                            "): " + readLogTail(J.LogPath));
+  uint64_t CompileNs = CompileTimer.elapsedNs();
+
+  Timer LinkTimer;
+  std::string SoPath = Dir + "/kernel.so";
+  std::string LinkLog = Dir + "/link.log";
+  LinkArgv.insert(LinkArgv.end(), {"-o", SoPath});
+  std::string LinkFailure = runLogged(LinkArgv, LinkLog);
+  if (!LinkFailure.empty())
+    return FailAndCleanup("cpp backend: linking '" + SoPath + "' failed (" +
+                          LinkFailure + "; command: " +
+                          commandLine(LinkArgv) +
+                          "): " + readLogTail(LinkLog));
 
   void *Handle = dlopen(SoPath.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (!Handle) {
@@ -373,6 +485,14 @@ CppBackend::materialize(vm::KernelProgram Program,
       std::move(Program), Handle, Entry, Dir, Keep, std::move(Description));
   Artifact.BackendName = getName();
   Artifact.Fingerprint = artifactFingerprint();
+  if (Stats) {
+    uint64_t LinkNs = LinkTimer.elapsedNs();
+    // The native build as three extra stages of the §V-B1 breakdown.
+    Stats->Stages.push_back({"cpp-emit", EmitNs});
+    Stats->Stages.push_back({"cpp-compile", CompileNs});
+    Stats->Stages.push_back({"cpp-link-load", LinkNs});
+    Stats->TotalNs += EmitNs + CompileNs + LinkNs;
+  }
   return Artifact;
 #endif
 }

@@ -7,9 +7,10 @@
 ///
 /// \file
 /// The "true native" backend the paper's LLVM pipeline corresponds to:
-/// the compiled `vm::KernelProgram` is emitted as a standalone C++
-/// evaluation function (CppEmitter.h), built into a shared object by
-/// the host toolchain, and `dlopen`ed behind the standard
+/// the compiled `vm::KernelProgram` is emitted as C++ translation units
+/// (CppEmitter.h), one per CPU the process may run on at most, which the
+/// host toolchain compiles concurrently and links into one shared
+/// object, `dlopen`ed behind the standard
 /// `ExecutionEngine` interface — so the serving layer, the CLI and
 /// every bench run native kernels unmodified. CPU only; requesting the
 /// GPU target fails with a validateTarget diagnostic. Unavailable hosts
@@ -33,15 +34,16 @@ namespace backend {
 struct CppBackendOptions {
   /// Host C++ compiler; empty selects $CXX, falling back to "c++".
   std::string CompilerPath;
-  /// Optimization/codegen flags appended to the fixed
-  /// "-std=c++17 -fPIC -shared" invocation. Part of the artifact
-  /// fingerprint.
+  /// Optimization/codegen flags passed to every compile
+  /// ("-std=c++17 ... -fPIC -c") and to the link ("... -fPIC -shared").
+  /// Part of the artifact fingerprint.
   std::vector<std::string> ExtraFlags = {"-O2", "-march=native"};
   /// Directory for emitted sources and shared objects; empty uses a
   /// fresh mkdtemp directory per kernel, removed when the engine dies.
   std::string WorkDir;
-  /// Keep the generated .cpp/.so/compile log instead of cleaning up
-  /// (debugging aid; implied for kernels built under WorkDir).
+  /// Keep the generated units, objects, .so and compiler logs instead of
+  /// cleaning up (debugging aid; implied for kernels built under
+  /// WorkDir).
   bool KeepArtifacts = false;
 };
 
@@ -80,6 +82,12 @@ public:
   std::string resolveCompiler() const;
 
 private:
+  /// Emits, compiles, links and loads \p Program; with \p Stats, records
+  /// the cpp-emit, cpp-compile and cpp-link-load stages.
+  Expected<CompiledArtifact> build(vm::KernelProgram Program,
+                                   const runtime::PipelineConfig &Config,
+                                   runtime::CompileStats *Stats) const;
+
   CppBackendOptions Options;
   /// Availability probe result, filled on first isAvailable() call.
   mutable std::mutex ProbeMutex;

@@ -1,29 +1,39 @@
-//===- CppEmitter.cpp - KernelProgram -> standalone C++ source ----------------===//
+//===- CppEmitter.cpp - KernelProgram -> C++ translation units ----------------===//
 //
 // Part of the SPNC-Repro project.
 // SPDX-License-Identifier: Apache-2.0
 //
 //===----------------------------------------------------------------------===//
 //
-// The emitted translation unit is structured like the scalar
-// interpreter's execution of one chunk covering the whole batch:
+// The emitted code is structured like the scalar interpreter's execution
+// of one chunk covering the whole batch:
 //
-//   * one std::vector per intermediate buffer ([slot][sample] layout),
+//   * one zero-filled heap array per intermediate buffer ([slot][sample]
+//     layout),
 //   * one sample loop per kernel step, with a fresh register file per
-//     iteration — a straight-line basic block the host compiler's
-//     auto-vectorizer can work on,
-//   * arithmetic copied cast-for-cast from vm::interpretSample, with all
-//     constants spelled as hexadecimal float literals so no precision
-//     is lost in the round trip through source text.
+//     iteration, calling the task's segment functions in order,
+//   * each segment a straight-line run of at most kCppSegmentInstructions
+//     instructions, with arithmetic copied cast-for-cast from
+//     vm::interpretSample and all constants spelled as hexadecimal float
+//     literals so no precision is lost in the round trip through source
+//     text.
+//
+// Segments are spread over translation units balanced by instruction
+// count, so the host compiler builds the units concurrently and never
+// sees a function larger than one segment. The units include no headers:
+// the math goes through the compiler builtins (__builtin_exp,
+// __builtin_isnan, ...), which name the same libm functions <cmath> does.
 //
 //===----------------------------------------------------------------------===//
 
 #include "backend/CppEmitter.h"
 
-#include <cinttypes>
+#include <algorithm>
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <numeric>
+#include <set>
 
 using namespace spnc;
 using namespace spnc::backend;
@@ -44,13 +54,12 @@ void appendf(std::string &Out, const char *Format, ...) {
 
 /// Renders \p Value as a C++17 expression of type double that
 /// round-trips exactly: hexadecimal float literals for finite values,
-/// numeric_limits spellings for the specials.
+/// compiler builtins for the specials.
 std::string formatDouble(double Value) {
   if (std::isnan(Value))
-    return "std::numeric_limits<double>::quiet_NaN()";
+    return "__builtin_nan(\"\")";
   if (std::isinf(Value))
-    return Value > 0 ? "std::numeric_limits<double>::infinity()"
-                     : "-std::numeric_limits<double>::infinity()";
+    return Value > 0 ? "__builtin_inf()" : "-__builtin_inf()";
   char Buffer[64];
   std::snprintf(Buffer, sizeof(Buffer), "%a", Value);
   return Buffer;
@@ -222,7 +231,7 @@ void emitInstruction(std::string &Out, const KernelProgram &Program,
     const char *Body = Indent;
     std::string Deeper = std::string(Indent) + "  ";
     if (P.SupportMarginal) {
-      appendf(Out, "%s  if (std::isnan(x)) {\n%s    %s = %s;\n%s  } else {\n",
+      appendf(Out, "%s  if (__builtin_isnan(x)) {\n%s    %s = %s;\n%s  } else {\n",
               Indent, Indent, reg(I.Dst).c_str(),
               formatValue(P.MarginalValue).c_str(), Indent);
       Deeper += "  ";
@@ -242,7 +251,7 @@ void emitInstruction(std::string &Out, const KernelProgram &Program,
     if (I.Op == OpCode::Gaussian)
       appendf(Out,
               "%s%s = %s * "
-              "(value_t)std::exp((double)((value_t)-0.5 * norm * norm));\n",
+              "(value_t)__builtin_exp((double)((value_t)-0.5 * norm * norm));\n",
               Body, reg(I.Dst).c_str(), Coefficient.c_str());
     else
       appendf(Out, "%s%s = %s - (value_t)0.5 * norm * norm;\n", Body,
@@ -263,14 +272,14 @@ void emitInstruction(std::string &Out, const KernelProgram &Program,
     std::string Deeper = std::string(Indent) + "  ";
     const char *Body = Deeper.c_str();
     if (Table.SupportMarginal) {
-      appendf(Out, "%s  if (std::isnan(x)) {\n%s    %s = %s;\n%s  } else {\n",
+      appendf(Out, "%s  if (__builtin_isnan(x)) {\n%s    %s = %s;\n%s  } else {\n",
               Indent, Indent, reg(I.Dst).c_str(),
               formatValue(Table.MarginalValue).c_str(), Indent);
       Deeper += "  ";
       Body = Deeper.c_str();
     }
     appendf(Out,
-            "%slong long idx = (long long)std::floor((double)x - %s);\n",
+            "%slong long idx = (long long)__builtin_floor((double)x - %s);\n",
             Body, formatDouble(Table.Lo).c_str());
     appendf(Out,
             "%s%s = (idx >= 0 && idx < (long long)%zu) ? "
@@ -295,7 +304,7 @@ void emitInstruction(std::string &Out, const KernelProgram &Program,
     break;
   }
   case OpCode::NanBlend:
-    appendf(Out, "%sif (std::isnan(%s)) %s = %s;\n", Indent,
+    appendf(Out, "%sif (__builtin_isnan(%s)) %s = %s;\n", Indent,
             reg(I.A).c_str(), reg(I.Dst).c_str(),
             PL ? paramExpr(PL->CpBase[TaskIdx] + I.B).c_str()
                : formatValue(Task.ConstPool[I.B]).c_str());
@@ -326,10 +335,10 @@ void emitInstruction(std::string &Out, const KernelProgram &Program,
             Indent, Indent, reg(I.Dst).c_str(), Indent);
     appendf(Out, "%s    value_t sum = (value_t)0;\n", Indent);
     for (uint32_t N = 0; N < I.B; ++N)
-      appendf(Out, "%s    sum += (value_t)std::exp((double)(%s - max));\n",
+      appendf(Out, "%s    sum += (value_t)__builtin_exp((double)(%s - max));\n",
               Indent, reg(Task.Args[I.A + N]).c_str());
     appendf(Out,
-            "%s    %s = max + (value_t)std::log((double)sum);\n%s  }\n%s}\n",
+            "%s    %s = max + (value_t)__builtin_log((double)sum);\n%s  }\n%s}\n",
             Indent, reg(I.Dst).c_str(), Indent, Indent);
     break;
   }
@@ -337,8 +346,8 @@ void emitInstruction(std::string &Out, const KernelProgram &Program,
 }
 
 /// Emits the traceback plan tables, the deterministic RNG replica and
-/// the downward walker into the anonymous namespace of the generated
-/// translation unit. Everything here mirrors support/Random.h and
+/// the downward walker into the anonymous namespace of unit 0, the
+/// unit holding the entry points. Everything here mirrors support/Random.h and
 /// vm/Traceback.h word for word — the exact streams are part of the
 /// reproducibility contract (docs/queries.md).
 void emitTracebackSupport(std::string &Out, const KernelProgram &Program) {
@@ -411,8 +420,8 @@ inline unsigned long long spnc_per_sample_seed(unsigned long long seed,
 inline double spnc_draw_normal(spnc_rng &r) {
   double u1 = 1.0 - spnc_rng_uniform(r);
   double u2 = spnc_rng_uniform(r);
-  return std::sqrt(-2.0 * std::log(u1)) *
-         std::cos(2.0 * 3.14159265358979323846 * u2);
+  return __builtin_sqrt(-2.0 * __builtin_log(u1)) *
+         __builtin_cos(2.0 * 3.14159265358979323846 * u2);
 }
 
 // Single-uniform CDF walk over (lb, ub, mass) triples.
@@ -458,9 +467,10 @@ inline double spnc_draw_table_bucket(const double *triples, unsigned count,
   if (Program.LogSpace)
     Out += "        double hi = va >= vb ? va : vb;\n"
            "        double lo = va >= vb ? vb : va;\n"
-           "        if (!(std::isinf(hi) && hi < 0.0)) {\n"
-           "          double total = hi + std::log1p(std::exp(lo - hi));\n"
-           "          pb = std::exp(vb - total);\n"
+           "        if (!(__builtin_isinf(hi) && hi < 0.0)) {\n"
+           "          double total =\n"
+           "              hi + __builtin_log1p(__builtin_exp(lo - hi));\n"
+           "          pb = __builtin_exp(vb - total);\n"
            "        }\n";
   else
     Out += "        double total = va + vb;\n"
@@ -482,7 +492,7 @@ inline double spnc_draw_table_bucket(const double *triples, unsigned count,
          "      break;\n"
          "    case 3: {\n"
          "      double e = ev[n.feature];\n"
-         "      if (!std::isnan(e))\n"
+         "      if (!__builtin_isnan(e))\n"
          "        out[n.feature] = e;\n"
          "      else if (rng)\n"
          "        out[n.feature] = spnc_draw_table_bucket(\n"
@@ -493,7 +503,7 @@ inline double spnc_draw_table_bucket(const double *triples, unsigned count,
          "    }\n"
          "    case 4: {\n"
          "      double e = ev[n.feature];\n"
-         "      if (!std::isnan(e))\n"
+         "      if (!__builtin_isnan(e))\n"
          "        out[n.feature] = e;\n"
          "      else if (rng)\n"
          "        out[n.feature] = n.mean + n.stddev * "
@@ -507,11 +517,285 @@ inline double spnc_draw_table_bucket(const double *triples, unsigned count,
          "}\n";
 }
 
+/// Emits the default parameter block of a parameterized program: the
+/// generating model's own baked side tables in the
+/// vm::flattenTaskTables layout, so the classic entry point stays
+/// bit-identical to a non-parameterized build.
+void emitDefaultParams(std::string &Out, const KernelProgram &Program,
+                       const ParamLayout &Layout) {
+  appendf(Out, "\nconst double kParamsDefault[%zu] = {\n",
+          Layout.Total ? Layout.Total : size_t(1));
+  size_t Count = 0;
+  auto Push = [&](double Value) {
+    appendf(Out, "  %s,", formatDouble(Value).c_str());
+    Out += (++Count % 4 == 0) ? "\n" : "";
+  };
+  for (const TaskProgram &Task : Program.Tasks) {
+    for (double Value : Task.ConstPool)
+      Push(Value);
+    for (const GaussianParams &G : Task.Gaussians) {
+      Push(G.Mean);
+      Push(G.InvStdDev);
+      Push(G.Coefficient);
+    }
+    for (const LookupTable &Table : Task.Tables)
+      for (double Value : Table.Values)
+        Push(Value);
+    for (const SelectRange &Select : Task.Selects)
+      Push(Select.Value);
+  }
+  if (Layout.Total == 0)
+    Out += "  0.0,";
+  Out += "\n};\n";
+}
+
+/// One segment function: instructions [Begin, End) of task \p Task,
+/// the \p Index-th segment of that task.
+struct Segment {
+  size_t Task;
+  size_t Index;
+  size_t Begin;
+  size_t End;
+};
+
+/// Cuts the code of every task into evenly sized segments of at most
+/// kCppSegmentInstructions instructions, tasks in order.
+std::vector<Segment> cutSegments(const KernelProgram &Program) {
+  std::vector<Segment> Segments;
+  for (size_t T = 0; T < Program.Tasks.size(); ++T) {
+    size_t Size = Program.Tasks[T].Code.size();
+    size_t Count =
+        (Size + kCppSegmentInstructions - 1) / kCppSegmentInstructions;
+    for (size_t S = 0; S < Count; ++S)
+      Segments.push_back({T, S, Size * S / Count, Size * (S + 1) / Count});
+  }
+  return Segments;
+}
+
+/// Unit of each segment: largest segment first onto the unit with the
+/// fewest instructions so far (lowest index on ties), which balances
+/// the units and leaves none empty while segments remain.
+std::vector<size_t> assignUnits(const std::vector<Segment> &Segments,
+                                size_t NumUnits) {
+  auto SizeOf = [&](size_t S) {
+    return Segments[S].End - Segments[S].Begin;
+  };
+  std::vector<size_t> Order(Segments.size());
+  std::iota(Order.begin(), Order.end(), size_t(0));
+  std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
+    return SizeOf(A) > SizeOf(B);
+  });
+  std::vector<size_t> Load(NumUnits, 0);
+  std::vector<size_t> UnitOf(Segments.size(), 0);
+  for (size_t S : Order) {
+    size_t Unit = static_cast<size_t>(
+        std::min_element(Load.begin(), Load.end()) - Load.begin());
+    UnitOf[S] = Unit;
+    Load[Unit] += SizeOf(S);
+  }
+  return UnitOf;
+}
+
+std::string segmentName(const Segment &Seg) {
+  return "spnc_t" + std::to_string(Seg.Task) + "_s" +
+         std::to_string(Seg.Index);
+}
+
+/// Emits the head every unit shares: the compute type, the segment
+/// signature and the log-sum-exp helper.
+void emitPrelude(std::string &Out, const KernelProgram &Program,
+                 size_t Unit, size_t NumUnits) {
+  appendf(Out,
+          "// Generated by the SPNC cpp backend (emitter v%u) from "
+          "kernel '%s', unit %zu of %zu.\n"
+          "// compute type: %s; %s space; lowering: %s.\n",
+          kCppEmitterVersion, Program.Name.c_str(), Unit, NumUnits,
+          Program.UseF32 ? "f32" : "f64",
+          Program.LogSpace ? "log" : "linear",
+          Program.Lowering == LoweringKind::SelectCascade
+              ? "select-cascade"
+              : "table-lookup");
+  Out += "typedef decltype(sizeof 0) size_t;\n";
+  appendf(Out, "typedef %s value_t;\n", Program.UseF32 ? "float" : "double");
+  Out += "\n"
+         "// Every segment runs a slice of one task for sample i: the\n"
+         "// register file r, the external buffers, the intermediate\n"
+         "// buffers b (indexed by buffer id) and the parameter block p.\n"
+         "// Never inlined, so every register write stays a store and the\n"
+         "// compiler sees the same code whichever unit holds the segment.\n"
+         "#define SPNC_SEGMENT(name)                                      "
+         "    \\\n"
+         "  extern \"C\" __attribute__((visibility(\"hidden\"), noinline))    "
+         "    \\\n"
+         "  void name(value_t *__restrict r, const double *__restrict in, "
+         "    \\\n"
+         "            double *__restrict out, value_t *const *b,          "
+         "    \\\n"
+         "            const double *__restrict p, size_t i, size_t n)\n"
+         "\n"
+         "namespace {\n"
+         "const value_t kNegInf = -(value_t)__builtin_inf();\n"
+         "\n"
+         "// Mirrors the interpreter's scalarLogSumExp: max + "
+         "log1p(exp(min - max)),\n"
+         "// with the exp/log1p round trip through double.\n"
+         "inline value_t spnc_log_sum_exp(value_t a, value_t b) {\n"
+         "  value_t max = a > b ? a : b;\n"
+         "  if (max == kNegInf)\n"
+         "    return max;\n"
+         "  value_t diff = (a > b ? b : a) - max;\n"
+         "  return max +\n"
+         "         (value_t)__builtin_log1p(__builtin_exp((double)diff));\n"
+         "}\n";
+}
+
+/// Emits the dense lookup tables the segments of \p Unit read, one
+/// static array per (task, table).
+void emitTables(std::string &Out, const KernelProgram &Program,
+                const std::vector<Segment> &Segments,
+                const std::vector<size_t> &UnitOf, size_t Unit) {
+  std::set<std::pair<size_t, uint32_t>> Used;
+  for (size_t S = 0; S < Segments.size(); ++S) {
+    if (UnitOf[S] != Unit)
+      continue;
+    const Segment &Seg = Segments[S];
+    const TaskProgram &Task = Program.Tasks[Seg.Task];
+    for (size_t I = Seg.Begin; I < Seg.End; ++I)
+      if (Task.Code[I].Op == OpCode::TableLookup)
+        Used.insert({Seg.Task, Task.Code[I].B});
+  }
+  for (auto [T, J] : Used) {
+    const LookupTable &Table = Program.Tasks[T].Tables[J];
+    // A zero-length array is ill-formed; an empty table (never indexed:
+    // the bounds check rejects everything) gets one dummy element.
+    appendf(Out, "\nconst double kTable_t%zu_%u[%zu] = {\n", T, J,
+            Table.Values.empty() ? size_t(1) : Table.Values.size());
+    if (Table.Values.empty())
+      Out += "  0.0,\n";
+    for (size_t V = 0; V < Table.Values.size(); ++V) {
+      appendf(Out, "  %s,", formatDouble(Table.Values[V]).c_str());
+      Out += (V % 4 == 3 || V + 1 == Table.Values.size()) ? "\n" : "";
+    }
+    Out += "};\n";
+  }
+}
+
+/// Emits the definition of \p Seg: pointers to the intermediate buffers
+/// it touches, then its instructions.
+void emitSegment(std::string &Out, const KernelProgram &Program,
+                 const Segment &Seg, const ParamLayout *PL) {
+  const TaskProgram &Task = Program.Tasks[Seg.Task];
+  appendf(Out, "\nSPNC_SEGMENT(%s) {\n", segmentName(Seg).c_str());
+  std::set<uint32_t> Buffers;
+  for (size_t I = Seg.Begin; I < Seg.End; ++I) {
+    const Instruction &Inst = Task.Code[I];
+    if (Inst.Op == OpCode::Load)
+      Buffers.insert(Task.Loads[Inst.A].Buffer);
+    else if (Inst.Op == OpCode::Store)
+      Buffers.insert(Task.Stores[Inst.A].Buffer);
+  }
+  for (uint32_t B : Buffers)
+    if (Program.Buffers[B].Role == BufferInfo::Kind::Intermediate)
+      appendf(Out, "  value_t *b%u = b[%u];\n", B, B);
+  for (size_t I = Seg.Begin; I < Seg.End; ++I)
+    emitInstruction(Out, Program, Task, Seg.Task, Task.Code[I], "  ", PL);
+  Out += "}\n";
+}
+
+/// Allocates the intermediate buffers, zero-filled in the executor's
+/// [slot][sample] layout, and the pointer table "b" the segments get.
+void emitBufferSetup(std::string &Out, const KernelProgram &Program) {
+  std::string Table;
+  for (size_t B = 0; B < Program.Buffers.size(); ++B) {
+    Table += B ? ", " : "";
+    if (Program.Buffers[B].Role != BufferInfo::Kind::Intermediate) {
+      Table += "0";
+      continue;
+    }
+    appendf(Out, "  value_t *b%zu = new value_t[(size_t)%u * n]();\n", B,
+            Program.Buffers[B].Columns);
+    appendf(Table, "b%zu", B);
+  }
+  appendf(Out, "  value_t *const b[%zu] = {%s};\n", Program.Buffers.size(),
+          Table.c_str());
+}
+
+void emitBufferRelease(std::string &Out, const KernelProgram &Program) {
+  for (size_t B = 0; B < Program.Buffers.size(); ++B)
+    if (Program.Buffers[B].Role == BufferInfo::Kind::Intermediate)
+      appendf(Out, "  delete[] b%zu;\n", B);
+}
+
+/// Emits the sample loop of one task: a fresh register file per sample,
+/// the task's segments in order (reading the parameter block \p Params),
+/// then \p Tail.
+void emitTaskLoop(std::string &Out, const KernelProgram &Program,
+                  size_t TaskIdx, const std::vector<Segment> &Segments,
+                  const char *Params, const char *Tail) {
+  appendf(Out,
+          "  for (size_t i = 0; i < n; ++i) {\n"
+          "    value_t r[%u] = {};\n",
+          std::max(Program.Tasks[TaskIdx].NumRegisters, 1u));
+  for (const Segment &Seg : Segments)
+    if (Seg.Task == TaskIdx)
+      appendf(Out, "    %s(r, in, out, b, %s, i, n);\n",
+              segmentName(Seg).c_str(), Params);
+  Out += Tail;
+  Out += "  }\n";
+}
+
+/// Emits the joint/marginal entry points over the program's steps; a
+/// parameterized program reads its side tables from the block "p".
+void emitKernelEntries(std::string &Out, const KernelProgram &Program,
+                       const std::vector<Segment> &Segments) {
+  Out += "\nstatic void spnc_kernel_impl(const double *__restrict in, "
+         "double *__restrict out, size_t n,\n"
+         "                             const double *__restrict p) {\n";
+  emitBufferSetup(Out, Program);
+  for (size_t S = 0; S < Program.Steps.size(); ++S) {
+    const KernelStep &Step = Program.Steps[S];
+    if (Step.Task < 0) {
+      // Buffer-to-buffer copy (copy avoidance disabled).
+      uint32_t Src = static_cast<uint32_t>(Step.CopySrc);
+      uint32_t Dst = static_cast<uint32_t>(Step.CopyDst);
+      appendf(Out, "  // step %zu: copy buffer %u -> %u\n", S, Src, Dst);
+      for (uint32_t Col = 0; Col < Program.Buffers[Src].Columns; ++Col) {
+        appendf(Out, "  for (size_t i = 0; i < n; ++i)\n    %s\n",
+                storeStmt(Program, Dst, Col, loadExpr(Program, Src, Col))
+                    .c_str());
+      }
+      continue;
+    }
+    const TaskProgram &Task = Program.Tasks[Step.Task];
+    appendf(Out, "  // step %zu: task %d (%zu instructions, %u registers)\n",
+            S, Step.Task, Task.Code.size(), Task.NumRegisters);
+    emitTaskLoop(Out, Program, static_cast<size_t>(Step.Task), Segments,
+                 "p", "");
+  }
+  emitBufferRelease(Out, Program);
+  Out += "}\n";
+  appendf(Out,
+          "\nextern \"C\" void %s(const double *__restrict in, "
+          "double *__restrict out, size_t n) {\n"
+          "  spnc_kernel_impl(in, out, n, %s);\n"
+          "}\n",
+          kCppKernelSymbol, Program.Parameterized ? "kParamsDefault" : "0");
+  if (Program.Parameterized)
+    appendf(Out,
+            "\nextern \"C\" void %s(const double *__restrict in, "
+            "double *__restrict out, size_t n,\n"
+            "                                        "
+            "const double *params) {\n"
+            "  spnc_kernel_impl(in, out, n, params);\n"
+            "}\n",
+            kCppParamsSymbol);
+}
+
 /// Emits the MPE or sampling entry point: per sample, the single task's
 /// upward pass into a fresh register file, an evidence pre-fill of the
 /// output row, then the downward traceback.
-void emitQueryEntry(std::string &Out, const KernelProgram &Program) {
-  const TaskProgram &Task = Program.Tasks[0];
+void emitQueryEntry(std::string &Out, const KernelProgram &Program,
+                    const std::vector<Segment> &Segments) {
   uint32_t NumFeatures = 0;
   for (const BufferInfo &Info : Program.Buffers)
     if (Info.Role == BufferInfo::Kind::Input)
@@ -531,15 +815,10 @@ void emitQueryEntry(std::string &Out, const KernelProgram &Program) {
             "                                    size_t n, "
             "unsigned long long seed) {\n",
             kCppSampleSymbol);
-  Out += "  std::vector<double> up(n);\n"
-         "  double *out = up.data();\n";
-  appendf(Out,
-          "  for (size_t i = 0; i < n; ++i) {\n"
-          "    value_t r[%u] = {};\n",
-          Task.NumRegisters ? Task.NumRegisters : 1u);
-  for (const Instruction &I : Task.Code)
-    emitInstruction(Out, Program, Task, 0, I, "    ");
-  appendf(Out,
+  Out += "  double *out = new double[n]();\n";
+  emitBufferSetup(Out, Program);
+  std::string Tail;
+  appendf(Tail,
           "    double *row = %s + i * %uu;\n"
           "    const double *ev = in + i * %uu;\n"
           "    for (unsigned f = 0; f < %uu; ++f)\n"
@@ -547,24 +826,27 @@ void emitQueryEntry(std::string &Out, const KernelProgram &Program) {
           Mpe ? "assign" : "samples", NumFeatures, NumFeatures,
           NumFeatures);
   if (Mpe) {
-    Out += "    spnc_traceback(r, ev, row, 0);\n";
+    Tail += "    spnc_traceback(r, ev, row, 0);\n";
     if (Program.LogSpace)
-      Out += "    if (logp) logp[i] = out[i];\n";
+      Tail += "    if (logp) logp[i] = out[i];\n";
     else
-      Out += "    if (logp) logp[i] = std::log(out[i]);\n";
+      Tail += "    if (logp) logp[i] = __builtin_log(out[i]);\n";
   } else {
-    Out += "    spnc_rng rng;\n"
-           "    spnc_rng_seed(rng, spnc_per_sample_seed(seed, i));\n"
-           "    spnc_traceback(r, ev, row, &rng);\n";
+    Tail += "    spnc_rng rng;\n"
+            "    spnc_rng_seed(rng, spnc_per_sample_seed(seed, i));\n"
+            "    spnc_traceback(r, ev, row, &rng);\n";
   }
-  Out += "  }\n"
+  emitTaskLoop(Out, Program, 0, Segments, "0", Tail.c_str());
+  emitBufferRelease(Out, Program);
+  Out += "  delete[] out;\n"
          "}\n";
 }
 
 } // namespace
 
-Expected<std::string>
-spnc::backend::emitCppKernel(const KernelProgram &Program) {
+Expected<std::vector<std::string>>
+spnc::backend::emitCppKernel(const KernelProgram &Program,
+                             unsigned MaxUnits) {
   if (Program.NumInputs != 1 || Program.NumOutputs != 1)
     return makeError(
         "cpp emitter supports kernels with one input and one output "
@@ -586,156 +868,42 @@ spnc::backend::emitCppKernel(const KernelProgram &Program) {
           "cpp emitter: MPE/sampling requires a single-task program");
   }
 
-  std::string Out;
-  appendf(Out,
-          "// Generated by the SPNC cpp backend (emitter v%u) from "
-          "kernel '%s'.\n"
-          "// compute type: %s; %s space; lowering: %s.\n",
-          kCppEmitterVersion, Program.Name.c_str(),
-          Program.UseF32 ? "f32" : "f64",
-          Program.LogSpace ? "log" : "linear",
-          Program.Lowering == LoweringKind::SelectCascade
-              ? "select-cascade"
-              : "table-lookup");
-  Out += "#include <cmath>\n"
-         "#include <cstddef>\n"
-         "#include <limits>\n"
-         "#include <vector>\n"
-         "\n"
-         "namespace {\n";
-  appendf(Out, "typedef %s value_t;\n",
-          Program.UseF32 ? "float" : "double");
-  Out += "const value_t kNegInf = "
-         "-std::numeric_limits<value_t>::infinity();\n"
-         "\n"
-         "// Mirrors the interpreter's scalarLogSumExp: max + "
-         "log1p(exp(min - max)),\n"
-         "// with the exp/log1p round trip through double.\n"
-         "inline value_t spnc_log_sum_exp(value_t a, value_t b) {\n"
-         "  value_t max = a > b ? a : b;\n"
-         "  if (max == kNegInf)\n"
-         "    return max;\n"
-         "  value_t diff = (a > b ? b : a) - max;\n"
-         "  return max + (value_t)std::log1p(std::exp((double)diff));\n"
-         "}\n";
-
+  std::vector<Segment> Segments = cutSegments(Program);
+  size_t NumUnits = std::max<size_t>(
+      1, std::min<size_t>(std::max(MaxUnits, 1u), Segments.size()));
+  std::vector<size_t> UnitOf = assignUnits(Segments, NumUnits);
   ParamLayout Layout;
   const ParamLayout *PL = nullptr;
   if (Program.Parameterized) {
     Layout = buildParamLayout(Program);
     PL = &Layout;
-    // Default parameter block: the generating model's own baked side
-    // tables in the vm::flattenTaskTables layout, so the classic entry
-    // point stays bit-identical to a non-parameterized build.
-    appendf(Out, "\nstatic const double kParamsDefault[%zu] = {\n",
-            Layout.Total ? Layout.Total : size_t(1));
-    size_t Count = 0;
-    auto Push = [&](double Value) {
-      appendf(Out, "  %s,", formatDouble(Value).c_str());
-      Out += (++Count % 4 == 0) ? "\n" : "";
-    };
-    for (const TaskProgram &Task : Program.Tasks) {
-      for (double Value : Task.ConstPool)
-        Push(Value);
-      for (const GaussianParams &G : Task.Gaussians) {
-        Push(G.Mean);
-        Push(G.InvStdDev);
-        Push(G.Coefficient);
-      }
-      for (const LookupTable &Table : Task.Tables)
-        for (double Value : Table.Values)
-          Push(Value);
-      for (const SelectRange &Select : Task.Selects)
-        Push(Select.Value);
-    }
-    if (Layout.Total == 0)
-      Out += "  0.0,";
-    Out += "\n};\n";
-  } else {
-    // Dense lookup tables, one static array per (task, table).
-    for (size_t T = 0; T < Program.Tasks.size(); ++T) {
-      const TaskProgram &Task = Program.Tasks[T];
-      for (size_t J = 0; J < Task.Tables.size(); ++J) {
-        const LookupTable &Table = Task.Tables[J];
-        // A zero-length array is ill-formed; an empty table (never
-        // indexed: the bounds check rejects everything) gets one dummy
-        // element.
-        appendf(Out, "\nstatic const double kTable_t%zu_%zu[%zu] = {\n", T,
-                J, Table.Values.empty() ? size_t(1) : Table.Values.size());
-        if (Table.Values.empty())
-          Out += "  0.0,\n";
-        for (size_t V = 0; V < Table.Values.size(); ++V) {
-          appendf(Out, "  %s,", formatDouble(Table.Values[V]).c_str());
-          Out += (V % 4 == 3 || V + 1 == Table.Values.size()) ? "\n" : "";
-        }
-        Out += "};\n";
-      }
+  }
+
+  std::vector<std::string> Units(NumUnits);
+  for (size_t U = 0; U < NumUnits; ++U) {
+    std::string &Out = Units[U];
+    emitPrelude(Out, Program, U, NumUnits);
+    if (!PL)
+      emitTables(Out, Program, Segments, UnitOf, U);
+    if (U == 0 && PL)
+      emitDefaultParams(Out, Program, Layout);
+    if (U == 0 && NeedsPlan)
+      emitTracebackSupport(Out, Program);
+    Out += "\n} // namespace\n";
+    // Unit 0 calls every segment, so it declares those defined elsewhere.
+    if (U == 0)
+      for (size_t S = 0; S < Segments.size(); ++S)
+        if (UnitOf[S] != 0)
+          appendf(Out, "SPNC_SEGMENT(%s);\n",
+                  segmentName(Segments[S]).c_str());
+    for (size_t S = 0; S < Segments.size(); ++S)
+      if (UnitOf[S] == U)
+        emitSegment(Out, Program, Segments[S], PL);
+    if (U == 0) {
+      emitKernelEntries(Out, Program, Segments);
+      if (NeedsPlan)
+        emitQueryEntry(Out, Program, Segments);
     }
   }
-  if (NeedsPlan)
-    emitTracebackSupport(Out, Program);
-  Out += "\n} // namespace\n\n";
-
-  if (PL)
-    Out += "static void spnc_kernel_impl(const double *__restrict in, "
-           "double *__restrict out, size_t n,\n"
-           "                             const double *__restrict p) {\n";
-  else
-    appendf(Out,
-            "extern \"C\" void %s(const double *__restrict in, "
-            "double *__restrict out, size_t n) {\n",
-            kCppKernelSymbol);
-
-  // Intermediate buffers, [slot][sample] like the executor's scratch.
-  for (size_t B = 0; B < Program.Buffers.size(); ++B)
-    if (Program.Buffers[B].Role == BufferInfo::Kind::Intermediate)
-      appendf(Out, "  std::vector<value_t> b%zu((size_t)%u * n);\n", B,
-              Program.Buffers[B].Columns);
-
-  for (size_t S = 0; S < Program.Steps.size(); ++S) {
-    const KernelStep &Step = Program.Steps[S];
-    if (Step.Task < 0) {
-      // Buffer-to-buffer copy (copy avoidance disabled).
-      uint32_t Src = static_cast<uint32_t>(Step.CopySrc);
-      uint32_t Dst = static_cast<uint32_t>(Step.CopyDst);
-      appendf(Out, "  // step %zu: copy buffer %u -> %u\n", S, Src, Dst);
-      for (uint32_t Col = 0; Col < Program.Buffers[Src].Columns; ++Col) {
-        appendf(Out, "  for (size_t i = 0; i < n; ++i)\n    %s\n",
-                storeStmt(Program, Dst, Col, loadExpr(Program, Src, Col))
-                    .c_str());
-      }
-      continue;
-    }
-    const TaskProgram &Task = Program.Tasks[Step.Task];
-    appendf(Out,
-            "  // step %zu: task %d (%zu instructions, %u registers)\n"
-            "  for (size_t i = 0; i < n; ++i) {\n"
-            "    value_t r[%u] = {};\n",
-            S, Step.Task, Task.Code.size(), Task.NumRegisters,
-            Task.NumRegisters ? Task.NumRegisters : 1u);
-    for (const Instruction &I : Task.Code)
-      emitInstruction(Out, Program, Task, static_cast<size_t>(Step.Task),
-                      I, "    ", PL);
-    Out += "  }\n";
-  }
-  Out += "}\n";
-  if (PL) {
-    appendf(Out,
-            "\nextern \"C\" void %s(const double *__restrict in, "
-            "double *__restrict out, size_t n) {\n"
-            "  spnc_kernel_impl(in, out, n, kParamsDefault);\n"
-            "}\n",
-            kCppKernelSymbol);
-    appendf(Out,
-            "\nextern \"C\" void %s(const double *__restrict in, "
-            "double *__restrict out, size_t n,\n"
-            "                                        "
-            "const double *params) {\n"
-            "  spnc_kernel_impl(in, out, n, params);\n"
-            "}\n",
-            kCppParamsSymbol);
-  }
-  if (NeedsPlan)
-    emitQueryEntry(Out, Program);
-  return Out;
+  return Units;
 }

@@ -1,4 +1,4 @@
-//===- CppEmitter.h - KernelProgram -> standalone C++ source ------------------===//
+//===- CppEmitter.h - KernelProgram -> C++ translation units ------------------===//
 //
 // Part of the SPNC-Repro project.
 // SPDX-License-Identifier: Apache-2.0
@@ -6,15 +6,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Emits a compiled `vm::KernelProgram` as a standalone, vectorizable
-/// C++ translation unit exposing one `extern "C"` evaluation function —
-/// the source-emission half of the CppBackend (a host compiler turns
-/// the source into a `.so`). The emitted code mirrors the scalar
-/// interpreter's arithmetic exactly, operation for operation and cast
-/// for cast (constants are spelled as hexadecimal float literals), so
-/// the native kernel reproduces the VM bit-for-bit up to the compiler's
-/// freedom over expression reassociation — which the emitter never
-/// grants (-ffast-math is never passed).
+/// Emits a compiled `vm::KernelProgram` as header-free, vectorizable C++
+/// translation units that link into one shared object exposing
+/// `extern "C"` evaluation functions — the source-emission half of the
+/// CppBackend (the host compiler builds the units concurrently and links
+/// them). Each task's per-sample body is cut into segment functions of
+/// at most kCppSegmentInstructions instructions, so no unit holds a
+/// function the host compiler needs long to optimize. The emitted code
+/// mirrors the scalar interpreter's arithmetic exactly, operation for
+/// operation and cast for cast (constants are spelled as hexadecimal
+/// float literals), so the native kernel reproduces the VM bit-for-bit
+/// up to the compiler's freedom over expression reassociation — which
+/// the emitter never grants (-ffast-math is never passed). How the
+/// segments are spread over units does not change any output bit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +28,9 @@
 #include "support/Expected.h"
 #include "vm/Bytecode.h"
 
+#include <cstddef>
 #include <string>
+#include <vector>
 
 namespace spnc {
 namespace backend {
@@ -34,8 +40,12 @@ namespace backend {
 /// from older emitters are never reused. v2 added the Max opcode and
 /// the MPE / ancestral-sampling entry points; v3 added the per-model
 /// parameter-block indirection and the spnc_kernel_run_params entry
-/// point of parameterized (merged-model) programs.
-inline constexpr unsigned kCppEmitterVersion = 3;
+/// point of parameterized (merged-model) programs; v4 cut the code into
+/// segment functions spread over several translation units.
+inline constexpr unsigned kCppEmitterVersion = 4;
+
+/// Upper bound on the instructions of one segment function.
+inline constexpr size_t kCppSegmentInstructions = 256;
 
 /// Name of the emitted `extern "C"` entry point:
 ///   void spnc_kernel_run(const double *in, double *out, size_t n);
@@ -67,10 +77,15 @@ inline constexpr const char *kCppMpeSymbol = "spnc_kernel_mpe";
 /// the same rows as the VM engine's sampling requests.
 inline constexpr const char *kCppSampleSymbol = "spnc_kernel_sample";
 
-/// Renders \p Program as a complete C++17 translation unit. Fails on
-/// programs the emitter cannot express (more than one external input or
-/// output buffer — the same restriction the CPU executor imposes).
-Expected<std::string> emitCppKernel(const vm::KernelProgram &Program);
+/// Renders \p Program as C++17 translation units, one per entry of the
+/// result: min(\p MaxUnits, number of segments) units (at least one),
+/// balanced by instruction count. Unit 0 holds the entry points; linking
+/// all units yields the kernel. Deterministic for a fixed \p MaxUnits.
+/// Fails on programs the emitter cannot express (more than one external
+/// input or output buffer — the same restriction the CPU executor
+/// imposes).
+Expected<std::vector<std::string>>
+emitCppKernel(const vm::KernelProgram &Program, unsigned MaxUnits);
 
 } // namespace backend
 } // namespace spnc

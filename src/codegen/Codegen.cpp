@@ -717,13 +717,18 @@ static void runChainCollapse(TaskProgram &Program) {
 
 static void runPeephole(TaskProgram &Program, bool LogSpace) {
   std::vector<Instruction> &Code = Program.Code;
+  std::vector<uint8_t> Dead(Code.size(), 0);
 
-  // Use counts per register (cascade Dst reads included).
+  // Use counts per register over the live instructions (cascade Dst
+  // reads included): a weight Add the fold below kills no longer keeps
+  // its Const alive.
   auto CountUses = [&] {
     std::vector<uint32_t> Counts(Program.NumRegisters, 0);
     std::vector<uint32_t> Uses;
-    for (const Instruction &Inst : Code) {
-      collectUses(Program, Inst, Uses);
+    for (size_t I = 0; I < Code.size(); ++I) {
+      if (Dead[I])
+        continue;
+      collectUses(Program, Code[I], Uses);
       for (uint32_t Reg : Uses)
         ++Counts[Reg];
     }
@@ -747,7 +752,6 @@ static void runPeephole(TaskProgram &Program, bool LogSpace) {
   };
 
   const OpCode WeightApply = LogSpace ? OpCode::Add : OpCode::Mul;
-  std::vector<uint8_t> Dead(Code.size(), 0);
 
   for (size_t I = 0; I < Code.size(); ++I) {
     Instruction &Inst = Code[I];

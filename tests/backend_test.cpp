@@ -11,13 +11,16 @@
 /// CPU-only backend, backend-aware kernel-cache keys, and the
 /// C++-emission backend — including a 50-model differential leg
 /// against the reference interpreter at the same 1e-9 f64 bound the
-/// VM differential suite uses. Native-compilation tests skip
-/// gracefully when the host has no working C++ compiler.
+/// VM differential suite uses, programs that span several segment
+/// functions and translation units, and the failure path of a parallel
+/// build. Native-compilation tests skip gracefully when the host has no
+/// working C++ compiler.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "backend/BackendRegistry.h"
 #include "backend/CppBackend.h"
+#include "backend/CppEmitter.h"
 #include "backend/VmBackend.h"
 #include "baselines/Baselines.h"
 #include "runtime/Compiler.h"
@@ -27,11 +30,24 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <limits>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
+
+#ifdef __linux__
+#include <sched.h>
+#include <sys/wait.h>
+#include <unistd.h>
+#endif
 
 using namespace spnc;
 using namespace spnc::runtime;
@@ -106,6 +122,49 @@ Scenario makeScenario(size_t Index) {
                                                 9500 + Index,
                                                 /*DropProbability=*/0.3)};
   return S;
+}
+
+/// A speaker model whose -O2 program spans more than three segment
+/// functions, so it builds as several units on a multi-CPU host.
+Scenario makeSplitScenario() {
+  workloads::SpeakerModelOptions Options;
+  Options.Seed = 4242;
+  Options.TargetOperations = 2000;
+  return {workloads::generateSpeakerModel(Options),
+          workloads::generateSpeechData(Options, kNumSamples, 9900),
+          workloads::generateNoisySpeechData(Options, kNumSamples, 9901,
+                                             /*DropProbability=*/0.3)};
+}
+
+/// A RAT-SPN (the ratspn_tiny shape) that a partition budget of 1000
+/// splits into several tasks linked by intermediate buffers, with
+/// synthetic image data and a NaN-bearing variant.
+Scenario makePartitionedRatScenario() {
+  workloads::RatSpnOptions Options;
+  Options.NumFeatures = 64;
+  Options.Depth = 3;
+  Options.Replicas = 2;
+  Options.SumsPerRegion = 4;
+  Options.LeafDistributions = 8;
+  Scenario S{workloads::generateRatSpn(Options, 0),
+             workloads::generateImageData(Options.NumFeatures, 2,
+                                          kNumSamples, 31, nullptr),
+             {}};
+  S.MarginalData = S.JointData;
+  for (size_t I = 0; I < S.MarginalData.size(); I += 3)
+    S.MarginalData[I] = std::numeric_limits<double>::quiet_NaN();
+  return S;
+}
+
+/// CPUs this process may run on: the number of units a build uses at
+/// most.
+unsigned allowedCpus() {
+#ifdef __linux__
+  cpu_set_t Set;
+  if (sched_getaffinity(0, sizeof(Set), &Set) == 0)
+    return static_cast<unsigned>(CPU_COUNT(&Set));
+#endif
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 } // namespace
@@ -378,7 +437,279 @@ TEST(CppBackendTest, DifferentialSuiteVsInterpreter) {
       }
     }
   }
+
+  // Programs that span several segments and units: the split speaker
+  // model in f64 and f32 (f32 at the benchmark's f32-vs-f64 allowance),
+  // and a RAT-SPN partitioned into tasks linked by intermediate buffers.
+  struct SplitCase {
+    const char *Name;
+    Scenario S;
+    spn::ComputeType Type;
+    uint32_t MaxPartitionSize;
+  };
+  SplitCase Cases[] = {
+      {"speaker/f64", makeSplitScenario(), spn::ComputeType::F64, 0},
+      {"speaker/f32", makeSplitScenario(), spn::ComputeType::F32, 0},
+      {"ratspn/partitioned", makePartitionedRatScenario(),
+       spn::ComputeType::F64, 1000}};
+  for (const SplitCase &Case : Cases) {
+    spn::QueryConfig Query;
+    Query.SupportMarginal = true;
+    Query.DataType = Case.Type;
+    CompilerOptions Options;
+    Options.OptLevel = 2;
+    Options.MaxPartitionSize = Case.MaxPartitionSize;
+    Expected<backend::CompiledArtifact> Artifact =
+        compileWith(Cpp, Case.S.Model, Query, Options);
+    ASSERT_TRUE(static_cast<bool>(Artifact))
+        << Case.Name << ": " << Artifact.getError().message();
+    const vm::KernelProgram &Program = *Artifact->Engine->getProgram();
+    size_t Instructions = 0;
+    for (const vm::TaskProgram &Task : Program.Tasks)
+      Instructions += Task.Code.size();
+    EXPECT_GT(Instructions, 3 * backend::kCppSegmentInstructions)
+        << Case.Name;
+    if (Case.MaxPartitionSize) {
+      EXPECT_GT(Program.Tasks.size(), 2u) << Case.Name;
+      EXPECT_TRUE(std::any_of(
+          Program.Buffers.begin(), Program.Buffers.end(),
+          [](const vm::BufferInfo &Info) {
+            return Info.Role == vm::BufferInfo::Kind::Intermediate;
+          }))
+          << Case.Name;
+    }
+
+    baselines::InterpreterEngine Interpreter(Case.S.Model);
+    for (const std::vector<double> *Data :
+         {&Case.S.JointData, &Case.S.MarginalData}) {
+      std::vector<double> Reference =
+          runEngine(Interpreter, *Data, kNumSamples);
+      std::vector<double> Native =
+          runEngine(*Artifact->Engine, *Data, kNumSamples);
+      for (size_t I = 0; I < kNumSamples; ++I) {
+        double Bound = Case.Type == spn::ComputeType::F64
+                           ? kTolerance
+                           : 1e-3 + 1e-5 * std::abs(Reference[I]);
+        EXPECT_NEAR(Native[I], Reference[I], Bound)
+            << Case.Name << " sample " << I
+            << (Data == &Case.S.JointData ? " (joint)" : " (marginal)");
+      }
+    }
+  }
 }
+
+TEST(CppEmitterTest, SplitsIntoBoundedSegmentsDeterministically) {
+  Scenario S = makeSplitScenario();
+  CompilerOptions Options;
+  Options.OptLevel = 2;
+  Expected<CompilationPipeline> Pipeline =
+      CompilationPipeline::create(Options);
+  ASSERT_TRUE(static_cast<bool>(Pipeline));
+  Expected<vm::KernelProgram> Program =
+      Pipeline->compile(S.Model, spn::QueryConfig());
+  ASSERT_TRUE(static_cast<bool>(Program)) << Program.getError().message();
+  size_t Size = Program->Tasks[0].Code.size();
+  size_t Segments = (Size + backend::kCppSegmentInstructions - 1) /
+                    backend::kCppSegmentInstructions;
+  ASSERT_GT(Segments, 3u);
+
+  // One unit per allowed CPU, never more units than segments.
+  for (unsigned MaxUnits : {1u, 2u, 4u, 1000u}) {
+    Expected<std::vector<std::string>> First =
+        backend::emitCppKernel(*Program, MaxUnits);
+    Expected<std::vector<std::string>> Second =
+        backend::emitCppKernel(*Program, MaxUnits);
+    ASSERT_TRUE(static_cast<bool>(First) && static_cast<bool>(Second));
+    EXPECT_EQ(*First, *Second) << MaxUnits << " units";
+    EXPECT_EQ(First->size(), std::min<size_t>(MaxUnits, Segments));
+
+    size_t Defined = 0;
+    for (const std::string &Unit : *First) {
+      EXPECT_EQ(Unit.find("#include"), std::string::npos);
+      for (size_t Pos = Unit.find("\nSPNC_SEGMENT("); Pos != std::string::npos;
+           Pos = Unit.find("\nSPNC_SEGMENT(", Pos + 1))
+        Defined += Unit.compare(Unit.find(')', Pos), 3, ") {") == 0;
+    }
+    EXPECT_EQ(Defined, Segments) << MaxUnits << " units";
+    EXPECT_NE(First->front().find(backend::kCppKernelSymbol),
+              std::string::npos);
+  }
+}
+
+TEST(CppBackendTest, OneUnitAndSplitBuildsAreBitIdentical) {
+#ifndef __linux__
+  GTEST_SKIP() << "pins the build to one CPU through sched_setaffinity";
+#else
+  backend::CppBackend Probe;
+  SKIP_WITHOUT_HOST_COMPILER(Probe);
+  cpu_set_t All;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(All), &All), 0);
+  if (CPU_COUNT(&All) < 2)
+    GTEST_SKIP() << "a split build needs two CPUs";
+  cpu_set_t One;
+  CPU_ZERO(&One);
+  for (int Cpu = 0; Cpu < CPU_SETSIZE; ++Cpu)
+    if (CPU_ISSET(Cpu, &All)) {
+      CPU_SET(Cpu, &One);
+      break;
+    }
+
+  // The production flags, where the host compiler could treat a segment
+  // differently in a unit of its own; kept artifacts show how many
+  // units were built. Linear space, where products feed sums, and the
+  // default f32 log space.
+  std::filesystem::path Root =
+      std::filesystem::temp_directory_path() /
+      ("spnc-split-build-" + std::to_string(getpid()));
+  std::filesystem::remove_all(Root);
+  Scenario S = makeSplitScenario();
+  CompilerOptions Options;
+  Options.OptLevel = 2;
+  for (bool LogSpace : {true, false}) {
+    spn::QueryConfig Query;
+    Query.SupportMarginal = true;
+    Query.LogSpace = LogSpace;
+    if (!LogSpace)
+      Query.DataType = spn::ComputeType::F64;
+    std::vector<double> Outputs[2];
+    for (size_t Leg = 0; Leg < 2; ++Leg) {
+      backend::CppBackendOptions CppOptions;
+      CppOptions.WorkDir =
+          (Root / (std::to_string(LogSpace) + std::to_string(Leg))).string();
+      backend::CppBackend Cpp(CppOptions);
+      ASSERT_EQ(
+          sched_setaffinity(0, sizeof(cpu_set_t), Leg ? &All : &One), 0);
+      Expected<backend::CompiledArtifact> Artifact =
+          compileWith(Cpp, S.Model, Query, Options);
+      ASSERT_EQ(sched_setaffinity(0, sizeof(All), &All), 0);
+      ASSERT_TRUE(static_cast<bool>(Artifact))
+          << Artifact.getError().message();
+      size_t Units = 0;
+      for (const auto &Build :
+           std::filesystem::directory_iterator(CppOptions.WorkDir))
+        for (const auto &File : std::filesystem::directory_iterator(Build))
+          Units += File.path().extension() == ".cpp";
+      size_t Segments =
+          (Artifact->Engine->getProgram()->Tasks[0].Code.size() +
+           backend::kCppSegmentInstructions - 1) /
+          backend::kCppSegmentInstructions;
+      EXPECT_EQ(Units, Leg ? std::min<size_t>(CPU_COUNT(&All), Segments)
+                           : 1u);
+      for (const std::vector<double> *Data :
+           {&S.JointData, &S.MarginalData}) {
+        std::vector<double> Out =
+            runEngine(*Artifact->Engine, *Data, kNumSamples);
+        Outputs[Leg].insert(Outputs[Leg].end(), Out.begin(), Out.end());
+      }
+    }
+    ASSERT_EQ(Outputs[0].size(), Outputs[1].size());
+    EXPECT_EQ(std::memcmp(Outputs[0].data(), Outputs[1].data(),
+                          Outputs[0].size() * sizeof(double)),
+              0)
+        << (LogSpace ? "log space" : "linear space");
+  }
+  std::filesystem::remove_all(Root);
+#endif
+}
+
+#ifdef __linux__
+namespace {
+
+/// Sets an environment variable for one scope.
+class ScopedEnv {
+public:
+  ScopedEnv(const char *Name, const std::string &Value) : Name(Name) {
+    if (const char *Old = std::getenv(Name))
+      Saved = Old;
+    setenv(Name, Value.c_str(), 1);
+  }
+  ~ScopedEnv() {
+    if (Saved)
+      setenv(Name, Saved->c_str(), 1);
+    else
+      unsetenv(Name);
+  }
+
+private:
+  const char *Name;
+  std::optional<std::string> Saved;
+};
+
+/// Builds the split speaker model through a compiler wrapper that runs
+/// the real compiler but exits 1, with a marker on stderr, for the
+/// invocation naming a path that ends in \p FailOn. The build must fail
+/// with \p Wanted in its message plus the log tail, leave no shared
+/// object mapped, remove its build directory unless \p Keep, and reap
+/// every compiler it started.
+void expectFailedBuildCleansUp(const std::string &FailOn,
+                               const std::string &Wanted, bool Keep) {
+  std::filesystem::path Root =
+      std::filesystem::temp_directory_path() /
+      ("spnc-failing-build-" + std::to_string(getpid()));
+  std::filesystem::remove_all(Root);
+  std::filesystem::create_directories(Root / "tmp");
+  std::string Wrapper = (Root / "failing-cxx.sh").string();
+  {
+    std::ofstream Script(Wrapper);
+    Script << "#!/bin/sh\n"
+              "for arg in \"$@\"; do\n"
+              "  case \"$arg\" in\n"
+              "    */"
+           << FailOn
+           << ") echo \"injected failure: $arg\" >&2; exit 1 ;;\n"
+              "  esac\n"
+              "done\n"
+              "exec \""
+           << backend::CppBackend().resolveCompiler() << "\" \"$@\"\n";
+  }
+  std::filesystem::permissions(Wrapper,
+                               std::filesystem::perms::owner_all);
+  backend::CppBackendOptions Options = fastCppOptions();
+  Options.CompilerPath = Wrapper;
+  Options.KeepArtifacts = Keep;
+  backend::CppBackend Cpp(Options);
+  ASSERT_TRUE(Cpp.isAvailable());
+
+  Scenario S = makeSplitScenario();
+  Expected<backend::CompiledArtifact> Artifact = [&] {
+    ScopedEnv Tmp("TMPDIR", (Root / "tmp").string());
+    return compileWith(Cpp, S.Model, spn::QueryConfig(), CompilerOptions());
+  }();
+  ASSERT_FALSE(static_cast<bool>(Artifact));
+  std::string Message = Artifact.getError().message();
+  EXPECT_NE(Message.find(Wanted), std::string::npos) << Message;
+  EXPECT_NE(Message.find("injected failure"), std::string::npos) << Message;
+
+  EXPECT_EQ(std::filesystem::is_empty(Root / "tmp"), !Keep);
+  std::ifstream Maps("/proc/self/maps");
+  for (std::string Line; std::getline(Maps, Line);)
+    EXPECT_EQ(Line.find(Root.string()), std::string::npos) << Line;
+  errno = 0;
+  EXPECT_EQ(waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+  std::filesystem::remove_all(Root);
+}
+
+} // namespace
+
+TEST(CppBackendTest, FailedUnitCompileIsReportedAndCleanedUp) {
+  backend::CppBackend Probe;
+  SKIP_WITHOUT_HOST_COMPILER(Probe);
+  // The second unit when the build is split, so the others are still
+  // compiling when it fails.
+  std::string Unit = allowedCpus() >= 2 ? "unit1.cpp" : "unit0.cpp";
+  expectFailedBuildCleansUp(Unit, "host compilation of '" + Unit + "'",
+                            /*Keep=*/false);
+  expectFailedBuildCleansUp(Unit, "host compilation of '" + Unit + "'",
+                            /*Keep=*/true);
+}
+
+TEST(CppBackendTest, FailedLinkIsReportedAndCleanedUp) {
+  backend::CppBackend Probe;
+  SKIP_WITHOUT_HOST_COMPILER(Probe);
+  expectFailedBuildCleansUp("kernel.so", "linking", /*Keep=*/false);
+}
+#endif
 
 TEST(CppBackendTest, SelectCascadeLoweringMatchesInterpreter) {
   backend::CppBackend Cpp(fastCppOptions());

@@ -19,6 +19,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "backend/CppBackend.h"
+#include "backend/CppEmitter.h"
 #include "baselines/Baselines.h"
 #include "runtime/KernelCache.h"
 #include "workloads/Workloads.h"
@@ -88,6 +89,8 @@ struct EngineRow {
   std::shared_ptr<const backend::Backend> Backend;
   /// The cells the engine serves.
   std::set<Cell> Served;
+  /// Shape of the row's two models.
+  workloads::RatSpnOptions Rat = ratOptions();
 };
 
 std::vector<EngineRow> engineRows() {
@@ -106,8 +109,15 @@ std::vector<EngineRow> engineRows() {
   Rows.push_back(Gpu);
   backend::CppBackendOptions Fast;
   Fast.ExtraFlags = {"-O0"};
-  Rows.push_back({"cpp", true, {},
-                  std::make_shared<backend::CppBackend>(Fast), All});
+  // Models large enough that every kernel, the parameterized one
+  // included, spans several segment functions and translation units.
+  EngineRow Cpp{"cpp", true, {},
+                std::make_shared<backend::CppBackend>(Fast), All};
+  Cpp.Rat.NumFeatures = 32;
+  Cpp.Rat.Depth = 3;
+  Cpp.Rat.SumsPerRegion = 3;
+  Cpp.Rat.LeafDistributions = 4;
+  Rows.push_back(Cpp);
   Rows.push_back({"interpreter", false, {}, nullptr, NoTables});
   Rows.push_back({"tfgraph", false, {}, nullptr, {Cell::Joint}});
   return Rows;
@@ -131,6 +141,8 @@ protected:
       if (!Row->Backend->isAvailable(&Reason))
         GTEST_SKIP() << Reason;
     }
+    for (unsigned M = 0; M < 2; ++M)
+      Models.push_back(workloads::generateRatSpn(Row->Rat, M));
     NumFeatures = Models[0].getNumFeatures();
     Clean = workloads::generateImageData(NumFeatures, 2, kRows, 3, nullptr);
     // Every third feature unobserved: marginalized, completed or drawn.
@@ -188,8 +200,7 @@ protected:
   }
 
   const EngineRow *Row = nullptr;
-  spn::Model Models[2] = {workloads::generateRatSpn(ratOptions(), 0),
-                          workloads::generateRatSpn(ratOptions(), 1)};
+  std::vector<spn::Model> Models;
   std::vector<std::unique_ptr<KernelCache>> Caches;
   size_t NumFeatures = 0;
   std::vector<double> Clean, Partial;
@@ -254,6 +265,12 @@ TEST_P(CapabilityMatrixTest, ServedCellsMatchOracleOthersAreRefused) {
     std::vector<uint32_t> Tables;
     std::shared_ptr<ExecutionEngine> Engine = engineFor(C, Tables);
     ASSERT_NE(Engine, nullptr);
+    if (Row->Backend) {
+      size_t Instructions = 0;
+      for (const vm::TaskProgram &Task : Engine->getProgram()->Tasks)
+        Instructions += Task.Code.size();
+      EXPECT_GT(Instructions, 3 * backend::kCppSegmentInstructions);
+    }
     const std::vector<double> &Input =
         C == Cell::Joint || C == Cell::Indexed ? Clean : Partial;
     Buffers Got(NumFeatures);

@@ -20,6 +20,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "backend/CppBackend.h"
+#include "backend/CppEmitter.h"
 #include "baselines/Baselines.h"
 #include "runtime/Compiler.h"
 #include "support/Random.h"
@@ -27,7 +28,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 using namespace spnc;
@@ -214,6 +217,96 @@ TEST(DifferentialTest, GpuMarginalPartitioned) {
   }
 }
 
+/// Registers \p Inst reads; a select or NaN blend also reads its Dst,
+/// the value it keeps when its condition fails.
+std::vector<uint32_t> readsOf(const vm::TaskProgram &Task,
+                              const vm::Instruction &Inst) {
+  using vm::OpCode;
+  switch (Inst.Op) {
+  case OpCode::Const:
+  case OpCode::Load:
+    return {};
+  case OpCode::Store:
+    return {Inst.Dst};
+  case OpCode::Gaussian:
+  case OpCode::GaussianLog:
+  case OpCode::TableLookup:
+    return {Inst.A};
+  case OpCode::SelectInRange:
+  case OpCode::NanBlend:
+    return {Inst.A, Inst.Dst};
+  case OpCode::FusedMulAdd:
+    return {Inst.A, Inst.B, Inst.C};
+  case OpCode::AddN:
+  case OpCode::MulN:
+  case OpCode::LogSumExpN:
+    return std::vector<uint32_t>(Task.Args.begin() + Inst.A,
+                                 Task.Args.begin() + Inst.A + Inst.B);
+  case OpCode::Add:
+  case OpCode::Mul:
+  case OpCode::LogSumExp:
+  case OpCode::Max:
+    break;
+  }
+  return {Inst.A, Inst.B};
+}
+
+/// The -O2 dead-code sweep must leave no pure def (an instruction that
+/// writes its register without reading it) whose value is overwritten
+/// or never read before it is read — e.g. the weight constants the
+/// leaf fold has absorbed.
+TEST(DifferentialTest, O2ProgramsHoldNoDeadDefs) {
+  for (size_t I = 0; I < kNumModels; ++I) {
+    Scenario S = makeScenario(I);
+    for (bool LogSpace : {true, false})
+      for (bool Marginal : {false, true})
+        for (uint32_t Budget : {0u, partitionBudget(S)}) {
+          CompilerOptions Options;
+          Options.OptLevel = 2;
+          Options.MaxPartitionSize = Budget;
+          spn::QueryConfig Query;
+          Query.LogSpace = LogSpace;
+          Query.SupportMarginal = Marginal;
+          Expected<CompilationPipeline> Pipeline =
+              CompilationPipeline::create(Options);
+          ASSERT_TRUE(static_cast<bool>(Pipeline));
+          Expected<vm::KernelProgram> Program =
+              Pipeline->compile(S.Model, Query);
+          ASSERT_TRUE(static_cast<bool>(Program))
+              << "model " << I << ": " << Program.getError().message();
+          size_t NumDead = 0;
+          std::string First;
+          for (const vm::TaskProgram &Task : Program->Tasks) {
+            const std::vector<vm::Instruction> &Code = Task.Code;
+            for (size_t D = 0; D < Code.size(); ++D) {
+              std::vector<uint32_t> Own = readsOf(Task, Code[D]);
+              if (Code[D].Op == vm::OpCode::Store ||
+                  std::count(Own.begin(), Own.end(), Code[D].Dst))
+                continue;
+              bool Read = false;
+              for (size_t U = D + 1; U < Code.size() && !Read; ++U) {
+                std::vector<uint32_t> Reads = readsOf(Task, Code[U]);
+                Read = std::count(Reads.begin(), Reads.end(),
+                                  Code[D].Dst) != 0;
+                if (!Read && Code[U].Op != vm::OpCode::Store &&
+                    Code[U].Dst == Code[D].Dst)
+                  break;
+              }
+              if (!Read && NumDead++ == 0)
+                First = "instruction " + std::to_string(D) + " (opcode " +
+                        std::to_string(static_cast<int>(Code[D].Op)) +
+                        ") defining r" + std::to_string(Code[D].Dst);
+            }
+          }
+          EXPECT_EQ(NumDead, 0u)
+              << "model " << I << (LogSpace ? " log" : " linear")
+              << (Marginal ? " marginal" : " joint")
+              << (Budget ? " partitioned" : "") << ": first dead def is "
+              << First;
+        }
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // MPE differential legs (docs/queries.md): every compiled path must
 // reproduce the interpreter oracle's completed assignment and
@@ -322,6 +415,31 @@ TEST(DifferentialTest, MpeCppBackendFullAndPartialEvidence) {
     expectMpeMatchesOracle(*Artifact->Engine, S, S.MarginalData, I,
                            "cpp/partial");
   }
+
+  // An upward pass that spans several segment functions and units.
+  workloads::SpeakerModelOptions Options;
+  Options.Seed = 4242;
+  Options.TargetOperations = 2000;
+  Scenario S{workloads::generateSpeakerModel(Options),
+             workloads::generateSpeechData(Options, kNumSamples, 9900),
+             workloads::generateNoisySpeechData(Options, kNumSamples, 9901,
+                                                /*DropProbability=*/0.3)};
+  spn::QueryConfig Query;
+  Query.Kind = spn::QueryKind::Mpe;
+  Query.DataType = spn::ComputeType::F64;
+  Expected<CompilationPipeline> Pipeline =
+      CompilationPipeline::create(CompilerOptions());
+  ASSERT_TRUE(static_cast<bool>(Pipeline));
+  Expected<backend::CompiledArtifact> Artifact =
+      Cpp.compile(*Pipeline, S.Model, Query);
+  ASSERT_TRUE(static_cast<bool>(Artifact))
+      << "split model: " << Artifact.getError().message();
+  EXPECT_GT(Artifact->Engine->getProgram()->Tasks[0].Code.size(),
+            3 * backend::kCppSegmentInstructions);
+  expectMpeMatchesOracle(*Artifact->Engine, S, S.JointData, kNumModels,
+                         "cpp/split/full");
+  expectMpeMatchesOracle(*Artifact->Engine, S, S.MarginalData, kNumModels,
+                         "cpp/split/partial");
 }
 
 /// GPU leg: the simulated device computes the upward pass in f32, so a

@@ -17,6 +17,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "backend/CppBackend.h"
+#include "backend/CppEmitter.h"
 #include "baselines/Baselines.h"
 #include "merge/Merge.h"
 #include "runtime/KernelCache.h"
@@ -223,21 +224,24 @@ TEST(MergeTest, MergedPathRejectsUnsupportedQueries) {
 // Differential: merged kernel vs per-model interpreter oracle
 //===----------------------------------------------------------------------===//
 
-/// Runs every class of the merge group through the ONE merged kernel
-/// (per-model weight table) and checks each against its own
-/// interpreter oracle at the f64 tolerance.
-void expectMergedMatchesOracles(KernelCache &Cache,
-                                const CompilerOptions &Options,
-                                bool Marginal, const char *Leg) {
+/// Runs every class of the merge group (RAT-SPNs of shape \p Rat)
+/// through the ONE merged kernel (per-model weight table) and checks
+/// each against its own interpreter oracle at the f64 tolerance.
+void expectMergedMatchesOracles(
+    KernelCache &Cache, const CompilerOptions &Options, bool Marginal,
+    const char *Leg,
+    const workloads::RatSpnOptions &Rat = smallRatOptions()) {
   constexpr unsigned kClasses = 3;
   constexpr size_t kNumSamples = 16;
-  std::vector<double> Data = ratData(kNumSamples, 0xda7aULL);
+  std::vector<double> Data = workloads::generateImageData(
+      Rat.NumFeatures, /*NumClasses=*/2, kNumSamples, 0xda7aULL,
+      /*Labels=*/nullptr);
   if (Marginal)
     for (size_t I = 0; I < Data.size(); I += 3)
       Data[I] = std::numeric_limits<double>::quiet_NaN();
 
   for (unsigned Class = 0; Class < kClasses; ++Class) {
-    spn::Model Model = ratClass(Class);
+    spn::Model Model = workloads::generateRatSpn(Rat, Class);
     Expected<KernelCache::MergedKernel> Merged =
         Cache.getOrCompileMerged(Model, f64Query(Marginal), Options);
     ASSERT_TRUE(static_cast<bool>(Merged))
@@ -300,6 +304,36 @@ TEST(MergeTest, MergedCppKernelMatchesOracleJointAndMarginal) {
     KernelCache Cache(Config);
     expectMergedMatchesOracles(Cache, Options, /*Marginal=*/true,
                                "cpp/marginal");
+  }
+  // A parameterized program that spans several segments and units: the
+  // ratspn_tiny shape, whole and partitioned into tasks linked by
+  // intermediate buffers, through the params entry point.
+  workloads::RatSpnOptions Rat = smallRatOptions();
+  Rat.NumFeatures = 64;
+  Rat.Depth = 3;
+  Rat.SumsPerRegion = 4;
+  Rat.LeafDistributions = 8;
+  for (uint32_t Budget : {0u, 1000u}) {
+    KernelCache::Config Config;
+    Config.TheBackend = Cpp;
+    KernelCache Cache(Config);
+    CompilerOptions Split;
+    Split.MaxPartitionSize = Budget;
+    expectMergedMatchesOracles(Cache, Split, /*Marginal=*/Budget != 0,
+                               Budget ? "cpp/split/partitioned/marginal"
+                                      : "cpp/split/joint",
+                               Rat);
+    Expected<KernelCache::MergedKernel> Merged = Cache.getOrCompileMerged(
+        workloads::generateRatSpn(Rat, 0), f64Query(Budget != 0), Split);
+    ASSERT_TRUE(static_cast<bool>(Merged));
+    const vm::KernelProgram *Program =
+        Merged->Kernel.getEngine().getProgram();
+    ASSERT_NE(Program, nullptr);
+    size_t Instructions = 0;
+    for (const vm::TaskProgram &Task : Program->Tasks)
+      Instructions += Task.Code.size();
+    EXPECT_GT(Instructions, 3 * backend::kCppSegmentInstructions);
+    EXPECT_EQ(Program->Tasks.size() > 1, Budget != 0);
   }
 }
 
