@@ -393,18 +393,17 @@ const std::vector<TenantInstance> &tenantModels() {
 
 /// Multi-tenant serving over ten isomorphic models with mixed traffic
 /// (every client interleaves tenants round-robin). range(0) selects
-/// the mode — 0 registers each tenant unmerged (ten compiled kernels,
-/// ten per-model queues), 1 registers the fleet with
-/// `ServerConfig::MergeModels` (ONE parameterized kernel, requests of
-/// different tenants coalescing into shared batches). range(1) selects
+/// the mode — 0 registers each tenant unmerged (ten per-model queues
+/// over the one kernel the cache shares among the tenants), 1 registers
+/// the fleet with `ServerConfig::MergeModels` (one shared queue,
+/// requests of different tenants coalescing into shared batches). range(1) selects
 /// the load shape — 0 is thin closed-loop traffic (one request in
 /// flight per client, the regime where per-tenant queues cannot batch
 /// and cross-tenant coalescing is the only batching there is), 1 is a
 /// saturated open loop (32 requests in flight per client, where
-/// per-tenant backlogs batch fine on their own). Merging shrinks the
-/// kernel-cache footprint 10x by construction; the measurement is what
-/// cross-tenant coalescing does to throughput and batch sizes in each
-/// regime.
+/// per-tenant backlogs batch fine on their own). The measurement is
+/// what cross-tenant coalescing does to throughput and batch sizes in
+/// each regime.
 void BM_MergedMultiTenant(benchmark::State &State) {
   const std::vector<TenantInstance> &Tenants = tenantModels();
   bool Merged = State.range(0) != 0;

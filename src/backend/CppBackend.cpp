@@ -133,27 +133,25 @@ std::string runLogged(const std::vector<std::string> &Argv,
 }
 
 /// Signatures of the emitted entry points (see CppEmitter.h).
-using KernelFn = void (*)(const double *, double *, size_t);
-using MpeFn = void (*)(const double *, double *, double *, size_t);
+using KernelFn = void (*)(const double *, double *, size_t, const void *);
+using MpeFn = void (*)(const double *, double *, double *, size_t,
+                       const void *);
 using SampleFn = void (*)(const double *, double *, size_t,
-                          unsigned long long);
-using ParamsFn = void (*)(const double *, double *, size_t,
-                          const double *);
+                          unsigned long long, const void *);
 
-/// The emitted entry points of one shared object; the query and params
-/// entry points are null unless the program needs them.
+/// The emitted entry points of one shared object; the query entry
+/// points are null unless the program needs them.
 struct NativeEntryPoints {
   KernelFn Kernel = nullptr;
   MpeFn Mpe = nullptr;
   SampleFn Sample = nullptr;
-  ParamsFn Params = nullptr;
 };
 
 /// What a native kernel serves: the program's query kinds, minus those
-/// whose entry point the shared object lacks. Indexed requests offset
-/// the external buffers per run, which is only valid when the input is
-/// row-major and the output carries one value per sample (the shape of
-/// every joint/marginal kernel).
+/// whose entry point the shared object lacks. Requests under weight
+/// tables offset the external buffers per run, which is only valid when
+/// the input is row-major and the output carries one value per sample
+/// (the shape of every joint/marginal kernel).
 runtime::EngineCapabilities
 nativeCapabilities(const vm::KernelProgram &Program,
                    const NativeEntryPoints &Entry) {
@@ -162,8 +160,6 @@ nativeCapabilities(const vm::KernelProgram &Program,
     Caps.Kinds &= ~runtime::kindBit(vm::QueryKind::Mpe);
   if (!Entry.Sample)
     Caps.Kinds &= ~runtime::kindBit(vm::QueryKind::Sample);
-  if (!Entry.Params)
-    Caps.ParamTables = false;
   for (const vm::BufferInfo &Info : Program.Buffers)
     if (Info.Columns > 1 &&
         ((Info.Role == vm::BufferInfo::Kind::Input && Info.Transposed) ||
@@ -171,6 +167,29 @@ nativeCapabilities(const vm::KernelProgram &Program,
       Caps.ParamTables = false;
   return Caps;
 }
+
+/// One parameter block in the kernel's compute type (CppParamLayout),
+/// narrowed from the program's doubles like the interpreter narrows
+/// them.
+class ParamBlock {
+public:
+  ParamBlock(const vm::KernelProgram &Program, const CppParamLayout &Layout) {
+    std::vector<double> Values = fillCppParams(Program, Layout);
+    if (Program.UseF32)
+      F32.assign(Values.begin(), Values.end());
+    else
+      F64 = std::move(Values);
+  }
+
+  const void *data() const {
+    return F32.empty() ? static_cast<const void *>(F64.data())
+                       : static_cast<const void *>(F32.data());
+  }
+
+private:
+  std::vector<float> F32;
+  std::vector<double> F64;
+};
 
 /// ExecutionEngine over a dlopen'ed native kernel. Retains the portable
 /// program so `getProgram`-based consumers (saveCompiledKernel, work
@@ -183,7 +202,8 @@ public:
                NativeEntryPoints Entry, std::string ArtifactDir,
                bool KeepArtifacts, std::string Description)
       : ExecutionEngine(nativeCapabilities(TheProgram, Entry)),
-        Program(std::move(TheProgram)), Handle(Handle), Entry(Entry),
+        Program(std::move(TheProgram)), Layout(layoutCppParams(Program)),
+        Own(Program, Layout), Handle(Handle), Entry(Entry),
         ArtifactDir(std::move(ArtifactDir)),
         KeepArtifacts(KeepArtifacts),
         Description(std::move(Description)) {
@@ -206,35 +226,35 @@ public:
 
   bool run(const runtime::RunRequest &Request,
            runtime::ExecutionStats *Stats = nullptr) const override {
-    std::optional<std::vector<const std::vector<double> *>> Blocks;
-    if (Request.TableIndices &&
-        !(Blocks = Tables.resolve(Request.TableIndices, Request.NumSamples)))
+    std::optional<std::vector<const ParamBlock *>> Blocks;
+    if (Request.hasTables() && !(Blocks = Tables.resolve(Request)))
       return false;
     return timedRun(Request, Stats, [&](runtime::ExecutionStats &) {
       size_t N = Request.NumSamples;
       switch (Request.Kind) {
       case vm::QueryKind::Mpe:
-        Entry.Mpe(Request.Input, Request.Rows, Request.Output, N);
+        Entry.Mpe(Request.Input, Request.Rows, Request.Output, N, Own.data());
         return;
       case vm::QueryKind::Sample:
-        Entry.Sample(Request.Input, Request.Rows, N, Request.Seed);
+        Entry.Sample(Request.Input, Request.Rows, N, Request.Seed,
+                     Own.data());
         return;
       case vm::QueryKind::Joint:
       case vm::QueryKind::Marginal:
         break;
       }
       if (!Blocks) {
-        Entry.Kernel(Request.Input, Request.Output, N);
+        Entry.Kernel(Request.Input, Request.Output, N, Own.data());
         return;
       }
       // Each run is an ordinary sub-batch of the row-major input and the
       // one-value-per-sample output.
-      vm::forEachTableRun(Request.TableIndices, N,
-                      [&](size_t Begin, size_t End, uint32_t Table) {
-                        Entry.Params(Request.Input + Begin * NumFeatures,
-                                     Request.Output + Begin, End - Begin,
-                                     (*Blocks)[Table]->data());
-                      });
+      vm::forEachTableRun(Request, [&](size_t Begin, size_t End,
+                                       uint32_t Table) {
+        Entry.Kernel(Request.Input + Begin * NumFeatures,
+                     Request.Output + Begin, End - Begin,
+                     (*Blocks)[Table]->data());
+      });
     });
   }
 
@@ -242,20 +262,16 @@ public:
     if (!getCapabilities().ParamTables || NumParams != Program.NumParams)
       return -1;
     // Bind the raw parameters into a copy of the portable program, then
-    // flatten its side tables into the block layout the emitted kernel
-    // reads (vm::flattenTaskTables per task, tasks concatenated).
+    // lay its side tables out as the block the emitted kernel reads.
     return Tables.add(std::span<const double>(Raw, NumParams),
                       [this](std::span<const double> Params) {
-                        std::vector<double> Block;
-                        for (const vm::TaskProgram &Task :
-                             vm::bindParams(Program, Params).Tasks) {
-                          std::vector<double> Flat =
-                              vm::flattenTaskTables(Task);
-                          Block.insert(Block.end(), Flat.begin(),
-                                       Flat.end());
-                        }
-                        return Block;
+                        return ParamBlock(vm::bindParams(Program, Params),
+                                          Layout);
                       });
+  }
+
+  std::vector<double> getParamTable(int32_t Index) const override {
+    return Tables.raw(Index);
   }
 
   const vm::KernelProgram *getProgram() const override { return &Program; }
@@ -268,14 +284,17 @@ public:
 
 private:
   vm::KernelProgram Program;
+  CppParamLayout Layout;
+  /// The block of the program's own side tables.
+  ParamBlock Own;
   void *Handle;
   NativeEntryPoints Entry;
   uint32_t NumFeatures = 1;
   std::string ArtifactDir;
   bool KeepArtifacts;
   std::string Description;
-  /// Flattened per-model parameter blocks the params entry point reads.
-  vm::ParamTableSet<std::vector<double>> Tables;
+  /// Per-model parameter blocks.
+  vm::ParamTableSet<ParamBlock> Tables;
 };
 
 #endif // SPNC_CPP_BACKEND_POSIX
@@ -469,11 +488,9 @@ CppBackend::build(vm::KernelProgram Program,
     return FailAndCleanup("cpp backend: '" + SoPath + "' has no '" +
                           std::string(kCppKernelSymbol) + "' symbol");
   }
-  // Query entry points are emitted only for MPE/sampling programs; the
-  // params entry point only for parameterized (merged-model) programs.
+  // Query entry points are emitted only for MPE/sampling programs.
   Entry.Mpe = reinterpret_cast<MpeFn>(dlsym(Handle, kCppMpeSymbol));
   Entry.Sample = reinterpret_cast<SampleFn>(dlsym(Handle, kCppSampleSymbol));
-  Entry.Params = reinterpret_cast<ParamsFn>(dlsym(Handle, kCppParamsSymbol));
 
   std::string Description = "cpp native (" + Compiler;
   for (const std::string &Flag : Options.ExtraFlags)

@@ -14,9 +14,10 @@
 //     iteration, calling the task's segment functions in order,
 //   * each segment a straight-line run of at most kCppSegmentInstructions
 //     instructions, with arithmetic copied cast-for-cast from
-//     vm::interpretSample and all constants spelled as hexadecimal float
-//     literals so no precision is lost in the round trip through source
-//     text.
+//     vm::interpretSample, every side-table value read from the
+//     parameter block "p" (CppParamLayout) and the structural constants
+//     (bucket bounds) spelled as hexadecimal float literals so no
+//     precision is lost in the round trip through source text.
 //
 // Segments are spread over translation units balanced by instruction
 // count, so the host compiler builds the units concurrently and never
@@ -32,6 +33,7 @@
 #include <cmath>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdint>
 #include <numeric>
 #include <set>
 
@@ -131,61 +133,22 @@ std::string reg(uint32_t Index) {
   return "r[" + std::to_string(Index) + "]";
 }
 
-/// Offsets of each task's side tables inside the concatenated per-model
-/// parameter block of a parameterized program. The layout per task —
-/// const pool, (Mean, InvStdDev, Coefficient) per Gaussian, each table's
-/// values, one value per select, tasks concatenated in order — is
-/// exactly what vm::flattenTaskTables produces, so the runtime can bind
-/// a weight table with vm::bindParams and flatten the result into a
-/// block the emitted kernel consumes directly.
-struct ParamLayout {
-  std::vector<size_t> CpBase;
-  std::vector<size_t> GaussBase;
-  std::vector<std::vector<size_t>> TableBase;
-  std::vector<size_t> SelectBase;
-  size_t Total = 0;
-};
-
-ParamLayout buildParamLayout(const KernelProgram &Program) {
-  ParamLayout Layout;
-  size_t Off = 0;
-  for (const TaskProgram &Task : Program.Tasks) {
-    Layout.CpBase.push_back(Off);
-    Off += Task.ConstPool.size();
-    Layout.GaussBase.push_back(Off);
-    Off += Task.Gaussians.size() * 3;
-    Layout.TableBase.emplace_back();
-    for (const LookupTable &Table : Task.Tables) {
-      Layout.TableBase.back().push_back(Off);
-      Off += Table.Values.size();
-    }
-    Layout.SelectBase.push_back(Off);
-    Off += Task.Selects.size();
-  }
-  Layout.Total = Off;
-  return Layout;
-}
-
-/// Expression reading parameter-block slot \p Idx as value_t.
-std::string paramExpr(size_t Idx) {
-  return "(value_t)p[" + std::to_string(Idx) + "]";
-}
+/// Expression reading parameter-block slot \p Idx.
+std::string paramExpr(size_t Idx) { return "p[" + std::to_string(Idx) + "]"; }
 
 /// Emits the body of one instruction at indentation \p Indent. The
 /// arithmetic mirrors vm::interpretSample cast for cast; see that
-/// function for the semantics being reproduced. With \p PL non-null
-/// (parameterized programs) every side-table read goes through the
-/// parameter block "p" instead of a baked literal; the values are the
-/// same doubles, so the two forms stay bit-identical.
+/// function for the semantics being reproduced. Every side-table value
+/// is read from the parameter block "p", which holds the same values
+/// narrowed to value_t exactly as the interpreter narrows them.
 void emitInstruction(std::string &Out, const KernelProgram &Program,
                      const TaskProgram &Task, size_t TaskIdx,
                      const Instruction &I, const char *Indent,
-                     const ParamLayout *PL = nullptr) {
+                     const CppParamLayout &PL) {
   switch (I.Op) {
   case OpCode::Const:
     appendf(Out, "%s%s = %s;\n", Indent, reg(I.Dst).c_str(),
-            PL ? paramExpr(PL->CpBase[TaskIdx] + I.A).c_str()
-               : formatValue(Task.ConstPool[I.A]).c_str());
+            paramExpr(PL.ConstSlot[TaskIdx][I.A]).c_str());
     break;
   case OpCode::Load: {
     const BufferAccess &Access = Task.Loads[I.A];
@@ -226,28 +189,20 @@ void emitInstruction(std::string &Out, const KernelProgram &Program,
   case OpCode::Gaussian:
   case OpCode::GaussianLog: {
     const GaussianParams &P = Task.Gaussians[I.B];
+    size_t Slot = PL.GaussianBase[TaskIdx] + 4 * static_cast<size_t>(I.B);
     appendf(Out, "%s{\n%s  value_t x = %s;\n", Indent, Indent,
             reg(I.A).c_str());
-    const char *Body = Indent;
     std::string Deeper = std::string(Indent) + "  ";
     if (P.SupportMarginal) {
       appendf(Out, "%s  if (__builtin_isnan(x)) {\n%s    %s = %s;\n%s  } else {\n",
               Indent, Indent, reg(I.Dst).c_str(),
-              formatValue(P.MarginalValue).c_str(), Indent);
+              paramExpr(Slot + 3).c_str(), Indent);
       Deeper += "  ";
-      Body = Deeper.c_str();
-    } else {
-      Body = Deeper.c_str();
     }
-    size_t GaussSlot =
-        PL ? PL->GaussBase[TaskIdx] + 3 * static_cast<size_t>(I.B) : 0;
-    std::string Mean = PL ? paramExpr(GaussSlot) : formatValue(P.Mean);
-    std::string InvStdDev =
-        PL ? paramExpr(GaussSlot + 1) : formatValue(P.InvStdDev);
-    std::string Coefficient =
-        PL ? paramExpr(GaussSlot + 2) : formatValue(P.Coefficient);
-    appendf(Out, "%svalue_t norm = (x - %s) * %s;\n", Body, Mean.c_str(),
-            InvStdDev.c_str());
+    const char *Body = Deeper.c_str();
+    std::string Coefficient = paramExpr(Slot + 2);
+    appendf(Out, "%svalue_t norm = (x - %s) * %s;\n", Body,
+            paramExpr(Slot).c_str(), paramExpr(Slot + 1).c_str());
     if (I.Op == OpCode::Gaussian)
       appendf(Out,
               "%s%s = %s * "
@@ -263,29 +218,25 @@ void emitInstruction(std::string &Out, const KernelProgram &Program,
   }
   case OpCode::TableLookup: {
     const LookupTable &Table = Task.Tables[I.B];
-    std::string TableName =
-        PL ? "(p + " + std::to_string(PL->TableBase[TaskIdx][I.B]) + ")"
-           : "kTable_t" + std::to_string(TaskIdx) + "_" +
-                 std::to_string(I.B);
+    size_t Base = PL.TableBase[TaskIdx][I.B];
+    size_t Size = Table.Values.size();
     appendf(Out, "%s{\n%s  value_t x = %s;\n", Indent, Indent,
             reg(I.A).c_str());
     std::string Deeper = std::string(Indent) + "  ";
-    const char *Body = Deeper.c_str();
     if (Table.SupportMarginal) {
       appendf(Out, "%s  if (__builtin_isnan(x)) {\n%s    %s = %s;\n%s  } else {\n",
               Indent, Indent, reg(I.Dst).c_str(),
-              formatValue(Table.MarginalValue).c_str(), Indent);
+              paramExpr(Base + Size + 1).c_str(), Indent);
       Deeper += "  ";
-      Body = Deeper.c_str();
     }
+    const char *Body = Deeper.c_str();
     appendf(Out,
             "%slong long idx = (long long)__builtin_floor((double)x - %s);\n",
             Body, formatDouble(Table.Lo).c_str());
     appendf(Out,
-            "%s%s = (idx >= 0 && idx < (long long)%zu) ? "
-            "(value_t)%s[idx] : %s;\n",
-            Body, reg(I.Dst).c_str(), Table.Values.size(),
-            TableName.c_str(), formatValue(Table.DefaultValue).c_str());
+            "%s%s = (idx >= 0 && idx < (long long)%zu) ? p[%zu + idx] : %s;\n",
+            Body, reg(I.Dst).c_str(), Size, Base,
+            paramExpr(Base + Size).c_str());
     if (Table.SupportMarginal)
       appendf(Out, "%s  }\n", Indent);
     appendf(Out, "%s}\n", Indent);
@@ -295,19 +246,17 @@ void emitInstruction(std::string &Out, const KernelProgram &Program,
     const SelectRange &Range = Task.Selects[I.B];
     // NaN compares false, so marginalized evidence keeps the previous
     // register value — same as the interpreter.
-    std::string Value = PL ? paramExpr(PL->SelectBase[TaskIdx] + I.B)
-                           : formatValue(Range.Value);
     appendf(Out, "%sif (%s >= %s && %s < %s) %s = %s;\n", Indent,
             reg(I.A).c_str(), formatValue(Range.Lo).c_str(),
             reg(I.A).c_str(), formatValue(Range.Hi).c_str(),
-            reg(I.Dst).c_str(), Value.c_str());
+            reg(I.Dst).c_str(),
+            paramExpr(PL.SelectBase[TaskIdx] + I.B).c_str());
     break;
   }
   case OpCode::NanBlend:
     appendf(Out, "%sif (__builtin_isnan(%s)) %s = %s;\n", Indent,
             reg(I.A).c_str(), reg(I.Dst).c_str(),
-            PL ? paramExpr(PL->CpBase[TaskIdx] + I.B).c_str()
-               : formatValue(Task.ConstPool[I.B]).c_str());
+            paramExpr(PL.ConstSlot[TaskIdx][I.B]).c_str());
     break;
   case OpCode::AddN:
   case OpCode::MulN: {
@@ -517,38 +466,6 @@ inline double spnc_draw_table_bucket(const double *triples, unsigned count,
          "}\n";
 }
 
-/// Emits the default parameter block of a parameterized program: the
-/// generating model's own baked side tables in the
-/// vm::flattenTaskTables layout, so the classic entry point stays
-/// bit-identical to a non-parameterized build.
-void emitDefaultParams(std::string &Out, const KernelProgram &Program,
-                       const ParamLayout &Layout) {
-  appendf(Out, "\nconst double kParamsDefault[%zu] = {\n",
-          Layout.Total ? Layout.Total : size_t(1));
-  size_t Count = 0;
-  auto Push = [&](double Value) {
-    appendf(Out, "  %s,", formatDouble(Value).c_str());
-    Out += (++Count % 4 == 0) ? "\n" : "";
-  };
-  for (const TaskProgram &Task : Program.Tasks) {
-    for (double Value : Task.ConstPool)
-      Push(Value);
-    for (const GaussianParams &G : Task.Gaussians) {
-      Push(G.Mean);
-      Push(G.InvStdDev);
-      Push(G.Coefficient);
-    }
-    for (const LookupTable &Table : Task.Tables)
-      for (double Value : Table.Values)
-        Push(Value);
-    for (const SelectRange &Select : Task.Selects)
-      Push(Select.Value);
-  }
-  if (Layout.Total == 0)
-    Out += "  0.0,";
-  Out += "\n};\n";
-}
-
 /// One segment function: instructions [Begin, End) of task \p Task,
 /// the \p Index-th segment of that task.
 struct Segment {
@@ -631,7 +548,7 @@ void emitPrelude(std::string &Out, const KernelProgram &Program,
          "    \\\n"
          "            double *__restrict out, value_t *const *b,          "
          "    \\\n"
-         "            const double *__restrict p, size_t i, size_t n)\n"
+         "            const value_t *__restrict p, size_t i, size_t n)\n"
          "\n"
          "namespace {\n"
          "const value_t kNegInf = -(value_t)__builtin_inf();\n"
@@ -649,41 +566,10 @@ void emitPrelude(std::string &Out, const KernelProgram &Program,
          "}\n";
 }
 
-/// Emits the dense lookup tables the segments of \p Unit read, one
-/// static array per (task, table).
-void emitTables(std::string &Out, const KernelProgram &Program,
-                const std::vector<Segment> &Segments,
-                const std::vector<size_t> &UnitOf, size_t Unit) {
-  std::set<std::pair<size_t, uint32_t>> Used;
-  for (size_t S = 0; S < Segments.size(); ++S) {
-    if (UnitOf[S] != Unit)
-      continue;
-    const Segment &Seg = Segments[S];
-    const TaskProgram &Task = Program.Tasks[Seg.Task];
-    for (size_t I = Seg.Begin; I < Seg.End; ++I)
-      if (Task.Code[I].Op == OpCode::TableLookup)
-        Used.insert({Seg.Task, Task.Code[I].B});
-  }
-  for (auto [T, J] : Used) {
-    const LookupTable &Table = Program.Tasks[T].Tables[J];
-    // A zero-length array is ill-formed; an empty table (never indexed:
-    // the bounds check rejects everything) gets one dummy element.
-    appendf(Out, "\nconst double kTable_t%zu_%u[%zu] = {\n", T, J,
-            Table.Values.empty() ? size_t(1) : Table.Values.size());
-    if (Table.Values.empty())
-      Out += "  0.0,\n";
-    for (size_t V = 0; V < Table.Values.size(); ++V) {
-      appendf(Out, "  %s,", formatDouble(Table.Values[V]).c_str());
-      Out += (V % 4 == 3 || V + 1 == Table.Values.size()) ? "\n" : "";
-    }
-    Out += "};\n";
-  }
-}
-
 /// Emits the definition of \p Seg: pointers to the intermediate buffers
 /// it touches, then its instructions.
 void emitSegment(std::string &Out, const KernelProgram &Program,
-                 const Segment &Seg, const ParamLayout *PL) {
+                 const Segment &Seg, const CppParamLayout &PL) {
   const TaskProgram &Task = Program.Tasks[Seg.Task];
   appendf(Out, "\nSPNC_SEGMENT(%s) {\n", segmentName(Seg).c_str());
   std::set<uint32_t> Buffers;
@@ -727,30 +613,32 @@ void emitBufferRelease(std::string &Out, const KernelProgram &Program) {
 }
 
 /// Emits the sample loop of one task: a fresh register file per sample,
-/// the task's segments in order (reading the parameter block \p Params),
-/// then \p Tail.
+/// the task's segments in order (reading the parameter block "p"), then
+/// \p Tail.
 void emitTaskLoop(std::string &Out, const KernelProgram &Program,
                   size_t TaskIdx, const std::vector<Segment> &Segments,
-                  const char *Params, const char *Tail) {
+                  const char *Tail) {
   appendf(Out,
           "  for (size_t i = 0; i < n; ++i) {\n"
           "    value_t r[%u] = {};\n",
           std::max(Program.Tasks[TaskIdx].NumRegisters, 1u));
   for (const Segment &Seg : Segments)
     if (Seg.Task == TaskIdx)
-      appendf(Out, "    %s(r, in, out, b, %s, i, n);\n",
-              segmentName(Seg).c_str(), Params);
+      appendf(Out, "    %s(r, in, out, b, p, i, n);\n",
+              segmentName(Seg).c_str());
   Out += Tail;
   Out += "  }\n";
 }
 
-/// Emits the joint/marginal entry points over the program's steps; a
-/// parameterized program reads its side tables from the block "p".
-void emitKernelEntries(std::string &Out, const KernelProgram &Program,
-                       const std::vector<Segment> &Segments) {
-  Out += "\nstatic void spnc_kernel_impl(const double *__restrict in, "
-         "double *__restrict out, size_t n,\n"
-         "                             const double *__restrict p) {\n";
+/// Emits the joint/marginal entry point over the program's steps.
+void emitKernelEntry(std::string &Out, const KernelProgram &Program,
+                     const std::vector<Segment> &Segments) {
+  appendf(Out,
+          "\nextern \"C\" void %s(const double *__restrict in, "
+          "double *__restrict out, size_t n,\n"
+          "                        const void *params) {\n"
+          "  const value_t *p = (const value_t *)params;\n",
+          kCppKernelSymbol);
   emitBufferSetup(Out, Program);
   for (size_t S = 0; S < Program.Steps.size(); ++S) {
     const KernelStep &Step = Program.Steps[S];
@@ -770,25 +658,10 @@ void emitKernelEntries(std::string &Out, const KernelProgram &Program,
     appendf(Out, "  // step %zu: task %d (%zu instructions, %u registers)\n",
             S, Step.Task, Task.Code.size(), Task.NumRegisters);
     emitTaskLoop(Out, Program, static_cast<size_t>(Step.Task), Segments,
-                 "p", "");
+                 "");
   }
   emitBufferRelease(Out, Program);
   Out += "}\n";
-  appendf(Out,
-          "\nextern \"C\" void %s(const double *__restrict in, "
-          "double *__restrict out, size_t n) {\n"
-          "  spnc_kernel_impl(in, out, n, %s);\n"
-          "}\n",
-          kCppKernelSymbol, Program.Parameterized ? "kParamsDefault" : "0");
-  if (Program.Parameterized)
-    appendf(Out,
-            "\nextern \"C\" void %s(const double *__restrict in, "
-            "double *__restrict out, size_t n,\n"
-            "                                        "
-            "const double *params) {\n"
-            "  spnc_kernel_impl(in, out, n, params);\n"
-            "}\n",
-            kCppParamsSymbol);
 }
 
 /// Emits the MPE or sampling entry point: per sample, the single task's
@@ -806,16 +679,19 @@ void emitQueryEntry(std::string &Out, const KernelProgram &Program,
             "\nextern \"C\" void %s(const double *__restrict in, "
             "double *__restrict assign,\n"
             "                                 double *__restrict logp, "
-            "size_t n) {\n",
+            "size_t n,\n"
+            "                                 const void *params) {\n",
             kCppMpeSymbol);
   else
     appendf(Out,
             "\nextern \"C\" void %s(const double *__restrict in, "
             "double *__restrict samples,\n"
             "                                    size_t n, "
-            "unsigned long long seed) {\n",
+            "unsigned long long seed,\n"
+            "                                    const void *params) {\n",
             kCppSampleSymbol);
-  Out += "  double *out = new double[n]();\n";
+  Out += "  const value_t *p = (const value_t *)params;\n"
+         "  double *out = new double[n]();\n";
   emitBufferSetup(Out, Program);
   std::string Tail;
   appendf(Tail,
@@ -836,7 +712,7 @@ void emitQueryEntry(std::string &Out, const KernelProgram &Program,
             "    spnc_rng_seed(rng, spnc_per_sample_seed(seed, i));\n"
             "    spnc_traceback(r, ev, row, &rng);\n";
   }
-  emitTaskLoop(Out, Program, 0, Segments, "0", Tail.c_str());
+  emitTaskLoop(Out, Program, 0, Segments, Tail.c_str());
   emitBufferRelease(Out, Program);
   Out += "  delete[] out;\n"
          "}\n";
@@ -855,9 +731,6 @@ spnc::backend::emitCppKernel(const KernelProgram &Program,
         std::to_string(Program.NumOutputs) + " outputs)");
   bool NeedsPlan = Program.Query == QueryKind::Mpe ||
                    Program.Query == QueryKind::Sample;
-  if (Program.Parameterized && NeedsPlan)
-    return makeError("cpp emitter: parameterized programs support "
-                     "joint/marginal queries only (docs/merging.md)");
   if (NeedsPlan) {
     if (Program.Plan.empty())
       return makeError(
@@ -872,21 +745,12 @@ spnc::backend::emitCppKernel(const KernelProgram &Program,
   size_t NumUnits = std::max<size_t>(
       1, std::min<size_t>(std::max(MaxUnits, 1u), Segments.size()));
   std::vector<size_t> UnitOf = assignUnits(Segments, NumUnits);
-  ParamLayout Layout;
-  const ParamLayout *PL = nullptr;
-  if (Program.Parameterized) {
-    Layout = buildParamLayout(Program);
-    PL = &Layout;
-  }
+  CppParamLayout Layout = layoutCppParams(Program);
 
   std::vector<std::string> Units(NumUnits);
   for (size_t U = 0; U < NumUnits; ++U) {
     std::string &Out = Units[U];
     emitPrelude(Out, Program, U, NumUnits);
-    if (!PL)
-      emitTables(Out, Program, Segments, UnitOf, U);
-    if (U == 0 && PL)
-      emitDefaultParams(Out, Program, Layout);
     if (U == 0 && NeedsPlan)
       emitTracebackSupport(Out, Program);
     Out += "\n} // namespace\n";
@@ -898,12 +762,68 @@ spnc::backend::emitCppKernel(const KernelProgram &Program,
                   segmentName(Segments[S]).c_str());
     for (size_t S = 0; S < Segments.size(); ++S)
       if (UnitOf[S] == U)
-        emitSegment(Out, Program, Segments[S], PL);
+        emitSegment(Out, Program, Segments[S], Layout);
     if (U == 0) {
-      emitKernelEntries(Out, Program, Segments);
+      emitKernelEntry(Out, Program, Segments);
       if (NeedsPlan)
         emitQueryEntry(Out, Program, Segments);
     }
   }
   return Units;
+}
+
+CppParamLayout spnc::backend::layoutCppParams(const KernelProgram &Program) {
+  CppParamLayout Layout;
+  size_t Off = 0;
+  for (const TaskProgram &Task : Program.Tasks) {
+    std::vector<size_t> &Const = Layout.ConstSlot.emplace_back(
+        Task.ConstPool.size(), CppParamLayout::kUnused);
+    for (const Instruction &I : Task.Code) {
+      uint32_t Slot = I.Op == OpCode::Const      ? I.A
+                      : I.Op == OpCode::NanBlend ? I.B
+                                                 : UINT32_MAX;
+      if (Slot != UINT32_MAX && Const[Slot] == CppParamLayout::kUnused)
+        Const[Slot] = Off++;
+    }
+    Layout.GaussianBase.push_back(Off);
+    Off += Task.Gaussians.size() * 4;
+    std::vector<size_t> &Tables = Layout.TableBase.emplace_back();
+    for (const LookupTable &Table : Task.Tables) {
+      Tables.push_back(Off);
+      Off += Table.Values.size() + 2;
+    }
+    Layout.SelectBase.push_back(Off);
+    Off += Task.Selects.size();
+  }
+  Layout.Size = Off;
+  return Layout;
+}
+
+std::vector<double>
+spnc::backend::fillCppParams(const KernelProgram &Program,
+                             const CppParamLayout &Layout) {
+  std::vector<double> Block(Layout.Size);
+  for (size_t T = 0; T < Program.Tasks.size(); ++T) {
+    const TaskProgram &Task = Program.Tasks[T];
+    for (size_t I = 0; I < Task.ConstPool.size(); ++I)
+      if (Layout.ConstSlot[T][I] != CppParamLayout::kUnused)
+        Block[Layout.ConstSlot[T][I]] = Task.ConstPool[I];
+    double *Gauss = Block.data() + Layout.GaussianBase[T];
+    for (const GaussianParams &G : Task.Gaussians) {
+      *Gauss++ = G.Mean;
+      *Gauss++ = G.InvStdDev;
+      *Gauss++ = G.Coefficient;
+      *Gauss++ = G.MarginalValue;
+    }
+    for (size_t I = 0; I < Task.Tables.size(); ++I) {
+      const LookupTable &Table = Task.Tables[I];
+      double *Out = std::copy(Table.Values.begin(), Table.Values.end(),
+                              Block.data() + Layout.TableBase[T][I]);
+      Out[0] = Table.DefaultValue;
+      Out[1] = Table.MarginalValue;
+    }
+    for (size_t I = 0; I < Task.Selects.size(); ++I)
+      Block[Layout.SelectBase[T] + I] = Task.Selects[I].Value;
+  }
+  return Block;
 }

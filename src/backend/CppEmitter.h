@@ -41,41 +41,69 @@ namespace backend {
 /// the MPE / ancestral-sampling entry points; v3 added the per-model
 /// parameter-block indirection and the spnc_kernel_run_params entry
 /// point of parameterized (merged-model) programs; v4 cut the code into
-/// segment functions spread over several translation units.
-inline constexpr unsigned kCppEmitterVersion = 4;
+/// segment functions spread over several translation units; v5 reads
+/// every side-table value from a compute-typed parameter block that
+/// every entry point takes.
+inline constexpr unsigned kCppEmitterVersion = 5;
 
 /// Upper bound on the instructions of one segment function.
 inline constexpr size_t kCppSegmentInstructions = 256;
 
-/// Name of the emitted `extern "C"` entry point:
-///   void spnc_kernel_run(const double *in, double *out, size_t n);
+/// Name of the emitted joint/marginal `extern "C"` entry point:
+///   void spnc_kernel_run(const double *in, double *out, size_t n,
+///                        const void *params);
 /// `in` is row-major [sample][feature]; `out` receives one value per
-/// sample and output slot.
+/// sample and output slot; `params` is a parameter block (see
+/// CppParamLayout). Every entry point takes the block: the shared object
+/// bakes no side-table value.
 inline constexpr const char *kCppKernelSymbol = "spnc_kernel_run";
-
-/// Parameterized entry point, emitted only for programs compiled with
-/// Parameterize (merged-model kernels, docs/merging.md):
-///   void spnc_kernel_run_params(const double *in, double *out,
-///                               size_t n, const double *params);
-/// `params` points at one concatenated per-task side-table block in the
-/// vm::flattenTaskTables layout (const pool, Gaussian triples, table
-/// values, select values — tasks in order). `spnc_kernel_run` remains
-/// emitted and runs the generating model's own baked block.
-inline constexpr const char *kCppParamsSymbol = "spnc_kernel_run_params";
 
 /// MPE entry point, emitted only for QueryKind::Mpe programs:
 ///   void spnc_kernel_mpe(const double *in, double *assign,
-///                        double *logp, size_t n);
+///                        double *logp, size_t n, const void *params);
 /// `assign` receives one completed row per sample; `logp` (nullable)
 /// one log-probability per sample.
 inline constexpr const char *kCppMpeSymbol = "spnc_kernel_mpe";
 
 /// Sampling entry point, emitted only for QueryKind::Sample programs:
 ///   void spnc_kernel_sample(const double *in, double *samples,
-///                           size_t n, unsigned long long seed);
+///                           size_t n, unsigned long long seed,
+///                           const void *params);
 /// Replicates the vm/Traceback.h RNG contract, so a fixed seed yields
 /// the same rows as the VM engine's sampling requests.
 inline constexpr const char *kCppSampleSymbol = "spnc_kernel_sample";
+
+/// Where each side-table value of a program sits in the parameter block
+/// the emitted code reads, an array of the program's compute type
+/// (float for UseF32 programs, double otherwise). Per task, in order:
+/// the constant-pool slots an instruction reads (Const, NanBlend; slots
+/// of weights the peephole folded away stay out), then (Mean,
+/// InvStdDev, Coefficient, MarginalValue) per Gaussian, then each lookup
+/// table's Values followed by its DefaultValue and MarginalValue, then
+/// one Value per select. Bucket bounds are structural and stay literals.
+struct CppParamLayout {
+  /// Sentinel of ConstSlot for a slot no instruction reads.
+  static constexpr size_t kUnused = ~size_t(0);
+  /// Per task: block offset of each const-pool slot, or kUnused.
+  std::vector<std::vector<size_t>> ConstSlot;
+  /// Per task: block offset of the first Gaussian's Mean.
+  std::vector<size_t> GaussianBase;
+  /// Per task: block offset of each lookup table's first value.
+  std::vector<std::vector<size_t>> TableBase;
+  /// Per task: block offset of the first select's Value.
+  std::vector<size_t> SelectBase;
+  /// Values in the block.
+  size_t Size = 0;
+};
+
+/// The layout of \p Program's parameter block. Any binding of the
+/// program (vm::bindParams) has the same layout.
+CppParamLayout layoutCppParams(const vm::KernelProgram &Program);
+
+/// \p Program's side-table values in \p Layout order, as doubles (the
+/// engine narrows them to float for UseF32 programs).
+std::vector<double> fillCppParams(const vm::KernelProgram &Program,
+                                  const CppParamLayout &Layout);
 
 /// Renders \p Program as C++17 translation units, one per entry of the
 /// result: min(\p MaxUnits, number of segments) units (at least one),

@@ -9,6 +9,7 @@
 
 #include "support/StringUtils.h"
 #include "support/Timer.h"
+#include "vm/ParamTable.h"
 
 #include <algorithm>
 #include <cmath>
@@ -217,8 +218,8 @@ private:
             static_cast<uint32_t>(Program.Gaussians.size() - 1);
         if (int64_t Param = paramIndexOf(Op); Param >= 0) {
           // Canonical order: mean, then stddev. The stddev feeds two
-          // derived slots. MarginalValue is 0/1 for joint/marginal
-          // queries — structural, stays baked.
+          // derived slots. MarginalValue is 1 (log 0) until the -O2
+          // peephole folds a weight into it.
           addSite(ParamSlotKind::GaussianMean, ParamTransform::Identity,
                   GaussIndex, Param);
           addSite(ParamSlotKind::GaussianInvStdDev,
@@ -327,8 +328,8 @@ private:
             static_cast<uint32_t>(Program.Tables.size() - 1);
         if (int64_t ParamBase = paramIndexOf(Op); ParamBase >= 0) {
           // One tunable mass per bucket; a wide bucket spans several
-          // dense slots. Bounds, Lo, DefaultValue, MarginalValue are
-          // structural and stay baked.
+          // dense slots. Bounds and Lo are structural; DefaultValue and
+          // MarginalValue only change through a peephole weight fold.
           const LookupTable &Placed = Program.Tables[TableIndex];
           for (size_t I = 0; I < Flat.size(); I += 3) {
             ParamSite Site;
@@ -387,10 +388,10 @@ private:
     return static_cast<int32_t>(Plan->Nodes.size() - 1);
   }
 
-  /// Canonical parameter index of a `param`-tagged op under
-  /// parameterized emission, -1 otherwise.
+  /// Canonical parameter index of a `param`-tagged op, -1 for untagged
+  /// ops and in programs carrying a traceback plan (which bakes values).
   int64_t paramIndexOf(Operation *Op) const {
-    return Options.Parameterize ? Op->getIntAttr("param", -1) : -1;
+    return Plan ? -1 : Op->getIntAttr("param", -1);
   }
 
   void addSite(ParamSlotKind Kind, ParamTransform Transform,
@@ -719,6 +720,14 @@ static void runPeephole(TaskProgram &Program, bool LogSpace) {
   std::vector<Instruction> &Code = Program.Code;
   std::vector<uint8_t> Dead(Code.size(), 0);
 
+  // The weight site behind each const-pool slot that holds a sum weight
+  // (-1 elsewhere). Only those constants fold: the fold is recorded as a
+  // site of its own, so binding a weight table replays it.
+  std::vector<int32_t> WeightSiteOf(Program.ConstPool.size(), -1);
+  for (size_t S = 0; S < Program.ParamSites.size(); ++S)
+    if (Program.ParamSites[S].Kind == ParamSlotKind::ConstPool)
+      WeightSiteOf[Program.ParamSites[S].Index] = static_cast<int32_t>(S);
+
   // Use counts per register over the live instructions (cascade Dst
   // reads included): a weight Add the fold below kills no longer keeps
   // its Const alive.
@@ -757,8 +766,9 @@ static void runPeephole(TaskProgram &Program, bool LogSpace) {
     Instruction &Inst = Code[I];
     if (Inst.Op != WeightApply)
       continue;
-    // Match leaf (single use) combined with a constant: fold the weight
-    // into the leaf parameters and forward the leaf register.
+    // Match leaf (single use) combined with a sum weight: fold the
+    // weight into the leaf parameters, record the fold as a site, and
+    // forward the leaf register.
     for (unsigned Side = 0; Side < 2; ++Side) {
       uint32_t LeafReg = Side == 0 ? Inst.A : Inst.B;
       uint32_t ConstReg = Side == 0 ? Inst.B : Inst.A;
@@ -766,26 +776,30 @@ static void runPeephole(TaskProgram &Program, bool LogSpace) {
       int32_t ConstDef = DefOf[ConstReg];
       if (!IsLeafFoldTarget(LeafDef) || ConstDef < 0 ||
           Code[ConstDef].Op != OpCode::Const ||
-          UseCounts[LeafReg] != 1)
+          WeightSiteOf[Code[ConstDef].A] < 0 || UseCounts[LeafReg] != 1)
         continue;
-      double Weight = Program.ConstPool[Code[ConstDef].A];
+      ParamSite Fold = Program.ParamSites[WeightSiteOf[Code[ConstDef].A]];
+      double Weight = Program.ConstPool[Fold.Index];
       Instruction &Leaf = Code[LeafDef];
+      Fold.Index = Leaf.B;
       if (Leaf.Op == OpCode::TableLookup) {
+        Fold.Kind = ParamSlotKind::TableFold;
         LookupTable &Table = Program.Tables[Leaf.B];
         for (double &Value : Table.Values)
-          Value = LogSpace ? Value + Weight : Value * Weight;
-        Table.DefaultValue = LogSpace ? Table.DefaultValue + Weight
-                                      : Table.DefaultValue * Weight;
-        Table.MarginalValue = LogSpace ? Table.MarginalValue + Weight
-                                       : Table.MarginalValue * Weight;
+          Value = foldWeight(LogSpace, Value, Weight);
+        Table.DefaultValue =
+            foldWeight(LogSpace, Table.DefaultValue, Weight);
+        Table.MarginalValue =
+            foldWeight(LogSpace, Table.MarginalValue, Weight);
       } else {
+        Fold.Kind = ParamSlotKind::GaussianFold;
         GaussianParams &Params = Program.Gaussians[Leaf.B];
-        Params.Coefficient = LogSpace ? Params.Coefficient + Weight
-                                      : Params.Coefficient * Weight;
-        Params.MarginalValue = LogSpace
-                                   ? Params.MarginalValue + Weight
-                                   : Params.MarginalValue * Weight;
+        Params.Coefficient =
+            foldWeight(LogSpace, Params.Coefficient, Weight);
+        Params.MarginalValue =
+            foldWeight(LogSpace, Params.MarginalValue, Weight);
       }
+      Program.ParamSites.push_back(Fold);
       // The weighted result now comes straight out of the leaf.
       Leaf.Dst = Inst.Dst;
       DefOf[Inst.Dst] = LeafDef;
@@ -1018,11 +1032,6 @@ spnc::codegen::emitKernelProgram(KernelOp Kernel,
   bool NeedsPlan = Options.Query == QueryKind::Mpe ||
                    Options.Query == QueryKind::Sample;
   unsigned OptLevel = NeedsPlan ? 0 : Options.OptLevel;
-  if (Options.Parameterize && NeedsPlan)
-    return makeError("parameterized codegen supports joint/marginal "
-                     "queries only (the traceback plan bakes "
-                     "parameter-dependent values)");
-  Program.Parameterized = Options.Parameterize;
 
   // Buffer plan from the kernel signature and allocs.
   std::unordered_map<ValueImpl *, uint32_t> BufferIds;
@@ -1109,14 +1118,7 @@ spnc::codegen::emitKernelProgram(KernelOp Kernel,
 
     if (OptLevel >= 2) {
       Timer PeepholeTimer;
-      // The peephole folds weight constants into leaf tables and fuses
-      // FMAs — both rewrites whose firing (or numeric effect) depends on
-      // which values are single-use constants. Parameterized programs
-      // skip it so the program shape (and the merged/unmerged numerics)
-      // stay independent of the parameter values. Chain collapse is
-      // purely structural and stays on.
-      if (!Options.Parameterize)
-        runPeephole(*TaskProg, Program.LogSpace);
+      runPeephole(*TaskProg, Program.LogSpace);
       runChainCollapse(*TaskProg);
       T.PeepholeNs += PeepholeTimer.elapsedNs();
     }
@@ -1136,9 +1138,8 @@ spnc::codegen::emitKernelProgram(KernelOp Kernel,
     Program.Steps.push_back(Step);
     Program.Tasks.push_back(TaskProg.takeValue());
   }
-  if (Program.Parameterized)
-    for (const TaskProgram &Task : Program.Tasks)
-      for (const ParamSite &Site : Task.ParamSites)
-        Program.NumParams = std::max(Program.NumParams, Site.Param + 1);
+  for (const TaskProgram &Task : Program.Tasks)
+    for (const ParamSite &Site : Task.ParamSites)
+      Program.NumParams = std::max(Program.NumParams, Site.Param + 1);
   return Program;
 }

@@ -17,8 +17,9 @@
 /// Optimization levels:
 ///   -O0: direct emission; one register per SSA value.
 ///   -O1: + linear-scan register allocation (register reuse).
-///   -O2: + peephole fusion (FMA in linear space; folding constant
-///        log-weights into leaf coefficients in log space).
+///   -O2: + peephole fusion (FMA in linear space; folding sum weights
+///        into leaf coefficients and tables, each fold recorded as a
+///        parameter site so weight tables replay it).
 ///   -O3: + consumer-first instruction scheduling to shorten live ranges,
 ///        followed by a second register allocation round.
 ///
@@ -43,19 +44,16 @@ struct CodegenOptions {
   /// Largest dense lookup table generated for histogram leaves; wider
   /// value ranges fall back to select cascades.
   unsigned MaxDenseTableSize = 4096;
-  /// The query kind the program serves. For Mpe/Sample the emitter also
-  /// builds the downward `TracebackPlan`, which pins register/value
-  /// identity: codegen then forces direct (-O0 style) emission — the
+  /// The query kind the program serves. Joint/marginal programs record
+  /// a `ParamSite` for every `param`-tagged constant / leaf op, giving
+  /// each its own side-table slot (no constant pooling across sites), so
+  /// every such program takes weight tables (docs/merging.md). For
+  /// Mpe/Sample the emitter instead builds the downward `TracebackPlan`,
+  /// which bakes mode values and pins register/value identity: codegen
+  /// then records no sites and forces direct (-O0 style) emission — the
   /// optimization passes would reallocate registers and dissolve the
   /// sum-combine chains the plan references.
   vm::QueryKind Query = vm::QueryKind::Joint;
-  /// Merged-model compilation (docs/merging.md): record a `ParamSite`
-  /// for every `param`-tagged constant / leaf op, give each such site
-  /// its own side-table slot (no constant pooling across sites), and
-  /// disable the value-dependent peephole rewrites (leaf-weight folding,
-  /// FMA fusion) so structurally-isomorphic models compile to the same
-  /// program shape.
-  bool Parameterize = false;
 };
 
 /// Wall-clock time of the codegen stages (nanoseconds); the analog of the

@@ -18,7 +18,7 @@ using namespace spnc::spn;
 
 OwningOpRef<ModuleOp>
 spnc::spn::translateToHiSPN(Context &Ctx, const Model &TheModel,
-                            const QueryConfig &Config, bool Parameterize) {
+                            const QueryConfig &Config) {
   hispn::registerHiSPNDialect(Ctx);
 
   std::string Message;
@@ -76,14 +76,16 @@ spnc::spn::translateToHiSPN(Context &Ctx, const Model &TheModel,
   Builder.setInsertionPointToEnd(&GraphBlock);
 
   // Children-first translation; shared nodes map to one op result.
-  // NextParam tracks the canonical parameter index of merged-model
-  // compilation; since this loop walks the same topological order as
+  // NextParam tracks the canonical parameter index of likelihood
+  // queries; since this loop walks the same topological order as
   // merge::extractParams, assigning bases here and advancing by each
   // node's parameter count reproduces the extraction order exactly.
   std::unordered_map<const Node *, Value> Translated;
+  bool Tagged =
+      Config.Kind == QueryKind::Joint || Config.Kind == QueryKind::Marginal;
   int64_t NextParam = 0;
   auto TagParams = [&](Operation *Op, int64_t Count) {
-    if (!Parameterize)
+    if (!Tagged)
       return;
     Op->setAttr("param", IntAttr::get(Ctx, NextParam));
     NextParam += Count;

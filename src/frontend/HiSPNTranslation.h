@@ -29,18 +29,19 @@ namespace spn {
 /// is reused by every parent. Returns a null ref if the model fails
 /// validation.
 ///
-/// With \p Parameterize set (merged-model compilation, docs/merging.md),
-/// every sum and leaf op is tagged with a `param` integer attribute: the
-/// index of its first tunable parameter in the canonical order of
-/// `merge::extractParams` (sum weights in child order, histogram bucket
-/// masses, categorical probabilities, Gaussian mean then stddev). The
-/// translation walks the same topological order as the extraction, so
-/// the bases line up by construction. Downstream passes use the tag to
-/// keep the program shape independent of the parameter values.
+/// Joint and marginal queries tag every sum and leaf op with a `param`
+/// integer attribute: the index of its first tunable parameter in the
+/// canonical order of `merge::extractParams` (sum weights in child order,
+/// histogram bucket masses, categorical probabilities, Gaussian mean then
+/// stddev). The translation walks the same topological order as the
+/// extraction, so the bases line up by construction. Downstream passes
+/// use the tag to keep the program shape independent of the parameter
+/// values, so every likelihood kernel takes weight tables
+/// (docs/merging.md). MPE and sampling queries stay untagged: their
+/// traceback plan bakes mode values.
 ir::OwningOpRef<ir::ModuleOp> translateToHiSPN(ir::Context &Ctx,
                                                const Model &TheModel,
-                                               const QueryConfig &Config,
-                                               bool Parameterize = false);
+                                               const QueryConfig &Config);
 
 } // namespace spn
 } // namespace spnc

@@ -171,6 +171,9 @@ bool Model::validate(std::string *ErrorMessage,
   size_t Words = (NumFeatures + 63) / 64;
   std::vector<std::vector<uint64_t>> Scopes(Nodes.size());
   for (Node *Current : topologicalOrder()) {
+    if (std::string Why = checkNodeParams(*Current, WeightTolerance);
+        !Why.empty())
+      return Fail(std::move(Why));
     std::vector<uint64_t> &Scope = Scopes[Current->getId()];
     if (const auto *Leaf = dyn_cast<LeafNode>(Current)) {
       if (Leaf->getFeatureIndex() >= NumFeatures)
@@ -188,19 +191,6 @@ bool Model::validate(std::string *ErrorMessage,
           formatString("inner node %u has no children", Inner->getId()));
 
     if (const auto *Sum = dyn_cast<SumNode>(Current)) {
-      if (Sum->getWeights().size() != Sum->getNumChildren())
-        return Fail(formatString("sum %u weight/child count mismatch",
-                                 Sum->getId()));
-      double Total = 0.0;
-      for (double Weight : Sum->getWeights()) {
-        if (!(Weight >= 0.0) || !std::isfinite(Weight))
-          return Fail(formatString("sum %u has an invalid weight",
-                                   Sum->getId()));
-        Total += Weight;
-      }
-      if (std::fabs(Total - 1.0) > WeightTolerance)
-        return Fail(formatString("sum %u weights sum to %g, expected 1",
-                                 Sum->getId(), Total));
       // Smoothness: all children must have the same scope.
       const std::vector<uint64_t> &First =
           Scopes[Sum->getChild(0)->getId()];
@@ -226,6 +216,103 @@ bool Model::validate(std::string *ErrorMessage,
     }
   }
   return true;
+}
+
+std::string spnc::spn::checkNodeParams(const Node &N,
+                                       double WeightTolerance) {
+  auto NonNegative = [](double P) { return P >= 0.0 && std::isfinite(P); };
+  switch (N.getKind()) {
+  case NodeKind::Sum: {
+    const auto &Sum = *cast<SumNode>(&N);
+    if (Sum.getWeights().size() != Sum.getNumChildren())
+      return formatString("sum %u weight/child count mismatch", Sum.getId());
+    double Total = 0.0;
+    for (double Weight : Sum.getWeights()) {
+      if (!NonNegative(Weight))
+        return formatString("sum %u has an invalid weight", Sum.getId());
+      Total += Weight;
+    }
+    if (std::fabs(Total - 1.0) > WeightTolerance)
+      return formatString("sum %u weights sum to %g, expected 1",
+                          Sum.getId(), Total);
+    return std::string();
+  }
+  case NodeKind::Product:
+    return std::string();
+  case NodeKind::Histogram:
+    for (const HistogramBucket &B : cast<HistogramLeaf>(&N)->getBuckets())
+      if (!NonNegative(B.P) || !(B.Lb < B.Ub))
+        return formatString("histogram %u has an invalid bucket "
+                            "[%g, %g) with mass %g",
+                            N.getId(), B.Lb, B.Ub, B.P);
+    return std::string();
+  case NodeKind::Categorical:
+    for (double P : cast<CategoricalLeaf>(&N)->getProbabilities())
+      if (!NonNegative(P))
+        return formatString("categorical %u has an invalid probability %g",
+                            N.getId(), P);
+    return std::string();
+  case NodeKind::Gaussian: {
+    const auto &Gauss = *cast<GaussianLeaf>(&N);
+    if (!std::isfinite(Gauss.getMean()) || !std::isfinite(Gauss.getStdDev()) ||
+        !(Gauss.getStdDev() > 0.0))
+      return formatString("gaussian %u has invalid parameters (mean %g, "
+                          "stddev %g)",
+                          N.getId(), Gauss.getMean(), Gauss.getStdDev());
+    return std::string();
+  }
+  }
+  return std::string();
+}
+
+double Model::minLogProbabilityBound() const {
+  constexpr double kEvidenceSigmas = 4.0;
+  std::vector<double> Bounds(Nodes.size(), 0.0);
+  for (const Node *Current : topologicalOrder()) {
+    double Bound = 0.0;
+    if (const auto *Gauss = dyn_cast<GaussianLeaf>(Current)) {
+      Bound = -0.5 * kEvidenceSigmas * kEvidenceSigmas -
+              std::log(Gauss->getStdDev()) - vm::kLogSqrt2Pi;
+    } else if (const auto *Hist = dyn_cast<HistogramLeaf>(Current)) {
+      double MinMass = 1.0;
+      for (const HistogramBucket &B : Hist->getBuckets())
+        if (B.P > 0.0)
+          MinMass = std::min(MinMass, B.P);
+      Bound = std::log(MinMass);
+    } else if (const auto *Cat = dyn_cast<CategoricalLeaf>(Current)) {
+      double MinMass = 1.0;
+      for (double P : Cat->getProbabilities())
+        if (P > 0.0)
+          MinMass = std::min(MinMass, P);
+      Bound = std::log(MinMass);
+    } else if (const auto *Product = dyn_cast<ProductNode>(Current)) {
+      for (const Node *Child : Product->getChildren())
+        Bound += Bounds[Child->getId()];
+    } else {
+      // sum_i w_i p_i(x) >= w_j p_j(x) for every j.
+      const auto *Sum = cast<SumNode>(Current);
+      Bound = -std::numeric_limits<double>::infinity();
+      for (unsigned I = 0; I < Sum->getNumChildren(); ++I)
+        if (Sum->getWeights()[I] > 0.0)
+          Bound = std::max(Bound, std::log(Sum->getWeights()[I]) +
+                                      Bounds[Sum->getChild(I)->getId()]);
+    }
+    Bounds[Current->getId()] = Bound;
+  }
+  return Root ? Bounds[Root->getId()] : 0.0;
+}
+
+QueryConfig spnc::spn::resolveQuery(const Model &TheModel,
+                                    QueryConfig Query) {
+  if (Query.Kind == QueryKind::Mpe || Query.Kind == QueryKind::Sample)
+    Query.SupportMarginal = true;
+  if (Query.DataType == ComputeType::Auto)
+    Query.DataType =
+        !Query.LogSpace &&
+                TheModel.minLogProbabilityBound() < kF32MinLogProbability
+            ? ComputeType::F64
+            : ComputeType::F32;
+  return Query;
 }
 
 ModelStats Model::computeStats() const {

@@ -18,6 +18,7 @@
 #ifndef SPNC_FRONTEND_MODEL_H
 #define SPNC_FRONTEND_MODEL_H
 
+#include "frontend/Query.h"
 #include "support/Casting.h"
 
 #include <cstdint>
@@ -285,11 +286,19 @@ public:
 
   /// Checks structural validity: a root exists, the graph below it is
   /// acyclic, sums are complete/smooth (children share one scope),
-  /// products are decomposable (children have disjoint scopes), weights
-  /// are normalized to 1 within \p WeightTolerance. On failure, fills
-  /// \p ErrorMessage.
+  /// products are decomposable (children have disjoint scopes), and
+  /// every node passes checkNodeParams (weights normalized to 1 within
+  /// \p WeightTolerance). On failure, fills \p ErrorMessage.
   bool validate(std::string *ErrorMessage = nullptr,
                 double WeightTolerance = 1e-6) const;
+
+  /// Conservative lower bound on the log-probability one evaluation of
+  /// the model can produce, propagated bottom up: a leaf contributes the
+  /// log of its smallest positive mass (Gaussians assume evidence within
+  /// four standard deviations), a product the sum of its children's
+  /// bounds, a sum the best single weighted child bound. The underflow
+  /// analysis behind resolveQuery's f32/f64 choice.
+  double minLogProbabilityBound() const;
 
   /// Computes the scope (set of feature indices) of \p N.
   std::set<unsigned> getScope(const Node *N) const;
@@ -347,6 +356,31 @@ private:
   Node *Root = nullptr;
   std::vector<std::unique_ptr<Node>> Nodes;
 };
+
+/// Checks the parameters of one node: sum weights (one per child) are
+/// finite, non-negative and sum to 1 within \p WeightTolerance; Gaussian
+/// means are finite and standard deviations finite and positive;
+/// histogram masses and categorical probabilities are finite and
+/// non-negative, and every histogram bucket has Lb < Ub. Returns a
+/// description of the first violation, or an empty string. Model::validate
+/// runs it on every node, and so do deserializeModel and
+/// merge::extractParams.
+std::string checkNodeParams(const Node &N, double WeightTolerance = 1e-6);
+
+/// Largest log-probability bound (Model::minLogProbabilityBound) a
+/// linear-space query computes in f32; below it f32 could flush a result
+/// to zero (log FLT_MIN is about -87.3).
+inline constexpr double kF32MinLogProbability = -85.0;
+
+/// Resolves \p Query against \p TheModel: MPE and sampling always
+/// support marginalized evidence, and an Auto compute type becomes F32 in
+/// log space (underflow-safe) and in linear space unless the model's
+/// log-probability bound falls below kF32MinLogProbability, where it
+/// becomes F64 (paper §III-A: the abstract probability type defers the
+/// width to "characteristics ... of the SPN"). The result never holds
+/// ComputeType::Auto; it is the query the compiler lowers and the kernel
+/// cache keys on.
+QueryConfig resolveQuery(const Model &TheModel, QueryConfig Query);
 
 } // namespace spn
 } // namespace spnc

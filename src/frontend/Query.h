@@ -16,6 +16,7 @@
 #define SPNC_FRONTEND_QUERY_H
 
 #include <cstdint>
+#include <initializer_list>
 
 namespace spnc {
 namespace spn {

@@ -261,6 +261,8 @@ Expected<Model> spnc::spn::deserializeModel(
       return makeError(formatString("unknown node kind %u",
                                     static_cast<unsigned>(Kind)));
     }
+    if (std::string Why = checkNodeParams(*ByPosition.back()); !Why.empty())
+      return makeError("invalid SPNB node: " + Why);
   }
   if (R.hadError() || !R.atEnd())
     return makeError("malformed SPNB payload");

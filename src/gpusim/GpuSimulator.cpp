@@ -140,21 +140,9 @@ struct GpuExecutor::StreamLease {
   unsigned Concurrency = 1;
 };
 
-namespace {
-
-/// The program's query kinds; the simulated device has no weight tables.
-runtime::EngineCapabilities deviceCapabilities(const KernelProgram &Program) {
-  runtime::EngineCapabilities Capabilities =
-      runtime::EngineCapabilities::of(Program);
-  Capabilities.ParamTables = false;
-  return Capabilities;
-}
-
-} // namespace
-
 GpuExecutor::GpuExecutor(KernelProgram TheProgram,
                          GpuDeviceConfig TheConfig, unsigned TheBlockSize)
-    : ExecutionEngine(deviceCapabilities(TheProgram)),
+    : ExecutionEngine(runtime::EngineCapabilities::of(TheProgram)),
       Program(std::move(TheProgram)), Config(TheConfig),
       BlockSize(TheBlockSize ? TheBlockSize : kDefaultBlockSize) {
   assert(Program.NumInputs == 1 && Program.NumOutputs == 1 &&
@@ -197,11 +185,14 @@ std::vector<uint64_t> GpuExecutor::getStreamKernelCounts() const {
 
 namespace {
 
+/// Runs samples [Begin, End) of a batch of \p TotalSamples on the device
+/// as one launch sequence.
 template <typename T>
 void runOnDevice(const KernelProgram &Program,
                  const GpuDeviceConfig &Config, unsigned BlockSize,
-                 const double *Input, double *Output, size_t NumSamples,
-                 GpuExecutionStats &Stats) {
+                 const double *Input, double *Output, size_t TotalSamples,
+                 size_t Begin, size_t End, GpuExecutionStats &Stats) {
+  size_t NumSamples = End - Begin;
   const double BytesPerNs = Config.PcieBandwidthGBs; // GB/s == bytes/ns
   const auto TransferNs = [&](uint64_t Bytes) {
     return static_cast<uint64_t>(Config.TransferLatencyUs * 1000.0 +
@@ -218,8 +209,8 @@ void runOnDevice(const KernelProgram &Program,
     BufferBinding<T> &B = Bindings[I];
     B.Columns = Info.Columns;
     B.Transposed = Info.Transposed;
-    B.Stride = NumSamples;
-    B.Offset = 0;
+    B.Stride = TotalSamples;
+    B.Offset = Begin;
     switch (Info.Role) {
     case BufferInfo::Kind::Input:
       B.ExternalIn = Input;
@@ -228,6 +219,8 @@ void runOnDevice(const KernelProgram &Program,
       B.ExternalOut = Output;
       break;
     case BufferInfo::Kind::Intermediate:
+      B.Stride = NumSamples;
+      B.Offset = 0;
       DeviceBuffers[I].resize(static_cast<size_t>(Info.Columns) *
                               NumSamples);
       B.Scratch = DeviceBuffers[I].data();
@@ -270,7 +263,8 @@ void runOnDevice(const KernelProgram &Program,
         for (size_t S = 0; S < NumSamples; ++S) {
           size_t SrcIdx = static_cast<size_t>(Col) * NumSamples + S;
           if (Src.Scratch && Dst.ExternalOut)
-            Dst.ExternalOut[SrcIdx] =
+            Dst.ExternalOut[static_cast<size_t>(Col) * Dst.Stride +
+                            Dst.Offset + S] =
                 static_cast<double>(Src.Scratch[SrcIdx]);
           else if (Src.Scratch && Dst.Scratch)
             Dst.Scratch[SrcIdx] = Src.Scratch[SrcIdx];
@@ -439,20 +433,47 @@ void runQueryOnDevice(const KernelProgram &Program,
 
 } // namespace
 
+std::vector<double> GpuExecutor::getParamTable(int32_t Index) const {
+  return Tables.raw(Index);
+}
+
+int32_t GpuExecutor::addParamTable(const double *Params,
+                                   size_t NumParams) {
+  if (!getCapabilities().ParamTables || NumParams != Program.NumParams)
+    return -1;
+  return Tables.add(std::span<const double>(Params, NumParams),
+                    [this](std::span<const double> Raw) {
+                      return bindIfDifferent(Program, Raw);
+                    });
+}
+
 bool GpuExecutor::run(const runtime::RunRequest &Request,
                       runtime::ExecutionStats *Stats) const {
+  std::optional<std::vector<const std::optional<KernelProgram> *>> Bound;
+  if (Request.hasTables() && !(Bound = Tables.resolve(Request)))
+    return false;
   return timedRun(Request, Stats, [&](runtime::ExecutionStats &S) {
     S.HasGpuStats = true;
     size_t N = Request.NumSamples;
     if (Request.Kind != QueryKind::Mpe &&
         Request.Kind != QueryKind::Sample) {
       StreamLease Lease(*this);
-      if (Program.UseF32)
-        runOnDevice<float>(Program, Config, BlockSize, Request.Input,
-                           Request.Output, N, S.Gpu);
+      auto Launch = [&](const KernelProgram &P, size_t Begin, size_t End) {
+        if (P.UseF32)
+          runOnDevice<float>(P, Config, BlockSize, Request.Input,
+                             Request.Output, N, Begin, End, S.Gpu);
+        else
+          runOnDevice<double>(P, Config, BlockSize, Request.Input,
+                              Request.Output, N, Begin, End, S.Gpu);
+      };
+      if (!Bound)
+        Launch(Program, 0, N);
       else
-        runOnDevice<double>(Program, Config, BlockSize, Request.Input,
-                            Request.Output, N, S.Gpu);
+        forEachTableRun(Request, [&](size_t Begin, size_t End,
+                                     uint32_t Table) {
+          const std::optional<KernelProgram> &Rebound = *(*Bound)[Table];
+          Launch(Rebound ? *Rebound : Program, Begin, End);
+        });
       Lease.account(S.Gpu);
       return;
     }

@@ -33,6 +33,7 @@
 #include "gpusim/GpuStats.h"
 #include "runtime/ExecutionEngine.h"
 #include "vm/Bytecode.h"
+#include "vm/ParamTable.h"
 
 #include <cstddef>
 #include <memory>
@@ -161,14 +162,18 @@ public:
   bool run(const runtime::RunRequest &Request,
            runtime::ExecutionStats *Stats = nullptr) const override;
 
-  /// The simulated device serves no weight tables: always -1.
-  int32_t addParamTable(const double *, size_t) override { return -1; }
+  /// Weight tables of joint/marginal programs, bound like CpuExecutor's:
+  /// one private program copy per table (none for the compiling model's
+  /// own). Each run of rows sharing a table is its own launch.
+  int32_t addParamTable(const double *Params, size_t NumParams) override;
+  std::vector<double> getParamTable(int32_t Index) const override;
 
 private:
   struct DeviceState;
   struct StreamLease;
 
   vm::KernelProgram Program;
+  vm::ParamTableSet<std::optional<vm::KernelProgram>> Tables;
   GpuDeviceConfig Config;
   unsigned BlockSize;
   /// Stream pool: the executor's only mutable state (see class comment).

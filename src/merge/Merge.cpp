@@ -90,9 +90,12 @@ bool spnc::merge::isStructurallyIsomorphic(const spn::Model &A,
   return structuralSignature(A) == structuralSignature(B);
 }
 
-std::vector<double> spnc::merge::extractParams(const spn::Model &Model) {
+Expected<std::vector<double>>
+spnc::merge::extractParams(const spn::Model &Model) {
   std::vector<double> Params;
   for (const spn::Node *N : Model.topologicalOrder()) {
+    if (std::string Why = spn::checkNodeParams(*N); !Why.empty())
+      return makeError("invalid SPN model: " + Why);
     if (const auto *Sum = dyn_cast<spn::SumNode>(N)) {
       Params.insert(Params.end(), Sum->getWeights().begin(),
                     Sum->getWeights().end());

@@ -20,17 +20,16 @@
 ///  * the **structural hash** (a stable FNV-1a over the signature) and
 ///    the pairwise isomorphism check (signature equality);
 ///  * the **canonical parameter vector** `extractParams`, which lists a
-///    model's tunable parameters in the exact order the parameterized
-///    compilation path assigns weight-table indices — so any member of a
-///    merge group can be bound to the group's shared kernel by table
-///    substitution alone;
+///    model's tunable parameters in the exact order the compiler assigns
+///    weight-table indices — so any member of a merge group can be bound
+///    to the group's shared kernel by table substitution alone;
 ///  * `MergeGroup` discovery over a set of models and per-model
 ///    structure counts for `spnc-cli --model-info`.
 ///
 /// Two models with equal signatures traverse identically during HiSPN
 /// translation (which consumes the same topological walk), so they lower
-/// to programs of identical shape; that is the invariant the merged
-/// compilation path (KernelCache::getOrCompileMerged) builds on.
+/// to programs of identical shape; that is the invariant the kernel
+/// cache's structural key for joint/marginal kernels builds on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,6 +37,7 @@
 #define SPNC_MERGE_MERGE_H
 
 #include "frontend/Model.h"
+#include "support/Expected.h"
 
 #include <cstdint>
 #include <span>
@@ -66,16 +66,18 @@ StructuralSignature structuralSignature(const spn::Model &Model);
 uint64_t structuralHash(const spn::Model &Model);
 
 /// True when \p A and \p B have equal structural signatures, i.e. they
-/// can share one parameterized kernel. Thread-safe.
+/// can share one kernel. Thread-safe.
 bool isStructurallyIsomorphic(const spn::Model &A, const spn::Model &B);
 
 /// The model's tunable parameters in canonical order: walking the
 /// topological order, a Sum node contributes its weights in child order,
 /// a Histogram leaf its bucket masses, a Categorical leaf its category
 /// probabilities, and a Gaussian leaf (mean, stddev). This is the order
-/// the parameterized lowering assigns weight-table indices, and the raw
-/// layout `ExecutionEngine::addParamTable` consumes. Thread-safe.
-std::vector<double> extractParams(const spn::Model &Model);
+/// the lowering assigns weight-table indices, and the raw layout
+/// `ExecutionEngine::addParamTable` consumes. Every node's parameters are
+/// checked on the way (spn::checkNodeParams); the first invalid one
+/// fails the extraction. Thread-safe.
+Expected<std::vector<double>> extractParams(const spn::Model &Model);
 
 /// Structure counters for merge-group debugging (`--model-info`).
 struct ModelCounts {

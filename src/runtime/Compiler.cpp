@@ -8,6 +8,7 @@
 #include "runtime/Compiler.h"
 
 #include "backend/VmBackend.h"
+#include "vm/ParamTable.h"
 #include "vm/ProgramBinary.h"
 
 #include <cerrno>
@@ -43,7 +44,13 @@ spnc::runtime::saveCompiledKernel(const CompiledKernel &Kernel,
       *ErrorMessage = What + ": " + std::strerror(errno);
     return failure();
   };
-  std::vector<uint8_t> Blob = vm::encodeProgram(Kernel.getProgram());
+  // A kernel sharing its engine with isomorphic models answers under
+  // its own weight table: save the program bound to it.
+  int32_t Table = Kernel.getTableIndex();
+  std::vector<uint8_t> Blob = vm::encodeProgram(
+      Table < 0 ? Kernel.getProgram()
+                : vm::bindParams(Kernel.getProgram(),
+                                 Kernel.getEngine().getParamTable(Table)));
   // Write to a temporary sibling and rename into place, so an
   // interrupted or failed write never leaves a truncated .spnk at Path.
   std::string TempPath = Path + ".tmp";

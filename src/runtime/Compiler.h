@@ -34,19 +34,32 @@ namespace spnc {
 namespace runtime {
 
 /// A compiled, loaded query kernel ready for execution. A thin handle on
-/// a shared, immutable ExecutionEngine: copying a CompiledKernel shares
-/// the engine, and `run` is safe to call from multiple threads.
+/// a shared, immutable ExecutionEngine plus the weight table that makes
+/// the engine answer for one model: the kernel cache shares one engine
+/// among structurally-isomorphic models, each with its own table
+/// (docs/merging.md). Copying a CompiledKernel shares the engine, and
+/// `run` is safe to call from multiple threads.
 class CompiledKernel {
 public:
   CompiledKernel() = default;
-  explicit CompiledKernel(std::shared_ptr<ExecutionEngine> TheEngine)
-      : Engine(std::move(TheEngine)) {}
+  /// A kernel over \p TheEngine answering under weight table
+  /// \p TheTableIndex (-1: the parameters the engine was built from).
+  explicit CompiledKernel(std::shared_ptr<ExecutionEngine> TheEngine,
+                          int32_t TheTableIndex = -1)
+      : Engine(std::move(TheEngine)), TableIndex(TheTableIndex) {}
 
   /// Runs \p Request on the engine; false when the kernel does not
-  /// serve it (see ExecutionEngine::run).
+  /// serve it (see ExecutionEngine::run). A joint/marginal request that
+  /// names no weight table runs under the kernel's own.
   bool run(const RunRequest &Request,
            ExecutionStats *Stats = nullptr) const {
-    return Engine->run(Request, Stats);
+    if (TableIndex < 0 || Request.hasTables() ||
+        !(Request.Kind == vm::QueryKind::Joint ||
+          Request.Kind == vm::QueryKind::Marginal))
+      return Engine->run(Request, Stats);
+    RunRequest Own = Request;
+    Own.Table = TableIndex;
+    return Engine->run(Own, Stats);
   }
 
   /// Shorthand for a joint request: \p Output receives one
@@ -62,8 +75,8 @@ public:
   }
 
   /// Shorthand for a joint request whose row I is evaluated under the
-  /// weight table \p TableIndices[I] (merged-model kernels,
-  /// docs/merging.md). Returns false, writing nothing, when the kernel
+  /// weight table \p TableIndices[I] of the shared engine
+  /// (docs/merging.md). Returns false, writing nothing, when the kernel
   /// has no weight tables or an index is unknown.
   bool executeIndexed(const double *Input, const uint32_t *TableIndices,
                       double *Output, size_t NumSamples,
@@ -77,9 +90,15 @@ public:
 
   Target getTarget() const { return Engine->getTarget(); }
 
-  /// The compiled program; only valid for kernels backed by a compiled
-  /// engine (always the case for compileModel / loadCompiledKernel
-  /// results).
+  /// The engine's weight table this kernel answers under, -1 for the
+  /// parameters the engine was built from.
+  int32_t getTableIndex() const { return TableIndex; }
+
+  /// The compiled program the engine was built from, holding the
+  /// parameters of the model that compiled it (saveCompiledKernel writes
+  /// this kernel's own binding); only valid for kernels backed by a
+  /// compiled engine (always the case for compileModel /
+  /// loadCompiledKernel / KernelCache results).
   const vm::KernelProgram &getProgram() const {
     const vm::KernelProgram *Program = Engine->getProgram();
     assert(Program && "engine has no compiled program");
@@ -94,6 +113,7 @@ public:
 
 private:
   std::shared_ptr<ExecutionEngine> Engine;
+  int32_t TableIndex = -1;
 };
 
 /// Compiles \p TheModel for the query \p Config under \p Options. The
@@ -104,8 +124,9 @@ Expected<CompiledKernel> compileModel(const spn::Model &TheModel,
                                       const CompilerOptions &Options,
                                       CompileStats *Stats = nullptr);
 
-/// Saves the kernel's compiled program to \p Path in the current `.spnk`
-/// format (vm::kProgramBinaryVersion, see docs/spnk-format.md) — the
+/// Saves the kernel's compiled program, bound to the kernel's own weight
+/// table, to \p Path in the current `.spnk` format
+/// (vm::kProgramBinaryVersion, see docs/spnk-format.md) — the
 /// analog of keeping the emitted object file around, enabling
 /// compile-once/run-many. The write is atomic: the blob goes to a
 /// temporary file that is renamed over \p Path only after a complete

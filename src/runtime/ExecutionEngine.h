@@ -33,6 +33,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace spnc {
 namespace runtime {
@@ -109,13 +110,19 @@ struct RunRequest {
   double *Rows = nullptr;
   size_t NumSamples = 0;
   /// Joint/marginal only: row I is evaluated under weight table
-  /// TableIndices[I] (indices from addParamTable, docs/merging.md); null
-  /// evaluates the engine's own parameters. Each maximal run of equal
-  /// indices executes as one sub-batch, so rows should arrive grouped
-  /// by table.
+  /// TableIndices[I] (indices from addParamTable, docs/merging.md). Each
+  /// maximal run of equal indices executes as one sub-batch, so rows
+  /// should arrive grouped by table.
   const uint32_t *TableIndices = nullptr;
+  /// Joint/marginal only, without TableIndices: every row is evaluated
+  /// under this weight table; -1 evaluates the parameters of the program
+  /// the engine was built from.
+  int32_t Table = -1;
   /// Sampling seed.
   uint64_t Seed = 0;
+
+  /// True when rows run under registered weight tables.
+  bool hasTables() const { return TableIndices || Table >= 0; }
 };
 
 /// The bit of \p Kind in EngineCapabilities::Kinds.
@@ -133,18 +140,18 @@ struct EngineCapabilities {
   bool serves(vm::QueryKind Kind) const { return Kinds & kindBit(Kind); }
 
   /// What an engine running \p Program serves: the program's own query
-  /// kind (a marginal program serves joint requests too), and weight
-  /// tables when it is parameterized. MPE and sampling need the
+  /// kind (a marginal program serves joint requests too), with weight
+  /// tables for joint/marginal programs. MPE and sampling need the
   /// traceback plan, which only single-task programs carry.
   static EngineCapabilities of(const vm::KernelProgram &Program) {
     EngineCapabilities Caps;
-    Caps.ParamTables = Program.Parameterized;
     switch (Program.Query) {
     case vm::QueryKind::Marginal:
       Caps.Kinds = kindBit(vm::QueryKind::Marginal);
       [[fallthrough]];
     case vm::QueryKind::Joint:
       Caps.Kinds |= kindBit(vm::QueryKind::Joint);
+      Caps.ParamTables = true;
       break;
     case vm::QueryKind::Mpe:
     case vm::QueryKind::Sample:
@@ -174,11 +181,18 @@ public:
   /// Registers a per-model weight table: \p Params is the raw canonical
   /// parameter vector (merge::extractParams order, length must match the
   /// program's NumParams). Returns the table index for
-  /// RunRequest::TableIndices, or -1 when this engine has no weight
-  /// tables or the length is wrong. Registering identical content
+  /// RunRequest::Table / TableIndices, or -1 when this engine has no
+  /// weight tables or the length is wrong. Registering identical content
   /// returns the existing index. The one sanctioned mutation after
   /// construction — safe to call concurrently with run().
   virtual int32_t addParamTable(const double *Params, size_t NumParams) = 0;
+
+  /// The raw parameter vector registered as table \p Index, empty when
+  /// there is no such table. Thread-safe.
+  virtual std::vector<double> getParamTable(int32_t Index) const {
+    (void)Index;
+    return {};
+  }
 
   /// The requests this engine serves. Constant for its lifetime.
   const EngineCapabilities &getCapabilities() const { return Capabilities; }
@@ -190,7 +204,7 @@ public:
       return false;
     bool Likelihood = Request.Kind == vm::QueryKind::Joint ||
                       Request.Kind == vm::QueryKind::Marginal;
-    if (Request.TableIndices && !(Likelihood && Capabilities.ParamTables))
+    if (Request.hasTables() && !(Likelihood && Capabilities.ParamTables))
       return false;
     return Request.NumSamples == 0 ||
            (Likelihood ? Request.Output : Request.Rows) != nullptr;

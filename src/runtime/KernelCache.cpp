@@ -102,6 +102,13 @@ uint64_t combineKey(uint64_t ModelHash, const spn::QueryConfig &Query,
   return Seed;
 }
 
+/// True for the queries whose kernels take weight tables and are shared
+/// by every model of one structure.
+bool isLikelihood(const spn::QueryConfig &Query) {
+  return Query.Kind == spn::QueryKind::Joint ||
+         Query.Kind == spn::QueryKind::Marginal;
+}
+
 } // namespace
 
 uint64_t KernelCache::makeKey(const spn::Model &Model,
@@ -109,8 +116,10 @@ uint64_t KernelCache::makeKey(const spn::Model &Model,
                               const PipelineConfig &Config,
                               uint64_t StageFingerprint,
                               const backend::Backend &TheBackend) {
-  return combineKey(contentHash(Model), Query, Config, StageFingerprint,
-                    TheBackend);
+  spn::QueryConfig Resolved = spn::resolveQuery(Model, Query);
+  return combineKey(isLikelihood(Resolved) ? structuralHash(Model)
+                                           : contentHash(Model),
+                    Resolved, Config, StageFingerprint, TheBackend);
 }
 
 std::string KernelCache::entryPath(uint64_t Key) const {
@@ -235,9 +244,44 @@ KernelCache::getOrCompile(const spn::Model &Model,
                           const spn::QueryConfig &Query,
                           const CompilerOptions &Options,
                           CompileStats *CompStats) {
-  return getOrCompileImpl(contentHash(Model), Model, Query, Options,
-                          CompStats, /*ExpectParameterized=*/false,
-                          /*FreshlyCompiled=*/nullptr);
+  spn::QueryConfig Resolved = spn::resolveQuery(Model, Query);
+  if (!isLikelihood(Resolved)) {
+    Expected<std::shared_ptr<ExecutionEngine>> Engine = getOrCompileImpl(
+        contentHash(Model), Model, Resolved, Options, CompStats, nullptr);
+    if (!Engine)
+      return Engine.getError();
+    return CompiledKernel(Engine.takeValue());
+  }
+
+  // Likelihood kernels take weight tables: one kernel per structure,
+  // and this model's table on it. Extracting the table checks every
+  // parameter, so a cache hit never serves an invalid model (the
+  // structure was validated when the kernel compiled).
+  Expected<std::vector<double>> Params = merge::extractParams(Model);
+  if (!Params)
+    return Params.getError();
+  bool Fresh = false;
+  Expected<std::shared_ptr<ExecutionEngine>> Engine = getOrCompileImpl(
+      structuralHash(Model), Model, Resolved, Options, CompStats, &Fresh);
+  if (!Engine)
+    return Engine.getError();
+  if (Fresh) {
+    // Trust-but-verify on every fresh compile: binding the generating
+    // model's own canonical parameters must reproduce the program's
+    // side tables bit-for-bit. A divergence means the param-site
+    // bookkeeping and the extraction order disagree — other models of
+    // the structure would silently evaluate the wrong parameters.
+    std::string Why;
+    if (!vm::verifySelfBinding(*(*Engine)->getProgram(), *Params, &Why))
+      return makeError("compiled kernel failed its self-binding check: " +
+                       Why);
+  }
+  int32_t TableIndex = (*Engine)->addParamTable(Params->data(),
+                                                Params->size());
+  if (TableIndex < 0)
+    return makeError("engine '" + (*Engine)->describe() +
+                     "' rejected the model's weight table");
+  return CompiledKernel(Engine.takeValue(), TableIndex);
 }
 
 Expected<KernelCache::MergedKernel>
@@ -245,46 +289,22 @@ KernelCache::getOrCompileMerged(const spn::Model &Model,
                                 const spn::QueryConfig &Query,
                                 const CompilerOptions &Options,
                                 CompileStats *CompStats) {
-  CompilerOptions MergedOptions = Options;
-  MergedOptions.Lowering.Parameterize = true;
-  std::vector<double> Params = merge::extractParams(Model);
-  bool Fresh = false;
-  Expected<CompiledKernel> Kernel = getOrCompileImpl(
-      structuralHash(Model), Model, Query, MergedOptions, CompStats,
-      /*ExpectParameterized=*/true, &Fresh);
+  if (!isLikelihood(Query))
+    return makeError("MPE and sampling kernels bake their parameters and "
+                     "take no weight tables (docs/merging.md)");
+  Expected<CompiledKernel> Kernel =
+      getOrCompile(Model, Query, Options, CompStats);
   if (!Kernel)
     return Kernel.getError();
-  const std::shared_ptr<ExecutionEngine> &Engine =
-      Kernel->getEngineShared();
-  if (Fresh) {
-    // Trust-but-verify on every fresh compile: binding the generating
-    // model's own canonical parameters must reproduce the program's
-    // baked side tables bit-for-bit. A divergence means the param-site
-    // bookkeeping and the extraction order disagree — serving would
-    // silently evaluate the wrong model, so fail loudly instead.
-    const vm::KernelProgram *Program = Engine->getProgram();
-    std::string Why = "engine exposes no compiled program";
-    if (!Program || !vm::verifySelfBinding(*Program, Params, &Why))
-      return makeError(
-          "merged compilation failed its self-binding check: " + Why);
-  }
-  int32_t TableIndex = Engine->addParamTable(Params.data(), Params.size());
-  if (TableIndex < 0)
-    return makeError("merged compilation: engine '" + Engine->describe() +
-                     "' rejected the weight table (no param-table "
-                     "support, or parameter count mismatch)");
-  MergedKernel Result;
-  Result.Kernel = std::move(*Kernel);
-  Result.TableIndex = TableIndex;
-  return Result;
+  int32_t TableIndex = Kernel->getTableIndex();
+  return MergedKernel{Kernel.takeValue(), TableIndex};
 }
 
-Expected<CompiledKernel>
+Expected<std::shared_ptr<ExecutionEngine>>
 KernelCache::getOrCompileImpl(uint64_t ModelHash, const spn::Model &Model,
                               const spn::QueryConfig &Query,
                               const CompilerOptions &Options,
                               CompileStats *CompStats,
-                              bool ExpectParameterized,
                               bool *FreshlyCompiled) {
   if (FreshlyCompiled)
     *FreshlyCompiled = false;
@@ -306,7 +326,7 @@ KernelCache::getOrCompileImpl(uint64_t ModelHash, const spn::Model &Model,
     if (It != Entries.end()) {
       ++Counters.Hits;
       touch(It);
-      return CompiledKernel(It->second.Engine);
+      return It->second.Engine;
     }
     ++Counters.Misses;
   }
@@ -332,15 +352,6 @@ KernelCache::getOrCompileImpl(uint64_t ModelHash, const spn::Model &Model,
           std::to_string(static_cast<unsigned>(Cached->Query)) +
           ", requested " +
           std::to_string(static_cast<unsigned>(Query.Kind)));
-    }
-    if (Cached && Cached->Parameterized != ExpectParameterized) {
-      // Same defense for the merged path: a non-parameterized blob in a
-      // merged slot (or vice versa) cannot serve the request.
-      Cached = makeError(ExpectParameterized
-                             ? "entry is not parameterized; the merged "
-                               "path requires a weight-table kernel"
-                             : "entry is parameterized; the classic "
-                               "path requires a baked kernel");
     }
     if (Cached) {
       // A `.spnk` stores only the portable program; the backend turns
@@ -373,8 +384,6 @@ KernelCache::getOrCompileImpl(uint64_t ModelHash, const spn::Model &Model,
     if (!Artifact)
       return Artifact.getError();
     Engine = std::move(Artifact->Engine);
-    if (FreshlyCompiled)
-      *FreshlyCompiled = true;
     if (!Path.empty() && Engine->getProgram()) {
       // Persist for future processes; failures (e.g. unwritable
       // directory) only cost the next process a recompile.
@@ -394,7 +403,7 @@ KernelCache::getOrCompileImpl(uint64_t ModelHash, const spn::Model &Model,
   if (It != Entries.end()) {
     // Lost a same-key race: the first engine wins, ours is dropped.
     touch(It);
-    return CompiledKernel(It->second.Engine);
+    return It->second.Engine;
   }
   LruOrder.push_front(Key);
   It = Entries.emplace(Key, Entry{std::move(Engine), LruOrder.begin()})
@@ -403,7 +412,9 @@ KernelCache::getOrCompileImpl(uint64_t ModelHash, const spn::Model &Model,
     ++Counters.DiskHits;
   else
     ++Counters.Recompiles;
-  CompiledKernel Result(It->second.Engine);
+  if (FreshlyCompiled)
+    *FreshlyCompiled = !FromDisk;
+  std::shared_ptr<ExecutionEngine> Result = It->second.Engine;
   enforceCapacity();
   return Result;
 }

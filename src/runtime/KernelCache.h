@@ -9,11 +9,15 @@
 /// A thread-safe, bounded cache of compiled kernels for serving
 /// scenarios that mix repeated queries over a fixed set of models (the
 /// compile-once/run-many regime the paper's §V-B compile-time
-/// measurements motivate). Kernels are keyed by (model
-/// structure+parameters, query configuration, pipeline configuration,
-/// registered-stage fingerprint, backend identity); a second request
-/// with the same key returns the already-constructed ExecutionEngine
-/// instead of recompiling. The backend component (name + artifact
+/// measurements motivate). Kernels are keyed by (model, resolved query
+/// configuration, pipeline configuration, registered-stage fingerprint,
+/// backend identity); a second request with the same key returns the
+/// already-constructed ExecutionEngine instead of recompiling. The model
+/// component of a joint/marginal kernel is its structure alone: such
+/// kernels take weight tables, so every structurally-isomorphic model
+/// shares one engine and gets its own table on it (docs/merging.md).
+/// MPE and sampling kernels bake their parameters and key on the model's
+/// content. The backend component (name + artifact
 /// fingerprint, see backend/Backend.h) means switching `--backend` or
 /// the native toolchain never serves a stale kernel.
 ///
@@ -157,8 +161,8 @@ public:
   /// scopes — tunable parameters (sum weights, bucket masses, category
   /// probabilities, Gaussian mean/stddev) excluded, so a weight-only
   /// edit does NOT change it. Every member of a merge group shares this
-  /// value; it keys the merged compilation path (getOrCompileMerged).
-  /// Delegates to merge::structuralHash. Thread-safe.
+  /// value; it keys joint/marginal kernels. Delegates to
+  /// merge::structuralHash. Thread-safe.
   static uint64_t structuralHash(const spn::Model &Model);
 
   /// Order-sensitive hash of \p Pipeline's registered stage names — the
@@ -168,7 +172,9 @@ public:
   static uint64_t stageFingerprint(const CompilationPipeline &Pipeline);
 
   /// The key getOrCompile uses for compiling \p Model for \p Query
-  /// under \p Config, with a pipeline whose stage fingerprint is
+  /// (resolved against the model, spn::resolveQuery; structuralHash for
+  /// joint/marginal queries, contentHash otherwise) under \p Config,
+  /// with a pipeline whose stage fingerprint is
   /// \p StageFingerprint (see stageFingerprint()) on \p TheBackend (its
   /// name and artifact fingerprint; a cache without a configured
   /// backend uses backend::VmBackend). Thread-safe; never fails.
@@ -183,33 +189,35 @@ public:
   /// cache lock, so distinct keys compile concurrently; concurrent
   /// requests for one key may compile redundantly, but exactly one
   /// engine wins and all callers share it. \p Stats is only written on
-  /// an actual compile (cache hits leave it untouched). Fails only when
-  /// \p Options is invalid or compilation fails — disk-tier corruption
-  /// is recovered transparently.
+  /// an actual compile (cache hits leave it untouched).
+  ///
+  /// A joint/marginal kernel answers for \p Model through its weight
+  /// table: the model's parameters (merge::extractParams, which checks
+  /// each of them) are registered on the structure's shared engine and
+  /// the returned kernel carries their table index. A fresh compile is
+  /// checked with vm::verifySelfBinding before being trusted: binding
+  /// the generating model's own parameters must reproduce the program's
+  /// side tables bit-for-bit.
+  ///
+  /// Fails when \p Options is invalid, a parameter of \p Model is
+  /// invalid, or compilation fails — disk-tier corruption is recovered
+  /// transparently. Thread-safe.
   Expected<CompiledKernel> getOrCompile(const spn::Model &Model,
                                         const spn::QueryConfig &Query,
                                         const CompilerOptions &Options,
                                         CompileStats *Stats = nullptr);
 
-  /// A merged-path result: the group's shared kernel plus the index of
-  /// this model's weight table inside the kernel's engine (the row tag
-  /// RunRequest::TableIndices carries).
+  /// A kernel of a shared engine plus the index of the model's weight
+  /// table on that engine (the row tag RunRequest::TableIndices
+  /// carries).
   struct MergedKernel {
     CompiledKernel Kernel;
     int32_t TableIndex = -1;
   };
 
-  /// Merged-model variant of getOrCompile (docs/merging.md): the cache
-  /// key uses structuralHash(\p Model) instead of contentHash, and the
-  /// kernel is compiled with `Lowering.Parameterize` forced on, so every
-  /// structurally-isomorphic model maps to ONE cache entry — the first
-  /// member compiles, later members only register their weight table
-  /// (merge::extractParams) with the shared engine. A fresh compile is
-  /// checked with vm::verifySelfBinding before being trusted: binding
-  /// the generating model's own parameters must reproduce the baked
-  /// side tables bit-for-bit. Joint/marginal queries on CPU targets
-  /// only (the parameterized pipeline rejects the rest). Thread-safe
-  /// like getOrCompile.
+  /// getOrCompile, with the kernel's table index spelled out for callers
+  /// that batch rows of several models of one structure
+  /// (docs/merging.md).
   Expected<MergedKernel>
   getOrCompileMerged(const spn::Model &Model,
                      const spn::QueryConfig &Query,
@@ -251,19 +259,17 @@ private:
     std::list<uint64_t>::iterator LruIt;
   };
 
-  /// The shared miss/hit machinery behind getOrCompile and
-  /// getOrCompileMerged: memory lookup, disk probe, compile, insert.
-  /// \p ModelHash seeds the key (contentHash for the classic path,
-  /// structuralHash for the merged path); \p ExpectParameterized
-  /// rejects disk entries whose Parameterized flag does not match;
-  /// \p FreshlyCompiled (optional) reports whether the pipeline
-  /// actually ran (false on memory/disk hits).
-  Expected<CompiledKernel>
+  /// The miss/hit machinery behind getOrCompile: memory lookup, disk
+  /// probe, compile, insert. \p ModelHash seeds the key (structuralHash
+  /// for likelihood queries, contentHash otherwise) and \p Query is
+  /// resolved; \p FreshlyCompiled (optional) reports whether the
+  /// returned engine is one this call compiled (false on memory/disk
+  /// hits and when a concurrent compile of the same key won).
+  Expected<std::shared_ptr<ExecutionEngine>>
   getOrCompileImpl(uint64_t ModelHash, const spn::Model &Model,
                    const spn::QueryConfig &Query,
                    const CompilerOptions &Options,
-                   CompileStats *CompStats, bool ExpectParameterized,
-                   bool *FreshlyCompiled);
+                   CompileStats *CompStats, bool *FreshlyCompiled);
 
   /// Moves \p It to the front of the recency list. Caller holds Mutex.
   void touch(std::unordered_map<uint64_t, Entry>::iterator It);

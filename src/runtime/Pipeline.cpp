@@ -43,19 +43,12 @@ Expected<PipelineConfig> PipelineConfig::create(CompilerOptions Options) {
                      " (supported: 1, 4, 8, 16)");
   if (Options.Execution.NumThreads == 0)
     Options.Execution.NumThreads = 1;
-  unsigned CW = Options.Lowering.ComputeWidth;
-  if (CW != 0 && CW != 32 && CW != 64)
-    return makeError("invalid compute width " + std::to_string(CW) +
-                     " (supported: 0 = auto, 32, 64)");
   if (Options.GpuBlockSize > Options.Device.MaxThreadsPerBlock)
     return makeError("GPU block size " +
                      std::to_string(Options.GpuBlockSize) +
                      " exceeds the device limit of " +
                      std::to_string(Options.Device.MaxThreadsPerBlock) +
                      " threads per block");
-  if (Options.Lowering.Parameterize && Options.TheTarget == Target::GPU)
-    return makeError("parameterized (merged-model) compilation targets "
-                     "the CPU; the GPU path does not take weight tables");
   return PipelineConfig(std::move(Options));
 }
 
@@ -67,11 +60,6 @@ uint64_t PipelineConfig::hash() const {
       O.Execution.UseShuffle, O.Execution.NumThreads,
       O.Execution.ChunkSize, O.GpuBlockSize, O.GpuTransferElimination,
       O.AvoidBufferCopies);
-  hashCombineSeed(Seed,
-                  hashCombine(O.Lowering.ComputeWidth,
-                              O.Lowering.F32MinLogThreshold,
-                              O.Lowering.GaussianEvidenceSigmas,
-                              O.Lowering.Parameterize));
   hashCombineSeed(
       Seed, hashCombine(O.Partitioning.MaxPartitionSize,
                         O.Partitioning.Slack,
@@ -111,24 +99,6 @@ CompilationPipeline::CompilationPipeline(PipelineConfig TheConfig)
 }
 
 namespace {
-
-/// Resolves the query's Auto compute type against a forced lowering
-/// width, mirroring the paper's "decide in the lowering" default.
-spn::QueryConfig resolveQuery(const spn::QueryConfig &Query,
-                              const CompilerOptions &Options) {
-  spn::QueryConfig Resolved = Query;
-  if (Resolved.DataType == spn::ComputeType::Auto &&
-      Options.Lowering.ComputeWidth != 0)
-    Resolved.DataType = Options.Lowering.ComputeWidth == 64
-                            ? spn::ComputeType::F64
-                            : spn::ComputeType::F32;
-  // MPE and sampling mark to-be-completed features with NaN evidence,
-  // so their kernels always support marginalized evidence.
-  if (Resolved.Kind == spn::QueryKind::Mpe ||
-      Resolved.Kind == spn::QueryKind::Sample)
-    Resolved.SupportMarginal = true;
-  return Resolved;
-}
 
 /// MPE/sampling programs carry a traceback plan whose register
 /// references require a single unpartitioned task (see Codegen.h).
@@ -310,15 +280,12 @@ void CompilationPipeline::buildStages() {
     assert(!Err && "default stage registration failed");
   };
 
-  // Stage 1: translation into the HiSPN dialect (paper §IV-A2). Under
-  // merged-model compilation the translation tags every sum/leaf op with
-  // its canonical parameter base index (docs/merging.md).
-  MustRegister({"translate", O.Lowering.Parameterize
-                                 ? "model -> HiSPN dialect (parameterized)"
-                                 : "model -> HiSPN dialect"},
+  // Stage 1: translation into the HiSPN dialect (paper §IV-A2). For
+  // likelihood queries the translation tags every sum/leaf op with its
+  // canonical parameter base index (docs/merging.md).
+  MustRegister({"translate", "model -> HiSPN dialect"},
                [](StageContext &C) -> std::optional<Error> {
-    C.Module = spn::translateToHiSPN(C.Ctx, C.Model, C.Query,
-                                     C.Options.Lowering.Parameterize);
+    C.Module = spn::translateToHiSPN(C.Ctx, C.Model, C.Query);
     if (!C.Module)
       return makeError("translation to HiSPN failed (invalid model?)");
     return std::nullopt;
@@ -328,16 +295,11 @@ void CompilationPipeline::buildStages() {
   MustRegister({"ir-pipeline", describeIrPipeline(O)},
                [](StageContext &C) -> std::optional<Error> {
     const CompilerOptions &O = C.Options;
-    transforms::LoweringOptions Lowering = O.Lowering;
-    if (C.Query.DataType == spn::ComputeType::F32)
-      Lowering.ComputeWidth = 32;
-    else if (C.Query.DataType == spn::ComputeType::F64)
-      Lowering.ComputeWidth = 64;
-
     PassManager PM(C.Ctx, O.VerifyIR);
     if (O.OptLevel >= 1)
       PM.addPass(createCanonicalizerPass()); // HiSPN-level early opts
-    PM.addPass(transforms::createHiSPNToLoSPNLoweringPass(Lowering));
+    PM.addPass(transforms::createHiSPNToLoSPNLoweringPass(
+        C.Query.DataType == spn::ComputeType::F64 ? 64 : 32));
     // Task partitioning would split the kernel; MPE/sampling tracebacks
     // need the whole graph in one task's register file.
     if (O.MaxPartitionSize > 0 && !queryNeedsTraceback(C.Query)) {
@@ -376,7 +338,6 @@ void CompilationPipeline::buildStages() {
     codegen::CodegenOptions CGOptions;
     CGOptions.OptLevel = O.OptLevel;
     CGOptions.EmitSelectCascades = O.TheTarget == Target::GPU;
-    CGOptions.Parameterize = O.Lowering.Parameterize;
     // spn::QueryKind and vm::QueryKind share numeric values by contract.
     CGOptions.Query = static_cast<vm::QueryKind>(C.Query.Kind);
     Expected<vm::KernelProgram> Program =
@@ -414,7 +375,7 @@ CompilationPipeline::compile(const spn::Model &Model,
   CompileStats &S = Stats ? *Stats : LocalStats;
   S = CompileStats();
 
-  StageContext C(Model, resolveQuery(Query, Config.getOptions()),
+  StageContext C(Model, spn::resolveQuery(Model, Query),
                  Config.getOptions(), S);
   for (size_t I = 0; I < Runners.size(); ++I) {
     Timer StageTimer;

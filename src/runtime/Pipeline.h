@@ -71,7 +71,6 @@ struct CompilerOptions {
   bool AvoidBufferCopies = true;
   /// Verify the IR after each pass (slow for very large graphs).
   bool VerifyIR = false;
-  transforms::LoweringOptions Lowering;
   partition::PartitionOptions Partitioning;
 };
 
@@ -281,7 +280,8 @@ public:
   /// report stages were already registered.
   std::optional<Error> enableStageReport();
 
-  /// Runs every stage over \p Model, returning the engine-ready program.
+  /// Runs every stage over \p Model for \p Query resolved against it
+  /// (spn::resolveQuery), returning the engine-ready program.
   /// Per-stage timings and the pass/codegen breakdowns are recorded into
   /// \p Stats when provided (\p Stats is untouched on failure). Fails on
   /// malformed models or IR verification errors; the pipeline itself is

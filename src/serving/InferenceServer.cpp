@@ -273,13 +273,11 @@ InferenceServer::addModel(const std::string &Name,
       Effective.Device.NumStreams == 0)
     Effective.Device.NumStreams = Config.NumWorkers;
 
-  // Merged serving, where the parameterized path supports it (CPU
-  // targets, likelihood queries — docs/merging.md). Everything else
-  // falls through to the per-model path below, merging or not.
-  if (Config.MergeModels &&
-      Effective.TheTarget != runtime::Target::GPU &&
-      (Query.Kind == spn::QueryKind::Joint ||
-       Query.Kind == spn::QueryKind::Marginal))
+  // Merged serving for likelihood queries, whose kernels take weight
+  // tables (docs/merging.md). MPE and sampling fall through to the
+  // per-model path below, merging or not.
+  if (Config.MergeModels && (Query.Kind == spn::QueryKind::Joint ||
+                             Query.Kind == spn::QueryKind::Marginal))
     return addMergedModel(Name, Model, Query, Effective);
 
   // Compile (or fetch) outside the locks: compilation is slow and the
@@ -329,11 +327,11 @@ InferenceServer::addMergedModel(const std::string &Name,
                                 const spn::Model &Model,
                                 const spn::QueryConfig &Query,
                                 const runtime::CompilerOptions &Options) {
-  // One parameterized kernel per merge group: the cache keys on the
-  // structural hash, so every isomorphic model returns the same engine
-  // with its own weight-table index (docs/merging.md).
-  Expected<runtime::KernelCache::MergedKernel> Merged =
-      Cache->getOrCompileMerged(Model, Query, Options);
+  // One kernel per merge group: the cache keys likelihood kernels on
+  // the structural hash, so every isomorphic model returns the same
+  // engine with its own weight-table index (docs/merging.md).
+  Expected<runtime::CompiledKernel> Merged =
+      Cache->getOrCompile(Model, Query, Options);
   if (!Merged)
     return Merged.getError();
 
@@ -343,7 +341,7 @@ InferenceServer::addMergedModel(const std::string &Name,
   size_t ShardIndex = placeOnShard(
       runtime::KernelCache::structuralHash(Model), Shards.size());
   Shard &TheShard = *Shards[ShardIndex];
-  const void *EngineKey = Merged->Kernel.getEngineShared().get();
+  const void *EngineKey = Merged->getEngineShared().get();
 
   std::unique_ptr<ModelEntry> Fresh;
   ModelEntry *Raw = nullptr;
@@ -362,7 +360,7 @@ InferenceServer::addMergedModel(const std::string &Name,
     } else {
       Fresh = std::make_unique<ModelEntry>();
       Fresh->Name = Name;
-      Fresh->Kernel = Merged->Kernel;
+      Fresh->Kernel = *Merged;
       Fresh->Query = Query;
       Fresh->NumFeatures = Model.getNumFeatures();
       Fresh->Merged = true;
@@ -370,7 +368,7 @@ InferenceServer::addMergedModel(const std::string &Name,
     }
     auto [It, Inserted] = Routing.emplace(
         Name,
-        Route{ShardIndex, Raw, Raw->NumFeatures, Merged->TableIndex});
+        Route{ShardIndex, Raw, Raw->NumFeatures, Merged->getTableIndex()});
     (void)It;
     if (!Inserted)
       return makeError("model '" + Name + "' is already registered");

@@ -37,8 +37,8 @@
 ///    completes with `RequestStatus::TimedOut` instead of occupying a
 ///    batch slot;
 ///  * with `ServerConfig::MergeModels`, structurally-isomorphic models
-///    (same DAG shape, different weights) compile into one
-///    parameterized kernel via `KernelCache::getOrCompileMerged` and
+///    (same DAG shape, different weights), which the kernel cache
+///    already compiles into one kernel with a weight table per model,
 ///    share one request queue, so traffic for different models of a
 ///    merge group coalesces into the same micro-batch — each row
 ///    executes against its own model's weight table
@@ -180,13 +180,12 @@ struct ServerConfig {
   /// two batches reuse a stream.
   uint64_t SampleSeed = 0;
   /// Merged-model serving (docs/merging.md): structurally-isomorphic
-  /// CPU joint/marginal models compile through
-  /// KernelCache::getOrCompileMerged into one parameterized kernel and
-  /// share one request queue, so requests for different models of a
-  /// merge group coalesce into the same micro-batch (each row tagged
-  /// with its model's weight-table index). Models the merged path
-  /// cannot serve (GPU targets, MPE/sampling queries) fall back to
-  /// their own per-model kernel as if merging were off.
+  /// joint/marginal models, which share one kernel with a weight table
+  /// each, also share one request queue, so requests for different
+  /// models of a merge group coalesce into the same micro-batch (each
+  /// row tagged with its model's weight-table index). MPE/sampling
+  /// models, whose kernels bake their parameters, keep their own queue
+  /// as if merging were off.
   bool MergeModels = false;
 };
 
@@ -343,8 +342,8 @@ private:
   };
 
   /// addModel's merged-serving path: compiles (or joins) the merge
-  /// group's parameterized kernel and routes \p Name to the group's
-  /// shared ModelEntry with its own weight-table index.
+  /// group's shared kernel and routes \p Name to the group's shared
+  /// ModelEntry with its own weight-table index.
   std::optional<Error>
   addMergedModel(const std::string &Name, const spn::Model &Model,
                  const spn::QueryConfig &Query,
@@ -389,9 +388,9 @@ private:
   /// Guarded by RoutingMutex; entries are never removed.
   std::vector<std::unique_ptr<ModelEntry>> OwnedModels;
   /// Merged serving: engine identity -> the shared ModelEntry serving
-  /// that merge group. Two addModel calls whose merged compilation
-  /// lands on the same engine (same structural hash, query and options)
-  /// share the entry — and therefore its queues and batches. Guarded by
+  /// that merge group. Two merged addModel calls whose kernels share
+  /// one engine (same structural hash, query and options) share the
+  /// entry — and therefore its queues and batches. Guarded by
   /// RoutingMutex.
   std::unordered_map<const void *, ModelEntry *> MergedGroups;
   /// Submits that never reached a shard (unknown model, empty request,

@@ -9,8 +9,8 @@
 /// Lowers hi_spn.joint_query / hi_spn.mpe_query / hi_spn.sample_query
 /// operations to lo_spn.kernel operations in tensor form (paper
 /// §IV-A3). The lowering:
-///  * picks the concrete computation type for the abstract probability
-///    type (f32/f64, optionally wrapped in !lo_spn.log<>);
+///  * gives the abstract probability type the resolved concrete width
+///    (f32/f64, optionally wrapped in !lo_spn.log<>);
 ///  * decomposes variadic weighted sums into binary mul/add chains with
 ///    lo_spn.constant weights (log-weights in log-space);
 ///  * wraps the whole DAG into a single task whose body processes one
@@ -22,73 +22,23 @@
 #include "dialects/lospn/LoSPNOps.h"
 #include "transforms/Passes.h"
 
+#include <cassert>
 #include <cmath>
-#include <limits>
 #include <unordered_map>
 
 using namespace spnc;
 using namespace spnc::ir;
 using namespace spnc::transforms;
 
-double spnc::transforms::estimateMinLogProbability(
-    Operation *GraphOperation, const LoweringOptions &Options) {
-  hispn::GraphOp Graph(GraphOperation);
-  // Bottom-up propagation of a conservative lower bound on each node's
-  // log-value:
-  //   leaf: log of the smallest positive probability (mass) it can emit;
-  //         Gaussians are bounded assuming evidence within k sigma;
-  //   product: the factors are independent, bounds add;
-  //   sum: sum_i w_i p_i(x) >= w_j p_j(x) for every j, so the best
-  //        single weighted child bound is a valid lower bound.
-  std::unordered_map<Operation *, double> Bounds;
-  double RootBound = 0.0;
-  for (Operation *Op : Graph.getBody()) {
-    double Bound = 0.0;
-    if (auto Gauss = dyn_cast_op<hispn::GaussianOp>(Op)) {
-      double K = Options.GaussianEvidenceSigmas;
-      Bound = -0.5 * K * K - std::log(Gauss.getStdDev()) -
-              0.91893853320467274178;
-    } else if (auto Hist = dyn_cast_op<hispn::HistogramOp>(Op)) {
-      double MinMass = 1.0;
-      std::vector<double> Flat = Hist.getFlatBuckets();
-      for (size_t I = 2; I < Flat.size(); I += 3)
-        if (Flat[I] > 0.0)
-          MinMass = std::min(MinMass, Flat[I]);
-      Bound = std::log(MinMass);
-    } else if (auto Cat = dyn_cast_op<hispn::CategoricalOp>(Op)) {
-      double MinMass = 1.0;
-      for (double P : Cat.getProbabilities())
-        if (P > 0.0)
-          MinMass = std::min(MinMass, P);
-      Bound = std::log(MinMass);
-    } else if (isa_op<hispn::ProductOp>(Op)) {
-      for (unsigned I = 0; I < Op->getNumOperands(); ++I)
-        Bound += Bounds[Op->getOperand(I).getDefiningOp()];
-    } else if (auto Sum = dyn_cast_op<hispn::SumOp>(Op)) {
-      Bound = -std::numeric_limits<double>::infinity();
-      std::vector<double> Weights = Sum.getWeights();
-      for (unsigned I = 0; I < Op->getNumOperands(); ++I) {
-        if (Weights[I] <= 0.0)
-          continue;
-        Bound = std::max(
-            Bound, std::log(Weights[I]) +
-                       Bounds[Op->getOperand(I).getDefiningOp()]);
-      }
-    } else if (auto Root = dyn_cast_op<hispn::RootOp>(Op)) {
-      RootBound = Bounds[Root.getRootValue().getDefiningOp()];
-      continue;
-    }
-    Bounds[Op] = Bound;
-  }
-  return RootBound;
-}
-
 namespace {
 
 class HiSPNToLoSPNPass : public Pass {
 public:
-  explicit HiSPNToLoSPNPass(LoweringOptions Options)
-      : Options(Options) {}
+  explicit HiSPNToLoSPNPass(unsigned ComputeWidth)
+      : ComputeWidth(ComputeWidth) {
+    assert((ComputeWidth == 32 || ComputeWidth == 64) &&
+           "compute width must be 32 or 64");
+  }
 
   const char *getName() const override { return "lower-hispn-to-lospn"; }
 
@@ -96,19 +46,10 @@ public:
     lospn::registerLoSPNDialect(Ctx);
     std::vector<Operation *> Queries;
     for (Operation *Op : cast_op<ModuleOp>(Module).getBody()) {
-      if (isa_op<hispn::MpeQueryOp>(Op) || isa_op<hispn::SampleQueryOp>(Op)) {
-        if (Options.Parameterize) {
-          // The MPE/sampling traceback plan bakes parameter-dependent
-          // values (mode masses, CDF buckets) that no weight table can
-          // override; merged-model compilation is evidence-only.
-          Ctx.emitError("parameterized lowering supports joint/marginal "
-                        "queries only (docs/merging.md)");
-          return failure();
-        }
+      if (isa_op<hispn::MpeQueryOp>(Op) ||
+          isa_op<hispn::SampleQueryOp>(Op) ||
+          isa_op<hispn::JointQueryOp>(Op))
         Queries.push_back(Op);
-      } else if (isa_op<hispn::JointQueryOp>(Op)) {
-        Queries.push_back(Op);
-      }
     }
     for (Operation *Query : Queries)
       if (failed(lowerQuery(makeQueryInfo(Query), Ctx)))
@@ -152,27 +93,11 @@ private:
     }
     return Info;
   }
-  /// Chooses the concrete computation type (paper §III-A: deferred until
-  /// lowering, based on characteristics of the SPN). Log-space is
-  /// underflow-safe, so the narrow type suffices; linear-space graphs
-  /// run the underflow analysis and widen to f64 when f32 could flush
-  /// the result to zero.
+  /// The concrete computation type: the resolved width, wrapped in
+  /// !lo_spn.log<> for log-space queries.
   Type selectComputationType(const QueryInfo &Query, Context &Ctx) {
-    unsigned Width = Options.ComputeWidth;
-    if (Width == 0) {
-      Width = 32;
-      // The linear-space underflow analysis reads the parameter values,
-      // so its f32/f64 verdict could differ between members of a merge
-      // group; parameterized lowering widens unconditionally instead.
-      // (Log space always picks the narrow type — value-independent.)
-      if (!Query.LogSpace &&
-          (Options.Parameterize ||
-           estimateMinLogProbability(Query.Graph, Options) <
-               Options.F32MinLogThreshold))
-        Width = 64;
-    }
-    Type Storage = Width == 64 ? Type(FloatType::getF64(Ctx))
-                               : Type(FloatType::getF32(Ctx));
+    Type Storage = ComputeWidth == 64 ? Type(FloatType::getF64(Ctx))
+                                      : Type(FloatType::getF32(Ctx));
     return Query.LogSpace ? Type(lospn::LogType::get(Ctx, Storage))
                           : Storage;
   }
@@ -256,7 +181,7 @@ private:
         RootValue = Lowered.at(Root.getRootValue().getDefiningOp());
         continue;
       }
-      // Merged-model compilation: leaf ops inherit their `param` base
+      // Likelihood queries: leaf ops inherit their `param` base
       // attribute, each sum-weight constant gets `base + child index`.
       // The unique per-site attributes double as a CSE barrier — no two
       // tagged ops can be deduplicated, keeping the program shape
@@ -354,12 +279,12 @@ private:
     return success();
   }
 
-  LoweringOptions Options;
+  unsigned ComputeWidth;
 };
 
 } // namespace
 
 std::unique_ptr<Pass>
-spnc::transforms::createHiSPNToLoSPNLoweringPass(LoweringOptions Options) {
-  return std::make_unique<HiSPNToLoSPNPass>(Options);
+spnc::transforms::createHiSPNToLoSPNLoweringPass(unsigned ComputeWidth) {
+  return std::make_unique<HiSPNToLoSPNPass>(ComputeWidth);
 }

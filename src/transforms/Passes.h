@@ -25,45 +25,14 @@
 namespace spnc {
 namespace transforms {
 
-/// Options of the HiSPN -> LoSPN lowering.
-struct LoweringOptions {
-  /// Force the compute float width; 0 = decide by error analysis
-  /// (paper §III-A: the abstract probability type defers this decision
-  /// to the lowering, "based on characteristics ... of the SPN").
-  unsigned ComputeWidth = 0;
-  /// Linear-space underflow analysis: a conservative lower bound on the
-  /// smallest log-probability the graph can produce is propagated bottom
-  /// up; if it falls below this threshold (default: near log FLT_MIN),
-  /// f32 would underflow to zero and f64 is selected. Log-space
-  /// computation is underflow-safe and always uses the narrow type.
-  double F32MinLogThreshold = -85.0;
-  /// Evidence range assumed for Gaussian leaves in the underflow
-  /// analysis, in standard deviations from the mean.
-  double GaussianEvidenceSigmas = 4.0;
-  /// Merged-model compilation (docs/merging.md): tag every tunable
-  /// parameter site (sum-weight constants, leaf distribution ops) with a
-  /// unique `param` index attribute so downstream passes keep the
-  /// program shape independent of the parameter *values*: CSE keys on
-  /// the distinct attributes, the identity canonicalization patterns
-  /// skip tagged constants, and codegen gives every tagged site its own
-  /// weight-table slot. The indices follow the canonical order of
-  /// `merge::extractParams`. Joint/marginal queries only — the
-  /// MPE/sampling traceback bakes parameter-dependent mode values.
-  bool Parameterize = false;
-};
-
-/// Conservative lower bound on the log-probability any single evaluation
-/// of the graph can produce (the underflow analysis behind the automatic
-/// f32/f64 selection). Exposed for testing.
-double estimateMinLogProbability(ir::Operation *GraphOp,
-                                 const LoweringOptions &Options);
-
 /// Lowers every HiSPN query (hi_spn.joint_query / hi_spn.mpe_query /
 /// hi_spn.sample_query) in the module to a lo_spn.kernel with a single
-/// task in tensor form (paper §IV-A3). MPE queries combine weighted sum
-/// terms with lo_spn.max (max-product) instead of lo_spn.add.
+/// task in tensor form (paper §IV-A3), computing in floats of
+/// \p ComputeWidth bits (32 or 64; spn::resolveQuery picks it). MPE
+/// queries combine weighted sum terms with lo_spn.max (max-product)
+/// instead of lo_spn.add.
 std::unique_ptr<ir::Pass>
-createHiSPNToLoSPNLoweringPass(LoweringOptions Options = {});
+createHiSPNToLoSPNLoweringPass(unsigned ComputeWidth = 32);
 
 /// Splits oversized LoSPN tasks into multiple tasks using the acyclic
 /// graph partitioner (paper §IV-A4).

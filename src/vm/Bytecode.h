@@ -120,7 +120,7 @@ inline constexpr double kLogSqrt2Pi = 0.91893853320467274178;
 inline constexpr double kInvSqrt2Pi = 0.39894228040143267794;
 
 /// Which side-table slot of a task a tunable parameter lands in
-/// (parameterized programs, docs/merging.md).
+/// (docs/merging.md).
 enum class ParamSlotKind : uint8_t {
   /// ConstPool[Index] (a sum-weight constant).
   ConstPool = 0,
@@ -135,6 +135,13 @@ enum class ParamSlotKind : uint8_t {
   TableValue = 4,
   /// Selects[Index].Value (select-cascade lowering).
   SelectValue = 5,
+  /// A sum weight the -O2 peephole folded into Gaussians[Index]: its
+  /// Coefficient and MarginalValue absorb the weight (added in log
+  /// space, multiplied in linear space; see vm::foldWeight).
+  GaussianFold = 6,
+  /// A sum weight folded into Tables[Index]: every value, the
+  /// DefaultValue and the MarginalValue absorb it.
+  TableFold = 7,
 };
 
 /// How a raw model parameter is transformed before it is written into
@@ -153,8 +160,9 @@ enum class ParamTransform : uint8_t {
   LinearGaussCoefficient = 4,
 };
 
-/// One tunable slot of a parameterized task: binding a weight table
-/// writes Transform(Raw[Param]) into the slot the site describes. The
+/// One tunable slot of a task: binding a weight table writes
+/// Transform(Raw[Param]) into the slot the site describes, or folds it
+/// into a leaf (the Fold kinds, which follow the leaf's own sites). The
 /// sites of structurally-isomorphic models are identical; only the raw
 /// parameter vectors differ.
 struct ParamSite {
@@ -191,9 +199,9 @@ struct TaskProgram {
   std::vector<BufferAccess> Stores;
   /// Register operand lists of the n-ary instructions.
   std::vector<uint32_t> Args;
-  /// Tunable slots of a parameterized program (empty otherwise). The
-  /// baked side tables above double as the generating model's own
-  /// binding, so a parameterized program still runs stand-alone.
+  /// Tunable slots (joint/marginal programs; empty for MPE/sampling,
+  /// whose traceback plan bakes values). The side tables above hold the
+  /// generating model's own binding, so a program runs stand-alone.
   std::vector<ParamSite> ParamSites;
 };
 
@@ -322,11 +330,10 @@ struct KernelProgram {
   QueryKind Query = QueryKind::Joint;
   /// Downward traceback plan (MPE / sampling programs only).
   TracebackPlan Plan;
-  /// Merged-model compilation (docs/merging.md): the program was
-  /// generated with parameter sites, so engines may rebind its sum
-  /// weights and leaf parameters from a per-model weight table.
-  bool Parameterized = false;
-  /// Length of the canonical parameter vector the sites index into.
+  /// Length of the canonical parameter vector the sites index into
+  /// (docs/merging.md): engines rebind a joint/marginal program's sum
+  /// weights and leaf parameters from per-model weight tables of this
+  /// length.
   uint32_t NumParams = 0;
 
   /// Total number of instructions across all tasks.

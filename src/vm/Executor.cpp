@@ -744,13 +744,17 @@ void CpuExecutor::dispatch(const KernelProgram &TheProgram,
   }
 }
 
+std::vector<double> CpuExecutor::getParamTable(int32_t Index) const {
+  return Tables.raw(Index);
+}
+
 int32_t CpuExecutor::addParamTable(const double *Params,
                                    size_t NumParams) {
   if (!getCapabilities().ParamTables || NumParams != Program.NumParams)
     return -1;
   return Tables.add(std::span<const double>(Params, NumParams),
                     [this](std::span<const double> Raw) {
-                      return bindParams(Program, Raw);
+                      return bindIfDifferent(Program, Raw);
                     });
 }
 
@@ -806,9 +810,8 @@ void runQueryBatch(const KernelProgram &Program, QueryKind Kind,
 
 bool CpuExecutor::run(const runtime::RunRequest &Request,
                       runtime::ExecutionStats *Stats) const {
-  std::optional<std::vector<const KernelProgram *>> Bound;
-  if (Request.TableIndices &&
-      !(Bound = Tables.resolve(Request.TableIndices, Request.NumSamples)))
+  std::optional<std::vector<const std::optional<KernelProgram> *>> Bound;
+  if (Request.hasTables() && !(Bound = Tables.resolve(Request)))
     return false;
   return timedRun(Request, Stats, [&](runtime::ExecutionStats &) {
     size_t N = Request.NumSamples;
@@ -837,11 +840,12 @@ bool CpuExecutor::run(const runtime::RunRequest &Request,
     if (!Bound)
       dispatch(Program, Request.Input, Request.Output, N, 0, N);
     else
-      forEachTableRun(Request.TableIndices, N,
-                      [&](size_t Begin, size_t End, uint32_t Table) {
-                        dispatch(*(*Bound)[Table], Request.Input,
-                                 Request.Output, N, Begin, End);
-                      });
+      forEachTableRun(Request, [&](size_t Begin, size_t End,
+                                   uint32_t Table) {
+        const std::optional<KernelProgram> &Rebound = *(*Bound)[Table];
+        dispatch(Rebound ? *Rebound : Program, Request.Input,
+                 Request.Output, N, Begin, End);
+      });
     if (Pool)
       Pool->wait();
   });

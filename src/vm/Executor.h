@@ -83,10 +83,12 @@ public:
   bool run(const runtime::RunRequest &Request,
            runtime::ExecutionStats *Stats = nullptr) const override;
 
-  /// Weight tables of parameterized (merged-model) programs: each table
-  /// is bound into a private copy of the program once, so indexed
-  /// requests run at the same per-sample cost as plain ones.
+  /// Weight tables of joint/marginal programs: each table is bound into
+  /// a private copy of the program once (none for the table of the
+  /// model the program was compiled from), so requests under a table
+  /// run at the same per-sample cost as plain ones.
   int32_t addParamTable(const double *Params, size_t NumParams) override;
+  std::vector<double> getParamTable(int32_t Index) const override;
 
 private:
   /// Runs samples [Begin, End) of a batch of \p TotalSamples through
@@ -102,7 +104,7 @@ private:
   KernelProgram Program;
   ExecutionConfig Config;
   std::unique_ptr<ThreadPool> Pool;
-  ParamTableSet<KernelProgram> Tables;
+  ParamTableSet<std::optional<KernelProgram>> Tables;
 };
 
 //===----------------------------------------------------------------------===//

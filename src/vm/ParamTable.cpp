@@ -1,4 +1,4 @@
-//===- ParamTable.cpp - Weight-table binding for parameterized programs -------===//
+//===- ParamTable.cpp - Weight-table binding of compiled programs ------------===//
 //
 // Part of the SPNC-Repro project.
 // SPDX-License-Identifier: Apache-2.0
@@ -11,11 +11,15 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 using namespace spnc;
 using namespace spnc::vm;
 
-double spnc::vm::transformParam(ParamTransform Transform, double Raw) {
+namespace {
+
+/// Applies \p Transform to a raw model parameter, mirroring codegen.
+double transformParam(ParamTransform Transform, double Raw) {
   // Every formula below is the exact arithmetic the code generator runs
   // when it bakes the generating model's constants (Codegen.cpp): the
   // self-binding check compares the results bit-for-bit.
@@ -34,8 +38,24 @@ double spnc::vm::transformParam(ParamTransform Transform, double Raw) {
   return Raw;
 }
 
-void spnc::vm::bindTaskParams(TaskProgram &Task,
-                              std::span<const double> Raw) {
+/// Rewrites the side tables of \p Task in place according to its
+/// parameter sites; \p LogSpace is the program's space.
+void bindTaskParams(TaskProgram &Task, std::span<const double> Raw,
+                    bool LogSpace) {
+  // Fold sites follow the sites of their leaf, which rewrite its
+  // coefficient or bucket values. The leaf's marginal and default values
+  // have no site of their own: they restart from the unweighted
+  // probability one and zero before the folds are replayed.
+  for (const ParamSite &Site : Task.ParamSites) {
+    if (Site.Kind == ParamSlotKind::GaussianFold) {
+      Task.Gaussians[Site.Index].MarginalValue = LogSpace ? 0.0 : 1.0;
+    } else if (Site.Kind == ParamSlotKind::TableFold) {
+      LookupTable &Table = Task.Tables[Site.Index];
+      Table.MarginalValue = LogSpace ? 0.0 : 1.0;
+      Table.DefaultValue =
+          LogSpace ? -std::numeric_limits<double>::infinity() : 0.0;
+    }
+  }
   for (const ParamSite &Site : Task.ParamSites) {
     assert(Site.Param < Raw.size() && "parameter index out of range");
     double Value = transformParam(Site.Transform, Raw[Site.Param]);
@@ -59,18 +79,34 @@ void spnc::vm::bindTaskParams(TaskProgram &Task,
     case ParamSlotKind::SelectValue:
       Task.Selects[Site.Index].Value = Value;
       break;
+    case ParamSlotKind::GaussianFold: {
+      GaussianParams &G = Task.Gaussians[Site.Index];
+      G.Coefficient = foldWeight(LogSpace, G.Coefficient, Value);
+      G.MarginalValue = foldWeight(LogSpace, G.MarginalValue, Value);
+      break;
+    }
+    case ParamSlotKind::TableFold: {
+      LookupTable &Table = Task.Tables[Site.Index];
+      for (double &Slot : Table.Values)
+        Slot = foldWeight(LogSpace, Slot, Value);
+      Table.DefaultValue = foldWeight(LogSpace, Table.DefaultValue, Value);
+      Table.MarginalValue =
+          foldWeight(LogSpace, Table.MarginalValue, Value);
+      break;
+    }
     }
   }
 }
 
+} // namespace
+
 KernelProgram spnc::vm::bindParams(const KernelProgram &Program,
                                    std::span<const double> Raw) {
-  assert(Program.Parameterized && "binding a non-parameterized program");
   assert(Raw.size() == Program.NumParams &&
          "weight table length must match the program's parameter count");
   KernelProgram Bound = Program;
   for (TaskProgram &Task : Bound.Tasks)
-    bindTaskParams(Task, Raw);
+    bindTaskParams(Task, Raw, Program.LogSpace);
   return Bound;
 }
 
@@ -80,23 +116,16 @@ bool sameBits(double A, double B) {
   return std::bit_cast<uint64_t>(A) == std::bit_cast<uint64_t>(B);
 }
 
-} // namespace
-
-bool spnc::vm::verifySelfBinding(const KernelProgram &Program,
-                                 std::span<const double> Raw,
-                                 std::string *Why) {
+/// True when the side tables of \p Program and \p Bound (a binding of
+/// it) hold the same bits; otherwise describes the first difference in
+/// \p Why when provided.
+bool sameSideTables(const KernelProgram &Program, const KernelProgram &Bound,
+                    std::string *Why) {
   auto Fail = [&](const std::string &Message) {
     if (Why)
       *Why = Message;
     return false;
   };
-  if (!Program.Parameterized)
-    return Fail("program is not parameterized");
-  if (Raw.size() != Program.NumParams)
-    return Fail("parameter count mismatch: program has " +
-                std::to_string(Program.NumParams) + ", model extracts " +
-                std::to_string(Raw.size()));
-  KernelProgram Bound = bindParams(Program, Raw);
   for (size_t T = 0; T < Program.Tasks.size(); ++T) {
     const TaskProgram &A = Program.Tasks[T];
     const TaskProgram &B = Bound.Tasks[T];
@@ -109,15 +138,22 @@ bool spnc::vm::verifySelfBinding(const KernelProgram &Program,
       if (!sameBits(A.Gaussians[I].Mean, B.Gaussians[I].Mean) ||
           !sameBits(A.Gaussians[I].InvStdDev, B.Gaussians[I].InvStdDev) ||
           !sameBits(A.Gaussians[I].Coefficient,
-                    B.Gaussians[I].Coefficient))
+                    B.Gaussians[I].Coefficient) ||
+          !sameBits(A.Gaussians[I].MarginalValue,
+                    B.Gaussians[I].MarginalValue))
         return Fail("self-binding diverges at gaussian " +
                     std::to_string(I) + Where);
-    for (size_t I = 0; I < A.Tables.size(); ++I)
+    for (size_t I = 0; I < A.Tables.size(); ++I) {
       for (size_t J = 0; J < A.Tables[I].Values.size(); ++J)
         if (!sameBits(A.Tables[I].Values[J], B.Tables[I].Values[J]))
           return Fail("self-binding diverges at table " +
                       std::to_string(I) + " slot " + std::to_string(J) +
                       Where);
+      if (!sameBits(A.Tables[I].DefaultValue, B.Tables[I].DefaultValue) ||
+          !sameBits(A.Tables[I].MarginalValue, B.Tables[I].MarginalValue))
+        return Fail("self-binding diverges at table " + std::to_string(I) +
+                    " default/marginal value" + Where);
+    }
     for (size_t I = 0; I < A.Selects.size(); ++I)
       if (!sameBits(A.Selects[I].Value, B.Selects[I].Value))
         return Fail("self-binding diverges at select " +
@@ -126,19 +162,26 @@ bool spnc::vm::verifySelfBinding(const KernelProgram &Program,
   return true;
 }
 
-std::vector<double> spnc::vm::flattenTaskTables(const TaskProgram &Task) {
-  std::vector<double> Flat;
-  Flat.reserve(Task.ConstPool.size() + Task.Gaussians.size() * 3 +
-               Task.Selects.size());
-  Flat.insert(Flat.end(), Task.ConstPool.begin(), Task.ConstPool.end());
-  for (const GaussianParams &G : Task.Gaussians) {
-    Flat.push_back(G.Mean);
-    Flat.push_back(G.InvStdDev);
-    Flat.push_back(G.Coefficient);
+} // namespace
+
+std::optional<KernelProgram>
+spnc::vm::bindIfDifferent(const KernelProgram &Program,
+                          std::span<const double> Raw) {
+  KernelProgram Bound = bindParams(Program, Raw);
+  if (sameSideTables(Program, Bound, nullptr))
+    return std::nullopt;
+  return Bound;
+}
+
+bool spnc::vm::verifySelfBinding(const KernelProgram &Program,
+                                 std::span<const double> Raw,
+                                 std::string *Why) {
+  if (Raw.size() != Program.NumParams) {
+    if (Why)
+      *Why = "parameter count mismatch: program has " +
+             std::to_string(Program.NumParams) + ", model extracts " +
+             std::to_string(Raw.size());
+    return false;
   }
-  for (const LookupTable &Table : Task.Tables)
-    Flat.insert(Flat.end(), Table.Values.begin(), Table.Values.end());
-  for (const SelectRange &Select : Task.Selects)
-    Flat.push_back(Select.Value);
-  return Flat;
+  return sameSideTables(Program, bindParams(Program, Raw), Why);
 }

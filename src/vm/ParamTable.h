@@ -1,4 +1,4 @@
-//===- ParamTable.h - Weight-table binding for parameterized programs ---------===//
+//===- ParamTable.h - Weight-table binding of compiled programs --------------===//
 //
 // Part of the SPNC-Repro project.
 // SPDX-License-Identifier: Apache-2.0
@@ -6,26 +6,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Merged-model compilation (docs/merging.md): a parameterized
-/// `KernelProgram` carries `ParamSite` records describing which
-/// side-table slots hold tunable model parameters (sum weights, leaf
-/// distribution parameters) and how the raw parameter is transformed
-/// before it lands in the slot. Binding a weight table produces a copy
-/// of the program whose side tables are rewritten for another
-/// structurally-isomorphic model — the instruction stream, buffer plan
-/// and register assignment are shared untouched.
+/// Weight tables (docs/merging.md): every joint/marginal `KernelProgram`
+/// carries `ParamSite` records describing which side-table slots hold
+/// tunable model parameters (sum weights, leaf distribution parameters,
+/// and the sum weights the -O2 peephole folded into leaves) and how the
+/// raw parameter is transformed before it lands in the slot. Binding a
+/// weight table produces a copy of the program whose side tables are
+/// rewritten for another structurally-isomorphic model — the
+/// instruction stream, buffer plan and register assignment are shared
+/// untouched.
 ///
 /// The transforms reproduce the code generator's constant folding
-/// bit-for-bit (same formulas, same literals — see vm::kLogSqrt2Pi), so
-/// binding the generating model's own raw parameters yields exactly the
-/// baked tables. `verifySelfBinding` checks that invariant; the kernel
-/// cache runs it after every fresh parameterized compile.
+/// bit-for-bit (same formulas, same literals — see vm::kLogSqrt2Pi and
+/// vm::foldWeight), so binding the generating model's own raw
+/// parameters yields exactly the compiled tables. `verifySelfBinding`
+/// checks that invariant; the kernel cache runs it after every fresh
+/// compile of a likelihood kernel.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPNC_VM_PARAMTABLE_H
 #define SPNC_VM_PARAMTABLE_H
 
+#include "runtime/ExecutionEngine.h"
 #include "vm/Bytecode.h"
 
 #include <algorithm>
@@ -41,41 +44,64 @@
 namespace spnc {
 namespace vm {
 
-/// Applies \p Transform to a raw model parameter, mirroring codegen.
-double transformParam(ParamTransform Transform, double Raw);
-
-/// Rewrites the side tables of \p Task in place according to its
-/// parameter sites. \p Raw is the canonical parameter vector
-/// (merge::extractParams order) of the model to bind.
-void bindTaskParams(TaskProgram &Task, std::span<const double> Raw);
+/// \p Value weighted by the transformed sum weight \p Weight: the
+/// product of two probabilities in the program's space. Shared by the
+/// -O2 peephole's leaf fold and its replay at bind time.
+inline double foldWeight(bool LogSpace, double Value, double Weight) {
+  return LogSpace ? Value + Weight : Value * Weight;
+}
 
 /// Returns a copy of \p Program with every parameter site rebound to
-/// \p Raw. \p Program must be parameterized and Raw.size() must equal
-/// Program.NumParams (asserted).
+/// \p Raw, the canonical parameter vector (merge::extractParams order)
+/// of the model to bind. Raw.size() must equal Program.NumParams
+/// (asserted).
 KernelProgram bindParams(const KernelProgram &Program,
                          std::span<const double> Raw);
 
+/// \p Program bound to \p Raw, or nullopt when that binding reproduces
+/// \p Program's side tables bit-for-bit (the table of the model it was
+/// compiled from): engines then run \p Program itself instead of keeping
+/// a copy.
+std::optional<KernelProgram> bindIfDifferent(const KernelProgram &Program,
+                                             std::span<const double> Raw);
+
 /// True when rebinding \p Program with \p Raw (the raw parameters of the
-/// model it was generated from) reproduces its own baked side tables
-/// bit-for-bit. A failure means the program shape depends on parameter
-/// values somewhere — the merged path must not be used. On failure a
-/// description is written to \p Why when provided.
+/// model it was generated from) reproduces its own side tables
+/// bit-for-bit, marginal and default values included. A failure means
+/// the program shape depends on parameter values somewhere — the kernel
+/// must not be shared. On failure a description is written to \p Why
+/// when provided.
 bool verifySelfBinding(const KernelProgram &Program,
                        std::span<const double> Raw,
                        std::string *Why = nullptr);
 
-/// Flattens the tunable-bearing side tables of one task into a dense
-/// double block: ConstPool, then (Mean, InvStdDev, Coefficient) per
-/// Gaussian, then each lookup table's Values, then each select's Value.
-/// The C++ backend indexes its per-model parameter blocks with this
-/// exact layout (CppEmitter computes the matching offsets).
-std::vector<double> flattenTaskTables(const TaskProgram &Task);
+/// Calls \p Fn(Begin, End, Index) for each maximal run [Begin, End) of
+/// the request's rows that share one table: the runs of its
+/// TableIndices, or all rows under its Table. A request without tables
+/// (RunRequest::hasTables) has no runs.
+template <typename RunFn>
+void forEachTableRun(const runtime::RunRequest &Request, RunFn &&Fn) {
+  size_t NumRows = Request.NumSamples;
+  const uint32_t *Indices = Request.TableIndices;
+  if (!Indices) {
+    if (Request.Table >= 0 && NumRows > 0)
+      Fn(size_t(0), NumRows, static_cast<uint32_t>(Request.Table));
+    return;
+  }
+  for (size_t Begin = 0; Begin < NumRows;) {
+    size_t End = Begin + 1;
+    while (End < NumRows && Indices[End] == Indices[Begin])
+      ++End;
+    Fn(Begin, End, Indices[Begin]);
+    Begin = End;
+  }
+}
 
 /// The weight tables registered on one engine, each bound once into the
-/// engine's own form \p Bound (a rebound program for the VM, a flattened
-/// parameter block for the cpp backend). Registration deduplicates by
-/// content, so a model re-registered after a cache hit gets its old
-/// index back, and may run concurrently with resolve().
+/// engine's own form \p Bound (a rebound program for the VM and the GPU
+/// simulator, a parameter block for the cpp backend). Registration
+/// deduplicates by content, so a model re-registered after a cache hit
+/// gets its old index back, and may run concurrently with resolve().
 template <typename Bound> class ParamTableSet {
 public:
   /// Returns the index of the table holding \p Raw, binding new content
@@ -91,11 +117,12 @@ public:
     return static_cast<int32_t>(RawTables.size() - 1);
   }
 
-  /// The bound tables by index, or nullopt when one of the \p NumRows
-  /// \p Indices names no registered table. The pointees never move, so
-  /// the snapshot stays valid while later tables are added.
+  /// The bound tables by index, or nullopt when a table \p Request
+  /// names (RunRequest::Table or one of its TableIndices) is not
+  /// registered. The pointees never move, so the snapshot stays valid
+  /// while later tables are added.
   std::optional<std::vector<const Bound *>>
-  resolve(const uint32_t *Indices, size_t NumRows) const {
+  resolve(const runtime::RunRequest &Request) const {
     std::vector<const Bound *> Tables;
     {
       std::shared_lock<std::shared_mutex> Lock(Mutex);
@@ -103,10 +130,22 @@ public:
       for (const std::unique_ptr<const Bound> &Table : BoundTables)
         Tables.push_back(Table.get());
     }
-    for (size_t I = 0; I < NumRows; ++I)
-      if (Indices[I] >= Tables.size())
-        return std::nullopt;
+    bool Known = true;
+    forEachTableRun(Request, [&](size_t, size_t, uint32_t Index) {
+      Known = Known && Index < Tables.size();
+    });
+    if (!Known)
+      return std::nullopt;
     return Tables;
+  }
+
+  /// The raw parameters registered as table \p Index (empty when there
+  /// is no such table).
+  std::vector<double> raw(int32_t Index) const {
+    std::shared_lock<std::shared_mutex> Lock(Mutex);
+    if (Index < 0 || static_cast<size_t>(Index) >= RawTables.size())
+      return {};
+    return RawTables[static_cast<size_t>(Index)];
   }
 
 private:
@@ -114,19 +153,6 @@ private:
   std::vector<std::vector<double>> RawTables;
   std::vector<std::unique_ptr<const Bound>> BoundTables;
 };
-
-/// Calls \p Fn(Begin, End, Index) for each maximal run [Begin, End) of
-/// the \p NumRows rows that share one table index.
-template <typename RunFn>
-void forEachTableRun(const uint32_t *Indices, size_t NumRows, RunFn &&Fn) {
-  for (size_t Begin = 0; Begin < NumRows;) {
-    size_t End = Begin + 1;
-    while (End < NumRows && Indices[End] == Indices[Begin])
-      ++End;
-    Fn(Begin, End, Indices[Begin]);
-    Begin = End;
-  }
-}
 
 } // namespace vm
 } // namespace spnc

@@ -142,7 +142,6 @@ std::vector<uint8_t> spnc::vm::encodeProgram(const KernelProgram &P) {
   }
   W.f64Vec(P.Plan.Buckets);
   W.u32(static_cast<uint32_t>(P.Plan.Root));
-  W.u8(P.Parameterized);
   W.u32(P.NumParams);
   W.u32(P.BatchSize);
   W.u32(P.NumInputs);
@@ -401,9 +400,11 @@ std::string checkIndices(const KernelProgram &P) {
       case ParamSlotKind::GaussianMean:
       case ParamSlotKind::GaussianInvStdDev:
       case ParamSlotKind::GaussianCoefficient:
+      case ParamSlotKind::GaussianFold:
         Size = Task.Gaussians.size();
         break;
       case ParamSlotKind::TableValue:
+      case ParamSlotKind::TableFold:
         Size = Task.Tables.size();
         break;
       case ParamSlotKind::SelectValue:
@@ -518,7 +519,6 @@ spnc::vm::decodeProgram(std::span<const uint8_t> Blob) {
   }
   P.Plan.Buckets = R.f64Vec();
   P.Plan.Root = static_cast<int32_t>(R.u32());
-  P.Parameterized = R.u8() != 0;
   P.NumParams = R.u32();
   P.BatchSize = R.u32();
   P.NumInputs = R.u32();
@@ -622,7 +622,7 @@ spnc::vm::decodeProgram(std::span<const uint8_t> Blob) {
     T.ParamSites.resize(NumSites);
     for (ParamSite &S : T.ParamSites) {
       uint8_t Kind = R.u8();
-      if (Kind > static_cast<uint8_t>(ParamSlotKind::SelectValue))
+      if (Kind > static_cast<uint8_t>(ParamSlotKind::TableFold))
         return makeError("invalid parameter-site kind");
       S.Kind = static_cast<ParamSlotKind>(Kind);
       uint8_t Transform = R.u8();

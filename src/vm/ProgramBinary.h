@@ -39,9 +39,11 @@ namespace vm {
 /// payload checksum, v4 the query-kind byte and the traceback plan (MPE
 /// / sampling kernels), v5 the parameterization header (Parameterized
 /// flag, NumParams) and the per-task parameter-site tables of
-/// merged-model programs (docs/merging.md). A `.spnk` is only a cache,
-/// so older files are rejected and recompiled rather than read.
-inline constexpr uint32_t kProgramBinaryVersion = 5;
+/// merged-model programs, v6 dropped the Parameterized flag (every
+/// joint/marginal program carries sites) and added the fold sites of
+/// the -O2 weight fold (docs/merging.md). A `.spnk` is only a cache, so
+/// older files are rejected and recompiled rather than read.
+inline constexpr uint32_t kProgramBinaryVersion = 6;
 
 /// Encodes \p Program into a self-contained, checksummed byte blob in
 /// the current format. Never fails.

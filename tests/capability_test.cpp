@@ -12,9 +12,10 @@
 /// suites use (f64 kernels), and every other cell must be refused —
 /// `run` returns false and leaves the NaN-filled output buffers
 /// untouched. Compiled engines get the kernel compiled for the cell's
-/// query kind (a merged, parameterized kernel for indexed requests), so
-/// the matrix records what each engine kind can do; a kernel compiled
-/// for joint queries must additionally refuse every other kind.
+/// query kind (for indexed requests, the kernel two isomorphic models
+/// share, each with its weight table), so the matrix records what each
+/// engine kind can do; a kernel compiled for joint queries must
+/// additionally refuse every other kind and unknown weight tables.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -104,13 +105,13 @@ std::vector<EngineRow> engineRows() {
   EngineRow Vm8{"vm_w8", true, {}, nullptr, All};
   Vm8.Options.Execution.VectorWidth = 8;
   Rows.push_back(Vm8);
-  EngineRow Gpu{"gpusim", true, {}, nullptr, NoTables};
+  EngineRow Gpu{"gpusim", true, {}, nullptr, All};
   Gpu.Options.TheTarget = Target::GPU;
   Rows.push_back(Gpu);
   backend::CppBackendOptions Fast;
   Fast.ExtraFlags = {"-O0"};
-  // Models large enough that every kernel, the parameterized one
-  // included, spans several segment functions and translation units.
+  // Models large enough that every kernel, the shared one included,
+  // spans several segment functions and translation units.
   EngineRow Cpp{"cpp", true, {},
                 std::make_shared<backend::CppBackend>(Fast), All};
   Cpp.Rat.NumFeatures = 32;
@@ -316,11 +317,13 @@ TEST_P(CompiledKernelTest, JointKernelRefusesOtherKinds) {
   std::shared_ptr<ExecutionEngine> Engine = engineFor(Cell::Joint, Tables);
   ASSERT_NE(Engine, nullptr);
   for (Cell C : kCells) {
+    // Every joint kernel takes weight tables: the indexed cell is served
+    // for registered tables and refused for unknown ones.
     if (C == Cell::Joint)
       continue;
     SCOPED_TRACE(Row->Name + " joint kernel x " + cellName(C));
     Buffers Got(NumFeatures);
-    Got.TableIndices.assign(kRows, 0);
+    Got.TableIndices.assign(kRows, C == Cell::Indexed ? 99 : 0);
     EXPECT_FALSE(Engine->run(requestFor(C, Partial, Got)));
     EXPECT_TRUE(Got.untouched());
   }

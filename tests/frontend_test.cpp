@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 using namespace spnc;
 using namespace spnc::spn;
@@ -209,6 +210,45 @@ TEST(SerializerTest, RejectsTrailingGarbage) {
   std::vector<uint8_t> Bytes = serializeModel(M);
   Bytes.push_back(0);
   EXPECT_FALSE(static_cast<bool>(deserializeModel(Bytes)));
+}
+
+TEST(SerializerTest, RejectsInvalidLeafParameters) {
+  // Crafted .spnb files: each leaf parameter below serializes fine but
+  // must be refused on load, naming the node.
+  auto Gaussian = [](double Mean, double StdDev) {
+    Model M(1);
+    M.setRoot(M.makeGaussian(0, Mean, StdDev));
+    return M;
+  };
+  auto Histogram = [](double Lb, double Ub, double P) {
+    Model M(1);
+    M.setRoot(M.makeHistogram(0, {{Lb, Ub, P}, {Ub, Ub + 1, 0.5}}));
+    return M;
+  };
+  std::vector<Model> Invalid;
+  Invalid.push_back(Gaussian(0.0, 0.0));
+  Invalid.push_back(Gaussian(0.0, -1.0));
+  Invalid.push_back(Gaussian(0.0, std::nan("")));
+  Invalid.push_back(Gaussian(std::numeric_limits<double>::infinity(), 1.0));
+  Invalid.push_back(Histogram(0.0, 1.0, -0.5));
+  Invalid.push_back(Histogram(1.0, 1.0, 0.5));
+  {
+    Model M(1);
+    M.setRoot(M.makeCategorical(0, {0.5, std::nan("")}));
+    Invalid.push_back(std::move(M));
+  }
+  std::string Path = ::testing::TempDir() + "/spnc_invalid_leaf.spnb";
+  for (size_t I = 0; I < Invalid.size(); ++I) {
+    std::string Error;
+    EXPECT_FALSE(Invalid[I].validate(&Error)) << "model " << I;
+    ASSERT_TRUE(succeeded(saveModel(Invalid[I], Path)));
+    Expected<Model> Loaded = loadModel(Path);
+    ASSERT_FALSE(static_cast<bool>(Loaded)) << "model " << I;
+    EXPECT_NE(Loaded.getError().message().find("invalid SPNB node"),
+              std::string::npos)
+        << Loaded.getError().message();
+  }
+  std::remove(Path.c_str());
 }
 
 TEST(SerializerTest, SaveAndLoadFile) {

@@ -7,6 +7,7 @@
 
 #include "backend/VmBackend.h"
 #include "baselines/Baselines.h"
+#include "frontend/Serializer.h"
 #include "runtime/KernelCache.h"
 #include "vm/ProgramBinary.h"
 #include "workloads/Workloads.h"
@@ -167,6 +168,26 @@ TEST_F(KernelCacheTest, KeyIsSensitiveToPipelineAndQueryConfig) {
   spn::Model OtherModel = workloads::generateSpeakerModel(Other);
   EXPECT_NE(keyFor(*Model, spn::QueryConfig(), Base),
             keyFor(OtherModel, spn::QueryConfig(), Base));
+
+  // Joint/marginal kernels key on structure: a weight-only edit shares
+  // the key (and the kernel, under its own weight table). MPE kernels
+  // bake their parameters and key on content.
+  Expected<spn::Model> Edited =
+      spn::deserializeModel(spn::serializeModel(*Model));
+  ASSERT_TRUE(static_cast<bool>(Edited));
+  for (size_t I = 0; I < Edited->getNumNodes(); ++I)
+    if (auto *Sum = dyn_cast<spn::SumNode>(
+            Edited->getNode(static_cast<unsigned>(I)))) {
+      std::vector<double> Weights = Sum->getWeights();
+      std::swap(Weights.front(), Weights.back());
+      Sum->setWeights(std::move(Weights));
+      break;
+    }
+  EXPECT_EQ(keyFor(*Model, spn::QueryConfig(), Base),
+            keyFor(*Edited, spn::QueryConfig(), Base));
+  spn::QueryConfig Mpe;
+  Mpe.Kind = spn::QueryKind::Mpe;
+  EXPECT_NE(keyFor(*Model, Mpe, Base), keyFor(*Edited, Mpe, Base));
 
   // The cache keeps distinct engines for distinct keys.
   KernelCache Cache;
@@ -484,34 +505,37 @@ TEST_F(KernelCacheTest, LegacyV2DiskEntryIsRecompiled) {
     Expected<CompiledKernel> Fresh =
         Cache.getOrCompile(*Model, spn::QueryConfig(), Options);
     ASSERT_TRUE(static_cast<bool>(Fresh));
-    // The downgrade below strips the per-task v5 parameter-site count
-    // from the end of the blob, which only lands there for a
-    // single-task program.
+    // The downgrade below strips the per-task parameter-site count from
+    // the end of the blob, which only lands there for a single-task
+    // program.
     ASSERT_EQ(Fresh->getProgram().Tasks.size(), 1u);
   }
   std::string Path =
       KernelCache(TempDir.string())
           .entryPath(keyFor(*Model, spn::QueryConfig(), Options));
-  // Downgrade the entry to the pre-checksum v2 layout: drop the v4
-  // query/plan section (13 bytes for a Joint program with an empty
-  // plan) plus the v5 parameterization header (5 bytes:
-  // non-parameterized flag + zero param count), the trailing per-task
-  // parameter-site count (4 bytes), and the 8-byte checksum field,
-  // then patch the header version word.
-  std::vector<uint8_t> Bytes = readFile(Path);
+  // Downgrade the entry to the pre-checksum v2 layout: without its
+  // parameter sites, drop the v4 query/plan section (13 bytes for a
+  // Joint program with an empty plan) plus the parameter count (4
+  // bytes), the trailing per-task parameter-site count (4 bytes), and
+  // the 8-byte checksum field, then patch the header version word.
+  Expected<vm::KernelProgram> Current = vm::decodeProgram(readFile(Path));
+  ASSERT_TRUE(static_cast<bool>(Current));
+  Current->NumParams = 0;
+  Current->Tasks.front().ParamSites.clear();
+  std::vector<uint8_t> Bytes = vm::encodeProgram(*Current);
   ASSERT_GT(Bytes.size(), 16u);
   uint32_t NameLen = 0;
   std::memcpy(&NameLen, Bytes.data() + 16, sizeof(NameLen));
   size_t QueryOffset = 16 + 4 + NameLen + 3;
   Bytes.erase(Bytes.begin() + QueryOffset,
-              Bytes.begin() + QueryOffset + 18);
+              Bytes.begin() + QueryOffset + 17);
   Bytes.erase(Bytes.end() - 4, Bytes.end());
   Bytes.erase(Bytes.begin() + 8, Bytes.begin() + 16);
   const uint32_t Version = 2;
   std::memcpy(Bytes.data() + 4, &Version, sizeof(Version));
   writeFile(Path, Bytes);
 
-  // A pre-v5 entry is a corrupted entry: recompiled and rewritten in
+  // A pre-v6 entry is a corrupted entry: recompiled and rewritten in
   // the current format.
   {
     KernelCache Fresh(TempDir.string());

@@ -6,31 +6,37 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for merged-model compilation (docs/merging.md): the structural
+/// Tests for merged models (docs/merging.md): the structural
 /// signature/hash and isomorphism analysis of merge/Merge.h, the
-/// content-vs-structural hash split on KernelCache, the merged
-/// compilation path (one parameterized kernel per merge group, bound
-/// per-model weight tables), differential checks of merged kernels
-/// against the per-model interpreter oracle at the f64 tolerance, and
-/// the `.spnk` v5 round trip of parameterized programs.
+/// content-vs-structural hash split on KernelCache, the one lowering
+/// (every likelihood kernel shared per structure, bound per-model weight
+/// tables, the -O2 weight fold replayed at bind time), differential
+/// checks of shared kernels against the per-model interpreter oracle,
+/// and the `.spnk` round trip of parameter and fold sites.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "backend/CppBackend.h"
 #include "backend/CppEmitter.h"
 #include "baselines/Baselines.h"
+#include "frontend/Serializer.h"
 #include "merge/Merge.h"
 #include "runtime/KernelCache.h"
 #include "support/Casting.h"
+#include "support/Random.h"
 #include "vm/ParamTable.h"
 #include "vm/ProgramBinary.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstring>
+#include <filesystem>
 #include <limits>
 #include <memory>
+#include <thread>
 #include <vector>
 
 using namespace spnc;
@@ -131,8 +137,8 @@ TEST(MergeTest, ExtractParamsMatchesCountsAndDiffersByClass) {
   EXPECT_EQ(Counts.NumNodes,
             Counts.NumSums + Counts.NumProducts + Counts.NumLeaves);
 
-  std::vector<double> ParamsA = merge::extractParams(A);
-  std::vector<double> ParamsB = merge::extractParams(B);
+  std::vector<double> ParamsA = *merge::extractParams(A);
+  std::vector<double> ParamsB = *merge::extractParams(B);
   EXPECT_EQ(ParamsA.size(), Counts.NumParams);
   // Isomorphic models have same-shaped parameter vectors with
   // different values.
@@ -208,16 +214,36 @@ TEST(MergeTest, IsomorphicModelsShareOneCacheEntry) {
 TEST(MergeTest, MergedPathRejectsUnsupportedQueries) {
   KernelCache Cache;
   spn::Model A = ratClass(0);
+  spn::Model B = ratClass(1);
   CompilerOptions Options;
+  // MPE kernels bake their parameters: no weight table to hand out.
   spn::QueryConfig Mpe;
   Mpe.Kind = spn::QueryKind::Mpe;
   EXPECT_FALSE(
       static_cast<bool>(Cache.getOrCompileMerged(A, Mpe, Options)));
 
+  // The simulated GPU binds weight tables like the CPU engines: two
+  // classes share one kernel and each scores under its own table.
   CompilerOptions Gpu;
   Gpu.TheTarget = Target::GPU;
-  EXPECT_FALSE(
-      static_cast<bool>(Cache.getOrCompileMerged(A, f64Query(), Gpu)));
+  Expected<KernelCache::MergedKernel> GpuA =
+      Cache.getOrCompileMerged(A, f64Query(), Gpu);
+  Expected<KernelCache::MergedKernel> GpuB =
+      Cache.getOrCompileMerged(B, f64Query(), Gpu);
+  ASSERT_TRUE(GpuA && GpuB);
+  EXPECT_EQ(GpuA->Kernel.getEngineShared(), GpuB->Kernel.getEngineShared());
+  EXPECT_NE(GpuA->TableIndex, GpuB->TableIndex);
+  constexpr size_t kRows = 8;
+  std::vector<double> Data = ratData(kRows, 0x9b0ULL);
+  for (const auto &[Merged, Model] :
+       {std::pair{&*GpuA, &A}, std::pair{&*GpuB, &B}}) {
+    std::vector<double> Got(kRows), Want(kRows);
+    Merged->Kernel.execute(Data.data(), Got.data(), kRows);
+    baselines::InterpreterEngine(*Model).execute(Data.data(), Want.data(),
+                                                 kRows);
+    for (size_t I = 0; I < kRows; ++I)
+      EXPECT_NEAR(Got[I], Want[I], kTolerance) << "row " << I;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -305,7 +331,7 @@ TEST(MergeTest, MergedCppKernelMatchesOracleJointAndMarginal) {
     expectMergedMatchesOracles(Cache, Options, /*Marginal=*/true,
                                "cpp/marginal");
   }
-  // A parameterized program that spans several segments and units: the
+  // A shared program that spans several segments and units: the
   // ratspn_tiny shape, whole and partitioned into tasks linked by
   // intermediate buffers, through the params entry point.
   workloads::RatSpnOptions Rat = smallRatOptions();
@@ -400,58 +426,67 @@ TEST(MergeTest, MixedTwoModelBatchScoresPerRowCpp) {
   expectMixedBatchMatchesOracles(Cache, Options, "cpp/mixed");
 }
 
-/// Merged execution must agree with the classic unmerged compilation of
-/// the same model (not just the interpreter): same engine class, same
-/// instruction stream, weights routed through the table instead of
-/// baked in.
+/// A member bound into the group's shared kernel must agree with its
+/// own compilation bit for bit: same instruction stream, the member's
+/// weights routed through its table, the -O2 weight folds replayed.
 TEST(MergeTest, MergedMatchesUnmergedCompilation) {
   constexpr size_t kNumSamples = 16;
   std::vector<double> Data = ratData(kNumSamples, 0x5a5aULL);
   KernelCache Cache;
   CompilerOptions Options;
+  Options.OptLevel = 2;
   for (unsigned Class = 0; Class < 2; ++Class) {
     spn::Model Model = ratClass(Class);
     Expected<KernelCache::MergedKernel> Merged =
         Cache.getOrCompileMerged(Model, f64Query(), Options);
     ASSERT_TRUE(static_cast<bool>(Merged));
-    Expected<CompiledKernel> Unmerged =
-        Cache.getOrCompile(Model, f64Query(), Options);
-    ASSERT_TRUE(static_cast<bool>(Unmerged));
+    Expected<CompiledKernel> Own =
+        compileModel(Model, f64Query(), Options);
+    ASSERT_TRUE(static_cast<bool>(Own));
 
     std::vector<uint32_t> Tables(
         kNumSamples, static_cast<uint32_t>(Merged->TableIndex));
     std::vector<double> Got(kNumSamples, 0.0), Want(kNumSamples, 0.0);
     ASSERT_TRUE(Merged->Kernel.executeIndexed(Data.data(), Tables.data(),
                                               Got.data(), kNumSamples));
-    Unmerged->execute(Data.data(), Want.data(), kNumSamples);
-    for (size_t I = 0; I < kNumSamples; ++I)
-      EXPECT_NEAR(Got[I], Want[I], kTolerance)
-          << "class " << Class << " sample " << I;
+    Own->execute(Data.data(), Want.data(), kNumSamples);
+    EXPECT_EQ(0, std::memcmp(Got.data(), Want.data(),
+                             kNumSamples * sizeof(double)))
+        << "class " << Class;
   }
+  EXPECT_EQ(Cache.getStats().Misses, 1u);
 }
 
 //===----------------------------------------------------------------------===//
-// Parameterized `.spnk` (format v5) round trip
+// `.spnk` round trip of parameter and fold sites
 //===----------------------------------------------------------------------===//
 
-TEST(MergeTest, ParameterizedProgramRoundTripsThroughSpnkV5) {
+TEST(MergeTest, ParamSitesRoundTripThroughSpnk) {
   KernelCache Cache;
   CompilerOptions Options;
-  spn::Model Model = ratClass(0);
+  Options.OptLevel = 2; // the weight fold adds fold sites
+  // Speaker sums weigh leaves directly, so the fold fires on them.
+  workloads::SpeakerModelOptions Speaker;
+  Speaker.TargetOperations = 300;
+  spn::Model Model = workloads::generateSpeakerModel(Speaker);
   Expected<KernelCache::MergedKernel> Merged =
       Cache.getOrCompileMerged(Model, f64Query(), Options);
   ASSERT_TRUE(static_cast<bool>(Merged));
   const vm::KernelProgram *Program =
       Merged->Kernel.getEngineShared()->getProgram();
   ASSERT_NE(Program, nullptr);
-  ASSERT_TRUE(Program->Parameterized);
   ASSERT_GT(Program->NumParams, 0u);
+  size_t Folds = 0;
+  for (const vm::TaskProgram &Task : Program->Tasks)
+    for (const vm::ParamSite &Site : Task.ParamSites)
+      Folds += Site.Kind == vm::ParamSlotKind::GaussianFold ||
+               Site.Kind == vm::ParamSlotKind::TableFold;
+  EXPECT_GT(Folds, 0u);
 
   std::vector<uint8_t> Blob = vm::encodeProgram(*Program);
   Expected<vm::KernelProgram> Decoded = vm::decodeProgram(Blob);
   ASSERT_TRUE(static_cast<bool>(Decoded))
       << Decoded.getError().message();
-  EXPECT_TRUE(Decoded->Parameterized);
   EXPECT_EQ(Decoded->NumParams, Program->NumParams);
   ASSERT_EQ(Decoded->Tasks.size(), Program->Tasks.size());
   for (size_t T = 0; T < Program->Tasks.size(); ++T) {
@@ -471,11 +506,310 @@ TEST(MergeTest, ParameterizedProgramRoundTripsThroughSpnkV5) {
   }
 
   // The decoded program still self-binds: re-applying the generating
-  // model's parameters reproduces the baked tables bit-for-bit.
-  std::vector<double> Params = merge::extractParams(Model);
+  // model's parameters reproduces its tables bit-for-bit.
+  std::vector<double> Params = *merge::extractParams(Model);
   ASSERT_EQ(Params.size(), Program->NumParams);
   std::string Why;
   EXPECT_TRUE(vm::verifySelfBinding(*Decoded, Params, &Why)) << Why;
+}
+
+//===----------------------------------------------------------------------===//
+// One lowering: every likelihood kernel takes weight tables
+//===----------------------------------------------------------------------===//
+
+/// A copy of \p Model with every sum weight and Gaussian parameter
+/// edited (the structure is unchanged).
+spn::Model editedSibling(const spn::Model &Model, uint64_t Seed) {
+  Expected<spn::Model> Copy =
+      spn::deserializeModel(spn::serializeModel(Model));
+  EXPECT_TRUE(static_cast<bool>(Copy));
+  Rng R(Seed);
+  for (size_t I = 0; I < Copy->getNumNodes(); ++I) {
+    spn::Node *N = Copy->getNode(static_cast<unsigned>(I));
+    if (auto *Sum = dyn_cast<spn::SumNode>(N)) {
+      std::vector<double> Weights = Sum->getWeights();
+      double Total = 0.0;
+      for (double &W : Weights)
+        Total += (W = W * (0.5 + R.uniform()));
+      for (double &W : Weights)
+        W /= Total;
+      Sum->setWeights(std::move(Weights));
+    } else if (auto *Gauss = dyn_cast<spn::GaussianLeaf>(N)) {
+      Gauss->setParameters(Gauss->getMean() + R.uniform() - 0.5,
+                           Gauss->getStdDev() * (0.8 + 0.4 * R.uniform()));
+    }
+  }
+  return Copy.takeValue();
+}
+
+/// perfbench's oracle tolerance: |got - ref| <= 1e-3 + 1e-5 * |ref|.
+void expectNearOracle(const std::vector<double> &Got,
+                      const std::vector<double> &Want, bool LogSpace,
+                      const std::string &Leg) {
+  for (size_t I = 0; I < Want.size(); ++I) {
+    double Value = LogSpace ? Got[I] : std::log(Got[I]);
+    EXPECT_NEAR(Value, Want[I], 1e-3 + 1e-5 * std::fabs(Want[I]))
+        << Leg << " sample " << I;
+  }
+}
+
+/// The three speaker-offline models (seeds 1-3): a sibling with edited
+/// weights and Gaussians, bound into the original's kernel, must equal
+/// the sibling's own compilation bit for bit on the VM and match its
+/// oracle; on the cpp backend its marginal queries must match the
+/// oracle (which fails if a folded MarginalValue stays the original's).
+TEST(MergeTest, SpeakerSiblingsBindIntoTheOriginalsKernel) {
+  constexpr size_t kSamples = 64;
+  CompilerOptions Options;
+  Options.OptLevel = 2;
+  Options.Execution.VectorWidth = 8;
+  backend::CppBackendOptions CppOptions;
+  CppOptions.ExtraFlags = {"-O0"};
+  auto Cpp = std::make_shared<backend::CppBackend>(CppOptions);
+  bool HaveCpp = Cpp->isAvailable();
+  for (uint64_t Seed : {1, 2, 3}) {
+    workloads::SpeakerModelOptions ModelOptions;
+    ModelOptions.Seed = Seed;
+    spn::Model Original = workloads::generateSpeakerModel(ModelOptions);
+    spn::Model Sibling = editedSibling(Original, Seed * 7919);
+    ASSERT_NE(KernelCache::contentHash(Original),
+              KernelCache::contentHash(Sibling));
+    std::vector<double> Clean =
+        workloads::generateSpeechData(ModelOptions, kSamples, Seed + 10);
+    std::vector<double> Noisy = workloads::generateNoisySpeechData(
+        ModelOptions, kSamples, Seed + 20);
+    std::vector<double> WantClean(kSamples), WantNoisy(kSamples);
+    baselines::InterpreterEngine Oracle(Sibling);
+    Oracle.execute(Clean.data(), WantClean.data(), kSamples);
+    Oracle.execute(Noisy.data(), WantNoisy.data(), kSamples);
+
+    for (bool LogSpace : {true, false}) {
+      for (bool Marginal : {false, true}) {
+        std::string Leg = "speaker " + std::to_string(Seed) +
+                          (LogSpace ? " log f32" : " linear f64") +
+                          (Marginal ? " marginal" : " joint");
+        spn::QueryConfig Query;
+        Query.LogSpace = LogSpace;
+        Query.DataType =
+            LogSpace ? spn::ComputeType::F32 : spn::ComputeType::F64;
+        Query.Kind =
+            Marginal ? spn::QueryKind::Marginal : spn::QueryKind::Joint;
+        Query.SupportMarginal = Marginal;
+        const std::vector<double> &Data = Marginal ? Noisy : Clean;
+
+        KernelCache Cache;
+        ASSERT_TRUE(static_cast<bool>(
+            Cache.getOrCompile(Original, Query, Options)));
+        Expected<CompiledKernel> Bound =
+            Cache.getOrCompile(Sibling, Query, Options);
+        ASSERT_TRUE(static_cast<bool>(Bound)) << Leg;
+        EXPECT_EQ(Cache.getStats().Misses, 1u) << Leg;
+        Expected<CompiledKernel> Own =
+            compileModel(Sibling, Query, Options);
+        ASSERT_TRUE(static_cast<bool>(Own)) << Leg;
+
+        std::vector<double> Got(kSamples), Want(kSamples);
+        Bound->execute(Data.data(), Got.data(), kSamples);
+        Own->execute(Data.data(), Want.data(), kSamples);
+        EXPECT_EQ(0, std::memcmp(Got.data(), Want.data(),
+                                 kSamples * sizeof(double)))
+            << Leg;
+        expectNearOracle(Got, Marginal ? WantNoisy : WantClean, LogSpace,
+                         Leg);
+      }
+    }
+
+    if (!HaveCpp)
+      continue;
+    spn::QueryConfig Query;
+    Query.Kind = spn::QueryKind::Marginal;
+    Query.SupportMarginal = true;
+    KernelCache::Config Config;
+    Config.TheBackend = Cpp;
+    KernelCache Cache(Config);
+    ASSERT_TRUE(static_cast<bool>(
+        Cache.getOrCompile(Original, Query, Options)));
+    Expected<CompiledKernel> Bound =
+        Cache.getOrCompile(Sibling, Query, Options);
+    ASSERT_TRUE(static_cast<bool>(Bound));
+    std::vector<double> Got(kSamples);
+    Bound->execute(Noisy.data(), Got.data(), kSamples);
+    std::string Leg = "speaker " + std::to_string(Seed) + " cpp marginal";
+    expectNearOracle(Got, WantNoisy, true, Leg);
+    // A marginalized mixture sums its weights, so a stale marginal
+    // value shifts the result by rounding only: compare bits with the
+    // sibling's own native build.
+    KernelCache OwnCache(Config);
+    Expected<CompiledKernel> Own =
+        OwnCache.getOrCompile(Sibling, Query, Options);
+    ASSERT_TRUE(static_cast<bool>(Own));
+    std::vector<double> Want(kSamples);
+    Own->execute(Noisy.data(), Want.data(), kSamples);
+    EXPECT_EQ(0, std::memcmp(Got.data(), Want.data(),
+                             kSamples * sizeof(double)))
+        << Leg;
+  }
+}
+
+TEST(MergeTest, IsomorphicModelsCompileOnceThroughGetOrCompile) {
+  constexpr unsigned kModels = 5;
+  constexpr size_t kRows = 12;
+  std::vector<double> Data = ratData(kRows, 0x1507ULL);
+  KernelCache Cache;
+  CompilerOptions Options;
+  Options.OptLevel = 2;
+  std::vector<spn::Model> Models;
+  std::vector<CompiledKernel> Kernels;
+  for (unsigned Class = 0; Class < kModels; ++Class) {
+    Models.push_back(ratClass(Class));
+    Expected<CompiledKernel> Kernel =
+        Cache.getOrCompile(Models.back(), f64Query(), Options);
+    ASSERT_TRUE(static_cast<bool>(Kernel));
+    Kernels.push_back(Kernel.takeValue());
+  }
+  KernelCache::Stats Stats = Cache.getStats();
+  EXPECT_EQ(Stats.Misses, 1u);
+  EXPECT_EQ(Stats.Hits, kModels - 1);
+  for (unsigned Class = 0; Class < kModels; ++Class) {
+    EXPECT_EQ(Kernels[Class].getTableIndex(), static_cast<int32_t>(Class));
+    std::vector<double> Got(kRows), Want(kRows);
+    Kernels[Class].execute(Data.data(), Got.data(), kRows);
+    baselines::InterpreterEngine(Models[Class])
+        .execute(Data.data(), Want.data(), kRows);
+    for (size_t I = 0; I < kRows; ++I)
+      EXPECT_NEAR(Got[I], Want[I], kTolerance)
+          << "class " << Class << " row " << I;
+  }
+}
+
+TEST(MergeTest, ConcurrentIsomorphicCompilesAllSucceed) {
+  // Isomorphic models racing on one key: every compile but the winner's
+  // is dropped, and a loser must not check its own parameters against
+  // the winner's program.
+  constexpr unsigned kThreads = 6;
+  constexpr size_t kRows = 8;
+  std::vector<double> Data = ratData(kRows, 0xc0c0ULL);
+  std::vector<spn::Model> Models;
+  for (unsigned Class = 0; Class < kThreads; ++Class)
+    Models.push_back(ratClass(Class));
+  KernelCache Cache;
+  std::vector<Expected<CompiledKernel>> Kernels;
+  for (unsigned Class = 0; Class < kThreads; ++Class)
+    Kernels.emplace_back(makeError("not run"));
+  std::atomic<bool> Go{false};
+  std::vector<std::thread> Threads;
+  for (unsigned Class = 0; Class < kThreads; ++Class)
+    Threads.emplace_back([&, Class] {
+      while (!Go.load())
+        std::this_thread::yield();
+      Kernels[Class] =
+          Cache.getOrCompile(Models[Class], f64Query(), CompilerOptions());
+    });
+  Go.store(true);
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Cache.size(), 1u);
+  for (unsigned Class = 0; Class < kThreads; ++Class) {
+    ASSERT_TRUE(static_cast<bool>(Kernels[Class]))
+        << "class " << Class << ": " << Kernels[Class].getError().message();
+    std::vector<double> Got(kRows), Want(kRows);
+    Kernels[Class]->execute(Data.data(), Got.data(), kRows);
+    baselines::InterpreterEngine(Models[Class])
+        .execute(Data.data(), Want.data(), kRows);
+    for (size_t I = 0; I < kRows; ++I)
+      EXPECT_NEAR(Got[I], Want[I], kTolerance)
+          << "class " << Class << " row " << I;
+  }
+}
+
+TEST(MergeTest, LinearWidthChoiceSeparatesKernels) {
+  // One structure: 40 Gaussian factors. With stddev 1 the worst-case
+  // product underflows f32, with stddev 1e-6 it does not.
+  auto Product = [](double StdDev) {
+    spn::Model M(40);
+    std::vector<spn::Node *> Factors;
+    for (unsigned F = 0; F < 40; ++F)
+      Factors.push_back(M.makeGaussian(F, 0.0, StdDev));
+    M.setRoot(M.makeProduct(Factors));
+    return M;
+  };
+  spn::Model Wide = Product(1.0);
+  spn::Model Narrow = Product(1e-6);
+  ASSERT_EQ(KernelCache::structuralHash(Wide),
+            KernelCache::structuralHash(Narrow));
+  spn::QueryConfig Linear;
+  Linear.LogSpace = false;
+  EXPECT_EQ(spn::resolveQuery(Wide, Linear).DataType,
+            spn::ComputeType::F64);
+  EXPECT_EQ(spn::resolveQuery(Narrow, Linear).DataType,
+            spn::ComputeType::F32);
+
+  KernelCache Cache;
+  Expected<CompiledKernel> WideKernel =
+      Cache.getOrCompile(Wide, Linear, CompilerOptions());
+  Expected<CompiledKernel> NarrowKernel =
+      Cache.getOrCompile(Narrow, Linear, CompilerOptions());
+  ASSERT_TRUE(WideKernel && NarrowKernel);
+  EXPECT_EQ(Cache.getStats().Misses, 2u);
+  EXPECT_NE(WideKernel->getEngineShared(), NarrowKernel->getEngineShared());
+  EXPECT_FALSE(WideKernel->getProgram().UseF32);
+  EXPECT_TRUE(NarrowKernel->getProgram().UseF32);
+}
+
+TEST(MergeTest, SavedKernelOfSharedEngineEvaluatesItsOwnModel) {
+  constexpr size_t kRows = 8;
+  std::vector<double> Data = ratData(kRows, 0x5a7eULL);
+  std::filesystem::path Dir =
+      std::filesystem::path(::testing::TempDir()) / "spnc-merge-save";
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir);
+  KernelCache Cache((Dir / "cache").string());
+  spn::Model A = ratClass(0);
+  spn::Model B = ratClass(1);
+  ASSERT_TRUE(static_cast<bool>(Cache.getOrCompileMerged(A, f64Query(),
+                                                         CompilerOptions())));
+  Expected<KernelCache::MergedKernel> SecondMember =
+      Cache.getOrCompileMerged(B, f64Query(), CompilerOptions());
+  ASSERT_TRUE(static_cast<bool>(SecondMember));
+  std::string Path = (Dir / "b.spnk").string();
+  ASSERT_TRUE(succeeded(saveCompiledKernel(SecondMember->Kernel, Path)));
+
+  Expected<CompiledKernel> Loaded = loadCompiledKernel(Path);
+  ASSERT_TRUE(static_cast<bool>(Loaded)) << Loaded.getError().message();
+  std::vector<double> Got(kRows), Want(kRows);
+  Loaded->execute(Data.data(), Got.data(), kRows);
+  baselines::InterpreterEngine(B).execute(Data.data(), Want.data(), kRows);
+  for (size_t I = 0; I < kRows; ++I)
+    EXPECT_NEAR(Got[I], Want[I], kTolerance) << "row " << I;
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(MergeTest, CacheHitRejectsInvalidSibling) {
+  KernelCache Cache;
+  spn::Model A = ratClass(0);
+  ASSERT_TRUE(static_cast<bool>(
+      Cache.getOrCompileMerged(A, f64Query(), CompilerOptions())));
+  // A sibling with one negative weight shares A's structure, so the
+  // lookup hits A's kernel; its parameters must still be rejected, as a
+  // compile of it alone would be.
+  spn::Model B = ratClass(1);
+  for (size_t I = 0; I < B.getNumNodes(); ++I)
+    if (auto *Sum = dyn_cast<spn::SumNode>(
+            B.getNode(static_cast<unsigned>(I)))) {
+      std::vector<double> Weights = Sum->getWeights();
+      Weights.front() = -Weights.front();
+      Sum->setWeights(std::move(Weights));
+      break;
+    }
+  Expected<KernelCache::MergedKernel> Merged =
+      Cache.getOrCompileMerged(B, f64Query(), CompilerOptions());
+  ASSERT_FALSE(static_cast<bool>(Merged));
+  EXPECT_NE(Merged.getError().message().find("invalid weight"),
+            std::string::npos)
+      << Merged.getError().message();
+  EXPECT_FALSE(static_cast<bool>(compileModel(B, f64Query(),
+                                              CompilerOptions())));
+  EXPECT_EQ(Cache.getStats().Misses, 1u);
 }
 
 } // namespace

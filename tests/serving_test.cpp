@@ -664,8 +664,8 @@ TEST_F(ServingTest, MergedModelsShareOneKernelAndBatchAcrossModels) {
 }
 
 TEST_F(ServingTest, MergeModelsFallsBackForUnsupportedQueries) {
-  // MPE cannot run parameterized: the server must silently fall back
-  // to per-model compilation, not fail registration.
+  // MPE kernels bake their parameters: the server must silently fall
+  // back to a per-model queue, not fail registration.
   KernelCache Cache;
   ServerConfig Config;
   Config.MergeModels = true;
@@ -683,6 +683,23 @@ TEST_F(ServingTest, MergeModelsFallsBackForUnsupportedQueries) {
   ResultFuture Future = Server.submit("speaker-mpe", Evidence.data(), 1);
   InferenceResult Result = Future.take();
   EXPECT_EQ(Result.Status, RequestStatus::Ok);
+
+  // The simulated GPU binds weight tables like the CPU engines, so a
+  // GPU-targeted likelihood model merges.
+  CompilerOptions Gpu = Compile;
+  Gpu.TheTarget = Target::GPU;
+  ASSERT_FALSE(Server.addModel("speaker-gpu", *Model, spn::QueryConfig(),
+                               Gpu));
+  EXPECT_TRUE(Server.getModelTableIndex("speaker-gpu").has_value());
+  std::vector<double> Row(Data.begin(),
+                          Data.begin() + static_cast<ptrdiff_t>(NumFeatures));
+  InferenceResult GpuResult =
+      Server.submit("speaker-gpu", Row.data(), 1).take();
+  ASSERT_EQ(GpuResult.Status, RequestStatus::Ok);
+  ASSERT_EQ(GpuResult.LogLikelihoods.size(), 1u);
+  double Want = Model->evalLogLikelihood(Row);
+  EXPECT_NEAR(GpuResult.LogLikelihoods[0], Want,
+              1e-4 * std::fabs(Want) + 1e-4);
   Server.shutdown();
 }
 

@@ -108,16 +108,19 @@ TEST_F(TransformsTest, LoweringDecomposesWeightedSums) {
   EXPECT_GT(NumConstants, 0u);
 }
 
-/// Helper: lowers a model in linear space and returns the selected
-/// compute element type.
+/// Helper: resolves a linear-space query against the model, lowers it
+/// at the resolved width and returns the compute element type.
 static Type lowerLinearAndGetComputeType(Context &Ctx,
                                          const spn::Model &M) {
   spn::QueryConfig Config;
   Config.LogSpace = false;
-  OwningOpRef<ModuleOp> Module = spn::translateToHiSPN(Ctx, M, Config);
+  spn::QueryConfig Resolved = spn::resolveQuery(M, Config);
+  EXPECT_NE(Resolved.DataType, spn::ComputeType::Auto);
+  OwningOpRef<ModuleOp> Module = spn::translateToHiSPN(Ctx, M, Resolved);
   EXPECT_TRUE(static_cast<bool>(Module));
   PassManager PM(Ctx);
-  PM.addPass(transforms::createHiSPNToLoSPNLoweringPass());
+  PM.addPass(transforms::createHiSPNToLoSPNLoweringPass(
+      Resolved.DataType == spn::ComputeType::F64 ? 64 : 32));
   EXPECT_TRUE(succeeded(PM.run(Module.get().getOperation())));
   for (Operation *Op : Module.get().getBody())
     if (isa_op<lospn::KernelOp>(Op))
@@ -132,7 +135,7 @@ static Type lowerLinearAndGetComputeType(Context &Ctx,
 
 TEST_F(TransformsTest, UnderflowAnalysisSelectsF64ForWideProducts) {
   // 40 independent Gaussian factors: the product of their worst-case
-  // densities underflows f32, so the analysis must widen to f64.
+  // densities underflows f32, so the query resolves to f64.
   spn::Model Wide(40);
   std::vector<spn::Node *> Factors;
   for (unsigned F = 0; F < 40; ++F)
@@ -164,14 +167,7 @@ TEST_F(TransformsTest, MinLogProbabilityBoundIsConservative) {
   spn::Node *C3 = M.makeCategorical(1, {0.25, 0.75});
   spn::Node *P2 = M.makeProduct({C2, C3});
   M.setRoot(M.makeSum({P, P2}, {0.5, 0.5}));
-  OwningOpRef<ModuleOp> Module =
-      spn::translateToHiSPN(Ctx, M, spn::QueryConfig());
-  ASSERT_TRUE(static_cast<bool>(Module));
-  hispn::JointQueryOp Query(Module.get().getBody().front());
-
-  transforms::LoweringOptions Options;
-  double Bound =
-      transforms::estimateMinLogProbability(Query.getGraph(), Options);
+  double Bound = M.minLogProbabilityBound();
   // Branch 1: gaussian(k=4 sigma, sd=2) + log 0.1; branch 2:
   // log 0.5 + log 0.25; both plus log 0.5 mixture weight; bound = max.
   double Gaussian = -0.5 * 16 - std::log(2.0) - 0.91893853320467274178;

@@ -480,18 +480,18 @@ TEST(ProgramBinaryTest, ChecksumCatchesPayloadBitFlip) {
             std::string::npos);
 }
 
-/// Rewrites a current (v5) blob of a single-task program as a v2 blob:
-/// drop the v4 query/plan section (13 bytes for a Joint program with an
-/// empty plan), the v5 parameterization header (5 bytes: flag + zero
-/// param count), the trailing per-task parameter-site count (4 bytes)
-/// and the 8-byte checksum field, then patch the version word. The
-/// remaining payload layout is identical.
-static std::vector<uint8_t> downgradeToV2(std::span<const uint8_t> V5) {
-  std::vector<uint8_t> V2(V5.begin(), V5.end());
+/// Rewrites a current (v6) blob of a single-task program without
+/// parameter sites as a v2 blob: drop the v4 query/plan section (13
+/// bytes for a Joint program with an empty plan), the parameter count
+/// (4 bytes), the trailing per-task parameter-site count (4 bytes) and
+/// the 8-byte checksum field, then patch the version word. The remaining
+/// payload layout is identical.
+static std::vector<uint8_t> downgradeToV2(std::span<const uint8_t> V6) {
+  std::vector<uint8_t> V2(V6.begin(), V6.end());
   uint32_t NameLen = 0;
   std::memcpy(&NameLen, V2.data() + 16, sizeof(NameLen));
   size_t QueryOffset = 16 + 4 + NameLen + 3;
-  V2.erase(V2.begin() + QueryOffset, V2.begin() + QueryOffset + 18);
+  V2.erase(V2.begin() + QueryOffset, V2.begin() + QueryOffset + 17);
   V2.erase(V2.end() - 4, V2.end());
   V2.erase(V2.begin() + 8, V2.begin() + 16);
   const uint32_t Version = 2;

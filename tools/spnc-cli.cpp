@@ -84,9 +84,6 @@ struct CliOptions {
   /// Print content/structural hashes and structure counts (plus merge
   /// groups with several models) and exit.
   bool ModelInfo = false;
-  /// Compile through KernelCache::getOrCompileMerged: isomorphic models
-  /// share one parameterized kernel (docs/merging.md).
-  bool MergeModels = false;
   /// Insert an IR verification stage after every pipeline stage.
   bool VerifyEachStage = false;
   /// Dump the module after this named pipeline stage (empty = off).
@@ -165,13 +162,6 @@ void printUsage() {
       "                     hash and node/edge/leaf counts (and, with\n"
       "                     several models, the merge groups), then "
       "exit\n"
-      "  --merge-models     compile through the merged-kernel cache "
-      "path:\n"
-      "                     structurally-isomorphic models share one\n"
-      "                     parameterized kernel, each bound to its "
-      "own\n"
-      "                     weight table (CPU joint/marginal only;\n"
-      "                     see docs/merging.md)\n"
       "  --stats            print per-stage compile statistics and "
       "exit\n"
       "  --dump-ir          print the HiSPN module and exit\n"
@@ -328,8 +318,6 @@ bool parseArguments(int Argc, char **Argv, CliOptions &Options) {
       Options.Stats = true;
     } else if (Arg == "--model-info") {
       Options.ModelInfo = true;
-    } else if (Arg == "--merge-models") {
-      Options.MergeModels = true;
     } else if (Arg == "--dump-ir") {
       Options.DumpIr = true;
     } else if (Arg == "--verify-each-stage") {
@@ -410,8 +398,7 @@ bool readSamples(const std::string &Path, unsigned NumFeatures,
 /// the completed assignment followed by its log-probability for MPE,
 /// the drawn feature row for sampling. Returns the process exit code.
 int runQuery(CompiledKernel &Kernel, spn::QueryKind Kind,
-             unsigned NumFeatures, const CliOptions &Options,
-             int32_t MergedTable = -1) {
+             unsigned NumFeatures, const CliOptions &Options) {
   std::vector<double> Data;
   size_t NumSamples = 0;
   if (!Options.InputPath.empty()) {
@@ -438,23 +425,11 @@ int runQuery(CompiledKernel &Kernel, spn::QueryKind Kind,
   Run.Rows = Rows.data();
   Run.NumSamples = NumSamples;
   Run.Seed = Options.Seed;
-  // Merged kernel: every row of this invocation binds to the model's
-  // own weight table.
-  std::vector<uint32_t> Tables;
-  if (MergedTable >= 0) {
-    Tables.assign(NumSamples, static_cast<uint32_t>(MergedTable));
-    Run.TableIndices = Tables.data();
-  }
   if (!Kernel.run(Run)) {
-    if (MergedTable >= 0)
-      std::fprintf(stderr,
-                   "engine cannot execute against weight table %d\n",
-                   MergedTable);
-    else
-      std::fprintf(stderr,
-                   "engine cannot serve --query=%s (was the kernel "
-                   "compiled with --query=%s?)\n",
-                   spn::queryKindName(Kind), spn::queryKindName(Kind));
+    std::fprintf(stderr,
+                 "engine cannot serve --query=%s (was the kernel "
+                 "compiled with --query=%s?)\n",
+                 spn::queryKindName(Kind), spn::queryKindName(Kind));
     return 1;
   }
   for (size_t S = 0; S < NumSamples; ++S) {
@@ -489,9 +464,9 @@ int main(int Argc, char **Argv) {
   const std::string &ModelPath = Options.ModelPaths.front();
 
   // --model-info: model identity and structure, no compilation. The
-  // content hash keys the ordinary kernel cache (any edit changes it);
-  // the structural hash keys the merged path (weight-only edits do
-  // not). Models with equal structural hashes land in one merge group.
+  // structural hash keys joint/marginal kernels (weight-only edits do
+  // not change it), the content hash MPE/sampling kernels (any edit
+  // does). Models with equal structural hashes land in one merge group.
   if (Options.ModelInfo) {
     std::vector<spn::Model> Models;
     Models.reserve(Options.ModelPaths.size());
@@ -724,19 +699,6 @@ int main(int Argc, char **Argv) {
       return 2;
     }
     std::vector<ModelPipelineReport> Reports;
-    // Merged batch compile: isomorphic models resolve to one cached
-    // parameterized kernel, so the second member of a group is a cache
-    // hit, not a compile.
-    std::unique_ptr<KernelCache> MergeCache;
-    if (Options.MergeModels) {
-      KernelCache::Config CacheConfig;
-      CacheConfig.Directory = Options.KernelCacheDir;
-      CacheConfig.MaxEntries = Options.KernelCacheCapacity;
-      CacheConfig.DiskBudgetBytes = Options.KernelCacheDiskBudget;
-      CacheConfig.ConfigurePipeline = ConfigureDiagnostics;
-      CacheConfig.TheBackend = TheBackend;
-      MergeCache = std::make_unique<KernelCache>(CacheConfig);
-    }
     for (const std::string &Path : Options.ModelPaths) {
       Expected<spn::Model> Model = spn::loadModel(Path);
       if (!Model) {
@@ -747,27 +709,6 @@ int main(int Argc, char **Argv) {
       ModelPipelineReport Report;
       Report.Model = Path;
       Report.Stages = &Pipeline->getStages();
-      if (Options.MergeModels) {
-        Expected<KernelCache::MergedKernel> Merged =
-            MergeCache->getOrCompileMerged(*Model, Options.Query,
-                                           Options.Compile,
-                                           &Report.Stats);
-        if (!Merged) {
-          std::fprintf(stderr, "merged compilation of '%s' failed: %s\n",
-                       Path.c_str(),
-                       Merged.getError().message().c_str());
-          return 1;
-        }
-        std::fprintf(stderr,
-                     "merged '%s': structural hash %016llx, weight "
-                     "table %d\n",
-                     Path.c_str(),
-                     static_cast<unsigned long long>(
-                         KernelCache::structuralHash(*Model)),
-                     Merged->TableIndex);
-        Reports.push_back(std::move(Report));
-        continue;
-      }
       Expected<vm::KernelProgram> Program =
           Pipeline->compile(*Model, Options.Query, &Report.Stats);
       if (!Program) {
@@ -783,16 +724,6 @@ int main(int Argc, char **Argv) {
                    static_cast<double>(Report.Stats.TotalNs) * 1e-6,
                    Report.Stats.NumTasks, Report.Stats.NumInstructions);
       Reports.push_back(std::move(Report));
-    }
-    if (MergeCache) {
-      KernelCache::Stats CacheStats = MergeCache->getStats();
-      std::fprintf(
-          stderr,
-          "merged batch compile: %zu model(s) -> %llu compiled "
-          "kernel(s) (%llu cache hit(s))\n",
-          Options.ModelPaths.size(),
-          static_cast<unsigned long long>(CacheStats.Misses),
-          static_cast<unsigned long long>(CacheStats.Hits));
     }
     if (!Options.PipelineReportPath.empty()) {
       std::string ReportError;
@@ -835,15 +766,11 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  // The merged path always compiles through a cache — that is where
-  // the structural-hash sharing lives.
   bool UseCache = !Options.KernelCacheDir.empty() ||
                   Options.KernelCacheStats ||
-                  !Options.KernelCacheReportPath.empty() ||
-                  Options.MergeModels;
+                  !Options.KernelCacheReportPath.empty();
   CompileStats CStats;
   CompiledKernel Kernel;
-  int32_t MergedTable = -1;
   std::unique_ptr<KernelCache> Cache;
   if (UseCache) {
     KernelCache::Config CacheConfig;
@@ -853,33 +780,14 @@ int main(int Argc, char **Argv) {
     CacheConfig.ConfigurePipeline = ConfigureDiagnostics;
     CacheConfig.TheBackend = TheBackend;
     Cache = std::make_unique<KernelCache>(CacheConfig);
-    if (Options.MergeModels) {
-      Expected<KernelCache::MergedKernel> Merged =
-          Cache->getOrCompileMerged(*Model, Options.Query,
-                                    Options.Compile, &CStats);
-      if (!Merged) {
-        std::fprintf(stderr, "merged compilation failed: %s\n",
-                     Merged.getError().message().c_str());
-        return 1;
-      }
-      Kernel = std::move(Merged->Kernel);
-      MergedTable = Merged->TableIndex;
-      std::fprintf(stderr,
-                   "merged kernel: structural hash %016llx, weight "
-                   "table %d\n",
-                   static_cast<unsigned long long>(
-                       KernelCache::structuralHash(*Model)),
-                   MergedTable);
-    } else {
-      Expected<CompiledKernel> Cached = Cache->getOrCompile(
-          *Model, Options.Query, Options.Compile, &CStats);
-      if (!Cached) {
-        std::fprintf(stderr, "compilation failed: %s\n",
-                     Cached.getError().message().c_str());
-        return 1;
-      }
-      Kernel = Cached.takeValue();
+    Expected<CompiledKernel> Cached = Cache->getOrCompile(
+        *Model, Options.Query, Options.Compile, &CStats);
+    if (!Cached) {
+      std::fprintf(stderr, "compilation failed: %s\n",
+                   Cached.getError().message().c_str());
+      return 1;
     }
+    Kernel = Cached.takeValue();
     KernelCache::Stats CacheStats = Cache->getStats();
     if (CacheStats.DiskHits > 0)
       std::fprintf(stderr, "kernel cache: reused entry from '%s'\n",
@@ -972,5 +880,5 @@ int main(int Argc, char **Argv) {
   }
 
   return runQuery(Kernel, Options.Query.Kind, Model->getNumFeatures(),
-                  Options, MergedTable);
+                  Options);
 }

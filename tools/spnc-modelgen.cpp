@@ -18,7 +18,7 @@
 /// `--ratspn-classes N` instead emits `ratspn_class<k>.spnb` for k in
 /// [0, N): N structurally-isomorphic RAT-SPN class models (shared
 /// random structure, per-class weights) — the canonical merge-group
-/// fleet for `--merge-models` smoke tests (docs/merging.md).
+/// fleet for `spnc-serve --merge-models` smoke tests (docs/merging.md).
 ///
 //===----------------------------------------------------------------------===//
 

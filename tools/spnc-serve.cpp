@@ -125,10 +125,10 @@ void printUsage() {
       "bulk)\n"
       "  --gpu-streams N      simulated device streams per GPU model\n"
       "                       (default 0 = one per shard worker)\n"
-      "  --merge-models       compile structurally-isomorphic models "
-      "into\n"
-      "                       one parameterized kernel and batch their\n"
-      "                       traffic together (CPU joint/marginal "
+      "  --merge-models       give structurally-isomorphic models "
+      "(which\n"
+      "                       share one kernel) one queue, so their\n"
+      "                       traffic batches together (joint/marginal "
       "only;\n"
       "                       see docs/merging.md)\n"
       "  --backend NAME       execution backend: 'vm' (default) or "
