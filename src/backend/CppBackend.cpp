@@ -11,6 +11,7 @@
 #include "support/Hashing.h"
 #include "support/Timer.h"
 #include "vm/ParamTable.h"
+#include "vm/Traceback.h"
 
 #include <algorithm>
 #include <cerrno>
@@ -134,21 +135,19 @@ std::string runLogged(const std::vector<std::string> &Argv,
 
 /// Signatures of the emitted entry points (see CppEmitter.h).
 using KernelFn = void (*)(const double *, double *, size_t, const void *);
-using MpeFn = void (*)(const double *, double *, double *, size_t,
-                       const void *);
-using SampleFn = void (*)(const double *, double *, size_t,
-                          unsigned long long, const void *);
+using UpwardFn = void (*)(const double *, double *, size_t, size_t, void *,
+                          const void *);
 
-/// The emitted entry points of one shared object; the query entry
-/// points are null unless the program needs them.
+/// The emitted entry points of one shared object; the per-row upward
+/// pass is null unless the program is an MPE or sampling program.
 struct NativeEntryPoints {
   KernelFn Kernel = nullptr;
-  MpeFn Mpe = nullptr;
-  SampleFn Sample = nullptr;
+  UpwardFn Upward = nullptr;
 };
 
-/// What a native kernel serves: the program's query kinds, minus those
-/// whose entry point the shared object lacks. Requests under weight
+/// What a native kernel serves: the program's query kinds, minus MPE
+/// and sampling when the shared object lacks the per-row upward pass
+/// their downward pass needs. Requests under weight
 /// tables offset the external buffers per run, which is only valid when
 /// the input is row-major and the output carries one value per sample
 /// (the shape of every joint/marginal kernel).
@@ -156,10 +155,9 @@ runtime::EngineCapabilities
 nativeCapabilities(const vm::KernelProgram &Program,
                    const NativeEntryPoints &Entry) {
   runtime::EngineCapabilities Caps = runtime::EngineCapabilities::of(Program);
-  if (!Entry.Mpe)
-    Caps.Kinds &= ~runtime::kindBit(vm::QueryKind::Mpe);
-  if (!Entry.Sample)
-    Caps.Kinds &= ~runtime::kindBit(vm::QueryKind::Sample);
+  if (!Entry.Upward)
+    Caps.Kinds &= ~(runtime::kindBit(vm::QueryKind::Mpe) |
+                    runtime::kindBit(vm::QueryKind::Sample));
   for (const vm::BufferInfo &Info : Program.Buffers)
     if (Info.Columns > 1 &&
         ((Info.Role == vm::BufferInfo::Kind::Input && Info.Transposed) ||
@@ -231,17 +229,18 @@ public:
       return false;
     return timedRun(Request, Stats, [&](runtime::ExecutionStats &) {
       size_t N = Request.NumSamples;
-      switch (Request.Kind) {
-      case vm::QueryKind::Mpe:
-        Entry.Mpe(Request.Input, Request.Rows, Request.Output, N, Own.data());
+      if (Request.Kind == vm::QueryKind::Mpe ||
+          Request.Kind == vm::QueryKind::Sample) {
+        // The native upward pass per row, then the shared downward pass.
+        std::vector<double> Up(N);
+        auto Upward = [&](size_t I, void *Registers) {
+          Entry.Upward(Request.Input, Up.data(), I, N, Registers, Own.data());
+        };
+        if (Program.UseF32)
+          vm::completeRows<float>(Program, Request, Up.data(), Upward);
+        else
+          vm::completeRows<double>(Program, Request, Up.data(), Upward);
         return;
-      case vm::QueryKind::Sample:
-        Entry.Sample(Request.Input, Request.Rows, N, Request.Seed,
-                     Own.data());
-        return;
-      case vm::QueryKind::Joint:
-      case vm::QueryKind::Marginal:
-        break;
       }
       if (!Blocks) {
         Entry.Kernel(Request.Input, Request.Output, N, Own.data());
@@ -488,9 +487,8 @@ CppBackend::build(vm::KernelProgram Program,
     return FailAndCleanup("cpp backend: '" + SoPath + "' has no '" +
                           std::string(kCppKernelSymbol) + "' symbol");
   }
-  // Query entry points are emitted only for MPE/sampling programs.
-  Entry.Mpe = reinterpret_cast<MpeFn>(dlsym(Handle, kCppMpeSymbol));
-  Entry.Sample = reinterpret_cast<SampleFn>(dlsym(Handle, kCppSampleSymbol));
+  // The per-row upward pass is emitted only for MPE/sampling programs.
+  Entry.Upward = reinterpret_cast<UpwardFn>(dlsym(Handle, kCppUpwardSymbol));
 
   std::string Description = "cpp native (" + Compiler;
   for (const std::string &Flag : Options.ExtraFlags)

@@ -19,6 +19,9 @@
 //     (bucket bounds) spelled as hexadecimal float literals so no
 //     precision is lost in the round trip through source text.
 //
+// MPE and sampling programs add a per-row upward entry point; their
+// downward pass runs on the host (vm::completeRows).
+//
 // Segments are spread over translation units balanced by instruction
 // count, so the host compiler builds the units concurrently and never
 // sees a function larger than one segment. The units include no headers:
@@ -294,178 +297,6 @@ void emitInstruction(std::string &Out, const KernelProgram &Program,
   }
 }
 
-/// Emits the traceback plan tables, the deterministic RNG replica and
-/// the downward walker into the anonymous namespace of unit 0, the
-/// unit holding the entry points. Everything here mirrors support/Random.h and
-/// vm/Traceback.h word for word — the exact streams are part of the
-/// reproducibility contract (docs/queries.md).
-void emitTracebackSupport(std::string &Out, const KernelProgram &Program) {
-  const TracebackPlan &Plan = Program.Plan;
-  Out += "\n// Traceback plan: kind 0=Choice 1=Both 2=Pass 3=LeafTable "
-         "4=LeafGaussian.\n"
-         "struct spnc_plan_node { int kind; int a; int b; unsigned rega;\n"
-         "  unsigned regb; unsigned feature; double mean; double stddev;\n"
-         "  double mode; unsigned tbegin; unsigned tcount; };\n";
-  appendf(Out, "static const spnc_plan_node kPlan[%zu] = {\n",
-          Plan.Nodes.size());
-  for (const PlanNode &N : Plan.Nodes)
-    appendf(Out, "  {%d, %d, %d, %uu, %uu, %uu, %s, %s, %s, %uu, %uu},\n",
-            static_cast<int>(N.Kind), N.A, N.B, N.RegA, N.RegB, N.Feature,
-            formatDouble(N.Mean).c_str(), formatDouble(N.StdDev).c_str(),
-            formatDouble(N.Mode).c_str(), N.TableBegin, N.TableCount);
-  Out += "};\n";
-  appendf(Out, "static const double kPlanBuckets[%zu] = {\n",
-          Plan.Buckets.empty() ? size_t(1) : Plan.Buckets.size());
-  if (Plan.Buckets.empty())
-    Out += "  0.0,\n";
-  for (size_t I = 0; I < Plan.Buckets.size(); ++I) {
-    appendf(Out, "  %s,", formatDouble(Plan.Buckets[I]).c_str());
-    Out += (I % 4 == 3 || I + 1 == Plan.Buckets.size()) ? "\n" : "";
-  }
-  Out += "};\n";
-  appendf(Out, "const int kPlanRoot = %d;\n", Plan.Root);
-
-  Out += R"(
-// SplitMix64-seeded xoshiro256** (replica of support/Random.h).
-struct spnc_rng { unsigned long long s[4]; };
-
-inline unsigned long long spnc_rotl(unsigned long long x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
-inline void spnc_rng_seed(spnc_rng &r, unsigned long long seed) {
-  unsigned long long x = seed;
-  for (int i = 0; i < 4; ++i) {
-    x += 0x9e3779b97f4a7c15ULL;
-    unsigned long long z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    r.s[i] = z ^ (z >> 31);
-  }
-}
-
-inline unsigned long long spnc_rng_next(spnc_rng &r) {
-  unsigned long long result = spnc_rotl(r.s[1] * 5, 7) * 9;
-  unsigned long long t = r.s[1] << 17;
-  r.s[2] ^= r.s[0];
-  r.s[3] ^= r.s[1];
-  r.s[1] ^= r.s[2];
-  r.s[0] ^= r.s[3];
-  r.s[2] ^= t;
-  r.s[3] = spnc_rotl(r.s[3], 45);
-  return result;
-}
-
-inline double spnc_rng_uniform(spnc_rng &r) {
-  return (double)(spnc_rng_next(r) >> 11) * 0x1.0p-53;
-}
-
-inline unsigned long long spnc_per_sample_seed(unsigned long long seed,
-                                               unsigned long long idx) {
-  return seed ^ (0x9e3779b97f4a7c15ULL * (idx + 1));
-}
-
-// Cache-free Box-Muller cosine branch: exactly two uniforms per call.
-inline double spnc_draw_normal(spnc_rng &r) {
-  double u1 = 1.0 - spnc_rng_uniform(r);
-  double u2 = spnc_rng_uniform(r);
-  return __builtin_sqrt(-2.0 * __builtin_log(u1)) *
-         __builtin_cos(2.0 * 3.14159265358979323846 * u2);
-}
-
-// Single-uniform CDF walk over (lb, ub, mass) triples.
-inline double spnc_draw_table_bucket(const double *triples, unsigned count,
-                                     spnc_rng &r) {
-  double total = 0.0;
-  for (unsigned i = 0; i < count; ++i)
-    total += triples[3 * i + 2];
-  double u = spnc_rng_uniform(r) * total;
-  double acc = 0.0;
-  for (unsigned i = 0; i < count; ++i) {
-    acc += triples[3 * i + 2];
-    if (u < acc)
-      return triples[3 * i];
-  }
-  for (unsigned i = count; i > 0; --i)
-    if (triples[3 * (i - 1) + 2] > 0.0)
-      return triples[3 * (i - 1)];
-  return 0.0;
-}
-)";
-
-  // The walker (mirror of vm::runTraceback). A null rng selects the MPE
-  // argmax descent. Every plan node is pushed at most once, so a stack
-  // of node-count capacity suffices.
-  appendf(Out,
-          "\ninline void spnc_traceback(const value_t *r, "
-          "const double *ev, double *out,\n"
-          "                           spnc_rng *rng) {\n"
-          "  int stack[%zu];\n"
-          "  int top = 0;\n"
-          "  stack[top++] = kPlanRoot;\n"
-          "  while (top > 0) {\n"
-          "    const spnc_plan_node &n = kPlan[stack[--top]];\n"
-          "    switch (n.kind) {\n"
-          "    case 0: {\n"
-          "      double va = (double)r[n.rega];\n"
-          "      double vb = (double)r[n.regb];\n"
-          "      bool take_b;\n"
-          "      if (rng) {\n"
-          "        double pb = -1.0;\n",
-          Plan.Nodes.size() + 1);
-  if (Program.LogSpace)
-    Out += "        double hi = va >= vb ? va : vb;\n"
-           "        double lo = va >= vb ? vb : va;\n"
-           "        if (!(__builtin_isinf(hi) && hi < 0.0)) {\n"
-           "          double total =\n"
-           "              hi + __builtin_log1p(__builtin_exp(lo - hi));\n"
-           "          pb = __builtin_exp(vb - total);\n"
-           "        }\n";
-  else
-    Out += "        double total = va + vb;\n"
-           "        if (total > 0.0)\n"
-           "          pb = vb / total;\n";
-  Out += "        take_b = spnc_rng_uniform(*rng) < pb;\n"
-         "      } else {\n"
-         "        take_b = vb > va;\n"
-         "      }\n"
-         "      stack[top++] = take_b ? n.b : n.a;\n"
-         "      break;\n"
-         "    }\n"
-         "    case 1:\n"
-         "      stack[top++] = n.b;\n"
-         "      stack[top++] = n.a;\n"
-         "      break;\n"
-         "    case 2:\n"
-         "      stack[top++] = n.a;\n"
-         "      break;\n"
-         "    case 3: {\n"
-         "      double e = ev[n.feature];\n"
-         "      if (!__builtin_isnan(e))\n"
-         "        out[n.feature] = e;\n"
-         "      else if (rng)\n"
-         "        out[n.feature] = spnc_draw_table_bucket(\n"
-         "            kPlanBuckets + n.tbegin, n.tcount, *rng);\n"
-         "      else\n"
-         "        out[n.feature] = n.mode;\n"
-         "      break;\n"
-         "    }\n"
-         "    case 4: {\n"
-         "      double e = ev[n.feature];\n"
-         "      if (!__builtin_isnan(e))\n"
-         "        out[n.feature] = e;\n"
-         "      else if (rng)\n"
-         "        out[n.feature] = n.mean + n.stddev * "
-         "spnc_draw_normal(*rng);\n"
-         "      else\n"
-         "        out[n.feature] = n.mode;\n"
-         "      break;\n"
-         "    }\n"
-         "    }\n"
-         "  }\n"
-         "}\n";
-}
-
 /// One segment function: instructions [Begin, End) of task \p Task,
 /// the \p Index-th segment of that task.
 struct Segment {
@@ -613,11 +444,9 @@ void emitBufferRelease(std::string &Out, const KernelProgram &Program) {
 }
 
 /// Emits the sample loop of one task: a fresh register file per sample,
-/// the task's segments in order (reading the parameter block "p"), then
-/// \p Tail.
+/// the task's segments in order (reading the parameter block "p").
 void emitTaskLoop(std::string &Out, const KernelProgram &Program,
-                  size_t TaskIdx, const std::vector<Segment> &Segments,
-                  const char *Tail) {
+                  size_t TaskIdx, const std::vector<Segment> &Segments) {
   appendf(Out,
           "  for (size_t i = 0; i < n; ++i) {\n"
           "    value_t r[%u] = {};\n",
@@ -626,7 +455,6 @@ void emitTaskLoop(std::string &Out, const KernelProgram &Program,
     if (Seg.Task == TaskIdx)
       appendf(Out, "    %s(r, in, out, b, p, i, n);\n",
               segmentName(Seg).c_str());
-  Out += Tail;
   Out += "  }\n";
 }
 
@@ -657,65 +485,29 @@ void emitKernelEntry(std::string &Out, const KernelProgram &Program,
     const TaskProgram &Task = Program.Tasks[Step.Task];
     appendf(Out, "  // step %zu: task %d (%zu instructions, %u registers)\n",
             S, Step.Task, Task.Code.size(), Task.NumRegisters);
-    emitTaskLoop(Out, Program, static_cast<size_t>(Step.Task), Segments,
-                 "");
+    emitTaskLoop(Out, Program, static_cast<size_t>(Step.Task), Segments);
   }
   emitBufferRelease(Out, Program);
   Out += "}\n";
 }
 
-/// Emits the MPE or sampling entry point: per sample, the single task's
-/// upward pass into a fresh register file, an evidence pre-fill of the
-/// output row, then the downward traceback.
-void emitQueryEntry(std::string &Out, const KernelProgram &Program,
-                    const std::vector<Segment> &Segments) {
-  uint32_t NumFeatures = 0;
-  for (const BufferInfo &Info : Program.Buffers)
-    if (Info.Role == BufferInfo::Kind::Input)
-      NumFeatures = Info.Columns;
-  bool Mpe = Program.Query == QueryKind::Mpe;
-  if (Mpe)
-    appendf(Out,
-            "\nextern \"C\" void %s(const double *__restrict in, "
-            "double *__restrict assign,\n"
-            "                                 double *__restrict logp, "
-            "size_t n,\n"
-            "                                 const void *params) {\n",
-            kCppMpeSymbol);
-  else
-    appendf(Out,
-            "\nextern \"C\" void %s(const double *__restrict in, "
-            "double *__restrict samples,\n"
-            "                                    size_t n, "
-            "unsigned long long seed,\n"
-            "                                    const void *params) {\n",
-            kCppSampleSymbol);
-  Out += "  const value_t *p = (const value_t *)params;\n"
-         "  double *out = new double[n]();\n";
-  emitBufferSetup(Out, Program);
-  std::string Tail;
-  appendf(Tail,
-          "    double *row = %s + i * %uu;\n"
-          "    const double *ev = in + i * %uu;\n"
-          "    for (unsigned f = 0; f < %uu; ++f)\n"
-          "      row[f] = ev[f];\n",
-          Mpe ? "assign" : "samples", NumFeatures, NumFeatures,
-          NumFeatures);
-  if (Mpe) {
-    Tail += "    spnc_traceback(r, ev, row, 0);\n";
-    if (Program.LogSpace)
-      Tail += "    if (logp) logp[i] = out[i];\n";
-    else
-      Tail += "    if (logp) logp[i] = __builtin_log(out[i]);\n";
-  } else {
-    Tail += "    spnc_rng rng;\n"
-            "    spnc_rng_seed(rng, spnc_per_sample_seed(seed, i));\n"
-            "    spnc_traceback(r, ev, row, &rng);\n";
-  }
-  emitTaskLoop(Out, Program, 0, Segments, Tail.c_str());
-  emitBufferRelease(Out, Program);
-  Out += "  delete[] out;\n"
-         "}\n";
+/// Emits the per-row upward entry point of an MPE or sampling program:
+/// the single task's segments for row "i" into the caller's register
+/// file. The host runs the downward pass (vm::completeRows). A
+/// single-task program has no intermediate buffers, so the segments get
+/// no buffer table.
+void emitUpwardEntry(std::string &Out, const std::vector<Segment> &Segments) {
+  appendf(Out,
+          "\nextern \"C\" void %s(const double *__restrict in, "
+          "double *__restrict out, size_t i,\n"
+          "                        size_t n, void *regs, "
+          "const void *params) {\n"
+          "  value_t *r = (value_t *)regs;\n"
+          "  const value_t *p = (const value_t *)params;\n",
+          kCppUpwardSymbol);
+  for (const Segment &Seg : Segments)
+    appendf(Out, "  %s(r, in, out, 0, p, i, n);\n", segmentName(Seg).c_str());
+  Out += "}\n";
 }
 
 } // namespace
@@ -751,8 +543,6 @@ spnc::backend::emitCppKernel(const KernelProgram &Program,
   for (size_t U = 0; U < NumUnits; ++U) {
     std::string &Out = Units[U];
     emitPrelude(Out, Program, U, NumUnits);
-    if (U == 0 && NeedsPlan)
-      emitTracebackSupport(Out, Program);
     Out += "\n} // namespace\n";
     // Unit 0 calls every segment, so it declares those defined elsewhere.
     if (U == 0)
@@ -766,7 +556,7 @@ spnc::backend::emitCppKernel(const KernelProgram &Program,
     if (U == 0) {
       emitKernelEntry(Out, Program, Segments);
       if (NeedsPlan)
-        emitQueryEntry(Out, Program, Segments);
+        emitUpwardEntry(Out, Segments);
     }
   }
   return Units;

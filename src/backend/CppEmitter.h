@@ -8,7 +8,7 @@
 /// \file
 /// Emits a compiled `vm::KernelProgram` as header-free, vectorizable C++
 /// translation units that link into one shared object exposing
-/// `extern "C"` evaluation functions — the source-emission half of the
+/// `extern "C"` upward-pass functions — the source-emission half of the
 /// CppBackend (the host compiler builds the units concurrently and links
 /// them). Each task's per-sample body is cut into segment functions of
 /// at most kCppSegmentInstructions instructions, so no unit holds a
@@ -43,8 +43,10 @@ namespace backend {
 /// point of parameterized (merged-model) programs; v4 cut the code into
 /// segment functions spread over several translation units; v5 reads
 /// every side-table value from a compute-typed parameter block that
-/// every entry point takes.
-inline constexpr unsigned kCppEmitterVersion = 5;
+/// every entry point takes; v6 replaced the MPE and sampling entry
+/// points, which carried their own traceback and RNG, with the per-row
+/// upward pass spnc_kernel_upward.
+inline constexpr unsigned kCppEmitterVersion = 6;
 
 /// Upper bound on the instructions of one segment function.
 inline constexpr size_t kCppSegmentInstructions = 256;
@@ -58,20 +60,15 @@ inline constexpr size_t kCppSegmentInstructions = 256;
 /// bakes no side-table value.
 inline constexpr const char *kCppKernelSymbol = "spnc_kernel_run";
 
-/// MPE entry point, emitted only for QueryKind::Mpe programs:
-///   void spnc_kernel_mpe(const double *in, double *assign,
-///                        double *logp, size_t n, const void *params);
-/// `assign` receives one completed row per sample; `logp` (nullable)
-/// one log-probability per sample.
-inline constexpr const char *kCppMpeSymbol = "spnc_kernel_mpe";
-
-/// Sampling entry point, emitted only for QueryKind::Sample programs:
-///   void spnc_kernel_sample(const double *in, double *samples,
-///                           size_t n, unsigned long long seed,
-///                           const void *params);
-/// Replicates the vm/Traceback.h RNG contract, so a fixed seed yields
-/// the same rows as the VM engine's sampling requests.
-inline constexpr const char *kCppSampleSymbol = "spnc_kernel_sample";
+/// Per-row upward entry point, emitted only for MPE and sampling
+/// programs (single-task, with a traceback plan):
+///   void spnc_kernel_upward(const double *in, double *out, size_t i,
+///                           size_t n, void *regs, const void *params);
+/// Runs the upward pass of row `i` of an `n`-row batch into `regs`, the
+/// task's register file of the compute type, and writes the row's root
+/// value to `out[i]`. The downward pass runs on the host
+/// (vm::completeRows), the same code the VM and the GPU simulator run.
+inline constexpr const char *kCppUpwardSymbol = "spnc_kernel_upward";
 
 /// Where each side-table value of a program sits in the parameter block
 /// the emitted code reads, an array of the program's compute type

@@ -9,7 +9,6 @@
 
 #include "support/Timer.h"
 #include "vm/Executor.h"
-#include "vm/Traceback.h"
 
 #include <algorithm>
 #include <atomic>
@@ -202,31 +201,9 @@ void runOnDevice(const KernelProgram &Program,
   // Device buffers: intermediates live here; external buffers are
   // modelled by accounting their transfers (the computation reads/writes
   // the host copies directly, which is numerically identical).
-  std::vector<std::vector<T>> DeviceBuffers(Program.Buffers.size());
-  std::vector<BufferBinding<T>> Bindings(Program.Buffers.size());
-  for (size_t I = 0; I < Program.Buffers.size(); ++I) {
-    const BufferInfo &Info = Program.Buffers[I];
-    BufferBinding<T> &B = Bindings[I];
-    B.Columns = Info.Columns;
-    B.Transposed = Info.Transposed;
-    B.Stride = TotalSamples;
-    B.Offset = Begin;
-    switch (Info.Role) {
-    case BufferInfo::Kind::Input:
-      B.ExternalIn = Input;
-      break;
-    case BufferInfo::Kind::Output:
-      B.ExternalOut = Output;
-      break;
-    case BufferInfo::Kind::Intermediate:
-      B.Stride = NumSamples;
-      B.Offset = 0;
-      DeviceBuffers[I].resize(static_cast<size_t>(Info.Columns) *
-                              NumSamples);
-      B.Scratch = DeviceBuffers[I].data();
-      break;
-    }
-  }
+  BoundBuffers<T> Bound =
+      bindBuffers<T>(Program, Input, Output, TotalSamples, Begin, End);
+  const std::vector<BufferBinding<T>> &Bindings = Bound.Bindings;
 
   auto BufferBytes = [&](size_t I) {
     return static_cast<uint64_t>(Program.Buffers[I].Columns) *
@@ -350,43 +327,31 @@ void runOnDevice(const KernelProgram &Program,
 
 namespace {
 
-/// Upward pass + traceback per sample on the simulated device. Register
-/// values use the program's width T (f32 for UseF32 programs), so MPE
-/// argmax decisions reflect device precision; assignments and samples
-/// are produced in f64 like the host engines.
+/// MPE or sampling on the simulated device: one launch whose threads
+/// each run a row's upward pass and the shared downward pass
+/// (vm::interpretRows). Register values use the program's width T (f32
+/// for UseF32 programs), so MPE argmax decisions reflect device
+/// precision; assignments and samples are produced in f64 like the host
+/// engines.
 template <typename T>
 void runQueryOnDevice(const KernelProgram &Program,
                       const GpuDeviceConfig &Config, unsigned BlockSize,
-                      QueryKind Kind, const double *Evidence,
-                      double *Rows, double *UpOut, size_t NumSamples,
-                      uint64_t Seed, GpuExecutionStats &Stats) {
+                      const runtime::RunRequest &Request,
+                      GpuExecutionStats &Stats) {
   const auto TransferNs = [&](uint64_t Bytes) {
     return static_cast<uint64_t>(
         Config.TransferLatencyUs * 1000.0 +
         static_cast<double>(Bytes) / Config.PcieBandwidthGBs);
   };
-
   const TaskProgram &Task = Program.Tasks[0];
-  std::vector<BufferBinding<T>> Bindings(Program.Buffers.size());
-  uint32_t NumFeatures = 1;
-  for (size_t I = 0; I < Program.Buffers.size(); ++I) {
-    const BufferInfo &Info = Program.Buffers[I];
-    BufferBinding<T> &B = Bindings[I];
-    B.Columns = Info.Columns;
-    B.Transposed = Info.Transposed;
-    B.Stride = NumSamples;
-    B.Offset = 0;
-    if (Info.Role == BufferInfo::Kind::Input) {
-      B.ExternalIn = Evidence;
+  size_t NumSamples = Request.NumSamples;
+  uint64_t NumFeatures = 1;
+  for (const BufferInfo &Info : Program.Buffers)
+    if (Info.Role == BufferInfo::Kind::Input)
       NumFeatures = Info.Columns;
-    } else {
-      B.ExternalOut = UpOut;
-    }
-  }
 
   // Evidence upload.
-  uint64_t InBytes =
-      static_cast<uint64_t>(NumFeatures) * NumSamples * sizeof(T);
+  uint64_t InBytes = NumFeatures * NumSamples * sizeof(T);
   Stats.TransferNs += TransferNs(InBytes);
   Stats.BytesHostToDevice += InBytes;
   ++Stats.NumTransfers;
@@ -397,18 +362,7 @@ void runQueryOnDevice(const KernelProgram &Program,
   ++Stats.NumLaunches;
 
   Timer HostTimer;
-  std::vector<T> Registers(Task.NumRegisters);
-  std::vector<int32_t> Stack;
-  for (size_t S = 0; S < NumSamples; ++S) {
-    interpretSample(Task, Bindings.data(), S, Registers.data());
-    const double *Row = Evidence + S * NumFeatures;
-    double *OutRow = Rows + S * NumFeatures;
-    for (uint32_t F = 0; F < NumFeatures; ++F)
-      OutRow[F] = Row[F];
-    Rng R(perSampleSeed(Seed, S));
-    runTraceback(Program.Plan, Registers.data(), Row, OutRow,
-                 Program.LogSpace, Kind, R, Stack);
-  }
+  interpretRows<T>(Program, Request);
   uint64_t HostNs = HostTimer.elapsedNs();
 
   double Occupancy =
@@ -423,9 +377,7 @@ void runQueryOnDevice(const KernelProgram &Program,
           static_cast<double>(Config.NumSMs));
 
   // Download: the completed rows plus the root values.
-  uint64_t OutBytes =
-      static_cast<uint64_t>(NumFeatures) * NumSamples * sizeof(T) +
-      NumSamples * sizeof(T);
+  uint64_t OutBytes = (NumFeatures + 1) * NumSamples * sizeof(T);
   Stats.TransferNs += TransferNs(OutBytes);
   Stats.BytesDeviceToHost += OutBytes;
   ++Stats.NumTransfers;
@@ -455,47 +407,31 @@ bool GpuExecutor::run(const runtime::RunRequest &Request,
   return timedRun(Request, Stats, [&](runtime::ExecutionStats &S) {
     S.HasGpuStats = true;
     size_t N = Request.NumSamples;
-    if (Request.Kind != QueryKind::Mpe &&
-        Request.Kind != QueryKind::Sample) {
-      StreamLease Lease(*this);
-      auto Launch = [&](const KernelProgram &P, size_t Begin, size_t End) {
-        if (P.UseF32)
-          runOnDevice<float>(P, Config, BlockSize, Request.Input,
-                             Request.Output, N, Begin, End, S.Gpu);
-        else
-          runOnDevice<double>(P, Config, BlockSize, Request.Input,
-                              Request.Output, N, Begin, End, S.Gpu);
-      };
-      if (!Bound)
-        Launch(Program, 0, N);
+    StreamLease Lease(*this);
+    auto Launch = [&](const KernelProgram &P, size_t Begin, size_t End) {
+      if (P.UseF32)
+        runOnDevice<float>(P, Config, BlockSize, Request.Input,
+                           Request.Output, N, Begin, End, S.Gpu);
       else
-        forEachTableRun(Request, [&](size_t Begin, size_t End,
-                                     uint32_t Table) {
-          const std::optional<KernelProgram> &Rebound = *(*Bound)[Table];
-          Launch(Rebound ? *Rebound : Program, Begin, End);
-        });
-      Lease.account(S.Gpu);
-      return;
-    }
-    // MPE reports the root values in Output when asked for them.
-    bool ReportUp = Request.Kind == QueryKind::Mpe && Request.Output;
-    std::vector<double> UpStorage(ReportUp ? 0 : N);
-    double *Up = ReportUp ? Request.Output : UpStorage.data();
-    {
-      StreamLease Lease(*this);
+        runOnDevice<double>(P, Config, BlockSize, Request.Input,
+                            Request.Output, N, Begin, End, S.Gpu);
+    };
+    if (Request.Kind == QueryKind::Mpe || Request.Kind == QueryKind::Sample) {
       if (Program.UseF32)
-        runQueryOnDevice<float>(Program, Config, BlockSize, Request.Kind,
-                                Request.Input, Request.Rows, Up, N,
-                                Request.Seed, S.Gpu);
+        runQueryOnDevice<float>(Program, Config, BlockSize, Request, S.Gpu);
       else
-        runQueryOnDevice<double>(Program, Config, BlockSize, Request.Kind,
-                                 Request.Input, Request.Rows, Up, N,
-                                 Request.Seed, S.Gpu);
-      Lease.account(S.Gpu);
+        runQueryOnDevice<double>(Program, Config, BlockSize, Request,
+                                 S.Gpu);
+    } else if (!Bound) {
+      Launch(Program, 0, N);
+    } else {
+      forEachTableRun(Request, [&](size_t Begin, size_t End,
+                                   uint32_t Table) {
+        const std::optional<KernelProgram> &Rebound = *(*Bound)[Table];
+        Launch(Rebound ? *Rebound : Program, Begin, End);
+      });
     }
-    if (ReportUp && !Program.LogSpace)
-      for (size_t I = 0; I < N; ++I)
-        Up[I] = std::log(Up[I]);
+    Lease.account(S.Gpu);
   });
 }
 

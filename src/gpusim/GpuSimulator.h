@@ -153,12 +153,12 @@ public:
 
   /// Runs the request on the simulated device with CpuExecutor's
   /// buffer conventions and returns the simulated breakdown in
-  /// \p Stats->Gpu (HasGpuStats set). MPE runs the upward pass with the
-  /// program's register width (f32 for UseF32 programs — near-tie argmax
-  /// decisions can differ from f64 engines) and the traceback on the
-  /// device per sample; evidence upload and row download are accounted
-  /// like the joint transfers. Sampling follows the CPU engines'
-  /// per-sample-index seeding contract (docs/queries.md).
+  /// \p Stats->Gpu (HasGpuStats set). MPE and sampling run the upward
+  /// pass with the program's register width (f32 for UseF32 programs —
+  /// near-tie argmax decisions can differ from f64 engines) and the
+  /// downward pass every engine shares (vm::interpretRows) on the device
+  /// per sample; evidence upload and row download are accounted like the
+  /// joint transfers.
   bool run(const runtime::RunRequest &Request,
            runtime::ExecutionStats *Stats = nullptr) const override;
 

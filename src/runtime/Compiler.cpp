@@ -82,26 +82,9 @@ Expected<CompiledKernel> spnc::runtime::loadCompiledKernel(
     const std::string &Path, Target TheTarget,
     vm::ExecutionConfig Execution, gpusim::GpuDeviceConfig Device,
     unsigned GpuBlockSize) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
-    return makeError("cannot open '" + Path +
-                     "': " + std::strerror(errno));
-  std::vector<uint8_t> Blob;
-  uint8_t Chunk[4096];
-  size_t Read;
-  while ((Read = std::fread(Chunk, 1, sizeof(Chunk), File)) > 0)
-    Blob.insert(Blob.end(), Chunk, Chunk + Read);
-  if (std::ferror(File)) {
-    Error Err = makeError("cannot read '" + Path +
-                          "': " + std::strerror(errno));
-    std::fclose(File);
-    return Err;
-  }
-  std::fclose(File);
-  Expected<vm::KernelProgram> Program = vm::decodeProgram(Blob);
+  Expected<vm::KernelProgram> Program = vm::readProgramFile(Path);
   if (!Program)
-    return makeError("cannot load '" + Path +
-                     "': " + Program.getError().message());
+    return Program.getError();
 
   // Resolve the engine from the lowering target recorded in the binary
   // header; warn when an explicit target contradicts it (the program

@@ -140,32 +140,6 @@ std::string KernelCache::tuningRecordPath(uint64_t ModelHash) const {
   return TheConfig.Directory + "/" + Name;
 }
 
-namespace {
-
-/// Reads and decodes a cached `.spnk`; any failure (missing file, short
-/// read, bad blob, checksum mismatch, older format version) returns an
-/// error the caller treats as a miss. \p Existed distinguishes
-/// corruption from absence.
-Expected<vm::KernelProgram> loadCachedProgram(const std::string &Path,
-                                              bool &Existed) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
-    return makeError("no cache entry at '" + Path + "'");
-  Existed = true;
-  std::vector<uint8_t> Blob;
-  uint8_t Chunk[4096];
-  size_t Read;
-  while ((Read = std::fread(Chunk, 1, sizeof(Chunk), File)) > 0)
-    Blob.insert(Blob.end(), Chunk, Chunk + Read);
-  bool ReadError = std::ferror(File) != 0;
-  std::fclose(File);
-  if (ReadError)
-    return makeError("cannot read cache entry '" + Path + "'");
-  return vm::decodeProgram(Blob);
-}
-
-} // namespace
-
 void KernelCache::touch(std::unordered_map<uint64_t, Entry>::iterator It) {
   LruOrder.splice(LruOrder.begin(), LruOrder, It->second.LruIt);
 }
@@ -339,8 +313,12 @@ KernelCache::getOrCompileImpl(uint64_t ModelHash, const spn::Model &Model,
   std::shared_ptr<ExecutionEngine> Engine;
   std::string Path = entryPath(Key);
   uint64_t PrunedFiles = 0, PrunedBytes = 0;
-  if (!Path.empty()) {
-    Expected<vm::KernelProgram> Cached = loadCachedProgram(Path, Existed);
+  std::error_code ExistsError;
+  if (!Path.empty() && std::filesystem::exists(Path, ExistsError)) {
+    // Any failure from here on (unreadable file, short read, bad blob,
+    // checksum mismatch, older format version) is a corrupt entry.
+    Existed = true;
+    Expected<vm::KernelProgram> Cached = vm::readProgramFile(Path);
     if (Cached &&
         Cached->Query != static_cast<vm::QueryKind>(Query.Kind)) {
       // Defense in depth: the query kind participates in the cache key,

@@ -53,28 +53,36 @@ Expected<PipelineConfig> PipelineConfig::create(CompilerOptions Options) {
 }
 
 uint64_t PipelineConfig::hash() const {
+  // Only what the pipeline and the target's engine read, so options
+  // neither reads never split the kernel cache.
   const CompilerOptions &O = Options;
-  size_t Seed = hashCombine(
-      static_cast<unsigned>(O.TheTarget), O.OptLevel, O.MaxPartitionSize,
-      O.Execution.VectorWidth, O.Execution.UseVecLib,
-      O.Execution.UseShuffle, O.Execution.NumThreads,
-      O.Execution.ChunkSize, O.GpuBlockSize, O.GpuTransferElimination,
-      O.AvoidBufferCopies);
-  hashCombineSeed(
-      Seed, hashCombine(O.Partitioning.MaxPartitionSize,
-                        O.Partitioning.Slack,
-                        O.Partitioning.MaxRefinementSweeps,
-                        O.Partitioning.EnableRefinement,
-                        static_cast<unsigned>(O.Partitioning.Strategy)));
-  hashCombineSeed(
-      Seed,
-      hashCombine(O.Device.NumSMs, O.Device.MaxThreadsPerBlock,
-                  O.Device.MaxThreadsPerSM, O.Device.MaxBlocksPerSM,
-                  O.Device.RegistersPerSM, O.Device.PeakSpeedup,
-                  O.Device.PcieBandwidthGBs, O.Device.TransferLatencyUs,
-                  O.Device.KernelLaunchOverheadUs,
-                  O.Device.BlockScheduleOverheadNs,
-                  O.Device.DeviceBandwidthGBs, O.Device.NumStreams));
+  size_t Seed =
+      hashCombine(static_cast<unsigned>(O.TheTarget), O.OptLevel,
+                  O.MaxPartitionSize, O.AvoidBufferCopies);
+  // The partitioner runs only with a size bound, which the pipeline
+  // sets from MaxPartitionSize.
+  if (O.MaxPartitionSize > 0)
+    hashCombineSeed(
+        Seed, hashCombine(O.Partitioning.Slack,
+                          O.Partitioning.MaxRefinementSweeps,
+                          O.Partitioning.EnableRefinement,
+                          static_cast<unsigned>(O.Partitioning.Strategy)));
+  if (O.TheTarget == Target::GPU)
+    hashCombineSeed(
+        Seed,
+        hashCombine(O.GpuBlockSize, O.GpuTransferElimination,
+                    O.Device.NumSMs, O.Device.MaxThreadsPerBlock,
+                    O.Device.MaxThreadsPerSM, O.Device.MaxBlocksPerSM,
+                    O.Device.RegistersPerSM, O.Device.PeakSpeedup,
+                    O.Device.PcieBandwidthGBs, O.Device.TransferLatencyUs,
+                    O.Device.KernelLaunchOverheadUs,
+                    O.Device.BlockScheduleOverheadNs,
+                    O.Device.DeviceBandwidthGBs, O.Device.NumStreams));
+  else
+    hashCombineSeed(
+        Seed, hashCombine(O.Execution.VectorWidth, O.Execution.UseVecLib,
+                          O.Execution.UseShuffle, O.Execution.NumThreads,
+                          O.Execution.ChunkSize));
   return Seed;
 }
 
@@ -312,7 +320,10 @@ void CompilationPipeline::buildStages() {
       PM.addPass(createCSEPass());
     }
     transforms::BufferizationOptions BufOptions;
-    BufOptions.AvoidCopies = O.AvoidBufferCopies;
+    // A traceback task must store its root value to the output itself:
+    // every engine's per-row upward pass runs the task, never a copy.
+    BufOptions.AvoidCopies =
+        O.AvoidBufferCopies || queryNeedsTraceback(C.Query);
     PM.addPass(transforms::createBufferizationPass(BufOptions));
     if (O.TheTarget == Target::GPU && O.GpuTransferElimination)
       PM.addPass(transforms::createGpuBufferTransferEliminationPass());

@@ -127,8 +127,10 @@ public:
   /// valid for the config's lifetime.
   const CompilerOptions &getOptions() const { return Options; }
 
-  /// Stable structural hash over every knob that influences either the
-  /// compiled program or the engine configuration; one of the three
+  /// Stable structural hash over the knobs the pipeline or the target's
+  /// engine reads, and no others (the partitioner's options only when
+  /// partitioning is on, the GPU device options only on the GPU target,
+  /// the CPU execution options only on the CPU); one of the three
   /// kernel-cache key components. Thread-safe; never fails.
   uint64_t hash() const;
 

@@ -9,6 +9,7 @@
 
 #include "support/Hashing.h"
 #include "support/ThreadPool.h"
+#include "vm/Traceback.h"
 
 #include <algorithm>
 #include <cassert>
@@ -783,8 +784,8 @@ void InferenceServer::runBatch(Shard &TheShard, Batch TheBatch) {
     Run.Rows = Rows.data();
   }
   if (Model.Query.Kind == spn::QueryKind::Sample)
-    Run.Seed = Config.SampleSeed ^
-               (0x9e3779b97f4a7c15ULL * (SampleBatchCounter.fetch_add(1) + 1));
+    Run.Seed = vm::perSampleSeed(Config.SampleSeed,
+                                 SampleBatchCounter.fetch_add(1));
   runtime::ExecutionStats ExecStats;
   bool Executed = Model.Kernel.run(Run, &ExecStats);
   Clock::time_point Done = Clock::now();

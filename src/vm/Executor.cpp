@@ -76,6 +76,67 @@ static SPNC_ALWAYS_INLINE void storeElement(const BufferBinding<T> &B,
     B.ExternalOut[Idx] = static_cast<double>(Value);
 }
 
+template <typename T>
+BoundBuffers<T> spnc::vm::bindBuffers(const KernelProgram &Program,
+                                      const double *Input, double *Output,
+                                      size_t TotalSamples, size_t Begin,
+                                      size_t End) {
+  size_t ChunkLen = End - Begin;
+  BoundBuffers<T> Bound;
+  Bound.Bindings.resize(Program.Buffers.size());
+  Bound.Intermediates.resize(Program.Buffers.size());
+  for (size_t I = 0; I < Program.Buffers.size(); ++I) {
+    const BufferInfo &Info = Program.Buffers[I];
+    BufferBinding<T> &B = Bound.Bindings[I];
+    B.Columns = Info.Columns;
+    B.Transposed = Info.Transposed;
+    switch (Info.Role) {
+    case BufferInfo::Kind::Input:
+      B.ExternalIn = Input;
+      B.Stride = TotalSamples;
+      B.Offset = Begin;
+      break;
+    case BufferInfo::Kind::Output:
+      B.ExternalOut = Output;
+      B.Stride = TotalSamples;
+      B.Offset = Begin;
+      break;
+    case BufferInfo::Kind::Intermediate:
+      Bound.Intermediates[I].resize(static_cast<size_t>(Info.Columns) *
+                                    ChunkLen);
+      B.Scratch = Bound.Intermediates[I].data();
+      B.Stride = ChunkLen;
+      B.Offset = 0;
+      break;
+    }
+  }
+  return Bound;
+}
+
+template BoundBuffers<float>
+spnc::vm::bindBuffers<float>(const KernelProgram &, const double *,
+                             double *, size_t, size_t, size_t);
+template BoundBuffers<double>
+spnc::vm::bindBuffers<double>(const KernelProgram &, const double *,
+                              double *, size_t, size_t, size_t);
+
+template <typename T>
+void spnc::vm::interpretRows(const KernelProgram &Program,
+                             const runtime::RunRequest &Request) {
+  size_t N = Request.NumSamples;
+  std::vector<double> Up(N);
+  BoundBuffers<T> Bound =
+      bindBuffers<T>(Program, Request.Input, Up.data(), N, 0, N);
+  completeRows<T>(Program, Request, Up.data(), [&](size_t I, T *Registers) {
+    interpretSample(Program.Tasks[0], Bound.Bindings.data(), I, Registers);
+  });
+}
+
+template void spnc::vm::interpretRows<float>(const KernelProgram &,
+                                             const runtime::RunRequest &);
+template void spnc::vm::interpretRows<double>(const KernelProgram &,
+                                              const runtime::RunRequest &);
+
 //===----------------------------------------------------------------------===//
 // Scalar engine
 //===----------------------------------------------------------------------===//
@@ -324,10 +385,15 @@ struct BlockTranspose {
   }
 };
 
+/// Runs \p Task over the W samples of one block. Kept out of line: GCC
+/// 12 inlines it into runChunkTyped otherwise, and the W=8 f32 engine
+/// then runs ratspn-classify ~5% slower (EXPERIMENTS "One downward
+/// pass").
 template <typename T, unsigned W>
-void runBlock(const TaskProgram &Task, const BufferBinding<T> *Buffers,
-              const BlockTranspose<T> *Transposes, size_t Begin,
-              bool UseVecLib, T *Regs) {
+SPNC_NOINLINE void runBlock(const TaskProgram &Task,
+                            const BufferBinding<T> *Buffers,
+                            const BlockTranspose<T> *Transposes,
+                            size_t Begin, bool UseVecLib, T *Regs) {
   const T NegInf = -std::numeric_limits<T>::infinity();
   T Tmp0[W], Tmp1[W];
   for (const Instruction &Inst : Task.Code) {
@@ -604,35 +670,9 @@ void runChunkTyped(const KernelProgram &Program,
                    double *Output, size_t TotalSamples, size_t Begin,
                    size_t End) {
   size_t ChunkLen = End - Begin;
-
-  // Bind buffers; intermediates are chunk-private.
-  std::vector<BufferBinding<T>> Bindings(Program.Buffers.size());
-  std::vector<std::vector<T>> Intermediates(Program.Buffers.size());
-  for (size_t I = 0; I < Program.Buffers.size(); ++I) {
-    const BufferInfo &Info = Program.Buffers[I];
-    BufferBinding<T> &B = Bindings[I];
-    B.Columns = Info.Columns;
-    B.Transposed = Info.Transposed;
-    switch (Info.Role) {
-    case BufferInfo::Kind::Input:
-      B.ExternalIn = Input;
-      B.Stride = TotalSamples;
-      B.Offset = Begin;
-      break;
-    case BufferInfo::Kind::Output:
-      B.ExternalOut = Output;
-      B.Stride = TotalSamples;
-      B.Offset = Begin;
-      break;
-    case BufferInfo::Kind::Intermediate:
-      Intermediates[I].resize(static_cast<size_t>(Info.Columns) *
-                              ChunkLen);
-      B.Scratch = Intermediates[I].data();
-      B.Stride = ChunkLen;
-      B.Offset = 0;
-      break;
-    }
-  }
+  BoundBuffers<T> Bound =
+      bindBuffers<T>(Program, Input, Output, TotalSamples, Begin, End);
+  const std::vector<BufferBinding<T>> &Bindings = Bound.Bindings;
 
   uint32_t MaxRegs = 0;
   for (const TaskProgram &Task : Program.Tasks)
@@ -758,56 +798,6 @@ int32_t CpuExecutor::addParamTable(const double *Params,
                     });
 }
 
-//===----------------------------------------------------------------------===//
-// MPE / ancestral sampling (upward pass + downward traceback)
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Runs the upward pass and the downward traceback per sample over the
-/// whole batch. \p UpOut receives the root (log-)probability per sample;
-/// \p Rows the completed feature rows. Single-task programs only (the
-/// pipeline never partitions MPE/sampling kernels).
-template <typename T>
-void runQueryBatch(const KernelProgram &Program, QueryKind Kind,
-                   const double *Evidence, double *Rows, double *UpOut,
-                   size_t NumSamples, uint64_t Seed) {
-  const TaskProgram &Task = Program.Tasks[0];
-  std::vector<BufferBinding<T>> Bindings(Program.Buffers.size());
-  uint32_t NumFeatures = 1;
-  for (size_t I = 0; I < Program.Buffers.size(); ++I) {
-    const BufferInfo &Info = Program.Buffers[I];
-    BufferBinding<T> &B = Bindings[I];
-    B.Columns = Info.Columns;
-    B.Transposed = Info.Transposed;
-    B.Stride = NumSamples;
-    B.Offset = 0;
-    if (Info.Role == BufferInfo::Kind::Input) {
-      B.ExternalIn = Evidence;
-      NumFeatures = Info.Columns;
-    } else {
-      B.ExternalOut = UpOut;
-    }
-  }
-
-  std::vector<T> Registers(Task.NumRegisters);
-  std::vector<int32_t> Stack;
-  for (size_t I = 0; I < NumSamples; ++I) {
-    interpretSample(Task, Bindings.data(), I, Registers.data());
-    const double *Row = Evidence + I * NumFeatures;
-    double *OutRow = Rows + I * NumFeatures;
-    // Pre-fill with the evidence so features outside the model's scope
-    // still echo their observed values (NaN when unobserved).
-    for (uint32_t F = 0; F < NumFeatures; ++F)
-      OutRow[F] = Row[F];
-    Rng R(perSampleSeed(Seed, I));
-    runTraceback(Program.Plan, Registers.data(), Row, OutRow,
-                 Program.LogSpace, Kind, R, Stack);
-  }
-}
-
-} // namespace
-
 bool CpuExecutor::run(const runtime::RunRequest &Request,
                       runtime::ExecutionStats *Stats) const {
   std::optional<std::vector<const std::optional<KernelProgram> *>> Bound;
@@ -816,21 +806,10 @@ bool CpuExecutor::run(const runtime::RunRequest &Request,
   return timedRun(Request, Stats, [&](runtime::ExecutionStats &) {
     size_t N = Request.NumSamples;
     if (Request.Kind == QueryKind::Mpe || Request.Kind == QueryKind::Sample) {
-      // MPE reports the root values in Output when asked for them.
-      bool ReportUp = Request.Kind == QueryKind::Mpe && Request.Output;
-      std::vector<double> UpStorage(ReportUp ? 0 : N);
-      double *Up = ReportUp ? Request.Output : UpStorage.data();
       if (Program.UseF32)
-        runQueryBatch<float>(Program, Request.Kind, Request.Input,
-                             Request.Rows, Up, N, Request.Seed);
+        interpretRows<float>(Program, Request);
       else
-        runQueryBatch<double>(Program, Request.Kind, Request.Input,
-                              Request.Rows, Up, N, Request.Seed);
-      // The engine contract reports log-probabilities even when the
-      // program computes in linear space.
-      if (ReportUp && !Program.LogSpace)
-        for (size_t I = 0; I < N; ++I)
-          Up[I] = std::log(Up[I]);
+        interpretRows<double>(Program, Request);
       return;
     }
     // Indexed requests run each maximal run of equal table index as an

@@ -126,6 +126,32 @@ struct BufferBinding {
   size_t Offset = 0;
 };
 
+/// A program's buffers bound for one chunk: one binding per buffer, and
+/// the chunk-private storage of the intermediate buffers they point to.
+template <typename T>
+struct BoundBuffers {
+  std::vector<BufferBinding<T>> Bindings;
+  std::vector<std::vector<T>> Intermediates;
+};
+
+/// Binds \p Program's buffers for rows [Begin, End) of a batch of
+/// \p TotalSamples: the input and output buffers address the caller's
+/// arrays in place, each intermediate buffer gets zero-filled storage
+/// for the chunk's rows. Chunk-local row I then addresses batch row
+/// Begin + I.
+template <typename T>
+BoundBuffers<T> bindBuffers(const KernelProgram &Program,
+                            const double *Input, double *Output,
+                            size_t TotalSamples, size_t Begin, size_t End);
+
+/// Answers the MPE or sampling \p Request of \p Program with the scalar
+/// interpreter as each row's upward pass, followed by the shared
+/// downward pass (completeRows in vm/Traceback.h). T is the program's
+/// compute type.
+template <typename T>
+void interpretRows(const KernelProgram &Program,
+                   const runtime::RunRequest &Request);
+
 /// Executes \p Task for the single chunk-local sample \p SampleIdx using
 /// \p Registers (NumRegisters entries). Scalar reference engine; also the
 /// per-thread execution model of the GPU simulator.

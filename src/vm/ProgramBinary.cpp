@@ -9,6 +9,8 @@
 
 #include "support/Hashing.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <string>
 
@@ -641,4 +643,27 @@ spnc::vm::decodeProgram(std::span<const uint8_t> Blob) {
   if (std::string Err = checkIndices(P); !Err.empty())
     return makeError("invalid kernel program: " + Err);
   return P;
+}
+
+Expected<KernelProgram> spnc::vm::readProgramFile(const std::string &Path) {
+  std::FILE *File = std::fopen(Path.c_str(), "rb");
+  if (!File)
+    return makeError("cannot open '" + Path + "': " + std::strerror(errno));
+  std::vector<uint8_t> Blob;
+  uint8_t Chunk[4096];
+  size_t Read;
+  while ((Read = std::fread(Chunk, 1, sizeof(Chunk), File)) > 0)
+    Blob.insert(Blob.end(), Chunk, Chunk + Read);
+  if (std::ferror(File)) {
+    Error Err = makeError("cannot read '" + Path +
+                          "': " + std::strerror(errno));
+    std::fclose(File);
+    return Err;
+  }
+  std::fclose(File);
+  Expected<KernelProgram> Program = decodeProgram(Blob);
+  if (!Program)
+    return makeError("cannot load '" + Path +
+                     "': " + Program.getError().message());
+  return Program;
 }

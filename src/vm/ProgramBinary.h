@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 namespace spnc {
@@ -59,6 +60,13 @@ std::vector<uint8_t> encodeProgram(const KernelProgram &Program);
 /// valid checksum over a bad index still fails, with an error naming the
 /// field. Errors never leave a partially-filled program behind.
 Expected<KernelProgram> decodeProgram(std::span<const uint8_t> Blob);
+
+/// Reads the `.spnk` file at \p Path and decodes it. Fails with
+/// "cannot open '<Path>': <reason>" or "cannot read '<Path>': <reason>"
+/// (the errno text, e.g. for a directory) when the bytes cannot be read,
+/// and with "cannot load '<Path>': <decode error>" when they do not
+/// decode.
+Expected<KernelProgram> readProgramFile(const std::string &Path);
 
 } // namespace vm
 } // namespace spnc

@@ -6,32 +6,37 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The downward pass shared by every compiled engine (vm::CpuExecutor,
-/// gpusim::GpuExecutor) for the MPE and ancestral-sampling query kinds:
-/// after the upward pass of one sample has filled the task's register
-/// file, `runTraceback` walks the program's `TracebackPlan` from the
-/// root, descending the argmax child at each sum-combine (MPE; ties go
-/// to the lowest child index via the left-associative chain) or a
-/// posterior-weighted random child (sampling), and writes one value per
-/// feature into the output row (docs/queries.md).
+/// The downward pass of the MPE and ancestral-sampling query kinds, the
+/// one copy every compiled engine runs (vm::CpuExecutor,
+/// gpusim::GpuExecutor and the cpp backend's native kernels, whose
+/// shared objects hold only the upward pass). An engine hands
+/// `completeRows` its per-row upward pass; after the upward pass of one
+/// sample has filled the task's register file, `runTraceback` walks the
+/// program's `TracebackPlan` from the root, descending the argmax child
+/// at each sum-combine (MPE; ties go to the lowest child index via the
+/// left-associative chain) or a posterior-weighted random child
+/// (sampling), and writes one value per feature into the output row
+/// (docs/queries.md).
 ///
 /// The sampling RNG contract is part of the reproducibility guarantee:
 /// sample I of a batch uses `Rng(perSampleSeed(Seed, I))`, every Choice
 /// node consumes exactly one uniform (even when a branch is forced by a
 /// zero-probability sibling), and unobserved leaves draw via a CDF walk
 /// (one uniform) or the cache-free Box-Muller cosine branch (two
-/// uniforms). The CppBackend emitter replicates this word for word in
-/// generated code, so a fixed seed reproduces bit-identical samples per
-/// engine regardless of batch splitting.
+/// uniforms). A fixed seed therefore reproduces bit-identical samples
+/// regardless of batch splitting, and engines whose upward registers
+/// agree draw the same rows.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPNC_VM_TRACEBACK_H
 #define SPNC_VM_TRACEBACK_H
 
+#include "runtime/ExecutionEngine.h"
 #include "support/Random.h"
 #include "vm/Bytecode.h"
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -155,6 +160,40 @@ inline void runTraceback(const TracebackPlan &Plan, const T *Registers,
     }
     }
   }
+}
+
+/// Answers the MPE or sampling \p Request for \p Program, a single-task
+/// program with a traceback plan, from an engine's upward pass:
+/// \p Upward(I, Registers) runs the upward pass of row I into
+/// \p Registers (T, the program's compute type) and writes the row's
+/// root value to \p Up[I]. Per row, the evidence is copied into the
+/// output row first, so features outside the model's scope echo their
+/// observed values (NaN when unobserved); then the row's RNG is seeded
+/// and the traceback completes it. An MPE request that asks for them
+/// gets the root values in Output as log-probabilities, also when the
+/// program computes in linear space.
+template <typename T, typename UpwardFn>
+void completeRows(const KernelProgram &Program,
+                  const runtime::RunRequest &Request, const double *Up,
+                  UpwardFn &&Upward) {
+  uint32_t NumFeatures = 1;
+  for (const BufferInfo &Info : Program.Buffers)
+    if (Info.Role == BufferInfo::Kind::Input)
+      NumFeatures = Info.Columns;
+  std::vector<T> Registers(Program.Tasks[0].NumRegisters);
+  std::vector<int32_t> Stack;
+  for (size_t I = 0; I < Request.NumSamples; ++I) {
+    Upward(I, Registers.data());
+    const double *Row = Request.Input + I * NumFeatures;
+    double *OutRow = Request.Rows + I * NumFeatures;
+    std::copy(Row, Row + NumFeatures, OutRow);
+    Rng R(perSampleSeed(Request.Seed, I));
+    runTraceback(Program.Plan, Registers.data(), Row, OutRow,
+                 Program.LogSpace, Request.Kind, R, Stack);
+  }
+  if (Request.Kind == QueryKind::Mpe && Request.Output)
+    for (size_t I = 0; I < Request.NumSamples; ++I)
+      Request.Output[I] = Program.LogSpace ? Up[I] : std::log(Up[I]);
 }
 
 } // namespace vm

@@ -361,12 +361,15 @@ void expectMpeMatchesOracle(const ExecutionEngine &Engine,
   }
 }
 
-/// Compiles \p S for the CPU VM with the MPE query in f64.
+/// Compiles \p S for the CPU VM with the MPE query in f64, the
+/// optimization level, vector width and copy avoidance varying with
+/// \p Index.
 CompiledKernel compileVmMpe(const Scenario &S, size_t Index) {
   CompilerOptions Options;
   Options.TheTarget = Target::CPU;
   Options.OptLevel = static_cast<unsigned>(Index % 4);
   Options.Execution.VectorWidth = Index % 2 == 0 ? 8 : 1;
+  Options.AvoidBufferCopies = Index % 3 != 0;
   spn::QueryConfig Query;
   Query.Kind = spn::QueryKind::Mpe;
   Query.DataType = spn::ComputeType::F64;

@@ -173,24 +173,32 @@ TEST_P(DeviceConfigTest, ResultsInvariantTimesResponsive) {
       compileModel(Model, spn::QueryConfig(), Gpu);
   ASSERT_TRUE(static_cast<bool>(GpuKernel));
   std::vector<double> Actual(512);
-  runtime::ExecutionStats FastExec;
-  GpuKernel->execute(Data.data(), Actual.data(), 512, &FastExec);
+  // The simulated compute clock scales a host-timed run, and host noise
+  // only ever adds time: keep the fastest of five runs.
+  auto FastestRun = [&](const CompiledKernel &Kernel) {
+    gpusim::GpuExecutionStats Best;
+    for (int Run = 0; Run < 5; ++Run) {
+      runtime::ExecutionStats Exec;
+      Kernel.execute(Data.data(), Actual.data(), 512, &Exec);
+      if (Run == 0 || Exec.Gpu.ComputeNs < Best.ComputeNs)
+        Best = Exec.Gpu;
+    }
+    return Best;
+  };
+  gpusim::GpuExecutionStats Fast = FastestRun(*GpuKernel);
   for (size_t S = 0; S < 512; ++S)
     EXPECT_NEAR(Actual[S], ExpectedOut[S],
                 std::abs(ExpectedOut[S]) * 1e-4 + 1e-4);
 
   // A faster device must not report a slower compute clock: compare
   // against a 2x-derated configuration.
-  gpusim::GpuExecutionStats Fast = FastExec.Gpu;
   CompilerOptions Slow = Gpu;
   Slow.Device.PeakSpeedup = PeakSpeedup / 2;
   Slow.Device.PcieBandwidthGBs = BandwidthGBs / 2;
   Expected<CompiledKernel> SlowKernel =
       compileModel(Model, spn::QueryConfig(), Slow);
   ASSERT_TRUE(static_cast<bool>(SlowKernel));
-  runtime::ExecutionStats SlowExec;
-  SlowKernel->execute(Data.data(), Actual.data(), 512, &SlowExec);
-  gpusim::GpuExecutionStats SlowStats = SlowExec.Gpu;
+  gpusim::GpuExecutionStats SlowStats = FastestRun(*SlowKernel);
   EXPECT_GT(SlowStats.TransferNs, Fast.TransferNs);
   // Compute is measured on a shared host core, so allow scheduling
   // noise around the modelled 2x.

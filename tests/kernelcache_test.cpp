@@ -150,6 +150,40 @@ TEST_F(KernelCacheTest, KeyIsSensitiveToPipelineAndQueryConfig) {
   EXPECT_NE(keyFor(*Model, spn::QueryConfig(), Base),
             keyFor(*Model, spn::QueryConfig(), Gpu));
 
+  // Partitioner options matter once partitioning is on.
+  CompilerOptions Partitioned = Base;
+  Partitioned.MaxPartitionSize = 100;
+  CompilerOptions PartitionedSlack = Partitioned;
+  PartitionedSlack.Partitioning.Slack = 0.05;
+  EXPECT_NE(keyFor(*Model, spn::QueryConfig(), Partitioned),
+            keyFor(*Model, spn::QueryConfig(), PartitionedSlack));
+
+  // Options neither the pipeline nor the target's engine reads leave
+  // the key alone: each pair compiles the same program for the same
+  // engine.
+  auto ExpectSameKey = [&](const CompilerOptions &A,
+                           const CompilerOptions &B, const char *What) {
+    EXPECT_EQ(keyFor(*Model, spn::QueryConfig(), A),
+              keyFor(*Model, spn::QueryConfig(), B))
+        << What;
+  };
+  CompilerOptions Slack = Base;
+  Slack.Partitioning.Slack = 0.05;
+  ExpectSameKey(Base, Slack, "slack with partitioning off");
+  CompilerOptions PartitionerBound = Partitioned;
+  PartitionerBound.Partitioning.MaxPartitionSize = 2000;
+  ExpectSameKey(Partitioned, PartitionerBound,
+                "Partitioning.MaxPartitionSize (set by the pipeline)");
+  CompilerOptions BlockSize = Base;
+  BlockSize.GpuBlockSize = 128;
+  ExpectSameKey(Base, BlockSize, "GPU block size on the CPU");
+  CompilerOptions Peak = Base;
+  Peak.Device.PeakSpeedup = 8;
+  ExpectSameKey(Base, Peak, "device speedup on the CPU");
+  CompilerOptions GpuVectorized = Gpu;
+  GpuVectorized.Execution.VectorWidth = 8;
+  ExpectSameKey(Gpu, GpuVectorized, "vector width on the GPU");
+
   // ...and the query configuration.
   spn::QueryConfig Marginal;
   Marginal.SupportMarginal = true;

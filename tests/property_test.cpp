@@ -13,6 +13,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "backend/CppBackend.h"
+#include "backend/VmBackend.h"
 #include "baselines/Baselines.h"
 #include "runtime/Compiler.h"
 #include "support/Random.h"
@@ -22,7 +24,9 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 using namespace spnc;
@@ -228,20 +232,46 @@ TEST(RatSpnPropertyTest, BatchSizeInvariance) {
 
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-/// Compiles \p Model for the VM CPU path in f64 with the given query
-/// kind.
+/// The compiled engines the MPE/sampling contracts of docs/queries.md
+/// cover "in every engine". The cpp backend comes last: on a host
+/// without a compiler the test is skipped there, after the others ran.
+const char *const kEngines[] = {"vm", "gpusim", "cpp"};
+
+/// Compiles \p Model with the given query kind for \p Engine (one of
+/// kEngines): f32 on the simulated GPU, f64 on the CPU engines. The cpp
+/// backend builds at -O0, one quick host compile per kernel.
 CompiledKernel compileFor(const spn::Model &Model, spn::QueryKind Kind,
-                          Target TheTarget = Target::CPU) {
+                          const std::string &Engine = "vm") {
   spn::QueryConfig Query;
   Query.Kind = Kind;
-  Query.DataType = TheTarget == Target::GPU ? spn::ComputeType::F32
-                                            : spn::ComputeType::F64;
+  Query.DataType = Engine == "gpusim" ? spn::ComputeType::F32
+                                      : spn::ComputeType::F64;
   CompilerOptions Options;
-  Options.TheTarget = TheTarget;
-  Expected<CompiledKernel> Kernel = compileModel(Model, Query, Options);
-  EXPECT_TRUE(static_cast<bool>(Kernel))
-      << Kernel.getError().message();
-  return Kernel ? Kernel.takeValue() : CompiledKernel();
+  Options.TheTarget = Engine == "gpusim" ? Target::GPU : Target::CPU;
+  Expected<CompilationPipeline> Pipeline =
+      CompilationPipeline::create(Options);
+  EXPECT_TRUE(static_cast<bool>(Pipeline));
+  backend::CppBackendOptions Fast;
+  Fast.ExtraFlags = {"-O0"};
+  std::unique_ptr<backend::Backend> Backend;
+  if (Engine == "cpp")
+    Backend = std::make_unique<backend::CppBackend>(Fast);
+  else
+    Backend = std::make_unique<backend::VmBackend>();
+  Expected<backend::CompiledArtifact> Artifact =
+      Backend->compile(*Pipeline, Model, Query);
+  EXPECT_TRUE(static_cast<bool>(Artifact))
+      << Engine << ": " << Artifact.getError().message();
+  return Artifact ? CompiledKernel(std::move(Artifact->Engine))
+                  : CompiledKernel();
+}
+
+/// Why \p Engine cannot run on this host, empty when it can.
+std::string unavailableReason(const std::string &Engine) {
+  std::string Reason;
+  if (Engine == "cpp" && !backend::CppBackend().isAvailable(&Reason))
+    return Reason;
+  return std::string();
 }
 
 /// MPE optimality: the completed assignment must score, in the
@@ -299,9 +329,20 @@ TEST(SamplingPropertyTest, FixedSeedIsDeterministic) {
   const size_t NumSamples = 32;
   std::vector<double> Evidence(NumSamples * NumFeatures, kNaN);
 
-  for (Target TheTarget : {Target::CPU, Target::GPU}) {
-    CompiledKernel Kernel =
-        compileFor(Model, spn::QueryKind::Sample, TheTarget);
+  // The interpreter oracle honours the same contract.
+  baselines::InterpreterEngine Oracle(Model);
+  std::vector<double> OracleFirst(NumSamples * NumFeatures);
+  std::vector<double> OracleSecond(NumSamples * NumFeatures);
+  ASSERT_TRUE(drawSamples(Oracle, Evidence.data(), OracleFirst.data(),
+                          NumSamples, 42));
+  ASSERT_TRUE(drawSamples(Oracle, Evidence.data(), OracleSecond.data(),
+                          NumSamples, 42));
+  EXPECT_EQ(OracleFirst, OracleSecond);
+
+  for (const char *Engine : kEngines) {
+    if (std::string Reason = unavailableReason(Engine); !Reason.empty())
+      GTEST_SKIP() << Reason;
+    CompiledKernel Kernel = compileFor(Model, spn::QueryKind::Sample, Engine);
     ASSERT_TRUE(Kernel.getEngineShared() != nullptr);
     std::vector<double> First(NumSamples * NumFeatures);
     std::vector<double> Second(NumSamples * NumFeatures);
@@ -313,22 +354,10 @@ TEST(SamplingPropertyTest, FixedSeedIsDeterministic) {
     ASSERT_TRUE(drawSamples(Kernel.getEngine(),
                             Evidence.data(), Other.data(), NumSamples, 43));
     EXPECT_EQ(First, Second)
-        << (TheTarget == Target::GPU ? "gpu" : "cpu")
-        << ": same seed must be bit-reproducible";
+        << Engine << ": same seed must be bit-reproducible";
     EXPECT_NE(First, Other)
-        << (TheTarget == Target::GPU ? "gpu" : "cpu")
-        << ": a different seed must change the draw";
+        << Engine << ": a different seed must change the draw";
   }
-
-  // The interpreter oracle honours the same contract.
-  baselines::InterpreterEngine Oracle(Model);
-  std::vector<double> First(NumSamples * NumFeatures);
-  std::vector<double> Second(NumSamples * NumFeatures);
-  ASSERT_TRUE(drawSamples(Oracle,
-                          Evidence.data(), First.data(), NumSamples, 42));
-  ASSERT_TRUE(drawSamples(Oracle,
-                          Evidence.data(), Second.data(), NumSamples, 42));
-  EXPECT_EQ(First, Second);
 }
 
 /// Empirical marginals of 50k unconditioned draws match the model's
@@ -405,15 +434,15 @@ TEST(SamplingPropertyTest, FullEvidenceEchoesThrough) {
   baselines::InterpreterEngine Oracle(Model);
   ASSERT_TRUE(drawSamples(Oracle, Evidence.data(), Out.data(), NumSamples, 5));
   EXPECT_EQ(Out, Evidence) << "interpreter";
-  for (Target TheTarget : {Target::CPU, Target::GPU}) {
-    CompiledKernel Kernel =
-        compileFor(Model, spn::QueryKind::Sample, TheTarget);
+  for (const char *Engine : kEngines) {
+    if (std::string Reason = unavailableReason(Engine); !Reason.empty())
+      GTEST_SKIP() << Reason;
+    CompiledKernel Kernel = compileFor(Model, spn::QueryKind::Sample, Engine);
     ASSERT_TRUE(Kernel.getEngineShared() != nullptr);
     std::fill(Out.begin(), Out.end(), 0.0);
     ASSERT_TRUE(drawSamples(Kernel.getEngine(),
                             Evidence.data(), Out.data(), NumSamples, 5));
-    EXPECT_EQ(Out, Evidence)
-        << (TheTarget == Target::GPU ? "gpu" : "cpu");
+    EXPECT_EQ(Out, Evidence) << Engine;
   }
 }
 
@@ -440,15 +469,15 @@ TEST(MpeTieBreakTest, SumTieResolvesToLowestChildEverywhere) {
   EXPECT_EQ(Assignment[0], -1.0) << "reference oracle";
 
   double LogProb = 0.0;
-  for (Target TheTarget : {Target::CPU, Target::GPU}) {
-    CompiledKernel Kernel =
-        compileFor(Model, spn::QueryKind::Mpe, TheTarget);
+  for (const char *Engine : kEngines) {
+    if (std::string Reason = unavailableReason(Engine); !Reason.empty())
+      GTEST_SKIP() << Reason;
+    CompiledKernel Kernel = compileFor(Model, spn::QueryKind::Mpe, Engine);
     ASSERT_TRUE(Kernel.getEngineShared() != nullptr);
     Assignment[0] = 0.0;
     ASSERT_TRUE(completeMpe(Kernel.getEngine(),
                             &Evidence, Assignment.data(), &LogProb, 1));
-    EXPECT_EQ(Assignment[0], -1.0)
-        << (TheTarget == Target::GPU ? "gpu" : "cpu");
+    EXPECT_EQ(Assignment[0], -1.0) << Engine;
   }
 }
 
@@ -468,13 +497,16 @@ TEST(MpeTieBreakTest, DiscreteModeTieResolvesToLowestBucket) {
   EXPECT_EQ(Assignment[0], 0.0) << "reference oracle";
 
   double LogProb = 0.0;
-  CompiledKernel Kernel = compileFor(Model, spn::QueryKind::Mpe);
-  ASSERT_TRUE(Kernel.getEngineShared() != nullptr);
-  Assignment[0] = -1.0;
-  ASSERT_TRUE(
-      completeMpe(Kernel.getEngine(),
-                  &Evidence, Assignment.data(), &LogProb, 1));
-  EXPECT_EQ(Assignment[0], 0.0);
+  for (const char *Engine : kEngines) {
+    if (std::string Reason = unavailableReason(Engine); !Reason.empty())
+      GTEST_SKIP() << Reason;
+    CompiledKernel Kernel = compileFor(Model, spn::QueryKind::Mpe, Engine);
+    ASSERT_TRUE(Kernel.getEngineShared() != nullptr);
+    Assignment[0] = -1.0;
+    ASSERT_TRUE(completeMpe(Kernel.getEngine(),
+                            &Evidence, Assignment.data(), &LogProb, 1));
+    EXPECT_EQ(Assignment[0], 0.0) << Engine;
+  }
 }
 
 } // namespace

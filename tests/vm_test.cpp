@@ -14,10 +14,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <limits>
 #include <span>
+#include <string>
+
+#include <unistd.h>
 
 using namespace spnc;
 using namespace spnc::vm;
@@ -450,6 +456,51 @@ TEST(ProgramBinaryTest, RejectsCorruptBlobs) {
   Bad = Blob;
   Bad.push_back(42);
   EXPECT_FALSE(static_cast<bool>(decodeProgram(Bad)));
+}
+
+TEST(ProgramBinaryTest, ReadProgramFileReportsReadAndDecodeErrors) {
+  namespace fs = std::filesystem;
+  fs::path Dir = fs::temp_directory_path() /
+                 ("spnc-read-program-" + std::to_string(::getpid()));
+  fs::create_directories(Dir / "dir.spnk");
+  std::vector<uint8_t> Blob = encodeProgram(makeSampleProgram());
+  auto Write = [&](const fs::path &Path, size_t Size) {
+    std::FILE *File = std::fopen(Path.c_str(), "wb");
+    ASSERT_NE(File, nullptr);
+    std::fwrite(Blob.data(), 1, Size, File);
+    std::fclose(File);
+  };
+  Write(Dir / "whole.spnk", Blob.size());
+  Write(Dir / "truncated.spnk", Blob.size() / 2);
+
+  Expected<KernelProgram> Whole = readProgramFile(Dir / "whole.spnk");
+  ASSERT_TRUE(static_cast<bool>(Whole)) << Whole.getError().message();
+  EXPECT_EQ(Whole->Name, "sample");
+
+  // A directory opens but does not read: the errno text, not a decode
+  // error about the empty blob.
+  std::string DirPath = Dir / "dir.spnk";
+  Expected<KernelProgram> FromDir = readProgramFile(DirPath);
+  ASSERT_FALSE(static_cast<bool>(FromDir));
+  EXPECT_EQ(FromDir.getError().message(),
+            "cannot read '" + DirPath + "': " + std::strerror(EISDIR));
+
+  std::string TruncatedPath = Dir / "truncated.spnk";
+  Expected<KernelProgram> Truncated = readProgramFile(TruncatedPath);
+  ASSERT_FALSE(static_cast<bool>(Truncated));
+  Expected<KernelProgram> Decoded = decodeProgram(
+      std::span<const uint8_t>(Blob.data(), Blob.size() / 2));
+  ASSERT_FALSE(static_cast<bool>(Decoded));
+  EXPECT_EQ(Truncated.getError().message(),
+            "cannot load '" + TruncatedPath +
+                "': " + Decoded.getError().message());
+
+  std::string MissingPath = Dir / "missing.spnk";
+  Expected<KernelProgram> Missing = readProgramFile(MissingPath);
+  ASSERT_FALSE(static_cast<bool>(Missing));
+  EXPECT_EQ(Missing.getError().message(),
+            "cannot open '" + MissingPath + "': " + std::strerror(ENOENT));
+  fs::remove_all(Dir);
 }
 
 TEST(ProgramBinaryTest, ReportsCurrentVersionAndChecksum) {

@@ -604,19 +604,9 @@ int main(int Argc, char **Argv) {
             : [&]() -> Expected<CompiledKernel> {
         // Non-VM backends re-materialize the portable program (for the
         // cpp backend: re-emit, host-compile and dlopen).
-        std::FILE *File = std::fopen(ModelPath.c_str(), "rb");
-        if (!File)
-          return makeError("cannot open '" + ModelPath + "'");
-        std::vector<uint8_t> Blob;
-        uint8_t Chunk[4096];
-        size_t Read;
-        while ((Read = std::fread(Chunk, 1, sizeof(Chunk), File)) > 0)
-          Blob.insert(Blob.end(), Chunk, Chunk + Read);
-        std::fclose(File);
-        Expected<vm::KernelProgram> Program = vm::decodeProgram(Blob);
+        Expected<vm::KernelProgram> Program = vm::readProgramFile(ModelPath);
         if (!Program)
-          return makeError("cannot load '" + ModelPath +
-                           "': " + Program.getError().message());
+          return Program.getError();
         Expected<PipelineConfig> Config =
             PipelineConfig::create(Options.Compile);
         if (!Config)
