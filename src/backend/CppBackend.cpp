@@ -264,7 +264,7 @@ public:
     // lay its side tables out as the block the emitted kernel reads.
     return Tables.add(std::span<const double>(Raw, NumParams),
                       [this](std::span<const double> Params) {
-                        return ParamBlock(vm::bindParams(Program, Params),
+                        return ParamBlock(vm::bindProgram(Program, Params),
                                           Layout);
                       });
   }

@@ -94,7 +94,7 @@ struct CppParamLayout {
 };
 
 /// The layout of \p Program's parameter block. Any binding of the
-/// program (vm::bindParams) has the same layout.
+/// program (vm::bindProgram) has the same layout.
 CppParamLayout layoutCppParams(const vm::KernelProgram &Program);
 
 /// \p Program's side-table values in \p Layout order, as doubles (the

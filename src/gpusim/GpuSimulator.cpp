@@ -184,14 +184,15 @@ std::vector<uint64_t> GpuExecutor::getStreamKernelCounts() const {
 
 namespace {
 
-/// Runs samples [Begin, End) of a batch of \p TotalSamples on the device
-/// as one launch sequence.
+/// Runs the \p NumSamples rows of a joint/marginal batch on the device
+/// as one launch sequence: one launch per task, whose thread for row I
+/// reads its side tables from Params.get(I, Task).
 template <typename T>
 void runOnDevice(const KernelProgram &Program,
                  const GpuDeviceConfig &Config, unsigned BlockSize,
-                 const double *Input, double *Output, size_t TotalSamples,
-                 size_t Begin, size_t End, GpuExecutionStats &Stats) {
-  size_t NumSamples = End - Begin;
+                 const RowParams &Params, const double *Input,
+                 double *Output, size_t NumSamples,
+                 GpuExecutionStats &Stats) {
   const double BytesPerNs = Config.PcieBandwidthGBs; // GB/s == bytes/ns
   const auto TransferNs = [&](uint64_t Bytes) {
     return static_cast<uint64_t>(Config.TransferLatencyUs * 1000.0 +
@@ -202,7 +203,7 @@ void runOnDevice(const KernelProgram &Program,
   // modelled by accounting their transfers (the computation reads/writes
   // the host copies directly, which is numerically identical).
   BoundBuffers<T> Bound =
-      bindBuffers<T>(Program, Input, Output, TotalSamples, Begin, End);
+      bindBuffers<T>(Program, Input, Output, NumSamples, 0, NumSamples);
   const std::vector<BufferBinding<T>> &Bindings = Bound.Bindings;
 
   auto BufferBytes = [&](size_t I) {
@@ -249,7 +250,8 @@ void runOnDevice(const KernelProgram &Program,
       continue;
     }
 
-    const TaskProgram &Task = Program.Tasks[Step.Task];
+    size_t TaskIndex = static_cast<size_t>(Step.Task);
+    const TaskProgram &Task = Program.Tasks[TaskIndex];
 
     // Upload any consumed intermediate that is not on the device.
     for (const BufferAccess &Access : Task.Loads) {
@@ -272,7 +274,8 @@ void runOnDevice(const KernelProgram &Program,
 
     Timer HostTimer;
     for (size_t S = 0; S < NumSamples; ++S)
-      interpretSample(Task, Bindings.data(), S, Registers.data());
+      interpretSample(Task, Params.get(S, TaskIndex), Bindings.data(), S,
+                      Registers.data());
     uint64_t HostNs = HostTimer.elapsedNs();
 
     double Occupancy =
@@ -401,35 +404,26 @@ int32_t GpuExecutor::addParamTable(const double *Params,
 
 bool GpuExecutor::run(const runtime::RunRequest &Request,
                       runtime::ExecutionStats *Stats) const {
-  std::optional<std::vector<const std::optional<KernelProgram> *>> Bound;
-  if (Request.hasTables() && !(Bound = Tables.resolve(Request)))
+  std::optional<RowParams> Params =
+      RowParams::resolve(Program, Tables, Request);
+  if (!Params)
     return false;
   return timedRun(Request, Stats, [&](runtime::ExecutionStats &S) {
     S.HasGpuStats = true;
     size_t N = Request.NumSamples;
     StreamLease Lease(*this);
-    auto Launch = [&](const KernelProgram &P, size_t Begin, size_t End) {
-      if (P.UseF32)
-        runOnDevice<float>(P, Config, BlockSize, Request.Input,
-                           Request.Output, N, Begin, End, S.Gpu);
-      else
-        runOnDevice<double>(P, Config, BlockSize, Request.Input,
-                            Request.Output, N, Begin, End, S.Gpu);
-    };
     if (Request.Kind == QueryKind::Mpe || Request.Kind == QueryKind::Sample) {
       if (Program.UseF32)
         runQueryOnDevice<float>(Program, Config, BlockSize, Request, S.Gpu);
       else
         runQueryOnDevice<double>(Program, Config, BlockSize, Request,
                                  S.Gpu);
-    } else if (!Bound) {
-      Launch(Program, 0, N);
+    } else if (Program.UseF32) {
+      runOnDevice<float>(Program, Config, BlockSize, *Params, Request.Input,
+                         Request.Output, N, S.Gpu);
     } else {
-      forEachTableRun(Request, [&](size_t Begin, size_t End,
-                                   uint32_t Table) {
-        const std::optional<KernelProgram> &Rebound = *(*Bound)[Table];
-        Launch(Rebound ? *Rebound : Program, Begin, End);
-      });
+      runOnDevice<double>(Program, Config, BlockSize, *Params, Request.Input,
+                          Request.Output, N, S.Gpu);
     }
     Lease.account(S.Gpu);
   });

@@ -163,8 +163,10 @@ public:
            runtime::ExecutionStats *Stats = nullptr) const override;
 
   /// Weight tables of joint/marginal programs, bound like CpuExecutor's:
-  /// one private program copy per table (none for the compiling model's
-  /// own). Each run of rows sharing a table is its own launch.
+  /// each table binds only every task's side tables (none for the
+  /// compiling model's own). An indexed request is one launch per task
+  /// whatever its mix of tables: each simulated thread reads its own
+  /// row's table.
   int32_t addParamTable(const double *Params, size_t NumParams) override;
   std::vector<double> getParamTable(int32_t Index) const override;
 
@@ -173,7 +175,7 @@ private:
   struct StreamLease;
 
   vm::KernelProgram Program;
-  vm::ParamTableSet<std::optional<vm::KernelProgram>> Tables;
+  vm::ParamTableSet<vm::BoundParams> Tables;
   GpuDeviceConfig Config;
   unsigned BlockSize;
   /// Stream pool: the executor's only mutable state (see class comment).

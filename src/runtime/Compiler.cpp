@@ -47,10 +47,19 @@ spnc::runtime::saveCompiledKernel(const CompiledKernel &Kernel,
   // A kernel sharing its engine with isomorphic models answers under
   // its own weight table: save the program bound to it.
   int32_t Table = Kernel.getTableIndex();
+  std::vector<double> Raw;
+  if (Table >= 0) {
+    Raw = Kernel.getEngine().getParamTable(Table);
+    if (Raw.size() != Kernel.getProgram().NumParams) {
+      if (ErrorMessage)
+        *ErrorMessage = "kernel's weight table " + std::to_string(Table) +
+                        " is not registered on its engine";
+      return failure();
+    }
+  }
   std::vector<uint8_t> Blob = vm::encodeProgram(
       Table < 0 ? Kernel.getProgram()
-                : vm::bindParams(Kernel.getProgram(),
-                                 Kernel.getEngine().getParamTable(Table)));
+                : vm::bindProgram(Kernel.getProgram(), Raw));
   // Write to a temporary sibling and rename into place, so an
   // interrupted or failed write never leaves a truncated .spnk at Path.
   std::string TempPath = Path + ".tmp";

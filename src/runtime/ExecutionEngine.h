@@ -110,9 +110,9 @@ struct RunRequest {
   double *Rows = nullptr;
   size_t NumSamples = 0;
   /// Joint/marginal only: row I is evaluated under weight table
-  /// TableIndices[I] (indices from addParamTable, docs/merging.md). Each
-  /// maximal run of equal indices executes as one sub-batch, so rows
-  /// should arrive grouped by table.
+  /// TableIndices[I] (indices from addParamTable, docs/merging.md). Rows
+  /// need not be grouped by table; the VM runs fewer mixed blocks when
+  /// they are.
   const uint32_t *TableIndices = nullptr;
   /// Joint/marginal only, without TableIndices: every row is evaluated
   /// under this weight table; -1 evaluates the parameters of the program

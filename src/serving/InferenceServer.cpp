@@ -730,10 +730,11 @@ void InferenceServer::runBatch(Shard &TheShard, Batch TheBatch) {
   size_t NumFeatures = Model.NumFeatures;
 
   // Merged batches mix requests for different models of one merge
-  // group. Grouping same-model rows together (stable within a model,
-  // so FIFO order inside each model holds) lets the engine run
-  // maximal per-table spans; the output scatter below walks the same
-  // sorted order, so each rider still gets its own rows back.
+  // group. The engine takes rows in any table order; grouping
+  // same-model rows together (stable within a model, so FIFO order
+  // inside each model holds) makes more of its W-row blocks
+  // single-table. The output scatter below walks the same sorted order,
+  // so each rider still gets its own rows back.
   if (Model.Merged)
     std::stable_sort(TheBatch.Requests.begin(), TheBatch.Requests.end(),
                      [](const Request &A, const Request &B) {

@@ -187,21 +187,27 @@ struct BufferAccess {
   uint32_t Index = 0;
 };
 
-/// Executable form of one LoSPN task.
-struct TaskProgram {
-  std::vector<Instruction> Code;
-  uint32_t NumRegisters = 0;
+/// The parameter side tables of one task: everything binding a weight
+/// table rewrites (docs/merging.md). Engines bind a table into one of
+/// these per task and run the task's instruction stream over it.
+struct TaskParams {
   std::vector<double> ConstPool;
   std::vector<GaussianParams> Gaussians;
   std::vector<LookupTable> Tables;
   std::vector<SelectRange> Selects;
+};
+
+/// Executable form of one LoSPN task.
+struct TaskProgram : TaskParams {
+  std::vector<Instruction> Code;
+  uint32_t NumRegisters = 0;
   std::vector<BufferAccess> Loads;
   std::vector<BufferAccess> Stores;
   /// Register operand lists of the n-ary instructions.
   std::vector<uint32_t> Args;
   /// Tunable slots (joint/marginal programs; empty for MPE/sampling,
-  /// whose traceback plan bakes values). The side tables above hold the
-  /// generating model's own binding, so a program runs stand-alone.
+  /// whose traceback plan bakes values). The inherited side tables hold
+  /// the generating model's own binding, so a program runs stand-alone.
   std::vector<ParamSite> ParamSites;
 };
 

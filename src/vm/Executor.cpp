@@ -128,7 +128,8 @@ void spnc::vm::interpretRows(const KernelProgram &Program,
   BoundBuffers<T> Bound =
       bindBuffers<T>(Program, Request.Input, Up.data(), N, 0, N);
   completeRows<T>(Program, Request, Up.data(), [&](size_t I, T *Registers) {
-    interpretSample(Program.Tasks[0], Bound.Bindings.data(), I, Registers);
+    interpretSample(Program.Tasks[0], Program.Tasks[0],
+                    Bound.Bindings.data(), I, Registers);
   });
 }
 
@@ -153,6 +154,7 @@ static SPNC_ALWAYS_INLINE T scalarLogSumExp(T A, T B) {
 
 template <typename T>
 void spnc::vm::interpretSample(const TaskProgram &Task,
+                               const TaskParams &Params,
                                const BufferBinding<T> *Buffers,
                                size_t SampleIdx, T *Registers) {
   const T NegInf = -std::numeric_limits<T>::infinity();
@@ -192,7 +194,7 @@ void spnc::vm::interpretSample(const TaskProgram &Task,
 
   SPNC_CASE(Const) {
     const Instruction &I = SPNC_INST;
-    Registers[I.Dst] = static_cast<T>(Task.ConstPool[I.A]);
+    Registers[I.Dst] = static_cast<T>(Params.ConstPool[I.A]);
     SPNC_NEXT();
   }
   SPNC_CASE(Load) {
@@ -232,7 +234,7 @@ void spnc::vm::interpretSample(const TaskProgram &Task,
   }
   SPNC_CASE(Gaussian) {
     const Instruction &I = SPNC_INST;
-    const GaussianParams &P = Task.Gaussians[I.B];
+    const GaussianParams &P = Params.Gaussians[I.B];
     T X = Registers[I.A];
     if (P.SupportMarginal && std::isnan(X)) {
       Registers[I.Dst] = static_cast<T>(P.MarginalValue);
@@ -246,7 +248,7 @@ void spnc::vm::interpretSample(const TaskProgram &Task,
   }
   SPNC_CASE(GaussianLog) {
     const Instruction &I = SPNC_INST;
-    const GaussianParams &P = Task.Gaussians[I.B];
+    const GaussianParams &P = Params.Gaussians[I.B];
     T X = Registers[I.A];
     if (P.SupportMarginal && std::isnan(X)) {
       Registers[I.Dst] = static_cast<T>(P.MarginalValue);
@@ -259,7 +261,7 @@ void spnc::vm::interpretSample(const TaskProgram &Task,
   }
   SPNC_CASE(TableLookup) {
     const Instruction &I = SPNC_INST;
-    const LookupTable &Table = Task.Tables[I.B];
+    const LookupTable &Table = Params.Tables[I.B];
     T X = Registers[I.A];
     if (Table.SupportMarginal && std::isnan(X)) {
       Registers[I.Dst] = static_cast<T>(Table.MarginalValue);
@@ -275,7 +277,7 @@ void spnc::vm::interpretSample(const TaskProgram &Task,
   }
   SPNC_CASE(SelectInRange) {
     const Instruction &I = SPNC_INST;
-    const SelectRange &Range = Task.Selects[I.B];
+    const SelectRange &Range = Params.Selects[I.B];
     T X = Registers[I.A];
     // NaN compares false, so marginalized evidence keeps the previously
     // blended value.
@@ -286,7 +288,7 @@ void spnc::vm::interpretSample(const TaskProgram &Task,
   SPNC_CASE(NanBlend) {
     const Instruction &I = SPNC_INST;
     if (std::isnan(Registers[I.A]))
-      Registers[I.Dst] = static_cast<T>(Task.ConstPool[I.B]);
+      Registers[I.Dst] = static_cast<T>(Params.ConstPool[I.B]);
     SPNC_NEXT();
   }
   SPNC_CASE(AddN) {
@@ -348,10 +350,11 @@ void spnc::vm::interpretSample(const TaskProgram &Task,
 
 
 template void spnc::vm::interpretSample<float>(const TaskProgram &,
+                                               const TaskParams &,
                                                const BufferBinding<float> *,
                                                size_t, float *);
 template void
-spnc::vm::interpretSample<double>(const TaskProgram &,
+spnc::vm::interpretSample<double>(const TaskProgram &, const TaskParams &,
                                   const BufferBinding<double> *, size_t,
                                   double *);
 
@@ -385,24 +388,61 @@ struct BlockTranspose {
   }
 };
 
-/// Runs \p Task over the W samples of one block. Kept out of line: GCC
-/// 12 inlines it into runChunkTyped otherwise, and the W=8 f32 engine
-/// then runs ratspn-classify ~5% slower (EXPERIMENTS "One downward
-/// pass").
+/// Out[L] = Get(*Lanes[L]) as T for every lane L: one side-table entry
+/// as each lane's table holds it. A block whose lanes all read one table
+/// (\p Uniform: every block of a plain or RunRequest::Table request)
+/// reads the entry once and broadcasts it; reading it per lane there cost
+/// speaker-offline and ratspn-classify 10-13% of their throughput
+/// (EXPERIMENTS "Single-table blocks").
+template <typename T, unsigned W, typename GetFn>
+static SPNC_ALWAYS_INLINE void laneValues(const TaskParams *const *Lanes,
+                                          bool Uniform, GetFn &&Get,
+                                          T *Out) {
+  if (Uniform) {
+    T Value = static_cast<T>(Get(*Lanes[0]));
+    for (unsigned L = 0; L < W; ++L)
+      Out[L] = Value;
+  } else {
+    for (unsigned L = 0; L < W; ++L)
+      Out[L] = static_cast<T>(Get(*Lanes[L]));
+  }
+}
+
+/// Runs \p Task over the W samples of one block, lane L reading its
+/// side tables from Lanes[L]. The lanes of one block may read different
+/// weight tables: every parameter an instruction reads is gathered per
+/// lane (laneValues) and then goes through the same arithmetic, so each
+/// row gets the same bits whichever tables its neighbours read. Table
+/// sizes, bucket bounds and marginal support are structural, so every
+/// lane reads them from Lanes[0]. Every instantiation is kept out of
+/// line: GCC 12 inlines it into runChunkTyped otherwise, and the W=8 f32
+/// engine then runs ratspn-classify ~5% slower (EXPERIMENTS "One
+/// downward pass").
 template <typename T, unsigned W>
 SPNC_NOINLINE void runBlock(const TaskProgram &Task,
+                            const TaskParams *const *Lanes,
                             const BufferBinding<T> *Buffers,
                             const BlockTranspose<T> *Transposes,
                             size_t Begin, bool UseVecLib, T *Regs) {
   const T NegInf = -std::numeric_limits<T>::infinity();
-  T Tmp0[W], Tmp1[W];
+  const TaskParams &First = *Lanes[0];
+  bool Uniform = true;
+  for (unsigned L = 1; L < W; ++L)
+    Uniform = Uniform && Lanes[L] == Lanes[0];
+  T Tmp0[W], Tmp1[W], P0[W], P1[W], P2[W];
   for (const Instruction &Inst : Task.Code) {
     T *D = &Regs[static_cast<size_t>(Inst.Dst) * W];
+    // Reads field F of the Gaussian leaf this instruction evaluates.
+    auto Gaussian = [&Inst](double GaussianParams::*F) {
+      return [&Inst, F](const TaskParams &P) {
+        return P.Gaussians[Inst.B].*F;
+      };
+    };
     switch (Inst.Op) {
     case OpCode::Const: {
-      T Value = static_cast<T>(Task.ConstPool[Inst.A]);
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = Value;
+      laneValues<T, W>(
+          Lanes, Uniform,
+          [&](const TaskParams &P) { return P.ConstPool[Inst.A]; }, D);
       break;
     }
     case OpCode::Load: {
@@ -491,53 +531,51 @@ SPNC_NOINLINE void runBlock(const TaskProgram &Task,
         D[L] = D[L] == NegInf ? NegInf : D[L] + Tmp0[L];
       break;
     }
-    case OpCode::Gaussian: {
-      const GaussianParams &P = Task.Gaussians[Inst.B];
-      const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      const T Mean = static_cast<T>(P.Mean);
-      const T Inv = static_cast<T>(P.InvStdDev);
-      const T Coeff = static_cast<T>(P.Coefficient);
-      for (unsigned L = 0; L < W; ++L) {
-        T Norm = (A[L] - Mean) * Inv;
-        Tmp0[L] = T(-0.5) * Norm * Norm;
-      }
-      if (UseVecLib)
-        vecExpNeg(Tmp0, Tmp1, W);
-      else
-        scalarExp(Tmp0, Tmp1, W);
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = Coeff * Tmp1[L];
-      if (P.SupportMarginal)
-        for (unsigned L = 0; L < W; ++L)
-          D[L] = std::isnan(A[L]) ? static_cast<T>(P.MarginalValue) : D[L];
-      break;
-    }
+    case OpCode::Gaussian:
     case OpCode::GaussianLog: {
-      const GaussianParams &P = Task.Gaussians[Inst.B];
       const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      const T Mean = static_cast<T>(P.Mean);
-      const T Inv = static_cast<T>(P.InvStdDev);
-      const T Coeff = static_cast<T>(P.Coefficient);
-      for (unsigned L = 0; L < W; ++L) {
-        T Norm = (A[L] - Mean) * Inv;
-        D[L] = Coeff - T(0.5) * Norm * Norm;
-      }
-      if (P.SupportMarginal)
+      laneValues<T, W>(Lanes, Uniform, Gaussian(&GaussianParams::Mean), P0);
+      laneValues<T, W>(Lanes, Uniform, Gaussian(&GaussianParams::InvStdDev),
+                       P1);
+      laneValues<T, W>(Lanes, Uniform,
+                       Gaussian(&GaussianParams::Coefficient), P2);
+      if (Inst.Op == OpCode::GaussianLog) {
+        for (unsigned L = 0; L < W; ++L) {
+          T Norm = (A[L] - P0[L]) * P1[L];
+          D[L] = P2[L] - T(0.5) * Norm * Norm;
+        }
+      } else {
+        for (unsigned L = 0; L < W; ++L) {
+          T Norm = (A[L] - P0[L]) * P1[L];
+          Tmp0[L] = T(-0.5) * Norm * Norm;
+        }
+        if (UseVecLib)
+          vecExpNeg(Tmp0, Tmp1, W);
+        else
+          scalarExp(Tmp0, Tmp1, W);
         for (unsigned L = 0; L < W; ++L)
-          D[L] = std::isnan(A[L]) ? static_cast<T>(P.MarginalValue) : D[L];
+          D[L] = P2[L] * Tmp1[L];
+      }
+      if (First.Gaussians[Inst.B].SupportMarginal) {
+        laneValues<T, W>(Lanes, Uniform,
+                         Gaussian(&GaussianParams::MarginalValue), P0);
+        for (unsigned L = 0; L < W; ++L)
+          D[L] = std::isnan(A[L]) ? P0[L] : D[L];
+      }
       break;
     }
     case OpCode::TableLookup: {
-      const LookupTable &Table = Task.Tables[Inst.B];
       const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      const auto Size = static_cast<int64_t>(Table.Values.size());
+      const LookupTable &Shape = First.Tables[Inst.B];
+      const auto Size = static_cast<int64_t>(Shape.Values.size());
       for (unsigned L = 0; L < W; ++L) {
-        if (Table.SupportMarginal && std::isnan(A[L])) {
+        const LookupTable &Table = Lanes[L]->Tables[Inst.B];
+        if (Shape.SupportMarginal && std::isnan(A[L])) {
           D[L] = static_cast<T>(Table.MarginalValue);
           continue;
         }
         auto Idx = static_cast<int64_t>(
-            std::floor(static_cast<double>(A[L]) - Table.Lo));
+            std::floor(static_cast<double>(A[L]) - Shape.Lo));
         D[L] = (Idx >= 0 && Idx < Size)
                    ? static_cast<T>(Table.Values[static_cast<size_t>(Idx)])
                    : static_cast<T>(Table.DefaultValue);
@@ -545,20 +583,24 @@ SPNC_NOINLINE void runBlock(const TaskProgram &Task,
       break;
     }
     case OpCode::SelectInRange: {
-      const SelectRange &Range = Task.Selects[Inst.B];
       const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
+      const SelectRange &Range = First.Selects[Inst.B];
       const T Lo = static_cast<T>(Range.Lo);
       const T Hi = static_cast<T>(Range.Hi);
-      const T V = static_cast<T>(Range.Value);
+      laneValues<T, W>(
+          Lanes, Uniform,
+          [&](const TaskParams &P) { return P.Selects[Inst.B].Value; }, P0);
       for (unsigned L = 0; L < W; ++L)
-        D[L] = (A[L] >= Lo && A[L] < Hi) ? V : D[L];
+        D[L] = (A[L] >= Lo && A[L] < Hi) ? P0[L] : D[L];
       break;
     }
     case OpCode::NanBlend: {
       const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      const T V = static_cast<T>(Task.ConstPool[Inst.B]);
+      laneValues<T, W>(
+          Lanes, Uniform,
+          [&](const TaskParams &P) { return P.ConstPool[Inst.B]; }, P0);
       for (unsigned L = 0; L < W; ++L)
-        D[L] = std::isnan(A[L]) ? V : D[L];
+        D[L] = std::isnan(A[L]) ? P0[L] : D[L];
       break;
     }
     case OpCode::AddN: {
@@ -664,11 +706,15 @@ std::string CpuExecutor::describe() const {
 
 namespace {
 
+/// Runs batch rows [Begin, End) of \p Program, row I reading its side
+/// tables from Params.get(I, Task). Full W-row blocks run on the vector
+/// engine whatever tables their rows name, and the remainder on the
+/// scalar interpreter.
 template <typename T>
 void runChunkTyped(const KernelProgram &Program,
-                   const ExecutionConfig &Config, const double *Input,
-                   double *Output, size_t TotalSamples, size_t Begin,
-                   size_t End) {
+                   const ExecutionConfig &Config, const RowParams &Params,
+                   const double *Input, double *Output, size_t TotalSamples,
+                   size_t Begin, size_t End) {
   size_t ChunkLen = End - Begin;
   BoundBuffers<T> Bound =
       bindBuffers<T>(Program, Input, Output, TotalSamples, Begin, End);
@@ -688,98 +734,87 @@ void runChunkTyped(const KernelProgram &Program,
   };
 
   unsigned W = Config.VectorWidth;
-  if (W <= 1) {
-    std::vector<T> Registers(MaxRegs);
-    for (const KernelStep &Step : Program.Steps) {
-      if (Step.Task < 0) {
-        RunCopy(Step);
-        continue;
-      }
-      const TaskProgram &Task = Program.Tasks[Step.Task];
-      for (size_t I = 0; I < ChunkLen; ++I)
-        interpretSample(Task, Bindings.data(), I, Registers.data());
-    }
-    return;
-  }
-
-  std::vector<T> Registers(static_cast<size_t>(MaxRegs) * W);
+  size_t NumBlocks = W <= 1 ? 0 : ChunkLen / W;
+  std::vector<T> Registers(static_cast<size_t>(MaxRegs) * std::max(W, 1u));
   std::vector<BlockTranspose<T>> Transposes(
-      Config.UseShuffle ? Program.Buffers.size() : 0);
+      Config.UseShuffle && NumBlocks ? Program.Buffers.size() : 0);
 
   auto RunVector = [&](auto WidthTag, const TaskProgram &Task,
-                       size_t BlockBegin) {
+                       const TaskParams *const *Lanes, size_t BlockBegin) {
     constexpr unsigned BW = decltype(WidthTag)::value;
-    runBlock<T, BW>(Task, Bindings.data(),
+    runBlock<T, BW>(Task, Lanes, Bindings.data(),
                     Transposes.empty() ? nullptr : Transposes.data(),
                     BlockBegin, Config.UseVecLib, Registers.data());
   };
 
-  size_t NumBlocks = ChunkLen / W;
   for (const KernelStep &Step : Program.Steps) {
     if (Step.Task < 0) {
       RunCopy(Step);
       continue;
     }
-    const TaskProgram &Task = Program.Tasks[Step.Task];
+    size_t TaskIndex = static_cast<size_t>(Step.Task);
+    const TaskProgram &Task = Program.Tasks[TaskIndex];
     for (size_t Block = 0; Block < NumBlocks; ++Block) {
       size_t BlockBegin = Block * W;
+      const TaskParams *Lanes[16]; // W <= 16
+      Params.lanes(Begin + BlockBegin, W, TaskIndex, Lanes);
       // Stage row-major inputs blockwise for the loads+shuffles path.
-      if (Config.UseShuffle)
+      if (!Transposes.empty())
         for (size_t I = 0; I < Program.Buffers.size(); ++I)
           if (!Program.Buffers[I].Transposed && Bindings[I].ExternalIn)
             Transposes[I].prepare(Bindings[I], BlockBegin, W);
       switch (W) {
       case 4:
-        RunVector(std::integral_constant<unsigned, 4>{}, Task,
+        RunVector(std::integral_constant<unsigned, 4>{}, Task, Lanes,
                   BlockBegin);
         break;
       case 8:
-        RunVector(std::integral_constant<unsigned, 8>{}, Task,
+        RunVector(std::integral_constant<unsigned, 8>{}, Task, Lanes,
                   BlockBegin);
         break;
       case 16:
-        RunVector(std::integral_constant<unsigned, 16>{}, Task,
+        RunVector(std::integral_constant<unsigned, 16>{}, Task, Lanes,
                   BlockBegin);
         break;
       default:
         spnc_unreachable("unsupported vector width");
       }
     }
-    // Scalar epilogue for the remainder (paper §IV-B).
+    // Scalar epilogue for the remainder (paper §IV-B); the whole chunk
+    // on the scalar engine.
     for (size_t I = NumBlocks * W; I < ChunkLen; ++I)
-      interpretSample(Task, Bindings.data(), I, Registers.data());
+      interpretSample(Task, Params.get(Begin + I, TaskIndex),
+                      Bindings.data(), I, Registers.data());
   }
 }
 
 } // namespace
 
-void CpuExecutor::executeChunk(const KernelProgram &TheProgram,
+void CpuExecutor::executeChunk(const RowParams &Params,
                                const double *Input, double *Output,
                                size_t TotalSamples, size_t Begin,
                                size_t End) const {
-  if (TheProgram.UseF32)
-    runChunkTyped<float>(TheProgram, Config, Input, Output, TotalSamples,
-                         Begin, End);
+  if (Program.UseF32)
+    runChunkTyped<float>(Program, Config, Params, Input, Output,
+                         TotalSamples, Begin, End);
   else
-    runChunkTyped<double>(TheProgram, Config, Input, Output, TotalSamples,
-                          Begin, End);
+    runChunkTyped<double>(Program, Config, Params, Input, Output,
+                          TotalSamples, Begin, End);
 }
 
-void CpuExecutor::dispatch(const KernelProgram &TheProgram,
-                           const double *Input, double *Output,
-                           size_t TotalSamples, size_t Begin,
-                           size_t End) const {
+void CpuExecutor::dispatch(const RowParams &Params, const double *Input,
+                           double *Output, size_t TotalSamples) const {
   if (!Pool) {
-    executeChunk(TheProgram, Input, Output, TotalSamples, Begin, End);
+    executeChunk(Params, Input, Output, TotalSamples, 0, TotalSamples);
     return;
   }
   size_t Chunk = Config.ChunkSize ? Config.ChunkSize : Program.BatchSize;
   if (Chunk == 0)
     Chunk = TotalSamples;
-  for (size_t B = Begin; B < End; B += Chunk) {
-    size_t E = std::min(End, B + Chunk);
-    Pool->submit([this, &TheProgram, Input, Output, TotalSamples, B, E] {
-      executeChunk(TheProgram, Input, Output, TotalSamples, B, E);
+  for (size_t B = 0; B < TotalSamples; B += Chunk) {
+    size_t E = std::min(TotalSamples, B + Chunk);
+    Pool->submit([this, &Params, Input, Output, TotalSamples, B, E] {
+      executeChunk(Params, Input, Output, TotalSamples, B, E);
     });
   }
 }
@@ -800,11 +835,11 @@ int32_t CpuExecutor::addParamTable(const double *Params,
 
 bool CpuExecutor::run(const runtime::RunRequest &Request,
                       runtime::ExecutionStats *Stats) const {
-  std::optional<std::vector<const std::optional<KernelProgram> *>> Bound;
-  if (Request.hasTables() && !(Bound = Tables.resolve(Request)))
+  std::optional<RowParams> Params =
+      RowParams::resolve(Program, Tables, Request);
+  if (!Params)
     return false;
   return timedRun(Request, Stats, [&](runtime::ExecutionStats &) {
-    size_t N = Request.NumSamples;
     if (Request.Kind == QueryKind::Mpe || Request.Kind == QueryKind::Sample) {
       if (Program.UseF32)
         interpretRows<float>(Program, Request);
@@ -812,19 +847,7 @@ bool CpuExecutor::run(const runtime::RunRequest &Request,
         interpretRows<double>(Program, Request);
       return;
     }
-    // Indexed requests run each maximal run of equal table index as an
-    // ordinary sub-batch: the buffer bindings address [Begin, End) of
-    // the full batch, so every run reads and writes its own rows in
-    // place.
-    if (!Bound)
-      dispatch(Program, Request.Input, Request.Output, N, 0, N);
-    else
-      forEachTableRun(Request, [&](size_t Begin, size_t End,
-                                   uint32_t Table) {
-        const std::optional<KernelProgram> &Rebound = *(*Bound)[Table];
-        dispatch(Rebound ? *Rebound : Program, Request.Input,
-                 Request.Output, N, Begin, End);
-      });
+    dispatch(*Params, Request.Input, Request.Output, Request.NumSamples);
     if (Pool)
       Pool->wait();
   });

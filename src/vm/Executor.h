@@ -83,28 +83,29 @@ public:
   bool run(const runtime::RunRequest &Request,
            runtime::ExecutionStats *Stats = nullptr) const override;
 
-  /// Weight tables of joint/marginal programs: each table is bound into
-  /// a private copy of the program once (none for the table of the
-  /// model the program was compiled from), so requests under a table
-  /// run at the same per-sample cost as plain ones.
+  /// Weight tables of joint/marginal programs: each table binds only
+  /// the side tables of every task (none for the table of the model the
+  /// program was compiled from). One W-row block may carry rows of
+  /// several tables: its parameter-reading instructions then read each
+  /// lane's own table, so an indexed request runs as W-row blocks plus
+  /// the scalar epilogue whatever its mix of tables.
   int32_t addParamTable(const double *Params, size_t NumParams) override;
   std::vector<double> getParamTable(int32_t Index) const override;
 
 private:
-  /// Runs samples [Begin, End) of a batch of \p TotalSamples through
-  /// \p TheProgram, split into chunks over the thread pool when one is
-  /// configured (the caller waits for the pool).
-  void dispatch(const KernelProgram &TheProgram, const double *Input,
-                double *Output, size_t TotalSamples, size_t Begin,
-                size_t End) const;
-  void executeChunk(const KernelProgram &TheProgram, const double *Input,
+  /// Runs the \p TotalSamples rows of a joint/marginal batch, split into
+  /// chunks over the thread pool when one is configured (the caller
+  /// waits for the pool); row I reads Params.get(I, Task).
+  void dispatch(const RowParams &Params, const double *Input,
+                double *Output, size_t TotalSamples) const;
+  void executeChunk(const RowParams &Params, const double *Input,
                     double *Output, size_t TotalSamples, size_t Begin,
                     size_t End) const;
 
   KernelProgram Program;
   ExecutionConfig Config;
   std::unique_ptr<ThreadPool> Pool;
-  ParamTableSet<std::optional<KernelProgram>> Tables;
+  ParamTableSet<BoundParams> Tables;
 };
 
 //===----------------------------------------------------------------------===//
@@ -153,17 +154,21 @@ void interpretRows(const KernelProgram &Program,
                    const runtime::RunRequest &Request);
 
 /// Executes \p Task for the single chunk-local sample \p SampleIdx using
-/// \p Registers (NumRegisters entries). Scalar reference engine; also the
-/// per-thread execution model of the GPU simulator.
+/// \p Registers (NumRegisters entries), reading every side-table value
+/// from \p Params (the task's own, or a weight table bound to it).
+/// Scalar reference engine; also the per-thread execution model of the
+/// GPU simulator.
 template <typename T>
-void interpretSample(const TaskProgram &Task,
+void interpretSample(const TaskProgram &Task, const TaskParams &Params,
                      const BufferBinding<T> *Buffers, size_t SampleIdx,
                      T *Registers);
 
 extern template void interpretSample<float>(const TaskProgram &,
+                                            const TaskParams &,
                                             const BufferBinding<float> *,
                                             size_t, float *);
 extern template void interpretSample<double>(const TaskProgram &,
+                                             const TaskParams &,
                                              const BufferBinding<double> *,
                                              size_t, double *);
 

@@ -38,15 +38,15 @@ double transformParam(ParamTransform Transform, double Raw) {
   return Raw;
 }
 
-/// Rewrites the side tables of \p Task in place according to its
-/// parameter sites; \p LogSpace is the program's space.
-void bindTaskParams(TaskProgram &Task, std::span<const double> Raw,
-                    bool LogSpace) {
+/// Rewrites the side tables \p Task in place according to \p Sites;
+/// \p LogSpace is the program's space.
+void bindTaskParams(TaskParams &Task, const std::vector<ParamSite> &Sites,
+                    std::span<const double> Raw, bool LogSpace) {
   // Fold sites follow the sites of their leaf, which rewrite its
   // coefficient or bucket values. The leaf's marginal and default values
   // have no site of their own: they restart from the unweighted
   // probability one and zero before the folds are replayed.
-  for (const ParamSite &Site : Task.ParamSites) {
+  for (const ParamSite &Site : Sites) {
     if (Site.Kind == ParamSlotKind::GaussianFold) {
       Task.Gaussians[Site.Index].MarginalValue = LogSpace ? 0.0 : 1.0;
     } else if (Site.Kind == ParamSlotKind::TableFold) {
@@ -56,7 +56,7 @@ void bindTaskParams(TaskProgram &Task, std::span<const double> Raw,
           LogSpace ? -std::numeric_limits<double>::infinity() : 0.0;
     }
   }
-  for (const ParamSite &Site : Task.ParamSites) {
+  for (const ParamSite &Site : Sites) {
     assert(Site.Param < Raw.size() && "parameter index out of range");
     double Value = transformParam(Site.Transform, Raw[Site.Param]);
     switch (Site.Kind) {
@@ -100,13 +100,25 @@ void bindTaskParams(TaskProgram &Task, std::span<const double> Raw,
 
 } // namespace
 
-KernelProgram spnc::vm::bindParams(const KernelProgram &Program,
-                                   std::span<const double> Raw) {
+std::vector<TaskParams> spnc::vm::bindParams(const KernelProgram &Program,
+                                             std::span<const double> Raw) {
   assert(Raw.size() == Program.NumParams &&
          "weight table length must match the program's parameter count");
+  std::vector<TaskParams> Bound;
+  Bound.reserve(Program.Tasks.size());
+  for (const TaskProgram &Task : Program.Tasks) {
+    Bound.push_back(Task);
+    bindTaskParams(Bound.back(), Task.ParamSites, Raw, Program.LogSpace);
+  }
+  return Bound;
+}
+
+KernelProgram spnc::vm::bindProgram(const KernelProgram &Program,
+                                    std::span<const double> Raw) {
+  std::vector<TaskParams> Params = bindParams(Program, Raw);
   KernelProgram Bound = Program;
-  for (TaskProgram &Task : Bound.Tasks)
-    bindTaskParams(Task, Raw, Program.LogSpace);
+  for (size_t T = 0; T < Bound.Tasks.size(); ++T)
+    static_cast<TaskParams &>(Bound.Tasks[T]) = std::move(Params[T]);
   return Bound;
 }
 
@@ -119,16 +131,16 @@ bool sameBits(double A, double B) {
 /// True when the side tables of \p Program and \p Bound (a binding of
 /// it) hold the same bits; otherwise describes the first difference in
 /// \p Why when provided.
-bool sameSideTables(const KernelProgram &Program, const KernelProgram &Bound,
-                    std::string *Why) {
+bool sameSideTables(const KernelProgram &Program,
+                    const std::vector<TaskParams> &Bound, std::string *Why) {
   auto Fail = [&](const std::string &Message) {
     if (Why)
       *Why = Message;
     return false;
   };
   for (size_t T = 0; T < Program.Tasks.size(); ++T) {
-    const TaskProgram &A = Program.Tasks[T];
-    const TaskProgram &B = Bound.Tasks[T];
+    const TaskParams &A = Program.Tasks[T];
+    const TaskParams &B = Bound[T];
     std::string Where = " (task " + std::to_string(T) + ")";
     for (size_t I = 0; I < A.ConstPool.size(); ++I)
       if (!sameBits(A.ConstPool[I], B.ConstPool[I]))
@@ -164,10 +176,9 @@ bool sameSideTables(const KernelProgram &Program, const KernelProgram &Bound,
 
 } // namespace
 
-std::optional<KernelProgram>
-spnc::vm::bindIfDifferent(const KernelProgram &Program,
-                          std::span<const double> Raw) {
-  KernelProgram Bound = bindParams(Program, Raw);
+BoundParams spnc::vm::bindIfDifferent(const KernelProgram &Program,
+                                      std::span<const double> Raw) {
+  std::vector<TaskParams> Bound = bindParams(Program, Raw);
   if (sameSideTables(Program, Bound, nullptr))
     return std::nullopt;
   return Bound;

@@ -11,10 +11,10 @@
 /// tunable model parameters (sum weights, leaf distribution parameters,
 /// and the sum weights the -O2 peephole folded into leaves) and how the
 /// raw parameter is transformed before it lands in the slot. Binding a
-/// weight table produces a copy of the program whose side tables are
-/// rewritten for another structurally-isomorphic model — the
-/// instruction stream, buffer plan and register assignment are shared
-/// untouched.
+/// weight table rewrites only each task's side tables (`TaskParams`)
+/// for another structurally-isomorphic model — the instruction stream,
+/// operand lists, parameter sites, buffer plan and register assignment
+/// stay in the one program every table runs.
 ///
 /// The transforms reproduce the code generator's constant folding
 /// bit-for-bit (same formulas, same literals — see vm::kLogSqrt2Pi and
@@ -51,19 +51,28 @@ inline double foldWeight(bool LogSpace, double Value, double Weight) {
   return LogSpace ? Value + Weight : Value * Weight;
 }
 
-/// Returns a copy of \p Program with every parameter site rebound to
-/// \p Raw, the canonical parameter vector (merge::extractParams order)
-/// of the model to bind. Raw.size() must equal Program.NumParams
-/// (asserted).
-KernelProgram bindParams(const KernelProgram &Program,
-                         std::span<const double> Raw);
+/// Each task's side tables of \p Program with every parameter site
+/// rebound to \p Raw, the canonical parameter vector
+/// (merge::extractParams order) of the model to bind, in task order.
+/// Raw.size() must equal Program.NumParams (asserted).
+std::vector<TaskParams> bindParams(const KernelProgram &Program,
+                                   std::span<const double> Raw);
 
-/// \p Program bound to \p Raw, or nullopt when that binding reproduces
-/// \p Program's side tables bit-for-bit (the table of the model it was
-/// compiled from): engines then run \p Program itself instead of keeping
-/// a copy.
-std::optional<KernelProgram> bindIfDifferent(const KernelProgram &Program,
-                                             std::span<const double> Raw);
+/// A copy of \p Program whose side tables are bindParams(Program, Raw):
+/// the stand-alone program of another model of the structure.
+KernelProgram bindProgram(const KernelProgram &Program,
+                          std::span<const double> Raw);
+
+/// A weight table bound for the VM and the GPU simulator: each task's
+/// side tables, or nullopt when they are the program's own (the table
+/// of the model it was compiled from), which engines then read from the
+/// program itself instead of keeping a copy.
+using BoundParams = std::optional<std::vector<TaskParams>>;
+
+/// bindParams(Program, Raw), or nullopt when that binding reproduces
+/// \p Program's side tables bit-for-bit.
+BoundParams bindIfDifferent(const KernelProgram &Program,
+                            std::span<const double> Raw);
 
 /// True when rebinding \p Program with \p Raw (the raw parameters of the
 /// model it was generated from) reproduces its own side tables
@@ -98,7 +107,7 @@ void forEachTableRun(const runtime::RunRequest &Request, RunFn &&Fn) {
 }
 
 /// The weight tables registered on one engine, each bound once into the
-/// engine's own form \p Bound (a rebound program for the VM and the GPU
+/// engine's own form \p Bound (BoundParams for the VM and the GPU
 /// simulator, a parameter block for the cpp backend). Registration
 /// deduplicates by content, so a model re-registered after a cache hit
 /// gets its old index back, and may run concurrently with resolve().
@@ -152,6 +161,58 @@ private:
   mutable std::shared_mutex Mutex;
   std::vector<std::vector<double>> RawTables;
   std::vector<std::unique_ptr<const Bound>> BoundTables;
+};
+
+/// The side tables each row of a joint/marginal request reads: the
+/// program's own for a plain request, otherwise those of the weight
+/// table the row names (RunRequest::Table, or TableIndices per row).
+/// Rows need not be grouped by table.
+class RowParams {
+public:
+  /// The rows of \p Request to \p Program, reading the tables
+  /// registered in \p Tables; nullopt when the request names a table
+  /// that is not registered.
+  static std::optional<RowParams>
+  resolve(const KernelProgram &Program,
+          const ParamTableSet<BoundParams> &Tables,
+          const runtime::RunRequest &Request) {
+    std::vector<const BoundParams *> Bound;
+    if (Request.hasTables()) {
+      std::optional<std::vector<const BoundParams *>> Snapshot =
+          Tables.resolve(Request);
+      if (!Snapshot)
+        return std::nullopt;
+      Bound = std::move(*Snapshot);
+    }
+    return RowParams(Program, Request, std::move(Bound));
+  }
+
+  /// Task \p TaskIndex's side tables as batch row \p Row reads them.
+  const TaskParams &get(size_t Row, size_t TaskIndex) const {
+    int64_t Index = Indices ? int64_t(Indices[Row]) : int64_t(Table);
+    const BoundParams *Bound =
+        Index < 0 ? nullptr : Tables[static_cast<size_t>(Index)];
+    return Bound && *Bound ? (**Bound)[TaskIndex] : Program.Tasks[TaskIndex];
+  }
+
+  /// Points Lanes[L] at the side tables of batch row \p Row + L for
+  /// L < \p W.
+  void lanes(size_t Row, unsigned W, size_t TaskIndex,
+             const TaskParams **Lanes) const {
+    for (unsigned L = 0; L < W; ++L)
+      Lanes[L] = &get(Row + L, TaskIndex);
+  }
+
+private:
+  RowParams(const KernelProgram &Program, const runtime::RunRequest &Request,
+            std::vector<const BoundParams *> Tables)
+      : Program(Program), Tables(std::move(Tables)),
+        Indices(Request.TableIndices), Table(Request.Table) {}
+
+  const KernelProgram &Program;
+  std::vector<const BoundParams *> Tables;
+  const uint32_t *Indices;
+  int32_t Table;
 };
 
 } // namespace vm

@@ -5,13 +5,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "frontend/Serializer.h"
 #include "gpusim/GpuSimulator.h"
 #include "runtime/Compiler.h"
+#include "runtime/KernelCache.h"
+#include "support/Casting.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -142,6 +146,64 @@ TEST_F(GpuStatsTest, PartitionedKernelLaunchesPerTask) {
   GpuExecutionStats Stats = ExecStats.Gpu;
   EXPECT_EQ(Stats.NumLaunches, Kernel->getProgram().Tasks.size());
   EXPECT_GT(Stats.NumLaunches, 1u);
+}
+
+TEST_F(GpuStatsTest, MixedTableBatchLaunchesOncePerTask) {
+  // A sibling of the model with shifted Gaussians shares its kernel
+  // under a second weight table.
+  spn::Model Sibling =
+      spn::deserializeModel(spn::serializeModel(*Model)).takeValue();
+  for (size_t I = 0; I < Sibling.getNumNodes(); ++I)
+    if (auto *Gauss = dyn_cast<spn::GaussianLeaf>(
+            Sibling.getNode(static_cast<unsigned>(I))))
+      Gauss->setParameters(Gauss->getMean() + 0.25,
+                           Gauss->getStdDev() * 1.1);
+  CompilerOptions Options;
+  Options.TheTarget = Target::GPU;
+  Options.MaxPartitionSize = 60;
+  KernelCache Cache;
+  Expected<CompiledKernel> A =
+      Cache.getOrCompile(*Model, spn::QueryConfig(), Options);
+  Expected<CompiledKernel> B =
+      Cache.getOrCompile(Sibling, spn::QueryConfig(), Options);
+  ASSERT_TRUE(A && B);
+  const ExecutionEngine &Engine = A->getEngine();
+  ASSERT_EQ(&Engine, &B->getEngine());
+  auto TableA = static_cast<uint32_t>(A->getTableIndex());
+  auto TableB = static_cast<uint32_t>(B->getTableIndex());
+  ASSERT_NE(TableA, TableB);
+
+  std::vector<uint32_t> Tables(kNumSamples);
+  for (size_t I = 0; I < kNumSamples; ++I)
+    Tables[I] = I % 3 == 2 ? TableB : TableA;
+  auto Run = [&](const uint32_t *Indices, int32_t Table,
+                 GpuExecutionStats &Stats) {
+    std::vector<double> Out(kNumSamples);
+    runtime::ExecutionStats ExecStats;
+    EXPECT_TRUE(Engine.run({.Input = Data.data(),
+                            .Output = Out.data(),
+                            .NumSamples = kNumSamples,
+                            .TableIndices = Indices,
+                            .Table = Table},
+                           &ExecStats));
+    Stats = ExecStats.Gpu;
+    return Out;
+  };
+  GpuExecutionStats Mixed, UnderA, UnderB;
+  std::vector<double> Got = Run(Tables.data(), -1, Mixed);
+  std::vector<double> WantA = Run(nullptr, A->getTableIndex(), UnderA);
+  std::vector<double> WantB = Run(nullptr, B->getTableIndex(), UnderB);
+
+  EXPECT_GT(Mixed.NumLaunches, 1u);
+  EXPECT_EQ(Mixed.NumLaunches, UnderA.NumLaunches);
+  EXPECT_EQ(Mixed.NumLaunches, A->getProgram().Tasks.size());
+  EXPECT_EQ(Mixed.NumTransfers, UnderA.NumTransfers);
+  EXPECT_EQ(Mixed.BytesHostToDevice, UnderA.BytesHostToDevice);
+  for (size_t I = 0; I < kNumSamples; ++I) {
+    const double &Alone = Tables[I] == TableB ? WantB[I] : WantA[I];
+    EXPECT_EQ(0, std::memcmp(&Got[I], &Alone, sizeof(double)))
+        << "row " << I;
+  }
 }
 
 /// Device-parameter sweep: correctness is configuration-invariant and

@@ -30,12 +30,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -363,53 +365,89 @@ TEST(MergeTest, MergedCppKernelMatchesOracleJointAndMarginal) {
   }
 }
 
-/// One batch carrying interleaved rows of two same-structure,
-/// different-weight models: every row must score under its own model.
+/// One batch of the rows of \p Data mixing the weight tables of two
+/// same-structure, different-weight models: at the engine's vector width
+/// W, rows [0, W) are all \p A's (a single-table block) and every later
+/// row I with I % 3 == 2 is \p B's, so each later block and the scalar
+/// epilogue carry both tables. Every row must equal the same batch run
+/// under its own model's table (RunRequest::Table) bit for bit, and
+/// match that model's oracle (in log space, so a linear-space row is
+/// compared by its log): at 1e-9 for f64 kernels, at perfbench's
+/// 1e-3 + 1e-5 |ref| for f32 ones.
 void expectMixedBatchMatchesOracles(KernelCache &Cache,
                                     const CompilerOptions &Options,
-                                    const char *Leg) {
-  constexpr size_t kRows = 24;
-  spn::Model A = ratClass(0);
-  spn::Model B = ratClass(1);
-  Expected<KernelCache::MergedKernel> MergedA =
-      Cache.getOrCompileMerged(A, f64Query(), Options);
-  ASSERT_TRUE(static_cast<bool>(MergedA))
-      << Leg << ": " << MergedA.getError().message();
-  Expected<KernelCache::MergedKernel> MergedB =
-      Cache.getOrCompileMerged(B, f64Query(), Options);
-  ASSERT_TRUE(static_cast<bool>(MergedB))
-      << Leg << ": " << MergedB.getError().message();
+                                    const std::string &Leg,
+                                    const spn::Model &A, const spn::Model &B,
+                                    const spn::QueryConfig &Query,
+                                    const std::vector<double> &Data) {
+  size_t NumRows = Data.size() / A.getNumFeatures();
+  size_t W = std::max(1u, Options.Execution.VectorWidth);
+  Expected<CompiledKernel> KernelA = Cache.getOrCompile(A, Query, Options);
+  ASSERT_TRUE(static_cast<bool>(KernelA))
+      << Leg << ": " << KernelA.getError().message();
+  Expected<CompiledKernel> KernelB = Cache.getOrCompile(B, Query, Options);
+  ASSERT_TRUE(static_cast<bool>(KernelB))
+      << Leg << ": " << KernelB.getError().message();
+  const ExecutionEngine &Engine = KernelA->getEngine();
+  ASSERT_EQ(&Engine, &KernelB->getEngine()) << Leg;
+  auto TableA = static_cast<uint32_t>(KernelA->getTableIndex());
+  auto TableB = static_cast<uint32_t>(KernelB->getTableIndex());
+  ASSERT_NE(TableA, TableB) << Leg;
 
-  std::vector<double> Data = ratData(kRows, 0xba7c4ULL);
-  // Alternating run lengths (2, then 1) so executeIndexed crosses
-  // several table-switch boundaries mid-batch.
-  std::vector<uint32_t> Tables(kRows);
-  for (size_t I = 0; I < kRows; ++I)
-    Tables[I] = static_cast<uint32_t>(
-        I % 3 == 2 ? MergedB->TableIndex : MergedA->TableIndex);
+  std::vector<uint32_t> Tables(NumRows);
+  for (size_t I = 0; I < NumRows; ++I)
+    Tables[I] = I >= W && I % 3 == 2 ? TableB : TableA;
+  vm::QueryKind Kind = Query.Kind == spn::QueryKind::Marginal
+                           ? vm::QueryKind::Marginal
+                           : vm::QueryKind::Joint;
+  auto Run = [&](const uint32_t *Indices, int32_t Table) {
+    std::vector<double> Out(NumRows, 0.0);
+    EXPECT_TRUE(Engine.run({.Kind = Kind,
+                            .Input = Data.data(),
+                            .Output = Out.data(),
+                            .NumSamples = NumRows,
+                            .TableIndices = Indices,
+                            .Table = Table}))
+        << Leg << ": engine refused the batch";
+    return Out;
+  };
+  std::vector<double> Got = Run(Tables.data(), -1);
+  std::vector<double> UnderA = Run(nullptr, static_cast<int32_t>(TableA));
+  std::vector<double> UnderB = Run(nullptr, static_cast<int32_t>(TableB));
 
-  std::vector<double> Got(kRows, 0.0);
-  ASSERT_TRUE(MergedA->Kernel.executeIndexed(Data.data(), Tables.data(),
-                                             Got.data(), kRows))
-      << Leg << ": engine refused the mixed batch";
-
-  baselines::InterpreterEngine OracleA(A);
-  baselines::InterpreterEngine OracleB(B);
-  std::vector<double> WantA(kRows, 0.0), WantB(kRows, 0.0);
-  OracleA.execute(Data.data(), WantA.data(), kRows);
-  OracleB.execute(Data.data(), WantB.data(), kRows);
-  unsigned NumFeatures = A.getNumFeatures();
-  (void)NumFeatures;
-  for (size_t I = 0; I < kRows; ++I) {
-    double Want = I % 3 == 2 ? WantB[I] : WantA[I];
-    EXPECT_NEAR(Got[I], Want, kTolerance) << Leg << " row " << I;
+  std::vector<double> WantA(NumRows, 0.0), WantB(NumRows, 0.0);
+  baselines::InterpreterEngine(A).execute(Data.data(), WantA.data(),
+                                          NumRows);
+  baselines::InterpreterEngine(B).execute(Data.data(), WantB.data(),
+                                          NumRows);
+  bool F32 = Engine.getProgram()->UseF32;
+  for (size_t I = 0; I < NumRows; ++I) {
+    bool RowB = Tables[I] == TableB;
+    double Alone = RowB ? UnderB[I] : UnderA[I];
+    EXPECT_EQ(0, std::memcmp(&Got[I], &Alone, sizeof(double)))
+        << Leg << " row " << I << ": " << Got[I] << " mixed, " << Alone
+        << " under its own table";
+    double Want = RowB ? WantB[I] : WantA[I];
+    ASSERT_TRUE(std::isfinite(Want)) << Leg << " row " << I;
+    double Value = Query.LogSpace ? Got[I] : std::log(Got[I]);
+    EXPECT_NEAR(Value, Want, F32 ? 1e-3 + 1e-5 * std::fabs(Want) : kTolerance)
+        << Leg << " row " << I;
   }
+}
+
+/// expectMixedBatchMatchesOracles over 24 rows of two RAT-SPN classes.
+void expectMixedRatBatchMatchesOracles(KernelCache &Cache,
+                                       const CompilerOptions &Options,
+                                       const std::string &Leg) {
+  expectMixedBatchMatchesOracles(Cache, Options, Leg, ratClass(0),
+                                 ratClass(1), f64Query(),
+                                 ratData(24, 0xba7c4ULL));
 }
 
 TEST(MergeTest, MixedTwoModelBatchScoresPerRowVm) {
   KernelCache Cache;
   CompilerOptions Options;
-  expectMixedBatchMatchesOracles(Cache, Options, "vm/mixed");
+  expectMixedRatBatchMatchesOracles(Cache, Options, "vm/mixed");
 }
 
 TEST(MergeTest, MixedTwoModelBatchScoresPerRowCpp) {
@@ -423,7 +461,106 @@ TEST(MergeTest, MixedTwoModelBatchScoresPerRowCpp) {
   Config.TheBackend = Cpp;
   KernelCache Cache(Config);
   CompilerOptions Options;
-  expectMixedBatchMatchesOracles(Cache, Options, "cpp/mixed");
+  expectMixedRatBatchMatchesOracles(Cache, Options, "cpp/mixed");
+}
+
+/// Mixed blocks on the vector engine: every width, space, compute type,
+/// query, partitioning (tasks linked by intermediate buffers) and thread
+/// count, with chunks that are not a multiple of the width, over 3W + 5
+/// rows.
+TEST(MergeTest, MixedBlocksMatchPerTableRunsAtEveryWidth) {
+  spn::Model A = ratClass(0);
+  spn::Model B = ratClass(1);
+  for (unsigned W : {4u, 8u, 16u})
+    for (bool LogSpace : {true, false})
+      for (bool F32 : {false, true})
+        for (bool Marginal : {false, true})
+          for (uint32_t Budget : {0u, 30u})
+            for (unsigned Threads : {1u, 2u}) {
+              std::string Leg = "w";
+              Leg += std::to_string(W);
+              Leg += LogSpace ? "/log" : "/linear";
+              Leg += F32 ? "/f32" : "/f64";
+              Leg += Marginal ? "/marginal" : "/joint";
+              Leg += Budget ? "/partitioned" : "/whole";
+              Leg += "/threads";
+              Leg += std::to_string(Threads);
+              CompilerOptions Options;
+              Options.MaxPartitionSize = Budget;
+              Options.Execution.VectorWidth = W;
+              Options.Execution.NumThreads = Threads;
+              Options.Execution.ChunkSize = W + 3;
+              spn::QueryConfig Query = f64Query(Marginal);
+              Query.LogSpace = LogSpace;
+              if (F32)
+                Query.DataType = spn::ComputeType::F32;
+              std::vector<double> Data = ratData(3 * W + 5, 0x3b1dULL + W);
+              if (Marginal)
+                for (size_t I = 0; I < Data.size(); I += 3)
+                  Data[I] = std::numeric_limits<double>::quiet_NaN();
+              KernelCache Cache;
+              expectMixedBatchMatchesOracles(Cache, Options, Leg, A, B,
+                                             Query, Data);
+              Expected<CompiledKernel> Kernel =
+                  Cache.getOrCompile(A, Query, Options);
+              ASSERT_TRUE(static_cast<bool>(Kernel)) << Leg;
+              EXPECT_EQ(Kernel->getProgram().Tasks.size() > 1, Budget != 0)
+                  << Leg;
+            }
+}
+
+/// Two models of one structure whose histogram leaves have fractional
+/// bucket bounds, so the CPU lowering emits select cascades (Const,
+/// SelectInRange, NanBlend) instead of dense tables; \p Variant shifts
+/// the bucket masses and sum weights.
+spn::Model fractionalHistogramModel(unsigned Variant) {
+  spn::Model M(2, "fractional");
+  double S = 0.1 * Variant;
+  auto Hist = [&](unsigned Feature, double P0, double P1) {
+    return M.makeHistogram(Feature,
+                           {spn::HistogramBucket{0.0, 0.5, P0},
+                            spn::HistogramBucket{0.5, 1.25, P1},
+                            spn::HistogramBucket{1.25, 2.0, 1.0 - P0 - P1}});
+  };
+  spn::Node *P0 =
+      M.makeProduct({Hist(0, 0.2 + S, 0.5), Hist(1, 0.3, 0.3 + S)});
+  spn::Node *P1 =
+      M.makeProduct({Hist(0, 0.6 - S, 0.1), Hist(1, 0.1 + S, 0.2)});
+  M.setRoot(M.makeSum({P0, P1}, {0.3 + S, 0.7 - S}));
+  return M;
+}
+
+/// Mixed blocks over select cascades: each lane must select its own
+/// table's bucket masses, in both spaces, with a third of the evidence
+/// marginalized.
+TEST(MergeTest, MixedSelectCascadeBlocksReadEachLanesBucketValues) {
+  spn::Model A = fractionalHistogramModel(0);
+  spn::Model B = fractionalHistogramModel(1);
+  CompilerOptions Options;
+  Options.Execution.VectorWidth = 8;
+  constexpr size_t kRows = 3 * 8 + 5;
+  Rng R(0xf4acULL);
+  std::vector<double> Data(kRows * 2);
+  for (size_t I = 0; I < Data.size(); ++I)
+    Data[I] = I % 3 == 0 ? std::numeric_limits<double>::quiet_NaN()
+                         : 2.0 * R.uniform();
+  for (bool LogSpace : {true, false})
+    for (bool F32 : {false, true}) {
+      std::string Leg = std::string("selects") +
+                        (LogSpace ? "/log" : "/linear") +
+                        (F32 ? "/f32" : "/f64");
+      spn::QueryConfig Query = f64Query(/*Marginal=*/true);
+      Query.LogSpace = LogSpace;
+      if (F32)
+        Query.DataType = spn::ComputeType::F32;
+      KernelCache Cache;
+      expectMixedBatchMatchesOracles(Cache, Options, Leg, A, B, Query, Data);
+      Expected<CompiledKernel> Kernel = Cache.getOrCompile(A, Query, Options);
+      ASSERT_TRUE(static_cast<bool>(Kernel)) << Leg;
+      const vm::TaskProgram &Task = Kernel->getProgram().Tasks[0];
+      EXPECT_TRUE(Task.Tables.empty()) << Leg;
+      EXPECT_EQ(Task.Selects.size(), 12u) << Leg;
+    }
 }
 
 /// A member bound into the group's shared kernel must agree with its
@@ -517,23 +654,33 @@ TEST(MergeTest, ParamSitesRoundTripThroughSpnk) {
 // One lowering: every likelihood kernel takes weight tables
 //===----------------------------------------------------------------------===//
 
-/// A copy of \p Model with every sum weight and Gaussian parameter
-/// edited (the structure is unchanged).
+/// A copy of \p Model with every sum weight, Gaussian parameter and
+/// discrete-leaf mass edited (the structure is unchanged).
 spn::Model editedSibling(const spn::Model &Model, uint64_t Seed) {
   Expected<spn::Model> Copy =
       spn::deserializeModel(spn::serializeModel(Model));
   EXPECT_TRUE(static_cast<bool>(Copy));
   Rng R(Seed);
+  // Scales each mass by a random factor in [0.5, 1.5), renormalized.
+  auto Reweigh = [&](std::vector<double> Masses) {
+    double Total = 0.0;
+    for (double &M : Masses)
+      Total += (M = M * (0.5 + R.uniform()));
+    for (double &M : Masses)
+      M /= Total;
+    return Masses;
+  };
   for (size_t I = 0; I < Copy->getNumNodes(); ++I) {
     spn::Node *N = Copy->getNode(static_cast<unsigned>(I));
     if (auto *Sum = dyn_cast<spn::SumNode>(N)) {
-      std::vector<double> Weights = Sum->getWeights();
-      double Total = 0.0;
-      for (double &W : Weights)
-        Total += (W = W * (0.5 + R.uniform()));
-      for (double &W : Weights)
-        W /= Total;
-      Sum->setWeights(std::move(Weights));
+      Sum->setWeights(Reweigh(Sum->getWeights()));
+    } else if (auto *Cat = dyn_cast<spn::CategoricalLeaf>(N)) {
+      Cat->setProbabilities(Reweigh(Cat->getProbabilities()));
+    } else if (auto *Hist = dyn_cast<spn::HistogramLeaf>(N)) {
+      std::vector<double> Masses;
+      for (const spn::HistogramBucket &Bucket : Hist->getBuckets())
+        Masses.push_back(Bucket.P);
+      Hist->setBucketProbabilities(Reweigh(std::move(Masses)));
     } else if (auto *Gauss = dyn_cast<spn::GaussianLeaf>(N)) {
       Gauss->setParameters(Gauss->getMean() + R.uniform() - 0.5,
                            Gauss->getStdDev() * (0.8 + 0.4 * R.uniform()));
@@ -649,6 +796,121 @@ TEST(MergeTest, SpeakerSiblingsBindIntoTheOriginalsKernel) {
                              kSamples * sizeof(double)))
         << Leg;
   }
+}
+
+/// Mixed blocks over speaker siblings: lookup-table leaves (marginal
+/// values, folded weights) and Gaussian leaves read per lane, in both
+/// spaces.
+TEST(MergeTest, MixedSpeakerBlocksReadEachLanesLeafTables) {
+  workloads::SpeakerModelOptions ModelOptions;
+  ModelOptions.TargetOperations = 300;
+  ModelOptions.Seed = 4;
+  spn::Model Original = workloads::generateSpeakerModel(ModelOptions);
+  spn::Model Sibling = editedSibling(Original, 0x51b1ULL);
+  CompilerOptions Options;
+  Options.OptLevel = 2;
+  Options.Execution.VectorWidth = 8;
+  constexpr size_t kRows = 3 * 8 + 5;
+  for (bool LogSpace : {true, false})
+    for (bool F32 : {false, true})
+      for (bool Marginal : {false, true}) {
+        std::string Leg = std::string("speaker") +
+                          (LogSpace ? "/log" : "/linear") +
+                          (F32 ? "/f32" : "/f64") +
+                          (Marginal ? "/marginal" : "/joint");
+        spn::QueryConfig Query = f64Query(Marginal);
+        Query.LogSpace = LogSpace;
+        if (F32)
+          Query.DataType = spn::ComputeType::F32;
+        std::vector<double> Data =
+            Marginal
+                ? workloads::generateNoisySpeechData(ModelOptions, kRows, 7)
+                : workloads::generateSpeechData(ModelOptions, kRows, 7);
+        KernelCache Cache;
+        expectMixedBatchMatchesOracles(Cache, Options, Leg, Original,
+                                       Sibling, Query, Data);
+      }
+}
+
+/// addParamTable is safe during run(): four threads score W=8 batches
+/// that mix every table registered so far while a fifth registers the
+/// remaining classes. Every row must match its class's oracle.
+TEST(MergeTest, ConcurrentMixedRunsWhileTablesRegister) {
+  constexpr unsigned kClasses = 8;
+  constexpr unsigned kRunners = 4;
+  constexpr unsigned kRounds = 40;
+  constexpr size_t kRows = 3 * 8 + 5;
+  std::vector<spn::Model> Models;
+  for (unsigned Class = 0; Class < kClasses; ++Class)
+    Models.push_back(ratClass(Class));
+  std::vector<double> Data = ratData(kRows, 0xc0c0ULL);
+  std::vector<std::vector<double>> Want(kClasses,
+                                        std::vector<double>(kRows));
+  for (unsigned Class = 0; Class < kClasses; ++Class)
+    baselines::InterpreterEngine(Models[Class])
+        .execute(Data.data(), Want[Class].data(), kRows);
+
+  CompilerOptions Options;
+  Options.Execution.VectorWidth = 8;
+  KernelCache Cache;
+  // Two classes up front; the registrar publishes each later table
+  // index before raising Registered.
+  std::vector<uint32_t> TableOf(kClasses);
+  for (unsigned Class = 0; Class < 2; ++Class) {
+    Expected<CompiledKernel> Kernel =
+        Cache.getOrCompile(Models[Class], f64Query(), Options);
+    ASSERT_TRUE(static_cast<bool>(Kernel));
+    TableOf[Class] = static_cast<uint32_t>(Kernel->getTableIndex());
+  }
+  std::shared_ptr<ExecutionEngine> Engine =
+      Cache.getOrCompile(Models[0], f64Query(), Options)->getEngineShared();
+  std::atomic<unsigned> Registered{2};
+  std::atomic<unsigned> Runs{0}, Refused{0}, Mismatches{0};
+
+  std::vector<std::thread> Threads;
+  for (unsigned Runner = 0; Runner < kRunners; ++Runner)
+    Threads.emplace_back([&, Runner] {
+      std::vector<uint32_t> Tables(kRows);
+      std::vector<unsigned> Classes(kRows);
+      std::vector<double> Got(kRows);
+      for (unsigned Round = 0; Round < kRounds; ++Round) {
+        unsigned Known = Registered.load(std::memory_order_acquire);
+        for (size_t I = 0; I < kRows; ++I) {
+          Classes[I] = static_cast<unsigned>(I * 5 + Round + Runner) % Known;
+          Tables[I] = TableOf[Classes[I]];
+        }
+        bool Served = Engine->run({.Input = Data.data(),
+                                   .Output = Got.data(),
+                                   .NumSamples = kRows,
+                                   .TableIndices = Tables.data()});
+        ++Runs;
+        if (!Served) {
+          ++Refused;
+          continue;
+        }
+        for (size_t I = 0; I < kRows; ++I)
+          if (!(std::fabs(Got[I] - Want[Classes[I]][I]) <= kTolerance))
+            ++Mismatches;
+      }
+    });
+  Threads.emplace_back([&] {
+    // Register while every runner is mid-way.
+    while (Runs.load() < kRunners)
+      std::this_thread::yield();
+    for (unsigned Class = 2; Class < kClasses; ++Class) {
+      Expected<CompiledKernel> Kernel =
+          Cache.getOrCompile(Models[Class], f64Query(), Options);
+      if (!Kernel || &Kernel->getEngine() != Engine.get())
+        return;
+      TableOf[Class] = static_cast<uint32_t>(Kernel->getTableIndex());
+      Registered.store(Class + 1, std::memory_order_release);
+    }
+  });
+  for (std::thread &Thread : Threads)
+    Thread.join();
+  EXPECT_EQ(Registered.load(), kClasses);
+  EXPECT_EQ(Refused.load(), 0u);
+  EXPECT_EQ(Mismatches.load(), 0u);
 }
 
 TEST(MergeTest, IsomorphicModelsCompileOnceThroughGetOrCompile) {

@@ -7,6 +7,7 @@
 
 #include "baselines/Baselines.h"
 #include "runtime/Compiler.h"
+#include "runtime/KernelCache.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -210,6 +211,25 @@ TEST_F(RuntimeTest, SaveReportsErrnoReason) {
             std::string::npos);
   EXPECT_NE(Message.find("No such file or directory"),
             std::string::npos);
+}
+
+TEST_F(RuntimeTest, SaveRejectsUnregisteredTableIndex) {
+  // A kernel naming a weight table its engine does not hold: saving it
+  // fails with the index instead of binding an empty table.
+  KernelCache Cache;
+  Expected<CompiledKernel> Kernel =
+      Cache.getOrCompile(*Model, spn::QueryConfig(), CompilerOptions());
+  ASSERT_TRUE(static_cast<bool>(Kernel));
+  ASSERT_EQ(Kernel->getTableIndex(), 0);
+  CompiledKernel Stray(Kernel->getEngineShared(), 7);
+  std::string Path = ::testing::TempDir() + "/stray.spnk";
+  std::string Message;
+  EXPECT_TRUE(failed(saveCompiledKernel(Stray, Path, &Message)));
+  EXPECT_NE(Message.find("weight table 7"), std::string::npos) << Message;
+  std::FILE *Written = std::fopen(Path.c_str(), "rb");
+  EXPECT_EQ(Written, nullptr);
+  if (Written)
+    std::fclose(Written);
 }
 
 TEST_F(RuntimeTest, SaveNeverLeavesTruncatedKernelBehind) {

@@ -86,7 +86,7 @@ protected:
   std::vector<double> run(const TaskProgram &Task) {
     std::vector<double> Registers(Task.NumRegisters, 0.0);
     BufferBinding<double> NoBuffers[1] = {};
-    interpretSample(Task, NoBuffers, 0, Registers.data());
+    interpretSample(Task, Task, NoBuffers, 0, Registers.data());
     return Registers;
   }
 
@@ -281,7 +281,7 @@ TEST(BufferTest, RowMajorAndTransposedAddressing) {
 
   double Registers[1];
   for (size_t S = 0; S < 3; ++S)
-    interpretSample(Task, Buffers, S, Registers);
+    interpretSample(Task, Task, Buffers, S, Registers);
   EXPECT_DOUBLE_EQ(Output[0], 11);
   EXPECT_DOUBLE_EQ(Output[1], 21);
   EXPECT_DOUBLE_EQ(Output[2], 31);
@@ -329,7 +329,7 @@ TEST(BufferTest, MultiSlotTransposedOutput) {
   Buffers[1].Stride = 3;
   double Registers[2];
   for (size_t S = 0; S < 3; ++S)
-    interpretSample(Task, Buffers, S, Registers);
+    interpretSample(Task, Task, Buffers, S, Registers);
   // Slot 0 = the raw value, slot 1 = value + 100, each contiguous.
   EXPECT_DOUBLE_EQ(Output[0], 1);
   EXPECT_DOUBLE_EQ(Output[1], 2);
