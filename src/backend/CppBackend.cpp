@@ -138,7 +138,7 @@ using KernelFn = void (*)(const double *, double *, size_t, const void *);
 using UpwardFn = void (*)(const double *, double *, size_t, size_t, void *,
                           const void *);
 
-/// The emitted entry points of one shared object; the per-row upward
+/// The emitted entry points of one shared object; the block upward
 /// pass is null unless the program is an MPE or sampling program.
 struct NativeEntryPoints {
   KernelFn Kernel = nullptr;
@@ -146,7 +146,7 @@ struct NativeEntryPoints {
 };
 
 /// What a native kernel serves: the program's query kinds, minus MPE
-/// and sampling when the shared object lacks the per-row upward pass
+/// and sampling when the shared object lacks the block upward pass
 /// their downward pass needs. Requests under weight
 /// tables offset the external buffers per run, which is only valid when
 /// the input is row-major and the output carries one value per sample
@@ -196,12 +196,12 @@ private:
 /// directory.
 class NativeEngine : public runtime::ExecutionEngine {
 public:
-  NativeEngine(vm::KernelProgram TheProgram, void *Handle,
+  NativeEngine(vm::KernelProgram TheProgram, unsigned Lanes, void *Handle,
                NativeEntryPoints Entry, std::string ArtifactDir,
                bool KeepArtifacts, std::string Description)
       : ExecutionEngine(nativeCapabilities(TheProgram, Entry)),
         Program(std::move(TheProgram)), Layout(layoutCppParams(Program)),
-        Own(Program, Layout), Handle(Handle), Entry(Entry),
+        Own(Program, Layout), Lanes(Lanes), Handle(Handle), Entry(Entry),
         ArtifactDir(std::move(ArtifactDir)),
         KeepArtifacts(KeepArtifacts),
         Description(std::move(Description)) {
@@ -231,15 +231,10 @@ public:
       size_t N = Request.NumSamples;
       if (Request.Kind == vm::QueryKind::Mpe ||
           Request.Kind == vm::QueryKind::Sample) {
-        // The native upward pass per row, then the shared downward pass.
-        std::vector<double> Up(N);
-        auto Upward = [&](size_t I, void *Registers) {
-          Entry.Upward(Request.Input, Up.data(), I, N, Registers, Own.data());
-        };
         if (Program.UseF32)
-          vm::completeRows<float>(Program, Request, Up.data(), Upward);
+          runMpeOrSample<float>(Request);
         else
-          vm::completeRows<double>(Program, Request, Up.data(), Upward);
+          runMpeOrSample<double>(Request);
         return;
       }
       if (!Blocks) {
@@ -282,10 +277,33 @@ public:
   std::string describe() const override { return Description; }
 
 private:
+  /// Answers an MPE or sampling request: the native upward pass runs a
+  /// block of rows at a time, and the shared downward pass
+  /// (vm::completeRows, which visits the rows in order) reads each row's
+  /// lane of the block's registers.
+  template <typename T>
+  void runMpeOrSample(const runtime::RunRequest &Request) const {
+    size_t N = Request.NumSamples;
+    size_t NumRegisters = Program.Tasks[0].NumRegisters;
+    std::vector<double> Up(N);
+    std::vector<T> Block(NumRegisters * Lanes);
+    vm::completeRows<T>(
+        Program, Request, Up.data(), [&](size_t I, T *Registers) {
+          size_t Lane = I % Lanes;
+          if (Lane == 0)
+            Entry.Upward(Request.Input, Up.data(), I, N, Block.data(),
+                         Own.data());
+          for (size_t R = 0; R < NumRegisters; ++R)
+            Registers[R] = Block[R * Lanes + Lane];
+        });
+  }
+
   vm::KernelProgram Program;
   CppParamLayout Layout;
   /// The block of the program's own side tables.
   ParamBlock Own;
+  /// Rows per block of the emitted code.
+  unsigned Lanes;
   void *Handle;
   NativeEntryPoints Entry;
   uint32_t NumFeatures = 1;
@@ -386,8 +404,10 @@ CppBackend::build(vm::KernelProgram Program,
     return makeError("cpp backend unavailable: " + Reason);
 
   Timer EmitTimer;
+  unsigned Lanes =
+      cppLaneWidth(Program, Config.getOptions().Execution.VectorWidth);
   Expected<std::vector<std::string>> Units =
-      emitCppKernel(Program, allowedCpus());
+      emitCppKernel(Program, Lanes, allowedCpus());
   if (!Units)
     return Units.getError();
 
@@ -487,17 +507,19 @@ CppBackend::build(vm::KernelProgram Program,
     return FailAndCleanup("cpp backend: '" + SoPath + "' has no '" +
                           std::string(kCppKernelSymbol) + "' symbol");
   }
-  // The per-row upward pass is emitted only for MPE/sampling programs.
+  // The block upward pass is emitted only for MPE/sampling programs.
   Entry.Upward = reinterpret_cast<UpwardFn>(dlsym(Handle, kCppUpwardSymbol));
 
-  std::string Description = "cpp native (" + Compiler;
+  std::string Description =
+      "cpp native w=" + std::to_string(Lanes) + " (" + Compiler;
   for (const std::string &Flag : Options.ExtraFlags)
     Description += " " + Flag;
   Description += ")";
 
   CompiledArtifact Artifact;
-  Artifact.Engine = std::make_shared<NativeEngine>(
-      std::move(Program), Handle, Entry, Dir, Keep, std::move(Description));
+  Artifact.Engine =
+      std::make_shared<NativeEngine>(std::move(Program), Lanes, Handle, Entry,
+                                     Dir, Keep, std::move(Description));
   Artifact.BackendName = getName();
   Artifact.Fingerprint = artifactFingerprint();
   if (Stats) {

@@ -12,10 +12,16 @@
 /// host toolchain compiles concurrently and links into one shared
 /// object, `dlopen`ed behind the standard
 /// `ExecutionEngine` interface — so the serving layer, the CLI and
-/// every bench run native kernels unmodified. CPU only; requesting the
-/// GPU target fails with a validateTarget diagnostic. Unavailable hosts
-/// (no compiler on PATH, non-POSIX) are reported through isAvailable()
-/// so callers can skip gracefully.
+/// every bench run native kernels unmodified. The kernel evaluates
+/// blocks of W rows in W-lane vector code, W being the pipeline's
+/// `ExecutionConfig::VectorWidth` (capped at one 64-byte register, so
+/// 16 f64 lanes run as 8): joint and marginal kernels with the VM
+/// vector engine's arithmetic, MPE and sampling kernels with the scalar
+/// interpreter's, whose per-block upward pass hands each row its lane
+/// for the shared downward pass (vm::completeRows). CPU only; requesting
+/// the GPU target fails with a validateTarget diagnostic. Unavailable
+/// hosts (no compiler on PATH, non-POSIX) are reported through
+/// isAvailable() so callers can skip gracefully.
 ///
 //===----------------------------------------------------------------------===//
 

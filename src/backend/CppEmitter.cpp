@@ -5,37 +5,47 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The emitted code is structured like the scalar interpreter's execution
-// of one chunk covering the whole batch:
+// The emitted code runs a batch as blocks of W rows, W being the lane
+// width the kernel is emitted for, like the VM's vector engine:
 //
-//   * one zero-filled heap array per intermediate buffer ([slot][sample]
-//     layout),
-//   * one sample loop per kernel step, with a fresh register file per
-//     iteration, calling the task's segment functions in order,
-//   * each segment a straight-line run of at most kCppSegmentInstructions
-//     instructions, with arithmetic copied cast-for-cast from
-//     vm::interpretSample, every side-table value read from the
-//     parameter block "p" (CppParamLayout) and the structural constants
-//     (bucket bounds) spelled as hexadecimal float literals so no
-//     precision is lost in the round trip through source text.
+//   * every register is a GCC vector of W lanes of the compute type, and
+//     each bytecode instruction is one vector statement;
+//   * per block, every buffer holds one vector per column: the block's
+//     rows of the external input are transposed into its columns (the
+//     VM's loads+shuffles), the steps run in program order, and the real
+//     rows of the output columns are written back. Intermediate buffers
+//     hold one block. The last, partial block runs padded with zero rows;
+//   * each task's code is cut into segment functions of at most
+//     kCppSegmentInstructions instructions that take the register file,
+//     the buffer table "b" and the parameter block "p" (CppParamLayout)
+//     by pointer; structural constants (bucket bounds) are spelled as
+//     hexadecimal float literals, so no precision is lost in the round
+//     trip through source text.
 //
-// MPE and sampling programs add a per-row upward entry point; their
-// downward pass runs on the host (vm::completeRows).
+// The arithmetic each statement mirrors depends on the query kind. Joint
+// and marginal programs mirror the VM's vector engine with its vector
+// library: f32 exp, log and log1p run the VecMath polynomials, copied
+// into every unit from vm/VecMathKernels.inc, and f64 calls libm per
+// lane, as VecMath's double overloads do. MPE and sampling programs
+// mirror the scalar interpreter (vm::interpretSample) lane by lane,
+// every exp, log and log1p in double precision, so the upward registers
+// their downward pass (vm::completeRows, on the host) reads are the VM's
+// bit for bit.
 //
 // Segments are spread over translation units balanced by instruction
 // count, so the host compiler builds the units concurrently and never
 // sees a function larger than one segment. The units include no headers:
 // the math goes through the compiler builtins (__builtin_exp,
-// __builtin_isnan, ...), which name the same libm functions <cmath> does.
+// __builtin_floor, ...), which name the same libm functions <cmath> does.
 //
 //===----------------------------------------------------------------------===//
 
 #include "backend/CppEmitter.h"
 
+#include "support/StringUtils.h"
+
 #include <algorithm>
 #include <cmath>
-#include <cstdarg>
-#include <cstdio>
 #include <cstdint>
 #include <numeric>
 #include <set>
@@ -46,16 +56,12 @@ using namespace spnc::vm;
 
 namespace {
 
-/// printf-append onto \p Out.
-void appendf(std::string &Out, const char *Format, ...) {
-  va_list Args;
-  va_start(Args, Format);
-  char Buffer[512];
-  int Length = std::vsnprintf(Buffer, sizeof(Buffer), Format, Args);
-  va_end(Args);
-  if (Length > 0)
-    Out.append(Buffer, static_cast<size_t>(Length));
-}
+/// The VecMath polynomial kernels as source text.
+#define SPNC_VECMATH_KERNELS(...) #__VA_ARGS__
+const char *const kVecMathKernels =
+#include "vm/VecMathKernels.inc"
+    ;
+#undef SPNC_VECMATH_KERNELS
 
 /// Renders \p Value as a C++17 expression of type double that
 /// round-trips exactly: hexadecimal float literals for finite values,
@@ -65,71 +71,12 @@ std::string formatDouble(double Value) {
     return "__builtin_nan(\"\")";
   if (std::isinf(Value))
     return Value > 0 ? "__builtin_inf()" : "-__builtin_inf()";
-  char Buffer[64];
-  std::snprintf(Buffer, sizeof(Buffer), "%a", Value);
-  return Buffer;
+  return formatString("%a", Value);
 }
 
 /// The same, pre-cast to the kernel's compute type.
 std::string formatValue(double Value) {
   return "(value_t)" + formatDouble(Value);
-}
-
-/// Element-index expression for buffer \p BufIdx at compile-time column
-/// \p Col and loop variable "i". One chunk covers the whole batch, so
-/// Offset is 0 and the transposed stride is the sample count "n"
-/// (matching the CPU executor's binding of a single full chunk).
-std::string indexExpr(const KernelProgram &Program, uint32_t BufIdx,
-                      uint32_t Col) {
-  const BufferInfo &Info = Program.Buffers[BufIdx];
-  std::string Out;
-  if (Info.Transposed) {
-    if (Col == 0)
-      return "i";
-    appendf(Out, "(size_t)%u * n + i", Col);
-  } else {
-    if (Info.Columns == 1)
-      return "i";
-    appendf(Out, "i * %u + %u", Info.Columns, Col);
-  }
-  return Out;
-}
-
-/// Name of the emitted storage for buffer \p BufIdx.
-std::string bufferName(const KernelProgram &Program, uint32_t BufIdx) {
-  switch (Program.Buffers[BufIdx].Role) {
-  case BufferInfo::Kind::Input:
-    return "in";
-  case BufferInfo::Kind::Output:
-    return "out";
-  case BufferInfo::Kind::Intermediate:
-    break;
-  }
-  std::string Name = "b";
-  Name += std::to_string(BufIdx);
-  return Name;
-}
-
-/// Expression loading one element of \p BufIdx as value_t (external
-/// buffers are double and narrowed on load, like the interpreter).
-std::string loadExpr(const KernelProgram &Program, uint32_t BufIdx,
-                     uint32_t Col) {
-  std::string Element =
-      bufferName(Program, BufIdx) + "[" + indexExpr(Program, BufIdx, Col) + "]";
-  if (Program.Buffers[BufIdx].Role == BufferInfo::Kind::Intermediate)
-    return Element;
-  return "(value_t)" + Element;
-}
-
-/// Statement storing \p Value into one element of \p BufIdx (external
-/// buffers widen back to double, like the interpreter).
-std::string storeStmt(const KernelProgram &Program, uint32_t BufIdx,
-                      uint32_t Col, const std::string &Value) {
-  std::string Element =
-      bufferName(Program, BufIdx) + "[" + indexExpr(Program, BufIdx, Col) + "]";
-  if (Program.Buffers[BufIdx].Role == BufferInfo::Kind::Intermediate)
-    return Element + " = " + Value + ";";
-  return Element + " = (double)(" + Value + ");";
 }
 
 std::string reg(uint32_t Index) {
@@ -139,162 +86,118 @@ std::string reg(uint32_t Index) {
 /// Expression reading parameter-block slot \p Idx.
 std::string paramExpr(size_t Idx) { return "p[" + std::to_string(Idx) + "]"; }
 
-/// Emits the body of one instruction at indentation \p Indent. The
-/// arithmetic mirrors vm::interpretSample cast for cast; see that
-/// function for the semantics being reproduced. Every side-table value
-/// is read from the parameter block "p", which holds the same values
-/// narrowed to value_t exactly as the interpreter narrows them.
-void emitInstruction(std::string &Out, const KernelProgram &Program,
-                     const TaskProgram &Task, size_t TaskIdx,
-                     const Instruction &I, const char *Indent,
+/// Name of the block storage of buffer \p BufIdx: one vector per column.
+std::string bufferName(size_t BufIdx) {
+  // Appended rather than "b" + ..., which GCC 12 flags with -Wrestrict.
+  std::string Name = "b";
+  Name += std::to_string(BufIdx);
+  return Name;
+}
+
+/// The column a load or store names, in the block.
+std::string column(const BufferAccess &Access) {
+  return bufferName(Access.Buffer) + "[" + std::to_string(Access.Index) +
+         "]";
+}
+
+/// Emits instruction \p I of task \p TaskIdx as one vector statement over
+/// the block's lanes. Every side-table value is read from the parameter
+/// block "p", which holds the program's values narrowed to value_t as
+/// the VM narrows them; the exp and log behind the spnc_* helpers are
+/// fixed per query kind by the unit's prelude (emitMath).
+void emitInstruction(std::string &Out, const TaskProgram &Task,
+                     size_t TaskIdx, const Instruction &I,
                      const CppParamLayout &PL) {
+  std::string Value;
   switch (I.Op) {
   case OpCode::Const:
-    appendf(Out, "%s%s = %s;\n", Indent, reg(I.Dst).c_str(),
-            paramExpr(PL.ConstSlot[TaskIdx][I.A]).c_str());
+    Value = "splat(" + paramExpr(PL.ConstSlot[TaskIdx][I.A]) + ")";
     break;
-  case OpCode::Load: {
-    const BufferAccess &Access = Task.Loads[I.A];
-    appendf(Out, "%s%s = %s;\n", Indent, reg(I.Dst).c_str(),
-            loadExpr(Program, Access.Buffer, Access.Index).c_str());
+  case OpCode::Load:
+    Value = column(Task.Loads[I.A]);
     break;
-  }
-  case OpCode::Store: {
-    const BufferAccess &Access = Task.Stores[I.A];
-    appendf(Out, "%s%s\n", Indent,
-            storeStmt(Program, Access.Buffer, Access.Index, reg(I.Dst))
-                .c_str());
-    break;
-  }
+  case OpCode::Store:
+    Out += "  " + column(Task.Stores[I.A]) + " = " + reg(I.Dst) + ";\n";
+    return;
   case OpCode::Add:
-    appendf(Out, "%s%s = %s + %s;\n", Indent, reg(I.Dst).c_str(),
-            reg(I.A).c_str(), reg(I.B).c_str());
+    Value = reg(I.A) + " + " + reg(I.B);
     break;
   case OpCode::Mul:
-    appendf(Out, "%s%s = %s * %s;\n", Indent, reg(I.Dst).c_str(),
-            reg(I.A).c_str(), reg(I.B).c_str());
+    Value = reg(I.A) + " * " + reg(I.B);
     break;
   case OpCode::FusedMulAdd:
-    appendf(Out, "%s%s = %s * %s + %s;\n", Indent, reg(I.Dst).c_str(),
-            reg(I.A).c_str(), reg(I.B).c_str(), reg(I.C).c_str());
+    Value = reg(I.A) + " * " + reg(I.B) + " + " + reg(I.C);
     break;
   case OpCode::LogSumExp:
-    appendf(Out, "%s%s = spnc_log_sum_exp(%s, %s);\n", Indent,
-            reg(I.Dst).c_str(), reg(I.A).c_str(), reg(I.B).c_str());
+    Value = "spnc_lse(" + reg(I.A) + ", " + reg(I.B) + ")";
     break;
   case OpCode::Max:
     // Ties keep A so MPE argmax ties resolve to the lowest child index,
-    // like the interpreter.
-    appendf(Out, "%s%s = %s >= %s ? %s : %s;\n", Indent,
-            reg(I.Dst).c_str(), reg(I.A).c_str(), reg(I.B).c_str(),
-            reg(I.A).c_str(), reg(I.B).c_str());
+    // like the VM.
+    Value = reg(I.A) + " >= " + reg(I.B) + " ? " + reg(I.A) + " : " +
+            reg(I.B);
     break;
   case OpCode::Gaussian:
   case OpCode::GaussianLog: {
-    const GaussianParams &P = Task.Gaussians[I.B];
     size_t Slot = PL.GaussianBase[TaskIdx] + 4 * static_cast<size_t>(I.B);
-    appendf(Out, "%s{\n%s  value_t x = %s;\n", Indent, Indent,
-            reg(I.A).c_str());
-    std::string Deeper = std::string(Indent) + "  ";
-    if (P.SupportMarginal) {
-      appendf(Out, "%s  if (__builtin_isnan(x)) {\n%s    %s = %s;\n%s  } else {\n",
-              Indent, Indent, reg(I.Dst).c_str(),
-              paramExpr(Slot + 3).c_str(), Indent);
-      Deeper += "  ";
-    }
-    const char *Body = Deeper.c_str();
-    std::string Coefficient = paramExpr(Slot + 2);
-    appendf(Out, "%svalue_t norm = (x - %s) * %s;\n", Body,
-            paramExpr(Slot).c_str(), paramExpr(Slot + 1).c_str());
-    if (I.Op == OpCode::Gaussian)
-      appendf(Out,
-              "%s%s = %s * "
-              "(value_t)__builtin_exp((double)((value_t)-0.5 * norm * norm));\n",
-              Body, reg(I.Dst).c_str(), Coefficient.c_str());
-    else
-      appendf(Out, "%s%s = %s - (value_t)0.5 * norm * norm;\n", Body,
-              reg(I.Dst).c_str(), Coefficient.c_str());
-    if (P.SupportMarginal)
-      appendf(Out, "%s  }\n", Indent);
-    appendf(Out, "%s}\n", Indent);
+    Value = formatString("spnc_gaussian%s(%s, p + %zu)",
+                         I.Op == OpCode::GaussianLog ? "_log" : "",
+                         reg(I.A).c_str(), Slot);
+    if (Task.Gaussians[I.B].SupportMarginal)
+      Value = "spnc_marginal(" + reg(I.A) + ", " + paramExpr(Slot + 3) +
+              ", " + Value + ")";
     break;
   }
   case OpCode::TableLookup: {
     const LookupTable &Table = Task.Tables[I.B];
     size_t Base = PL.TableBase[TaskIdx][I.B];
     size_t Size = Table.Values.size();
-    appendf(Out, "%s{\n%s  value_t x = %s;\n", Indent, Indent,
-            reg(I.A).c_str());
-    std::string Deeper = std::string(Indent) + "  ";
-    if (Table.SupportMarginal) {
-      appendf(Out, "%s  if (__builtin_isnan(x)) {\n%s    %s = %s;\n%s  } else {\n",
-              Indent, Indent, reg(I.Dst).c_str(),
-              paramExpr(Base + Size + 1).c_str(), Indent);
-      Deeper += "  ";
-    }
-    const char *Body = Deeper.c_str();
-    appendf(Out,
-            "%slong long idx = (long long)__builtin_floor((double)x - %s);\n",
-            Body, formatDouble(Table.Lo).c_str());
-    appendf(Out,
-            "%s%s = (idx >= 0 && idx < (long long)%zu) ? p[%zu + idx] : %s;\n",
-            Body, reg(I.Dst).c_str(), Size, Base,
-            paramExpr(Base + Size).c_str());
+    Value = formatString("spnc_lookup(%s, p + %zu, %zu, %s)",
+                         reg(I.A).c_str(), Base, Size,
+                         formatDouble(Table.Lo).c_str());
     if (Table.SupportMarginal)
-      appendf(Out, "%s  }\n", Indent);
-    appendf(Out, "%s}\n", Indent);
+      Value = "spnc_marginal(" + reg(I.A) + ", " +
+              paramExpr(Base + Size + 1) + ", " + Value + ")";
     break;
   }
   case OpCode::SelectInRange: {
     const SelectRange &Range = Task.Selects[I.B];
-    // NaN compares false, so marginalized evidence keeps the previous
-    // register value — same as the interpreter.
-    appendf(Out, "%sif (%s >= %s && %s < %s) %s = %s;\n", Indent,
-            reg(I.A).c_str(), formatValue(Range.Lo).c_str(),
-            reg(I.A).c_str(), formatValue(Range.Hi).c_str(),
-            reg(I.Dst).c_str(),
-            paramExpr(PL.SelectBase[TaskIdx] + I.B).c_str());
+    Value = "spnc_select(" + reg(I.A) + ", " + formatValue(Range.Lo) +
+            ", " + formatValue(Range.Hi) + ", " +
+            paramExpr(PL.SelectBase[TaskIdx] + I.B) + ", " + reg(I.Dst) +
+            ")";
     break;
   }
   case OpCode::NanBlend:
-    appendf(Out, "%sif (__builtin_isnan(%s)) %s = %s;\n", Indent,
-            reg(I.A).c_str(), reg(I.Dst).c_str(),
-            paramExpr(PL.ConstSlot[TaskIdx][I.B]).c_str());
+    Value = "spnc_marginal(" + reg(I.A) + ", " +
+            paramExpr(PL.ConstSlot[TaskIdx][I.B]) + ", " + reg(I.Dst) + ")";
     break;
   case OpCode::AddN:
   case OpCode::MulN: {
-    // Accumulate in Args order from the identity, exactly like the
-    // interpreter's scalar loop.
+    // From the identity, accumulating in Args order like the VM.
     bool IsAdd = I.Op == OpCode::AddN;
-    appendf(Out, "%s{\n%s  value_t acc = (value_t)%d;\n", Indent, Indent,
-            IsAdd ? 0 : 1);
+    Value = IsAdd ? "splat(0)" : "splat(1)";
     for (uint32_t N = 0; N < I.B; ++N)
-      appendf(Out, "%s  acc %s= %s;\n", Indent, IsAdd ? "+" : "*",
-              reg(Task.Args[I.A + N]).c_str());
-    appendf(Out, "%s  %s = acc;\n%s}\n", Indent, reg(I.Dst).c_str(),
-            Indent);
+      Value += (IsAdd ? " + " : " * ") + reg(Task.Args[I.A + N]);
     break;
   }
   case OpCode::LogSumExpN: {
-    appendf(Out, "%s{\n%s  value_t max = kNegInf;\n", Indent, Indent);
+    // The lanes' maximum, then the sum of exp(operand - maximum).
+    Out += "  {\n    vec_t mx = splat(kNegInf);\n";
     for (uint32_t N = 0; N < I.B; ++N) {
       std::string Operand = reg(Task.Args[I.A + N]);
-      appendf(Out, "%s  max = %s > max ? %s : max;\n", Indent,
-              Operand.c_str(), Operand.c_str());
+      Out += "    mx = " + Operand + " > mx ? " + Operand + " : mx;\n";
     }
-    appendf(Out,
-            "%s  if (max == kNegInf) {\n%s    %s = max;\n%s  } else {\n",
-            Indent, Indent, reg(I.Dst).c_str(), Indent);
-    appendf(Out, "%s    value_t sum = (value_t)0;\n", Indent);
+    Out += "    vec_t sum = splat(0);\n";
     for (uint32_t N = 0; N < I.B; ++N)
-      appendf(Out, "%s    sum += (value_t)__builtin_exp((double)(%s - max));\n",
-              Indent, reg(Task.Args[I.A + N]).c_str());
-    appendf(Out,
-            "%s    %s = max + (value_t)__builtin_log((double)sum);\n%s  }\n%s}\n",
-            Indent, reg(I.Dst).c_str(), Indent, Indent);
-    break;
+      Out += "    sum += spnc_exp(spnc_guard(" + reg(Task.Args[I.A + N]) +
+             " - mx));\n";
+    Out += "    " + reg(I.Dst) +
+           " = mx == kNegInf ? mx : mx + spnc_log(sum);\n  }\n";
+    return;
   }
   }
+  Out += "  " + reg(I.Dst) + " = " + Value + ";\n";
 }
 
 /// One segment function: instructions [Begin, End) of task \p Task,
@@ -349,60 +252,164 @@ std::string segmentName(const Segment &Seg) {
          std::to_string(Seg.Index);
 }
 
-/// Emits the head every unit shares: the compute type, the segment
-/// signature and the log-sum-exp helper.
+bool isLikelihood(const KernelProgram &Program) {
+  return Program.Query != QueryKind::Mpe &&
+         Program.Query != QueryKind::Sample;
+}
+
+/// Emits exp, log and log1p(exp) over lanes, plus the guard the VM's
+/// vector engine puts on log-sum-exp differences, as the arithmetic
+/// mirrored for \p Program's query kind demands (see the file comment).
+void emitMath(std::string &Out, const KernelProgram &Program,
+              unsigned Lanes) {
+  bool Likelihood = isLikelihood(Program);
+  if (Likelihood && Program.UseF32) {
+    Out += formatString(
+        "\n// exp, log and log1p(exp) of the VM's vector engine: the VecMath\n"
+        "// polynomials.\n"
+        "typedef int ivec_t __attribute__((vector_size(%u * sizeof(int))));\n",
+        Lanes);
+    Out += kVecMathKernels;
+    Out += "\nSPNC_OUTLINE vec_t spnc_exp(vec_t x) {\n"
+           "  return polyExpNeg<vec_t, ivec_t>(x);\n"
+           "}\n"
+           "SPNC_OUTLINE vec_t spnc_log(vec_t x) {\n"
+           "  return polyLogPos<vec_t, ivec_t>(x);\n"
+           "}\n"
+           "inline vec_t spnc_log1p_exp(vec_t x) {\n"
+           "  return polyLog1p01(polyExpNeg<vec_t, ivec_t>(x));\n"
+           "}\n";
+  } else {
+    // VecMath's double overloads clamp the exponent to <= 0; the
+    // interpreter calls exp as it is.
+    const char *Exponent = Likelihood ? "v > 0.0 ? 0.0 : v" : "v";
+    Out += formatString(
+        "\n// exp, log and log1p(exp) of the %s: libm on every lane.\n"
+        "SPNC_OUTLINE vec_t spnc_exp(vec_t x) {\n"
+        "  return spnc_lanes(x, [](double v) { return __builtin_exp(%s); });\n"
+        "}\n"
+        "SPNC_OUTLINE vec_t spnc_log(vec_t x) {\n"
+        "  return spnc_lanes(x, [](double v) { return __builtin_log(v); });\n"
+        "}\n"
+        "inline vec_t spnc_log1p_exp(vec_t x) {\n"
+        "  return spnc_lanes(\n"
+        "      x, [](double v) { return __builtin_log1p(__builtin_exp(%s)); });\n"
+        "}\n",
+        Likelihood ? "VM's vector engine" : "scalar interpreter", Exponent,
+        Exponent);
+  }
+  Out += Likelihood
+             ? "// A NaN difference ((-inf) - (-inf)) counts as -inf.\n"
+               "inline vec_t spnc_guard(vec_t d) {\n"
+               "  return d != d ? splat(kNegInf) : d;\n"
+               "}\n"
+             : "inline vec_t spnc_guard(vec_t d) { return d; }\n";
+}
+
+/// Emits the head every unit shares: the compute type, the register
+/// vector, the segment signature and the leaf and log-sum-exp helpers.
 void emitPrelude(std::string &Out, const KernelProgram &Program,
-                 size_t Unit, size_t NumUnits) {
-  appendf(Out,
-          "// Generated by the SPNC cpp backend (emitter v%u) from "
-          "kernel '%s', unit %zu of %zu.\n"
-          "// compute type: %s; %s space; lowering: %s.\n",
-          kCppEmitterVersion, Program.Name.c_str(), Unit, NumUnits,
-          Program.UseF32 ? "f32" : "f64",
-          Program.LogSpace ? "log" : "linear",
-          Program.Lowering == LoweringKind::SelectCascade
-              ? "select-cascade"
-              : "table-lookup");
+                 unsigned Lanes, size_t Unit, size_t NumUnits) {
+  Out += formatString(
+      "// Generated by the SPNC cpp backend (emitter v%u) from "
+      "kernel '%s', unit %zu of %zu.\n"
+      "// compute type: %s; %s space; lowering: %s; %u lanes; "
+      "arithmetic of the %s.\n",
+      kCppEmitterVersion, Program.Name.c_str(), Unit, NumUnits,
+      Program.UseF32 ? "f32" : "f64", Program.LogSpace ? "log" : "linear",
+      Program.Lowering == LoweringKind::SelectCascade ? "select-cascade"
+                                                      : "table-lookup",
+      Lanes,
+      isLikelihood(Program) ? "VM's vector engine" : "scalar interpreter");
   Out += "typedef decltype(sizeof 0) size_t;\n";
-  appendf(Out, "typedef %s value_t;\n", Program.UseF32 ? "float" : "double");
+  Out += formatString("typedef %s value_t;\n",
+                      Program.UseF32 ? "float" : "double");
+  Out += formatString(
+      "// One register: a lane per row of the block. Element-aligned, so\n"
+      "// any value_t storage holds registers.\n"
+      "typedef value_t vec_t __attribute__((\n"
+      "    vector_size(%u * sizeof(value_t)), aligned(sizeof(value_t))));\n",
+      Lanes);
   Out += "\n"
-         "// Every segment runs a slice of one task for sample i: the\n"
-         "// register file r, the external buffers, the intermediate\n"
-         "// buffers b (indexed by buffer id) and the parameter block p.\n"
-         "// Never inlined, so every register write stays a store and the\n"
-         "// compiler sees the same code whichever unit holds the segment.\n"
-         "#define SPNC_SEGMENT(name)                                      "
-         "    \\\n"
-         "  extern \"C\" __attribute__((visibility(\"hidden\"), noinline))    "
-         "    \\\n"
-         "  void name(value_t *__restrict r, const double *__restrict in, "
-         "    \\\n"
-         "            double *__restrict out, value_t *const *b,          "
-         "    \\\n"
-         "            const value_t *__restrict p, size_t i, size_t n)\n"
+         "// Every segment runs a slice of one task over a block: the\n"
+         "// register file r, the buffer table b (each buffer's columns,\n"
+         "// indexed by buffer id) and the parameter block p. Never inlined,\n"
+         "// so every register write stays a store and the compiler sees the\n"
+         "// same code whichever unit holds the segment.\n"
+         "#define SPNC_SEGMENT(name)                                       \\\n"
+         "  extern \"C\" __attribute__((visibility(\"hidden\"), noinline))     "
+         "\\\n"
+         "  void name(vec_t *__restrict r, vec_t *const *b,                \\\n"
+         "            const value_t *__restrict p)\n"
          "\n"
-         "namespace {\n"
-         "const value_t kNegInf = -(value_t)__builtin_inf();\n"
+         "// The math and leaf helpers stay calls: inlined at every use, they\n"
+         "// made the units take about twice as long to compile and gained no\n"
+         "// speed.\n"
+         "#define SPNC_OUTLINE __attribute__((noinline))\n"
          "\n"
-         "// Mirrors the interpreter's scalarLogSumExp: max + "
-         "log1p(exp(min - max)),\n"
-         "// with the exp/log1p round trip through double.\n"
-         "inline value_t spnc_log_sum_exp(value_t a, value_t b) {\n"
-         "  value_t max = a > b ? a : b;\n"
-         "  if (max == kNegInf)\n"
-         "    return max;\n"
-         "  value_t diff = (a > b ? b : a) - max;\n"
-         "  return max +\n"
-         "         (value_t)__builtin_log1p(__builtin_exp((double)diff));\n"
+         "namespace {\n";
+  Out += formatString("const size_t kLanes = %u;\n", Lanes);
+  Out += "const value_t kNegInf = -(value_t)__builtin_inf();\n"
+         "\n"
+         "// v in every lane (v - 0 == v for every v, signed zeros included).\n"
+         "inline vec_t splat(value_t v) { return v - (vec_t){}; }\n"
+         "\n"
+         "// f on every lane, through double.\n"
+         "template <typename F> inline vec_t spnc_lanes(vec_t x, F f) {\n"
+         "  vec_t y;\n"
+         "  for (size_t l = 0; l < kLanes; ++l)\n"
+         "    y[l] = (value_t)f((double)x[l]);\n"
+         "  return y;\n"
+         "}\n";
+  emitMath(Out, Program, Lanes);
+  Out += "\n"
+         "SPNC_OUTLINE vec_t spnc_lse(vec_t a, vec_t b) {\n"
+         "  vec_t mx = a > b ? a : b;\n"
+         "  vec_t lse = mx + spnc_log1p_exp(spnc_guard((a > b ? b : a) - mx));\n"
+         "  return mx == kNegInf ? mx : lse;\n"
+         "}\n"
+         "\n"
+         "// Gaussian leaves; g = (Mean, InvStdDev, Coefficient, "
+         "MarginalValue).\n"
+         "SPNC_OUTLINE vec_t spnc_gaussian(vec_t x, const value_t *g) {\n"
+         "  vec_t n = (x - g[0]) * g[1];\n"
+         "  return g[2] * spnc_exp((value_t)-0.5 * n * n);\n"
+         "}\n"
+         "SPNC_OUTLINE vec_t spnc_gaussian_log(vec_t x, const value_t *g) {\n"
+         "  vec_t n = (x - g[0]) * g[1];\n"
+         "  return g[2] - (value_t)0.5 * n * n;\n"
+         "}\n"
+         "\n"
+         "// Dense-table leaf over the buckets [lo, lo + size): t holds their\n"
+         "// values, then the value of evidence outside them (NaN included).\n"
+         "SPNC_OUTLINE vec_t spnc_lookup(vec_t x, const value_t *t,\n"
+         "                               long long size, double lo) {\n"
+         "  vec_t y;\n"
+         "  for (size_t l = 0; l < kLanes; ++l) {\n"
+         "    double f = __builtin_floor((double)x[l] - lo);\n"
+         "    y[l] = f >= 0 && f < size ? t[(long long)f] : t[size];\n"
+         "  }\n"
+         "  return y;\n"
+         "}\n"
+         "\n"
+         "// m where x is NaN (marginalized evidence), v elsewhere.\n"
+         "inline vec_t spnc_marginal(vec_t x, value_t m, vec_t v) {\n"
+         "  return x != x ? splat(m) : v;\n"
+         "}\n"
+         "\n"
+         "// v where x lies in [lo, hi), old elsewhere (NaN compares false).\n"
+         "inline vec_t spnc_select(vec_t x, value_t lo, value_t hi, value_t v,\n"
+         "                         vec_t old) {\n"
+         "  return (x >= lo) & (x < hi) ? splat(v) : old;\n"
          "}\n";
 }
 
-/// Emits the definition of \p Seg: pointers to the intermediate buffers
-/// it touches, then its instructions.
+/// Emits the definition of \p Seg: pointers to the buffers it touches,
+/// then its instructions.
 void emitSegment(std::string &Out, const KernelProgram &Program,
                  const Segment &Seg, const CppParamLayout &PL) {
   const TaskProgram &Task = Program.Tasks[Seg.Task];
-  appendf(Out, "\nSPNC_SEGMENT(%s) {\n", segmentName(Seg).c_str());
+  Out += "\nSPNC_SEGMENT(" + segmentName(Seg) + ") {\n";
   std::set<uint32_t> Buffers;
   for (size_t I = Seg.Begin; I < Seg.End; ++I) {
     const Instruction &Inst = Task.Code[I];
@@ -412,108 +419,126 @@ void emitSegment(std::string &Out, const KernelProgram &Program,
       Buffers.insert(Task.Stores[Inst.A].Buffer);
   }
   for (uint32_t B : Buffers)
-    if (Program.Buffers[B].Role == BufferInfo::Kind::Intermediate)
-      appendf(Out, "  value_t *b%u = b[%u];\n", B, B);
+    Out += formatString("  vec_t *b%u = b[%u];\n", B, B);
   for (size_t I = Seg.Begin; I < Seg.End; ++I)
-    emitInstruction(Out, Program, Task, Seg.Task, Task.Code[I], "  ", PL);
+    emitInstruction(Out, Task, Seg.Task, Task.Code[I], PL);
   Out += "}\n";
 }
 
-/// Allocates the intermediate buffers, zero-filled in the executor's
-/// [slot][sample] layout, and the pointer table "b" the segments get.
-void emitBufferSetup(std::string &Out, const KernelProgram &Program) {
+/// Emits the loop moving the block's rows of external buffer \p BufIdx
+/// between the caller's array and the buffer's columns: an input is
+/// transposed in, padded lanes zero; the output's real rows are written
+/// back.
+void emitTransfer(std::string &Out, const KernelProgram &Program,
+                  size_t BufIdx) {
+  const BufferInfo &Info = Program.Buffers[BufIdx];
+  std::string Element = Info.Transposed
+                            ? std::string("c * n + i + l")
+                            : formatString("(i + l) * %u + c", Info.Columns);
+  std::string Column = bufferName(BufIdx) + "[c][l]";
+  Out += formatString("  for (size_t c = 0; c < %u; ++c)\n", Info.Columns);
+  if (Info.Role == BufferInfo::Kind::Input)
+    Out += "    for (size_t l = 0; l < kLanes; ++l)\n      " + Column +
+           " = l < m ? (value_t)in[" + Element + "] : (value_t)0;\n";
+  else
+    Out += "    for (size_t l = 0; l < m; ++l)\n      out[" + Element +
+           "] = (double)" + Column + ";\n";
+}
+
+/// Emits spnc_block, the steps of the program over one block, and the
+/// entry points around it: spnc_kernel_run over a whole batch and, with
+/// \p Upward, spnc_kernel_upward over one block into the caller's
+/// registers.
+void emitEntries(std::string &Out, const KernelProgram &Program,
+                 const std::vector<Segment> &Segments, bool Upward) {
+  Out += "\nnamespace {\n"
+         "// Rows [i, i + m) of the n-row batch, m = min(W, n - i), as one\n"
+         "// block: the input rows are transposed into their buffer's\n"
+         "// columns, the steps run in order, and the real rows of the\n"
+         "// output are written back. s holds every buffer's columns.\n"
+         "void spnc_block(const double *__restrict in, double *__restrict out,\n"
+         "                size_t i, size_t n, vec_t *__restrict r, vec_t *s,\n"
+         "                const value_t *__restrict p) {\n"
+         "  size_t m = n - i < kLanes ? n - i : kLanes;\n";
+  size_t Columns = 0;
   std::string Table;
   for (size_t B = 0; B < Program.Buffers.size(); ++B) {
-    Table += B ? ", " : "";
-    if (Program.Buffers[B].Role != BufferInfo::Kind::Intermediate) {
-      Table += "0";
-      continue;
-    }
-    appendf(Out, "  value_t *b%zu = new value_t[(size_t)%u * n]();\n", B,
-            Program.Buffers[B].Columns);
-    appendf(Table, "b%zu", B);
+    Out += formatString("  vec_t *b%zu = s + %zu;\n", B, Columns);
+    Columns += Program.Buffers[B].Columns;
+    Table += (B ? ", " : "") + bufferName(B);
   }
-  appendf(Out, "  value_t *const b[%zu] = {%s};\n", Program.Buffers.size(),
-          Table.c_str());
-}
-
-void emitBufferRelease(std::string &Out, const KernelProgram &Program) {
+  Out += formatString("  vec_t *const b[%zu] = {%s};\n",
+                      Program.Buffers.size(), Table.c_str());
   for (size_t B = 0; B < Program.Buffers.size(); ++B)
-    if (Program.Buffers[B].Role == BufferInfo::Kind::Intermediate)
-      appendf(Out, "  delete[] b%zu;\n", B);
-}
-
-/// Emits the sample loop of one task: a fresh register file per sample,
-/// the task's segments in order (reading the parameter block "p").
-void emitTaskLoop(std::string &Out, const KernelProgram &Program,
-                  size_t TaskIdx, const std::vector<Segment> &Segments) {
-  appendf(Out,
-          "  for (size_t i = 0; i < n; ++i) {\n"
-          "    value_t r[%u] = {};\n",
-          std::max(Program.Tasks[TaskIdx].NumRegisters, 1u));
-  for (const Segment &Seg : Segments)
-    if (Seg.Task == TaskIdx)
-      appendf(Out, "    %s(r, in, out, b, p, i, n);\n",
-              segmentName(Seg).c_str());
-  Out += "  }\n";
-}
-
-/// Emits the joint/marginal entry point over the program's steps.
-void emitKernelEntry(std::string &Out, const KernelProgram &Program,
-                     const std::vector<Segment> &Segments) {
-  appendf(Out,
-          "\nextern \"C\" void %s(const double *__restrict in, "
-          "double *__restrict out, size_t n,\n"
-          "                        const void *params) {\n"
-          "  const value_t *p = (const value_t *)params;\n",
-          kCppKernelSymbol);
-  emitBufferSetup(Out, Program);
+    if (Program.Buffers[B].Role == BufferInfo::Kind::Input)
+      emitTransfer(Out, Program, B);
   for (size_t S = 0; S < Program.Steps.size(); ++S) {
     const KernelStep &Step = Program.Steps[S];
     if (Step.Task < 0) {
       // Buffer-to-buffer copy (copy avoidance disabled).
-      uint32_t Src = static_cast<uint32_t>(Step.CopySrc);
-      uint32_t Dst = static_cast<uint32_t>(Step.CopyDst);
-      appendf(Out, "  // step %zu: copy buffer %u -> %u\n", S, Src, Dst);
-      for (uint32_t Col = 0; Col < Program.Buffers[Src].Columns; ++Col) {
-        appendf(Out, "  for (size_t i = 0; i < n; ++i)\n    %s\n",
-                storeStmt(Program, Dst, Col, loadExpr(Program, Src, Col))
-                    .c_str());
-      }
+      Out += formatString("  // step %zu: copy buffer %d -> %d\n"
+                          "  for (size_t c = 0; c < %u; ++c)\n"
+                          "    b%d[c] = b%d[c];\n",
+                          S, Step.CopySrc, Step.CopyDst,
+                          Program.Buffers[Step.CopySrc].Columns,
+                          Step.CopyDst, Step.CopySrc);
       continue;
     }
     const TaskProgram &Task = Program.Tasks[Step.Task];
-    appendf(Out, "  // step %zu: task %d (%zu instructions, %u registers)\n",
-            S, Step.Task, Task.Code.size(), Task.NumRegisters);
-    emitTaskLoop(Out, Program, static_cast<size_t>(Step.Task), Segments);
+    Out += formatString(
+        "  // step %zu: task %d (%zu instructions, %u registers)\n", S,
+        Step.Task, Task.Code.size(), Task.NumRegisters);
+    for (const Segment &Seg : Segments)
+      if (Seg.Task == static_cast<size_t>(Step.Task))
+        Out += "  " + segmentName(Seg) + "(r, b, p);\n";
   }
-  emitBufferRelease(Out, Program);
-  Out += "}\n";
-}
+  for (size_t B = 0; B < Program.Buffers.size(); ++B)
+    if (Program.Buffers[B].Role == BufferInfo::Kind::Output)
+      emitTransfer(Out, Program, B);
+  Out += "}\n"
+         "\n"
+         "// Zero-filled room for count vectors at a cache-line boundary;\n"
+         "// *raw is what to delete[].\n"
+         "vec_t *spnc_alloc(size_t count, char **raw) {\n"
+         "  *raw = new char[count * sizeof(vec_t) + 63]();\n"
+         "  return (vec_t *)(*raw + (-(size_t)*raw & 63));\n"
+         "}\n"
+         "} // namespace\n";
 
-/// Emits the per-row upward entry point of an MPE or sampling program:
-/// the single task's segments for row "i" into the caller's register
-/// file. The host runs the downward pass (vm::completeRows). A
-/// single-task program has no intermediate buffers, so the segments get
-/// no buffer table.
-void emitUpwardEntry(std::string &Out, const std::vector<Segment> &Segments) {
-  appendf(Out,
-          "\nextern \"C\" void %s(const double *__restrict in, "
-          "double *__restrict out, size_t i,\n"
-          "                        size_t n, void *regs, "
-          "const void *params) {\n"
-          "  value_t *r = (value_t *)regs;\n"
-          "  const value_t *p = (const value_t *)params;\n",
-          kCppUpwardSymbol);
-  for (const Segment &Seg : Segments)
-    appendf(Out, "  %s(r, in, out, 0, p, i, n);\n", segmentName(Seg).c_str());
-  Out += "}\n";
+  uint32_t Registers = 1;
+  for (const TaskProgram &Task : Program.Tasks)
+    Registers = std::max(Registers, Task.NumRegisters);
+  // One register file serves every task and block, like the VM's.
+  Out += formatString(
+      "\nextern \"C\" void %s(const double *__restrict in, "
+      "double *__restrict out, size_t n,\n"
+      "                        const void *params) {\n"
+      "  char *raw;\n"
+      "  vec_t *s = spnc_alloc(%u + %zu, &raw);\n"
+      "  for (size_t i = 0; i < n; i += kLanes)\n"
+      "    spnc_block(in, out, i, n, s, s + %u, (const value_t *)params);\n"
+      "  delete[] raw;\n"
+      "}\n",
+      kCppKernelSymbol, Registers, Columns, Registers);
+  if (Upward)
+    Out += formatString(
+        "\nextern \"C\" void %s(const double *__restrict in, "
+        "double *__restrict out, size_t i,\n"
+        "                        size_t n, void *regs, "
+        "const void *params) {\n"
+        "  char *raw;\n"
+        "  vec_t *s = spnc_alloc(%zu, &raw);\n"
+        "  spnc_block(in, out, i, n, (vec_t *)regs, s, "
+        "(const value_t *)params);\n"
+        "  delete[] raw;\n"
+        "}\n",
+        kCppUpwardSymbol, Columns);
 }
 
 } // namespace
 
 Expected<std::vector<std::string>>
-spnc::backend::emitCppKernel(const KernelProgram &Program,
+spnc::backend::emitCppKernel(const KernelProgram &Program, unsigned Lanes,
                              unsigned MaxUnits) {
   if (Program.NumInputs != 1 || Program.NumOutputs != 1)
     return makeError(
@@ -521,8 +546,13 @@ spnc::backend::emitCppKernel(const KernelProgram &Program,
         "buffer (got " +
         std::to_string(Program.NumInputs) + " inputs, " +
         std::to_string(Program.NumOutputs) + " outputs)");
-  bool NeedsPlan = Program.Query == QueryKind::Mpe ||
-                   Program.Query == QueryKind::Sample;
+  size_t ValueBytes = Program.UseF32 ? sizeof(float) : sizeof(double);
+  if (Lanes == 0 || (Lanes & (Lanes - 1)) != 0 ||
+      Lanes * ValueBytes > kCppMaxVectorBytes)
+    return makeError("cpp emitter: lane width " + std::to_string(Lanes) +
+                     " is not a power of two of at most " +
+                     std::to_string(kCppMaxVectorBytes) + " bytes");
+  bool NeedsPlan = !isLikelihood(Program);
   if (NeedsPlan) {
     if (Program.Plan.empty())
       return makeError(
@@ -542,24 +572,26 @@ spnc::backend::emitCppKernel(const KernelProgram &Program,
   std::vector<std::string> Units(NumUnits);
   for (size_t U = 0; U < NumUnits; ++U) {
     std::string &Out = Units[U];
-    emitPrelude(Out, Program, U, NumUnits);
-    Out += "\n} // namespace\n";
+    emitPrelude(Out, Program, Lanes, U, NumUnits);
+    Out += "} // namespace\n";
     // Unit 0 calls every segment, so it declares those defined elsewhere.
     if (U == 0)
       for (size_t S = 0; S < Segments.size(); ++S)
         if (UnitOf[S] != 0)
-          appendf(Out, "SPNC_SEGMENT(%s);\n",
-                  segmentName(Segments[S]).c_str());
+          Out += "SPNC_SEGMENT(" + segmentName(Segments[S]) + ");\n";
     for (size_t S = 0; S < Segments.size(); ++S)
       if (UnitOf[S] == U)
         emitSegment(Out, Program, Segments[S], Layout);
-    if (U == 0) {
-      emitKernelEntry(Out, Program, Segments);
-      if (NeedsPlan)
-        emitUpwardEntry(Out, Segments);
-    }
+    if (U == 0)
+      emitEntries(Out, Program, Segments, NeedsPlan);
   }
   return Units;
+}
+
+unsigned spnc::backend::cppLaneWidth(const KernelProgram &Program,
+                                     unsigned VectorWidth) {
+  unsigned ValueBytes = Program.UseF32 ? sizeof(float) : sizeof(double);
+  return std::min(VectorWidth, kCppMaxVectorBytes / ValueBytes);
 }
 
 CppParamLayout spnc::backend::layoutCppParams(const KernelProgram &Program) {

@@ -6,19 +6,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Emits a compiled `vm::KernelProgram` as header-free, vectorizable C++
-/// translation units that link into one shared object exposing
-/// `extern "C"` upward-pass functions — the source-emission half of the
-/// CppBackend (the host compiler builds the units concurrently and links
-/// them). Each task's per-sample body is cut into segment functions of
-/// at most kCppSegmentInstructions instructions, so no unit holds a
-/// function the host compiler needs long to optimize. The emitted code
-/// mirrors the scalar interpreter's arithmetic exactly, operation for
-/// operation and cast for cast (constants are spelled as hexadecimal
-/// float literals), so the native kernel reproduces the VM bit-for-bit
-/// up to the compiler's freedom over expression reassociation — which
-/// the emitter never grants (-ffast-math is never passed). How the
-/// segments are spread over units does not change any output bit.
+/// Emits a compiled `vm::KernelProgram` as header-free C++ translation
+/// units that link into one shared object exposing `extern "C"`
+/// upward-pass functions — the source-emission half of the CppBackend
+/// (the host compiler builds the units concurrently and links them).
+/// The emitted code runs the batch in blocks of W rows, W being the lane
+/// width (the pipeline's `ExecutionConfig::VectorWidth`): every register
+/// is a W-lane GCC vector and every bytecode instruction one vector
+/// statement, the input rows of a block are transposed into columns as
+/// the VM's loads+shuffles path does, and the last partial block runs
+/// padded. Each task is cut into segment functions of at most
+/// kCppSegmentInstructions instructions, so no unit holds a function the
+/// host compiler needs long to optimize. Joint and marginal kernels
+/// mirror the VM's vector engine (f32 exp/log through the VecMath
+/// polynomials, f64 through per-lane libm); MPE and sampling kernels
+/// mirror the scalar interpreter lane by lane, so their upward registers
+/// equal the VM's bit for bit. Constants are spelled as hexadecimal float
+/// literals and -ffast-math is never passed. How the segments are spread
+/// over units does not change any output bit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,11 +50,25 @@ namespace backend {
 /// every side-table value from a compute-typed parameter block that
 /// every entry point takes; v6 replaced the MPE and sampling entry
 /// points, which carried their own traceback and RNG, with the per-row
-/// upward pass spnc_kernel_upward.
-inline constexpr unsigned kCppEmitterVersion = 6;
+/// upward pass spnc_kernel_upward; v7 evaluates W-row blocks in W-lane
+/// vector code (f32 exp/log of likelihood kernels through the VecMath
+/// polynomials), and spnc_kernel_upward runs one block.
+inline constexpr unsigned kCppEmitterVersion = 7;
 
 /// Upper bound on the instructions of one segment function.
 inline constexpr size_t kCppSegmentInstructions = 256;
+
+/// Widest register the emitted code uses, in bytes: one AVX-512
+/// register. The host compiler builds wider GCC vectors many times
+/// slower (a small speaker kernel at 16 f64 lanes, 128 bytes: 5.7 s
+/// against 0.3 s at -O2).
+inline constexpr unsigned kCppMaxVectorBytes = 64;
+
+/// Lanes of the registers of \p Program's kernel at the pipeline's
+/// vector width \p VectorWidth: the width itself, capped so a register
+/// fits kCppMaxVectorBytes (16 f64 lanes run as 8).
+unsigned cppLaneWidth(const vm::KernelProgram &Program,
+                      unsigned VectorWidth);
 
 /// Name of the emitted joint/marginal `extern "C"` entry point:
 ///   void spnc_kernel_run(const double *in, double *out, size_t n,
@@ -60,14 +79,16 @@ inline constexpr size_t kCppSegmentInstructions = 256;
 /// bakes no side-table value.
 inline constexpr const char *kCppKernelSymbol = "spnc_kernel_run";
 
-/// Per-row upward entry point, emitted only for MPE and sampling
+/// Upward entry point of one block, emitted only for MPE and sampling
 /// programs (single-task, with a traceback plan):
 ///   void spnc_kernel_upward(const double *in, double *out, size_t i,
 ///                           size_t n, void *regs, const void *params);
-/// Runs the upward pass of row `i` of an `n`-row batch into `regs`, the
-/// task's register file of the compute type, and writes the row's root
-/// value to `out[i]`. The downward pass runs on the host
-/// (vm::completeRows), the same code the VM and the GPU simulator run.
+/// Runs the upward pass of rows [i, min(i + W, n)) of an `n`-row batch
+/// into `regs`, the task's register file of the compute type with W
+/// lanes per register (register R of the row in lane L at R * W + L),
+/// and writes each row's root value to `out`. The downward pass runs on
+/// the host (vm::completeRows), the same code the VM and the GPU
+/// simulator run.
 inline constexpr const char *kCppUpwardSymbol = "spnc_kernel_upward";
 
 /// Where each side-table value of a program sits in the parameter block
@@ -102,15 +123,17 @@ CppParamLayout layoutCppParams(const vm::KernelProgram &Program);
 std::vector<double> fillCppParams(const vm::KernelProgram &Program,
                                   const CppParamLayout &Layout);
 
-/// Renders \p Program as C++17 translation units, one per entry of the
-/// result: min(\p MaxUnits, number of segments) units (at least one),
-/// balanced by instruction count. Unit 0 holds the entry points; linking
-/// all units yields the kernel. Deterministic for a fixed \p MaxUnits.
-/// Fails on programs the emitter cannot express (more than one external
-/// input or output buffer — the same restriction the CPU executor
-/// imposes).
+/// Renders \p Program as C++17 translation units of \p Lanes-row blocks,
+/// one per entry of the result: min(\p MaxUnits, number of segments)
+/// units (at least one), balanced by instruction count. Unit 0 holds the
+/// entry points; linking all units yields the kernel. Deterministic for
+/// fixed \p Lanes and \p MaxUnits. Fails on lane widths that are not a
+/// power of two or give registers wider than kCppMaxVectorBytes, and on
+/// programs the emitter cannot express (more than one external input or
+/// output buffer — the same restriction the CPU executor imposes).
 Expected<std::vector<std::string>>
-emitCppKernel(const vm::KernelProgram &Program, unsigned MaxUnits);
+emitCppKernel(const vm::KernelProgram &Program, unsigned Lanes,
+              unsigned MaxUnits);
 
 } // namespace backend
 } // namespace spnc

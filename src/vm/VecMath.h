@@ -106,7 +106,7 @@ inline float fastLogPos(float X) {
 }
 
 //===----------------------------------------------------------------------===//
-// Hand-vectorized 8-lane kernels (GCC/Clang vector extensions)
+// Vector kernels (GCC/Clang vector extensions)
 //===----------------------------------------------------------------------===//
 
 #if defined(__GNUC__) || defined(__clang__)
@@ -115,54 +115,11 @@ inline float fastLogPos(float X) {
 using V8f = float __attribute__((vector_size(32)));
 using V8i = int32_t __attribute__((vector_size(32)));
 
-/// exp(x) for 8 non-positive lanes at once.
-inline V8f expNeg8(V8f X) {
-  X = X < -87.0f ? V8f{} - 87.0f : X;
-  X = X > 0.0f ? V8f{} : X;
-  V8f T = X * 1.44269504088896341f;
-  // floor for T <= 0: truncate, subtract 1 where truncation rounded up.
-  V8i Ti = __builtin_convertvector(T, V8i);
-  V8f Tr = __builtin_convertvector(Ti, V8f);
-  V8f Fl = Tr > T ? Tr - 1.0f : Tr;
-  V8f F = T - Fl;
-  V8f P = 1.0f +
-          F * (0.693147180559945f +
-               F * (0.240226506959101f +
-                    F * (0.0555041086648216f +
-                         F * (0.00961812910762848f +
-                              F * (0.00133335581464284f +
-                                   F * 0.000154353139101124f)))));
-  V8i E = __builtin_convertvector(Fl, V8i);
-  V8f Scale = std::bit_cast<V8f>((E + 127) << 23);
-  return P * Scale;
-}
-
-/// log(x) for 8 strictly positive lanes at once.
-inline V8f logPos8(V8f X) {
-  V8i Bits = std::bit_cast<V8i>(X);
-  V8i E = ((Bits >> 23) & 0xff) - 127;
-  V8f M = std::bit_cast<V8f>((Bits & 0x007fffff) | 0x3f800000);
-  V8f F = (M - 1.0f) / (M + 1.0f);
-  V8f F2 = F * F;
-  V8f Series =
-      1.0f +
-      F2 * (0.333333333f +
-            F2 * (0.2f + F2 * (0.142857143f +
-                               F2 * (0.111111111f + F2 * 0.0909090909f))));
-  return 2.0f * F * Series +
-         0.693147180559945f * __builtin_convertvector(E, V8f);
-}
-
-/// log(1 + x) for 8 lanes in [0, 1].
-inline V8f log1p018(V8f X) {
-  V8f Z = X / (2.0f + X);
-  V8f Z2 = Z * Z;
-  V8f Series =
-      1.0f + Z2 * (0.333333333333333f +
-                   Z2 * (0.2f + Z2 * (0.142857142857143f +
-                                      Z2 * 0.111111111111111f)));
-  return 2.0f * Z * Series;
-}
+// polyExpNeg, polyLogPos and polyLog1p01: the same kernels over any
+// lane count, shared with the cpp backend's emitted code.
+#define SPNC_VECMATH_KERNELS(...) __VA_ARGS__
+#include "vm/VecMathKernels.inc"
+#undef SPNC_VECMATH_KERNELS
 #endif // vector extensions
 
 //===----------------------------------------------------------------------===//
@@ -219,7 +176,7 @@ template <typename T>
 inline void vecExpNeg(const T *Input, T *Output, size_t Lanes) {
 #if defined(SPNC_HAVE_VECTOR_EXTENSIONS)
   detail::mapLanes(Input, Output, Lanes,
-                   [](V8f X) { return expNeg8(X); },
+                   [](V8f X) { return polyExpNeg<V8f, V8i>(X); },
                    [](float X) { return fastExpNeg(X); });
 #else
   for (size_t I = 0; I < Lanes; ++I)
@@ -237,7 +194,7 @@ template <typename T>
 inline void vecLog1p01(const T *Input, T *Output, size_t Lanes) {
 #if defined(SPNC_HAVE_VECTOR_EXTENSIONS)
   detail::mapLanes(Input, Output, Lanes,
-                   [](V8f X) { return log1p018(X); },
+                   [](V8f X) { return polyLog1p01(X); },
                    [](float X) { return fastLog1p01(X); });
 #else
   for (size_t I = 0; I < Lanes; ++I)
@@ -257,7 +214,7 @@ template <typename T>
 inline void vecLogPos(const T *Input, T *Output, size_t Lanes) {
 #if defined(SPNC_HAVE_VECTOR_EXTENSIONS)
   detail::mapLanes(Input, Output, Lanes,
-                   [](V8f X) { return logPos8(X); },
+                   [](V8f X) { return polyLogPos<V8f, V8i>(X); },
                    [](float X) { return fastLogPos(X); });
 #else
   for (size_t I = 0; I < Lanes; ++I)

@@ -11,10 +11,10 @@
 /// CPU-only backend, backend-aware kernel-cache keys, and the
 /// C++-emission backend — including a 50-model differential leg
 /// against the reference interpreter at the same 1e-9 f64 bound the
-/// VM differential suite uses, programs that span several segment
-/// functions and translation units, and the failure path of a parallel
-/// build. Native-compilation tests skip gracefully when the host has no
-/// working C++ compiler.
+/// VM differential suite uses, at every lane width on batches around it,
+/// programs that span several segment functions and translation units,
+/// and the failure path of a parallel build. Native-compilation tests
+/// skip gracefully when the host has no working C++ compiler.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,8 +23,11 @@
 #include "backend/CppEmitter.h"
 #include "backend/VmBackend.h"
 #include "baselines/Baselines.h"
+#include "frontend/Serializer.h"
+#include "merge/Merge.h"
 #include "runtime/Compiler.h"
 #include "runtime/KernelCache.h"
+#include "support/Casting.h"
 #include "support/Random.h"
 #include "workloads/Workloads.h"
 
@@ -57,12 +60,20 @@ namespace {
 constexpr double kTolerance = 1e-9;
 constexpr size_t kNumModels = 50;
 constexpr size_t kNumSamples = 16;
+/// The lane widths a native kernel is emitted for (the VM's widths).
+constexpr unsigned kLaneWidths[] = {1, 4, 8, 16};
+/// Rows of the largest batch the differential suite runs: 3W + 5 at the
+/// widest W.
+constexpr size_t kMaxRows = 3 * 16 + 5;
 
 /// Cheap host flags: the differential suite performs one host compile
 /// per model, and -O0 keeps that tractable without changing semantics.
+/// -march=native as in the default flags: without AVX the host compiler
+/// splits every wide vector statement, which made -O0 builds of 8-lane
+/// kernels take ~6x as long.
 backend::CppBackendOptions fastCppOptions() {
   backend::CppBackendOptions Options;
-  Options.ExtraFlags = {"-O0"};
+  Options.ExtraFlags = {"-O0", "-march=native"};
   return Options;
 }
 
@@ -100,7 +111,8 @@ std::vector<double> runEngine(const ExecutionEngine &Engine,
 
 /// The same random population the VM differential suite draws
 /// (differential_test.cpp): speaker-shaped graphs of varying size and
-/// leaf mix, with joint and marginalized (NaN-bearing) sample data.
+/// leaf mix, with kMaxRows rows of joint and marginalized (NaN-bearing)
+/// sample data.
 struct Scenario {
   spn::Model Model;
   std::vector<double> JointData;
@@ -116,23 +128,25 @@ Scenario makeScenario(size_t Index) {
   Options.ContinuousFeatureFraction =
       0.3 + 0.5 * static_cast<double>(SizeRng.next() % 100) / 100.0;
   Scenario S{workloads::generateSpeakerModel(Options),
-             workloads::generateSpeechData(Options, kNumSamples,
-                                           9000 + Index),
-             workloads::generateNoisySpeechData(Options, kNumSamples,
+             workloads::generateSpeechData(Options, kMaxRows, 9000 + Index),
+             workloads::generateNoisySpeechData(Options, kMaxRows,
                                                 9500 + Index,
                                                 /*DropProbability=*/0.3)};
   return S;
 }
 
 /// A speaker model whose -O2 program spans more than three segment
-/// functions, so it builds as several units on a multi-CPU host.
-Scenario makeSplitScenario() {
+/// functions, so it builds as several units on a multi-CPU host. With
+/// \p NumFeatures 6 its likelihoods stay far above f32's underflow, so
+/// it can run in linear space in f32.
+Scenario makeSplitScenario(unsigned NumFeatures = 26) {
   workloads::SpeakerModelOptions Options;
   Options.Seed = 4242;
   Options.TargetOperations = 2000;
+  Options.NumFeatures = NumFeatures;
   return {workloads::generateSpeakerModel(Options),
-          workloads::generateSpeechData(Options, kNumSamples, 9900),
-          workloads::generateNoisySpeechData(Options, kNumSamples, 9901,
+          workloads::generateSpeechData(Options, kMaxRows, 9900),
+          workloads::generateNoisySpeechData(Options, kMaxRows, 9901,
                                              /*DropProbability=*/0.3)};
 }
 
@@ -147,13 +161,62 @@ Scenario makePartitionedRatScenario() {
   Options.SumsPerRegion = 4;
   Options.LeafDistributions = 8;
   Scenario S{workloads::generateRatSpn(Options, 0),
-             workloads::generateImageData(Options.NumFeatures, 2,
-                                          kNumSamples, 31, nullptr),
+             workloads::generateImageData(Options.NumFeatures, 2, kMaxRows,
+                                          31, nullptr),
              {}};
   S.MarginalData = S.JointData;
   for (size_t I = 0; I < S.MarginalData.size(); I += 3)
     S.MarginalData[I] = std::numeric_limits<double>::quiet_NaN();
   return S;
+}
+
+/// A copy of \p Model with every Gaussian leaf moved and widened: the
+/// same structure, so it binds into \p Model's kernel as a weight table.
+spn::Model shiftedSibling(const spn::Model &Model) {
+  Expected<spn::Model> Copy =
+      spn::deserializeModel(spn::serializeModel(Model));
+  EXPECT_TRUE(static_cast<bool>(Copy));
+  for (size_t I = 0; I < Copy->getNumNodes(); ++I)
+    if (auto *Gauss = dyn_cast<spn::GaussianLeaf>(
+            Copy->getNode(static_cast<unsigned>(I))))
+      Gauss->setParameters(Gauss->getMean() + 0.25,
+                           Gauss->getStdDev() * 1.1);
+  return Copy.takeValue();
+}
+
+/// Runs \p Engine, a kernel compiled at vector width \p W, on the
+/// leading rows of \p Data in batches around W — none, one row, a
+/// partial block on either side of a full one, and three full blocks
+/// plus a partial one — and checks each output against \p Reference,
+/// the interpreter's log-likelihoods of the same rows: at 1e-9 for f64
+/// kernels and at perfbench's f32 allowance, 1e-3 + 1e-5 * |ref|, for
+/// f32 kernels; linear-space outputs as their logs. An empty batch must
+/// write nothing.
+void expectBatchesMatch(const ExecutionEngine &Engine,
+                        const std::vector<double> &Data,
+                        const std::vector<double> &Reference, unsigned W,
+                        const spn::QueryConfig &Query,
+                        const std::string &Leg) {
+  constexpr double kUntouched = 12345.0;
+  const size_t Batches[] = {0, 1, W - 1, W + 1, 3 * W + 5};
+  for (size_t N : Batches) {
+    std::vector<double> Output(std::max<size_t>(N, 1), kUntouched);
+    ASSERT_TRUE(Engine.run({.Input = Data.data(),
+                            .Output = Output.data(),
+                            .NumSamples = N}))
+        << Leg;
+    if (N == 0) {
+      EXPECT_EQ(Output[0], kUntouched) << Leg << ": empty batch wrote";
+    }
+    for (size_t I = 0; I < N; ++I) {
+      double Got = Query.LogSpace ? Output[I] : std::log(Output[I]);
+      double Bound = Query.DataType == spn::ComputeType::F32
+                         ? 1e-3 + 1e-5 * std::abs(Reference[I])
+                         : kTolerance;
+      EXPECT_NEAR(Got, Reference[I], Bound)
+          << Leg << ", W=" << W << ", batch of " << N << ", row " << I;
+    }
+  }
 }
 
 /// CPUs this process may run on: the number of units a build uses at
@@ -400,14 +463,20 @@ TEST(CppBackendTest, DifferentialSuiteVsInterpreter) {
   for (size_t Index = 0; Index < kNumModels; ++Index) {
     Scenario S = makeScenario(Index);
 
-    // One marginal-capable f64 kernel per model serves both the joint
-    // and the marginalized data (one host compile per model).
+    // One marginal-capable kernel per model serves both the joint and the
+    // marginalized data (one host compile per model). Every 16 models
+    // cover each lane width, partitioned and not, in f32 and f64 log
+    // space (models 0-15 and 32-47) or in f64 linear space (16-23);
+    // linear f32 underflows on these graphs.
+    unsigned W = kLaneWidths[(Index / 2) % 4];
+    bool F32 = (Index / 8) % 2 == 1;
     spn::QueryConfig Query;
-    Query.LogSpace = true;
+    Query.LogSpace = F32 || (Index / 16) % 2 == 0;
     Query.SupportMarginal = true;
-    Query.DataType = spn::ComputeType::F64;
+    Query.DataType = F32 ? spn::ComputeType::F32 : spn::ComputeType::F64;
     CompilerOptions Options;
     Options.OptLevel = static_cast<unsigned>(Index % 4);
+    Options.Execution.VectorWidth = W;
     // Partition half the population so multi-task programs (buffer
     // copies, intermediate buffers) are covered too.
     if (Index % 2 == 1)
@@ -423,42 +492,46 @@ TEST(CppBackendTest, DifferentialSuiteVsInterpreter) {
     baselines::InterpreterEngine Interpreter(S.Model);
     for (const std::vector<double> *Data :
          {&S.JointData, &S.MarginalData}) {
-      std::vector<double> Reference =
-          runEngine(Interpreter, *Data, kNumSamples);
-      std::vector<double> Native =
-          runEngine(*Artifact->Engine, *Data, kNumSamples);
-      for (size_t I = 0; I < kNumSamples; ++I) {
-        ASSERT_TRUE(std::isfinite(Reference[I]))
-            << "model " << Index << " sample " << I
-            << ": reference not finite";
-        EXPECT_NEAR(Native[I], Reference[I], kTolerance)
-            << "model " << Index << " sample " << I
-            << (Data == &S.JointData ? " (joint)" : " (marginal)");
-      }
+      std::vector<double> Reference = runEngine(Interpreter, *Data, kMaxRows);
+      for (double Value : Reference)
+        ASSERT_TRUE(std::isfinite(Value))
+            << "model " << Index << ": reference not finite";
+      expectBatchesMatch(*Artifact->Engine, *Data, Reference, W, Query,
+                         "model " + std::to_string(Index) +
+                             (Data == &S.JointData ? " (joint)"
+                                                   : " (marginal)"));
     }
   }
 
   // Programs that span several segments and units: the split speaker
-  // model in f64 and f32 (f32 at the benchmark's f32-vs-f64 allowance),
-  // and a RAT-SPN partitioned into tasks linked by intermediate buffers.
+  // model in f64, f32 and linear f32 (f32 at the benchmark's f32-vs-f64
+  // allowance), and a RAT-SPN partitioned into tasks linked by
+  // intermediate buffers.
   struct SplitCase {
     const char *Name;
     Scenario S;
     spn::ComputeType Type;
+    bool LogSpace;
     uint32_t MaxPartitionSize;
+    unsigned W;
   };
   SplitCase Cases[] = {
-      {"speaker/f64", makeSplitScenario(), spn::ComputeType::F64, 0},
-      {"speaker/f32", makeSplitScenario(), spn::ComputeType::F32, 0},
+      {"speaker/f64", makeSplitScenario(), spn::ComputeType::F64, true, 0,
+       16},
+      {"speaker/f32", makeSplitScenario(), spn::ComputeType::F32, true, 0, 8},
+      {"speaker/linear-f32", makeSplitScenario(6), spn::ComputeType::F32,
+       false, 0, 4},
       {"ratspn/partitioned", makePartitionedRatScenario(),
-       spn::ComputeType::F64, 1000}};
+       spn::ComputeType::F64, true, 1000, 8}};
   for (const SplitCase &Case : Cases) {
     spn::QueryConfig Query;
+    Query.LogSpace = Case.LogSpace;
     Query.SupportMarginal = true;
     Query.DataType = Case.Type;
     CompilerOptions Options;
     Options.OptLevel = 2;
     Options.MaxPartitionSize = Case.MaxPartitionSize;
+    Options.Execution.VectorWidth = Case.W;
     Expected<backend::CompiledArtifact> Artifact =
         compileWith(Cpp, Case.S.Model, Query, Options);
     ASSERT_TRUE(static_cast<bool>(Artifact))
@@ -481,21 +554,52 @@ TEST(CppBackendTest, DifferentialSuiteVsInterpreter) {
 
     baselines::InterpreterEngine Interpreter(Case.S.Model);
     for (const std::vector<double> *Data :
-         {&Case.S.JointData, &Case.S.MarginalData}) {
-      std::vector<double> Reference =
-          runEngine(Interpreter, *Data, kNumSamples);
-      std::vector<double> Native =
-          runEngine(*Artifact->Engine, *Data, kNumSamples);
-      for (size_t I = 0; I < kNumSamples; ++I) {
-        double Bound = Case.Type == spn::ComputeType::F64
-                           ? kTolerance
-                           : 1e-3 + 1e-5 * std::abs(Reference[I]);
-        EXPECT_NEAR(Native[I], Reference[I], Bound)
-            << Case.Name << " sample " << I
-            << (Data == &Case.S.JointData ? " (joint)" : " (marginal)");
-      }
-    }
+         {&Case.S.JointData, &Case.S.MarginalData})
+      expectBatchesMatch(*Artifact->Engine, *Data,
+                         runEngine(Interpreter, *Data, kMaxRows), Case.W,
+                         Query,
+                         std::string(Case.Name) +
+                             (Data == &Case.S.JointData ? " (joint)"
+                                                        : " (marginal)"));
   }
+
+  // An indexed request over two weight tables in runs of three rows,
+  // shorter than a block: the native engine runs each run as a padded
+  // 8-row block of its own.
+  Scenario S = makeSplitScenario();
+  spn::Model Sibling = shiftedSibling(S.Model);
+  spn::QueryConfig Query;
+  Query.DataType = spn::ComputeType::F64;
+  CompilerOptions Options;
+  Options.OptLevel = 2;
+  Options.Execution.VectorWidth = 8;
+  Expected<backend::CompiledArtifact> Artifact =
+      compileWith(Cpp, S.Model, Query, Options);
+  ASSERT_TRUE(static_cast<bool>(Artifact))
+      << Artifact.getError().message();
+  std::vector<uint32_t> TableOf;
+  std::vector<std::vector<double>> References;
+  for (const spn::Model *Model : {&S.Model, &Sibling}) {
+    Expected<std::vector<double>> Params = merge::extractParams(*Model);
+    ASSERT_TRUE(static_cast<bool>(Params));
+    int32_t Table =
+        Artifact->Engine->addParamTable(Params->data(), Params->size());
+    ASSERT_GE(Table, 0);
+    TableOf.push_back(static_cast<uint32_t>(Table));
+    References.push_back(runEngine(baselines::InterpreterEngine(*Model),
+                                   S.JointData, kMaxRows));
+  }
+  std::vector<uint32_t> Tables(kMaxRows);
+  for (size_t I = 0; I < kMaxRows; ++I)
+    Tables[I] = TableOf[(I / 3) % 2];
+  std::vector<double> Output(kMaxRows);
+  ASSERT_TRUE(Artifact->Engine->run({.Input = S.JointData.data(),
+                                     .Output = Output.data(),
+                                     .NumSamples = kMaxRows,
+                                     .TableIndices = Tables.data()}));
+  for (size_t I = 0; I < kMaxRows; ++I)
+    EXPECT_NEAR(Output[I], References[(I / 3) % 2][I], kTolerance)
+        << "indexed row " << I;
 }
 
 TEST(CppEmitterTest, SplitsIntoBoundedSegmentsDeterministically) {
@@ -516,9 +620,9 @@ TEST(CppEmitterTest, SplitsIntoBoundedSegmentsDeterministically) {
   // One unit per allowed CPU, never more units than segments.
   for (unsigned MaxUnits : {1u, 2u, 4u, 1000u}) {
     Expected<std::vector<std::string>> First =
-        backend::emitCppKernel(*Program, MaxUnits);
+        backend::emitCppKernel(*Program, 8, MaxUnits);
     Expected<std::vector<std::string>> Second =
-        backend::emitCppKernel(*Program, MaxUnits);
+        backend::emitCppKernel(*Program, 8, MaxUnits);
     ASSERT_TRUE(static_cast<bool>(First) && static_cast<bool>(Second));
     EXPECT_EQ(*First, *Second) << MaxUnits << " units";
     EXPECT_EQ(First->size(), std::min<size_t>(MaxUnits, Segments));
@@ -533,6 +637,54 @@ TEST(CppEmitterTest, SplitsIntoBoundedSegmentsDeterministically) {
     EXPECT_EQ(Defined, Segments) << MaxUnits << " units";
     EXPECT_NE(First->front().find(backend::kCppKernelSymbol),
               std::string::npos);
+  }
+}
+
+TEST(CppEmitterTest, EveryBufferOfAManyTaskProgramIsNamed) {
+  // examples/models/ratspn_tiny.spnb (spnc-modelgen's RAT-SPN) split at
+  // a partition budget of 80: 119 tasks linked by ~100 intermediate
+  // buffers, so the buffer table is one long line of source.
+  workloads::RatSpnOptions Rat = workloads::ratSpnSmallScale();
+  Rat.NumFeatures = 64;
+  Rat.Depth = 3;
+  Rat.Replicas = 2;
+  Rat.SumsPerRegion = 4;
+  Rat.LeafDistributions = 8;
+  spn::Model Model = workloads::generateRatSpn(Rat, 0);
+  CompilerOptions Options;
+  Options.MaxPartitionSize = 80;
+  spn::QueryConfig Query;
+  Query.SupportMarginal = true;
+  Query.DataType = spn::ComputeType::F64;
+  Expected<CompilationPipeline> Pipeline =
+      CompilationPipeline::create(Options);
+  ASSERT_TRUE(static_cast<bool>(Pipeline));
+  Expected<vm::KernelProgram> Program = Pipeline->compile(Model, Query);
+  ASSERT_TRUE(static_cast<bool>(Program)) << Program.getError().message();
+  EXPECT_EQ(Program->Tasks.size(), 119u);
+  ASSERT_GT(Program->Buffers.size(), 95u);
+
+  std::string Table;
+  for (size_t B = 0; B < Program->Buffers.size(); ++B)
+    Table += (B ? ", b" : "{b") + std::to_string(B);
+  Table += "};";
+  for (unsigned MaxUnits : {1u, 4u}) {
+    Expected<std::vector<std::string>> Units =
+        backend::emitCppKernel(*Program, 8, MaxUnits);
+    ASSERT_TRUE(static_cast<bool>(Units)) << Units.getError().message();
+    for (const std::string &Unit : *Units)
+      EXPECT_EQ(Unit.find('\0'), std::string::npos)
+          << MaxUnits << " units: NUL byte in the emitted source";
+    EXPECT_NE(Units->front().find(Table), std::string::npos)
+        << MaxUnits << " units: the buffer table is not intact";
+  }
+  // Lane widths that are no power of two or exceed the widest register
+  // are refused; 16 f64 lanes run as 8.
+  EXPECT_EQ(backend::cppLaneWidth(*Program, 16), 8u);
+  for (unsigned Lanes : {0u, 3u, 16u}) {
+    Expected<std::vector<std::string>> Units =
+        backend::emitCppKernel(*Program, Lanes, 1);
+    EXPECT_FALSE(static_cast<bool>(Units)) << Lanes << " lanes";
   }
 }
 

@@ -109,11 +109,14 @@ std::vector<EngineRow> engineRows() {
   Gpu.Options.TheTarget = Target::GPU;
   Rows.push_back(Gpu);
   backend::CppBackendOptions Fast;
-  Fast.ExtraFlags = {"-O0"};
+  Fast.ExtraFlags = {"-O0", "-march=native"};
   // Models large enough that every kernel, the shared one included,
-  // spans several segment functions and translation units.
+  // spans several segment functions and translation units; 8-lane
+  // blocks, so the indexed request's runs of three rows are partial
+  // blocks.
   EngineRow Cpp{"cpp", true, {},
                 std::make_shared<backend::CppBackend>(Fast), All};
+  Cpp.Options.Execution.VectorWidth = 8;
   Cpp.Rat.NumFeatures = 32;
   Cpp.Rat.Depth = 3;
   Cpp.Rat.SumsPerRegion = 3;

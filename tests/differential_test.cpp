@@ -394,15 +394,18 @@ TEST(DifferentialTest, MpeVmFullAndPartialEvidence) {
 
 TEST(DifferentialTest, MpeCppBackendFullAndPartialEvidence) {
   backend::CppBackendOptions CppOptions;
-  CppOptions.ExtraFlags = {"-O0"}; // one host compile per model
+  // One host compile per model.
+  CppOptions.ExtraFlags = {"-O0", "-march=native"};
   backend::CppBackend Cpp(CppOptions);
   std::string SkipReason;
   if (!Cpp.isAvailable(&SkipReason))
     GTEST_SKIP() << SkipReason;
   for (size_t I = 0; I < kNumModels; ++I) {
     Scenario S = makeScenario(I);
+    // 8-lane blocks, so each row's traceback reads its own lane.
     CompilerOptions Options;
     Options.TheTarget = Target::CPU;
+    Options.Execution.VectorWidth = 8;
     spn::QueryConfig Query;
     Query.Kind = spn::QueryKind::Mpe;
     Query.DataType = spn::ComputeType::F64;

@@ -313,7 +313,8 @@ TEST(MergeTest, MergedVmKernelMatchesOracleMarginal) {
 
 TEST(MergeTest, MergedCppKernelMatchesOracleJointAndMarginal) {
   backend::CppBackendOptions CppOptions;
-  CppOptions.ExtraFlags = {"-O0"}; // one host compile per leg
+  // One host compile per leg.
+  CppOptions.ExtraFlags = {"-O0", "-march=native"};
   auto Cpp = std::make_shared<backend::CppBackend>(CppOptions);
   std::string SkipReason;
   if (!Cpp->isAvailable(&SkipReason))
@@ -452,7 +453,7 @@ TEST(MergeTest, MixedTwoModelBatchScoresPerRowVm) {
 
 TEST(MergeTest, MixedTwoModelBatchScoresPerRowCpp) {
   backend::CppBackendOptions CppOptions;
-  CppOptions.ExtraFlags = {"-O0"};
+  CppOptions.ExtraFlags = {"-O0", "-march=native"};
   auto Cpp = std::make_shared<backend::CppBackend>(CppOptions);
   std::string SkipReason;
   if (!Cpp->isAvailable(&SkipReason))
@@ -711,7 +712,7 @@ TEST(MergeTest, SpeakerSiblingsBindIntoTheOriginalsKernel) {
   Options.OptLevel = 2;
   Options.Execution.VectorWidth = 8;
   backend::CppBackendOptions CppOptions;
-  CppOptions.ExtraFlags = {"-O0"};
+  CppOptions.ExtraFlags = {"-O0", "-march=native"};
   auto Cpp = std::make_shared<backend::CppBackend>(CppOptions);
   bool HaveCpp = Cpp->isAvailable();
   for (uint64_t Seed : {1, 2, 3}) {
