@@ -20,6 +20,7 @@
 #include <limits>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 using namespace spnc;
@@ -388,283 +389,274 @@ struct BlockTranspose {
   }
 };
 
-/// Out[L] = Get(*Lanes[L]) as T for every lane L: one side-table entry
-/// as each lane's table holds it. A block whose lanes all read one table
+/// One side-table entry as each of P lanes' tables holds it:
+/// Get(*Lanes[L]) as T in lane L. A block whose lanes all read one table
 /// (\p Uniform: every block of a plain or RunRequest::Table request)
 /// reads the entry once and broadcasts it; reading it per lane there cost
-/// speaker-offline and ratspn-classify 10-13% of their throughput
-/// (EXPERIMENTS "Single-table blocks").
-template <typename T, unsigned W, typename GetFn>
-static SPNC_ALWAYS_INLINE void laneValues(const TaskParams *const *Lanes,
-                                          bool Uniform, GetFn &&Get,
-                                          T *Out) {
-  if (Uniform) {
-    T Value = static_cast<T>(Get(*Lanes[0]));
-    for (unsigned L = 0; L < W; ++L)
-      Out[L] = Value;
-  } else {
-    for (unsigned L = 0; L < W; ++L)
-      Out[L] = static_cast<T>(Get(*Lanes[L]));
-  }
+/// ratspn-classify 28% and speaker-offline 37% of their throughput
+/// (EXPERIMENTS "A vector engine that vectorizes").
+template <typename T, unsigned P, typename GetFn>
+static SPNC_ALWAYS_INLINE Vec<T, P>
+laneValues(const TaskParams *const *Lanes, bool Uniform, GetFn &&Get) {
+  // v - 0 == v for every v, signed zeros included.
+  if (Uniform)
+    return static_cast<T>(Get(*Lanes[0])) - Vec<T, P>{};
+  Vec<T, P> Out{};
+  for (unsigned L = 0; L < P; ++L)
+    Out[L] = static_cast<T>(Get(*Lanes[L]));
+  return Out;
+}
+
+/// Runs the lane-array function \p F (VecMath.h) over the lanes of \p X:
+/// the per-lane libm calls of f64 and of the no-vector-library
+/// configuration.
+template <typename T, unsigned P>
+static SPNC_ALWAYS_INLINE Vec<T, P>
+onLanes(Vec<T, P> X, void (*F)(const T *, T *, size_t)) {
+  T In[P], Out[P];
+  __builtin_memcpy(In, &X, sizeof(X));
+  F(In, Out, P);
+  __builtin_memcpy(&X, Out, sizeof(X));
+  return X;
+}
+
+/// exp, log1p and log over P lanes: the VecMath polynomials for f32
+/// with the vector library, VecMath's double lane arrays for f64, and
+/// libm per lane without it (Fig. 6).
+template <typename T, unsigned P>
+static SPNC_ALWAYS_INLINE Vec<T, P> expNeg(Vec<T, P> X, bool UseVecLib) {
+  if (!UseVecLib)
+    return onLanes<T, P>(X, scalarExp);
+  if constexpr (std::is_same_v<T, float>)
+    return polyExpNeg<Vec<T, P>, Vec<int32_t, P>>(X);
+  else
+    return onLanes<T, P>(X, vecExpNeg);
+}
+
+template <typename T, unsigned P>
+static SPNC_ALWAYS_INLINE Vec<T, P> log1p01(Vec<T, P> X, bool UseVecLib) {
+  if (!UseVecLib)
+    return onLanes<T, P>(X, scalarLog1p);
+  if constexpr (std::is_same_v<T, float>)
+    return polyLog1p01(X);
+  else
+    return onLanes<T, P>(X, vecLog1p01);
+}
+
+template <typename T, unsigned P>
+static SPNC_ALWAYS_INLINE Vec<T, P> logPos(Vec<T, P> X, bool UseVecLib) {
+  if (!UseVecLib)
+    return onLanes<T, P>(X, scalarLog);
+  if constexpr (std::is_same_v<T, float>)
+    return polyLogPos<Vec<T, P>, Vec<int32_t, P>>(X);
+  else
+    return onLanes<T, P>(X, vecLogPos);
 }
 
 /// Runs \p Task over the W samples of one block, lane L reading its
-/// side tables from Lanes[L]. The lanes of one block may read different
-/// weight tables: every parameter an instruction reads is gathered per
-/// lane (laneValues) and then goes through the same arithmetic, so each
-/// row gets the same bits whichever tables its neighbours read. Table
-/// sizes, bucket bounds and marginal support are structural, so every
-/// lane reads them from Lanes[0]. Every instantiation is kept out of
-/// line: GCC 12 inlines it into runChunkTyped otherwise, and the W=8 f32
-/// engine then runs ratspn-classify ~5% slower (EXPERIMENTS "One
-/// downward pass").
+/// side tables from Lanes[L]. Every instruction reads its operands from
+/// the register file as vectors, computes its result as one vector
+/// expression and writes it back, one piece of kPieceLanes lanes at a
+/// time. The lanes of one block may read different weight tables: every
+/// parameter an instruction reads is gathered per lane (laneValues) and
+/// then goes through the same arithmetic, so each row gets the same bits
+/// whichever tables its neighbours read. Table sizes, bucket bounds and
+/// marginal support are structural, so every lane reads them from
+/// Lanes[0]. Every instantiation is kept out of line: GCC 12 inlines the
+/// W=8 and W=16 ones into runChunkTyped otherwise, and ratspn-classify
+/// then ran ~4% slower (EXPERIMENTS "A vector engine that vectorizes").
 template <typename T, unsigned W>
 SPNC_NOINLINE void runBlock(const TaskProgram &Task,
                             const TaskParams *const *Lanes,
                             const BufferBinding<T> *Buffers,
                             const BlockTranspose<T> *Transposes,
                             size_t Begin, bool UseVecLib, T *Regs) {
-  const T NegInf = -std::numeric_limits<T>::infinity();
+  constexpr unsigned P = kPieceLanes<T, W>;
+  using V = Vec<T, P>;
+  const V NegInf = -std::numeric_limits<T>::infinity() - V{};
   const TaskParams &First = *Lanes[0];
   bool Uniform = true;
   for (unsigned L = 1; L < W; ++L)
     Uniform = Uniform && Lanes[L] == Lanes[0];
-  T Tmp0[W], Tmp1[W], P0[W], P1[W], P2[W];
+  // A NaN difference ((-inf) - (-inf)) counts as -inf.
+  auto Guard = [&NegInf](V Diff) { return Diff != Diff ? NegInf : Diff; };
+  // M where X is NaN (marginalized evidence), Y elsewhere.
+  auto Marginal = [](V X, V M, V Y) { return X != X ? M : Y; };
   for (const Instruction &Inst : Task.Code) {
-    T *D = &Regs[static_cast<size_t>(Inst.Dst) * W];
-    // Reads field F of the Gaussian leaf this instruction evaluates.
-    auto Gaussian = [&Inst](double GaussianParams::*F) {
-      return [&Inst, F](const TaskParams &P) {
-        return P.Gaussians[Inst.B].*F;
+    // Lanes [C, C + P) of every register the instruction names.
+    for (unsigned C = 0; C < W; C += P) {
+      auto Reg = [&](uint32_t R) {
+        V X{};
+        __builtin_memcpy(&X, Regs + static_cast<size_t>(R) * W + C,
+                         sizeof(V));
+        return X;
       };
-    };
-    switch (Inst.Op) {
-    case OpCode::Const: {
-      laneValues<T, W>(
-          Lanes, Uniform,
-          [&](const TaskParams &P) { return P.ConstPool[Inst.A]; }, D);
-      break;
-    }
-    case OpCode::Load: {
-      const BufferAccess &Access = Task.Loads[Inst.A];
-      const BufferBinding<T> &B = Buffers[Access.Buffer];
-      if (B.Transposed && B.Scratch) {
-        // Contiguous vector load from a transposed intermediate.
-        const T *Src = B.Scratch + elementIndex(B, Access.Index, Begin);
-        for (unsigned L = 0; L < W; ++L)
-          D[L] = Src[L];
-      } else if (B.Transposed) {
-        const double *Src =
-            (B.ExternalIn ? B.ExternalIn : B.ExternalOut) +
-            elementIndex(B, Access.Index, Begin);
-        for (unsigned L = 0; L < W; ++L)
-          D[L] = static_cast<T>(Src[L]);
-      } else if (Transposes && Transposes[Access.Buffer].Columns) {
-        // Loads+shuffles: contiguous load from the per-block transpose.
-        const T *Src = &Transposes[Access.Buffer]
-                            .Data[static_cast<size_t>(Access.Index) * W];
-        for (unsigned L = 0; L < W; ++L)
-          D[L] = Src[L];
-      } else {
-        // Gather: one strided load per lane.
-        const BufferBinding<T> &Bb = B;
-        for (unsigned L = 0; L < W; ++L)
-          D[L] = loadElement(Bb, Access.Index, Begin + L);
-      }
-      break;
-    }
-    case OpCode::Store: {
-      const BufferAccess &Access = Task.Stores[Inst.A];
-      const BufferBinding<T> &B = Buffers[Access.Buffer];
-      const T *Src = &Regs[static_cast<size_t>(Inst.Dst) * W];
-      if (B.Transposed && B.Scratch) {
-        T *Dst = B.Scratch + elementIndex(B, Access.Index, Begin);
-        for (unsigned L = 0; L < W; ++L)
-          Dst[L] = Src[L];
-      } else {
-        for (unsigned L = 0; L < W; ++L)
-          storeElement(B, Access.Index, Begin + L, Src[L]);
-      }
-      break;
-    }
-    case OpCode::Add: {
-      const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      const T *B = &Regs[static_cast<size_t>(Inst.B) * W];
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = A[L] + B[L];
-      break;
-    }
-    case OpCode::Mul: {
-      const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      const T *B = &Regs[static_cast<size_t>(Inst.B) * W];
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = A[L] * B[L];
-      break;
-    }
-    case OpCode::FusedMulAdd: {
-      const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      const T *B = &Regs[static_cast<size_t>(Inst.B) * W];
-      const T *C = &Regs[static_cast<size_t>(Inst.C) * W];
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = A[L] * B[L] + C[L];
-      break;
-    }
-    case OpCode::LogSumExp: {
-      const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      const T *B = &Regs[static_cast<size_t>(Inst.B) * W];
-      // Tmp0 = min - max (guarded against (-inf) - (-inf) = NaN),
-      // Tmp1 = exp(Tmp0) in [0, 1], D = max + log1p(Tmp1).
-      for (unsigned L = 0; L < W; ++L) {
-        T Max = A[L] > B[L] ? A[L] : B[L];
-        T Diff = (A[L] > B[L] ? B[L] : A[L]) - Max;
-        Tmp0[L] = std::isnan(Diff) ? NegInf : Diff;
-        D[L] = Max;
-      }
-      if (UseVecLib) {
-        vecExpNeg(Tmp0, Tmp1, W);
-        vecLog1p01(Tmp1, Tmp0, W);
-      } else {
-        scalarExp(Tmp0, Tmp1, W);
-        scalarLog1p(Tmp1, Tmp0, W);
-      }
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = D[L] == NegInf ? NegInf : D[L] + Tmp0[L];
-      break;
-    }
-    case OpCode::Gaussian:
-    case OpCode::GaussianLog: {
-      const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      laneValues<T, W>(Lanes, Uniform, Gaussian(&GaussianParams::Mean), P0);
-      laneValues<T, W>(Lanes, Uniform, Gaussian(&GaussianParams::InvStdDev),
-                       P1);
-      laneValues<T, W>(Lanes, Uniform,
-                       Gaussian(&GaussianParams::Coefficient), P2);
-      if (Inst.Op == OpCode::GaussianLog) {
-        for (unsigned L = 0; L < W; ++L) {
-          T Norm = (A[L] - P0[L]) * P1[L];
-          D[L] = P2[L] - T(0.5) * Norm * Norm;
+      auto Param = [&](auto &&Get) {
+        return laneValues<T, P>(Lanes + C, Uniform, Get);
+      };
+      // Field F of the Gaussian leaf this instruction evaluates.
+      auto Gaussian = [&](double GaussianParams::*F) {
+        return Param([&](const TaskParams &Params) {
+          return Params.Gaussians[Inst.B].*F;
+        });
+      };
+      size_t Row = Begin + C;
+      V Value{};
+      switch (Inst.Op) {
+      case OpCode::Const:
+        Value = Param(
+            [&](const TaskParams &Params) { return Params.ConstPool[Inst.A]; });
+        break;
+      case OpCode::Load: {
+        const BufferAccess &Access = Task.Loads[Inst.A];
+        const BufferBinding<T> &B = Buffers[Access.Buffer];
+        if (B.Transposed && B.Scratch) {
+          // Contiguous vector load from a transposed intermediate.
+          __builtin_memcpy(&Value,
+                           B.Scratch + elementIndex(B, Access.Index, Row),
+                           sizeof(V));
+        } else if (B.Transposed) {
+          Vec<double, P> Wide{};
+          __builtin_memcpy(&Wide,
+                           (B.ExternalIn ? B.ExternalIn : B.ExternalOut) +
+                               elementIndex(B, Access.Index, Row),
+                           sizeof(Wide));
+          Value = __builtin_convertvector(Wide, V);
+        } else if (Transposes && Transposes[Access.Buffer].Columns) {
+          // Loads+shuffles: contiguous load from the per-block transpose.
+          __builtin_memcpy(
+              &Value,
+              &Transposes[Access.Buffer]
+                   .Data[static_cast<size_t>(Access.Index) * W + C],
+              sizeof(V));
+        } else {
+          // Gather: one strided load per lane.
+          for (unsigned L = 0; L < P; ++L)
+            Value[L] = loadElement(B, Access.Index, Row + L);
         }
-      } else {
-        for (unsigned L = 0; L < W; ++L) {
-          T Norm = (A[L] - P0[L]) * P1[L];
-          Tmp0[L] = T(-0.5) * Norm * Norm;
+        break;
+      }
+      case OpCode::Store: {
+        const BufferAccess &Access = Task.Stores[Inst.A];
+        const BufferBinding<T> &B = Buffers[Access.Buffer];
+        V Src = Reg(Inst.Dst);
+        if (B.Transposed && B.Scratch) {
+          __builtin_memcpy(B.Scratch + elementIndex(B, Access.Index, Row),
+                           &Src, sizeof(V));
+        } else {
+          for (unsigned L = 0; L < P; ++L)
+            storeElement(B, Access.Index, Row + L, Src[L]);
         }
-        if (UseVecLib)
-          vecExpNeg(Tmp0, Tmp1, W);
+        continue;
+      }
+      case OpCode::Add:
+        Value = Reg(Inst.A) + Reg(Inst.B);
+        break;
+      case OpCode::Mul:
+        Value = Reg(Inst.A) * Reg(Inst.B);
+        break;
+      case OpCode::FusedMulAdd:
+        Value = Reg(Inst.A) * Reg(Inst.B) + Reg(Inst.C);
+        break;
+      case OpCode::LogSumExp: {
+        V A = Reg(Inst.A), B = Reg(Inst.B);
+        V Max = A > B ? A : B;
+        V Diff = Guard((A > B ? B : A) - Max);
+        Value = Max == NegInf
+                    ? Max
+                    : Max + log1p01<T, P>(expNeg<T, P>(Diff, UseVecLib),
+                                          UseVecLib);
+        break;
+      }
+      case OpCode::Gaussian:
+      case OpCode::GaussianLog: {
+        V X = Reg(Inst.A);
+        V Norm = (X - Gaussian(&GaussianParams::Mean)) *
+                 Gaussian(&GaussianParams::InvStdDev);
+        V Coefficient = Gaussian(&GaussianParams::Coefficient);
+        if (Inst.Op == OpCode::GaussianLog)
+          Value = Coefficient - T(0.5) * Norm * Norm;
         else
-          scalarExp(Tmp0, Tmp1, W);
-        for (unsigned L = 0; L < W; ++L)
-          D[L] = P2[L] * Tmp1[L];
+          Value = Coefficient * expNeg<T, P>(T(-0.5) * Norm * Norm, UseVecLib);
+        if (First.Gaussians[Inst.B].SupportMarginal)
+          Value =
+              Marginal(X, Gaussian(&GaussianParams::MarginalValue), Value);
+        break;
       }
-      if (First.Gaussians[Inst.B].SupportMarginal) {
-        laneValues<T, W>(Lanes, Uniform,
-                         Gaussian(&GaussianParams::MarginalValue), P0);
-        for (unsigned L = 0; L < W; ++L)
-          D[L] = std::isnan(A[L]) ? P0[L] : D[L];
-      }
-      break;
-    }
-    case OpCode::TableLookup: {
-      const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      const LookupTable &Shape = First.Tables[Inst.B];
-      const auto Size = static_cast<int64_t>(Shape.Values.size());
-      for (unsigned L = 0; L < W; ++L) {
-        const LookupTable &Table = Lanes[L]->Tables[Inst.B];
-        if (Shape.SupportMarginal && std::isnan(A[L])) {
-          D[L] = static_cast<T>(Table.MarginalValue);
-          continue;
+      case OpCode::TableLookup: {
+        V X = Reg(Inst.A);
+        const LookupTable &Shape = First.Tables[Inst.B];
+        const auto Size = static_cast<int64_t>(Shape.Values.size());
+        for (unsigned L = 0; L < P; ++L) {
+          const LookupTable &Table = Lanes[C + L]->Tables[Inst.B];
+          if (Shape.SupportMarginal && std::isnan(X[L])) {
+            Value[L] = static_cast<T>(Table.MarginalValue);
+            continue;
+          }
+          auto Idx = static_cast<int64_t>(
+              std::floor(static_cast<double>(X[L]) - Shape.Lo));
+          Value[L] =
+              (Idx >= 0 && Idx < Size)
+                  ? static_cast<T>(Table.Values[static_cast<size_t>(Idx)])
+                  : static_cast<T>(Table.DefaultValue);
         }
-        auto Idx = static_cast<int64_t>(
-            std::floor(static_cast<double>(A[L]) - Shape.Lo));
-        D[L] = (Idx >= 0 && Idx < Size)
-                   ? static_cast<T>(Table.Values[static_cast<size_t>(Idx)])
-                   : static_cast<T>(Table.DefaultValue);
+        break;
       }
-      break;
-    }
-    case OpCode::SelectInRange: {
-      const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      const SelectRange &Range = First.Selects[Inst.B];
-      const T Lo = static_cast<T>(Range.Lo);
-      const T Hi = static_cast<T>(Range.Hi);
-      laneValues<T, W>(
-          Lanes, Uniform,
-          [&](const TaskParams &P) { return P.Selects[Inst.B].Value; }, P0);
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = (A[L] >= Lo && A[L] < Hi) ? P0[L] : D[L];
-      break;
-    }
-    case OpCode::NanBlend: {
-      const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      laneValues<T, W>(
-          Lanes, Uniform,
-          [&](const TaskParams &P) { return P.ConstPool[Inst.B]; }, P0);
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = std::isnan(A[L]) ? P0[L] : D[L];
-      break;
-    }
-    case OpCode::AddN: {
-      const uint32_t *Args = &Task.Args[Inst.A];
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = T(0);
-      for (uint32_t N = 0; N < Inst.B; ++N) {
-        const T *A = &Regs[static_cast<size_t>(Args[N]) * W];
-        for (unsigned L = 0; L < W; ++L)
-          D[L] += A[L];
+      case OpCode::SelectInRange: {
+        // NaN compares false, so marginalized evidence keeps the
+        // previously blended value.
+        V X = Reg(Inst.A);
+        const SelectRange &Range = First.Selects[Inst.B];
+        Value = (X >= static_cast<T>(Range.Lo)) &
+                        (X < static_cast<T>(Range.Hi))
+                    ? Param([&](const TaskParams &Params) {
+                        return Params.Selects[Inst.B].Value;
+                      })
+                    : Reg(Inst.Dst);
+        break;
       }
-      break;
-    }
-    case OpCode::MulN: {
-      const uint32_t *Args = &Task.Args[Inst.A];
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = T(1);
-      for (uint32_t N = 0; N < Inst.B; ++N) {
-        const T *A = &Regs[static_cast<size_t>(Args[N]) * W];
-        for (unsigned L = 0; L < W; ++L)
-          D[L] *= A[L];
+      case OpCode::NanBlend:
+        Value = Marginal(Reg(Inst.A), Param([&](const TaskParams &Params) {
+                           return Params.ConstPool[Inst.B];
+                         }),
+                         Reg(Inst.Dst));
+        break;
+      case OpCode::AddN: {
+        const uint32_t *Args = &Task.Args[Inst.A];
+        for (uint32_t N = 0; N < Inst.B; ++N)
+          Value += Reg(Args[N]);
+        break;
       }
-      break;
-    }
-    case OpCode::Max: {
-      const T *A = &Regs[static_cast<size_t>(Inst.A) * W];
-      const T *B = &Regs[static_cast<size_t>(Inst.B) * W];
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = A[L] >= B[L] ? A[L] : B[L];
-      break;
-    }
-    case OpCode::LogSumExpN: {
-      const uint32_t *Args = &Task.Args[Inst.A];
-      // D accumulates the lane maxima, Tmp1 the exponential sums.
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = NegInf;
-      for (uint32_t N = 0; N < Inst.B; ++N) {
-        const T *A = &Regs[static_cast<size_t>(Args[N]) * W];
-        for (unsigned L = 0; L < W; ++L)
-          D[L] = A[L] > D[L] ? A[L] : D[L];
+      case OpCode::MulN: {
+        const uint32_t *Args = &Task.Args[Inst.A];
+        Value = T(1) - V{};
+        for (uint32_t N = 0; N < Inst.B; ++N)
+          Value *= Reg(Args[N]);
+        break;
       }
-      for (unsigned L = 0; L < W; ++L)
-        Tmp1[L] = T(0);
-      for (uint32_t N = 0; N < Inst.B; ++N) {
-        const T *A = &Regs[static_cast<size_t>(Args[N]) * W];
-        for (unsigned L = 0; L < W; ++L) {
-          T Diff = A[L] - D[L];
-          Tmp0[L] = std::isnan(Diff) ? NegInf : Diff;
+      case OpCode::Max: {
+        // Ties keep A, as in the scalar engine.
+        V A = Reg(Inst.A), B = Reg(Inst.B);
+        Value = A >= B ? A : B;
+        break;
+      }
+      case OpCode::LogSumExpN: {
+        // The lanes' maximum, then the sum of exp(operand - maximum).
+        const uint32_t *Args = &Task.Args[Inst.A];
+        V Max = NegInf;
+        for (uint32_t N = 0; N < Inst.B; ++N) {
+          V A = Reg(Args[N]);
+          Max = A > Max ? A : Max;
         }
-        if (UseVecLib)
-          vecExpNeg(Tmp0, Tmp0, W);
-        else
-          scalarExp(Tmp0, Tmp0, W);
-        for (unsigned L = 0; L < W; ++L)
-          Tmp1[L] += Tmp0[L];
+        V Sum{};
+        for (uint32_t N = 0; N < Inst.B; ++N)
+          Sum += expNeg<T, P>(Guard(Reg(Args[N]) - Max), UseVecLib);
+        Value = Max == NegInf ? Max : Max + logPos<T, P>(Sum, UseVecLib);
+        break;
       }
-      if (UseVecLib)
-        vecLogPos(Tmp1, Tmp0, W);
-      else
-        scalarLog(Tmp1, Tmp0, W);
-      for (unsigned L = 0; L < W; ++L)
-        D[L] = D[L] == NegInf ? NegInf : D[L] + Tmp0[L];
-      break;
-    }
+      }
+      __builtin_memcpy(Regs + static_cast<size_t>(Inst.Dst) * W + C, &Value,
+                       sizeof(V));
     }
   }
 }

@@ -13,7 +13,9 @@
 ///  * a data-parallel vector engine processing W samples per step with a
 ///    scalar epilogue for the remainder (paper §IV-B), configurable in
 ///    width (W=8 f32 lanes ~ AVX2, W=16 ~ AVX-512), vector-library use
-///    and gather-vs-load+shuffle input loading.
+///    and gather-vs-load+shuffle input loading. Its registers are
+///    GCC/Clang vector values, one lane per sample, and every bytecode
+///    instruction runs as one vector expression over them.
 ///
 /// Multi-threading follows the paper's runtime design: the batch is split
 /// into chunks (chunk size = the user's batch-size hint) and chunks are

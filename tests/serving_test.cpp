@@ -379,14 +379,16 @@ TEST_F(ServingTest, ShardedServerIsExactAndAggregatesAcrossShards) {
   Config.MaxQueueDelayUs = 500;
   InferenceServer Server(Config, &Cache);
   ASSERT_EQ(Server.getNumShards(), 4u);
-  for (size_t M = 0; M < kModels; ++M)
-    ASSERT_FALSE(Server.addModel("m" + std::to_string(M), Models[M],
-                                 Query, Compile));
+  // Appended rather than "m" + ..., which GCC 12 flags with -Wrestrict.
+  std::vector<std::string> Names(kModels, "m");
+  for (size_t M = 0; M < kModels; ++M) {
+    Names[M] += std::to_string(M);
+    ASSERT_FALSE(Server.addModel(Names[M], Models[M], Query, Compile));
+  }
 
   // Placement is the documented consistent hash, observable per model.
   for (size_t M = 0; M < kModels; ++M) {
-    std::optional<size_t> Placed =
-        Server.getModelShard("m" + std::to_string(M));
+    std::optional<size_t> Placed = Server.getModelShard(Names[M]);
     ASSERT_TRUE(Placed.has_value());
     EXPECT_EQ(*Placed,
               InferenceServer::placeOnShard(
@@ -400,8 +402,7 @@ TEST_F(ServingTest, ShardedServerIsExactAndAggregatesAcrossShards) {
     for (size_t M = 0; M < kModels; ++M) {
       unsigned Features = Models[M].getNumFeatures();
       Futures[M].push_back(Server.submit(
-          "m" + std::to_string(M),
-          ModelData[M].data() + (R % kNumSamples) * Features, 1));
+          Names[M], ModelData[M].data() + (R % kNumSamples) * Features, 1));
     }
   for (size_t M = 0; M < kModels; ++M)
     for (size_t R = 0; R < kRequests; ++R) {
