@@ -182,16 +182,19 @@ void emitInstruction(std::string &Out, const TaskProgram &Task,
     break;
   }
   case OpCode::LogSumExpN: {
-    // The lanes' maximum, then the sum of exp(operand - maximum).
-    Out += "  {\n    vec_t mx = splat(kNegInf);\n";
-    for (uint32_t N = 0; N < I.B; ++N) {
-      std::string Operand = reg(Task.Args[I.A + N]);
-      Out += "    mx = " + Operand + " > mx ? " + Operand + " : mx;\n";
-    }
+    // Each operand is its register plus its weight; then the lanes'
+    // maximum and the sum of exp(operand - maximum).
+    Out += "  {\n";
+    for (uint32_t N = 0; N < I.B; ++N)
+      Out += formatString(
+          "    vec_t o%u = %s + %s;\n", N, reg(Task.Args[I.A + N]).c_str(),
+          paramExpr(PL.ConstSlot[TaskIdx][Task.Args[I.C + N]]).c_str());
+    Out += "    vec_t mx = splat(kNegInf);\n";
+    for (uint32_t N = 0; N < I.B; ++N)
+      Out += formatString("    mx = o%u > mx ? o%u : mx;\n", N, N);
     Out += "    vec_t sum = splat(0);\n";
     for (uint32_t N = 0; N < I.B; ++N)
-      Out += "    sum += spnc_exp(spnc_guard(" + reg(Task.Args[I.A + N]) +
-             " - mx));\n";
+      Out += formatString("    sum += spnc_exp(spnc_guard(o%u - mx));\n", N);
     Out += "    " + reg(I.Dst) +
            " = mx == kNegInf ? mx : mx + spnc_log(sum);\n  }\n";
     return;
@@ -600,12 +603,18 @@ CppParamLayout spnc::backend::layoutCppParams(const KernelProgram &Program) {
   for (const TaskProgram &Task : Program.Tasks) {
     std::vector<size_t> &Const = Layout.ConstSlot.emplace_back(
         Task.ConstPool.size(), CppParamLayout::kUnused);
-    for (const Instruction &I : Task.Code) {
-      uint32_t Slot = I.Op == OpCode::Const      ? I.A
-                      : I.Op == OpCode::NanBlend ? I.B
-                                                 : UINT32_MAX;
-      if (Slot != UINT32_MAX && Const[Slot] == CppParamLayout::kUnused)
+    auto Read = [&](uint32_t Slot) {
+      if (Const[Slot] == CppParamLayout::kUnused)
         Const[Slot] = Off++;
+    };
+    for (const Instruction &I : Task.Code) {
+      if (I.Op == OpCode::Const)
+        Read(I.A);
+      else if (I.Op == OpCode::NanBlend)
+        Read(I.B);
+      else if (I.Op == OpCode::LogSumExpN)
+        for (uint32_t N = 0; N < I.B; ++N)
+          Read(Task.Args[I.C + N]);
     }
     Layout.GaussianBase.push_back(Off);
     Off += Task.Gaussians.size() * 4;

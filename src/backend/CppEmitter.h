@@ -52,8 +52,9 @@ namespace backend {
 /// points, which carried their own traceback and RNG, with the per-row
 /// upward pass spnc_kernel_upward; v7 evaluates W-row blocks in W-lane
 /// vector code (f32 exp/log of likelihood kernels through the VecMath
-/// polynomials), and spnc_kernel_upward runs one block.
-inline constexpr unsigned kCppEmitterVersion = 7;
+/// polynomials), and spnc_kernel_upward runs one block; v8 adds each
+/// LogSumExpN operand's weight from the parameter block.
+inline constexpr unsigned kCppEmitterVersion = 8;
 
 /// Upper bound on the instructions of one segment function.
 inline constexpr size_t kCppSegmentInstructions = 256;

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <span>
 #include <unordered_map>
 
@@ -481,7 +482,9 @@ static bool isNary(const Instruction &Inst) {
          Inst.Op == OpCode::LogSumExpN;
 }
 
-/// Collects the registers read by \p Inst into \p Uses.
+/// Collects the registers read by \p Inst into \p Uses (for LogSumExpN
+/// the register half of its operands; its weight slots index the const
+/// pool).
 static void collectUses(const TaskProgram &Program,
                         const Instruction &Inst,
                         std::vector<uint32_t> &Uses) {
@@ -524,7 +527,8 @@ static void collectUses(const TaskProgram &Program,
   }
 }
 
-/// Rewrites the registers read by \p Inst through \p Map.
+/// Rewrites the registers read by \p Inst through \p Map (the ones
+/// collectUses lists).
 template <typename MapFn>
 static void rewriteRegs(TaskProgram &Program, Instruction &Inst,
                         MapFn Map) {
@@ -569,18 +573,15 @@ static void rewriteRegs(TaskProgram &Program, Instruction &Inst,
 // Chain collapse (O2+): binary reduction chains become n-ary ops
 //===----------------------------------------------------------------------===//
 
-/// Maximum operand count of one n-ary instruction. Larger fan-in is
-/// split into a tree of chunked n-ary ops: unbounded n-ary ops would keep
-/// every operand register live simultaneously, destroying GPU occupancy
-/// (and CPU register-file locality).
-static constexpr size_t kMaxNaryArgs = 8;
-
 /// Collapses left-leaning chains of the same binary reduction (the form
 /// the weighted-sum and product lowering emits) into (trees of) n-ary
 /// instructions: one max/log pair per ~8 elements instead of one
 /// exp/log1p per element for log-space additions, and tight accumulation
 /// loops for sums and products. The dominant win on RAT-SPN-style graphs
-/// with large fan-in.
+/// with large fan-in. A log-sum-exp chain also absorbs the weight
+/// applications feeding it: a single-use Add(child, Const) becomes the
+/// operand (child, the Const's pool slot) of the LogSumExpN, which adds
+/// the weight itself, so the pair costs no instructions of its own.
 static void runChainCollapse(TaskProgram &Program) {
   std::vector<Instruction> &Code = Program.Code;
   std::vector<uint32_t> UseCounts(Program.NumRegisters, 0);
@@ -607,8 +608,74 @@ static void runChainCollapse(TaskProgram &Program) {
     if (writesDst(Code[I]))
       LastWriteOf[Code[I].Dst] = static_cast<int32_t>(I);
 
+  // The pool slot of a structural 0.0, which an unweighted log-sum-exp
+  // operand names (r + 0.0 changes no log-sum-exp result bit). Never a
+  // weight's slot, which binding a weight table rewrites.
+  std::optional<uint32_t> ZeroSlot;
+  auto Zero = [&] {
+    if (ZeroSlot)
+      return *ZeroSlot;
+    std::vector<uint8_t> IsWeight(Program.ConstPool.size(), 0);
+    for (const ParamSite &Site : Program.ParamSites)
+      if (Site.Kind == ParamSlotKind::ConstPool)
+        IsWeight[Site.Index] = 1;
+    for (size_t S = 0; S < Program.ConstPool.size() && !ZeroSlot; ++S)
+      if (!IsWeight[S] && Program.ConstPool[S] == 0.0 &&
+          !std::signbit(Program.ConstPool[S]))
+        ZeroSlot = static_cast<uint32_t>(S);
+    if (!ZeroSlot) {
+      ZeroSlot = static_cast<uint32_t>(Program.ConstPool.size());
+      Program.ConstPool.push_back(0.0);
+    }
+    return *ZeroSlot;
+  };
+
+  // True if Reg is the only-read result of a live Kind instruction, which
+  // the chain reading it absorbs.
+  auto IsChainLink = [&](uint32_t Reg, OpCode Kind) {
+    int32_t Def = DefOf[Reg];
+    return Def >= 0 && !Dead[Def] && Code[Def].Op == Kind &&
+           UseCounts[Reg] == 1;
+  };
+
+  // One operand of an n-ary op: its register, the pool slot of the
+  // weight added to it (LogSumExpN only), and the position its value is
+  // ready at, which orders a chain's operands and places its chunks.
+  struct Operand {
+    uint32_t Reg;
+    uint32_t Slot;
+    size_t Pos;
+  };
+
+  // Gives log-sum-exp operand Leaf its weight: if Leaf is the result of
+  // a single-use Add(child, Const) whose child is no product chain (whose
+  // AddN keeps the weight), Leaf becomes (child, the Const's slot), and
+  // the Add and a Const left unread die; otherwise the structural zero.
+  auto AbsorbWeight = [&](Operand &Leaf) {
+    Leaf.Slot = Zero();
+    if (!IsChainLink(Leaf.Reg, OpCode::Add))
+      return;
+    int32_t Def = DefOf[Leaf.Reg];
+    const Instruction &Apply = Code[Def];
+    for (unsigned Side = 0; Side < 2; ++Side) {
+      uint32_t Weight = Side == 0 ? Apply.B : Apply.A;
+      uint32_t Child = Side == 0 ? Apply.A : Apply.B;
+      int32_t WeightDef = DefOf[Weight];
+      if (WeightDef < 0 || Code[WeightDef].Op != OpCode::Const ||
+          LastWriteOf[Weight] != WeightDef ||
+          IsChainLink(Child, OpCode::Add))
+        continue;
+      Dead[Def] = 1;
+      if (--UseCounts[Weight] == 0)
+        Dead[WeightDef] = 1;
+      Leaf.Reg = Child;
+      Leaf.Slot = Code[WeightDef].A;
+      return;
+    }
+  };
+
   auto MakeNary = [&](OpCode Kind, uint32_t Dst,
-                      std::span<const uint32_t> Operands) {
+                      std::span<const Operand> Operands) {
     Instruction Result;
     Result.Op = Kind == OpCode::Add
                     ? OpCode::AddN
@@ -617,8 +684,13 @@ static void runChainCollapse(TaskProgram &Program) {
     Result.Dst = Dst;
     Result.A = static_cast<uint32_t>(Program.Args.size());
     Result.B = static_cast<uint32_t>(Operands.size());
-    Program.Args.insert(Program.Args.end(), Operands.begin(),
-                        Operands.end());
+    for (const Operand &O : Operands)
+      Program.Args.push_back(O.Reg);
+    if (Result.Op == OpCode::LogSumExpN) {
+      Result.C = static_cast<uint32_t>(Program.Args.size());
+      for (const Operand &O : Operands)
+        Program.Args.push_back(O.Slot);
+    }
     return Result;
   };
 
@@ -638,9 +710,8 @@ static void runChainCollapse(TaskProgram &Program) {
     while (!Pending.empty()) {
       uint32_t Reg = Pending.back();
       Pending.pop_back();
-      int32_t Def = DefOf[Reg];
-      if (Def >= 0 && !Dead[Def] && Code[Def].Op == Kind &&
-          UseCounts[Reg] == 1) {
+      if (IsChainLink(Reg, Kind)) {
+        int32_t Def = DefOf[Reg];
         Dead[Def] = 1;
         Pending.push_back(Code[Def].A);
         Pending.push_back(Code[Def].B);
@@ -653,27 +724,31 @@ static void runChainCollapse(TaskProgram &Program) {
     if (Leaves.size() < 3)
       continue;
 
-    // Reduce the leaves in chunks of kMaxNaryArgs until one value
-    // remains. Each chunk op is placed directly after the definition of
-    // its last-defined operand (not at the chain head), so at most one
-    // chunk's worth of operands plus the partial results are live at any
-    // point — unbounded placement at the head would keep every leaf live
-    // simultaneously and wreck register allocation and GPU occupancy.
-    std::unordered_map<uint32_t, size_t> ChunkRegPos;
-    auto DefPos = [&](uint32_t Reg) -> size_t {
-      auto It = ChunkRegPos.find(Reg);
-      if (It != ChunkRegPos.end())
-        return It->second;
+    // Reduce the leaves in chunks of kMaxNaryArgs (vm/Bytecode.h) until
+    // one value remains. Each chunk op is placed directly after the
+    // definition of its last-defined operand (not at the chain head), so
+    // at most one chunk's worth of operands plus the partial results are
+    // live at any point — unbounded placement at the head would keep
+    // every leaf live simultaneously and wreck register allocation and
+    // GPU occupancy.
+    // A leaf's position is that of its definition's last write; an
+    // absorbed weight application keeps its Add's position, so operand
+    // order and chunking are those of the unabsorbed chain.
+    std::vector<Operand> Level;
+    Level.reserve(Leaves.size());
+    for (uint32_t Reg : Leaves) {
       int32_t Def = LastWriteOf[Reg];
-      return Def < 0 ? 0 : static_cast<size_t>(Def);
-    };
-
-    std::vector<uint32_t> Level = std::move(Leaves);
-    std::sort(Level.begin(), Level.end(), [&](uint32_t A, uint32_t B) {
-      return DefPos(A) < DefPos(B);
-    });
+      Operand Leaf{Reg, 0, Def < 0 ? 0 : static_cast<size_t>(Def)};
+      if (Kind == OpCode::LogSumExp)
+        AbsorbWeight(Leaf);
+      Level.push_back(Leaf);
+    }
+    std::sort(Level.begin(), Level.end(),
+              [](const Operand &A, const Operand &B) {
+                return A.Pos < B.Pos;
+              });
     while (Level.size() > kMaxNaryArgs) {
-      std::vector<uint32_t> Next;
+      std::vector<Operand> Next;
       for (size_t Begin = 0; Begin < Level.size();
            Begin += kMaxNaryArgs) {
         size_t End = std::min(Level.size(), Begin + kMaxNaryArgs);
@@ -684,15 +759,15 @@ static void runChainCollapse(TaskProgram &Program) {
         uint32_t ChunkReg = Program.NumRegisters++;
         size_t LastDef = 0;
         for (size_t Idx = Begin; Idx < End; ++Idx)
-          LastDef = std::max(LastDef, DefPos(Level[Idx]));
+          LastDef = std::max(LastDef, Level[Idx].Pos);
         // Emit directly after the last operand definition (before the
         // instruction that follows it), never past the chain head.
         size_t Attach = std::min(LastDef + 1, I);
         Prefix[Attach].push_back(MakeNary(
             Kind, ChunkReg,
-            std::span<const uint32_t>(&Level[Begin], End - Begin)));
-        ChunkRegPos[ChunkReg] = Attach;
-        Next.push_back(ChunkReg);
+            std::span<const Operand>(&Level[Begin], End - Begin)));
+        Next.push_back({ChunkReg, Kind == OpCode::LogSumExp ? Zero() : 0,
+                        Attach});
       }
       Level = std::move(Next);
     }

@@ -63,15 +63,26 @@ enum class OpCode : uint8_t {
   /// of marginal-supporting discrete leaves.
   NanBlend,
   /// N-ary variants produced by the O2 chain-collapse peephole: operands
-  /// are Args[A .. A+B). dst <- sum / product / log-sum-exp of them.
+  /// are the registers Args[A .. A+B). dst <- sum / product of them.
   AddN,
   MulN,
+  /// dst <- log sum_j exp(r_j + constpool[s_j]): the weighted log-sum-exp
+  /// of a sum node, r_j = Args[A + j] a register and s_j = Args[C + j] a
+  /// const-pool slot, for j < B. The slots hold the sum's log-weights;
+  /// an unweighted operand names a pooled structural 0.0.
   LogSumExpN,
   /// dst <- max(a, b). Emitted for sum nodes of MPE (max-product)
   /// queries; identical in linear and log space (max is monotonic under
   /// log).
   Max,
 };
+
+/// Most operands of an n-ary instruction the -O2 chain collapse emits:
+/// larger fan-in is split into a tree of chunked n-ary ops, because
+/// unbounded n-ary ops would keep every operand register live
+/// simultaneously, destroying GPU occupancy (and CPU register-file
+/// locality). Engines may rely on it for speed, not for correctness.
+inline constexpr uint32_t kMaxNaryArgs = 8;
 
 /// One bytecode instruction. Register operands index the per-sample
 /// register file; immediate operands index per-program side tables.
@@ -204,7 +215,8 @@ struct TaskProgram : TaskParams {
   uint32_t NumRegisters = 0;
   std::vector<BufferAccess> Loads;
   std::vector<BufferAccess> Stores;
-  /// Register operand lists of the n-ary instructions.
+  /// Operand lists of the n-ary instructions: registers, and the
+  /// const-pool slots of LogSumExpN's weights.
   std::vector<uint32_t> Args;
   /// Tunable slots (joint/marginal programs; empty for MPE/sampling,
   /// whose traceback plan bakes values). The inherited side tables hold

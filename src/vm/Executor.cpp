@@ -313,16 +313,22 @@ void spnc::vm::interpretSample(const TaskProgram &Task,
   SPNC_CASE(LogSumExpN) {
     const Instruction &I = SPNC_INST;
     const uint32_t *Args = &Task.Args[I.A];
+    const uint32_t *Slots = &Task.Args[I.C];
+    // Operand N: its register plus its weight.
+    auto Operand = [&](uint32_t N) {
+      return Registers[Args[N]] +
+             static_cast<T>(Params.ConstPool[Slots[N]]);
+    };
     T Max = -std::numeric_limits<T>::infinity();
     for (uint32_t N = 0; N < I.B; ++N)
-      Max = Registers[Args[N]] > Max ? Registers[Args[N]] : Max;
+      Max = std::max(Max, Operand(N));
     if (Max == -std::numeric_limits<T>::infinity()) {
       Registers[I.Dst] = Max;
     } else {
       T Sum = T(0);
       for (uint32_t N = 0; N < I.B; ++N)
-        Sum += static_cast<T>(std::exp(
-            static_cast<double>(Registers[Args[N]] - Max)));
+        Sum += static_cast<T>(
+            std::exp(static_cast<double>(Operand(N) - Max)));
       Registers[I.Dst] =
           Max + static_cast<T>(std::log(static_cast<double>(Sum)));
     }
@@ -365,27 +371,29 @@ spnc::vm::interpretSample<double>(const TaskProgram &, const TaskParams &,
 
 namespace {
 
-/// Per-block input staging for the loads+shuffles configuration: the W
-/// row-major sample rows are transposed once into [feature][lane] form,
-/// after which every feature load is a contiguous vector load.
+/// Input staging for the loads+shuffles configuration: the row-major
+/// rows of a chunk's full W-row blocks are transposed once, before any
+/// task runs, into [feature][row] form, after which every feature load
+/// of every task is a contiguous vector load from its block's slice.
 template <typename T>
-struct BlockTranspose {
-  std::vector<T> Data; // Columns x W
-  uint32_t Columns = 0;
+struct ChunkTranspose {
+  std::vector<T> Data; // Columns x Rows
+  size_t Rows = 0;
 
-  void prepare(const BufferBinding<T> &B, size_t Begin, unsigned W) {
-    Columns = B.Columns;
-    Data.resize(static_cast<size_t>(Columns) * W);
-    const double *Src =
-        B.ExternalIn + (B.Offset + Begin) * B.Columns;
-    // Feature-major fill: contiguous vectorizable writes per feature,
-    // strided reads — the interpreter-level equivalent of the
-    // loads+shuffles register transpose.
-    for (uint32_t C = 0; C < Columns; ++C) {
-      T *Dst = &Data[static_cast<size_t>(C) * W];
-      for (unsigned L = 0; L < W; ++L)
-        Dst[L] = static_cast<T>(Src[static_cast<size_t>(L) * Columns + C]);
-    }
+  void prepare(const BufferBinding<T> &B, size_t NumRows, unsigned W) {
+    Rows = NumRows;
+    Data.resize(static_cast<size_t>(B.Columns) * Rows);
+    const double *Src = B.ExternalIn + B.Offset * B.Columns;
+    // Block by block, feature-major: contiguous vectorizable writes per
+    // feature, strided reads from the block's rows — the
+    // interpreter-level equivalent of the loads+shuffles register
+    // transpose.
+    for (size_t Begin = 0; Begin < Rows; Begin += W)
+      for (uint32_t C = 0; C < B.Columns; ++C) {
+        T *Dst = &Data[static_cast<size_t>(C) * Rows + Begin];
+        for (unsigned L = 0; L < W; ++L)
+          Dst[L] = static_cast<T>(Src[(Begin + L) * B.Columns + C]);
+      }
   }
 };
 
@@ -469,7 +477,7 @@ template <typename T, unsigned W>
 SPNC_NOINLINE void runBlock(const TaskProgram &Task,
                             const TaskParams *const *Lanes,
                             const BufferBinding<T> *Buffers,
-                            const BlockTranspose<T> *Transposes,
+                            const ChunkTranspose<T> *Transposes,
                             size_t Begin, bool UseVecLib, T *Regs) {
   constexpr unsigned P = kPieceLanes<T, W>;
   using V = Vec<T, P>;
@@ -522,12 +530,13 @@ SPNC_NOINLINE void runBlock(const TaskProgram &Task,
                                elementIndex(B, Access.Index, Row),
                            sizeof(Wide));
           Value = __builtin_convertvector(Wide, V);
-        } else if (Transposes && Transposes[Access.Buffer].Columns) {
-          // Loads+shuffles: contiguous load from the per-block transpose.
+        } else if (Transposes && Transposes[Access.Buffer].Rows) {
+          // Loads+shuffles: contiguous load from the chunk's transpose.
+          const ChunkTranspose<T> &Staged = Transposes[Access.Buffer];
           __builtin_memcpy(
               &Value,
-              &Transposes[Access.Buffer]
-                   .Data[static_cast<size_t>(Access.Index) * W + C],
+              &Staged.Data[static_cast<size_t>(Access.Index) * Staged.Rows +
+                           Row],
               sizeof(V));
         } else {
           // Gather: one strided load per lane.
@@ -642,15 +651,30 @@ SPNC_NOINLINE void runBlock(const TaskProgram &Task,
       }
       case OpCode::LogSumExpN: {
         // The lanes' maximum, then the sum of exp(operand - maximum).
+        // Operand N is its register plus its weight, read per lane; the
+        // sum reuses the first kMaxNaryArgs operands the maximum computed
+        // (recomputing them ran a ratspn-classify-shaped loop ~15%
+        // slower).
         const uint32_t *Args = &Task.Args[Inst.A];
+        const uint32_t *Slots = &Task.Args[Inst.C];
+        auto Operand = [&](uint32_t N) {
+          return Reg(Args[N]) + Param([&](const TaskParams &Params) {
+                   return Params.ConstPool[Slots[N]];
+                 });
+        };
+        V Kept[kMaxNaryArgs];
         V Max = NegInf;
         for (uint32_t N = 0; N < Inst.B; ++N) {
-          V A = Reg(Args[N]);
+          V A = Operand(N);
+          if (N < kMaxNaryArgs)
+            Kept[N] = A;
           Max = A > Max ? A : Max;
         }
         V Sum{};
-        for (uint32_t N = 0; N < Inst.B; ++N)
-          Sum += expNeg<T, P>(Guard(Reg(Args[N]) - Max), UseVecLib);
+        for (uint32_t N = 0; N < Inst.B; ++N) {
+          V A = N < kMaxNaryArgs ? Kept[N] : Operand(N);
+          Sum += expNeg<T, P>(Guard(A - Max), UseVecLib);
+        }
         Value = Max == NegInf ? Max : Max + logPos<T, P>(Sum, UseVecLib);
         break;
       }
@@ -728,8 +752,12 @@ void runChunkTyped(const KernelProgram &Program,
   unsigned W = Config.VectorWidth;
   size_t NumBlocks = W <= 1 ? 0 : ChunkLen / W;
   std::vector<T> Registers(static_cast<size_t>(MaxRegs) * std::max(W, 1u));
-  std::vector<BlockTranspose<T>> Transposes(
+  // Stage row-major inputs once for the loads+shuffles path.
+  std::vector<ChunkTranspose<T>> Transposes(
       Config.UseShuffle && NumBlocks ? Program.Buffers.size() : 0);
+  for (size_t I = 0; I < Transposes.size(); ++I)
+    if (!Program.Buffers[I].Transposed && Bindings[I].ExternalIn)
+      Transposes[I].prepare(Bindings[I], NumBlocks * W, W);
 
   auto RunVector = [&](auto WidthTag, const TaskProgram &Task,
                        const TaskParams *const *Lanes, size_t BlockBegin) {
@@ -750,11 +778,6 @@ void runChunkTyped(const KernelProgram &Program,
       size_t BlockBegin = Block * W;
       const TaskParams *Lanes[16]; // W <= 16
       Params.lanes(Begin + BlockBegin, W, TaskIndex, Lanes);
-      // Stage row-major inputs blockwise for the loads+shuffles path.
-      if (!Transposes.empty())
-        for (size_t I = 0; I < Program.Buffers.size(); ++I)
-          if (!Program.Buffers[I].Transposed && Bindings[I].ExternalIn)
-            Transposes[I].prepare(Bindings[I], BlockBegin, W);
       switch (W) {
       case 4:
         RunVector(std::integral_constant<unsigned, 4>{}, Task, Lanes,

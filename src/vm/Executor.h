@@ -47,8 +47,8 @@ struct ExecutionConfig {
   /// Use the vectorized math library (VecMath.h) for exp/log in vector
   /// code; otherwise scalar libm calls are made per lane.
   bool UseVecLib = true;
-  /// Load row-major inputs blockwise with a transpose (loads+shuffles)
-  /// instead of per-lane strided gather loads.
+  /// Load row-major inputs through a transpose of each chunk's rows
+  /// (loads+shuffles) instead of per-lane strided gather loads.
   bool UseShuffle = true;
   /// Worker threads for chunk-parallel execution.
   unsigned NumThreads = 1;

@@ -304,11 +304,6 @@ std::string checkIndices(const KernelProgram &P) {
                             P.Buffers[A.Buffer].Columns);
       }
     }
-    for (size_t I = 0; I < Task.Args.size(); ++I)
-      if (Task.Args[I] >= Task.NumRegisters)
-        return outOfRange(Where + ", arg " + std::to_string(I),
-                          "register", Task.Args[I], Task.NumRegisters);
-
     for (size_t N = 0; N < Task.Code.size(); ++N) {
       const Instruction &I = Task.Code[N];
       auto At = [&] { return Where + ", instruction " + std::to_string(N); };
@@ -374,12 +369,31 @@ std::string checkIndices(const KernelProgram &P) {
         break;
       case OpCode::AddN:
       case OpCode::MulN:
-      case OpCode::LogSumExpN:
+      case OpCode::LogSumExpN: {
+        // Registers in Args[A .. A+B); LogSumExpN's weights in
+        // Args[C .. C+B), const-pool slots.
+        bool Weighted = I.Op == OpCode::LogSumExpN;
         if (static_cast<uint64_t>(I.A) + I.B > Task.Args.size())
           return outOfRange(At(), "arg range end",
                             static_cast<int64_t>(I.A) + I.B,
                             Task.Args.size());
+        if (Weighted && static_cast<uint64_t>(I.C) + I.B > Task.Args.size())
+          return outOfRange(At(), "weight range end",
+                            static_cast<int64_t>(I.C) + I.B,
+                            Task.Args.size());
+        for (uint32_t K = 0; K < I.B; ++K) {
+          auto Operand = [&] {
+            return At() + ", operand " + std::to_string(K);
+          };
+          if (Task.Args[I.A + K] >= Task.NumRegisters)
+            return outOfRange(Operand(), "register", Task.Args[I.A + K],
+                              Task.NumRegisters);
+          if (Weighted && Task.Args[I.C + K] >= Task.ConstPool.size())
+            return outOfRange(Operand(), "weight slot", Task.Args[I.C + K],
+                              Task.ConstPool.size());
+        }
         break;
+      }
       }
       for (unsigned R = 0; R < NumRegisters; ++R)
         if (Registers[R] >= Task.NumRegisters)

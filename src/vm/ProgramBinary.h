@@ -42,9 +42,11 @@ namespace vm {
 /// flag, NumParams) and the per-task parameter-site tables of
 /// merged-model programs, v6 dropped the Parameterized flag (every
 /// joint/marginal program carries sites) and added the fold sites of
-/// the -O2 weight fold (docs/merging.md). A `.spnk` is only a cache, so
-/// older files are rejected and recompiled rather than read.
-inline constexpr uint32_t kProgramBinaryVersion = 6;
+/// the -O2 weight fold (docs/merging.md), v7 made LogSumExpN weighted
+/// (its Args list the operand registers, then their weights' const-pool
+/// slots). A `.spnk` is only a cache, so older files are rejected and
+/// recompiled rather than read.
+inline constexpr uint32_t kProgramBinaryVersion = 7;
 
 /// Encodes \p Program into a self-contained, checksummed byte blob in
 /// the current format. Never fails.

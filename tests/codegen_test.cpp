@@ -270,20 +270,104 @@ TEST_F(CodegenTest, OversizedTablesFallBackToSelectCascade) {
 TEST_F(CodegenTest, ChainCollapseBoundsNaryFanIn) {
   codegen::CodegenOptions O2;
   O2.OptLevel = 2;
+  // Per const-pool slot: holds a sum weight (a ConstPool parameter site).
+  auto WeightSlots = [](const TaskProgram &Task) {
+    std::vector<uint8_t> IsWeight(Task.ConstPool.size(), 0);
+    for (const ParamSite &Site : Task.ParamSites)
+      if (Site.Kind == ParamSlotKind::ConstPool)
+        IsWeight[Site.Index] = 1;
+    return IsWeight;
+  };
+  // Every n-ary op has 2..8 operands inside Args; a LogSumExpN's weights
+  // are const-pool slots, also inside Args. Returns the LogSumExpN
+  // operands whose weight is a sum weight.
+  auto CheckNary = [&](const TaskProgram &Task) {
+    std::vector<uint8_t> IsWeight = WeightSlots(Task);
+    unsigned NumNary = 0, NumWeighted = 0;
+    for (const Instruction &Inst : Task.Code) {
+      if (Inst.Op != OpCode::AddN && Inst.Op != OpCode::MulN &&
+          Inst.Op != OpCode::LogSumExpN)
+        continue;
+      ++NumNary;
+      EXPECT_GE(Inst.B, 2u); // tail chunks may pair just two values
+      EXPECT_LE(Inst.B, 8u); // chunked tree keeps fan-in bounded
+      EXPECT_LE(static_cast<size_t>(Inst.A) + Inst.B, Task.Args.size());
+      if (Inst.Op != OpCode::LogSumExpN)
+        continue;
+      EXPECT_LE(static_cast<size_t>(Inst.C) + Inst.B, Task.Args.size());
+      for (uint32_t N = 0; N < Inst.B; ++N) {
+        uint32_t Slot = Task.Args[Inst.C + N];
+        EXPECT_LT(Slot, Task.ConstPool.size());
+        NumWeighted += Slot < IsWeight.size() && IsWeight[Slot];
+      }
+    }
+    EXPECT_GT(NumNary, 0u);
+    return NumWeighted;
+  };
   Expected<KernelProgram> Program = emit(O2);
   ASSERT_TRUE(static_cast<bool>(Program));
+  CheckNary(Program->Tasks[0]);
+
+  // On a RAT-SPN class, the weight applications feeding the n-ary
+  // log-sum-exps are gone: a Const still reads a sum weight only where
+  // the weight's child is a single-use product (the product's AddN
+  // keeps it) or its sum has two children (a binary LogSumExp of two
+  // Add terms).
+  workloads::RatSpnOptions Rat;
+  Rat.NumFeatures = 16;
+  Rat.Depth = 2;
+  Rat.Replicas = 2;
+  Rat.SumsPerRegion = 3;
+  Rat.LeafDistributions = 4;
+  Rat.Seed = 17;
+  Model = std::make_unique<spn::Model>(workloads::generateRatSpn(Rat, 0));
+  Program = emit(O2);
+  ASSERT_TRUE(static_cast<bool>(Program));
   const TaskProgram &Task = Program->Tasks[0];
-  unsigned NumNary = 0;
-  for (const Instruction &Inst : Task.Code) {
-    if (Inst.Op != OpCode::AddN && Inst.Op != OpCode::MulN &&
-        Inst.Op != OpCode::LogSumExpN)
+  EXPECT_GT(CheckNary(Task), 0u);
+  std::vector<uint8_t> IsWeight = WeightSlots(Task);
+  // Per register: holds a weight Const / an Add of one.
+  std::vector<uint8_t> Weight(Task.NumRegisters, 0);
+  std::vector<uint8_t> Term(Task.NumRegisters, 0);
+  for (size_t I = 0; I < Task.Code.size(); ++I) {
+    const Instruction &Inst = Task.Code[I];
+    std::vector<uint32_t> Reads;
+    switch (Inst.Op) {
+    case OpCode::AddN:
+    case OpCode::MulN:
+    case OpCode::LogSumExpN:
+      Reads.assign(Task.Args.begin() + Inst.A,
+                   Task.Args.begin() + Inst.A + Inst.B);
+      break;
+    case OpCode::Store:
+      Reads = {Inst.Dst};
+      break;
+    case OpCode::GaussianLog:
+      Reads = {Inst.A};
+      break;
+    case OpCode::Add:
+    case OpCode::LogSumExp:
+      Reads = {Inst.A, Inst.B};
+      break;
+    default:
+      break;
+    }
+    for (uint32_t Reg : Reads) {
+      EXPECT_TRUE(!Weight[Reg] || Inst.Op == OpCode::AddN ||
+                  Inst.Op == OpCode::Add)
+          << "instruction " << I << " reads a sum weight in r" << Reg;
+      EXPECT_TRUE(!Term[Reg] || Inst.Op == OpCode::LogSumExp)
+          << "instruction " << I << " reads an unabsorbed weighted term r"
+          << Reg;
+    }
+    if (Inst.Op == OpCode::Store)
       continue;
-    ++NumNary;
-    EXPECT_GE(Inst.B, 2u); // tail chunks may pair just two values
-    EXPECT_LE(Inst.B, 8u); // chunked tree keeps fan-in bounded
-    EXPECT_LE(static_cast<size_t>(Inst.A) + Inst.B, Task.Args.size());
+    bool IsWeightConst = Inst.Op == OpCode::Const && IsWeight[Inst.A];
+    bool IsTerm =
+        Inst.Op == OpCode::Add && (Weight[Inst.A] || Weight[Inst.B]);
+    Weight[Inst.Dst] = IsWeightConst;
+    Term[Inst.Dst] = IsTerm;
   }
-  EXPECT_GT(NumNary, 0u);
 }
 
 TEST_F(CodegenTest, ChainCollapseKeepsRegisterPressureBounded) {

@@ -218,7 +218,9 @@ TEST(DifferentialTest, GpuMarginalPartitioned) {
 }
 
 /// Registers \p Inst reads; a select or NaN blend also reads its Dst,
-/// the value it keeps when its condition fails.
+/// the value it keeps when its condition fails. A LogSumExpN reads the
+/// register half of its operands, Args[A .. A+B); its weights,
+/// Args[C .. C+B), are const-pool slots.
 std::vector<uint32_t> readsOf(const vm::TaskProgram &Task,
                               const vm::Instruction &Inst) {
   using vm::OpCode;

@@ -734,6 +734,16 @@ TEST_F(KernelCacheTamperTest, ResealedBadIndexIsRecompiled) {
                      vm::OpCode::LogSumExpN})
              .A = kFar;
        }},
+      {Source::SpeakerO2, "weight slot 1048576",
+       [&](vm::KernelProgram &P) {
+         for (vm::TaskProgram &Task : P.Tasks)
+           for (const vm::Instruction &I : Task.Code)
+             if (I.Op == vm::OpCode::LogSumExpN) {
+               Task.Args[I.C] = kFar;
+               return;
+             }
+         ADD_FAILURE() << "program has no LogSumExpN";
+       }},
       {Source::Speaker, "buffer 1048576",
        [&](vm::KernelProgram &P) { Task0(P).Loads.front().Buffer = kFar; }},
       {Source::Speaker, "role 9",

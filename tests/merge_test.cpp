@@ -472,42 +472,48 @@ TEST(MergeTest, MixedTwoModelBatchScoresPerRowCpp) {
 TEST(MergeTest, MixedBlocksMatchPerTableRunsAtEveryWidth) {
   spn::Model A = ratClass(0);
   spn::Model B = ratClass(1);
+  // -O2 brings in the weighted n-ary log-sum-exps, which read every
+  // lane's weights, and the leaf weight folds.
   for (unsigned W : {4u, 8u, 16u})
     for (bool LogSpace : {true, false})
       for (bool F32 : {false, true})
         for (bool Marginal : {false, true})
           for (uint32_t Budget : {0u, 30u})
-            for (unsigned Threads : {1u, 2u}) {
-              std::string Leg = "w";
-              Leg += std::to_string(W);
-              Leg += LogSpace ? "/log" : "/linear";
-              Leg += F32 ? "/f32" : "/f64";
-              Leg += Marginal ? "/marginal" : "/joint";
-              Leg += Budget ? "/partitioned" : "/whole";
-              Leg += "/threads";
-              Leg += std::to_string(Threads);
-              CompilerOptions Options;
-              Options.MaxPartitionSize = Budget;
-              Options.Execution.VectorWidth = W;
-              Options.Execution.NumThreads = Threads;
-              Options.Execution.ChunkSize = W + 3;
-              spn::QueryConfig Query = f64Query(Marginal);
-              Query.LogSpace = LogSpace;
-              if (F32)
-                Query.DataType = spn::ComputeType::F32;
-              std::vector<double> Data = ratData(3 * W + 5, 0x3b1dULL + W);
-              if (Marginal)
-                for (size_t I = 0; I < Data.size(); I += 3)
-                  Data[I] = std::numeric_limits<double>::quiet_NaN();
-              KernelCache Cache;
-              expectMixedBatchMatchesOracles(Cache, Options, Leg, A, B,
-                                             Query, Data);
-              Expected<CompiledKernel> Kernel =
-                  Cache.getOrCompile(A, Query, Options);
-              ASSERT_TRUE(static_cast<bool>(Kernel)) << Leg;
-              EXPECT_EQ(Kernel->getProgram().Tasks.size() > 1, Budget != 0)
-                  << Leg;
-            }
+            for (unsigned Threads : {1u, 2u})
+              for (unsigned OptLevel : {1u, 2u}) {
+                std::string Leg = "w";
+                Leg += std::to_string(W);
+                Leg += LogSpace ? "/log" : "/linear";
+                Leg += F32 ? "/f32" : "/f64";
+                Leg += Marginal ? "/marginal" : "/joint";
+                Leg += Budget ? "/partitioned" : "/whole";
+                Leg += "/threads";
+                Leg += std::to_string(Threads);
+                Leg += "/O";
+                Leg += std::to_string(OptLevel);
+                CompilerOptions Options;
+                Options.OptLevel = OptLevel;
+                Options.MaxPartitionSize = Budget;
+                Options.Execution.VectorWidth = W;
+                Options.Execution.NumThreads = Threads;
+                Options.Execution.ChunkSize = W + 3;
+                spn::QueryConfig Query = f64Query(Marginal);
+                Query.LogSpace = LogSpace;
+                if (F32)
+                  Query.DataType = spn::ComputeType::F32;
+                std::vector<double> Data = ratData(3 * W + 5, 0x3b1dULL + W);
+                if (Marginal)
+                  for (size_t I = 0; I < Data.size(); I += 3)
+                    Data[I] = std::numeric_limits<double>::quiet_NaN();
+                KernelCache Cache;
+                expectMixedBatchMatchesOracles(Cache, Options, Leg, A, B,
+                                               Query, Data);
+                Expected<CompiledKernel> Kernel =
+                    Cache.getOrCompile(A, Query, Options);
+                ASSERT_TRUE(static_cast<bool>(Kernel)) << Leg;
+                EXPECT_EQ(Kernel->getProgram().Tasks.size() > 1, Budget != 0)
+                    << Leg;
+              }
 }
 
 /// Two models of one structure whose histogram leaves have fractional

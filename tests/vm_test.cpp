@@ -298,24 +298,99 @@ TEST_F(OpcodeTest, NaryArithmetic) {
 }
 
 TEST_F(OpcodeTest, LogSumExpN) {
+  // Operand N is register Args[N] plus the weight in const-pool slot
+  // Args[3 + N]; slot 3 is the structural 0.0 of an unweighted operand.
   TaskProgram Task;
   Task.NumRegisters = 4;
-  Task.ConstPool = {std::log(0.1), std::log(0.2), std::log(0.3)};
-  Task.Args = {0, 1, 2};
+  Task.ConstPool = {std::log(0.1), std::log(0.2), std::log(0.3), 0.0,
+                    std::log(0.5), std::log(0.25)};
+  Task.Args = {0, 1, 2, /*weights*/ 4, 3, 5};
   Task.Code = {make(OpCode::Const, 0, 0), make(OpCode::Const, 1, 1),
                make(OpCode::Const, 2, 2),
-               make(OpCode::LogSumExpN, 3, 0, 3)};
-  EXPECT_NEAR(run(Task)[3], std::log(0.6), 1e-12);
+               make(OpCode::LogSumExpN, 3, /*ArgOffset=*/0, /*Count=*/3,
+                    /*WeightOffset=*/3)};
+  EXPECT_NEAR(run(Task)[3], std::log(0.1 * 0.5 + 0.2 + 0.3 * 0.25), 1e-12);
 
   // All -inf inputs stay -inf (no NaN).
   double NegInf = -std::numeric_limits<double>::infinity();
-  Task.ConstPool = {NegInf, NegInf, NegInf};
+  Task.ConstPool[0] = Task.ConstPool[1] = Task.ConstPool[2] = NegInf;
   double Result = run(Task)[3];
   EXPECT_TRUE(std::isinf(Result) && Result < 0);
 
-  // Mixed -inf inputs are ignored.
-  Task.ConstPool = {NegInf, std::log(0.2), std::log(0.3)};
-  EXPECT_NEAR(run(Task)[3], std::log(0.5), 1e-12);
+  // Mixed -inf inputs are ignored, and so is a -inf weight.
+  Task.ConstPool[1] = std::log(0.2);
+  Task.ConstPool[2] = std::log(0.3);
+  EXPECT_NEAR(run(Task)[3], std::log(0.2 + 0.3 * 0.25), 1e-12);
+  Task.ConstPool[5] = NegInf;
+  EXPECT_NEAR(run(Task)[3], std::log(0.2), 1e-12);
+
+  // On every engine, one program stores log(exp(x0 + w0) + exp(x1) +
+  // exp(x2 + w2)) twice: with the weights as operands (x1 naming the
+  // structural zero), and as Add(x, Const) terms fed to a LogSumExpN
+  // whose operands all name the zero. On every row — finite, -inf and
+  // signed-zero features — both agree bit for bit, on the scalar engine
+  // and at W 4/8/16, in f32 and f64.
+  constexpr uint32_t kFeatures = 3;
+  constexpr size_t kRows = 77;
+  Task = TaskProgram();
+  Task.ConstPool = {std::log(0.5), 0.0, std::log(0.25)};
+  Task.Loads = {BufferAccess{0, 0}, BufferAccess{0, 1}, BufferAccess{0, 2}};
+  Task.Stores = {BufferAccess{1, 0}, BufferAccess{1, 1}};
+  Task.Args = {0, 1, 2, /*weights*/ 0, 1, 2,
+               5, 1, 7, /*zeros*/ 1, 1, 1};
+  Task.Code = {make(OpCode::Load, 0, 0),
+               make(OpCode::Load, 1, 1),
+               make(OpCode::Load, 2, 2),
+               make(OpCode::LogSumExpN, 3, 0, 3, 3),
+               make(OpCode::Const, 4, 0),
+               make(OpCode::Add, 5, 0, 4),
+               make(OpCode::Const, 6, 2),
+               make(OpCode::Add, 7, 2, 6),
+               make(OpCode::LogSumExpN, 8, 6, 3, 9),
+               make(OpCode::Store, 3, 0),
+               make(OpCode::Store, 8, 1)};
+  Task.NumRegisters = 9;
+  KernelProgram Program;
+  Program.Buffers = {BufferInfo{BufferInfo::Kind::Input, kFeatures, false},
+                     BufferInfo{BufferInfo::Kind::Output, 2, true}};
+  Program.NumInputs = 1;
+  Program.NumOutputs = 1;
+  Program.Tasks = {Task};
+  Program.Steps = {KernelStep{0, -1, -1}};
+
+  Rng R(4242);
+  std::vector<double> Input(kRows * kFeatures);
+  for (size_t Row = 0; Row < kRows; ++Row)
+    for (uint32_t F = 0; F < kFeatures; ++F) {
+      double &X = Input[Row * kFeatures + F];
+      X = R.uniform(-6.0, 0.0);
+      if (Row % 5 == F + 1 || Row == 9)
+        X = NegInf;
+      if (Row == 11 || (Row == 12 && F == 1))
+        X = -0.0;
+      if (Row == 12 && F != 1)
+        X = 0.0;
+    }
+  for (bool F32 : {false, true})
+    for (unsigned W : {1u, 4u, 8u, 16u}) {
+      Program.UseF32 = F32;
+      ExecutionConfig Config;
+      Config.VectorWidth = W;
+      CpuExecutor Exec(Program, Config);
+      std::vector<double> Out(2 * kRows);
+      ASSERT_TRUE(Exec.run(
+          {.Input = Input.data(), .Output = Out.data(), .NumSamples = kRows}));
+      for (size_t Row = 0; Row < kRows; ++Row) {
+        double Weighted = Out[Row], Terms = Out[kRows + Row];
+        EXPECT_EQ(0, std::memcmp(&Weighted, &Terms, sizeof(double)))
+            << (F32 ? "f32" : "f64") << " W=" << W << " row " << Row << ": "
+            << Weighted << " weighted, " << Terms << " as Add terms";
+      }
+      double Want = std::log(0.5 * std::exp(Input[0]) + std::exp(Input[1]) +
+                             0.25 * std::exp(Input[2]));
+      EXPECT_NEAR(Out[0], Want, F32 ? 1e-5 : 1e-12);
+      EXPECT_TRUE(std::isinf(Out[9]) && Out[9] < 0);
+    }
 }
 
 //===----------------------------------------------------------------------===//
@@ -753,8 +828,9 @@ constexpr size_t kEquivalenceRows = 77;
 /// rows, then speaker kernels in log and linear space, f32 and f64, and
 /// the select-cascade lowering, on rows in which marginalized (NaN)
 /// features and out-of-range evidence (-inf or 0 leaves) share blocks
-/// with finite lanes. -O2 brings in the n-ary sums and products, the
-/// fused multiply-adds and the marginal blends.
+/// with finite lanes, and a RAT-SPN class in log space, f32 and f64.
+/// -O2 brings in the n-ary sums and products, the weighted log-sum-exps,
+/// the fused multiply-adds and the marginal blends.
 const std::vector<EquivalenceLeg> &equivalenceLegs() {
   static const std::vector<EquivalenceLeg> Legs = [] {
     const size_t NumSamples = kEquivalenceRows;
@@ -810,6 +886,32 @@ const std::vector<EquivalenceLeg> &equivalenceLegs() {
           {"select-cascade log f32", Cascade.takeValue(), Noisy, 1e-4, 1e-4});
     else
       ADD_FAILURE() << Cascade.getError().message();
+
+    // A RAT-SPN class, whose sum weights become operands of the n-ary
+    // log-sum-exp, on image rows with marginalized pixels.
+    workloads::RatSpnOptions Rat;
+    Rat.NumFeatures = 16;
+    Rat.Depth = 2;
+    Rat.Replicas = 2;
+    Rat.SumsPerRegion = 3;
+    Rat.LeafDistributions = 4;
+    Rat.Seed = 17;
+    spn::Model RatModel = workloads::generateRatSpn(Rat, 0);
+    std::vector<double> Images = workloads::generateImageData(
+        Rat.NumFeatures, /*NumClasses=*/2, NumSamples, 5, nullptr);
+    for (size_t I = 0; I < Images.size(); I += 7)
+      Images[I] = std::numeric_limits<double>::quiet_NaN();
+    for (bool F32 : {true, false}) {
+      Expected<KernelProgram> Program =
+          compileMarginal(RatModel, true, F32, runtime::Target::CPU);
+      if (!Program) {
+        ADD_FAILURE() << Program.getError().message();
+        continue;
+      }
+      double Tolerance = F32 ? 1e-4 : 1e-9;
+      Legs.push_back({std::string("ratspn log ") + (F32 ? "f32" : "f64"),
+                      Program.takeValue(), Images, Tolerance, Tolerance});
+    }
     return Legs;
   }();
   return Legs;
