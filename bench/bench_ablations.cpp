@@ -88,11 +88,12 @@ int main(int argc, char **argv) {
 
   // 2. Partitioner refinement: communication cost on random DAGs.
   {
-    partition::Graph G(20000);
+    std::vector<partition::Edge> Edges;
     Rng R(3);
     for (uint32_t N = 1; N < 20000; ++N)
       for (unsigned P = 0; P < 2; ++P)
-        G.addEdge(static_cast<uint32_t>(R.uniformInt(N)), N);
+        Edges.push_back({static_cast<uint32_t>(R.uniformInt(N)), N});
+    partition::Graph G(20000, Edges);
     partition::PartitionOptions NoRefine;
     NoRefine.MaxPartitionSize = 1500;
     NoRefine.EnableRefinement = false;

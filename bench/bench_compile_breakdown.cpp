@@ -68,9 +68,15 @@ void report(Target TheTarget) {
   auto Pct = [&](uint64_t Ns) {
     return 100.0 * static_cast<double>(Ns) / Total;
   };
-  for (const StageTiming &Stage : Stats.Stages)
+  uint64_t StagedNs = 0;
+  for (const StageTiming &Stage : Stats.Stages) {
     std::printf("  stage %-22s %6.1f%%\n", Stage.Name.c_str(),
                 Pct(Stage.WallNs));
+    StagedNs += Stage.WallNs;
+  }
+  // The total also counts freeing the IR module and its context.
+  std::printf("  %-28s %6.1f%%\n", "IR teardown",
+              Pct(Stats.TotalNs - StagedNs));
   for (const StageOpCount &Count : Stats.OpCounts)
     std::printf("  ops after %-18s %zu\n", Count.Stage.c_str(),
                 Count.NumOps);

@@ -77,11 +77,12 @@ std::vector<Node *> Model::topologicalOrder() const {
   if (!Root)
     return Order;
   // Iterative DFS emitting nodes after all children (post-order). Shared
-  // children are emitted once.
-  std::unordered_set<const Node *> Visited;
+  // children are emitted once; node ids are dense, so they index the
+  // visited flags.
+  std::vector<uint8_t> Visited(Nodes.size(), 0);
   std::vector<std::pair<Node *, size_t>> Stack;
   Stack.emplace_back(Root, 0);
-  Visited.insert(Root);
+  Visited[Root->getId()] = 1;
   while (!Stack.empty()) {
     auto &[Current, NextChild] = Stack.back();
     const auto *Inner = dyn_cast<InnerNode>(Current);
@@ -91,8 +92,10 @@ std::vector<Node *> Model::topologicalOrder() const {
       continue;
     }
     Node *Child = Inner->getChild(NextChild++);
-    if (Visited.insert(Child).second)
+    if (!Visited[Child->getId()]) {
+      Visited[Child->getId()] = 1;
       Stack.emplace_back(Child, 0);
+    }
   }
   return Order;
 }

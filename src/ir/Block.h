@@ -78,6 +78,10 @@ public:
   /// Returns the last operation if it is a terminator, else null.
   Operation *getTerminator();
 
+  /// Numbers the ops 0..size()-1 in list order (Operation::getOrderIndex),
+  /// so a pass can index per-op tables densely.
+  void numberOperations();
+
   /// Drops all operand references held by operations in this block
   /// (recursively), so blocks can be destroyed in any order.
   void dropAllReferences();
@@ -86,6 +90,9 @@ public:
   void clear();
 
 private:
+  /// Destroys all operations; their references must be dropped already.
+  void destroyOperations();
+
   Region *ParentRegion = nullptr;
   std::vector<std::unique_ptr<BlockArgumentImpl>> Arguments;
   OpList Operations;

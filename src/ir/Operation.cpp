@@ -16,10 +16,7 @@ using namespace spnc::ir;
 // Block
 //===----------------------------------------------------------------------===//
 
-Block::~Block() {
-  dropAllReferences();
-  clear();
-}
+Block::~Block() { clear(); }
 
 Operation *Block::getParentOp() const {
   return ParentRegion ? ParentRegion->getParentOp() : nullptr;
@@ -53,14 +50,25 @@ void Block::dropAllReferences() {
     Op->dropAllReferences();
 }
 
+void Block::numberOperations() {
+  unsigned Index = 0;
+  for (Operation *Op : Operations)
+    Op->OrderIndex = Index++;
+}
+
 void Block::clear() {
-  // References were dropped by the caller or the destructor; destroy in
-  // reverse order anyway to honour intra-block def-use order when clear()
-  // is called directly on consistent IR.
+  // One walk drops every reference of the nested tree, so the ops can
+  // then be destroyed in any order without walking it again.
+  dropAllReferences();
+  destroyOperations();
+}
+
+void Block::destroyOperations() {
   while (!Operations.empty()) {
     Operation *Last = Operations.back();
-    Last->dropAllReferences();
-    Last->erase();
+    Operations.pop_back();
+    Last->ParentBlock = nullptr;
+    Last->destroy();
   }
 }
 
@@ -113,6 +121,15 @@ void Operation::destroy() {
   assert(!ParentBlock && "destroying an op still attached to a block");
   assert(useEmpty() && "destroying an op whose results still have uses");
   delete this;
+}
+
+Operation::~Operation() {
+  // destroy() requires the references of the whole tree to be dropped
+  // already: free the nested ops without walking the tree once per
+  // nesting level.
+  for (auto &TheRegion : Regions)
+    for (auto &TheBlock : *TheRegion)
+      TheBlock->destroyOperations();
 }
 
 Attribute Operation::getAttr(const std::string &Name) const {

@@ -58,7 +58,8 @@ public:
   /// detached op).
   static Operation *create(Context &Ctx, const OperationState &State);
 
-  /// Frees a detached operation; all results must be unused.
+  /// Frees a detached operation. The results must be unused and the
+  /// references of the nested ops dropped (dropAllReferences()).
   void destroy();
 
   Operation(const Operation &) = delete;
@@ -177,6 +178,11 @@ public:
   /// Position of this op in its parent block list.
   Block::iterator getIterator() const { return PositionInBlock; }
 
+  /// Dense index of this op in its block as of the block's last
+  /// numberOperations(); stale once ops are inserted, moved or erased
+  /// there.
+  unsigned getOrderIndex() const { return OrderIndex; }
+
   //===--------------------------------------------------------------------===//
   // Traversal
   //===--------------------------------------------------------------------===//
@@ -193,12 +199,13 @@ public:
 private:
   Operation(Context &Ctx, const OpInfo *Info, unsigned NumOperands,
             unsigned NumResults);
-  ~Operation() = default;
+  ~Operation();
 
   Context *Ctx;
   const OpInfo *Info;
   Block *ParentBlock = nullptr;
   Block::iterator PositionInBlock;
+  unsigned OrderIndex = 0;
   unsigned NumOperands;
   unsigned NumResults;
   std::unique_ptr<OpOperand[]> Operands;

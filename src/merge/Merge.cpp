@@ -11,7 +11,6 @@
 #include "support/Hashing.h"
 
 #include <bit>
-#include <unordered_map>
 
 using namespace spnc;
 using namespace spnc::merge;
@@ -33,56 +32,65 @@ static uint64_t bits(double Value) { return std::bit_cast<uint64_t>(Value); }
 
 } // namespace
 
-StructuralSignature
-spnc::merge::structuralSignature(const spn::Model &Model) {
-  StructuralSignature Sig;
+/// Feeds the structural signature of \p Model to \p Emit word by word.
+template <typename EmitFn>
+static void emitSignature(const spn::Model &Model, EmitFn &&Emit) {
   std::vector<spn::Node *> Order = Model.topologicalOrder();
   // Children are referenced by their position in the walk, which is
   // deterministic (depth-first from the root, children in stored order,
   // shared nodes visited once) — node ids, which depend on construction
-  // order, stay out of the signature.
-  std::unordered_map<const spn::Node *, uint64_t> Position;
-  Position.reserve(Order.size());
-  for (const spn::Node *N : Order)
-    Position.emplace(N, Position.size());
+  // order, stay out of the signature; they only index the positions.
+  std::vector<uint64_t> Position(Model.getNumNodes());
+  for (size_t I = 0; I < Order.size(); ++I)
+    Position[Order[I]->getId()] = I;
 
-  Sig.Items.reserve(Order.size() * 4 + 2);
-  Sig.Items.push_back(TagFeatures);
-  Sig.Items.push_back(Model.getNumFeatures());
+  Emit(TagFeatures);
+  Emit(Model.getNumFeatures());
   for (const spn::Node *N : Order) {
     if (const auto *Inner = dyn_cast<spn::InnerNode>(N)) {
-      Sig.Items.push_back(isa<spn::SumNode>(N) ? TagSum : TagProduct);
-      Sig.Items.push_back(Inner->getNumChildren());
+      Emit(isa<spn::SumNode>(N) ? TagSum : TagProduct);
+      Emit(Inner->getNumChildren());
       for (const spn::Node *Child : Inner->getChildren())
-        Sig.Items.push_back(Position.at(Child));
+        Emit(Position[Child->getId()]);
       continue;
     }
     const auto *Leaf = cast<spn::LeafNode>(N);
     if (const auto *Hist = dyn_cast<spn::HistogramLeaf>(N)) {
-      Sig.Items.push_back(TagHistogram);
-      Sig.Items.push_back(Leaf->getFeatureIndex());
-      Sig.Items.push_back(Hist->getBuckets().size());
+      Emit(TagHistogram);
+      Emit(Leaf->getFeatureIndex());
+      Emit(Hist->getBuckets().size());
       // Bucket bounds are structural: they shape the generated lookup
       // table / select cascade. Only the masses are tunable.
       for (const spn::HistogramBucket &B : Hist->getBuckets()) {
-        Sig.Items.push_back(bits(B.Lb));
-        Sig.Items.push_back(bits(B.Ub));
+        Emit(bits(B.Lb));
+        Emit(bits(B.Ub));
       }
     } else if (const auto *Cat = dyn_cast<spn::CategoricalLeaf>(N)) {
-      Sig.Items.push_back(TagCategorical);
-      Sig.Items.push_back(Leaf->getFeatureIndex());
-      Sig.Items.push_back(Cat->getProbabilities().size());
+      Emit(TagCategorical);
+      Emit(Leaf->getFeatureIndex());
+      Emit(Cat->getProbabilities().size());
     } else {
-      Sig.Items.push_back(TagGaussian);
-      Sig.Items.push_back(Leaf->getFeatureIndex());
+      Emit(TagGaussian);
+      Emit(Leaf->getFeatureIndex());
     }
   }
+}
+
+StructuralSignature
+spnc::merge::structuralSignature(const spn::Model &Model) {
+  StructuralSignature Sig;
+  emitSignature(Model, [&](uint64_t Item) { Sig.Items.push_back(Item); });
   return Sig;
 }
 
 uint64_t spnc::merge::structuralHash(const spn::Model &Model) {
-  StructuralSignature Sig = structuralSignature(Model);
-  return fnv1a64(Sig.Items.data(), Sig.Items.size() * sizeof(uint64_t));
+  // FNV-1a over the item bytes, streamed: the same value as hashing the
+  // whole signature vector, without building it.
+  uint64_t Hash = kFnv1a64Basis;
+  emitSignature(Model, [&](uint64_t Item) {
+    Hash = fnv1a64(&Item, sizeof(Item), Hash);
+  });
+  return Hash;
 }
 
 bool spnc::merge::isStructurallyIsomorphic(const spn::Model &A,

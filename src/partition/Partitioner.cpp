@@ -10,10 +10,34 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_set>
 
 using namespace spnc;
 using namespace spnc::partition;
+
+//===----------------------------------------------------------------------===//
+// Graph
+//===----------------------------------------------------------------------===//
+
+Graph::Graph(uint32_t NumNodes, std::span<const Edge> Edges)
+    : SuccBegin(NumNodes + 1, 0), Succ(Edges.size()),
+      PredBegin(NumNodes + 1, 0), Pred(Edges.size()) {
+  // Counting sort by endpoint; a stable fill keeps the edge order.
+  for (const Edge &E : Edges) {
+    assert(E.From < NumNodes && E.To < NumNodes && "edge out of range");
+    ++SuccBegin[E.From + 1];
+    ++PredBegin[E.To + 1];
+  }
+  for (uint32_t N = 0; N < NumNodes; ++N) {
+    SuccBegin[N + 1] += SuccBegin[N];
+    PredBegin[N + 1] += PredBegin[N];
+  }
+  std::vector<uint32_t> NextSucc(SuccBegin.begin(), SuccBegin.end() - 1);
+  std::vector<uint32_t> NextPred(PredBegin.begin(), PredBegin.end() - 1);
+  for (const Edge &E : Edges) {
+    Succ[NextSucc[E.From]++] = E.To;
+    Pred[NextPred[E.To]++] = E.From;
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // DFS-like topological ordering
@@ -39,8 +63,7 @@ spnc::partition::dfsTopologicalOrder(const Graph &TheGraph) {
     OnStack[Root] = 1;
     while (!Stack.empty()) {
       auto &[Current, NextPred] = Stack.back();
-      const std::vector<uint32_t> &Preds =
-          TheGraph.predecessors(Current);
+      std::span<const uint32_t> Preds = TheGraph.predecessors(Current);
       if (NextPred < Preds.size()) {
         uint32_t Pred = Preds[NextPred++];
         if (!Emitted[Pred] && !OnStack[Pred]) {

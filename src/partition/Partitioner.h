@@ -31,39 +31,43 @@
 #define SPNC_PARTITION_PARTITIONER_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace spnc {
 namespace partition {
 
-/// Dependence graph to partition. Node u -> v means v consumes the value
-/// produced by u (u must execute in the same or an earlier partition).
+/// A dependence edge: \p To consumes the value produced by \p From.
+struct Edge {
+  uint32_t From;
+  uint32_t To;
+};
+
+/// Dependence graph to partition, in compressed-sparse-row form. Node
+/// u -> v means v consumes the value produced by u (u must execute in
+/// the same or an earlier partition).
 class Graph {
 public:
-  explicit Graph(uint32_t NumNodes)
-      : Successors(NumNodes), Predecessors(NumNodes) {}
+  /// Builds the graph over \p NumNodes nodes from \p Edges (duplicate
+  /// edges allowed; they do not change the cost model). Every node's
+  /// successor and predecessor lists keep the order of \p Edges.
+  Graph(uint32_t NumNodes, std::span<const Edge> Edges);
 
   uint32_t getNumNodes() const {
-    return static_cast<uint32_t>(Successors.size());
+    return static_cast<uint32_t>(SuccBegin.size() - 1);
   }
 
-  /// Adds a dependence edge \p From -> \p To (duplicate edges allowed;
-  /// they do not change the cost model).
-  void addEdge(uint32_t From, uint32_t To) {
-    Successors[From].push_back(To);
-    Predecessors[To].push_back(From);
+  std::span<const uint32_t> successors(uint32_t N) const {
+    return {Succ.data() + SuccBegin[N], Succ.data() + SuccBegin[N + 1]};
   }
-
-  const std::vector<uint32_t> &successors(uint32_t N) const {
-    return Successors[N];
-  }
-  const std::vector<uint32_t> &predecessors(uint32_t N) const {
-    return Predecessors[N];
+  std::span<const uint32_t> predecessors(uint32_t N) const {
+    return {Pred.data() + PredBegin[N], Pred.data() + PredBegin[N + 1]};
   }
 
 private:
-  std::vector<std::vector<uint32_t>> Successors;
-  std::vector<std::vector<uint32_t>> Predecessors;
+  /// The successors of N are Succ[SuccBegin[N] .. SuccBegin[N + 1]);
+  /// likewise for predecessors.
+  std::vector<uint32_t> SuccBegin, Succ, PredBegin, Pred;
 };
 
 /// Refinement strategy applied after the initial partitioning.

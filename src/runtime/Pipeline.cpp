@@ -386,20 +386,24 @@ CompilationPipeline::compile(const spn::Model &Model,
   CompileStats &S = Stats ? *Stats : LocalStats;
   S = CompileStats();
 
-  StageContext C(Model, spn::resolveQuery(Model, Query),
-                 Config.getOptions(), S);
-  for (size_t I = 0; I < Runners.size(); ++I) {
-    Timer StageTimer;
-    if (std::optional<Error> Err = Runners[I](C))
-      return *Err;
-    uint64_t Ns = StageTimer.elapsedNs();
-    S.Stages.push_back({Stages[I].Name, Ns});
-    // Keep the dedicated stat fields of the §V-B1 breakdown populated.
-    if (Stages[I].Name == "translate")
-      S.TranslationNs = Ns;
-    else if (Stages[I].Name == "binary-encode")
-      S.BinaryEncodeNs = Ns;
-  }
+  vm::KernelProgram Program;
+  {
+    StageContext C(Model, spn::resolveQuery(Model, Query),
+                   Config.getOptions(), S);
+    for (size_t I = 0; I < Runners.size(); ++I) {
+      Timer StageTimer;
+      if (std::optional<Error> Err = Runners[I](C))
+        return *Err;
+      uint64_t Ns = StageTimer.elapsedNs();
+      S.Stages.push_back({Stages[I].Name, Ns});
+      // Keep the dedicated stat fields of the §V-B1 breakdown populated.
+      if (Stages[I].Name == "translate")
+        S.TranslationNs = Ns;
+      else if (Stages[I].Name == "binary-encode")
+        S.BinaryEncodeNs = Ns;
+    }
+    Program = std::move(C.Program);
+  } // Tears down the IR module and its context: part of the compile.
   S.TotalNs = TotalTimer.elapsedNs();
-  return std::move(C.Program);
+  return Program;
 }

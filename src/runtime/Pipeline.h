@@ -105,7 +105,9 @@ struct CompileStats {
   uint64_t TranslationNs = 0;
   /// Device binary assembly time (the CUBIN-encoding analog, GPU only).
   uint64_t BinaryEncodeNs = 0;
-  /// End-to-end compilation wall clock.
+  /// End-to-end compilation wall clock, including the teardown of the
+  /// IR module and its context after the last stage (so it exceeds the
+  /// sum of Stages).
   uint64_t TotalNs = 0;
   size_t NumTasks = 0;
   size_t NumInstructions = 0;

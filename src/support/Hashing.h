@@ -33,12 +33,16 @@ size_t hashCombine(const Ts &...Values) {
   return Seed;
 }
 
+/// The FNV-1a 64-bit offset basis: the hash of the empty range.
+inline constexpr uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
+
 /// 64-bit FNV-1a over a byte range. Used as the content checksum of the
 /// `.spnk` kernel-binary format (see docs/spnk-format.md): cheap, has no
 /// dependencies, and detects the truncations and bit flips a disk-backed
-/// cache must survive. Not cryptographic.
-inline uint64_t fnv1a64(const void *Data, size_t Size) {
-  uint64_t Hash = 0xcbf29ce484222325ULL; // FNV offset basis
+/// cache must survive. Not cryptographic. Passing the hash of a prefix as
+/// \p Hash continues it: hashing a range in pieces gives the same value.
+inline uint64_t fnv1a64(const void *Data, size_t Size,
+                        uint64_t Hash = kFnv1a64Basis) {
   const auto *Bytes = static_cast<const uint8_t *>(Data);
   for (size_t I = 0; I < Size; ++I) {
     Hash ^= Bytes[I];

@@ -13,11 +13,12 @@
 /// deallocated explicitly. With copy avoidance enabled, a task result that
 /// the kernel returns is written directly into the kernel output buffer;
 /// otherwise an intermediate buffer plus an explicit lo_spn.copy is used.
+/// Task bodies move into the memref-form tasks with their regions; only
+/// the batch access ops are rebuilt.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "dialects/lospn/LoSPNOps.h"
-#include "ir/Cloning.h"
 #include "transforms/Passes.h"
 
 #include <unordered_map>
@@ -146,47 +147,41 @@ private:
           std::span<const Value>(NewOperands), std::span<const Type>{},
           Task.getBatchSize(), NumInputs);
       Block &NewTaskBlock = NewTask->getRegion(0).emplaceBlock();
-      Value BatchIndex =
-          NewTaskBlock.addArgument(IndexType::get(Ctx));
+      NewTaskBlock.addArgument(IndexType::get(Ctx)); // the batch index
       for (Value Operand : NewOperands)
         NewTaskBlock.addArgument(Operand.getType());
 
-      // Rebuild the task body: extract -> read, collect -> write.
+      // Move the task's contents over: its block arguments switch to
+      // the memref-form ones, extract/collect become read/write, and the
+      // body moves with its region.
       Block &OldTaskBlock = Task.getBody();
-      ValueMapping Mapping;
-      Mapping[OldTaskBlock.getArgument(0).getImpl()] = BatchIndex;
-      for (unsigned I = 1; I < OldTaskBlock.getNumArguments(); ++I)
-        Mapping[OldTaskBlock.getArgument(I).getImpl()] =
-            NewTaskBlock.getArgument(I);
-
+      for (unsigned I = 0; I < OldTaskBlock.getNumArguments(); ++I)
+        OldTaskBlock.getArgument(I).replaceAllUsesWith(
+            NewTaskBlock.getArgument(I));
       OpBuilder TaskBuilder = OpBuilder::atBlockEnd(Ctx, &NewTaskBlock);
-      for (Operation *Nested : OldTaskBlock) {
+      for (auto It = OldTaskBlock.begin(); It != OldTaskBlock.end();) {
+        Operation *Nested = *It++;
         if (BatchExtractOp Extract = dyn_cast_op<BatchExtractOp>(Nested)) {
-          Value Container =
-              Mapping.at(Nested->getOperand(0).getImpl());
-          Value Index = Mapping.at(Nested->getOperand(1).getImpl());
           auto Read = TaskBuilder.create<BatchReadOp>(
-              Container, Index, Extract.getStaticIndex(),
-              Extract.getTransposed());
-          Mapping[Nested->getResult(0).getImpl()] = Read->getResult(0);
+              Nested->getOperand(0), Nested->getOperand(1),
+              Extract.getStaticIndex(), Extract.getTransposed());
+          Nested->getResult(0).replaceAllUsesWith(Read->getResult(0));
           continue;
         }
         if (BatchCollectOp Collect = dyn_cast_op<BatchCollectOp>(Nested)) {
-          Value Index = Mapping.at(Nested->getOperand(0).getImpl());
-          std::vector<Value> Values;
-          for (unsigned I = 1; I < Nested->getNumOperands(); ++I)
-            Values.push_back(
-                Mapping.at(Nested->getOperand(I).getImpl()));
+          std::vector<Value> Values = Nested->getOperands();
+          Values.erase(Values.begin()); // the batch index
           // One batch_write per result buffer; the single-result case
           // (the common one) writes all values to the one buffer.
           TaskBuilder.create<BatchWriteOp>(
               NewTaskBlock.getArgument(
                   static_cast<unsigned>(NumInputs) + 1),
-              Index, std::span<const Value>(Values),
+              Nested->getOperand(0), std::span<const Value>(Values),
               Collect.getTransposed());
           continue;
         }
-        cloneOperation(Nested, Mapping, TaskBuilder);
+        Nested->remove();
+        NewTaskBlock.push_back(Nested);
       }
 
       // Copies and deallocs scheduled after this task.

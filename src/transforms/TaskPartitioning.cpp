@@ -11,15 +11,14 @@
 /// task body is handed to the acyclic graph partitioner; each partition
 /// becomes a task that reads the external features it needs plus the
 /// interface values produced by earlier partitions (via transposed
-/// intermediate tensors), and publishes its own interface values.
+/// intermediate tensors), and publishes its own interface values. The
+/// arithmetic ops move into the new task bodies rather than being copied,
+/// so each keeps its identity and relative order.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "dialects/lospn/LoSPNOps.h"
-#include "ir/Cloning.h"
 #include "transforms/Passes.h"
-
-#include <unordered_map>
 
 using namespace spnc;
 using namespace spnc::ir;
@@ -93,17 +92,41 @@ private:
     if (!RootDef)
       return success(); // Root is a block argument; nothing to gain.
 
-    // Build the dependence graph over body ops.
-    std::unordered_map<Operation *, uint32_t> NodeId;
-    for (Operation *Op : Nodes)
-      NodeId.emplace(Op, static_cast<uint32_t>(NodeId.size()));
-    partition::Graph DepGraph(static_cast<uint32_t>(Nodes.size()));
-    for (Operation *Op : Nodes)
-      for (unsigned I = 0; I < Op->getNumOperands(); ++I)
-        if (Operation *Def = Op->getOperand(I).getDefiningOp())
-          if (NodeId.count(Def))
-            DepGraph.addEdge(NodeId.at(Def), NodeId.at(Op));
+    // Dense value ids: body argument A is A, the node numbered N is
+    // NumArgs + N. Record every node operand's id (in node and operand
+    // order) and the dependence edges between nodes.
+    Inner.numberOperations();
+    const auto NumNodes = static_cast<uint32_t>(Nodes.size());
+    const unsigned NumArgs = Inner.getNumArguments();
+    std::vector<uint32_t> OperandBegin(NumNodes + 1, 0);
+    std::vector<uint32_t> OperandIds;
+    std::vector<partition::Edge> Edges;
+    for (uint32_t N = 0; N < NumNodes; ++N) {
+      Operation *Op = Nodes[N];
+      assert(Op->getOrderIndex() == N && "the terminator must end the body");
+      if (Op->getNumResults() != 1) {
+        Ctx.emitError("partition-tasks: '" + Op->getName() +
+                      "' in a task body must have one result");
+        return failure();
+      }
+      for (unsigned I = 0; I < Op->getNumOperands(); ++I) {
+        Value Operand = Op->getOperand(I);
+        Operation *Def = Operand.getDefiningOp();
+        if (Def && Def->getBlock() == &Inner) {
+          OperandIds.push_back(NumArgs + Def->getOrderIndex());
+          Edges.push_back({Def->getOrderIndex(), N});
+        } else if (Operand.getOwnerBlock() == &Inner) {
+          OperandIds.push_back(Operand.getIndex());
+        } else {
+          Ctx.emitError("partition-tasks: '" + Op->getName() +
+                        "' reads a value defined outside its task body");
+          return failure();
+        }
+      }
+      OperandBegin[N + 1] = static_cast<uint32_t>(OperandIds.size());
+    }
 
+    partition::Graph DepGraph(NumNodes, Edges);
     partition::Partitioning Partitioned =
         partition::partitionGraph(DepGraph, Options);
     uint32_t NumParts = Partitioned.NumPartitions;
@@ -113,11 +136,26 @@ private:
     // Force the root into the last partition so the final task produces
     // exactly the kernel result (acyclicity holds: the root has no
     // consumers among the body ops).
-    Partitioned.NodeToPartition[NodeId.at(RootDef)] = NumParts - 1;
+    std::vector<uint32_t> &PartOf = Partitioned.NodeToPartition;
+    const uint32_t RootNode = RootDef->getOrderIndex();
+    PartOf[RootNode] = NumParts - 1;
+
+    // Each partition's nodes in original order, and the nodes whose
+    // value a later partition reads (or the root): the interface values.
+    std::vector<std::vector<uint32_t>> PartNodes(NumParts);
+    for (uint32_t N = 0; N < NumNodes; ++N)
+      PartNodes[PartOf[N]].push_back(N);
+    std::vector<uint8_t> Escapes(NumNodes, 0);
+    Escapes[RootNode] = 1;
+    for (uint32_t N = 0; N < NumNodes; ++N)
+      for (uint32_t Pred : DepGraph.predecessors(N))
+        if (PartOf[Pred] != PartOf[N])
+          Escapes[Pred] = 1;
 
     // Map the body's block arguments back to their scalar sources (the
     // batch_extracts in the task region).
-    std::unordered_map<ValueImpl *, ScalarSource> ArgSources;
+    std::vector<ScalarSource> ArgSources;
+    ArgSources.reserve(NumArgs);
     for (unsigned I = 0; I < Body->getNumOperands(); ++I) {
       Value Operand = Body->getOperand(I);
       Operation *Def = Operand.getDefiningOp();
@@ -130,84 +168,59 @@ private:
       assert(Container.isBlockArgument() && Container.getIndex() >= 1);
       Value KernelLevel =
           Task->getOperand(Container.getIndex() - 1);
-      ArgSources.emplace(
-          Inner.getArgument(I).getImpl(),
-          ScalarSource{KernelLevel, Extract.getStaticIndex(),
-                       Extract.getTransposed()});
+      ArgSources.push_back(ScalarSource{KernelLevel,
+                                        Extract.getStaticIndex(),
+                                        Extract.getTransposed()});
     }
 
     Context &TheCtx = Ctx;
     OpBuilder KernelBuilder(TheCtx);
     KernelBuilder.setInsertionPoint(Task.getOperation());
 
-    // Per original value: the (partition, slot) where it is published.
-    struct Published {
-      uint32_t Partition;
-      unsigned Slot;
-    };
-    std::unordered_map<ValueImpl *, Published> PublishedSlots;
+    // Per node: the slot of its partition's result where it is published.
+    std::vector<unsigned> PublishedSlot(NumNodes, 0);
     // Result tensor of each created task.
     std::vector<Value> PartResult(NumParts);
+    // Per value id: its block argument in the body being built, or kNone.
+    constexpr uint32_t kNone = ~0u;
+    std::vector<uint32_t> NewArgIndex(NumArgs + NumNodes, kNone);
 
     Type IndexTy = IndexType::get(TheCtx);
 
     for (uint32_t P = 0; P < NumParts; ++P) {
-      // Ops of this partition in original order.
-      std::vector<Operation *> PartOps;
-      for (Operation *Op : Nodes)
-        if (Partitioned[NodeId.at(Op)] == P)
-          PartOps.push_back(Op);
-      if (PartOps.empty())
+      if (PartNodes[P].empty())
         continue;
 
       // Interface-out: values produced here and consumed later (or the
       // root in the last partition).
       std::vector<Value> InterfaceOut;
-      for (Operation *Op : PartOps) {
-        for (unsigned R = 0; R < Op->getNumResults(); ++R) {
-          Value Result = Op->getResult(R);
-          bool Escapes = (Result == RootValue);
-          Result.forEachUse([&](OpOperand &Use) {
-            Operation *User = Use.getOwner();
-            auto It = NodeId.find(User);
-            if (It != NodeId.end() && Partitioned[It->second] != P)
-              Escapes = true;
-          });
-          if (Escapes)
-            InterfaceOut.push_back(Result);
-        }
-      }
+      for (uint32_t N : PartNodes[P])
+        if (Escapes[N])
+          InterfaceOut.push_back(Nodes[N]->getResult(0));
       assert(!InterfaceOut.empty() &&
              "a partition must publish at least one value");
 
-      // Scalar inputs: external features and earlier interface values.
-      // Deduplicated per (container, index) by value identity.
+      // Scalar inputs: external features and earlier interface values,
+      // one per value id in first-use order.
+      std::vector<uint32_t> SourceIds;
       std::vector<ScalarSource> Sources;
-      std::vector<Value> SourceKeys; // original value for remapping
-      auto AddSource = [&](Value Original, const ScalarSource &Source) {
-        for (Value Key : SourceKeys)
-          if (Key == Original)
-            return;
-        SourceKeys.push_back(Original);
-        Sources.push_back(Source);
-      };
-      for (Operation *Op : PartOps) {
-        for (unsigned I = 0; I < Op->getNumOperands(); ++I) {
-          Value Operand = Op->getOperand(I);
-          if (Operation *Def = Operand.getDefiningOp()) {
-            auto It = NodeId.find(Def);
-            if (It == NodeId.end())
-              continue; // Defined outside the body (impossible here).
-            if (Partitioned[It->second] == P)
-              continue; // Internal value.
-            const Published &Pub = PublishedSlots.at(Operand.getImpl());
-            AddSource(Operand,
-                      ScalarSource{PartResult[Pub.Partition], Pub.Slot,
-                                   /*Transposed=*/true});
+      for (uint32_t N : PartNodes[P]) {
+        for (uint32_t I = OperandBegin[N]; I < OperandBegin[N + 1]; ++I) {
+          uint32_t Id = OperandIds[I];
+          if (NewArgIndex[Id] != kNone)
+            continue; // Already an input of this partition.
+          if (Id < NumArgs) {
+            Sources.push_back(ArgSources[Id]);
           } else {
-            // Body block argument: an external feature.
-            AddSource(Operand, ArgSources.at(Operand.getImpl()));
+            uint32_t Def = Id - NumArgs;
+            if (PartOf[Def] == P)
+              continue; // Internal value.
+            Sources.push_back(ScalarSource{PartResult[PartOf[Def]],
+                                           PublishedSlot[Def],
+                                           /*Transposed=*/true});
           }
+          NewArgIndex[Id] = static_cast<uint32_t>(SourceIds.size());
+          SourceIds.push_back(Id);
         }
       }
 
@@ -254,7 +267,8 @@ private:
         BodyOperandTypes.push_back(Extract->getResult(0).getType());
       }
 
-      // Body with cloned arithmetic.
+      // Body: the partition's ops move in, in original order; operands
+      // read from outside the partition switch to the body's arguments.
       std::vector<Type> BodyResultTypes;
       BodyResultTypes.reserve(InterfaceOut.size());
       for (Value Out : InterfaceOut)
@@ -263,19 +277,20 @@ private:
           std::span<const Value>(BodyOperands),
           std::span<const Type>(BodyResultTypes));
       Block &NewInner = NewBody->getRegion(0).emplaceBlock();
-      ValueMapping Mapping;
-      for (size_t I = 0; I < Sources.size(); ++I) {
-        Value Arg = NewInner.addArgument(BodyOperandTypes[I]);
-        Mapping[SourceKeys[I].getImpl()] = Arg;
+      for (Type ArgTy : BodyOperandTypes)
+        NewInner.addArgument(ArgTy);
+      for (uint32_t N : PartNodes[P]) {
+        Operation *Op = Nodes[N];
+        Op->remove();
+        NewInner.push_back(Op);
+        for (uint32_t I = OperandBegin[N]; I < OperandBegin[N + 1]; ++I)
+          if (uint32_t Arg = NewArgIndex[OperandIds[I]]; Arg != kNone)
+            Op->setOperand(I - OperandBegin[N], NewInner.getArgument(Arg));
       }
+      for (uint32_t Id : SourceIds)
+        NewArgIndex[Id] = kNone;
       OpBuilder InnerBuilder = OpBuilder::atBlockEnd(TheCtx, &NewInner);
-      for (Operation *Op : PartOps)
-        cloneOperation(Op, Mapping, InnerBuilder);
-      std::vector<Value> Yielded;
-      Yielded.reserve(InterfaceOut.size());
-      for (Value Out : InterfaceOut)
-        Yielded.push_back(Mapping.at(Out.getImpl()));
-      InnerBuilder.create<YieldOp>(std::span<const Value>(Yielded));
+      InnerBuilder.create<YieldOp>(std::span<const Value>(InterfaceOut));
 
       // Collect terminator.
       std::vector<Value> Collected;
@@ -288,16 +303,16 @@ private:
 
       // Publish slots.
       PartResult[P] = NewTask->getResult(0);
-      for (unsigned I = 0; I < InterfaceOut.size(); ++I)
-        PublishedSlots.emplace(InterfaceOut[I].getImpl(),
-                               Published{P, I});
+      unsigned Slot = 0;
+      for (uint32_t N : PartNodes[P])
+        if (Escapes[N])
+          PublishedSlot[N] = Slot++;
     }
 
     // Rewire the kernel result to the last partition's tensor and drop
-    // the original task.
-    uint32_t RootPartition =
-        Partitioned[NodeId.at(RootDef)];
-    Value NewResult = PartResult[RootPartition];
+    // the original task, which only holds its extracts, the emptied body
+    // and its collect.
+    Value NewResult = PartResult[PartOf[RootNode]];
     Task->getResult(0).replaceAllUsesWith(NewResult);
     Task.getOperation()->erase();
     return success();

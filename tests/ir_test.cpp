@@ -6,7 +6,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/BuiltinOps.h"
-#include "ir/Cloning.h"
 #include "ir/Context.h"
 #include "ir/PassManager.h"
 #include "ir/PatternMatch.h"
@@ -254,20 +253,6 @@ TEST_F(IRTest, WalkIsPostOrder) {
   EXPECT_EQ(Names[0], "test.const");
   EXPECT_EQ(Names[1], "test.sink");
   EXPECT_EQ(Names[2], "builtin.module");
-}
-
-TEST_F(IRTest, CloneOperationRemapsOperands) {
-  TestConstOp C1 = Builder->create<TestConstOp>(1.0);
-  TestConstOp C2 = Builder->create<TestConstOp>(2.0);
-  TestAddOp Add =
-      Builder->create<TestAddOp>(C1->getResult(0), C1->getResult(0));
-
-  ValueMapping Mapping;
-  Mapping[C1->getResult(0).getImpl()] = C2->getResult(0);
-  Operation *Clone = cloneOperation(Add.getOperation(), Mapping, *Builder);
-  EXPECT_EQ(Clone->getOperand(0), C2->getResult(0));
-  EXPECT_EQ(Clone->getOperand(1), C2->getResult(0));
-  EXPECT_EQ(Mapping.at(Add->getResult(0).getImpl()), Clone->getResult(0));
 }
 
 //===----------------------------------------------------------------------===//

@@ -29,7 +29,7 @@ namespace {
 /// Random layered DAG resembling an SPN body: forward edges only.
 Graph makeRandomDag(uint32_t NumNodes, double EdgeDensity,
                     uint64_t Seed) {
-  Graph G(NumNodes);
+  std::vector<Edge> Edges;
   Rng R(Seed);
   for (uint32_t N = 1; N < NumNodes; ++N) {
     // Every non-source node consumes 1-3 earlier values.
@@ -37,10 +37,10 @@ Graph makeRandomDag(uint32_t NumNodes, double EdgeDensity,
     for (unsigned P = 0; P < NumPreds; ++P) {
       uint32_t Pred = static_cast<uint32_t>(R.uniformInt(N));
       if (R.uniform() < EdgeDensity || P == 0)
-        G.addEdge(Pred, N);
+        Edges.push_back({Pred, N});
     }
   }
-  return G;
+  return Graph(NumNodes, Edges);
 }
 
 TEST(PartitionerTest, DfsOrderIsTopological) {
@@ -58,9 +58,10 @@ TEST(PartitionerTest, DfsOrderIsTopological) {
 TEST(PartitionerTest, SingleChainStaysContiguous) {
   // In a chain, the DFS order must be the chain order, and chunks of
   // MaxPartitionSize follow it exactly.
-  Graph G(10);
+  std::vector<Edge> Edges;
   for (uint32_t N = 0; N + 1 < 10; ++N)
-    G.addEdge(N, N + 1);
+    Edges.push_back({N, N + 1});
+  Graph G(10, Edges);
   PartitionOptions Options;
   Options.MaxPartitionSize = 4;
   Partitioning Result = partitionGraph(G, Options);
@@ -80,7 +81,7 @@ TEST(PartitionerTest, SinglePartitionWhenGraphFits) {
 }
 
 TEST(PartitionerTest, EmptyGraph) {
-  Graph G(0);
+  Graph G(0, {});
   Partitioning Result = partitionGraph(G, PartitionOptions());
   EXPECT_EQ(Result.NumPartitions, 0u);
   EXPECT_TRUE(isAcyclicPartitioning(G, Result));
@@ -90,9 +91,8 @@ TEST(PartitionerTest, CostModelCountsStoresAndLoads) {
   // 0 -> {1, 2}; put 0 alone in partition 0, 1 and 2 in partition 1:
   // one store + one load = 2. With 2 in its own partition 2: one store +
   // two loads = 3.
-  Graph G(3);
-  G.addEdge(0, 1);
-  G.addEdge(0, 2);
+  std::vector<Edge> Edges = {{0, 1}, {0, 2}};
+  Graph G(3, Edges);
   Partitioning Result;
   Result.NodeToPartition = {0, 1, 1};
   Result.NumPartitions = 2;
@@ -192,9 +192,10 @@ TEST(PartitionerTest, TreeShapedDagKeepsSubtreesTogether) {
   // Binary in-tree: node N feeds node (N-1)/2; leaves are the second
   // half. The DFS-like order should make most edges intra-partition.
   const uint32_t NumNodes = 1023;
-  Graph G(NumNodes);
+  std::vector<Edge> Edges;
   for (uint32_t N = 1; N < NumNodes; ++N)
-    G.addEdge(N, (N - 1) / 2);
+    Edges.push_back({N, (N - 1) / 2});
+  Graph G(NumNodes, Edges);
   PartitionOptions Options;
   Options.MaxPartitionSize = 128;
   Partitioning Result = partitionGraph(G, Options);

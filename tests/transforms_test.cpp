@@ -8,7 +8,9 @@
 /// \file
 /// Structural tests for the target-independent passes (paper §IV-A):
 /// HiSPN->LoSPN lowering, task partitioning, bufferization with and
-/// without copy avoidance, and GPU transfer elimination.
+/// without copy avoidance, and GPU transfer elimination. Partitioning and
+/// bufferization move the arithmetic ops rather than copy them; the
+/// tests check that every op keeps its identity and relative order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,12 +19,17 @@
 #include "frontend/HiSPNTranslation.h"
 #include "ir/PassManager.h"
 #include "ir/Verifier.h"
+#include "runtime/Pipeline.h"
 #include "transforms/Passes.h"
+#include "vm/ProgramBinary.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <unordered_map>
+#include <unordered_set>
 
 using namespace spnc;
 using namespace spnc::ir;
@@ -59,6 +66,65 @@ protected:
       if (isa_op<lospn::TaskOp>(Op))
         Tasks.push_back(lospn::TaskOp(Op));
     return Tasks;
+  }
+
+  /// The ops of every lo_spn.body but its yield, body by body in module
+  /// order.
+  std::vector<std::vector<Operation *>> getBodyOps(ModuleOp Module) {
+    std::vector<std::vector<Operation *>> Bodies;
+    Module.getOperation()->walk([&](Operation *Op) {
+      if (!isa_op<lospn::BodyOp>(Op))
+        return;
+      std::vector<Operation *> &Ops = Bodies.emplace_back();
+      for (Operation *Nested : Op->getRegion(0).front())
+        if (!Nested->isTerminator())
+          Ops.push_back(Nested);
+    });
+    return Bodies;
+  }
+
+  /// Expects \p Bodies to hold exactly the ops of \p Original, each body
+  /// keeping their original relative order.
+  void expectSameOpsInOrder(const std::vector<Operation *> &Original,
+                            const std::vector<std::vector<Operation *>> &Bodies) {
+    std::unordered_map<Operation *, size_t> Position;
+    for (size_t I = 0; I < Original.size(); ++I)
+      Position.emplace(Original[I], I);
+    std::unordered_set<Operation *> Seen;
+    for (const std::vector<Operation *> &Body : Bodies) {
+      size_t Previous = 0;
+      for (Operation *Op : Body) {
+        auto It = Position.find(Op);
+        ASSERT_NE(It, Position.end())
+            << "'" << Op->getName() << "' is not an op of the original body";
+        EXPECT_TRUE(Seen.insert(Op).second) << "op placed twice";
+        if (Op != Body.front()) {
+          EXPECT_LT(Previous, It->second) << "relative order changed";
+        }
+        Previous = It->second;
+      }
+    }
+    EXPECT_EQ(Seen.size(), Original.size());
+  }
+
+  /// Expects every use of every value in \p Module to belong to an op of
+  /// the module: an erased op left no operand behind.
+  void expectUsesStayInModule(ModuleOp Module) {
+    std::unordered_set<Operation *> Ops;
+    Module.getOperation()->walk([&](Operation *Op) { Ops.insert(Op); });
+    auto CheckUses = [&](Value V) {
+      V.forEachUse([&](OpOperand &Use) {
+        EXPECT_TRUE(Ops.count(Use.getOwner())) << "use of an erased op";
+      });
+    };
+    for (Operation *Op : Ops) {
+      for (unsigned I = 0; I < Op->getNumResults(); ++I)
+        CheckUses(Op->getResult(I));
+      for (unsigned R = 0; R < Op->getNumRegions(); ++R)
+        for (auto &TheBlock : Op->getRegion(R))
+          for (unsigned A = 0; A < TheBlock->getNumArguments(); ++A)
+            CheckUses(TheBlock->getArgument(A));
+    }
   }
 
   Context Ctx;
@@ -212,6 +278,78 @@ TEST_F(TransformsTest, PartitioningSplitsLargeTasks) {
             Tasks.back().getOperation());
 }
 
+TEST_F(TransformsTest, PartitioningMovesOpsIntoTheNewTasks) {
+  OwningOpRef<ModuleOp> Module = translate();
+  PassManager Lower(Ctx);
+  Lower.addPass(transforms::createHiSPNToLoSPNLoweringPass());
+  ASSERT_TRUE(succeeded(Lower.run(Module.get().getOperation())));
+  std::vector<std::vector<Operation *>> Before = getBodyOps(Module.get());
+  ASSERT_EQ(Before.size(), 1u);
+
+  PassManager Partition(Ctx);
+  partition::PartitionOptions Options;
+  Options.MaxPartitionSize = 50;
+  Partition.addPass(transforms::createTaskPartitioningPass(Options));
+  ASSERT_TRUE(succeeded(Partition.run(Module.get().getOperation())));
+  ASSERT_TRUE(succeeded(verify(Module.get().getOperation())));
+
+  std::vector<std::vector<Operation *>> After = getBodyOps(Module.get());
+  EXPECT_GT(After.size(), 1u);
+  expectSameOpsInOrder(Before.front(), After);
+  expectUsesStayInModule(Module.get());
+}
+
+TEST_F(TransformsTest, PartitioningRejectsBodiesItCannotSplit) {
+  // The partitioner numbers one value per body op and reads operands
+  // only from the body: a body breaking either rule fails the pass with
+  // a diagnostic instead of leaving dangling uses behind.
+  auto Run = [&](const std::function<void(Block &)> &Break) {
+    OwningOpRef<ModuleOp> Module = translate();
+    PassManager Lower(Ctx);
+    Lower.addPass(transforms::createHiSPNToLoSPNLoweringPass());
+    EXPECT_TRUE(succeeded(Lower.run(Module.get().getOperation())));
+    Module.get().getOperation()->walk([&](Operation *Op) {
+      if (isa_op<lospn::BodyOp>(Op))
+        Break(Op->getRegion(0).front());
+    });
+    std::string Diagnostic;
+    auto Previous = Ctx.setDiagnosticHandler(
+        [&](const std::string &Message) {
+          if (Diagnostic.empty())
+            Diagnostic = Message;
+        });
+    PassManager Partition(Ctx, /*VerifyAfterEachPass=*/false);
+    partition::PartitionOptions Options;
+    Options.MaxPartitionSize = 50;
+    Partition.addPass(transforms::createTaskPartitioningPass(Options));
+    EXPECT_TRUE(failed(Partition.run(Module.get().getOperation())));
+    Ctx.setDiagnosticHandler(std::move(Previous));
+    return Diagnostic;
+  };
+
+  std::string TwoResults = Run([&](Block &Body) {
+    OperationState State("test.pair");
+    Type Ty = Body.getArgument(0).getType();
+    State.addResultType(Ty);
+    State.addResultType(Ty);
+    Body.insertBefore(std::prev(Body.end()), Operation::create(Ctx, State));
+  });
+  EXPECT_NE(TwoResults.find("must have one result"), std::string::npos)
+      << TwoResults;
+
+  std::string Outside = Run([&](Block &Body) {
+    // Read the batch_extract feeding body argument 0 directly.
+    for (Operation *Op : Body)
+      for (unsigned I = 0; I < Op->getNumOperands(); ++I)
+        if (Op->getOperand(I) == Body.getArgument(0)) {
+          Op->setOperand(I, Body.getParentOp()->getOperand(0));
+          return;
+        }
+  });
+  EXPECT_NE(Outside.find("defined outside its task body"), std::string::npos)
+      << Outside;
+}
+
 TEST_F(TransformsTest, PartitioningIsNoOpForSmallTasks) {
   OwningOpRef<ModuleOp> Module = translate();
   PassManager PM(Ctx);
@@ -265,6 +403,43 @@ TEST_F(TransformsTest, BufferizationProducesMemRefForm) {
   EXPECT_EQ(NumCopies, 0u);      // paper §IV-A5 copy avoidance
 }
 
+TEST_F(TransformsTest, BufferizationMovesTaskBodies) {
+  OwningOpRef<ModuleOp> Module = translate();
+  PassManager Partition(Ctx);
+  Partition.addPass(transforms::createHiSPNToLoSPNLoweringPass());
+  partition::PartitionOptions PartOptions;
+  PartOptions.MaxPartitionSize = 50;
+  Partition.addPass(transforms::createTaskPartitioningPass(PartOptions));
+  ASSERT_TRUE(succeeded(Partition.run(Module.get().getOperation())));
+  std::vector<Operation *> BodiesBefore;
+  std::vector<Operation *> OpsBefore;
+  Module.get().getOperation()->walk([&](Operation *Op) {
+    if (isa_op<lospn::BodyOp>(Op))
+      BodiesBefore.push_back(Op);
+  });
+  for (const std::vector<Operation *> &Body : getBodyOps(Module.get()))
+    OpsBefore.insert(OpsBefore.end(), Body.begin(), Body.end());
+  ASSERT_GT(BodiesBefore.size(), 1u);
+
+  PassManager Bufferize(Ctx);
+  Bufferize.addPass(transforms::createBufferizationPass());
+  ASSERT_TRUE(succeeded(Bufferize.run(Module.get().getOperation())));
+  ASSERT_TRUE(succeeded(verify(Module.get().getOperation())));
+
+  // The same body ops, now in memref-form tasks, in the same order.
+  std::vector<Operation *> BodiesAfter;
+  Module.get().getOperation()->walk([&](Operation *Op) {
+    if (isa_op<lospn::BodyOp>(Op)) {
+      BodiesAfter.push_back(Op);
+      EXPECT_TRUE(lospn::KernelOp(Op->getParentOp()->getParentOp())
+                      .isBufferized());
+    }
+  });
+  EXPECT_EQ(BodiesAfter, BodiesBefore);
+  expectSameOpsInOrder(OpsBefore, getBodyOps(Module.get()));
+  expectUsesStayInModule(Module.get());
+}
+
 TEST_F(TransformsTest, BufferizationWithoutCopyAvoidanceEmitsCopies) {
   OwningOpRef<ModuleOp> Module = translate();
   PassManager PM(Ctx);
@@ -303,6 +478,33 @@ TEST_F(TransformsTest, GpuTransferEliminationMarksIntermediates) {
   });
   EXPECT_GT(NumAllocs, 0u);
   EXPECT_EQ(NumResident, NumAllocs); // all intermediates stay on device
+}
+
+TEST_F(TransformsTest, VerifiedPartitionedCompileEmitsTheSameProgram) {
+  // A RAT-SPN split into many small tasks: the verifier runs after
+  // partition-tasks and bufferize and must not change what is emitted.
+  workloads::RatSpnOptions Rat;
+  Rat.NumFeatures = 64;
+  Rat.Depth = 3;
+  Rat.Replicas = 2;
+  Rat.SumsPerRegion = 4;
+  Rat.LeafDistributions = 8;
+  spn::Model RatSpn = workloads::generateRatSpn(Rat, 0);
+  runtime::CompilerOptions Options;
+  Options.OptLevel = 2;
+  Options.MaxPartitionSize = 80;
+  auto Compile = [&](bool VerifyIR) {
+    Options.VerifyIR = VerifyIR;
+    Expected<runtime::CompilationPipeline> Pipeline =
+        runtime::CompilationPipeline::create(Options);
+    EXPECT_TRUE(static_cast<bool>(Pipeline));
+    Expected<vm::KernelProgram> Program =
+        Pipeline->compile(RatSpn, spn::QueryConfig());
+    EXPECT_TRUE(static_cast<bool>(Program));
+    EXPECT_GT(Program->Tasks.size(), 1u);
+    return vm::encodeProgram(*Program);
+  };
+  EXPECT_EQ(Compile(/*VerifyIR=*/true), Compile(/*VerifyIR=*/false));
 }
 
 } // namespace

@@ -167,9 +167,10 @@ void printUsage() {
       "  --dump-ir          print the HiSPN module and exit\n"
       "  --verify-each-stage\n"
       "                     run the IR verifier after every pipeline "
-      "stage;\n"
-      "                     compilation fails naming the offending "
       "stage\n"
+      "                     and every IR pass; compilation fails "
+      "naming\n"
+      "                     the offending stage or pass\n"
       "  --dump-ir-after=STAGE\n"
       "                     print the module after the named stage "
       "(e.g.\n"
@@ -322,6 +323,7 @@ bool parseArguments(int Argc, char **Argv, CliOptions &Options) {
       Options.DumpIr = true;
     } else if (Arg == "--verify-each-stage") {
       Options.VerifyEachStage = true;
+      Options.Compile.VerifyIR = true;
     } else if (Arg == "--dump-ir-after") {
       const char *V = NextValue();
       if (!V)
