@@ -32,7 +32,8 @@ struct Config {
 
 std::vector<Config> makeConfigs() {
   std::vector<Config> Configs;
-  vm::ExecutionConfig NoVec;
+  vm::ExecutionConfig NoVec; // one lane, scalar libm
+  NoVec.UseVecLib = false;
   Configs.push_back(Config{"NoVec", NoVec});
   vm::ExecutionConfig Avx2;
   Avx2.VectorWidth = 8; // 8 f32 lanes = one AVX2 register

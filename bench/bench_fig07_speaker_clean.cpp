@@ -32,10 +32,13 @@ const std::vector<SpeakerInstance> &speakers() {
   return Instances;
 }
 
+/// The CPU configuration of \p VectorWidth lanes; one lane is the
+/// paper's "no vec" code, which calls scalar libm.
 CompilerOptions cpuOptions(unsigned VectorWidth) {
   CompilerOptions Options;
   Options.OptLevel = 2;
   Options.Execution.VectorWidth = VectorWidth;
+  Options.Execution.UseVecLib = VectorWidth > 1;
   return Options;
 }
 

@@ -9,7 +9,7 @@
 /// The seam between the target-independent compilation pipeline and the
 /// ways a compiled kernel can actually run. A `Backend` turns the
 /// pipeline's portable `vm::KernelProgram` into a loaded
-/// `ExecutionEngine` — the bytecode interpreters (`VmBackend`), or a
+/// `ExecutionEngine` — the bytecode engine (`VmBackend`), or a
 /// natively compiled shared object (`CppBackend`) — and contributes an
 /// `artifactFingerprint()` to the kernel-cache key so kernels produced
 /// by different backends never alias.

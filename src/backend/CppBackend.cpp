@@ -167,8 +167,7 @@ nativeCapabilities(const vm::KernelProgram &Program,
 }
 
 /// One parameter block in the kernel's compute type (CppParamLayout),
-/// narrowed from the program's doubles like the interpreter narrows
-/// them.
+/// narrowed from the program's doubles like the VM narrows them.
 class ParamBlock {
 public:
   ParamBlock(const vm::KernelProgram &Program, const CppParamLayout &Layout) {

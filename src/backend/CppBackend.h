@@ -15,10 +15,10 @@
 /// every bench run native kernels unmodified. The kernel evaluates
 /// blocks of W rows in W-lane vector code, W being the pipeline's
 /// `ExecutionConfig::VectorWidth` (capped at one 64-byte register, so
-/// 16 f64 lanes run as 8): joint and marginal kernels with the VM
-/// vector engine's arithmetic, MPE and sampling kernels with the scalar
-/// interpreter's, whose per-block upward pass hands each row its lane
-/// for the shared downward pass (vm::completeRows). CPU only; requesting
+/// 16 f64 lanes run as 8), with the arithmetic of the VM's block engine
+/// for every query kind; the per-block upward pass of an MPE or sampling
+/// kernel hands each row its lane for the shared downward pass
+/// (vm::completeRows). CPU only; requesting
 /// the GPU target fails with a validateTarget diagnostic. Unavailable
 /// hosts (no compiler on PATH, non-POSIX) are reported through
 /// isAvailable() so callers can skip gracefully.

@@ -22,15 +22,13 @@
 //     hexadecimal float literals, so no precision is lost in the round
 //     trip through source text.
 //
-// The arithmetic each statement mirrors depends on the query kind. Joint
-// and marginal programs mirror the VM's vector engine with its vector
-// library: f32 exp, log and log1p run the VecMath polynomials, copied
-// into every unit from vm/VecMathKernels.inc, and f64 calls libm per
-// lane, as VecMath's double overloads do. MPE and sampling programs
-// mirror the scalar interpreter (vm::interpretSample) lane by lane,
-// every exp, log and log1p in double precision, so the upward registers
-// their downward pass (vm::completeRows, on the host) reads are the VM's
-// bit for bit.
+// Every statement mirrors the arithmetic of the VM's block engine
+// (vm::runBlock) with its vector library, whatever the query kind: f32
+// exp, log and log1p run the VecMath polynomials, copied into every unit
+// from vm/VecMathKernels.inc, and f64 calls libm per lane, as VecMath's
+// double lane arrays do. So the upward registers the downward pass of
+// MPE and sampling (vm::completeRows, on the host) reads are computed as
+// the VM computes them.
 //
 // Segments are spread over translation units balanced by instruction
 // count, so the host compiler builds the units concurrently and never
@@ -103,8 +101,8 @@ std::string column(const BufferAccess &Access) {
 /// Emits instruction \p I of task \p TaskIdx as one vector statement over
 /// the block's lanes. Every side-table value is read from the parameter
 /// block "p", which holds the program's values narrowed to value_t as
-/// the VM narrows them; the exp and log behind the spnc_* helpers are
-/// fixed per query kind by the unit's prelude (emitMath).
+/// the VM narrows them; the exp and log behind the spnc_* helpers come
+/// from the unit's prelude (emitMath).
 void emitInstruction(std::string &Out, const TaskProgram &Task,
                      size_t TaskIdx, const Instruction &I,
                      const CppParamLayout &PL) {
@@ -255,18 +253,12 @@ std::string segmentName(const Segment &Seg) {
          std::to_string(Seg.Index);
 }
 
-bool isLikelihood(const KernelProgram &Program) {
-  return Program.Query != QueryKind::Mpe &&
-         Program.Query != QueryKind::Sample;
-}
-
-/// Emits exp, log and log1p(exp) over lanes, plus the guard the VM's
-/// vector engine puts on log-sum-exp differences, as the arithmetic
-/// mirrored for \p Program's query kind demands (see the file comment).
+/// Emits exp, log and log1p(exp) over lanes as the VM's vector engine
+/// computes them with its vector library, plus the guard it puts on
+/// log-sum-exp differences.
 void emitMath(std::string &Out, const KernelProgram &Program,
               unsigned Lanes) {
-  bool Likelihood = isLikelihood(Program);
-  if (Likelihood && Program.UseF32) {
+  if (Program.UseF32) {
     Out += formatString(
         "\n// exp, log and log1p(exp) of the VM's vector engine: the VecMath\n"
         "// polynomials.\n"
@@ -283,30 +275,26 @@ void emitMath(std::string &Out, const KernelProgram &Program,
            "  return polyLog1p01(polyExpNeg<vec_t, ivec_t>(x));\n"
            "}\n";
   } else {
-    // VecMath's double overloads clamp the exponent to <= 0; the
-    // interpreter calls exp as it is.
-    const char *Exponent = Likelihood ? "v > 0.0 ? 0.0 : v" : "v";
-    Out += formatString(
-        "\n// exp, log and log1p(exp) of the %s: libm on every lane.\n"
-        "SPNC_OUTLINE vec_t spnc_exp(vec_t x) {\n"
-        "  return spnc_lanes(x, [](double v) { return __builtin_exp(%s); });\n"
-        "}\n"
-        "SPNC_OUTLINE vec_t spnc_log(vec_t x) {\n"
-        "  return spnc_lanes(x, [](double v) { return __builtin_log(v); });\n"
-        "}\n"
-        "inline vec_t spnc_log1p_exp(vec_t x) {\n"
-        "  return spnc_lanes(\n"
-        "      x, [](double v) { return __builtin_log1p(__builtin_exp(%s)); });\n"
-        "}\n",
-        Likelihood ? "VM's vector engine" : "scalar interpreter", Exponent,
-        Exponent);
+    // VecMath's double lane arrays clamp the exponent to <= 0.
+    Out += "\n// exp, log and log1p(exp) of the VM's vector engine: libm on every\n"
+           "// lane.\n"
+           "SPNC_OUTLINE vec_t spnc_exp(vec_t x) {\n"
+           "  return spnc_lanes(\n"
+           "      x, [](double v) { return __builtin_exp(v > 0.0 ? 0.0 : v); });\n"
+           "}\n"
+           "SPNC_OUTLINE vec_t spnc_log(vec_t x) {\n"
+           "  return spnc_lanes(x, [](double v) { return __builtin_log(v); });\n"
+           "}\n"
+           "inline vec_t spnc_log1p_exp(vec_t x) {\n"
+           "  return spnc_lanes(x, [](double v) {\n"
+           "    return __builtin_log1p(__builtin_exp(v > 0.0 ? 0.0 : v));\n"
+           "  });\n"
+           "}\n";
   }
-  Out += Likelihood
-             ? "// A NaN difference ((-inf) - (-inf)) counts as -inf.\n"
-               "inline vec_t spnc_guard(vec_t d) {\n"
-               "  return d != d ? splat(kNegInf) : d;\n"
-               "}\n"
-             : "inline vec_t spnc_guard(vec_t d) { return d; }\n";
+  Out += "// A NaN difference ((-inf) - (-inf)) counts as -inf.\n"
+         "inline vec_t spnc_guard(vec_t d) {\n"
+         "  return d != d ? splat(kNegInf) : d;\n"
+         "}\n";
 }
 
 /// Emits the head every unit shares: the compute type, the register
@@ -316,14 +304,12 @@ void emitPrelude(std::string &Out, const KernelProgram &Program,
   Out += formatString(
       "// Generated by the SPNC cpp backend (emitter v%u) from "
       "kernel '%s', unit %zu of %zu.\n"
-      "// compute type: %s; %s space; lowering: %s; %u lanes; "
-      "arithmetic of the %s.\n",
+      "// compute type: %s; %s space; lowering: %s; %u lanes.\n",
       kCppEmitterVersion, Program.Name.c_str(), Unit, NumUnits,
       Program.UseF32 ? "f32" : "f64", Program.LogSpace ? "log" : "linear",
       Program.Lowering == LoweringKind::SelectCascade ? "select-cascade"
                                                       : "table-lookup",
-      Lanes,
-      isLikelihood(Program) ? "VM's vector engine" : "scalar interpreter");
+      Lanes);
   Out += "typedef decltype(sizeof 0) size_t;\n";
   Out += formatString("typedef %s value_t;\n",
                       Program.UseF32 ? "float" : "double");
@@ -555,7 +541,8 @@ spnc::backend::emitCppKernel(const KernelProgram &Program, unsigned Lanes,
     return makeError("cpp emitter: lane width " + std::to_string(Lanes) +
                      " is not a power of two of at most " +
                      std::to_string(kCppMaxVectorBytes) + " bytes");
-  bool NeedsPlan = !isLikelihood(Program);
+  bool NeedsPlan =
+      Program.Query == QueryKind::Mpe || Program.Query == QueryKind::Sample;
   if (NeedsPlan) {
     if (Program.Plan.empty())
       return makeError(

@@ -17,12 +17,11 @@
 /// the VM's loads+shuffles path does, and the last partial block runs
 /// padded. Each task is cut into segment functions of at most
 /// kCppSegmentInstructions instructions, so no unit holds a function the
-/// host compiler needs long to optimize. Joint and marginal kernels
-/// mirror the VM's vector engine (f32 exp/log through the VecMath
-/// polynomials, f64 through per-lane libm); MPE and sampling kernels
-/// mirror the scalar interpreter lane by lane, so their upward registers
-/// equal the VM's bit for bit. Constants are spelled as hexadecimal float
-/// literals and -ffast-math is never passed. How the segments are spread
+/// host compiler needs long to optimize. Every kernel, whatever its query
+/// kind, mirrors the arithmetic of the VM's block engine with its vector
+/// library (f32 exp/log through the VecMath polynomials, f64 through
+/// per-lane libm). Constants are spelled as hexadecimal float literals
+/// and -ffast-math is never passed. How the segments are spread
 /// over units does not change any output bit.
 ///
 //===----------------------------------------------------------------------===//
@@ -53,8 +52,10 @@ namespace backend {
 /// upward pass spnc_kernel_upward; v7 evaluates W-row blocks in W-lane
 /// vector code (f32 exp/log of likelihood kernels through the VecMath
 /// polynomials), and spnc_kernel_upward runs one block; v8 adds each
-/// LogSumExpN operand's weight from the parameter block.
-inline constexpr unsigned kCppEmitterVersion = 8;
+/// LogSumExpN operand's weight from the parameter block; v9 gives MPE
+/// and sampling kernels the arithmetic of likelihood kernels, and more
+/// accurate f32 exp and log1p polynomials.
+inline constexpr unsigned kCppEmitterVersion = 9;
 
 /// Upper bound on the instructions of one segment function.
 inline constexpr size_t kCppSegmentInstructions = 256;

@@ -31,9 +31,9 @@
 namespace spnc {
 namespace backend {
 
-/// Executes kernels on the bytecode interpreters (scalar/SIMD CPU
-/// executor or the simulated GPU device). Always available; supports
-/// both targets.
+/// Executes kernels on the VM's block bytecode engine (the CPU executor
+/// or the simulated GPU device). Always available; supports both
+/// targets.
 class VmBackend : public Backend {
 public:
   std::string getName() const override { return "vm"; }

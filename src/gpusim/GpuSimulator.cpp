@@ -266,16 +266,19 @@ void runOnDevice(const KernelProgram &Program,
       }
     }
 
-    // Launch: one thread per sample, measured on the host and scaled by
-    // throughput and occupancy.
+    // Launch: one thread per sample, a one-lane block with the vector
+    // library, measured on the host and scaled by throughput and
+    // occupancy.
     Stats.LaunchNs += static_cast<uint64_t>(
         Config.KernelLaunchOverheadUs * 1000.0);
     ++Stats.NumLaunches;
 
     Timer HostTimer;
-    for (size_t S = 0; S < NumSamples; ++S)
-      interpretSample(Task, Params.get(S, TaskIndex), Bindings.data(), S,
-                      Registers.data());
+    for (size_t S = 0; S < NumSamples; ++S) {
+      const TaskParams *Lane = &Params.get(S, TaskIndex);
+      runBlock<T, 1>(Task, &Lane, Bindings.data(), S, 1,
+                     /*UseVecLib=*/true, Registers.data());
+    }
     uint64_t HostNs = HostTimer.elapsedNs();
 
     double Occupancy =
@@ -331,11 +334,11 @@ void runOnDevice(const KernelProgram &Program,
 namespace {
 
 /// MPE or sampling on the simulated device: one launch whose threads
-/// each run a row's upward pass and the shared downward pass
-/// (vm::interpretRows). Register values use the program's width T (f32
-/// for UseF32 programs), so MPE argmax decisions reflect device
-/// precision; assignments and samples are produced in f64 like the host
-/// engines.
+/// each run a row's upward pass, a one-lane block with the vector
+/// library, and the shared downward pass (vm::interpretRows). Register
+/// values use the program's width T (f32 for UseF32 programs), so MPE
+/// argmax decisions reflect device precision; assignments and samples
+/// are produced in f64 like the host engines.
 template <typename T>
 void runQueryOnDevice(const KernelProgram &Program,
                       const GpuDeviceConfig &Config, unsigned BlockSize,
@@ -365,7 +368,7 @@ void runQueryOnDevice(const KernelProgram &Program,
   ++Stats.NumLaunches;
 
   Timer HostTimer;
-  interpretRows<T>(Program, Request);
+  interpretRows<T>(Program, ExecutionConfig(), Request);
   uint64_t HostNs = HostTimer.elapsedNs();
 
   double Occupancy =

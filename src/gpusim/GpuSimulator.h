@@ -8,8 +8,9 @@
 /// \file
 /// A GPU execution simulator standing in for the CUDA device of the paper
 /// (RTX 2070 Super; see DESIGN.md §4). Kernels execute with full numerical
-/// fidelity — every sample runs through the bytecode interpreter on the
-/// host — while a device model accounts simulated wall-clock time for:
+/// fidelity — each simulated thread runs its sample on the host as a
+/// one-lane block of the VM's engine (vm::runBlock<T, 1>) with the vector
+/// library — while a device model accounts simulated wall-clock time for:
 ///
 ///  * kernel execution: measured host work scaled by the device's peak
 ///    throughput and the achieved occupancy. Occupancy follows the CUDA
@@ -45,10 +46,10 @@ namespace gpusim {
 /// Device-model parameters. Hardware shape parameters (SM count, thread
 /// and register limits) follow the paper's RTX 2070 Super. The two
 /// throughput parameters are expressed relative to *this host running the
-/// bytecode interpreter*: because the host-side compute baseline is an
-/// interpreter (roughly an order of magnitude slower than the native
-/// code the paper's CPU path emits), the device's relative speedup and
-/// the transfer bandwidth are de-rated by the same factor. The defaults
+/// bytecode engine one row at a time*: because the host-side compute
+/// baseline is bytecode (roughly an order of magnitude slower than the
+/// native code the paper's CPU path emits), the device's relative speedup
+/// and the transfer bandwidth are de-rated by the same factor. The defaults
 /// are calibrated so the published relations hold on the speaker-ID
 /// workload: GPU execution lands near the non-vectorized CPU executable
 /// and below the vectorized one (Figs. 7/8), with data movement above

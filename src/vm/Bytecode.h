@@ -9,9 +9,9 @@
 /// The executable representation produced by the SPNC code generators.
 /// Where the paper's pipeline lowers LoSPN through the standard MLIR
 /// dialects into LLVM IR and native object code, this reproduction lowers
-/// LoSPN into a compact register bytecode executed by a scalar
-/// interpreter or by a vector interpreter that runs each instruction as
-/// one SIMD expression over a block of samples (see DESIGN.md §4 for the
+/// LoSPN into a compact register bytecode executed by one engine that
+/// runs each instruction as one SIMD expression over a block of samples,
+/// one sample at the narrowest width (see DESIGN.md §4 for the
 /// substitution rationale). One `TaskProgram` corresponds to one LoSPN
 /// task; a `KernelProgram` bundles the tasks and the buffer plan of a
 /// kernel.

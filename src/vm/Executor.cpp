@@ -1,4 +1,4 @@
-//===- Executor.cpp - Scalar and SIMD bytecode execution engines --------------===//
+//===- Executor.cpp - The block bytecode engine -------------------------------===//
 //
 // Part of the SPNC-Repro project.
 // SPDX-License-Identifier: Apache-2.0
@@ -121,281 +121,34 @@ template BoundBuffers<double>
 spnc::vm::bindBuffers<double>(const KernelProgram &, const double *,
                               double *, size_t, size_t, size_t);
 
-template <typename T>
-void spnc::vm::interpretRows(const KernelProgram &Program,
-                             const runtime::RunRequest &Request) {
-  size_t N = Request.NumSamples;
-  std::vector<double> Up(N);
-  BoundBuffers<T> Bound =
-      bindBuffers<T>(Program, Request.Input, Up.data(), N, 0, N);
-  completeRows<T>(Program, Request, Up.data(), [&](size_t I, T *Registers) {
-    interpretSample(Program.Tasks[0], Program.Tasks[0],
-                    Bound.Bindings.data(), I, Registers);
-  });
-}
-
-template void spnc::vm::interpretRows<float>(const KernelProgram &,
-                                             const runtime::RunRequest &);
-template void spnc::vm::interpretRows<double>(const KernelProgram &,
-                                              const runtime::RunRequest &);
-
 //===----------------------------------------------------------------------===//
-// Scalar engine
-//===----------------------------------------------------------------------===//
-
-template <typename T>
-static SPNC_ALWAYS_INLINE T scalarLogSumExp(T A, T B) {
-  T Max = A > B ? A : B;
-  if (Max == -std::numeric_limits<T>::infinity())
-    return Max;
-  T Diff = (A > B ? B : A) - Max;
-  return Max + static_cast<T>(
-                   std::log1p(std::exp(static_cast<double>(Diff))));
-}
-
-template <typename T>
-void spnc::vm::interpretSample(const TaskProgram &Task,
-                               const TaskParams &Params,
-                               const BufferBinding<T> *Buffers,
-                               size_t SampleIdx, T *Registers) {
-  const T NegInf = -std::numeric_limits<T>::infinity();
-  (void)NegInf;
-  const Instruction *Inst = Task.Code.data();
-  const Instruction *End = Inst + Task.Code.size();
-
-#if defined(__GNUC__) || defined(__clang__)
-  // Direct-threaded dispatch: one indirect branch per instruction,
-  // predicted per-opcode-site instead of through a single shared switch
-  // branch. This stands in for the dispatch-free native code the paper's
-  // LLVM backend emits.
-  static const void *JumpTable[] = {
-      &&op_Const,       &&op_Load,          &&op_Store,
-      &&op_Add,         &&op_Mul,           &&op_FusedMulAdd,
-      &&op_LogSumExp,   &&op_Gaussian,      &&op_GaussianLog,
-      &&op_TableLookup, &&op_SelectInRange, &&op_NanBlend,
-      &&op_AddN,        &&op_MulN,          &&op_LogSumExpN,
-      &&op_Max};
-#define SPNC_DISPATCH()                                                     \
-  do {                                                                      \
-    if (Inst == End)                                                        \
-      return;                                                               \
-    goto *JumpTable[static_cast<unsigned>((Inst++)->Op)];                   \
-  } while (0)
-#define SPNC_CASE(name) op_##name:
-#define SPNC_INST (Inst[-1])
-#define SPNC_NEXT() SPNC_DISPATCH()
-  SPNC_DISPATCH();
-#else
-#define SPNC_CASE(name) case OpCode::name:
-#define SPNC_INST (*Inst)
-#define SPNC_NEXT() break
-  for (; Inst != End; ++Inst) {
-    switch (Inst->Op) {
-#endif
-
-  SPNC_CASE(Const) {
-    const Instruction &I = SPNC_INST;
-    Registers[I.Dst] = static_cast<T>(Params.ConstPool[I.A]);
-    SPNC_NEXT();
-  }
-  SPNC_CASE(Load) {
-    const Instruction &I = SPNC_INST;
-    const BufferAccess &Access = Task.Loads[I.A];
-    Registers[I.Dst] =
-        loadElement(Buffers[Access.Buffer], Access.Index, SampleIdx);
-    SPNC_NEXT();
-  }
-  SPNC_CASE(Store) {
-    const Instruction &I = SPNC_INST;
-    const BufferAccess &Access = Task.Stores[I.A];
-    storeElement(Buffers[Access.Buffer], Access.Index, SampleIdx,
-                 Registers[I.Dst]);
-    SPNC_NEXT();
-  }
-  SPNC_CASE(Add) {
-    const Instruction &I = SPNC_INST;
-    Registers[I.Dst] = Registers[I.A] + Registers[I.B];
-    SPNC_NEXT();
-  }
-  SPNC_CASE(Mul) {
-    const Instruction &I = SPNC_INST;
-    Registers[I.Dst] = Registers[I.A] * Registers[I.B];
-    SPNC_NEXT();
-  }
-  SPNC_CASE(FusedMulAdd) {
-    const Instruction &I = SPNC_INST;
-    Registers[I.Dst] =
-        Registers[I.A] * Registers[I.B] + Registers[I.C];
-    SPNC_NEXT();
-  }
-  SPNC_CASE(LogSumExp) {
-    const Instruction &I = SPNC_INST;
-    Registers[I.Dst] = scalarLogSumExp(Registers[I.A], Registers[I.B]);
-    SPNC_NEXT();
-  }
-  SPNC_CASE(Gaussian) {
-    const Instruction &I = SPNC_INST;
-    const GaussianParams &P = Params.Gaussians[I.B];
-    T X = Registers[I.A];
-    if (P.SupportMarginal && std::isnan(X)) {
-      Registers[I.Dst] = static_cast<T>(P.MarginalValue);
-    } else {
-      T Norm = (X - static_cast<T>(P.Mean)) * static_cast<T>(P.InvStdDev);
-      Registers[I.Dst] =
-          static_cast<T>(P.Coefficient) *
-          static_cast<T>(std::exp(static_cast<double>(T(-0.5) * Norm * Norm)));
-    }
-    SPNC_NEXT();
-  }
-  SPNC_CASE(GaussianLog) {
-    const Instruction &I = SPNC_INST;
-    const GaussianParams &P = Params.Gaussians[I.B];
-    T X = Registers[I.A];
-    if (P.SupportMarginal && std::isnan(X)) {
-      Registers[I.Dst] = static_cast<T>(P.MarginalValue);
-    } else {
-      T Norm = (X - static_cast<T>(P.Mean)) * static_cast<T>(P.InvStdDev);
-      Registers[I.Dst] =
-          static_cast<T>(P.Coefficient) - T(0.5) * Norm * Norm;
-    }
-    SPNC_NEXT();
-  }
-  SPNC_CASE(TableLookup) {
-    const Instruction &I = SPNC_INST;
-    const LookupTable &Table = Params.Tables[I.B];
-    T X = Registers[I.A];
-    if (Table.SupportMarginal && std::isnan(X)) {
-      Registers[I.Dst] = static_cast<T>(Table.MarginalValue);
-    } else {
-      auto Idx = static_cast<int64_t>(
-          std::floor(static_cast<double>(X) - Table.Lo));
-      Registers[I.Dst] =
-          (Idx >= 0 && Idx < static_cast<int64_t>(Table.Values.size()))
-              ? static_cast<T>(Table.Values[static_cast<size_t>(Idx)])
-              : static_cast<T>(Table.DefaultValue);
-    }
-    SPNC_NEXT();
-  }
-  SPNC_CASE(SelectInRange) {
-    const Instruction &I = SPNC_INST;
-    const SelectRange &Range = Params.Selects[I.B];
-    T X = Registers[I.A];
-    // NaN compares false, so marginalized evidence keeps the previously
-    // blended value.
-    if (X >= static_cast<T>(Range.Lo) && X < static_cast<T>(Range.Hi))
-      Registers[I.Dst] = static_cast<T>(Range.Value);
-    SPNC_NEXT();
-  }
-  SPNC_CASE(NanBlend) {
-    const Instruction &I = SPNC_INST;
-    if (std::isnan(Registers[I.A]))
-      Registers[I.Dst] = static_cast<T>(Params.ConstPool[I.B]);
-    SPNC_NEXT();
-  }
-  SPNC_CASE(AddN) {
-    const Instruction &I = SPNC_INST;
-    const uint32_t *Args = &Task.Args[I.A];
-    T Sum = T(0);
-    for (uint32_t N = 0; N < I.B; ++N)
-      Sum += Registers[Args[N]];
-    Registers[I.Dst] = Sum;
-    SPNC_NEXT();
-  }
-  SPNC_CASE(MulN) {
-    const Instruction &I = SPNC_INST;
-    const uint32_t *Args = &Task.Args[I.A];
-    T Product = T(1);
-    for (uint32_t N = 0; N < I.B; ++N)
-      Product *= Registers[Args[N]];
-    Registers[I.Dst] = Product;
-    SPNC_NEXT();
-  }
-  SPNC_CASE(LogSumExpN) {
-    const Instruction &I = SPNC_INST;
-    const uint32_t *Args = &Task.Args[I.A];
-    const uint32_t *Slots = &Task.Args[I.C];
-    // Operand N: its register plus its weight.
-    auto Operand = [&](uint32_t N) {
-      return Registers[Args[N]] +
-             static_cast<T>(Params.ConstPool[Slots[N]]);
-    };
-    T Max = -std::numeric_limits<T>::infinity();
-    for (uint32_t N = 0; N < I.B; ++N)
-      Max = std::max(Max, Operand(N));
-    if (Max == -std::numeric_limits<T>::infinity()) {
-      Registers[I.Dst] = Max;
-    } else {
-      T Sum = T(0);
-      for (uint32_t N = 0; N < I.B; ++N)
-        Sum += static_cast<T>(
-            std::exp(static_cast<double>(Operand(N) - Max)));
-      Registers[I.Dst] =
-          Max + static_cast<T>(std::log(static_cast<double>(Sum)));
-    }
-    SPNC_NEXT();
-  }
-  SPNC_CASE(Max) {
-    const Instruction &I = SPNC_INST;
-    // Ties keep A (the earlier chain element) so that MPE argmax ties
-    // resolve to the lowest child index.
-    Registers[I.Dst] = Registers[I.A] >= Registers[I.B]
-                           ? Registers[I.A]
-                           : Registers[I.B];
-    SPNC_NEXT();
-  }
-
-#if defined(__GNUC__) || defined(__clang__)
-#else
-    }
-  }
-#endif
-#undef SPNC_DISPATCH
-#undef SPNC_CASE
-#undef SPNC_INST
-#undef SPNC_NEXT
-}
-
-
-template void spnc::vm::interpretSample<float>(const TaskProgram &,
-                                               const TaskParams &,
-                                               const BufferBinding<float> *,
-                                               size_t, float *);
-template void
-spnc::vm::interpretSample<double>(const TaskProgram &, const TaskParams &,
-                                  const BufferBinding<double> *, size_t,
-                                  double *);
-
-//===----------------------------------------------------------------------===//
-// Vector engine
+// The block engine
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// Input staging for the loads+shuffles configuration: the row-major
-/// rows of a chunk's full W-row blocks are transposed once, before any
-/// task runs, into [feature][row] form, after which every feature load
-/// of every task is a contiguous vector load from its block's slice.
-template <typename T>
-struct ChunkTranspose {
-  std::vector<T> Data; // Columns x Rows
-  size_t Rows = 0;
+/// The values of P lanes of T: a GCC vector, or T itself for one lane.
+/// GCC keeps a one-lane vector in general-purpose registers and memory,
+/// and W=1 f64 then ran ~1.35x slower per row.
+template <typename T, unsigned P>
+using Piece = std::conditional_t<P == 1, T, Vec<T, P>>;
 
-  void prepare(const BufferBinding<T> &B, size_t NumRows, unsigned W) {
-    Rows = NumRows;
-    Data.resize(static_cast<size_t>(B.Columns) * Rows);
-    const double *Src = B.ExternalIn + B.Offset * B.Columns;
-    // Block by block, feature-major: contiguous vectorizable writes per
-    // feature, strided reads from the block's rows — the
-    // interpreter-level equivalent of the loads+shuffles register
-    // transpose.
-    for (size_t Begin = 0; Begin < Rows; Begin += W)
-      for (uint32_t C = 0; C < B.Columns; ++C) {
-        T *Dst = &Data[static_cast<size_t>(C) * Rows + Begin];
-        for (unsigned L = 0; L < W; ++L)
-          Dst[L] = static_cast<T>(Src[(Begin + L) * B.Columns + C]);
-      }
-  }
-};
+/// Lane \p L of \p X, and its assignment.
+template <typename T, typename V>
+static SPNC_ALWAYS_INLINE T getLane(const V &X, unsigned L) {
+  if constexpr (std::is_same_v<V, T>)
+    return X;
+  else
+    return X[L];
+}
+
+template <typename T, typename V>
+static SPNC_ALWAYS_INLINE void setLane(V &X, unsigned L, T Value) {
+  if constexpr (std::is_same_v<V, T>)
+    X = Value;
+  else
+    X[L] = Value;
+}
 
 /// One side-table entry as each of P lanes' tables holds it:
 /// Get(*Lanes[L]) as T in lane L. A block whose lanes all read one table
@@ -404,83 +157,110 @@ struct ChunkTranspose {
 /// ratspn-classify 28% and speaker-offline 37% of their throughput
 /// (EXPERIMENTS "A vector engine that vectorizes").
 template <typename T, unsigned P, typename GetFn>
-static SPNC_ALWAYS_INLINE Vec<T, P>
+static SPNC_ALWAYS_INLINE Piece<T, P>
 laneValues(const TaskParams *const *Lanes, bool Uniform, GetFn &&Get) {
   // v - 0 == v for every v, signed zeros included.
   if (Uniform)
-    return static_cast<T>(Get(*Lanes[0])) - Vec<T, P>{};
-  Vec<T, P> Out{};
+    return static_cast<T>(Get(*Lanes[0])) - Piece<T, P>{};
+  Piece<T, P> Out{};
   for (unsigned L = 0; L < P; ++L)
-    Out[L] = static_cast<T>(Get(*Lanes[L]));
+    setLane<T>(Out, L, static_cast<T>(Get(*Lanes[L])));
   return Out;
 }
 
-/// Runs the lane-array function \p F (VecMath.h) over the lanes of \p X:
-/// the per-lane libm calls of f64 and of the no-vector-library
-/// configuration.
+/// P doubles from \p Src as T.
 template <typename T, unsigned P>
-static SPNC_ALWAYS_INLINE Vec<T, P>
-onLanes(Vec<T, P> X, void (*F)(const T *, T *, size_t)) {
-  T In[P], Out[P];
-  __builtin_memcpy(In, &X, sizeof(X));
-  F(In, Out, P);
-  __builtin_memcpy(&X, Out, sizeof(X));
+static SPNC_ALWAYS_INLINE Piece<T, P> convertLanes(const double *Src) {
+  if constexpr (P == 1) {
+    return static_cast<T>(*Src);
+  } else {
+    Vec<double, P> Wide{};
+    __builtin_memcpy(&Wide, Src, sizeof(Wide));
+    return __builtin_convertvector(Wide, Vec<T, P>);
+  }
+}
+
+/// Runs the lane-array function \p F (VecMath.h) over the first \p Live
+/// lanes of \p X, the others passing through: the per-lane libm calls of
+/// f64 and of the no-vector-library configuration, made for live rows
+/// only.
+template <typename T, unsigned P>
+static SPNC_ALWAYS_INLINE Piece<T, P>
+onLanes(Piece<T, P> X, unsigned Live, void (*F)(const T *, T *, size_t)) {
+  T Lanes[P];
+  __builtin_memcpy(Lanes, &X, sizeof(X));
+  F(Lanes, Lanes, Live);
+  __builtin_memcpy(&X, Lanes, sizeof(X));
   return X;
 }
 
-/// exp, log1p and log over P lanes: the VecMath polynomials for f32
-/// with the vector library, VecMath's double lane arrays for f64, and
-/// libm per lane without it (Fig. 6).
+/// exp, log1p and log over the \p Live lanes of a piece: the VecMath
+/// polynomials for f32 with the vector library (over every lane, at no
+/// extra cost; one lane runs in a four-lane vector), VecMath's double
+/// lane arrays for f64, and libm per lane without it (Fig. 6).
 template <typename T, unsigned P>
-static SPNC_ALWAYS_INLINE Vec<T, P> expNeg(Vec<T, P> X, bool UseVecLib) {
+static SPNC_ALWAYS_INLINE Piece<T, P> expNeg(Piece<T, P> X, bool UseVecLib,
+                                             unsigned Live) {
   if (!UseVecLib)
-    return onLanes<T, P>(X, scalarExp);
-  if constexpr (std::is_same_v<T, float>)
+    return onLanes<T, P>(X, Live, scalarExp);
+  if constexpr (!std::is_same_v<T, float>)
+    return onLanes<T, P>(X, Live, vecExpNeg);
+  else if constexpr (P == 1)
+    return expNeg<T, 4>(X - Vec<T, 4>{}, true, 4)[0];
+  else
     return polyExpNeg<Vec<T, P>, Vec<int32_t, P>>(X);
-  else
-    return onLanes<T, P>(X, vecExpNeg);
 }
 
 template <typename T, unsigned P>
-static SPNC_ALWAYS_INLINE Vec<T, P> log1p01(Vec<T, P> X, bool UseVecLib) {
+static SPNC_ALWAYS_INLINE Piece<T, P> log1p01(Piece<T, P> X, bool UseVecLib,
+                                              unsigned Live) {
   if (!UseVecLib)
-    return onLanes<T, P>(X, scalarLog1p);
-  if constexpr (std::is_same_v<T, float>)
+    return onLanes<T, P>(X, Live, scalarLog1p);
+  if constexpr (!std::is_same_v<T, float>)
+    return onLanes<T, P>(X, Live, vecLog1p01);
+  else if constexpr (P == 1)
+    return log1p01<T, 4>(X - Vec<T, 4>{}, true, 4)[0];
+  else
     return polyLog1p01(X);
-  else
-    return onLanes<T, P>(X, vecLog1p01);
 }
 
 template <typename T, unsigned P>
-static SPNC_ALWAYS_INLINE Vec<T, P> logPos(Vec<T, P> X, bool UseVecLib) {
+static SPNC_ALWAYS_INLINE Piece<T, P> logPos(Piece<T, P> X, bool UseVecLib,
+                                             unsigned Live) {
   if (!UseVecLib)
-    return onLanes<T, P>(X, scalarLog);
-  if constexpr (std::is_same_v<T, float>)
-    return polyLogPos<Vec<T, P>, Vec<int32_t, P>>(X);
+    return onLanes<T, P>(X, Live, scalarLog);
+  if constexpr (!std::is_same_v<T, float>)
+    return onLanes<T, P>(X, Live, vecLogPos);
+  else if constexpr (P == 1)
+    return logPos<T, 4>(X - Vec<T, 4>{}, true, 4)[0];
   else
-    return onLanes<T, P>(X, vecLogPos);
+    return polyLogPos<Vec<T, P>, Vec<int32_t, P>>(X);
 }
 
-/// Runs \p Task over the W samples of one block, lane L reading its
-/// side tables from Lanes[L]. Every instruction reads its operands from
-/// the register file as vectors, computes its result as one vector
-/// expression and writes it back, one piece of kPieceLanes lanes at a
-/// time. The lanes of one block may read different weight tables: every
-/// parameter an instruction reads is gathered per lane (laneValues) and
-/// then goes through the same arithmetic, so each row gets the same bits
-/// whichever tables its neighbours read. Table sizes, bucket bounds and
-/// marginal support are structural, so every lane reads them from
-/// Lanes[0]. Every instantiation is kept out of line: GCC 12 inlines the
-/// W=8 and W=16 ones into runChunkTyped otherwise, and ratspn-classify
-/// then ran ~4% slower (EXPERIMENTS "A vector engine that vectorizes").
+} // namespace
+
+/// Every instruction reads its operands from the register file as
+/// vectors, computes its result as one vector expression and writes it
+/// back, one piece of kPieceLanes lanes at a time; a piece of padding
+/// lanes only is skipped. Every parameter an instruction reads is
+/// gathered per lane (laneValues) and then goes through the same
+/// arithmetic, so each row gets the same bits whichever tables its
+/// neighbours read. Table sizes, bucket bounds and marginal support are
+/// structural, so every lane reads them from Lanes[0]. Every
+/// instantiation is kept out of line: GCC 12 inlines the W=8 and W=16
+/// ones into runChunkTyped otherwise, and ratspn-classify then ran ~4%
+/// slower (EXPERIMENTS "A vector engine that vectorizes").
 template <typename T, unsigned W>
-SPNC_NOINLINE void runBlock(const TaskProgram &Task,
-                            const TaskParams *const *Lanes,
-                            const BufferBinding<T> *Buffers,
-                            const ChunkTranspose<T> *Transposes,
-                            size_t Begin, bool UseVecLib, T *Regs) {
+SPNC_NOINLINE void spnc::vm::runBlock(const TaskProgram &Task,
+                                      const TaskParams *const *Lanes,
+                                      const BufferBinding<T> *Buffers,
+                                      size_t Begin, unsigned Live,
+                                      bool UseVecLib, T *Regs) {
+  // At W = 1 this makes Live the constant 1.
+  if (Live < 1 || Live > W)
+    __builtin_unreachable();
   constexpr unsigned P = kPieceLanes<T, W>;
-  using V = Vec<T, P>;
+  using V = Piece<T, P>;
   const V NegInf = -std::numeric_limits<T>::infinity() - V{};
   const TaskParams &First = *Lanes[0];
   bool Uniform = true;
@@ -492,7 +272,9 @@ SPNC_NOINLINE void runBlock(const TaskProgram &Task,
   auto Marginal = [](V X, V M, V Y) { return X != X ? M : Y; };
   for (const Instruction &Inst : Task.Code) {
     // Lanes [C, C + P) of every register the instruction names.
-    for (unsigned C = 0; C < W; C += P) {
+    for (unsigned C = 0; C < Live; C += P) {
+      // The piece's live lanes: all P but in the last block of a batch.
+      const unsigned N = std::min(P, Live - C);
       auto Reg = [&](uint32_t R) {
         V X{};
         __builtin_memcpy(&X, Regs + static_cast<size_t>(R) * W + C,
@@ -508,6 +290,17 @@ SPNC_NOINLINE void runBlock(const TaskProgram &Task,
           return Params.Gaussians[Inst.B].*F;
         });
       };
+      // The leaf's (X - Mean) / StdDev, and its marginal value where X
+      // is NaN, Y elsewhere.
+      auto Normalized = [&](V X) {
+        return (X - Gaussian(&GaussianParams::Mean)) *
+               Gaussian(&GaussianParams::InvStdDev);
+      };
+      auto GaussianMarginal = [&](V X, V Y) {
+        if (!First.Gaussians[Inst.B].SupportMarginal)
+          return Y;
+        return Marginal(X, Gaussian(&GaussianParams::MarginalValue), Y);
+      };
       size_t Row = Begin + C;
       V Value{};
       switch (Inst.Op) {
@@ -518,30 +311,19 @@ SPNC_NOINLINE void runBlock(const TaskProgram &Task,
       case OpCode::Load: {
         const BufferAccess &Access = Task.Loads[Inst.A];
         const BufferBinding<T> &B = Buffers[Access.Buffer];
-        if (B.Transposed && B.Scratch) {
-          // Contiguous vector load from a transposed intermediate.
-          __builtin_memcpy(&Value,
-                           B.Scratch + elementIndex(B, Access.Index, Row),
-                           sizeof(V));
-        } else if (B.Transposed) {
-          Vec<double, P> Wide{};
-          __builtin_memcpy(&Wide,
-                           (B.ExternalIn ? B.ExternalIn : B.ExternalOut) +
-                               elementIndex(B, Access.Index, Row),
-                           sizeof(Wide));
-          Value = __builtin_convertvector(Wide, V);
-        } else if (Transposes && Transposes[Access.Buffer].Rows) {
-          // Loads+shuffles: contiguous load from the chunk's transpose.
-          const ChunkTranspose<T> &Staged = Transposes[Access.Buffer];
-          __builtin_memcpy(
-              &Value,
-              &Staged.Data[static_cast<size_t>(Access.Index) * Staged.Rows +
-                           Row],
-              sizeof(V));
+        size_t Element = elementIndex(B, Access.Index, Row);
+        if (B.Transposed && N == P && B.Scratch) {
+          // Contiguous vector load: a transposed intermediate, or a
+          // chunk's staged input (loads+shuffles).
+          __builtin_memcpy(&Value, B.Scratch + Element, sizeof(V));
+        } else if (B.Transposed && N == P) {
+          Value = convertLanes<T, P>(
+              (B.ExternalIn ? B.ExternalIn : B.ExternalOut) + Element);
         } else {
-          // Gather: one strided load per lane.
-          for (unsigned L = 0; L < P; ++L)
-            Value[L] = loadElement(B, Access.Index, Row + L);
+          // Gather: one strided load per live lane; padding lanes read
+          // zero.
+          for (unsigned L = 0; L < N; ++L)
+            setLane<T>(Value, L, loadElement(B, Access.Index, Row + L));
         }
         break;
       }
@@ -549,12 +331,13 @@ SPNC_NOINLINE void runBlock(const TaskProgram &Task,
         const BufferAccess &Access = Task.Stores[Inst.A];
         const BufferBinding<T> &B = Buffers[Access.Buffer];
         V Src = Reg(Inst.Dst);
-        if (B.Transposed && B.Scratch) {
+        if (B.Transposed && N == P && B.Scratch) {
           __builtin_memcpy(B.Scratch + elementIndex(B, Access.Index, Row),
                            &Src, sizeof(V));
         } else {
-          for (unsigned L = 0; L < P; ++L)
-            storeElement(B, Access.Index, Row + L, Src[L]);
+          // Live lanes only.
+          for (unsigned L = 0; L < N; ++L)
+            storeElement(B, Access.Index, Row + L, getLane<T>(Src, L));
         }
         continue;
       }
@@ -573,41 +356,46 @@ SPNC_NOINLINE void runBlock(const TaskProgram &Task,
         V Diff = Guard((A > B ? B : A) - Max);
         Value = Max == NegInf
                     ? Max
-                    : Max + log1p01<T, P>(expNeg<T, P>(Diff, UseVecLib),
-                                          UseVecLib);
+                    : Max + log1p01<T, P>(expNeg<T, P>(Diff, UseVecLib, N),
+                                          UseVecLib, N);
         break;
       }
-      case OpCode::Gaussian:
+      // Two cases, not one with a branch on the opcode: GCC then fuses
+      // the same multiply-adds at every width, so a row gets the same
+      // bits at W=1 as in a wider block.
+      case OpCode::Gaussian: {
+        V X = Reg(Inst.A);
+        V Norm = Normalized(X);
+        Value = GaussianMarginal(
+            X, Gaussian(&GaussianParams::Coefficient) *
+                   expNeg<T, P>(T(-0.5) * Norm * Norm, UseVecLib, N));
+        break;
+      }
       case OpCode::GaussianLog: {
         V X = Reg(Inst.A);
-        V Norm = (X - Gaussian(&GaussianParams::Mean)) *
-                 Gaussian(&GaussianParams::InvStdDev);
-        V Coefficient = Gaussian(&GaussianParams::Coefficient);
-        if (Inst.Op == OpCode::GaussianLog)
-          Value = Coefficient - T(0.5) * Norm * Norm;
-        else
-          Value = Coefficient * expNeg<T, P>(T(-0.5) * Norm * Norm, UseVecLib);
-        if (First.Gaussians[Inst.B].SupportMarginal)
-          Value =
-              Marginal(X, Gaussian(&GaussianParams::MarginalValue), Value);
+        V Norm = Normalized(X);
+        Value = GaussianMarginal(
+            X, Gaussian(&GaussianParams::Coefficient) - T(0.5) * Norm * Norm);
         break;
       }
       case OpCode::TableLookup: {
         V X = Reg(Inst.A);
         const LookupTable &Shape = First.Tables[Inst.B];
         const auto Size = static_cast<int64_t>(Shape.Values.size());
-        for (unsigned L = 0; L < P; ++L) {
+        for (unsigned L = 0; L < N; ++L) {
           const LookupTable &Table = Lanes[C + L]->Tables[Inst.B];
-          if (Shape.SupportMarginal && std::isnan(X[L])) {
-            Value[L] = static_cast<T>(Table.MarginalValue);
+          T XL = getLane<T>(X, L);
+          if (Shape.SupportMarginal && std::isnan(XL)) {
+            setLane<T>(Value, L, static_cast<T>(Table.MarginalValue));
             continue;
           }
           auto Idx = static_cast<int64_t>(
-              std::floor(static_cast<double>(X[L]) - Shape.Lo));
-          Value[L] =
-              (Idx >= 0 && Idx < Size)
-                  ? static_cast<T>(Table.Values[static_cast<size_t>(Idx)])
-                  : static_cast<T>(Table.DefaultValue);
+              std::floor(static_cast<double>(XL) - Shape.Lo));
+          setLane<T>(Value, L,
+                     (Idx >= 0 && Idx < Size)
+                         ? static_cast<T>(
+                               Table.Values[static_cast<size_t>(Idx)])
+                         : static_cast<T>(Table.DefaultValue));
         }
         break;
       }
@@ -632,52 +420,57 @@ SPNC_NOINLINE void runBlock(const TaskProgram &Task,
         break;
       case OpCode::AddN: {
         const uint32_t *Args = &Task.Args[Inst.A];
-        for (uint32_t N = 0; N < Inst.B; ++N)
-          Value += Reg(Args[N]);
+        for (uint32_t I = 0; I < Inst.B; ++I)
+          Value += Reg(Args[I]);
         break;
       }
       case OpCode::MulN: {
         const uint32_t *Args = &Task.Args[Inst.A];
         Value = T(1) - V{};
-        for (uint32_t N = 0; N < Inst.B; ++N)
-          Value *= Reg(Args[N]);
+        for (uint32_t I = 0; I < Inst.B; ++I)
+          Value *= Reg(Args[I]);
         break;
       }
       case OpCode::Max: {
-        // Ties keep A, as in the scalar engine.
+        // Ties keep A (the earlier chain element) so that MPE argmax ties
+        // resolve to the lowest child index.
         V A = Reg(Inst.A), B = Reg(Inst.B);
         Value = A >= B ? A : B;
         break;
       }
       case OpCode::LogSumExpN: {
         // The lanes' maximum, then the sum of exp(operand - maximum).
-        // Operand N is its register plus its weight, read per lane; the
+        // Operand I is its register plus its weight, read per lane; the
         // sum reuses the first kMaxNaryArgs operands the maximum computed
         // (recomputing them ran a ratspn-classify-shaped loop ~15%
         // slower).
         const uint32_t *Args = &Task.Args[Inst.A];
         const uint32_t *Slots = &Task.Args[Inst.C];
-        auto Operand = [&](uint32_t N) {
-          return Reg(Args[N]) + Param([&](const TaskParams &Params) {
-                   return Params.ConstPool[Slots[N]];
+        auto Operand = [&](uint32_t I) {
+          return Reg(Args[I]) + Param([&](const TaskParams &Params) {
+                   return Params.ConstPool[Slots[I]];
                  });
         };
         V Kept[kMaxNaryArgs];
         V Max = NegInf;
-        for (uint32_t N = 0; N < Inst.B; ++N) {
-          V A = Operand(N);
-          if (N < kMaxNaryArgs)
-            Kept[N] = A;
+        for (uint32_t I = 0; I < Inst.B; ++I) {
+          V A = Operand(I);
+          if (I < kMaxNaryArgs)
+            Kept[I] = A;
           Max = A > Max ? A : Max;
         }
         V Sum{};
-        for (uint32_t N = 0; N < Inst.B; ++N) {
-          V A = N < kMaxNaryArgs ? Kept[N] : Operand(N);
-          Sum += expNeg<T, P>(Guard(A - Max), UseVecLib);
+        for (uint32_t I = 0; I < Inst.B; ++I) {
+          V A = I < kMaxNaryArgs ? Kept[I] : Operand(I);
+          Sum += expNeg<T, P>(Guard(A - Max), UseVecLib, N);
         }
-        Value = Max == NegInf ? Max : Max + logPos<T, P>(Sum, UseVecLib);
+        Value =
+            Max == NegInf ? Max : Max + logPos<T, P>(Sum, UseVecLib, N);
         break;
       }
+      default:
+        // Decoding validates every opcode.
+        __builtin_unreachable();
       }
       __builtin_memcpy(Regs + static_cast<size_t>(Inst.Dst) * W + C, &Value,
                        sizeof(V));
@@ -685,7 +478,77 @@ SPNC_NOINLINE void runBlock(const TaskProgram &Task,
   }
 }
 
+#define SPNC_INSTANTIATE_RUN_BLOCK(T, W)                                     \
+  template void spnc::vm::runBlock<T, W>(                                    \
+      const TaskProgram &, const TaskParams *const *,                        \
+      const BufferBinding<T> *, size_t, unsigned, bool, T *);
+SPNC_INSTANTIATE_RUN_BLOCK(float, 1)
+SPNC_INSTANTIATE_RUN_BLOCK(float, 4)
+SPNC_INSTANTIATE_RUN_BLOCK(float, 8)
+SPNC_INSTANTIATE_RUN_BLOCK(float, 16)
+SPNC_INSTANTIATE_RUN_BLOCK(double, 1)
+SPNC_INSTANTIATE_RUN_BLOCK(double, 4)
+SPNC_INSTANTIATE_RUN_BLOCK(double, 8)
+SPNC_INSTANTIATE_RUN_BLOCK(double, 16)
+#undef SPNC_INSTANTIATE_RUN_BLOCK
+
+namespace {
+
+/// runBlock<T, W> for a configured vector width \p W.
+template <typename T>
+auto blockFunction(unsigned W) -> decltype(&runBlock<T, 1>) {
+  switch (W) {
+  case 1:
+    return &runBlock<T, 1>;
+  case 4:
+    return &runBlock<T, 4>;
+  case 8:
+    return &runBlock<T, 8>;
+  case 16:
+    return &runBlock<T, 16>;
+  }
+  spnc_unreachable("unsupported vector width");
+}
+
+/// The rows of \p NumRows that the W-lane block at row \p Row holds: W,
+/// but in the last block.
+unsigned liveRows(size_t Row, size_t NumRows, unsigned W) {
+  return static_cast<unsigned>(std::min<size_t>(W, NumRows - Row));
+}
+
 } // namespace
+
+template <typename T>
+void spnc::vm::interpretRows(const KernelProgram &Program,
+                             const ExecutionConfig &Config,
+                             const runtime::RunRequest &Request) {
+  size_t N = Request.NumSamples;
+  unsigned W = Config.VectorWidth;
+  const TaskProgram &Task = Program.Tasks[0];
+  std::vector<double> Up(N);
+  BoundBuffers<T> Bound =
+      bindBuffers<T>(Program, Request.Input, Up.data(), N, 0, N);
+  // MPE and sampling programs take no weight tables.
+  const TaskParams *Lanes[16]; // W <= 16
+  std::fill_n(Lanes, W, &Task);
+  auto RunBlock = blockFunction<T>(W);
+  std::vector<T> Block(static_cast<size_t>(Task.NumRegisters) * W);
+  completeRows<T>(Program, Request, Up.data(), [&](size_t I, T *Registers) {
+    size_t Lane = I % W;
+    if (Lane == 0)
+      RunBlock(Task, Lanes, Bound.Bindings.data(), I, liveRows(I, N, W),
+               Config.UseVecLib, Block.data());
+    for (size_t R = 0; R < Task.NumRegisters; ++R)
+      Registers[R] = Block[R * W + Lane];
+  });
+}
+
+template void spnc::vm::interpretRows<float>(const KernelProgram &,
+                                             const ExecutionConfig &,
+                                             const runtime::RunRequest &);
+template void spnc::vm::interpretRows<double>(const KernelProgram &,
+                                              const ExecutionConfig &,
+                                              const runtime::RunRequest &);
 
 //===----------------------------------------------------------------------===//
 // CpuExecutor
@@ -711,10 +574,9 @@ std::string CpuExecutor::describe() const {
                          ? "cpu scalar"
                          : "cpu simd w=" +
                                std::to_string(Config.VectorWidth);
-  if (Config.VectorWidth > 1) {
-    Desc += Config.UseVecLib ? ", veclib" : ", libm";
+  Desc += Config.UseVecLib ? ", veclib" : ", libm";
+  if (Config.VectorWidth > 1)
     Desc += Config.UseShuffle ? ", shuffle" : ", gather";
-  }
   if (Config.NumThreads > 1)
     Desc += ", threads=" + std::to_string(Config.NumThreads);
   return Desc;
@@ -722,10 +584,40 @@ std::string CpuExecutor::describe() const {
 
 namespace {
 
-/// Runs batch rows [Begin, End) of \p Program, row I reading its side
-/// tables from Params.get(I, Task). Full W-row blocks run on the vector
-/// engine whatever tables their rows name, and the remainder on the
-/// scalar interpreter.
+/// Loads+shuffles: the \p Rows rows of row-major input \p B that a chunk
+/// reads, transposed into \p Data as [feature][row], and the binding
+/// through which every feature load of a whole block is one contiguous
+/// vector load.
+template <typename T>
+BufferBinding<T> stageTransposed(const BufferBinding<T> &B, size_t Rows,
+                                 unsigned W, std::vector<T> &Data) {
+  Data.resize(static_cast<size_t>(B.Columns) * Rows);
+  const double *Src = B.ExternalIn + B.Offset * B.Columns;
+  // Block by block, feature-major: contiguous vectorizable writes per
+  // feature, strided reads from the block's rows — the interpreter-level
+  // equivalent of the loads+shuffles register transpose.
+  for (size_t Begin = 0; Begin < Rows; Begin += W) {
+    unsigned Live = liveRows(Begin, Rows, W);
+    for (uint32_t C = 0; C < B.Columns; ++C) {
+      T *Dst = &Data[static_cast<size_t>(C) * Rows + Begin];
+      for (unsigned L = 0; L < Live; ++L)
+        Dst[L] = static_cast<T>(Src[(Begin + L) * B.Columns + C]);
+    }
+  }
+  BufferBinding<T> Staged;
+  Staged.Scratch = Data.data();
+  Staged.Columns = B.Columns;
+  Staged.Transposed = true;
+  Staged.Stride = Rows;
+  return Staged;
+}
+
+/// Runs batch rows [Begin, End) of \p Program as blocks of W rows, row I
+/// reading its side tables from Params.get(I, Task), whatever tables
+/// the rows of a block name. The chunk's last block is padded, as the
+/// cpp backend pads its last block: its padding lanes read zero inputs
+/// and the tables of its last row, and are never stored. So a row's
+/// bits do not depend on where its batch or chunk ends.
 template <typename T>
 void runChunkTyped(const KernelProgram &Program,
                    const ExecutionConfig &Config, const RowParams &Params,
@@ -734,7 +626,7 @@ void runChunkTyped(const KernelProgram &Program,
   size_t ChunkLen = End - Begin;
   BoundBuffers<T> Bound =
       bindBuffers<T>(Program, Input, Output, TotalSamples, Begin, End);
-  const std::vector<BufferBinding<T>> &Bindings = Bound.Bindings;
+  std::vector<BufferBinding<T>> &Bindings = Bound.Bindings;
 
   uint32_t MaxRegs = 0;
   for (const TaskProgram &Task : Program.Tasks)
@@ -750,23 +642,15 @@ void runChunkTyped(const KernelProgram &Program,
   };
 
   unsigned W = Config.VectorWidth;
-  size_t NumBlocks = W <= 1 ? 0 : ChunkLen / W;
-  std::vector<T> Registers(static_cast<size_t>(MaxRegs) * std::max(W, 1u));
+  std::vector<T> Registers(static_cast<size_t>(MaxRegs) * W);
   // Stage row-major inputs once for the loads+shuffles path.
-  std::vector<ChunkTranspose<T>> Transposes(
-      Config.UseShuffle && NumBlocks ? Program.Buffers.size() : 0);
-  for (size_t I = 0; I < Transposes.size(); ++I)
-    if (!Program.Buffers[I].Transposed && Bindings[I].ExternalIn)
-      Transposes[I].prepare(Bindings[I], NumBlocks * W, W);
+  std::vector<std::vector<T>> Staged(Program.Buffers.size());
+  if (Config.UseShuffle && W > 1)
+    for (size_t I = 0; I < Bindings.size(); ++I)
+      if (!Bindings[I].Transposed && Bindings[I].ExternalIn)
+        Bindings[I] = stageTransposed(Bindings[I], ChunkLen, W, Staged[I]);
 
-  auto RunVector = [&](auto WidthTag, const TaskProgram &Task,
-                       const TaskParams *const *Lanes, size_t BlockBegin) {
-    constexpr unsigned BW = decltype(WidthTag)::value;
-    runBlock<T, BW>(Task, Lanes, Bindings.data(),
-                    Transposes.empty() ? nullptr : Transposes.data(),
-                    BlockBegin, Config.UseVecLib, Registers.data());
-  };
-
+  auto RunBlock = blockFunction<T>(W);
   for (const KernelStep &Step : Program.Steps) {
     if (Step.Task < 0) {
       RunCopy(Step);
@@ -774,32 +658,13 @@ void runChunkTyped(const KernelProgram &Program,
     }
     size_t TaskIndex = static_cast<size_t>(Step.Task);
     const TaskProgram &Task = Program.Tasks[TaskIndex];
-    for (size_t Block = 0; Block < NumBlocks; ++Block) {
-      size_t BlockBegin = Block * W;
+    for (size_t Row = 0; Row < ChunkLen; Row += W) {
+      unsigned Live = liveRows(Row, ChunkLen, W);
       const TaskParams *Lanes[16]; // W <= 16
-      Params.lanes(Begin + BlockBegin, W, TaskIndex, Lanes);
-      switch (W) {
-      case 4:
-        RunVector(std::integral_constant<unsigned, 4>{}, Task, Lanes,
-                  BlockBegin);
-        break;
-      case 8:
-        RunVector(std::integral_constant<unsigned, 8>{}, Task, Lanes,
-                  BlockBegin);
-        break;
-      case 16:
-        RunVector(std::integral_constant<unsigned, 16>{}, Task, Lanes,
-                  BlockBegin);
-        break;
-      default:
-        spnc_unreachable("unsupported vector width");
-      }
+      Params.lanes(Begin + Row, Live, W, TaskIndex, Lanes);
+      RunBlock(Task, Lanes, Bindings.data(), Row, Live, Config.UseVecLib,
+               Registers.data());
     }
-    // Scalar epilogue for the remainder (paper §IV-B); the whole chunk
-    // on the scalar engine.
-    for (size_t I = NumBlocks * W; I < ChunkLen; ++I)
-      interpretSample(Task, Params.get(Begin + I, TaskIndex),
-                      Bindings.data(), I, Registers.data());
   }
 }
 
@@ -857,9 +722,9 @@ bool CpuExecutor::run(const runtime::RunRequest &Request,
   return timedRun(Request, Stats, [&](runtime::ExecutionStats &) {
     if (Request.Kind == QueryKind::Mpe || Request.Kind == QueryKind::Sample) {
       if (Program.UseF32)
-        interpretRows<float>(Program, Request);
+        interpretRows<float>(Program, Config, Request);
       else
-        interpretRows<double>(Program, Request);
+        interpretRows<double>(Program, Config, Request);
       return;
     }
     dispatch(*Params, Request.Input, Request.Output, Request.NumSamples);

@@ -1,4 +1,4 @@
-//===- Executor.h - Scalar and SIMD bytecode execution engines ---------------===//
+//===- Executor.h - The block bytecode engine ---------------------------------===//
 //
 // Part of the SPNC-Repro project.
 // SPDX-License-Identifier: Apache-2.0
@@ -6,16 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Execution engines for `KernelProgram`s on the CPU:
+/// The execution engine for `KernelProgram`s on the CPU: a data-parallel
+/// engine, runBlock, that runs a task over a block of W rows at a time,
+/// configurable in width (W=1; W=8 f32 lanes ~ AVX2, W=16 ~ AVX-512),
+/// vector-library use and gather-vs-load+shuffle input loading. Its
+/// registers are GCC/Clang vector values, one lane per row (plain
+/// scalars at W=1), and every bytecode instruction runs as one vector
+/// expression over them. W=1 without the vector library is the "No
+/// Vec." configuration of Fig. 6.
 ///
-///  * a scalar engine processing one sample at a time (the "No Vec."
-///    configuration of Fig. 6);
-///  * a data-parallel vector engine processing W samples per step with a
-///    scalar epilogue for the remainder (paper §IV-B), configurable in
-///    width (W=8 f32 lanes ~ AVX2, W=16 ~ AVX-512), vector-library use
-///    and gather-vs-load+shuffle input loading. Its registers are
-///    GCC/Clang vector values, one lane per sample, and every bytecode
-///    instruction runs as one vector expression over them.
+/// The paper's vectorized loop ends in a scalar epilogue (§IV-B); here,
+/// as in the cpp backend, a chunk's last block runs padded instead. Its
+/// padding lanes read zero inputs and the tables of its last row, and
+/// only its live rows are stored, so a row's bits do not depend on where
+/// its batch or chunk ends.
 ///
 /// Multi-threading follows the paper's runtime design: the batch is split
 /// into chunks (chunk size = the user's batch-size hint) and chunks are
@@ -42,10 +46,12 @@ namespace vm {
 
 /// CPU execution configuration (the design space of Fig. 6).
 struct ExecutionConfig {
-  /// SIMD lanes; 1 selects the scalar engine. Supported: 1, 4, 8, 16.
+  /// Rows per block of the engine, one per SIMD lane. Supported: 1, 4,
+  /// 8, 16.
   unsigned VectorWidth = 1;
-  /// Use the vectorized math library (VecMath.h) for exp/log in vector
-  /// code; otherwise scalar libm calls are made per lane.
+  /// Use the vectorized math library (VecMath.h) for exp/log; otherwise
+  /// scalar libm calls are made per live lane. Applies at every width,
+  /// W=1 included.
   bool UseVecLib = true;
   /// Load row-major inputs through a transpose of each chunk's rows
   /// (loads+shuffles) instead of per-lane strided gather loads.
@@ -78,10 +84,10 @@ public:
   }
   std::string describe() const override;
 
-  /// Joint/marginal requests run chunk-parallel on the configured
-  /// engine; the output is laid out [slot][sample]. MPE and sampling run
-  /// a scalar upward pass per sample followed by the traceback over the
-  /// program's plan.
+  /// Joint/marginal requests run chunk-parallel in W-row blocks; the
+  /// output is laid out [slot][sample]. MPE and sampling run the upward
+  /// pass in the same blocks, followed by the traceback of each row over
+  /// the program's plan.
   bool run(const runtime::RunRequest &Request,
            runtime::ExecutionStats *Stats = nullptr) const override;
 
@@ -89,8 +95,8 @@ public:
   /// the side tables of every task (none for the table of the model the
   /// program was compiled from). One W-row block may carry rows of
   /// several tables: its parameter-reading instructions then read each
-  /// lane's own table, so an indexed request runs as W-row blocks plus
-  /// the scalar epilogue whatever its mix of tables.
+  /// lane's own table, so an indexed request runs as W-row blocks
+  /// whatever its mix of tables.
   int32_t addParamTable(const double *Params, size_t NumParams) override;
   std::vector<double> getParamTable(int32_t Index) const override;
 
@@ -111,11 +117,11 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// Low-level single-sample execution (shared with the GPU simulator)
+// Block execution (shared with the GPU simulator)
 //===----------------------------------------------------------------------===//
 
-/// Bound buffer view used by the interpreters. Exactly one of the three
-/// pointers is set, matching the buffer's role.
+/// Bound buffer view used by runBlock. Exactly one of the three pointers
+/// is set, matching the buffer's role.
 template <typename T>
 struct BufferBinding {
   const double *ExternalIn = nullptr;
@@ -147,32 +153,29 @@ BoundBuffers<T> bindBuffers(const KernelProgram &Program,
                             const double *Input, double *Output,
                             size_t TotalSamples, size_t Begin, size_t End);
 
-/// Answers the MPE or sampling \p Request of \p Program with the scalar
-/// interpreter as each row's upward pass, followed by the shared
-/// downward pass (completeRows in vm/Traceback.h). T is the program's
-/// compute type.
+/// Answers the MPE or sampling \p Request of \p Program with runBlock, at
+/// \p Config's width and vector-library use, as the upward pass of each
+/// row, followed by the shared downward pass (completeRows in
+/// vm/Traceback.h), which reads each row's lane of its block. T is the
+/// program's compute type.
 template <typename T>
 void interpretRows(const KernelProgram &Program,
+                   const ExecutionConfig &Config,
                    const runtime::RunRequest &Request);
 
-/// Executes \p Task for the single chunk-local sample \p SampleIdx using
-/// \p Registers (NumRegisters entries), reading every side-table value
-/// from \p Params (the task's own, or a weight table bound to it).
-/// Scalar reference engine; also the per-thread execution model of the
-/// GPU simulator.
-template <typename T>
-void interpretSample(const TaskProgram &Task, const TaskParams &Params,
-                     const BufferBinding<T> *Buffers, size_t SampleIdx,
-                     T *Registers);
-
-extern template void interpretSample<float>(const TaskProgram &,
-                                            const TaskParams &,
-                                            const BufferBinding<float> *,
-                                            size_t, float *);
-extern template void interpretSample<double>(const TaskProgram &,
-                                             const TaskParams &,
-                                             const BufferBinding<double> *,
-                                             size_t, double *);
+/// Executes \p Task over one block of W lanes, W in {1, 4, 8, 16}: lane L
+/// is chunk-local row \p Begin + L of \p Buffers for L < \p Live, and
+/// reads its side tables from Lanes[L] (the task's own, or a weight table
+/// bound to it). Lanes [Live, W) pad a batch's last block: they read
+/// zero inputs, their Lanes entries repeat Lanes[Live - 1], nothing of
+/// them is stored, and no libm call is made for them. \p Registers holds
+/// NumRegisters x W values, register R of lane L at R * W + L. The VM's
+/// only engine, and the per-thread execution model of the GPU
+/// simulator.
+template <typename T, unsigned W>
+void runBlock(const TaskProgram &Task, const TaskParams *const *Lanes,
+              const BufferBinding<T> *Buffers, size_t Begin, unsigned Live,
+              bool UseVecLib, T *Registers);
 
 } // namespace vm
 } // namespace spnc

@@ -195,12 +195,14 @@ public:
     return Bound && *Bound ? (**Bound)[TaskIndex] : Program.Tasks[TaskIndex];
   }
 
-  /// Points Lanes[L] at the side tables of batch row \p Row + L for
-  /// L < \p W.
-  void lanes(size_t Row, unsigned W, size_t TaskIndex,
+  /// Points Lanes[L] at the side tables of batch row \p Row + L for the
+  /// \p Live rows of a block of \p W lanes. Its padding lanes read the
+  /// tables of its last row, so a block whose rows read one table reads
+  /// it uniformly.
+  void lanes(size_t Row, unsigned Live, unsigned W, size_t TaskIndex,
              const TaskParams **Lanes) const {
     for (unsigned L = 0; L < W; ++L)
-      Lanes[L] = &get(Row + L, TaskIndex);
+      Lanes[L] = &get(Row + std::min(L, Live - 1), TaskIndex);
   }
 
 private:

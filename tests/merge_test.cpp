@@ -369,8 +369,8 @@ TEST(MergeTest, MergedCppKernelMatchesOracleJointAndMarginal) {
 /// One batch of the rows of \p Data mixing the weight tables of two
 /// same-structure, different-weight models: at the engine's vector width
 /// W, rows [0, W) are all \p A's (a single-table block) and every later
-/// row I with I % 3 == 2 is \p B's, so each later block and the scalar
-/// epilogue carry both tables. Every row must equal the same batch run
+/// row I with I % 3 == 2 is \p B's, so each later block, the padded last
+/// one included, carries both tables. Every row must equal the same batch run
 /// under its own model's table (RunRequest::Table) bit for bit, and
 /// match that model's oracle (in log space, so a linear-space row is
 /// compared by its log): at 1e-9 for f64 kernels, at perfbench's

@@ -64,7 +64,7 @@ protected:
     Data = workloads::generateSpeechData(ModelOptions, kNumSamples, 99);
   }
 
-  static constexpr size_t kNumSamples = 103; // odd: exercises epilogues
+  static constexpr size_t kNumSamples = 103; // odd: a padded last block
   std::unique_ptr<spn::Model> Model;
   std::vector<double> Data;
 };
@@ -212,7 +212,7 @@ TEST_F(PipelineTest, SingleLeafModelCompiles) {
 
 TEST_F(PipelineTest, ZeroAndSingleSampleBatches) {
   CompilerOptions Options;
-  Options.Execution.VectorWidth = 8; // forces the epilogue-only path
+  Options.Execution.VectorWidth = 8; // one padded block, one live row
   Expected<CompiledKernel> Kernel =
       compileModel(*Model, spn::QueryConfig(), Options);
   ASSERT_TRUE(static_cast<bool>(Kernel));

@@ -76,7 +76,7 @@ TEST_P(EngineSweepTest, MatchesReferenceEvaluator) {
   ModelOptions.TargetOperations = 350;
   ModelOptions.Seed = Case.ModelSeed;
   spn::Model Model = workloads::generateSpeakerModel(ModelOptions);
-  const size_t NumSamples = 61; // prime: exercises every epilogue
+  const size_t NumSamples = 61; // prime: a padded last block at every W
   std::vector<double> Data = workloads::generateSpeechData(
       ModelOptions, NumSamples, Case.ModelSeed + 1000);
 

@@ -9,6 +9,7 @@
 #include "vm/Executor.h"
 #include "vm/ProgramBinary.h"
 #include "vm/VecMath.h"
+#include "merge/Merge.h"
 #include "runtime/Pipeline.h"
 #include "support/Hashing.h"
 #include "support/Random.h"
@@ -148,17 +149,67 @@ TEST(VecMathTest, LaneArrayEntryPoints) {
 }
 
 //===----------------------------------------------------------------------===//
-// Single-sample interpreter opcode semantics
+// Opcode semantics
 //===----------------------------------------------------------------------===//
+
+/// Every width the block engine runs.
+constexpr unsigned kWidths[] = {1, 4, 8, 16};
+
+/// runBlock<T, W> for a width of kWidths.
+template <typename T>
+void runBlockAt(unsigned W, const TaskProgram &Task,
+                const BufferBinding<T> *Buffers, size_t Begin, unsigned Live,
+                T *Registers) {
+  const TaskParams *Lanes[16];
+  std::fill_n(Lanes, W, &Task);
+  switch (W) {
+  case 1:
+    return runBlock<T, 1>(Task, Lanes, Buffers, Begin, Live, true,
+                          Registers);
+  case 4:
+    return runBlock<T, 4>(Task, Lanes, Buffers, Begin, Live, true,
+                          Registers);
+  case 8:
+    return runBlock<T, 8>(Task, Lanes, Buffers, Begin, Live, true,
+                          Registers);
+  default:
+    return runBlock<T, 16>(Task, Lanes, Buffers, Begin, Live, true,
+                           Registers);
+  }
+}
+
+/// Runs \p Task over the \p NumRows rows of \p Buffers at width \p W:
+/// whole blocks, then a padded one.
+template <typename T>
+void runRowsAt(unsigned W, const TaskProgram &Task,
+               const BufferBinding<T> *Buffers, size_t NumRows) {
+  std::vector<T> Registers(static_cast<size_t>(Task.NumRegisters) * W);
+  for (size_t Row = 0; Row < NumRows; Row += W)
+    runBlockAt<T>(W, Task, Buffers, Row,
+                  static_cast<unsigned>(std::min<size_t>(W, NumRows - Row)),
+                  Registers.data());
+}
 
 class OpcodeTest : public ::testing::Test {
 protected:
-  /// Runs a task with no loads/stores and returns register values.
-  std::vector<double> run(const TaskProgram &Task) {
-    std::vector<double> Registers(Task.NumRegisters, 0.0);
-    BufferBinding<double> NoBuffers[1] = {};
-    interpretSample(Task, Task, NoBuffers, 0, Registers.data());
-    return Registers;
+  /// Runs a task with no loads/stores as one block at each width of
+  /// kWidths and returns its register values at each. Every lane of a
+  /// block runs the same row, so the lanes must agree bit for bit.
+  std::vector<std::vector<double>> run(const TaskProgram &Task) {
+    std::vector<std::vector<double>> PerWidth;
+    for (unsigned W : kWidths) {
+      std::vector<double> Registers(Task.NumRegisters * W, 0.0);
+      runBlockAt<double>(W, Task, nullptr, 0, W, Registers.data());
+      std::vector<double> &Lane0 = PerWidth.emplace_back();
+      for (uint32_t R = 0; R < Task.NumRegisters; ++R) {
+        Lane0.push_back(Registers[R * W]);
+        for (unsigned L = 1; L < W; ++L)
+          EXPECT_EQ(0, std::memcmp(&Registers[R * W + L], &Lane0.back(),
+                                   sizeof(double)))
+              << "W=" << W << " register " << R << " lane " << L;
+      }
+    }
+    return PerWidth;
   }
 
   static Instruction make(OpCode Op, uint32_t Dst, uint32_t A = 0,
@@ -182,10 +233,11 @@ TEST_F(OpcodeTest, ArithmeticOps) {
                make(OpCode::Add, 3, 0, 1),            // 5
                make(OpCode::Mul, 4, 0, 2),            // 8
                make(OpCode::FusedMulAdd, 5, 1, 2, 0)}; // 14
-  std::vector<double> R = run(Task);
-  EXPECT_DOUBLE_EQ(R[3], 5.0);
-  EXPECT_DOUBLE_EQ(R[4], 8.0);
-  EXPECT_DOUBLE_EQ(R[5], 14.0);
+  for (const std::vector<double> &R : run(Task)) {
+    EXPECT_DOUBLE_EQ(R[3], 5.0);
+    EXPECT_DOUBLE_EQ(R[4], 8.0);
+    EXPECT_DOUBLE_EQ(R[5], 14.0);
+  }
 }
 
 TEST_F(OpcodeTest, LogSumExpOp) {
@@ -194,15 +246,18 @@ TEST_F(OpcodeTest, LogSumExpOp) {
   Task.ConstPool = {std::log(0.25), std::log(0.5)};
   Task.Code = {make(OpCode::Const, 0, 0), make(OpCode::Const, 1, 1),
                make(OpCode::LogSumExp, 2, 0, 1)};
-  EXPECT_NEAR(run(Task)[2], std::log(0.75), 1e-12);
+  for (const std::vector<double> &R : run(Task))
+    EXPECT_NEAR(R[2], std::log(0.75), 1e-12);
 
   // -inf handling.
   Task.ConstPool = {-std::numeric_limits<double>::infinity(),
                     std::log(0.5)};
-  EXPECT_NEAR(run(Task)[2], std::log(0.5), 1e-12);
+  for (const std::vector<double> &R : run(Task))
+    EXPECT_NEAR(R[2], std::log(0.5), 1e-12);
   Task.ConstPool = {-std::numeric_limits<double>::infinity(),
                     -std::numeric_limits<double>::infinity()};
-  EXPECT_TRUE(std::isinf(run(Task)[2]));
+  for (const std::vector<double> &R : run(Task))
+    EXPECT_TRUE(std::isinf(R[2]));
 }
 
 TEST_F(OpcodeTest, GaussianOps) {
@@ -217,9 +272,10 @@ TEST_F(OpcodeTest, GaussianOps) {
   Task.Code = {make(OpCode::Const, 0, 0),
                make(OpCode::Gaussian, 1, 0, 0)};
   double T = (0.7 - 0.2) / 1.5;
-  EXPECT_NEAR(run(Task)[1],
-              0.39894228040143267794 / 1.5 * std::exp(-0.5 * T * T),
-              1e-7);
+  for (const std::vector<double> &R : run(Task))
+    EXPECT_NEAR(R[1],
+                0.39894228040143267794 / 1.5 * std::exp(-0.5 * T * T),
+                1e-7);
 
   GaussianParams LogP;
   LogP.Mean = 0.2;
@@ -228,9 +284,10 @@ TEST_F(OpcodeTest, GaussianOps) {
   Task.Gaussians = {LogP};
   Task.Code = {make(OpCode::Const, 0, 0),
                make(OpCode::GaussianLog, 1, 0, 0)};
-  EXPECT_NEAR(run(Task)[1],
-              -0.5 * T * T - std::log(1.5) - 0.91893853320467274178,
-              1e-12);
+  for (const std::vector<double> &R : run(Task))
+    EXPECT_NEAR(R[1],
+                -0.5 * T * T - std::log(1.5) - 0.91893853320467274178,
+                1e-12);
 }
 
 TEST_F(OpcodeTest, GaussianMarginalBlend) {
@@ -243,7 +300,8 @@ TEST_F(OpcodeTest, GaussianMarginalBlend) {
   Task.Gaussians = {P};
   Task.Code = {make(OpCode::Const, 0, 0),
                make(OpCode::GaussianLog, 1, 0, 0)};
-  EXPECT_DOUBLE_EQ(run(Task)[1], 0.0);
+  for (const std::vector<double> &R : run(Task))
+    EXPECT_DOUBLE_EQ(R[1], 0.0);
 }
 
 TEST_F(OpcodeTest, TableLookup) {
@@ -259,9 +317,10 @@ TEST_F(OpcodeTest, TableLookup) {
                make(OpCode::TableLookup, 1, 0, 0),
                make(OpCode::Const, 2, 1),
                make(OpCode::TableLookup, 3, 2, 0)};
-  std::vector<double> R = run(Task);
-  EXPECT_DOUBLE_EQ(R[1], 0.3);  // index 2
-  EXPECT_DOUBLE_EQ(R[3], -1.0); // out of range -> default
+  for (const std::vector<double> &R : run(Task)) {
+    EXPECT_DOUBLE_EQ(R[1], 0.3);  // index 2
+    EXPECT_DOUBLE_EQ(R[3], -1.0); // out of range -> default
+  }
 }
 
 TEST_F(OpcodeTest, SelectCascadeWithNanBlend) {
@@ -276,11 +335,13 @@ TEST_F(OpcodeTest, SelectCascadeWithNanBlend) {
                make(OpCode::SelectInRange, 1, 0, 0),
                make(OpCode::SelectInRange, 1, 0, 1),
                make(OpCode::NanBlend, 1, 0, 2)};
-  EXPECT_DOUBLE_EQ(run(Task)[1], 20.0); // 1.5 falls into bucket [1,2)
+  for (const std::vector<double> &R : run(Task))
+    EXPECT_DOUBLE_EQ(R[1], 20.0); // 1.5 falls into bucket [1,2)
 
   // NaN evidence keeps the default through the cascade, then blends.
   Task.Code[0] = make(OpCode::Const, 0, 3);
-  EXPECT_DOUBLE_EQ(run(Task)[1], 7.0);
+  for (const std::vector<double> &R : run(Task))
+    EXPECT_DOUBLE_EQ(R[1], 7.0);
 }
 
 TEST_F(OpcodeTest, NaryArithmetic) {
@@ -292,9 +353,10 @@ TEST_F(OpcodeTest, NaryArithmetic) {
                make(OpCode::Const, 2, 2),
                make(OpCode::AddN, 3, /*ArgOffset=*/0, /*Count=*/3),
                make(OpCode::MulN, 4, 0, 3)};
-  std::vector<double> R = run(Task);
-  EXPECT_DOUBLE_EQ(R[3], 9.0);
-  EXPECT_DOUBLE_EQ(R[4], 24.0);
+  for (const std::vector<double> &R : run(Task)) {
+    EXPECT_DOUBLE_EQ(R[3], 9.0);
+    EXPECT_DOUBLE_EQ(R[4], 24.0);
+  }
 }
 
 TEST_F(OpcodeTest, LogSumExpN) {
@@ -309,27 +371,30 @@ TEST_F(OpcodeTest, LogSumExpN) {
                make(OpCode::Const, 2, 2),
                make(OpCode::LogSumExpN, 3, /*ArgOffset=*/0, /*Count=*/3,
                     /*WeightOffset=*/3)};
-  EXPECT_NEAR(run(Task)[3], std::log(0.1 * 0.5 + 0.2 + 0.3 * 0.25), 1e-12);
+  for (const std::vector<double> &R : run(Task))
+    EXPECT_NEAR(R[3], std::log(0.1 * 0.5 + 0.2 + 0.3 * 0.25), 1e-12);
 
   // All -inf inputs stay -inf (no NaN).
   double NegInf = -std::numeric_limits<double>::infinity();
   Task.ConstPool[0] = Task.ConstPool[1] = Task.ConstPool[2] = NegInf;
-  double Result = run(Task)[3];
-  EXPECT_TRUE(std::isinf(Result) && Result < 0);
+  for (const std::vector<double> &R : run(Task))
+    EXPECT_TRUE(std::isinf(R[3]) && R[3] < 0);
 
   // Mixed -inf inputs are ignored, and so is a -inf weight.
   Task.ConstPool[1] = std::log(0.2);
   Task.ConstPool[2] = std::log(0.3);
-  EXPECT_NEAR(run(Task)[3], std::log(0.2 + 0.3 * 0.25), 1e-12);
+  for (const std::vector<double> &R : run(Task))
+    EXPECT_NEAR(R[3], std::log(0.2 + 0.3 * 0.25), 1e-12);
   Task.ConstPool[5] = NegInf;
-  EXPECT_NEAR(run(Task)[3], std::log(0.2), 1e-12);
+  for (const std::vector<double> &R : run(Task))
+    EXPECT_NEAR(R[3], std::log(0.2), 1e-12);
 
   // On every engine, one program stores log(exp(x0 + w0) + exp(x1) +
   // exp(x2 + w2)) twice: with the weights as operands (x1 naming the
   // structural zero), and as Add(x, Const) terms fed to a LogSumExpN
   // whose operands all name the zero. On every row — finite, -inf and
-  // signed-zero features — both agree bit for bit, on the scalar engine
-  // and at W 4/8/16, in f32 and f64.
+  // signed-zero features — both agree bit for bit, at W 1/4/8/16, in f32
+  // and f64.
   constexpr uint32_t kFeatures = 3;
   constexpr size_t kRows = 77;
   Task = TaskProgram();
@@ -425,12 +490,14 @@ TEST(BufferTest, RowMajorAndTransposedAddressing) {
   Buffers[1].Transposed = true;
   Buffers[1].Stride = 3;
 
-  double Registers[1];
-  for (size_t S = 0; S < 3; ++S)
-    interpretSample(Task, Task, Buffers, S, Registers);
-  EXPECT_DOUBLE_EQ(Output[0], 11);
-  EXPECT_DOUBLE_EQ(Output[1], 21);
-  EXPECT_DOUBLE_EQ(Output[2], 31);
+  // Three one-row blocks at W=1, one padded block at W 4/8/16.
+  for (unsigned W : kWidths) {
+    std::fill_n(Output, 3, 0.0);
+    runRowsAt<double>(W, Task, Buffers, 3);
+    EXPECT_DOUBLE_EQ(Output[0], 11) << "W=" << W;
+    EXPECT_DOUBLE_EQ(Output[1], 21) << "W=" << W;
+    EXPECT_DOUBLE_EQ(Output[2], 31) << "W=" << W;
+  }
 }
 
 TEST(BufferTest, MultiSlotTransposedOutput) {
@@ -473,16 +540,17 @@ TEST(BufferTest, MultiSlotTransposedOutput) {
   Buffers[1].Columns = 2;
   Buffers[1].Transposed = true;
   Buffers[1].Stride = 3;
-  double Registers[2];
-  for (size_t S = 0; S < 3; ++S)
-    interpretSample(Task, Task, Buffers, S, Registers);
-  // Slot 0 = the raw value, slot 1 = value + 100, each contiguous.
-  EXPECT_DOUBLE_EQ(Output[0], 1);
-  EXPECT_DOUBLE_EQ(Output[1], 2);
-  EXPECT_DOUBLE_EQ(Output[2], 3);
-  EXPECT_DOUBLE_EQ(Output[3], 101);
-  EXPECT_DOUBLE_EQ(Output[4], 102);
-  EXPECT_DOUBLE_EQ(Output[5], 103);
+  for (unsigned W : kWidths) {
+    std::fill_n(Output, 6, 0.0);
+    runRowsAt<double>(W, Task, Buffers, 3);
+    // Slot 0 = the raw value, slot 1 = value + 100, each contiguous.
+    EXPECT_DOUBLE_EQ(Output[0], 1) << "W=" << W;
+    EXPECT_DOUBLE_EQ(Output[1], 2) << "W=" << W;
+    EXPECT_DOUBLE_EQ(Output[2], 3) << "W=" << W;
+    EXPECT_DOUBLE_EQ(Output[3], 101) << "W=" << W;
+    EXPECT_DOUBLE_EQ(Output[4], 102) << "W=" << W;
+    EXPECT_DOUBLE_EQ(Output[5], 103) << "W=" << W;
+  }
 }
 
 TEST(VecMathTest, EightLaneKernelEdgeValues) {
@@ -955,5 +1023,349 @@ INSTANTIATE_TEST_SUITE_P(
     Widths, EngineEquivalenceTest,
     ::testing::Combine(::testing::Values(4u, 8u, 16u),
                        ::testing::Bool(), ::testing::Bool()));
+
+//===----------------------------------------------------------------------===//
+// A row's bits do not depend on its batch
+//===----------------------------------------------------------------------===//
+
+/// Rows of the batch every reference runs: a multiple of every width.
+constexpr size_t kPoolRows = 64;
+
+/// Bit-for-bit comparison of one output row against its reference.
+bool sameBits(double A, double B) {
+  return std::memcmp(&A, &B, sizeof(double)) == 0;
+}
+
+/// Rows [Begin, Begin + Count) of the row-major \p Rows, copied so that
+/// a read past the window's end is a read past its allocation (ASan).
+std::vector<double> window(const std::vector<double> &Rows,
+                           uint32_t NumFeatures, size_t Begin,
+                           size_t Count) {
+  return std::vector<double>(
+      Rows.begin() + static_cast<ptrdiff_t>(Begin * NumFeatures),
+      Rows.begin() + static_cast<ptrdiff_t>((Begin + Count) * NumFeatures));
+}
+
+/// Scores the rows of every window of \p Count rows that the pool's
+/// ends hold, [0, Count) and [kPoolRows - Count, kPoolRows), on
+/// \p Engine, under the tables \p Tables names per pool row (none when
+/// empty, and RunRequest::Table when all rows name one), and expects
+/// each row's output to equal \p Want for that pool row, bit for bit.
+void expectWindowsMatch(const runtime::ExecutionEngine &Engine,
+                        const std::vector<double> &Rows,
+                        uint32_t NumFeatures, QueryKind Kind,
+                        const std::vector<uint32_t> &Tables,
+                        const std::vector<double> &Want, size_t Count,
+                        const std::string &Leg) {
+  for (size_t Begin : {size_t(0), kPoolRows - Count}) {
+    std::vector<double> In = window(Rows, NumFeatures, Begin, Count);
+    std::vector<double> Out(Count);
+    runtime::RunRequest Request{.Kind = Kind,
+                                .Input = In.data(),
+                                .Output = Out.data(),
+                                .NumSamples = Count};
+    std::vector<uint32_t> Indices;
+    if (!Tables.empty()) {
+      Indices.assign(Tables.begin() + static_cast<ptrdiff_t>(Begin),
+                     Tables.begin() + static_cast<ptrdiff_t>(Begin + Count));
+      if (std::all_of(Tables.begin(), Tables.end(),
+                      [&](uint32_t T) { return T == Tables[0]; }))
+        Request.Table = static_cast<int32_t>(Tables[0]);
+      else
+        Request.TableIndices = Indices.data();
+    }
+    ASSERT_TRUE(Engine.run(Request)) << Leg;
+    for (size_t I = 0; I < Count; ++I)
+      EXPECT_TRUE(sameBits(Out[I], Want[Begin + I]))
+          << Leg << ": pool row " << Begin + I << " of a " << Count
+          << "-row batch reads " << Out[I] << ", " << Want[Begin + I]
+          << " in the " << kPoolRows << "-row batch";
+  }
+}
+
+/// A likelihood program of the sweep, the pool rows it scores, and the
+/// raw parameters of two weight tables of its structure: its own model's
+/// and another's.
+struct RowBitsLeg {
+  std::string Name;
+  KernelProgram Program;
+  std::vector<double> Rows;
+  uint32_t NumFeatures;
+  std::vector<double> OwnParams;
+  std::vector<double> OtherParams;
+};
+
+/// Compiles \p Model's joint or marginal query at -O2 for the CPU.
+KernelProgram compileLikelihood(const spn::Model &Model, bool Marginal,
+                                bool F32) {
+  runtime::CompilerOptions Options;
+  Options.OptLevel = 2;
+  Expected<runtime::CompilationPipeline> Pipeline =
+      runtime::CompilationPipeline::create(Options);
+  EXPECT_TRUE(static_cast<bool>(Pipeline));
+  spn::QueryConfig Query;
+  Query.Kind = Marginal ? spn::QueryKind::Marginal : spn::QueryKind::Joint;
+  Query.SupportMarginal = Marginal;
+  Query.DataType = F32 ? spn::ComputeType::F32 : spn::ComputeType::F64;
+  Expected<KernelProgram> Program = Pipeline->compile(Model, Query);
+  EXPECT_TRUE(static_cast<bool>(Program)) << Program.getError().message();
+  return Program ? Program.takeValue() : KernelProgram();
+}
+
+/// A speaker kernel and a RAT-SPN tenant, joint and marginal, f32 and
+/// f64. Marginal rows carry NaN features. A speaker's second table
+/// scales every raw parameter; a tenant's is another class of its
+/// structure.
+std::vector<RowBitsLeg> rowBitsLegs() {
+  std::vector<RowBitsLeg> Legs;
+  workloads::SpeakerModelOptions Speaker;
+  Speaker.Seed = 5;
+  Speaker.TargetOperations = 300;
+  spn::Model SpeakerModel = workloads::generateSpeakerModel(Speaker);
+  std::vector<double> SpeakerParams = *merge::extractParams(SpeakerModel);
+  std::vector<double> ScaledParams = SpeakerParams;
+  for (double &P : ScaledParams)
+    P *= 1.25;
+
+  workloads::RatSpnOptions Rat;
+  Rat.NumFeatures = 16;
+  Rat.Depth = 2;
+  Rat.Replicas = 2;
+  Rat.SumsPerRegion = 3;
+  Rat.LeafDistributions = 4;
+  Rat.Seed = 17;
+  spn::Model Tenant = workloads::generateRatSpn(Rat, 0);
+  std::vector<double> TenantParams = *merge::extractParams(Tenant);
+  std::vector<double> OtherTenant =
+      *merge::extractParams(workloads::generateRatSpn(Rat, 1));
+
+  for (bool Marginal : {false, true})
+    for (bool F32 : {true, false}) {
+      std::string Suffix = std::string(Marginal ? " marginal" : " joint") +
+                           (F32 ? " f32" : " f64");
+      std::vector<double> Speech =
+          Marginal ? workloads::generateNoisySpeechData(
+                         Speaker, kPoolRows, 41, /*DropProbability=*/0.3)
+                   : workloads::generateSpeechData(Speaker, kPoolRows, 41);
+      Legs.push_back({"speaker" + Suffix,
+                      compileLikelihood(SpeakerModel, Marginal, F32), Speech,
+                      Speaker.NumFeatures, SpeakerParams, ScaledParams});
+      std::vector<double> Images = workloads::generateImageData(
+          Rat.NumFeatures, /*NumClasses=*/2, kPoolRows, 43, nullptr);
+      if (Marginal)
+        for (size_t I = 0; I < Images.size(); I += 5)
+          Images[I] = std::numeric_limits<double>::quiet_NaN();
+      Legs.push_back({"ratspn" + Suffix,
+                      compileLikelihood(Tenant, Marginal, F32), Images,
+                      Rat.NumFeatures, TenantParams, OtherTenant});
+    }
+  return Legs;
+}
+
+/// Every row's output bits are those it gets in a kPoolRows-row batch,
+/// whatever its batch: at W 4/8/16, for batches of 1..3W+1 rows, chunk
+/// sizes 0, W-1 and W+3 on one and two threads, and under plain, Table
+/// and mixed TableIndices requests. So a row keeps its bits when it
+/// moves between whole blocks and a padded last block, or between
+/// chunks, and whatever tables its neighbours read.
+TEST(RowBitsTest, IndependentOfBatch) {
+  for (const RowBitsLeg &Leg : rowBitsLegs()) {
+    QueryKind Kind = Leg.Program.Query;
+    for (unsigned W : {4u, 8u, 16u}) {
+      // Table 0 is the leg's own model's, table 1 the other's.
+      auto AddTables = [&](CpuExecutor &Exec) {
+        ASSERT_EQ(Exec.addParamTable(Leg.OwnParams.data(),
+                                     Leg.OwnParams.size()),
+                  0);
+        ASSERT_EQ(Exec.addParamTable(Leg.OtherParams.data(),
+                                     Leg.OtherParams.size()),
+                  1);
+      };
+      std::vector<uint32_t> Mixed(kPoolRows);
+      for (size_t I = 0; I < kPoolRows; ++I)
+        Mixed[I] = (I * 7 / 3) % 2;
+      const std::vector<uint32_t> Choices[] = {
+          {}, std::vector<uint32_t>(kPoolRows, 1), Mixed};
+
+      // The references: each table choice over one kPoolRows-row batch.
+      ExecutionConfig Config;
+      Config.VectorWidth = W;
+      CpuExecutor Reference(Leg.Program, Config);
+      AddTables(Reference);
+      std::vector<std::vector<double>> Want;
+      for (const std::vector<uint32_t> &Tables : Choices) {
+        Want.emplace_back(kPoolRows);
+        runtime::RunRequest Request{.Kind = Kind,
+                                    .Input = Leg.Rows.data(),
+                                    .Output = Want.back().data(),
+                                    .NumSamples = kPoolRows,
+                                    .TableIndices = Tables.empty()
+                                                        ? nullptr
+                                                        : Tables.data()};
+        ASSERT_TRUE(Reference.run(Request)) << Leg.Name;
+      }
+
+      for (uint32_t ChunkSize : {0u, W - 1, W + 3})
+        for (unsigned Threads : {1u, 2u}) {
+          ExecutionConfig Chunked = Config;
+          Chunked.ChunkSize = ChunkSize;
+          Chunked.NumThreads = Threads;
+          CpuExecutor Exec(Leg.Program, Chunked);
+          AddTables(Exec);
+          for (size_t C = 0; C < std::size(Choices); ++C)
+            for (size_t Count = 1; Count <= 3 * W + 1; ++Count)
+              expectWindowsMatch(
+                  Exec, Leg.Rows, Leg.NumFeatures, Kind, Choices[C],
+                  Want[C], Count,
+                  Leg.Name + " W=" + std::to_string(W) + " chunk " +
+                      std::to_string(ChunkSize) + " threads " +
+                      std::to_string(Threads) + " tables " +
+                      std::to_string(C));
+        }
+    }
+  }
+}
+
+/// A two-task program over \p NumFeatures features of an external input
+/// laid out row-major or, with \p TransposedInput, [feature][row]. Task 0
+/// stores each feature's Gaussian log-density into a transposed
+/// intermediate; task 1 loads them back and stores their log-sum-exp and
+/// their sum into the two slots of the output.
+KernelProgram makePaddingProgram(uint32_t NumFeatures, bool TransposedInput,
+                                 bool F32) {
+  auto Make = [](OpCode Op, uint32_t Dst, uint32_t A = 0, uint32_t B = 0,
+                 uint32_t C = 0) {
+    Instruction Inst;
+    Inst.Op = Op;
+    Inst.Dst = Dst;
+    Inst.A = A;
+    Inst.B = B;
+    Inst.C = C;
+    return Inst;
+  };
+  TaskProgram Leaves;
+  TaskProgram Root;
+  Root.ConstPool = {0.0};
+  for (uint32_t F = 0; F < NumFeatures; ++F) {
+    GaussianParams P;
+    P.Mean = 0.25 * F;
+    P.InvStdDev = 1.0 / (1.0 + 0.5 * F);
+    P.Coefficient = -0.9189385332 - std::log(1.0 + 0.5 * F);
+    Leaves.Gaussians.push_back(P);
+    Leaves.Loads.push_back(BufferAccess{0, F});
+    Leaves.Stores.push_back(BufferAccess{1, F});
+    Leaves.Code.push_back(Make(OpCode::Load, F, F));
+    Leaves.Code.push_back(Make(OpCode::GaussianLog, NumFeatures + F, F, F));
+    Leaves.Code.push_back(Make(OpCode::Store, NumFeatures + F, F));
+    Root.Loads.push_back(BufferAccess{1, F});
+    Root.Code.push_back(Make(OpCode::Load, F, F));
+    Root.Args.push_back(F);
+  }
+  Root.Args.insert(Root.Args.end(), NumFeatures, 0); // the zero weights
+  Root.Code.push_back(
+      Make(OpCode::LogSumExpN, NumFeatures, 0, NumFeatures, NumFeatures));
+  Root.Code.push_back(Make(OpCode::AddN, NumFeatures + 1, 0, NumFeatures));
+  Root.Stores = {BufferAccess{2, 0}, BufferAccess{2, 1}};
+  Root.Code.push_back(Make(OpCode::Store, NumFeatures, 0));
+  Root.Code.push_back(Make(OpCode::Store, NumFeatures + 1, 1));
+  Leaves.NumRegisters = 2 * NumFeatures;
+  Root.NumRegisters = NumFeatures + 2;
+
+  KernelProgram Program;
+  Program.Name = "padding";
+  Program.UseF32 = F32;
+  Program.LogSpace = true;
+  Program.NumInputs = 1;
+  Program.NumOutputs = 1;
+  Program.Buffers = {
+      BufferInfo{BufferInfo::Kind::Input, NumFeatures, TransposedInput},
+      BufferInfo{BufferInfo::Kind::Intermediate, NumFeatures, true},
+      BufferInfo{BufferInfo::Kind::Output, 2, true}};
+  Program.Tasks = {Leaves, Root};
+  Program.Steps = {KernelStep{0, -1, -1}, KernelStep{1, -1, -1}};
+  return Program;
+}
+
+/// The loads and stores of padding lanes, on hand-built programs whose
+/// external input is transposed, or row-major and gathered (UseShuffle
+/// false) or staged (UseShuffle true): every batch of 1..3W+1 rows, in
+/// arrays of its own size, gets the bits its rows get in a kPoolRows-row
+/// batch, at W 1/4/8/16 in f32 and f64. A padding lane that read or
+/// wrote past a batch's rows would fail here under ASan.
+TEST(RowBitsTest, PaddingLanesOfHandBuiltPrograms) {
+  constexpr uint32_t kFeatures = 3;
+  Rng R(77);
+  std::vector<double> Pool(kPoolRows * kFeatures);
+  for (double &X : Pool)
+    X = R.uniform(-3.0, 3.0);
+  // The rows [Begin, Begin + Count) of the pool as the program reads
+  // them.
+  auto Layout = [&](bool Transposed, size_t Begin, size_t Count) {
+    std::vector<double> In = window(Pool, kFeatures, Begin, Count);
+    if (Transposed)
+      for (size_t I = 0; I < Count; ++I)
+        for (uint32_t F = 0; F < kFeatures; ++F)
+          In[F * Count + I] = Pool[(Begin + I) * kFeatures + F];
+    return In;
+  };
+  for (bool F32 : {true, false})
+    for (bool Transposed : {true, false})
+      for (bool UseShuffle : {true, false}) {
+        if (Transposed && !UseShuffle)
+          continue; // a transposed input is never staged
+        KernelProgram Program =
+            makePaddingProgram(kFeatures, Transposed, F32);
+        for (unsigned W : kWidths) {
+          ExecutionConfig Config;
+          Config.VectorWidth = W;
+          Config.UseShuffle = UseShuffle;
+          CpuExecutor Exec(Program, Config);
+          std::string Leg = std::string(F32 ? "f32" : "f64") +
+                            (Transposed  ? " transposed"
+                             : UseShuffle ? " staged"
+                                          : " gathered") +
+                            " W=" + std::to_string(W);
+          auto Run = [&](size_t Begin, size_t Count) {
+            std::vector<double> In = Layout(Transposed, Begin, Count);
+            std::vector<double> Out(2 * Count);
+            EXPECT_TRUE(Exec.run({.Input = In.data(),
+                                  .Output = Out.data(),
+                                  .NumSamples = Count}))
+                << Leg;
+            return Out;
+          };
+          std::vector<double> Want = Run(0, kPoolRows);
+          for (size_t Row = 0; Row < kPoolRows; ++Row) {
+            double Sum = 0.0, Max = -INFINITY;
+            std::vector<double> Logs;
+            for (uint32_t F = 0; F < kFeatures; ++F) {
+              const GaussianParams &P = Program.Tasks[0].Gaussians[F];
+              double Norm = (Pool[Row * kFeatures + F] - P.Mean) * P.InvStdDev;
+              Logs.push_back(P.Coefficient - 0.5 * Norm * Norm);
+              Sum += Logs.back();
+              Max = std::max(Max, Logs.back());
+            }
+            double Lse = 0.0;
+            for (double L : Logs)
+              Lse += std::exp(L - Max);
+            double Tolerance = F32 ? 1e-4 : 1e-12;
+            EXPECT_NEAR(Want[Row], Max + std::log(Lse), Tolerance)
+                << Leg << " row " << Row;
+            EXPECT_NEAR(Want[kPoolRows + Row], Sum, Tolerance)
+                << Leg << " row " << Row;
+          }
+          for (size_t Count = 1; Count <= 3 * W + 1; ++Count)
+            for (size_t Begin : {size_t(0), kPoolRows - Count}) {
+              std::vector<double> Got = Run(Begin, Count);
+              for (size_t I = 0; I < Count; ++I)
+                for (size_t Slot = 0; Slot < 2; ++Slot)
+                  EXPECT_TRUE(sameBits(Got[Slot * Count + I],
+                                       Want[Slot * kPoolRows + Begin + I]))
+                      << Leg << ": slot " << Slot << " of pool row "
+                      << Begin + I << " in a " << Count << "-row batch";
+            }
+        }
+      }
+}
 
 } // namespace
