@@ -96,11 +96,10 @@ int main(int argc, char **argv) {
     partition::Graph G(20000, Edges);
     partition::PartitionOptions NoRefine;
     NoRefine.MaxPartitionSize = 1500;
-    NoRefine.EnableRefinement = false;
+    NoRefine.Strategy = partition::RefinementStrategy::None;
     partition::PartitionOptions Refine = NoRefine;
-    Refine.EnableRefinement = true;
+    Refine.Strategy = partition::RefinementStrategy::SimpleMoves;
     partition::PartitionOptions Global = NoRefine;
-    Global.EnableRefinement = true;
     Global.Strategy = partition::RefinementStrategy::GlobalMoves;
     uint64_t CostBefore =
         communicationCost(G, partitionGraph(G, NoRefine));

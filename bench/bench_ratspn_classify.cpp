@@ -20,7 +20,7 @@
 
 #include "BenchCommon.h"
 
-#include "backend/BackendRegistry.h"
+#include "backend/LookupBackend.h"
 #include "runtime/KernelCache.h"
 
 #include <benchmark/benchmark.h>
@@ -139,7 +139,7 @@ int main(int argc, char **argv) {
     argc = Out;
   }
   Expected<std::shared_ptr<backend::Backend>> ExtraBackend =
-      backend::BackendRegistry::global().lookup(BackendName);
+      backend::lookupBackend(BackendName);
   if (!ExtraBackend) {
     std::fprintf(stderr, "%s\n",
                  ExtraBackend.getError().message().c_str());

@@ -16,7 +16,7 @@
 ///
 /// Like runtime/ExecutionEngine.h, this header is deliberately
 /// header-only and link-free: the interface lives above the runtime
-/// pipeline it consumes, while concrete backends (and the registry) are
+/// pipeline it consumes, while concrete backends (and lookupBackend) are
 /// free to pull in whatever execution machinery they need. Target
 /// validation is part of the interface — `validateTarget` turns a
 /// request for an unsupported target into a clear diagnostic instead of
@@ -58,8 +58,8 @@ class Backend {
 public:
   virtual ~Backend() = default;
 
-  /// Stable, unique backend name; the registry key and the user-facing
-  /// `--backend` spelling. Thread-safe.
+  /// Stable, unique backend name; the user-facing `--backend` spelling
+  /// (see lookupBackend). Thread-safe.
   virtual std::string getName() const = 0;
 
   /// The targets this backend can produce engines for. Thread-safe;
@@ -118,18 +118,6 @@ public:
   compile(const runtime::CompilationPipeline &Pipeline,
           const spn::Model &Model, const spn::QueryConfig &Query,
           runtime::CompileStats *Stats = nullptr) const = 0;
-
-  /// Convenience overload building a default pipeline from \p Options.
-  Expected<CompiledArtifact> compile(const spn::Model &Model,
-                                     const spn::QueryConfig &Query,
-                                     const runtime::CompilerOptions &Options,
-                                     runtime::CompileStats *Stats = nullptr) const {
-    Expected<runtime::CompilationPipeline> Pipeline =
-        runtime::CompilationPipeline::create(Options);
-    if (!Pipeline)
-      return Pipeline.getError();
-    return compile(*Pipeline, Model, Query, Stats);
-  }
 
   /// Turns an already-compiled portable program (e.g. a `.spnk`
   /// disk-cache hit) into a loaded engine under \p Config, skipping the

@@ -8,6 +8,7 @@
 #include "backend/CppBackend.h"
 
 #include "backend/CppEmitter.h"
+#include "support/FileIO.h"
 #include "support/Hashing.h"
 #include "support/Timer.h"
 #include "vm/ParamTable.h"
@@ -42,26 +43,12 @@ namespace {
 
 /// Tail of the host compiler's log, for diagnostics.
 std::string readLogTail(const std::string &Path, size_t MaxBytes = 2000) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
+  Expected<std::string> Content = readWholeFile(Path);
+  if (!Content)
     return std::string();
-  std::string Content;
-  char Chunk[1024];
-  size_t Read;
-  while ((Read = std::fread(Chunk, 1, sizeof(Chunk), File)) > 0)
-    Content.append(Chunk, Read);
-  std::fclose(File);
-  if (Content.size() > MaxBytes)
-    Content = "..." + Content.substr(Content.size() - MaxBytes);
-  return Content;
-}
-
-bool writeFile(const std::string &Path, const std::string &Content) {
-  std::FILE *File = std::fopen(Path.c_str(), "wb");
-  if (!File)
-    return false;
-  size_t Written = std::fwrite(Content.data(), 1, Content.size(), File);
-  return std::fclose(File) == 0 && Written == Content.size();
+  if (Content->size() > MaxBytes)
+    return "..." + Content->substr(Content->size() - MaxBytes);
+  return Content.takeValue();
 }
 
 #ifdef SPNC_CPP_BACKEND_POSIX
@@ -454,9 +441,9 @@ CppBackend::build(vm::KernelProgram Program,
     std::string Stem = Dir + "/unit" + std::to_string(U);
     J.Name = "unit" + std::to_string(U) + ".cpp";
     J.LogPath = Stem + ".log";
-    if (!writeFile(Stem + ".cpp", (*Units)[U]))
-      return FailAndCleanup("cpp backend: cannot write '" + Stem +
-                            ".cpp': " + std::strerror(errno));
+    std::string WriteError;
+    if (failed(writeFileInPlace(Stem + ".cpp", (*Units)[U], &WriteError)))
+      return FailAndCleanup("cpp backend: " + WriteError);
     J.Argv = {Compiler, "-std=c++17"};
     J.Argv.insert(J.Argv.end(), Options.ExtraFlags.begin(),
                   Options.ExtraFlags.end());

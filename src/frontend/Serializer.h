@@ -39,10 +39,15 @@ std::vector<uint8_t> serializeModel(const Model &TheModel);
 /// Deserializes a model from \p Buffer; fails on malformed input.
 Expected<Model> deserializeModel(std::span<const uint8_t> Buffer);
 
-/// Writes the serialized model to \p Path.
-LogicalResult saveModel(const Model &TheModel, const std::string &Path);
+/// Writes the serialized model to \p Path, atomically (see
+/// replaceFileAtomically). On failure \p ErrorMessage (when non-null)
+/// receives an errno-based reason.
+LogicalResult saveModel(const Model &TheModel, const std::string &Path,
+                        std::string *ErrorMessage = nullptr);
 
-/// Reads a serialized model from \p Path.
+/// Reads a serialized model from \p Path. Fails with "cannot open
+/// '<Path>': <reason>", "cannot read '<Path>': <reason>" or the decode
+/// error.
 Expected<Model> loadModel(const std::string &Path);
 
 } // namespace spn

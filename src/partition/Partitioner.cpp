@@ -138,6 +138,10 @@ bool spnc::partition::isAcyclicPartitioning(const Graph &TheGraph,
 // Partitioning driver
 //===----------------------------------------------------------------------===//
 
+/// Refinement stops after this many sweeps even if the last one still
+/// moved a node.
+static constexpr unsigned kMaxRefinementSweeps = 10;
+
 Partitioning
 spnc::partition::partitionGraph(const Graph &TheGraph,
                                 const PartitionOptions &Options) {
@@ -163,8 +167,7 @@ spnc::partition::partitionGraph(const Graph &TheGraph,
     ++PartitionSize[P];
   }
   Result.NumPartitions = NumPartitions;
-  if (NumPartitions <= 1 || !Options.EnableRefinement ||
-      Options.Strategy == RefinementStrategy::None)
+  if (NumPartitions <= 1 || Options.Strategy == RefinementStrategy::None)
     return Result;
 
   // Refinement: greedily move nodes to another partition when that
@@ -185,7 +188,7 @@ spnc::partition::partitionGraph(const Graph &TheGraph,
   };
 
   std::vector<uint32_t> Candidates;
-  for (unsigned Sweep = 0; Sweep < Options.MaxRefinementSweeps; ++Sweep) {
+  for (unsigned Sweep = 0; Sweep < kMaxRefinementSweeps; ++Sweep) {
     bool Improved = false;
     for (uint32_t N : Order) {
       uint32_t Current = Part[N];

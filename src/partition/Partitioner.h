@@ -90,11 +90,6 @@ struct PartitionOptions {
   /// Allowed balance slack: a partition may exceed MaxPartitionSize by
   /// this factor during refinement (paper: 1%).
   double Slack = 0.01;
-  /// Maximum refinement sweeps.
-  unsigned MaxRefinementSweeps = 10;
-  /// Disable refinement (for ablation benchmarks). Kept alongside the
-  /// strategy for convenience: when false, the strategy is ignored.
-  bool EnableRefinement = true;
   RefinementStrategy Strategy = RefinementStrategy::SimpleMoves;
 };
 

@@ -8,12 +8,12 @@
 #include "runtime/Compiler.h"
 
 #include "backend/VmBackend.h"
+#include "support/ByteStream.h"
+#include "support/FileIO.h"
 #include "vm/ParamTable.h"
 #include "vm/ProgramBinary.h"
 
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 
 using namespace spnc;
 using namespace spnc::runtime;
@@ -39,11 +39,6 @@ LogicalResult
 spnc::runtime::saveCompiledKernel(const CompiledKernel &Kernel,
                                   const std::string &Path,
                                   std::string *ErrorMessage) {
-  auto Fail = [&](const std::string &What) {
-    if (ErrorMessage)
-      *ErrorMessage = What + ": " + std::strerror(errno);
-    return failure();
-  };
   // A kernel sharing its engine with isomorphic models answers under
   // its own weight table: save the program bound to it.
   int32_t Table = Kernel.getTableIndex();
@@ -60,31 +55,7 @@ spnc::runtime::saveCompiledKernel(const CompiledKernel &Kernel,
   std::vector<uint8_t> Blob = vm::encodeProgram(
       Table < 0 ? Kernel.getProgram()
                 : vm::bindProgram(Kernel.getProgram(), Raw));
-  // Write to a temporary sibling and rename into place, so an
-  // interrupted or failed write never leaves a truncated .spnk at Path.
-  std::string TempPath = Path + ".tmp";
-  std::FILE *File = std::fopen(TempPath.c_str(), "wb");
-  if (!File)
-    return Fail("cannot create '" + TempPath + "'");
-  size_t Written = std::fwrite(Blob.data(), 1, Blob.size(), File);
-  if (Written != Blob.size()) {
-    LogicalResult Result = Fail("short write to '" + TempPath + "'");
-    std::fclose(File);
-    std::remove(TempPath.c_str());
-    return Result;
-  }
-  if (std::fclose(File) != 0) {
-    LogicalResult Result = Fail("cannot flush '" + TempPath + "'");
-    std::remove(TempPath.c_str());
-    return Result;
-  }
-  if (std::rename(TempPath.c_str(), Path.c_str()) != 0) {
-    LogicalResult Result =
-        Fail("cannot rename '" + TempPath + "' to '" + Path + "'");
-    std::remove(TempPath.c_str());
-    return Result;
-  }
-  return success();
+  return replaceFileAtomically(Path, asChars(Blob), ErrorMessage);
 }
 
 Expected<CompiledKernel> spnc::runtime::loadCompiledKernel(

@@ -128,11 +128,12 @@ Expected<CompiledKernel> compileModel(const spn::Model &TheModel,
 /// table, to \p Path in the current `.spnk` format
 /// (vm::kProgramBinaryVersion, see docs/spnk-format.md) — the
 /// analog of keeping the emitted object file around, enabling
-/// compile-once/run-many. The write is atomic: the blob goes to a
-/// temporary file that is renamed over \p Path only after a complete
-/// write, so a failure never leaves a truncated kernel behind. On
-/// failure, \p ErrorMessage (when non-null) receives an errno-based
-/// reason. Thread-safe for distinct paths.
+/// compile-once/run-many. The write is atomic (replaceFileAtomically):
+/// the blob goes to a temporary sibling of this writer's own that is
+/// renamed over \p Path only after a complete write, so a failure never
+/// leaves a truncated kernel behind. On failure, \p ErrorMessage (when
+/// non-null) receives an errno-based reason. Thread-safe, also for one
+/// path.
 LogicalResult saveCompiledKernel(const CompiledKernel &Kernel,
                                  const std::string &Path,
                                  std::string *ErrorMessage = nullptr);

@@ -11,6 +11,7 @@
 #include "ir/Printer.h"
 #include "ir/Transforms.h"
 #include "ir/Verifier.h"
+#include "support/FileIO.h"
 #include "support/Hashing.h"
 #include "support/RawOStream.h"
 #include "support/Timer.h"
@@ -64,8 +65,6 @@ uint64_t PipelineConfig::hash() const {
   if (O.MaxPartitionSize > 0)
     hashCombineSeed(
         Seed, hashCombine(O.Partitioning.Slack,
-                          O.Partitioning.MaxRefinementSweeps,
-                          O.Partitioning.EnableRefinement,
                           static_cast<unsigned>(O.Partitioning.Strategy)));
   if (O.TheTarget == Target::GPU)
     hashCombineSeed(
@@ -244,12 +243,11 @@ CompilationPipeline::addIrDumpStage(const std::string &AfterStage,
           ir::printOperation(C.Module.get().getOperation(), OS);
           return std::nullopt;
         }
-        std::FILE *File = std::fopen(Path.c_str(), "w");
-        if (!File)
-          return makeError("cannot open IR dump file '" + Path + "'");
-        FileOStream OS(File);
-        ir::printOperation(C.Module.get().getOperation(), OS);
-        std::fclose(File);
+        std::string Reason;
+        if (failed(writeRenderedFile(Path, &Reason, [&](RawOStream &OS) {
+              ir::printOperation(C.Module.get().getOperation(), OS);
+            })))
+          return makeError("IR dump: " + Reason);
         return std::nullopt;
       },
       StageAnchor::after(AfterStage));

@@ -7,12 +7,9 @@
 
 #include "runtime/Reports.h"
 
+#include "support/FileIO.h"
 #include "support/JSON.h"
 #include "support/RawOStream.h"
-
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 
 using namespace spnc;
 using namespace spnc::runtime;
@@ -28,32 +25,6 @@ const PipelineStage *findStage(const std::vector<PipelineStage> *Stages,
     if (Stage.Name == Name)
       return &Stage;
   return nullptr;
-}
-
-/// Writes a report through \p Emit to \p Path; shared by the two
-/// to-file entry points.
-template <typename EmitFn>
-LogicalResult writeReportFile(const std::string &Path,
-                              std::string *ErrorMessage, EmitFn Emit) {
-  std::FILE *File = std::fopen(Path.c_str(), "w");
-  if (!File) {
-    if (ErrorMessage)
-      *ErrorMessage = "cannot create '" + Path +
-                      "': " + std::strerror(errno);
-    return failure();
-  }
-  {
-    FileOStream OS(File);
-    Emit(OS);
-    OS << '\n';
-  }
-  if (std::fclose(File) != 0) {
-    if (ErrorMessage)
-      *ErrorMessage = "cannot flush '" + Path +
-                      "': " + std::strerror(errno);
-    return failure();
-  }
-  return success();
 }
 
 /// Emits the members of one pipeline-report document into an object
@@ -125,8 +96,9 @@ void spnc::runtime::writePipelineReport(
 LogicalResult spnc::runtime::writePipelineReport(
     const CompileStats &Stats, const std::vector<PipelineStage> *Stages,
     const std::string &Path, std::string *ErrorMessage) {
-  return writeReportFile(Path, ErrorMessage, [&](RawOStream &OS) {
+  return writeRenderedFile(Path, ErrorMessage, [&](RawOStream &OS) {
     writePipelineReport(Stats, Stages, OS);
+    OS << '\n';
   });
 }
 
@@ -146,8 +118,9 @@ void spnc::runtime::writePipelineReports(
 LogicalResult spnc::runtime::writePipelineReports(
     const std::vector<ModelPipelineReport> &Reports,
     const std::string &Path, std::string *ErrorMessage) {
-  return writeReportFile(Path, ErrorMessage, [&](RawOStream &OS) {
+  return writeRenderedFile(Path, ErrorMessage, [&](RawOStream &OS) {
     writePipelineReports(Reports, OS);
+    OS << '\n';
   });
 }
 
@@ -180,7 +153,8 @@ LogicalResult spnc::runtime::writeKernelCacheReport(
     const KernelCache::Stats &Stats,
     const KernelCache::Config *CacheConfig, const std::string &Path,
     std::string *ErrorMessage) {
-  return writeReportFile(Path, ErrorMessage, [&](RawOStream &OS) {
+  return writeRenderedFile(Path, ErrorMessage, [&](RawOStream &OS) {
     writeKernelCacheReport(Stats, CacheConfig, OS);
+    OS << '\n';
   });
 }

@@ -7,12 +7,9 @@
 
 #include "serving/ServingReports.h"
 
+#include "support/FileIO.h"
 #include "support/JSON.h"
 #include "support/RawOStream.h"
-
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
 
 using namespace spnc;
 using namespace spnc::serving;
@@ -93,47 +90,17 @@ void spnc::serving::writeShardedStatsReport(
 LogicalResult spnc::serving::writeServerStatsReport(
     const ServerStats &Stats, const std::string &Path,
     std::string *ErrorMessage) {
-  std::FILE *File = std::fopen(Path.c_str(), "w");
-  if (!File) {
-    if (ErrorMessage)
-      *ErrorMessage = "cannot create '" + Path +
-                      "': " + std::strerror(errno);
-    return failure();
-  }
-  {
-    FileOStream OS(File);
+  return writeRenderedFile(Path, ErrorMessage, [&](RawOStream &OS) {
     writeServerStatsReport(Stats, OS);
     OS << '\n';
-  }
-  if (std::fclose(File) != 0) {
-    if (ErrorMessage)
-      *ErrorMessage = "cannot flush '" + Path +
-                      "': " + std::strerror(errno);
-    return failure();
-  }
-  return success();
+  });
 }
 
 LogicalResult spnc::serving::writeShardedStatsReport(
     const ServerStats &Aggregate, const std::vector<ServerStats> &PerShard,
     const std::string &Path, std::string *ErrorMessage) {
-  std::FILE *File = std::fopen(Path.c_str(), "w");
-  if (!File) {
-    if (ErrorMessage)
-      *ErrorMessage = "cannot create '" + Path +
-                      "': " + std::strerror(errno);
-    return failure();
-  }
-  {
-    FileOStream OS(File);
+  return writeRenderedFile(Path, ErrorMessage, [&](RawOStream &OS) {
     writeShardedStatsReport(Aggregate, PerShard, OS);
     OS << '\n';
-  }
-  if (std::fclose(File) != 0) {
-    if (ErrorMessage)
-      *ErrorMessage = "cannot flush '" + Path +
-                      "': " + std::strerror(errno);
-    return failure();
-  }
-  return success();
+  });
 }

@@ -7,17 +7,14 @@
 
 #include "tuning/Evaluator.h"
 
-#include "backend/BackendRegistry.h"
+#include "backend/LookupBackend.h"
 #include "serving/InferenceServer.h"
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <random>
 #include <thread>
 
 using namespace spnc;
@@ -57,56 +54,6 @@ std::string Objective::describe() const {
   return "unknown";
 }
 
-Expected<std::vector<TraceEvent>>
-spnc::tuning::loadSubmitTrace(const std::string &Path,
-                              size_t DefaultSamples) {
-  std::FILE *File = std::fopen(Path.c_str(), "r");
-  if (!File)
-    return makeError("cannot open trace '" + Path +
-                     "': " + std::strerror(errno));
-  std::vector<TraceEvent> Trace;
-  char Line[256];
-  size_t LineNo = 0;
-  while (std::fgets(Line, sizeof(Line), File)) {
-    ++LineNo;
-    const char *Cursor = Line;
-    while (*Cursor == ' ' || *Cursor == '\t')
-      ++Cursor;
-    if (*Cursor == '\0' || *Cursor == '\n' || *Cursor == '#')
-      continue;
-    TraceEvent Event;
-    Event.NumSamples = DefaultSamples;
-    unsigned long long Model = 0, Delay = 0;
-    unsigned long long Samples = DefaultSamples;
-    char PriorityText[16] = {0};
-    int Parsed = std::sscanf(Cursor, "%llu %llu %llu %15s", &Model,
-                             &Delay, &Samples, PriorityText);
-    // The priority field is optional (pre-priority recordings load as
-    // Bulk); a present-but-unparsable one is a malformed line.
-    if (Parsed < 2 || Samples == 0 ||
-        (Parsed >= 4 &&
-         !serving::parsePriority(PriorityText, Event.ThePriority))) {
-      std::fclose(File);
-      return makeError("bad trace line " + std::to_string(LineNo) +
-                       " in '" + Path +
-                       "' (expected MODEL_INDEX DELAY_US "
-                       "[NUM_SAMPLES [PRIORITY]])");
-    }
-    Event.ModelIndex = static_cast<size_t>(Model);
-    Event.DelayUs = Delay;
-    Event.NumSamples = static_cast<size_t>(Samples);
-    Trace.push_back(Event);
-  }
-  bool ReadError = std::ferror(File) != 0;
-  std::fclose(File);
-  if (ReadError)
-    return makeError("cannot read trace '" + Path +
-                     "': " + std::strerror(errno));
-  if (Trace.empty())
-    return makeError("trace '" + Path + "' contains no requests");
-  return Trace;
-}
-
 ServingEvaluator::ServingEvaluator(spn::Model Model,
                                    spn::QueryConfig Query,
                                    ServingEvaluatorOptions Options)
@@ -121,7 +68,7 @@ ServingEvaluator::cacheFor(const std::string &BackendName) {
   if (It != Caches.end())
     return It->second.get();
   Expected<std::shared_ptr<backend::Backend>> Backend =
-      backend::BackendRegistry::global().lookup(BackendName);
+      backend::lookupBackend(BackendName);
   if (!Backend)
     return Backend.getError();
   runtime::KernelCache::Config Config;
@@ -134,17 +81,6 @@ ServingEvaluator::cacheFor(const std::string &BackendName) {
 }
 
 namespace {
-
-/// Deterministic synthetic feature rows (same generator as spnc-serve).
-std::vector<double> makeSyntheticRows(unsigned NumFeatures,
-                                      size_t NumSamples, uint64_t Seed) {
-  std::mt19937_64 Rng(Seed);
-  std::uniform_real_distribution<double> Dist(0.0, 4.0);
-  std::vector<double> Rows(NumSamples * NumFeatures);
-  for (double &V : Rows)
-    V = Dist(Rng);
-  return Rows;
-}
 
 uint64_t nowNs() {
   return static_cast<uint64_t>(
@@ -179,14 +115,14 @@ ServingEvaluator::evaluate(const TunedConfig &Config) {
     // Trace replay: keep the events of the tuned model, fold the
     // delays of dropped (other-model) events into the next kept one so
     // the arrival timeline survives the filter.
-    std::vector<TraceEvent> Replay;
+    std::vector<serving::TraceEvent> Replay;
     uint64_t CarriedDelayUs = 0;
-    for (const TraceEvent &Event : Options.Trace) {
+    for (const serving::TraceEvent &Event : Options.Trace) {
       if (Event.ModelIndex != Options.TraceModelIndex) {
         CarriedDelayUs += Event.DelayUs;
         continue;
       }
-      TraceEvent Kept = Event;
+      serving::TraceEvent Kept = Event;
       Kept.DelayUs += CarriedDelayUs;
       CarriedDelayUs = 0;
       Replay.push_back(Kept);
@@ -200,13 +136,13 @@ ServingEvaluator::evaluate(const TunedConfig &Config) {
     std::vector<serving::ResultFuture> Futures;
     Futures.reserve(Replay.size());
     for (size_t I = 0; I < Replay.size(); ++I) {
-      const TraceEvent &Event = Replay[I];
+      const serving::TraceEvent &Event = Replay[I];
       uint64_t DelayUs = static_cast<uint64_t>(
           static_cast<double>(Event.DelayUs) / Speedup);
       if (DelayUs)
         std::this_thread::sleep_for(
             std::chrono::microseconds(DelayUs));
-      std::vector<double> Rows = makeSyntheticRows(
+      std::vector<double> Rows = serving::makeSyntheticRows(
           NumFeatures, Event.NumSamples, Options.Seed + I);
       Futures.push_back(Server.submit(Name, Rows.data(),
                                       Event.NumSamples,
@@ -225,7 +161,7 @@ ServingEvaluator::evaluate(const TunedConfig &Config) {
     for (unsigned C = 0; C < Options.Clients; ++C)
       Clients.emplace_back([&, C] {
         for (unsigned R = 0; R < Options.RequestsPerClient; ++R) {
-          std::vector<double> Rows = makeSyntheticRows(
+          std::vector<double> Rows = serving::makeSyntheticRows(
               NumFeatures, Options.SamplesPerRequest,
               Options.Seed + (uint64_t(C) << 32 | R));
           serving::InferenceResult Result =

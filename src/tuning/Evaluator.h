@@ -27,6 +27,7 @@
 #include "frontend/Model.h"
 #include "frontend/Query.h"
 #include "runtime/KernelCache.h"
+#include "serving/SubmitTrace.h"
 #include "tuning/SearchSpace.h"
 
 #include <map>
@@ -94,25 +95,6 @@ public:
   virtual std::string describe() const = 0;
 };
 
-/// One request of a recorded submit trace (the `spnc-serve
-/// --record-trace` line format:
-/// MODEL_INDEX DELAY_US [NUM_SAMPLES [PRIORITY]]).
-struct TraceEvent {
-  size_t ModelIndex = 0;
-  /// Inter-arrival sleep before this submit.
-  uint64_t DelayUs = 0;
-  size_t NumSamples = 0;
-  /// Scheduling class; lines without the optional priority field
-  /// (pre-priority recordings) load as Bulk.
-  serving::Priority ThePriority = serving::Priority::Bulk;
-};
-
-/// Parses a recorded submit trace. \p DefaultSamples fills lines that
-/// omit NUM_SAMPLES. Fails on an unreadable file, a malformed line
-/// (with its line number), or a trace containing no requests.
-Expected<std::vector<TraceEvent>>
-loadSubmitTrace(const std::string &Path, size_t DefaultSamples);
-
 /// Load shape of the ServingEvaluator.
 struct ServingEvaluatorOptions {
   /// Closed loop (when Trace is empty): client threads, requests per
@@ -122,8 +104,9 @@ struct ServingEvaluatorOptions {
   size_t SamplesPerRequest = 1;
   /// Seed of the synthetic feature rows.
   uint64_t Seed = 1;
-  /// When non-empty, replay these events instead of the closed loop.
-  std::vector<TraceEvent> Trace;
+  /// When non-empty, replay these events (serving::loadSubmitTrace)
+  /// instead of the closed loop.
+  std::vector<serving::TraceEvent> Trace;
   /// Trace events are filtered to this model index (the evaluator
   /// serves one model); dropped events donate their inter-arrival
   /// delays to the next kept event, preserving the arrival timeline.

@@ -7,14 +7,13 @@
 
 #include "tuning/TuningRecord.h"
 
+#include "support/FileIO.h"
 #include "support/JSON.h"
 #include "support/RawOStream.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 using namespace spnc;
@@ -88,33 +87,10 @@ void spnc::tuning::writeTuningRecord(const TuningRecord &Record,
 LogicalResult spnc::tuning::saveTuningRecord(const TuningRecord &Record,
                                              const std::string &Path,
                                              std::string *ErrorMessage) {
-  std::FILE *File = std::fopen(Path.c_str(), "wb");
-  if (!File) {
-    if (ErrorMessage)
-      *ErrorMessage =
-          "cannot open '" + Path + "': " + std::strerror(errno);
-    return failure();
-  }
-  {
-    FileOStream OS(File);
-    writeTuningRecord(Record, OS);
-  }
-  if (std::ferror(File)) {
-    if (ErrorMessage)
-      *ErrorMessage =
-          "cannot write '" + Path + "': " + std::strerror(errno);
-    std::fclose(File);
-    std::remove(Path.c_str());
-    return failure();
-  }
-  if (std::fclose(File) != 0) {
-    if (ErrorMessage)
-      *ErrorMessage =
-          "cannot write '" + Path + "': " + std::strerror(errno);
-    std::remove(Path.c_str());
-    return failure();
-  }
-  return success();
+  std::string Text;
+  StringOStream OS(Text);
+  writeTuningRecord(Record, OS);
+  return replaceFileAtomically(Path, Text, ErrorMessage);
 }
 
 /// Parses the 16-hex-digit model hash written by writeTuningRecord.
@@ -251,22 +227,10 @@ spnc::tuning::parseTuningRecord(std::string_view Json) {
 
 Expected<TuningRecord>
 spnc::tuning::loadTuningRecord(const std::string &Path) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
-    return makeError("cannot open tuning record '" + Path +
-                     "': " + std::strerror(errno));
-  std::string Text;
-  char Chunk[4096];
-  size_t Read;
-  while ((Read = std::fread(Chunk, 1, sizeof(Chunk), File)) > 0)
-    Text.append(Chunk, Read);
-  if (std::ferror(File)) {
-    std::fclose(File);
-    return makeError("cannot read tuning record '" + Path +
-                     "': " + std::strerror(errno));
-  }
-  std::fclose(File);
-  Expected<TuningRecord> Record = parseTuningRecord(Text);
+  Expected<std::string> Text = readWholeFile(Path);
+  if (!Text)
+    return Text.getError();
+  Expected<TuningRecord> Record = parseTuningRecord(*Text);
   if (!Record)
     return makeError("'" + Path + "': " + Record.getError().message());
   return Record;

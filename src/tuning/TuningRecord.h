@@ -101,7 +101,8 @@ applyTuningRecord(const TuningRecord &Record, TunedConfig &Config,
 /// Writes \p Record as JSON to \p OS (stable key order, golden-tested).
 void writeTuningRecord(const TuningRecord &Record, RawOStream &OS);
 
-/// Writes the record to \p Path (overwritten). On failure,
+/// Replaces \p Path with the record atomically (replaceFileAtomically),
+/// so a failed save leaves the previous record in place. On failure,
 /// \p ErrorMessage (when non-null) receives the reason.
 LogicalResult saveTuningRecord(const TuningRecord &Record,
                                const std::string &Path,

@@ -7,10 +7,10 @@
 
 #include "vm/ProgramBinary.h"
 
+#include "support/ByteStream.h"
+#include "support/FileIO.h"
 #include "support/Hashing.h"
 
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <string>
 
@@ -26,100 +26,10 @@ constexpr uint32_t kMagic = 0x43505356; // "VSPC"
 constexpr size_t kChecksumOffset = 8;
 constexpr size_t kPayloadOffset = 16;
 
-class Writer {
-public:
-  std::vector<uint8_t> take() { return std::move(Bytes); }
-
-  void u8(uint8_t V) { Bytes.push_back(V); }
-  void u32(uint32_t V) { raw(&V, sizeof(V)); }
-  void u64(uint64_t V) { raw(&V, sizeof(V)); }
-  void f64(double V) { raw(&V, sizeof(V)); }
-  void str(const std::string &V) {
-    u32(static_cast<uint32_t>(V.size()));
-    raw(V.data(), V.size());
-  }
-  void f64Vec(const std::vector<double> &V) {
-    u32(static_cast<uint32_t>(V.size()));
-    for (double X : V)
-      f64(X);
-  }
-
-private:
-  void raw(const void *Data, size_t Size) {
-    const auto *P = static_cast<const uint8_t *>(Data);
-    Bytes.insert(Bytes.end(), P, P + Size);
-  }
-  std::vector<uint8_t> Bytes;
-};
-
-class Reader {
-public:
-  explicit Reader(std::span<const uint8_t> Blob) : Blob(Blob) {}
-
-  bool bad() const { return Error; }
-  bool atEnd() const { return Offset == Blob.size(); }
-
-  uint8_t u8() {
-    uint8_t V = 0;
-    raw(&V, sizeof(V));
-    return V;
-  }
-  uint32_t u32() {
-    uint32_t V = 0;
-    raw(&V, sizeof(V));
-    return V;
-  }
-  uint64_t u64() {
-    uint64_t V = 0;
-    raw(&V, sizeof(V));
-    return V;
-  }
-  double f64() {
-    double V = 0;
-    raw(&V, sizeof(V));
-    return V;
-  }
-  std::string str() {
-    uint32_t Size = u32();
-    if (Error || Blob.size() - Offset < Size) {
-      Error = true;
-      return {};
-    }
-    std::string V(reinterpret_cast<const char *>(&Blob[Offset]), Size);
-    Offset += Size;
-    return V;
-  }
-  std::vector<double> f64Vec() {
-    uint32_t Size = u32();
-    if (Error || (Blob.size() - Offset) / sizeof(double) < Size) {
-      Error = true;
-      return {};
-    }
-    std::vector<double> V(Size);
-    for (double &X : V)
-      X = f64();
-    return V;
-  }
-
-private:
-  void raw(void *Data, size_t Size) {
-    if (Error || Blob.size() - Offset < Size) {
-      Error = true;
-      std::memset(Data, 0, Size);
-      return;
-    }
-    std::memcpy(Data, &Blob[Offset], Size);
-    Offset += Size;
-  }
-  std::span<const uint8_t> Blob;
-  size_t Offset = 0;
-  bool Error = false;
-};
-
 } // namespace
 
 std::vector<uint8_t> spnc::vm::encodeProgram(const KernelProgram &P) {
-  Writer W;
+  ByteWriter W;
   W.u32(kMagic);
   W.u32(kProgramBinaryVersion);
   W.u64(0); // checksum placeholder, patched after the payload is known
@@ -483,7 +393,7 @@ std::string checkIndices(const KernelProgram &P) {
 
 Expected<KernelProgram>
 spnc::vm::decodeProgram(std::span<const uint8_t> Blob) {
-  Reader R(Blob);
+  ByteReader R(Blob);
   if (R.u32() != kMagic)
     return makeError("not a kernel program blob (bad magic)");
   uint32_t Version = R.u32();
@@ -660,22 +570,10 @@ spnc::vm::decodeProgram(std::span<const uint8_t> Blob) {
 }
 
 Expected<KernelProgram> spnc::vm::readProgramFile(const std::string &Path) {
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
-    return makeError("cannot open '" + Path + "': " + std::strerror(errno));
-  std::vector<uint8_t> Blob;
-  uint8_t Chunk[4096];
-  size_t Read;
-  while ((Read = std::fread(Chunk, 1, sizeof(Chunk), File)) > 0)
-    Blob.insert(Blob.end(), Chunk, Chunk + Read);
-  if (std::ferror(File)) {
-    Error Err = makeError("cannot read '" + Path +
-                          "': " + std::strerror(errno));
-    std::fclose(File);
-    return Err;
-  }
-  std::fclose(File);
-  Expected<KernelProgram> Program = decodeProgram(Blob);
+  Expected<std::string> Blob = readWholeFile(Path);
+  if (!Blob)
+    return Blob.getError();
+  Expected<KernelProgram> Program = decodeProgram(asBytes(*Blob));
   if (!Program)
     return makeError("cannot load '" + Path +
                      "': " + Program.getError().message());

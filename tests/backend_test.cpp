@@ -18,9 +18,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "backend/BackendRegistry.h"
 #include "backend/CppBackend.h"
 #include "backend/CppEmitter.h"
+#include "backend/LookupBackend.h"
 #include "backend/VmBackend.h"
 #include "baselines/Baselines.h"
 #include "frontend/Serializer.h"
@@ -233,105 +233,39 @@ unsigned allowedCpus() {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Registry
+// Lookup
 //===----------------------------------------------------------------------===//
 
 TEST(BackendRegistryTest, GlobalHasBuiltins) {
-  backend::BackendRegistry &Registry = backend::BackendRegistry::global();
-  EXPECT_TRUE(Registry.contains("vm"));
-  EXPECT_TRUE(Registry.contains("cpp"));
-
-  Expected<std::shared_ptr<backend::Backend>> Vm = Registry.lookup("vm");
+  Expected<std::shared_ptr<backend::Backend>> Vm =
+      backend::lookupBackend("vm");
   ASSERT_TRUE(static_cast<bool>(Vm)) << Vm.getError().message();
   EXPECT_EQ((*Vm)->getName(), "vm");
 
   Expected<std::shared_ptr<backend::Backend>> Cpp =
-      Registry.lookup("cpp");
+      backend::lookupBackend("cpp");
   ASSERT_TRUE(static_cast<bool>(Cpp)) << Cpp.getError().message();
   EXPECT_EQ((*Cpp)->getName(), "cpp");
 }
 
 TEST(BackendRegistryTest, LookupReturnsSharedInstance) {
-  backend::BackendRegistry &Registry = backend::BackendRegistry::global();
   Expected<std::shared_ptr<backend::Backend>> First =
-      Registry.lookup("vm");
+      backend::lookupBackend("vm");
   Expected<std::shared_ptr<backend::Backend>> Second =
-      Registry.lookup("vm");
+      backend::lookupBackend("vm");
   ASSERT_TRUE(static_cast<bool>(First));
   ASSERT_TRUE(static_cast<bool>(Second));
   EXPECT_EQ(First->get(), Second->get());
 }
 
-TEST(BackendRegistryTest, DuplicateRegistrationDiagnosed) {
-  backend::BackendRegistry Registry;
-  std::optional<Error> First = Registry.registerBackend(
-      "custom", [] { return std::make_shared<backend::VmBackend>(); });
-  EXPECT_FALSE(First.has_value());
-
-  std::optional<Error> Second = Registry.registerBackend(
-      "custom", [] { return std::make_shared<backend::VmBackend>(); });
-  ASSERT_TRUE(Second.has_value());
-  EXPECT_NE(Second->message().find("'custom'"), std::string::npos)
-      << Second->message();
-  EXPECT_NE(Second->message().find("already registered"),
-            std::string::npos)
-      << Second->message();
-}
-
 TEST(BackendRegistryTest, UnknownNameListsRegisteredBackends) {
-  backend::BackendRegistry Registry;
-  ASSERT_FALSE(Registry
-                   .registerBackend("vm",
-                                    [] {
-                                      return std::make_shared<
-                                          backend::VmBackend>();
-                                    })
-                   .has_value());
-
   Expected<std::shared_ptr<backend::Backend>> Result =
-      Registry.lookup("cppp");
+      backend::lookupBackend("cppp");
   ASSERT_FALSE(static_cast<bool>(Result));
   std::string Message = Result.getError().message();
   EXPECT_NE(Message.find("unknown backend 'cppp'"), std::string::npos)
       << Message;
-  EXPECT_NE(Message.find("vm"), std::string::npos) << Message;
-}
-
-TEST(BackendRegistryTest, EmptyRegistryDiagnosesNoBackends) {
-  backend::BackendRegistry Registry;
-  Expected<std::shared_ptr<backend::Backend>> Result =
-      Registry.lookup("vm");
-  ASSERT_FALSE(static_cast<bool>(Result));
-  EXPECT_NE(Result.getError().message().find("<none>"),
-            std::string::npos)
-      << Result.getError().message();
-}
-
-TEST(BackendRegistryTest, NullFactoryDiagnosed) {
-  backend::BackendRegistry Registry;
-  std::optional<Error> Err =
-      Registry.registerBackend("broken", backend::BackendRegistry::Factory());
-  ASSERT_TRUE(Err.has_value());
-}
-
-TEST(BackendRegistryTest, NamesInRegistrationOrder) {
-  backend::BackendRegistry Registry;
-  ASSERT_FALSE(Registry
-                   .registerBackend("b",
-                                    [] {
-                                      return std::make_shared<
-                                          backend::VmBackend>();
-                                    })
-                   .has_value());
-  ASSERT_FALSE(Registry
-                   .registerBackend("a",
-                                    [] {
-                                      return std::make_shared<
-                                          backend::VmBackend>();
-                                    })
-                   .has_value());
-  EXPECT_EQ(Registry.getNames(),
-            (std::vector<std::string>{"b", "a"}));
+  EXPECT_NE(Message.find("vm, cpp"), std::string::npos) << Message;
 }
 
 //===----------------------------------------------------------------------===//

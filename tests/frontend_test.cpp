@@ -15,8 +15,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <thread>
 
 using namespace spnc;
 using namespace spnc::spn;
@@ -258,6 +261,38 @@ TEST(SerializerTest, SaveAndLoadFile) {
   Expected<Model> Loaded = loadModel(Path);
   ASSERT_TRUE(static_cast<bool>(Loaded)) << Loaded.getError().message();
   EXPECT_EQ(Loaded->getNumNodes(), M.getNumNodes());
+  std::remove(Path.c_str());
+}
+
+TEST(SerializerTest, ConcurrentSavesToOnePath) {
+  // Two writers of one path each write a sibling of their own: both
+  // saves succeed, and the path always holds one whole model.
+  Model A = buildExampleModel();
+  workloads::SpeakerModelOptions Options;
+  Options.TargetOperations = 150;
+  Model B = workloads::generateSpeakerModel(Options);
+  std::vector<uint8_t> BytesA = serializeModel(A);
+  std::vector<uint8_t> BytesB = serializeModel(B);
+  std::string Path = ::testing::TempDir() + "/spnc_concurrent.spnb";
+  for (int Round = 0; Round < 200; ++Round) {
+    std::atomic<int> Ready{0};
+    bool Saved[2] = {false, false};
+    auto Save = [&](int I) {
+      ++Ready;
+      while (Ready.load() < 2) {
+      }
+      Saved[I] = succeeded(saveModel(I ? B : A, Path));
+    };
+    std::thread First(Save, 0), Second(Save, 1);
+    First.join();
+    Second.join();
+    ASSERT_TRUE(Saved[0] && Saved[1]) << "round " << Round;
+    Expected<Model> Loaded = loadModel(Path);
+    ASSERT_TRUE(static_cast<bool>(Loaded))
+        << "round " << Round << ": " << Loaded.getError().message();
+    std::vector<uint8_t> Bytes = serializeModel(*Loaded);
+    EXPECT_TRUE(Bytes == BytesA || Bytes == BytesB) << "round " << Round;
+  }
   std::remove(Path.c_str());
 }
 

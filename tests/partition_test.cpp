@@ -111,9 +111,9 @@ TEST(PartitionerTest, RefinementDoesNotIncreaseCost) {
     Graph G = makeRandomDag(2000, 0.7, Seed);
     PartitionOptions NoRefine;
     NoRefine.MaxPartitionSize = 150;
-    NoRefine.EnableRefinement = false;
+    NoRefine.Strategy = RefinementStrategy::None;
     PartitionOptions Simple = NoRefine;
-    Simple.EnableRefinement = true;
+    Simple.Strategy = RefinementStrategy::SimpleMoves;
     PartitionOptions Global = Simple;
     Global.Strategy = RefinementStrategy::GlobalMoves;
 

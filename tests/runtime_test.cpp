@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <thread>
 
 using namespace spnc;
@@ -238,11 +239,40 @@ TEST_F(RuntimeTest, SaveNeverLeavesTruncatedKernelBehind) {
   ASSERT_TRUE(static_cast<bool>(Kernel));
   std::string Path = ::testing::TempDir() + "/atomic.spnk";
   ASSERT_TRUE(succeeded(saveCompiledKernel(*Kernel, Path)));
-  // The temporary sibling used for the atomic rename is gone.
-  std::FILE *Temp = std::fopen((Path + ".tmp").c_str(), "rb");
-  EXPECT_EQ(Temp, nullptr);
-  if (Temp)
-    std::fclose(Temp);
+  // No temporary sibling used for the atomic rename is left.
+  for (const std::filesystem::directory_entry &Entry :
+       std::filesystem::directory_iterator(::testing::TempDir()))
+    EXPECT_NE(Entry.path().filename().string().rfind("atomic.spnk.tmp", 0),
+              0u)
+        << Entry.path();
+  std::remove(Path.c_str());
+}
+
+TEST_F(RuntimeTest, ConcurrentSavesOfOneKernel) {
+  // Two threads saving one kernel to one path (what two KernelCache
+  // misses of one key do) each write a sibling of their own: both
+  // saves succeed and the path holds the kernel.
+  Expected<CompiledKernel> Kernel =
+      compileModel(*Model, spn::QueryConfig(), CompilerOptions());
+  ASSERT_TRUE(static_cast<bool>(Kernel));
+  std::string Path = ::testing::TempDir() + "/concurrent.spnk";
+  for (int Round = 0; Round < 200; ++Round) {
+    std::atomic<int> Ready{0};
+    std::string Errors[2];
+    auto Save = [&](int I) {
+      ++Ready;
+      while (Ready.load() < 2) {
+      }
+      if (failed(saveCompiledKernel(*Kernel, Path, &Errors[I])) &&
+          Errors[I].empty())
+        Errors[I] = "failed";
+    };
+    std::thread First(Save, 0), Second(Save, 1);
+    First.join();
+    Second.join();
+    ASSERT_EQ(Errors[0] + Errors[1], "") << "round " << Round;
+  }
+  EXPECT_TRUE(static_cast<bool>(loadCompiledKernel(Path)));
   std::remove(Path.c_str());
 }
 

@@ -7,6 +7,7 @@
 
 #include "serving/InferenceServer.h"
 #include "serving/ServingReports.h"
+#include "serving/SubmitTrace.h"
 #include "support/JSON.h"
 #include "support/RawOStream.h"
 #include "workloads/Workloads.h"
@@ -15,6 +16,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <optional>
 #include <string>
@@ -702,6 +705,167 @@ TEST_F(ServingTest, MergeModelsFallsBackForUnsupportedQueries) {
   EXPECT_NEAR(GpuResult.LogLikelihoods[0], Want,
               1e-4 * std::fabs(Want) + 1e-4);
   Server.shutdown();
+}
+
+//===----------------------------------------------------------------------===//
+// Submit traces
+//===----------------------------------------------------------------------===//
+
+class TraceFileTest : public ::testing::Test {
+protected:
+  void SetUp() override {
+    TempDir = std::filesystem::path(::testing::TempDir()) /
+              ("spnc-serving-trace-" +
+               std::to_string(::testing::UnitTest::GetInstance()
+                                  ->random_seed()) +
+               "-" +
+               ::testing::UnitTest::GetInstance()
+                   ->current_test_info()
+                   ->name());
+    std::filesystem::remove_all(TempDir);
+    std::filesystem::create_directories(TempDir);
+  }
+  void TearDown() override { std::filesystem::remove_all(TempDir); }
+
+  std::string writeFile(const char *Name, const char *Contents) {
+    std::string Path = (TempDir / Name).string();
+    std::FILE *File = std::fopen(Path.c_str(), "w");
+    EXPECT_NE(File, nullptr);
+    std::fputs(Contents, File);
+    std::fclose(File);
+    return Path;
+  }
+
+  std::filesystem::path TempDir;
+};
+
+TEST_F(TraceFileTest, LoadsRecordedTrace) {
+  std::string Path = writeFile("good.trace",
+                               "# header comment\n"
+                               "0 0 4\n"
+                               "1 250\n"
+                               "0 125 2\n");
+  Expected<std::vector<TraceEvent>> Trace =
+      loadSubmitTrace(Path, /*DefaultSamples=*/8);
+  ASSERT_TRUE(static_cast<bool>(Trace));
+  ASSERT_EQ(Trace->size(), 3u);
+  EXPECT_EQ((*Trace)[0].NumSamples, 4u);
+  EXPECT_EQ((*Trace)[1].ModelIndex, 1u);
+  EXPECT_EQ((*Trace)[1].DelayUs, 250u);
+  EXPECT_EQ((*Trace)[1].NumSamples, 8u); // default filled in
+  EXPECT_EQ((*Trace)[2].NumSamples, 2u);
+}
+
+TEST_F(TraceFileTest, MissingFileFails) {
+  Expected<std::vector<TraceEvent>> Trace =
+      loadSubmitTrace((TempDir / "nope.trace").string(), 1);
+  ASSERT_FALSE(static_cast<bool>(Trace));
+  EXPECT_NE(Trace.getError().message().find("cannot open"),
+            std::string::npos);
+}
+
+TEST_F(TraceFileTest, EmptyTraceFails) {
+  std::string Path =
+      writeFile("empty.trace", "# only comments\n\n   \n");
+  Expected<std::vector<TraceEvent>> Trace = loadSubmitTrace(Path, 1);
+  ASSERT_FALSE(static_cast<bool>(Trace));
+  EXPECT_NE(Trace.getError().message().find("contains no requests"),
+            std::string::npos);
+}
+
+TEST_F(TraceFileTest, MalformedLineFailsWithLineNumber) {
+  std::string Path = writeFile("bad.trace",
+                               "0 0 1\n"
+                               "not a trace line\n");
+  Expected<std::vector<TraceEvent>> Trace = loadSubmitTrace(Path, 1);
+  ASSERT_FALSE(static_cast<bool>(Trace));
+  EXPECT_NE(Trace.getError().message().find("bad trace line 2"),
+            std::string::npos);
+}
+
+TEST_F(TraceFileTest, PriorityFieldRoundTripsAndDefaultsToBulk) {
+  // The optional 4th field carries the scheduling class; lines without
+  // it (pre-priority recordings) load as Bulk.
+  std::string Path = writeFile("prio.trace",
+                               "# mixed-priority trace\n"
+                               "0 0 4 interactive\n"
+                               "1 250 2 bulk\n"
+                               "0 125 1\n"
+                               "1 10\n");
+  Expected<std::vector<TraceEvent>> Trace =
+      loadSubmitTrace(Path, /*DefaultSamples=*/8);
+  ASSERT_TRUE(static_cast<bool>(Trace));
+  ASSERT_EQ(Trace->size(), 4u);
+  EXPECT_EQ((*Trace)[0].ThePriority, serving::Priority::Interactive);
+  EXPECT_EQ((*Trace)[0].NumSamples, 4u);
+  EXPECT_EQ((*Trace)[1].ThePriority, serving::Priority::Bulk);
+  EXPECT_EQ((*Trace)[2].ThePriority, serving::Priority::Bulk);
+  EXPECT_EQ((*Trace)[3].ThePriority, serving::Priority::Bulk);
+  EXPECT_EQ((*Trace)[3].NumSamples, 8u); // default filled in
+}
+
+TEST_F(TraceFileTest, UnknownPriorityTokenFails) {
+  std::string Path = writeFile("badprio.trace",
+                               "0 0 1 interactive\n"
+                               "0 0 1 urgent\n");
+  Expected<std::vector<TraceEvent>> Trace = loadSubmitTrace(Path, 1);
+  ASSERT_FALSE(static_cast<bool>(Trace));
+  EXPECT_NE(Trace.getError().message().find("bad trace line 2"),
+            std::string::npos);
+}
+
+Expected<std::vector<TraceEvent>> parseTrace(const std::string &Text) {
+  return parseSubmitTrace(Text, /*DefaultSamples=*/8);
+}
+
+TEST(SubmitTraceTest, FormattedEventsParseBack) {
+  std::vector<TraceEvent> Events = {
+      {0, 0, 1, Priority::Interactive},
+      {3, 18446744073709551615ull, 4096, Priority::Bulk},
+      {7, 250, 8, Priority::Interactive}};
+  std::string Text;
+  for (const TraceEvent &Event : Events)
+    Text += formatTraceEvent(Event);
+  EXPECT_EQ(formatTraceEvent(Events[1]),
+            "3 18446744073709551615 4096 bulk\n");
+  Expected<std::vector<TraceEvent>> Parsed = parseTrace(Text);
+  ASSERT_TRUE(static_cast<bool>(Parsed)) << Parsed.getError().message();
+  ASSERT_EQ(Parsed->size(), Events.size());
+  for (size_t I = 0; I < Events.size(); ++I) {
+    EXPECT_EQ((*Parsed)[I].ModelIndex, Events[I].ModelIndex);
+    EXPECT_EQ((*Parsed)[I].DelayUs, Events[I].DelayUs);
+    EXPECT_EQ((*Parsed)[I].NumSamples, Events[I].NumSamples);
+    EXPECT_EQ((*Parsed)[I].ThePriority, Events[I].ThePriority);
+  }
+
+  // Two fields take the default sample count and the bulk class.
+  Expected<std::vector<TraceEvent>> Short = parseTrace("2 5\n");
+  ASSERT_TRUE(static_cast<bool>(Short));
+  EXPECT_EQ((*Short)[0].NumSamples, 8u);
+  EXPECT_EQ((*Short)[0].ThePriority, Priority::Bulk);
+}
+
+TEST(SubmitTraceTest, RejectsSignsOverflowZeroSamplesAndExtraFields) {
+  for (const char *Bad : {"0 -5 -1", "-1 0", "0 0 -1", "+1 0",
+                          "0 18446744073709551616", "0 0 0",
+                          "0 0 1 bulk extra", "0 0 1x", "0"}) {
+    Expected<std::vector<TraceEvent>> Trace =
+        parseTrace(std::string("# header\n0 0 1\n") + Bad + "\n");
+    ASSERT_FALSE(static_cast<bool>(Trace)) << Bad;
+    EXPECT_NE(Trace.getError().message().find("bad trace line 3"),
+              std::string::npos)
+        << Bad << ": " << Trace.getError().message();
+  }
+}
+
+TEST(SubmitTraceTest, LongCommentLinesParse) {
+  std::string Text = "#" + std::string(300, 'c') + "\n\t1 2 3\r\n";
+  Expected<std::vector<TraceEvent>> Trace = parseTrace(Text);
+  ASSERT_TRUE(static_cast<bool>(Trace)) << Trace.getError().message();
+  ASSERT_EQ(Trace->size(), 1u);
+  EXPECT_EQ((*Trace)[0].ModelIndex, 1u);
+  EXPECT_EQ((*Trace)[0].DelayUs, 2u);
+  EXPECT_EQ((*Trace)[0].NumSamples, 3u);
 }
 
 } // namespace

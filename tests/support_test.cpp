@@ -7,6 +7,7 @@
 
 #include "support/Casting.h"
 #include "support/Expected.h"
+#include "support/FileIO.h"
 #include "support/Future.h"
 #include "support/Hashing.h"
 #include "support/Histogram.h"
@@ -19,8 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -389,6 +392,40 @@ TEST(HistogramTest, QuantilesAfterMergeMatchCombinedPopulation) {
   for (double Q : {0.01, 0.25, 0.5, 0.9, 0.95, 0.99})
     EXPECT_EQ(Merged.quantile(Q), Union.quantile(Q)) << "Q=" << Q;
   EXPECT_EQ(Merged.getBuckets(), Union.getBuckets());
+}
+
+TEST(FileIOTest, AtomicReplaceWritesWholeFilesAndCleansUpOnFailure) {
+  std::filesystem::path Dir =
+      std::filesystem::path(::testing::TempDir()) / "spnc-fileio";
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir / "subdir");
+  std::string Path = (Dir / "file.bin").string();
+  ASSERT_TRUE(succeeded(replaceFileAtomically(Path, "first version")));
+  ASSERT_TRUE(succeeded(replaceFileAtomically(Path, "second")));
+  Expected<std::string> Read = readWholeFile(Path);
+  ASSERT_TRUE(static_cast<bool>(Read)) << Read.getError().message();
+  EXPECT_EQ(*Read, "second");
+
+  // Renaming over a directory fails: the error names the sibling and the
+  // reason, and the sibling is removed.
+  std::string Error;
+  EXPECT_TRUE(failed(
+      replaceFileAtomically((Dir / "subdir").string(), "x", &Error)));
+  EXPECT_NE(Error.find("cannot rename '" + (Dir / "subdir").string() +
+                       ".tmp."),
+            std::string::npos)
+      << Error;
+  std::vector<std::string> Names;
+  for (const std::filesystem::directory_entry &Entry :
+       std::filesystem::directory_iterator(Dir))
+    Names.push_back(Entry.path().filename().string());
+  std::sort(Names.begin(), Names.end());
+  EXPECT_EQ(Names, (std::vector<std::string>{"file.bin", "subdir"}));
+
+  Expected<std::string> Missing = readWholeFile((Dir / "missing").string());
+  ASSERT_FALSE(static_cast<bool>(Missing));
+  EXPECT_EQ(Missing.getError().message().rfind("cannot open '", 0), 0u);
+  std::filesystem::remove_all(Dir);
 }
 
 TEST(TimerTest, MeasuresElapsedTime) {

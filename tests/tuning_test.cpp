@@ -443,111 +443,8 @@ TEST(ObjectiveTest, ScoresAndDescriptions) {
 }
 
 //===----------------------------------------------------------------------===//
-// Trace loading + ServingEvaluator
+// ServingEvaluator
 //===----------------------------------------------------------------------===//
-
-class TraceFileTest : public ::testing::Test {
-protected:
-  void SetUp() override {
-    TempDir = std::filesystem::path(::testing::TempDir()) /
-              ("spnc-tuning-trace-" +
-               std::to_string(::testing::UnitTest::GetInstance()
-                                  ->random_seed()) +
-               "-" +
-               ::testing::UnitTest::GetInstance()
-                   ->current_test_info()
-                   ->name());
-    std::filesystem::remove_all(TempDir);
-    std::filesystem::create_directories(TempDir);
-  }
-  void TearDown() override { std::filesystem::remove_all(TempDir); }
-
-  std::string writeFile(const char *Name, const char *Contents) {
-    std::string Path = (TempDir / Name).string();
-    std::FILE *File = std::fopen(Path.c_str(), "w");
-    EXPECT_NE(File, nullptr);
-    std::fputs(Contents, File);
-    std::fclose(File);
-    return Path;
-  }
-
-  std::filesystem::path TempDir;
-};
-
-TEST_F(TraceFileTest, LoadsRecordedTrace) {
-  std::string Path = writeFile("good.trace",
-                               "# header comment\n"
-                               "0 0 4\n"
-                               "1 250\n"
-                               "0 125 2\n");
-  Expected<std::vector<TraceEvent>> Trace =
-      loadSubmitTrace(Path, /*DefaultSamples=*/8);
-  ASSERT_TRUE(static_cast<bool>(Trace));
-  ASSERT_EQ(Trace->size(), 3u);
-  EXPECT_EQ((*Trace)[0].NumSamples, 4u);
-  EXPECT_EQ((*Trace)[1].ModelIndex, 1u);
-  EXPECT_EQ((*Trace)[1].DelayUs, 250u);
-  EXPECT_EQ((*Trace)[1].NumSamples, 8u); // default filled in
-  EXPECT_EQ((*Trace)[2].NumSamples, 2u);
-}
-
-TEST_F(TraceFileTest, MissingFileFails) {
-  Expected<std::vector<TraceEvent>> Trace =
-      loadSubmitTrace((TempDir / "nope.trace").string(), 1);
-  ASSERT_FALSE(static_cast<bool>(Trace));
-  EXPECT_NE(Trace.getError().message().find("cannot open"),
-            std::string::npos);
-}
-
-TEST_F(TraceFileTest, EmptyTraceFails) {
-  std::string Path =
-      writeFile("empty.trace", "# only comments\n\n   \n");
-  Expected<std::vector<TraceEvent>> Trace = loadSubmitTrace(Path, 1);
-  ASSERT_FALSE(static_cast<bool>(Trace));
-  EXPECT_NE(Trace.getError().message().find("contains no requests"),
-            std::string::npos);
-}
-
-TEST_F(TraceFileTest, MalformedLineFailsWithLineNumber) {
-  std::string Path = writeFile("bad.trace",
-                               "0 0 1\n"
-                               "not a trace line\n");
-  Expected<std::vector<TraceEvent>> Trace = loadSubmitTrace(Path, 1);
-  ASSERT_FALSE(static_cast<bool>(Trace));
-  EXPECT_NE(Trace.getError().message().find("bad trace line 2"),
-            std::string::npos);
-}
-
-TEST_F(TraceFileTest, PriorityFieldRoundTripsAndDefaultsToBulk) {
-  // The optional 4th field carries the scheduling class; lines without
-  // it (pre-priority recordings) load as Bulk.
-  std::string Path = writeFile("prio.trace",
-                               "# mixed-priority trace\n"
-                               "0 0 4 interactive\n"
-                               "1 250 2 bulk\n"
-                               "0 125 1\n"
-                               "1 10\n");
-  Expected<std::vector<TraceEvent>> Trace =
-      loadSubmitTrace(Path, /*DefaultSamples=*/8);
-  ASSERT_TRUE(static_cast<bool>(Trace));
-  ASSERT_EQ(Trace->size(), 4u);
-  EXPECT_EQ((*Trace)[0].ThePriority, serving::Priority::Interactive);
-  EXPECT_EQ((*Trace)[0].NumSamples, 4u);
-  EXPECT_EQ((*Trace)[1].ThePriority, serving::Priority::Bulk);
-  EXPECT_EQ((*Trace)[2].ThePriority, serving::Priority::Bulk);
-  EXPECT_EQ((*Trace)[3].ThePriority, serving::Priority::Bulk);
-  EXPECT_EQ((*Trace)[3].NumSamples, 8u); // default filled in
-}
-
-TEST_F(TraceFileTest, UnknownPriorityTokenFails) {
-  std::string Path = writeFile("badprio.trace",
-                               "0 0 1 interactive\n"
-                               "0 0 1 urgent\n");
-  Expected<std::vector<TraceEvent>> Trace = loadSubmitTrace(Path, 1);
-  ASSERT_FALSE(static_cast<bool>(Trace));
-  EXPECT_NE(Trace.getError().message().find("bad trace line 2"),
-            std::string::npos);
-}
 
 class ServingEvaluatorTest : public ::testing::Test {
 protected:

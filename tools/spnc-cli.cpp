@@ -23,7 +23,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "backend/BackendRegistry.h"
+#include "backend/LookupBackend.h"
 #include "frontend/HiSPNTranslation.h"
 #include "frontend/Serializer.h"
 #include "ir/Printer.h"
@@ -31,11 +31,13 @@
 #include "runtime/Compiler.h"
 #include "runtime/KernelCache.h"
 #include "runtime/Reports.h"
+#include "support/FileIO.h"
 #include "support/RawOStream.h"
 #include "support/StringUtils.h"
 #include "tuning/TuningRecord.h"
 #include "vm/ProgramBinary.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -44,6 +46,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 using namespace spnc;
@@ -72,8 +75,8 @@ struct CliOptions {
   uint64_t Seed = 0;
   /// Rows synthesized for unconditioned sampling (no --input).
   size_t NumSynthetic = 1;
-  /// Registered backend that materializes the engine (see
-  /// backend/BackendRegistry.h).
+  /// Built-in backend that materializes the engine (see
+  /// backend/LookupBackend.h).
   std::string BackendName = "vm";
   /// True when --target was given; a loaded .spnk then keeps that
   /// engine instead of deferring to the recorded lowering.
@@ -353,31 +356,34 @@ bool parseArguments(int Argc, char **Argv, CliOptions &Options) {
 /// commas; "nan" allowed). Returns false on shape mismatch.
 bool readSamples(const std::string &Path, unsigned NumFeatures,
                  std::vector<double> &Data, size_t &NumSamples) {
-  std::FILE *File = std::fopen(Path.c_str(), "r");
-  if (!File) {
-    std::fprintf(stderr, "cannot open '%s'\n", Path.c_str());
+  Expected<std::string> Text = readWholeFile(Path);
+  if (!Text) {
+    std::fprintf(stderr, "%s\n", Text.getError().message().c_str());
     return false;
   }
-  char Line[1 << 16];
   NumSamples = 0;
-  while (std::fgets(Line, sizeof(Line), File)) {
+  std::string_view Rest = *Text;
+  while (!Rest.empty()) {
+    size_t End = std::min(Rest.find('\n'), Rest.size());
+    // strtod needs a terminated string that ends with the line.
+    std::string Line(Rest.substr(0, End));
+    Rest.remove_prefix(std::min(End + 1, Rest.size()));
     unsigned Count = 0;
-    char *Cursor = Line;
+    const char *Cursor = Line.c_str();
     for (;;) {
       while (*Cursor == ' ' || *Cursor == '\t' || *Cursor == ',')
         ++Cursor;
-      if (*Cursor == '\0' || *Cursor == '\n' || *Cursor == '\r')
+      if (*Cursor == '\0' || *Cursor == '\r')
         break;
-      char *End = nullptr;
-      double Value = std::strtod(Cursor, &End);
-      if (End == Cursor) {
+      char *NumberEnd = nullptr;
+      double Value = std::strtod(Cursor, &NumberEnd);
+      if (NumberEnd == Cursor) {
         std::fprintf(stderr, "bad number on line %zu\n", NumSamples + 1);
-        std::fclose(File);
         return false;
       }
       Data.push_back(Value);
       ++Count;
-      Cursor = End;
+      Cursor = NumberEnd;
     }
     if (Count == 0)
       continue; // blank line
@@ -385,12 +391,10 @@ bool readSamples(const std::string &Path, unsigned NumFeatures,
       std::fprintf(stderr,
                    "line %zu has %u values, model expects %u features\n",
                    NumSamples + 1, Count, NumFeatures);
-      std::fclose(File);
       return false;
     }
     ++NumSamples;
   }
-  std::fclose(File);
   return true;
 }
 
@@ -582,7 +586,7 @@ int main(int Argc, char **Argv) {
   }
 
   Expected<std::shared_ptr<backend::Backend>> BackendOrErr =
-      backend::BackendRegistry::global().lookup(Options.BackendName);
+      backend::lookupBackend(Options.BackendName);
   if (!BackendOrErr) {
     std::fprintf(stderr, "%s\n",
                  BackendOrErr.getError().message().c_str());

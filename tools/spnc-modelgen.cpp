@@ -89,8 +89,9 @@ int main(int Argc, char **Argv) {
 
   for (const auto &[Name, Model] : Models) {
     std::string Path = Dir + "/" + Name;
-    if (failed(spn::saveModel(Model, Path))) {
-      std::fprintf(stderr, "cannot write '%s'\n", Path.c_str());
+    std::string Reason;
+    if (failed(spn::saveModel(Model, Path, &Reason))) {
+      std::fprintf(stderr, "%s\n", Reason.c_str());
       return 1;
     }
     spn::ModelStats Stats = Model.computeStats();

@@ -12,26 +12,28 @@
 /// models) or a recorded request trace. Prints a human summary to
 /// stderr and, with --stats-report, the `ServerStats` snapshot as JSON.
 /// With --record-trace, live submissions are logged in the replayable
-/// trace format below; --backend selects the registered compilation
+/// trace format below; --backend selects the built-in compilation
 /// backend ('vm' bytecode interpreter or 'cpp' AOT native kernels);
 /// --tuned applies a `spnc-tune` TuningRecord (explicit flags still
 /// win) and logs every knob it set.
 ///
-/// Trace format: one request per line,
+/// Trace format (serving/SubmitTrace.h): one request per line,
 ///   MODEL_INDEX DELAY_US [NUM_SAMPLES [PRIORITY]]
 /// where MODEL_INDEX selects the Nth positional model (0-based),
 /// DELAY_US is the inter-arrival sleep before submitting, NUM_SAMPLES
-/// defaults to --samples, and PRIORITY is 'interactive' or 'bulk'
-/// (default bulk — priority-less traces from older recordings load
-/// unchanged). '#' starts a comment.
+/// (at least 1) defaults to --samples, and PRIORITY is 'interactive' or
+/// 'bulk' (default bulk — priority-less traces from older recordings
+/// load unchanged). The numbers are unsigned decimal integers; a line
+/// starting with '#' is a comment.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "backend/BackendRegistry.h"
+#include "backend/LookupBackend.h"
 #include "frontend/Serializer.h"
 #include "runtime/KernelCache.h"
 #include "serving/InferenceServer.h"
 #include "serving/ServingReports.h"
+#include "serving/SubmitTrace.h"
 #include "tuning/TuningRecord.h"
 
 #include <atomic>
@@ -40,7 +42,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
-#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,7 +75,7 @@ struct ServeOptions {
   std::string StatsReportPath;
   /// Write the sharded (aggregate + per-shard) stats report here.
   std::string ShardReportPath;
-  /// Registered backend compiling the served kernels.
+  /// Built-in backend compiling the served kernels.
   std::string BackendName = "vm";
   /// Disk tier of the kernel cache (also where bare --tuned looks for
   /// the tuning record).
@@ -324,18 +325,6 @@ bool parseArguments(int Argc, char **Argv, ServeOptions &Options) {
   return !Options.ModelPaths.empty();
 }
 
-/// Synthetic feature rows: uniform values in a small range — the tool
-/// measures serving behavior, not model accuracy.
-std::vector<double> makeSyntheticRows(unsigned NumFeatures,
-                                      size_t NumSamples, uint64_t Seed) {
-  std::mt19937_64 Rng(Seed);
-  std::uniform_real_distribution<double> Dist(0.0, 4.0);
-  std::vector<double> Rows(NumSamples * NumFeatures);
-  for (double &V : Rows)
-    V = Dist(Rng);
-  return Rows;
-}
-
 struct Outcome {
   std::atomic<uint64_t> Ok{0};
   std::atomic<uint64_t> Rejected{0};
@@ -361,57 +350,7 @@ struct Outcome {
   }
 };
 
-/// One parsed trace line.
-struct TraceRequest {
-  size_t ModelIndex = 0;
-  uint64_t DelayUs = 0;
-  size_t NumSamples = 0;
-  Priority ThePriority = Priority::Bulk;
-};
-
-bool loadTrace(const std::string &Path, size_t NumModels,
-               size_t DefaultSamples,
-               std::vector<TraceRequest> &Trace) {
-  std::FILE *File = std::fopen(Path.c_str(), "r");
-  if (!File) {
-    std::fprintf(stderr, "cannot open trace '%s'\n", Path.c_str());
-    return false;
-  }
-  char Line[256];
-  size_t LineNo = 0;
-  while (std::fgets(Line, sizeof(Line), File)) {
-    ++LineNo;
-    const char *Cursor = Line;
-    while (*Cursor == ' ' || *Cursor == '\t')
-      ++Cursor;
-    if (*Cursor == '\0' || *Cursor == '\n' || *Cursor == '#')
-      continue;
-    TraceRequest Request;
-    Request.NumSamples = DefaultSamples;
-    char PriorityText[16] = {0};
-    int Parsed = std::sscanf(Cursor, "%zu %llu %zu %15s",
-                             &Request.ModelIndex,
-                             reinterpret_cast<unsigned long long *>(
-                                 &Request.DelayUs),
-                             &Request.NumSamples, PriorityText);
-    // The priority field is optional (older recordings lack it and load
-    // as Bulk), but a present-and-unparsable one is an error.
-    if (Parsed < 2 || Request.ModelIndex >= NumModels ||
-        Request.NumSamples == 0 ||
-        (Parsed >= 4 &&
-         !parsePriority(PriorityText, Request.ThePriority))) {
-      std::fprintf(stderr, "bad trace line %zu in '%s'\n", LineNo,
-                   Path.c_str());
-      std::fclose(File);
-      return false;
-    }
-    Trace.push_back(Request);
-  }
-  std::fclose(File);
-  return true;
-}
-
-/// Logs live submissions in the exact line format loadTrace parses, so
+/// Logs live submissions in the line format loadSubmitTrace parses, so
 /// a recorded run replays with `--trace FILE`. Delays are the measured
 /// inter-submit gaps of the merged arrival sequence (the first line
 /// gets delay 0); concurrent closed-loop clients serialize through the
@@ -437,17 +376,15 @@ public:
               Priority ThePriority) {
     std::lock_guard<std::mutex> Lock(Mutex);
     auto Now = std::chrono::steady_clock::now();
-    uint64_t DelayUs = 0;
+    TraceEvent Event{ModelIndex, 0, NumSamples, ThePriority};
     if (HaveLast)
-      DelayUs = static_cast<uint64_t>(
+      Event.DelayUs = static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::microseconds>(Now -
                                                                 Last)
               .count());
     HaveLast = true;
     Last = Now;
-    std::fprintf(File, "%zu %llu %zu %s\n", ModelIndex,
-                 static_cast<unsigned long long>(DelayUs), NumSamples,
-                 priorityName(ThePriority));
+    std::fputs(formatTraceEvent(Event).c_str(), File);
   }
 
 private:
@@ -535,7 +472,7 @@ int main(int Argc, char **Argv) {
   }
 
   Expected<std::shared_ptr<backend::Backend>> BackendOrErr =
-      backend::BackendRegistry::global().lookup(Options.BackendName);
+      backend::lookupBackend(Options.BackendName);
   if (!BackendOrErr) {
     std::fprintf(stderr, "%s\n",
                  BackendOrErr.getError().message().c_str());
@@ -583,14 +520,26 @@ int main(int Argc, char **Argv) {
   if (!Options.TracePath.empty()) {
     // Trace replay: a single open-loop submitter sleeping the recorded
     // inter-arrival gaps; futures drain after the last submit.
-    std::vector<TraceRequest> Trace;
-    if (!loadTrace(Options.TracePath, ModelNames.size(),
-                   Options.Samples, Trace))
+    Expected<std::vector<TraceEvent>> Loaded =
+        loadSubmitTrace(Options.TracePath, Options.Samples);
+    if (!Loaded) {
+      std::fprintf(stderr, "%s\n", Loaded.getError().message().c_str());
       return 1;
+    }
+    const std::vector<TraceEvent> &Trace = *Loaded;
+    for (size_t I = 0; I < Trace.size(); ++I)
+      if (Trace[I].ModelIndex >= ModelNames.size()) {
+        std::fprintf(stderr,
+                     "'%s': trace request %zu names model %zu, but %zu "
+                     "model(s) are served\n",
+                     Options.TracePath.c_str(), I + 1, Trace[I].ModelIndex,
+                     ModelNames.size());
+        return 1;
+      }
     std::vector<ResultFuture> Futures;
     Futures.reserve(Trace.size());
     for (size_t I = 0; I < Trace.size(); ++I) {
-      const TraceRequest &Request = Trace[I];
+      const TraceEvent &Request = Trace[I];
       if (Request.DelayUs)
         std::this_thread::sleep_for(
             std::chrono::microseconds(Request.DelayUs));

@@ -238,8 +238,9 @@ int main(int Argc, char **Argv) {
   uint64_t ModelHash = runtime::KernelCache::contentHash(*Model);
 
   if (!Options.TracePath.empty()) {
-    Expected<std::vector<TraceEvent>> Trace = loadSubmitTrace(
-        Options.TracePath, Options.Evaluator.SamplesPerRequest);
+    Expected<std::vector<serving::TraceEvent>> Trace =
+        serving::loadSubmitTrace(Options.TracePath,
+                                 Options.Evaluator.SamplesPerRequest);
     if (!Trace) {
       std::fprintf(stderr, "%s\n",
                    Trace.getError().message().c_str());
