@@ -7,6 +7,7 @@
 
 #include "codegen/Codegen.h"
 
+#include "ir/ValueMap.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
 #include "vm/ParamTable.h"
@@ -16,7 +17,6 @@
 #include <limits>
 #include <optional>
 #include <span>
-#include <unordered_map>
 
 using namespace spnc;
 using namespace spnc::ir;
@@ -33,7 +33,7 @@ constexpr double kInvSqrt2Pi = vm::kInvSqrt2Pi;
 
 /// True if all histogram bucket bounds are integral (dense-table
 /// eligible).
-static bool bucketsAreIntegral(const std::vector<double> &Flat) {
+static bool bucketsAreIntegral(std::span<const double> Flat) {
   for (size_t I = 0; I < Flat.size(); I += 3)
     if (Flat[I] != std::floor(Flat[I]) ||
         Flat[I + 1] != std::floor(Flat[I + 1]))
@@ -52,7 +52,7 @@ static bool bucketsAreIntegral(const std::vector<double> &Flat) {
 class TaskEmitter {
 public:
   TaskEmitter(const CodegenOptions &Options, bool LogSpace,
-              const std::unordered_map<ValueImpl *, uint32_t> &BufferIds,
+              const ValueMap<uint32_t> &BufferIds,
               const std::vector<BufferInfo> &KernelBuffers,
               TracebackPlan *Plan)
       : Options(Options), Log(LogSpace), BufferIds(BufferIds),
@@ -113,9 +113,11 @@ private:
       RegOf[Inner.getArgument(I).getImpl()] =
           RegOf.at(Body->getOperand(I).getImpl());
       if (Plan) {
-        auto It = FeatureOf.find(Body->getOperand(I).getImpl());
-        if (It != FeatureOf.end())
-          FeatureOf[Inner.getArgument(I).getImpl()] = It->second;
+        if (const uint32_t *Feature =
+                FeatureOf.lookup(Body->getOperand(I).getImpl())) {
+          uint32_t Copy = *Feature;
+          FeatureOf[Inner.getArgument(I).getImpl()] = Copy;
+        }
       }
     }
 
@@ -253,7 +255,7 @@ private:
       if (CategoricalOp Cat = dyn_cast_op<CategoricalOp>(Op)) {
         // A categorical is a histogram with unit buckets at 0..N-1.
         std::vector<double> Flat;
-        const std::vector<double> &Probs = Cat.getProbabilities();
+        std::span<const double> Probs = Cat.getProbabilities();
         Flat.reserve(Probs.size() * 3);
         for (size_t I = 0; I < Probs.size(); ++I) {
           Flat.push_back(static_cast<double>(I));
@@ -270,7 +272,7 @@ private:
 
   /// Emits a discrete leaf either as a dense table lookup (CPU strategy)
   /// or as a cascade of selects (GPU strategy, paper §IV-C).
-  void emitDiscreteLeaf(Operation *Op, const std::vector<double> &Flat,
+  void emitDiscreteLeaf(Operation *Op, std::span<const double> Flat,
                         bool Marginal) {
     double Default =
         Log ? -std::numeric_limits<double>::infinity() : 0.0;
@@ -442,7 +444,7 @@ private:
 
   const CodegenOptions &Options;
   bool Log;
-  const std::unordered_map<ValueImpl *, uint32_t> &BufferIds;
+  const ValueMap<uint32_t> &BufferIds;
   const std::vector<BufferInfo> &KernelBuffers;
   /// Traceback plan under construction (null for joint/marginal).
   TracebackPlan *Plan;
@@ -450,11 +452,11 @@ private:
   /// Parallel to Program.ConstPool: slots holding a tunable parameter
   /// (excluded from constant pooling).
   std::vector<uint8_t> PoolSlotIsParam;
-  std::unordered_map<ValueImpl *, uint32_t> RegOf;
+  ValueMap<uint32_t> RegOf;
   /// Input feature index a value carries (plan building only).
-  std::unordered_map<ValueImpl *, uint32_t> FeatureOf;
+  ValueMap<uint32_t> FeatureOf;
   /// Plan node index per SSA value (plan building only).
-  std::unordered_map<ValueImpl *, int32_t> PlanOf;
+  ValueMap<int32_t> PlanOf;
   uint32_t NextReg = 0;
 };
 
@@ -695,6 +697,8 @@ static void runChainCollapse(TaskProgram &Program) {
   };
 
   // Process back-to-front so outermost chain heads absorb whole chains.
+  std::vector<uint32_t> Leaves;
+  std::vector<uint32_t> Pending;
   for (size_t I = Code.size(); I-- > 0;) {
     Instruction &Inst = Code[I];
     if (Dead[I])
@@ -705,8 +709,8 @@ static void runChainCollapse(TaskProgram &Program) {
       continue;
 
     // Expand operands that are single-use results of the same kind.
-    std::vector<uint32_t> Leaves;
-    std::vector<uint32_t> Pending{Inst.A, Inst.B};
+    Leaves.clear();
+    Pending.assign({Inst.A, Inst.B});
     while (!Pending.empty()) {
       uint32_t Reg = Pending.back();
       Pending.pop_back();
@@ -915,13 +919,13 @@ static void runPeephole(TaskProgram &Program, bool LogSpace) {
   // over from the folds above).
   UseCounts = CountUses();
   // Recompute after rewrites; then sweep backwards so chains die.
+  std::vector<uint32_t> Uses;
   for (size_t I = Code.size(); I-- > 0;) {
     Instruction &Inst = Code[I];
     if (Dead[I] || !writesDst(Inst) || readsDst(Inst))
       continue;
     if (UseCounts[Inst.Dst] == 0) {
       Dead[I] = 1;
-      std::vector<uint32_t> Uses;
       collectUses(Program, Inst, Uses);
       for (uint32_t Reg : Uses)
         --UseCounts[Reg];
@@ -1109,7 +1113,7 @@ spnc::codegen::emitKernelProgram(KernelOp Kernel,
   unsigned OptLevel = NeedsPlan ? 0 : Options.OptLevel;
 
   // Buffer plan from the kernel signature and allocs.
-  std::unordered_map<ValueImpl *, uint32_t> BufferIds;
+  ValueMap<uint32_t> BufferIds;
   Block &Body = Kernel.getBody();
   unsigned NumInputs = Kernel.getNumInputs();
   for (unsigned I = 0; I < Body.getNumArguments(); ++I) {
@@ -1118,7 +1122,7 @@ spnc::codegen::emitKernelProgram(KernelOp Kernel,
     BufferInfo Info;
     Info.Role = I < NumInputs ? BufferInfo::Kind::Input
                               : BufferInfo::Kind::Output;
-    const std::vector<int64_t> &Shape = MemRef.getShape();
+    std::span<const int64_t> Shape = MemRef.getShape();
     if (Shape.size() == 2 && Shape[0] == TypeStorage::kDynamic) {
       Info.Transposed = false;
       Info.Columns = static_cast<uint32_t>(Shape[1]);

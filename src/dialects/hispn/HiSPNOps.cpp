@@ -250,7 +250,7 @@ struct FlattenNestedProduct : public RewritePattern {
   LogicalResult matchAndRewrite(Operation *Op,
                                 PatternRewriter &Rewriter) const override {
     bool HasNested = false;
-    std::vector<Value> NewOperands;
+    SmallVector<Value, 8> NewOperands;
     for (unsigned I = 0; I < Op->getNumOperands(); ++I) {
       Value Operand = Op->getOperand(I);
       Operation *Def = Operand.getDefiningOp();

@@ -228,7 +228,7 @@ public:
                     std::span<const ir::Value> Operands,
                     const std::vector<double> &Weights);
 
-  std::vector<double> getWeights() const {
+  std::span<const double> getWeights() const {
     return TheOp->getAttr("weights").cast<ir::DenseF64Attr>().getValues();
   }
 
@@ -253,7 +253,7 @@ public:
   static void build(ir::OpBuilder &Builder, ir::OperationState &State,
                     ir::Value Index, const std::vector<double> &FlatBuckets);
 
-  std::vector<double> getFlatBuckets() const {
+  std::span<const double> getFlatBuckets() const {
     return TheOp->getAttr("buckets").cast<ir::DenseF64Attr>().getValues();
   }
   unsigned getBucketCount() const {
@@ -275,7 +275,7 @@ public:
                     ir::Value Index,
                     const std::vector<double> &Probabilities);
 
-  std::vector<double> getProbabilities() const {
+  std::span<const double> getProbabilities() const {
     return TheOp->getAttr("probabilities")
         .cast<ir::DenseF64Attr>()
         .getValues();

@@ -97,7 +97,7 @@ static bool isContainer(Type T) {
 //===----------------------------------------------------------------------===//
 
 void KernelOp::build(OpBuilder &Builder, OperationState &State,
-                     const std::string &Name, unsigned NumInputs) {
+                     std::string_view Name, unsigned NumInputs) {
   Context &Ctx = Builder.getContext();
   State.addAttribute("sym_name", StringAttr::get(Ctx, Name));
   State.addAttribute("numInputs", IntAttr::get(Ctx, NumInputs));
@@ -501,7 +501,7 @@ static LogicalResult verifyLeafCommon(OpView Op) {
 }
 
 void HistogramOp::build(OpBuilder &Builder, OperationState &State,
-                        Value Index, const std::vector<double> &FlatBuckets,
+                        Value Index, std::span<const double> FlatBuckets,
                         bool SupportMarginal, Type ResultType) {
   Context &Ctx = Builder.getContext();
   assert(FlatBuckets.size() % 3 == 0 &&
@@ -524,7 +524,7 @@ LogicalResult HistogramOp::verify() {
 
 void CategoricalOp::build(OpBuilder &Builder, OperationState &State,
                           Value Index,
-                          const std::vector<double> &Probabilities,
+                          std::span<const double> Probabilities,
                           bool SupportMarginal, Type ResultType) {
   addLeafCommon(Builder, State, Index, SupportMarginal, ResultType);
   State.addAttribute(

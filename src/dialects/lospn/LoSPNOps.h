@@ -78,9 +78,9 @@ public:
   static constexpr bool kIsTerminator = false;
 
   static void build(ir::OpBuilder &Builder, ir::OperationState &State,
-                    const std::string &Name, unsigned NumInputs);
+                    std::string_view Name, unsigned NumInputs);
 
-  std::string getKernelName() const {
+  std::string_view getKernelName() const {
     return TheOp->getAttr("sym_name").cast<ir::StringAttr>().getValue();
   }
   unsigned getNumInputs() const {
@@ -394,10 +394,10 @@ public:
   static constexpr bool kIsTerminator = false;
 
   static void build(ir::OpBuilder &Builder, ir::OperationState &State,
-                    ir::Value Index, const std::vector<double> &FlatBuckets,
+                    ir::Value Index, std::span<const double> FlatBuckets,
                     bool SupportMarginal, ir::Type ResultType);
 
-  std::vector<double> getFlatBuckets() const {
+  std::span<const double> getFlatBuckets() const {
     return TheOp->getAttr("buckets").cast<ir::DenseF64Attr>().getValues();
   }
   unsigned getBucketCount() const {
@@ -420,10 +420,10 @@ public:
 
   static void build(ir::OpBuilder &Builder, ir::OperationState &State,
                     ir::Value Index,
-                    const std::vector<double> &Probabilities,
+                    std::span<const double> Probabilities,
                     bool SupportMarginal, ir::Type ResultType);
 
-  std::vector<double> getProbabilities() const {
+  std::span<const double> getProbabilities() const {
     return TheOp->getAttr("probabilities")
         .cast<ir::DenseF64Attr>()
         .getValues();

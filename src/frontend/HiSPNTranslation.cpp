@@ -10,7 +10,7 @@
 #include "dialects/hispn/HiSPNOps.h"
 #include "support/Compiler.h"
 
-#include <unordered_map>
+#include <vector>
 
 using namespace spnc;
 using namespace spnc::ir;
@@ -80,7 +80,9 @@ spnc::spn::translateToHiSPN(Context &Ctx, const Model &TheModel,
   // queries; since this loop walks the same topological order as
   // merge::extractParams, assigning bases here and advancing by each
   // node's parameter count reproduces the extraction order exactly.
-  std::unordered_map<const Node *, Value> Translated;
+  // Node ids are dense, so the translation is indexed by id.
+  std::vector<Value> Translated(TheModel.getNumNodes());
+  std::vector<Value> Operands;
   bool Tagged =
       Config.Kind == QueryKind::Joint || Config.Kind == QueryKind::Marginal;
   int64_t NextParam = 0;
@@ -95,10 +97,9 @@ spnc::spn::translateToHiSPN(Context &Ctx, const Model &TheModel,
     switch (Current->getKind()) {
     case NodeKind::Sum: {
       const auto *Sum = cast<SumNode>(Current);
-      std::vector<Value> Operands;
-      Operands.reserve(Sum->getNumChildren());
+      Operands.clear();
       for (Node *Child : Sum->getChildren())
-        Operands.push_back(Translated.at(Child));
+        Operands.push_back(Translated[Child->getId()]);
       Result = Builder
                    .create<hispn::SumOp>(
                        std::span<const Value>(Operands), Sum->getWeights())
@@ -109,10 +110,9 @@ spnc::spn::translateToHiSPN(Context &Ctx, const Model &TheModel,
     }
     case NodeKind::Product: {
       const auto *Product = cast<ProductNode>(Current);
-      std::vector<Value> Operands;
-      Operands.reserve(Product->getNumChildren());
+      Operands.clear();
       for (Node *Child : Product->getChildren())
-        Operands.push_back(Translated.at(Child));
+        Operands.push_back(Translated[Child->getId()]);
       Result = Builder
                    .create<hispn::ProductOp>(
                        std::span<const Value>(Operands))
@@ -152,9 +152,9 @@ spnc::spn::translateToHiSPN(Context &Ctx, const Model &TheModel,
       break;
     }
     }
-    Translated.emplace(Current, Result);
+    Translated[Current->getId()] = Result;
   }
 
-  Builder.create<hispn::RootOp>(Translated.at(TheModel.getRoot()));
+  Builder.create<hispn::RootOp>(Translated[TheModel.getRoot()->getId()]);
   return OwningOpRef<ModuleOp>(Module);
 }

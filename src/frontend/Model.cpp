@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -143,22 +144,21 @@ bool Model::validate(std::string *ErrorMessage,
 
   // Acyclicity via iterative three-color DFS.
   enum class Color : uint8_t { White, Grey, Black };
-  std::unordered_map<const Node *, Color> Colors;
+  std::vector<Color> Colors(Nodes.size(), Color::White);
   {
     std::vector<std::pair<const Node *, size_t>> Stack;
     Stack.emplace_back(Root, 0);
-    Colors[Root] = Color::Grey;
+    Colors[Root->getId()] = Color::Grey;
     while (!Stack.empty()) {
       auto &[Current, NextChild] = Stack.back();
       const auto *Inner = dyn_cast<InnerNode>(Current);
       if (!Inner || NextChild >= Inner->getNumChildren()) {
-        Colors[Current] = Color::Black;
+        Colors[Current->getId()] = Color::Black;
         Stack.pop_back();
         continue;
       }
       const Node *Child = Inner->getChild(NextChild++);
-      Color &ChildColor = Colors.try_emplace(Child, Color::White)
-                              .first->second;
+      Color &ChildColor = Colors[Child->getId()];
       if (ChildColor == Color::Grey)
         return Fail("SPN DAG contains a cycle");
       if (ChildColor == Color::White) {
@@ -169,21 +169,24 @@ bool Model::validate(std::string *ErrorMessage,
   }
 
   // Scope-based checks in one bottom-up pass. Scopes are stored as
-  // bitsets indexed by the dense node ids so validation stays linear-ish
-  // even for paper-scale RAT-SPNs with hundreds of thousands of nodes.
+  // bitsets indexed by the dense node ids, all in one array, so
+  // validation stays linear-ish even for paper-scale RAT-SPNs with
+  // hundreds of thousands of nodes.
   size_t Words = (NumFeatures + 63) / 64;
-  std::vector<std::vector<uint64_t>> Scopes(Nodes.size());
+  std::vector<uint64_t> Scopes(Nodes.size() * Words, 0);
+  auto ScopeOf = [&](const Node *N) {
+    return std::span<uint64_t>(Scopes.data() + N->getId() * Words, Words);
+  };
   for (Node *Current : topologicalOrder()) {
     if (std::string Why = checkNodeParams(*Current, WeightTolerance);
         !Why.empty())
       return Fail(std::move(Why));
-    std::vector<uint64_t> &Scope = Scopes[Current->getId()];
+    std::span<uint64_t> Scope = ScopeOf(Current);
     if (const auto *Leaf = dyn_cast<LeafNode>(Current)) {
       if (Leaf->getFeatureIndex() >= NumFeatures)
         return Fail(formatString("leaf %u references feature %u out of %u",
                                  Leaf->getId(), Leaf->getFeatureIndex(),
                                  NumFeatures));
-      Scope.assign(Words, 0);
       Scope[Leaf->getFeatureIndex() / 64] |=
           uint64_t(1) << (Leaf->getFeatureIndex() % 64);
       continue;
@@ -195,19 +198,18 @@ bool Model::validate(std::string *ErrorMessage,
 
     if (const auto *Sum = dyn_cast<SumNode>(Current)) {
       // Smoothness: all children must have the same scope.
-      const std::vector<uint64_t> &First =
-          Scopes[Sum->getChild(0)->getId()];
-      for (Node *Child : Sum->getChildren())
-        if (Scopes[Child->getId()] != First)
+      std::span<const uint64_t> First = ScopeOf(Sum->getChild(0));
+      for (Node *Child : Sum->getChildren()) {
+        std::span<const uint64_t> ChildScope = ScopeOf(Child);
+        if (!std::equal(ChildScope.begin(), ChildScope.end(), First.begin()))
           return Fail(formatString(
               "sum %u is not smooth: child scopes differ", Sum->getId()));
-      Scope = First;
+      }
+      std::copy(First.begin(), First.end(), Scope.begin());
     } else {
       // Decomposability: child scopes must be pairwise disjoint.
-      Scope.assign(Words, 0);
       for (Node *Child : Inner->getChildren()) {
-        const std::vector<uint64_t> &ChildScope =
-            Scopes[Child->getId()];
+        std::span<const uint64_t> ChildScope = ScopeOf(Child);
         for (size_t W = 0; W < Words; ++W) {
           if (Scope[W] & ChildScope[W])
             return Fail(formatString(

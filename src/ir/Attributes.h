@@ -19,7 +19,9 @@
 
 #include <cassert>
 #include <cstdint>
-#include <string>
+#include <initializer_list>
+#include <span>
+#include <string_view>
 #include <vector>
 
 namespace spnc {
@@ -45,17 +47,31 @@ enum class AttrKind : uint8_t {
   DenseF64,
 };
 
-/// Uniqued immutable attribute storage. Field use depends on the kind.
+/// Uniqued immutable attribute storage, kept in the context's arena.
+/// Field use depends on the kind.
 struct AttrStorage {
   AttrKind Kind = AttrKind::Unit;
   Context *Ctx = nullptr;
-  bool BoolValue = false;
-  int64_t IntValue = 0;
-  double FloatValue = 0.0;
-  std::string StringValue;
-  const TypeStorage *TypeValue = nullptr;
-  std::vector<const AttrStorage *> Elements;
-  std::vector<double> Doubles;
+  union {
+    bool BoolValue;
+    int64_t IntValue = 0;
+    double FloatValue;
+    const TypeStorage *TypeValue;
+    /// String characters, Array elements or DenseF64 values.
+    const void *Data;
+  };
+  /// Element count of a String, Array or DenseF64 payload.
+  size_t Size = 0;
+
+  std::string_view getString() const {
+    return {static_cast<const char *>(Data), Size};
+  }
+  std::span<const AttrStorage *const> getElements() const {
+    return {static_cast<const AttrStorage *const *>(Data), Size};
+  }
+  std::span<const double> getDoubles() const {
+    return {static_cast<const double *>(Data), Size};
+  }
 };
 
 /// Value-semantic handle to a uniqued attribute. Default-constructed is the
@@ -142,8 +158,8 @@ public:
 class StringAttr : public Attribute {
 public:
   using Attribute::Attribute;
-  static StringAttr get(Context &Ctx, std::string Value);
-  const std::string &getValue() const { return getImpl()->StringValue; }
+  static StringAttr get(Context &Ctx, std::string_view Value);
+  std::string_view getValue() const { return getImpl()->getString(); }
   static bool classof(Attribute A) {
     return A && A.getKind() == AttrKind::String;
   }
@@ -165,10 +181,10 @@ class ArrayAttr : public Attribute {
 public:
   using Attribute::Attribute;
   static ArrayAttr get(Context &Ctx, const std::vector<Attribute> &Elements);
-  size_t size() const { return getImpl()->Elements.size(); }
+  size_t size() const { return getImpl()->Size; }
   Attribute getElement(size_t Index) const {
     assert(Index < size() && "ArrayAttr index out of range");
-    return Attribute(getImpl()->Elements[Index]);
+    return Attribute(getImpl()->getElements()[Index]);
   }
   static bool classof(Attribute A) {
     return A && A.getKind() == AttrKind::Array;
@@ -179,21 +195,27 @@ public:
 class DenseF64Attr : public Attribute {
 public:
   using Attribute::Attribute;
-  static DenseF64Attr get(Context &Ctx, std::vector<double> Values);
-  const std::vector<double> &getValues() const { return getImpl()->Doubles; }
-  size_t size() const { return getImpl()->Doubles.size(); }
+  static DenseF64Attr get(Context &Ctx, std::span<const double> Values);
+  static DenseF64Attr get(Context &Ctx, std::initializer_list<double> Values) {
+    return get(Ctx, std::span<const double>(Values.begin(), Values.size()));
+  }
+  std::span<const double> getValues() const {
+    return getImpl()->getDoubles();
+  }
+  size_t size() const { return getImpl()->Size; }
   double operator[](size_t Index) const {
     assert(Index < size() && "DenseF64Attr index out of range");
-    return getImpl()->Doubles[Index];
+    return getValues()[Index];
   }
   static bool classof(Attribute A) {
     return A && A.getKind() == AttrKind::DenseF64;
   }
 };
 
-/// A (name, attribute) pair as stored on operations.
+/// A (name, attribute) pair as stored on operations. On an operation
+/// the name is interned in its Context (Context::internString).
 struct NamedAttribute {
-  std::string Name;
+  std::string_view Name;
   Attribute Value;
 };
 

@@ -79,7 +79,7 @@ public:
   /// Creates a typed operation via OpTy::build.
   template <typename OpTy, typename... Args>
   OpTy create(Args &&...BuildArgs) {
-    OperationState State(std::string(OpTy::getOperationName()));
+    OperationState State(OpTy::getOperationName());
     OpTy::build(*this, State, std::forward<Args>(BuildArgs)...);
     return OpTy(createOperation(State));
   }

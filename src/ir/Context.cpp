@@ -10,7 +10,10 @@
 #include "support/Hashing.h"
 #include "support/RawOStream.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstring>
 
 using namespace spnc;
 using namespace spnc::ir;
@@ -29,25 +32,73 @@ static size_t hashType(const TypeStorage &T) {
 
 static bool typeEquals(const TypeStorage &A, const TypeStorage &B) {
   return A.Kind == B.Kind && A.Width == B.Width && A.Element == B.Element &&
-         A.Shape == B.Shape;
+         std::equal(A.Shape.begin(), A.Shape.end(), B.Shape.begin(),
+                    B.Shape.end());
 }
 
+/// Bytes of the payload of a String, Array or DenseF64 attribute.
+static size_t payloadBytes(const AttrStorage &A) {
+  switch (A.Kind) {
+  case AttrKind::String:
+    return A.Size;
+  case AttrKind::Array:
+    return A.Size * sizeof(const AttrStorage *);
+  case AttrKind::DenseF64:
+    return A.Size * sizeof(double);
+  default:
+    return 0;
+  }
+}
+
+/// Hash of a general-path attribute. Payloads hash and compare by their
+/// bytes, so DenseF64 values are equal when their bits are.
 static size_t hashAttr(const AttrStorage &A) {
-  size_t Seed = hashCombine(static_cast<unsigned>(A.Kind), A.BoolValue,
-                            A.IntValue, A.FloatValue, A.StringValue,
-                            reinterpret_cast<uintptr_t>(A.TypeValue));
-  for (const AttrStorage *Element : A.Elements)
-    hashCombineSeed(Seed, std::hash<const void *>()(Element));
-  for (double Value : A.Doubles)
-    hashCombineSeed(Seed, std::hash<double>()(Value));
+  size_t Seed = hashCombine(static_cast<unsigned>(A.Kind), A.Size);
+  if (A.Kind == AttrKind::Type)
+    hashCombineSeed(Seed, reinterpret_cast<uintptr_t>(A.TypeValue));
+  else
+    hashCombineSeed(Seed, fnv1a64(A.Data, payloadBytes(A)));
   return Seed;
 }
 
 static bool attrEquals(const AttrStorage &A, const AttrStorage &B) {
-  return A.Kind == B.Kind && A.BoolValue == B.BoolValue &&
-         A.IntValue == B.IntValue && A.FloatValue == B.FloatValue &&
-         A.StringValue == B.StringValue && A.TypeValue == B.TypeValue &&
-         A.Elements == B.Elements && A.Doubles == B.Doubles;
+  if (A.Kind != B.Kind || A.Size != B.Size)
+    return false;
+  if (A.Kind == AttrKind::Type)
+    return A.TypeValue == B.TypeValue;
+  size_t Bytes = payloadBytes(A);
+  return Bytes == 0 || std::memcmp(A.Data, B.Data, Bytes) == 0;
+}
+
+const AttrStorage *&Context::BitsTable::lookup(uint64_t Bits) {
+  if (2 * (NumFilled + 1) > Slots.size())
+    grow();
+  size_t Mask = Slots.size() - 1;
+  for (size_t I = splitmix64(Bits) & Mask;; I = (I + 1) & Mask) {
+    Slot &Entry = Slots[I];
+    if (!Entry.Storage) {
+      // The caller fills the slot on a miss.
+      Entry.Bits = Bits;
+      ++NumFilled;
+      return Entry.Storage;
+    }
+    if (Entry.Bits == Bits)
+      return Entry.Storage;
+  }
+}
+
+void Context::BitsTable::grow() {
+  std::vector<Slot> Old(Slots.empty() ? 64 : 2 * Slots.size());
+  Old.swap(Slots);
+  size_t Mask = Slots.size() - 1;
+  for (const Slot &Entry : Old) {
+    if (!Entry.Storage)
+      continue;
+    size_t I = splitmix64(Entry.Bits) & Mask;
+    while (Slots[I].Storage)
+      I = (I + 1) & Mask;
+    Slots[I] = Entry;
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -62,30 +113,71 @@ Context::Context() {
 
 Context::~Context() = default;
 
-const TypeStorage *Context::uniqueType(TypeStorage Prototype) {
-  Prototype.Ctx = this;
+const TypeStorage *Context::uniqueType(const TypeStorage &Prototype) {
   size_t Hash = hashType(Prototype);
   auto [Begin, End] = TypePool.equal_range(Hash);
   for (auto It = Begin; It != End; ++It)
     if (typeEquals(*It->second, Prototype))
-      return It->second.get();
-  auto Storage = std::make_unique<TypeStorage>(std::move(Prototype));
-  const TypeStorage *Result = Storage.get();
-  TypePool.emplace(Hash, std::move(Storage));
-  return Result;
+      return It->second;
+  TypeStorage *Storage = Arena.create<TypeStorage>(Prototype);
+  Storage->Ctx = this;
+  Storage->Shape = Arena.copy(Prototype.Shape);
+  TypePool.emplace(Hash, Storage);
+  return Storage;
 }
 
-const AttrStorage *Context::uniqueAttr(AttrStorage Prototype) {
-  Prototype.Ctx = this;
-  size_t Hash = hashAttr(Prototype);
-  auto [Begin, End] = AttrPool.equal_range(Hash);
-  for (auto It = Begin; It != End; ++It)
-    if (attrEquals(*It->second, Prototype))
-      return It->second.get();
-  auto Storage = std::make_unique<AttrStorage>(std::move(Prototype));
-  const AttrStorage *Result = Storage.get();
-  AttrPool.emplace(Hash, std::move(Storage));
-  return Result;
+const AttrStorage *Context::newAttr(const AttrStorage &Prototype) {
+  AttrStorage *Storage = Arena.create<AttrStorage>(Prototype);
+  Storage->Ctx = this;
+  if (size_t Bytes = payloadBytes(Prototype)) {
+    void *Payload = Arena.allocate(Bytes, alignof(double));
+    std::memcpy(Payload, Prototype.Data, Bytes);
+    Storage->Data = Payload;
+  } else if (Prototype.Kind == AttrKind::String ||
+             Prototype.Kind == AttrKind::Array ||
+             Prototype.Kind == AttrKind::DenseF64) {
+    // An empty payload must not keep pointing into the caller's memory.
+    Storage->Data = nullptr;
+  }
+  return Storage;
+}
+
+const AttrStorage *Context::uniqueAttr(const AttrStorage &Prototype) {
+  const AttrStorage **Slot = nullptr;
+  switch (Prototype.Kind) {
+  case AttrKind::Unit:
+    Slot = &UnitAttrStorage;
+    break;
+  case AttrKind::Bool:
+    Slot = &BoolAttrStorage[Prototype.BoolValue];
+    break;
+  case AttrKind::Int:
+    Slot = &IntAttrs.lookup(static_cast<uint64_t>(Prototype.IntValue));
+    break;
+  case AttrKind::Float:
+    Slot = &FloatAttrs.lookup(std::bit_cast<uint64_t>(Prototype.FloatValue));
+    break;
+  default: {
+    size_t Hash = hashAttr(Prototype);
+    auto [Begin, End] = AttrPool.equal_range(Hash);
+    for (auto It = Begin; It != End; ++It)
+      if (attrEquals(*It->second, Prototype))
+        return It->second;
+    const AttrStorage *Storage = newAttr(Prototype);
+    AttrPool.emplace(Hash, Storage);
+    return Storage;
+  }
+  }
+  if (!*Slot)
+    *Slot = newAttr(Prototype);
+  return *Slot;
+}
+
+std::string_view Context::internString(std::string_view Text) {
+  auto It = InternedStrings.find(Text);
+  if (It != InternedStrings.end())
+    return *It;
+  return *InternedStrings.insert(Arena.copy(Text)).first;
 }
 
 const OpInfo *Context::registerOp(OpInfo Info) {
@@ -96,7 +188,7 @@ const OpInfo *Context::registerOp(OpInfo Info) {
   return Result;
 }
 
-const OpInfo *Context::lookupOrCreateOpInfo(const std::string &Name) {
+const OpInfo *Context::lookupOrCreateOpInfo(std::string_view Name) {
   auto It = OpRegistry.find(Name);
   if (It != OpRegistry.end())
     return It->second.get();
@@ -107,7 +199,7 @@ const OpInfo *Context::lookupOrCreateOpInfo(const std::string &Name) {
   return registerOp(std::move(Default));
 }
 
-const OpInfo *Context::lookupOpInfo(const std::string &Name) const {
+const OpInfo *Context::lookupOpInfo(std::string_view Name) const {
   auto It = OpRegistry.find(Name);
   return It == OpRegistry.end() ? nullptr : It->second.get();
 }
@@ -140,54 +232,54 @@ DiagnosticHandler Context::setDiagnosticHandler(DiagnosticHandler Handler) {
 NoneType NoneType::get(Context &Ctx) {
   TypeStorage Proto;
   Proto.Kind = TypeKind::None;
-  return NoneType(Ctx.uniqueType(std::move(Proto)));
+  return NoneType(Ctx.uniqueType(Proto));
 }
 
 IndexType IndexType::get(Context &Ctx) {
   TypeStorage Proto;
   Proto.Kind = TypeKind::Index;
-  return IndexType(Ctx.uniqueType(std::move(Proto)));
+  return IndexType(Ctx.uniqueType(Proto));
 }
 
 IntegerType IntegerType::get(Context &Ctx, unsigned Width) {
   TypeStorage Proto;
   Proto.Kind = TypeKind::Integer;
   Proto.Width = Width;
-  return IntegerType(Ctx.uniqueType(std::move(Proto)));
+  return IntegerType(Ctx.uniqueType(Proto));
 }
 
 FloatType FloatType::getF32(Context &Ctx) {
   TypeStorage Proto;
   Proto.Kind = TypeKind::Float;
   Proto.Width = 32;
-  return FloatType(Ctx.uniqueType(std::move(Proto)));
+  return FloatType(Ctx.uniqueType(Proto));
 }
 
 FloatType FloatType::getF64(Context &Ctx) {
   TypeStorage Proto;
   Proto.Kind = TypeKind::Float;
   Proto.Width = 64;
-  return FloatType(Ctx.uniqueType(std::move(Proto)));
+  return FloatType(Ctx.uniqueType(Proto));
 }
 
-TensorType TensorType::get(Context &Ctx, std::vector<int64_t> Shape,
+TensorType TensorType::get(Context &Ctx, std::span<const int64_t> Shape,
                            Type ElementType) {
   assert(ElementType && "tensor element type must be non-null");
   TypeStorage Proto;
   Proto.Kind = TypeKind::Tensor;
-  Proto.Shape = std::move(Shape);
+  Proto.Shape = Shape;
   Proto.Element = ElementType.getImpl();
-  return TensorType(Ctx.uniqueType(std::move(Proto)));
+  return TensorType(Ctx.uniqueType(Proto));
 }
 
-MemRefType MemRefType::get(Context &Ctx, std::vector<int64_t> Shape,
+MemRefType MemRefType::get(Context &Ctx, std::span<const int64_t> Shape,
                            Type ElementType) {
   assert(ElementType && "memref element type must be non-null");
   TypeStorage Proto;
   Proto.Kind = TypeKind::MemRef;
-  Proto.Shape = std::move(Shape);
+  Proto.Shape = Shape;
   Proto.Element = ElementType.getImpl();
-  return MemRefType(Ctx.uniqueType(std::move(Proto)));
+  return MemRefType(Ctx.uniqueType(Proto));
 }
 
 VectorType VectorType::get(Context &Ctx, unsigned NumLanes,
@@ -197,7 +289,7 @@ VectorType VectorType::get(Context &Ctx, unsigned NumLanes,
   Proto.Kind = TypeKind::Vector;
   Proto.Width = NumLanes;
   Proto.Element = ElementType.getImpl();
-  return VectorType(Ctx.uniqueType(std::move(Proto)));
+  return VectorType(Ctx.uniqueType(Proto));
 }
 
 //===----------------------------------------------------------------------===//
@@ -207,35 +299,36 @@ VectorType VectorType::get(Context &Ctx, unsigned NumLanes,
 UnitAttr UnitAttr::get(Context &Ctx) {
   AttrStorage Proto;
   Proto.Kind = AttrKind::Unit;
-  return UnitAttr(Ctx.uniqueAttr(std::move(Proto)));
+  return UnitAttr(Ctx.uniqueAttr(Proto));
 }
 
 BoolAttr BoolAttr::get(Context &Ctx, bool Value) {
   AttrStorage Proto;
   Proto.Kind = AttrKind::Bool;
   Proto.BoolValue = Value;
-  return BoolAttr(Ctx.uniqueAttr(std::move(Proto)));
+  return BoolAttr(Ctx.uniqueAttr(Proto));
 }
 
 IntAttr IntAttr::get(Context &Ctx, int64_t Value) {
   AttrStorage Proto;
   Proto.Kind = AttrKind::Int;
   Proto.IntValue = Value;
-  return IntAttr(Ctx.uniqueAttr(std::move(Proto)));
+  return IntAttr(Ctx.uniqueAttr(Proto));
 }
 
 FloatAttr FloatAttr::get(Context &Ctx, double Value) {
   AttrStorage Proto;
   Proto.Kind = AttrKind::Float;
   Proto.FloatValue = Value;
-  return FloatAttr(Ctx.uniqueAttr(std::move(Proto)));
+  return FloatAttr(Ctx.uniqueAttr(Proto));
 }
 
-StringAttr StringAttr::get(Context &Ctx, std::string Value) {
+StringAttr StringAttr::get(Context &Ctx, std::string_view Value) {
   AttrStorage Proto;
   Proto.Kind = AttrKind::String;
-  Proto.StringValue = std::move(Value);
-  return StringAttr(Ctx.uniqueAttr(std::move(Proto)));
+  Proto.Data = Value.data();
+  Proto.Size = Value.size();
+  return StringAttr(Ctx.uniqueAttr(Proto));
 }
 
 TypeAttr TypeAttr::get(Context &Ctx, Type Value) {
@@ -243,24 +336,28 @@ TypeAttr TypeAttr::get(Context &Ctx, Type Value) {
   AttrStorage Proto;
   Proto.Kind = AttrKind::Type;
   Proto.TypeValue = Value.getImpl();
-  return TypeAttr(Ctx.uniqueAttr(std::move(Proto)));
+  return TypeAttr(Ctx.uniqueAttr(Proto));
 }
 
 ArrayAttr ArrayAttr::get(Context &Ctx,
                          const std::vector<Attribute> &Elements) {
-  AttrStorage Proto;
-  Proto.Kind = AttrKind::Array;
-  Proto.Elements.reserve(Elements.size());
+  std::vector<const AttrStorage *> Impls;
+  Impls.reserve(Elements.size());
   for (Attribute Element : Elements) {
     assert(Element && "ArrayAttr elements must be non-null");
-    Proto.Elements.push_back(Element.getImpl());
+    Impls.push_back(Element.getImpl());
   }
-  return ArrayAttr(Ctx.uniqueAttr(std::move(Proto)));
+  AttrStorage Proto;
+  Proto.Kind = AttrKind::Array;
+  Proto.Data = Impls.data();
+  Proto.Size = Impls.size();
+  return ArrayAttr(Ctx.uniqueAttr(Proto));
 }
 
-DenseF64Attr DenseF64Attr::get(Context &Ctx, std::vector<double> Values) {
+DenseF64Attr DenseF64Attr::get(Context &Ctx, std::span<const double> Values) {
   AttrStorage Proto;
   Proto.Kind = AttrKind::DenseF64;
-  Proto.Doubles = std::move(Values);
-  return DenseF64Attr(Ctx.uniqueAttr(std::move(Proto)));
+  Proto.Data = Values.data();
+  Proto.Size = Values.size();
+  return DenseF64Attr(Ctx.uniqueAttr(Proto));
 }

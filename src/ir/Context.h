@@ -9,7 +9,9 @@
 /// The Context owns all uniqued types and attributes, the registry of
 /// operation definitions contributed by dialects, and the diagnostic
 /// engine. Every IR object is tied to exactly one Context; a Context must
-/// outlive all IR created within it.
+/// outlive all IR created within it. Operations, blocks, values and the
+/// uniqued storage live in the context's arena until the Context dies
+/// (DESIGN.md §5).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,13 +20,16 @@
 
 #include "ir/Attributes.h"
 #include "ir/Types.h"
+#include "support/Arena.h"
 #include "support/LogicalResult.h"
 
 #include <functional>
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 namespace spnc {
@@ -79,10 +84,20 @@ public:
 
   /// Returns the canonical storage for a type equal to \p Prototype,
   /// creating it on first use. The Ctx field of the prototype is ignored.
-  const TypeStorage *uniqueType(TypeStorage Prototype);
+  const TypeStorage *uniqueType(const TypeStorage &Prototype);
 
-  /// Returns the canonical storage for an attribute equal to \p Prototype.
-  const AttrStorage *uniqueAttr(AttrStorage Prototype);
+  /// Returns the canonical storage for an attribute equal to \p Prototype
+  /// (String, Array and DenseF64 payloads are compared by content and
+  /// copied into the arena). Float values are equal when their bits are:
+  /// -0.0 and +0.0 are two attributes, and a NaN is equal to itself.
+  const AttrStorage *uniqueAttr(const AttrStorage &Prototype);
+
+  /// Returns a copy of \p Text that lives as long as this Context; equal
+  /// texts share one copy. Attribute names on operations are interned.
+  std::string_view internString(std::string_view Text);
+
+  /// The arena holding this context's IR.
+  BumpArena &getArena() { return Arena; }
 
   //===--------------------------------------------------------------------===//
   // Operation registry
@@ -95,10 +110,10 @@ public:
   /// Looks up the definition for \p Name. Unregistered names lazily get a
   /// conservative default definition (impure, unverified), which allows
   /// the generic parser to construct unknown ops.
-  const OpInfo *lookupOrCreateOpInfo(const std::string &Name);
+  const OpInfo *lookupOrCreateOpInfo(std::string_view Name);
 
   /// Returns the definition for \p Name or null if it was never seen.
-  const OpInfo *lookupOpInfo(const std::string &Name) const;
+  const OpInfo *lookupOpInfo(std::string_view Name) const;
 
   /// Invokes \p Fn for every registered operation definition.
   void forEachOpInfo(
@@ -143,9 +158,45 @@ public:
   unsigned getNumErrors() const { return NumErrors; }
 
 private:
-  std::unordered_multimap<size_t, std::unique_ptr<TypeStorage>> TypePool;
-  std::unordered_multimap<size_t, std::unique_ptr<AttrStorage>> AttrPool;
-  std::unordered_map<std::string, std::unique_ptr<OpInfo>> OpRegistry;
+  /// Open-addressing map from a value's 64 bits to its uniqued storage.
+  class BitsTable {
+  public:
+    const AttrStorage *&lookup(uint64_t Bits);
+
+  private:
+    struct Slot {
+      uint64_t Bits = 0;
+      const AttrStorage *Storage = nullptr;
+    };
+    void grow();
+    std::vector<Slot> Slots;
+    size_t NumFilled = 0;
+  };
+
+  /// Hashes std::string and std::string_view alike, so the registry is
+  /// searched without building a std::string.
+  struct StringHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view Text) const {
+      return std::hash<std::string_view>()(Text);
+    }
+  };
+
+  const AttrStorage *newAttr(const AttrStorage &Prototype);
+
+  BumpArena Arena;
+  std::unordered_multimap<size_t, const TypeStorage *> TypePool;
+  /// Unit and Bool attributes, then Int and Float keyed by their bits.
+  const AttrStorage *UnitAttrStorage = nullptr;
+  const AttrStorage *BoolAttrStorage[2] = {nullptr, nullptr};
+  BitsTable IntAttrs;
+  BitsTable FloatAttrs;
+  /// String, Type, Array and DenseF64 attributes by content hash.
+  std::unordered_multimap<size_t, const AttrStorage *> AttrPool;
+  std::unordered_set<std::string_view> InternedStrings;
+  std::unordered_map<std::string, std::unique_ptr<OpInfo>, StringHash,
+                     std::equal_to<>>
+      OpRegistry;
   std::unordered_map<std::string, bool> LoadedDialects;
   ConstantMaterializer ConstantHook;
   DiagnosticHandler DiagHandler;

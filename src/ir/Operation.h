@@ -11,6 +11,10 @@
 /// results, a sorted attribute dictionary and owned regions. Typed op
 /// classes in the dialects are thin views over `Operation *`.
 ///
+/// An op is one allocation in its context's arena: the Operation, then
+/// its operands, results, regions and attributes. Erasing an op frees
+/// nothing; the memory goes with the Context (DESIGN.md §5).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPNC_IR_OPERATION_H
@@ -20,46 +24,50 @@
 #include "ir/Context.h"
 #include "ir/Region.h"
 #include "ir/Value.h"
+#include "support/SmallVector.h"
 
-#include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace spnc {
 namespace ir {
 
-/// Transient description of an operation about to be created.
+/// Transient description of an operation about to be created. The name
+/// and the attribute names must outlive Operation::create (the op interns
+/// its attribute names; a typed op's name is a string literal). Short
+/// lists stay inline, so describing an op allocates nothing.
 struct OperationState {
-  std::string Name;
-  std::vector<Value> Operands;
-  std::vector<Type> ResultTypes;
-  std::vector<NamedAttribute> Attributes;
+  std::string_view Name;
+  SmallVector<Value, 4> Operands;
+  SmallVector<Type, 2> ResultTypes;
+  SmallVector<NamedAttribute, 4> Attributes;
   unsigned NumRegions = 0;
 
   OperationState() = default;
-  explicit OperationState(std::string Name) : Name(std::move(Name)) {}
+  explicit OperationState(std::string_view Name) : Name(Name) {}
 
   void addOperand(Value V) { Operands.push_back(V); }
-  void addOperands(std::span<const Value> Values) {
-    Operands.insert(Operands.end(), Values.begin(), Values.end());
-  }
+  void addOperands(std::span<const Value> Values) { Operands.append(Values); }
   void addResultType(Type Ty) { ResultTypes.push_back(Ty); }
-  void addAttribute(std::string AttrName, Attribute Attr) {
-    Attributes.push_back(NamedAttribute{std::move(AttrName), Attr});
+  void addAttribute(std::string_view AttrName, Attribute Attr) {
+    Attributes.push_back(NamedAttribute{AttrName, Attr});
   }
   void addRegion() { ++NumRegions; }
 };
 
-class Operation {
+class Operation : public OpListNode {
 public:
   /// Creates a detached operation from \p State. The result is owned by
-  /// the caller until inserted into a block (use destroy() to free a
+  /// the caller until inserted into a block (use destroy() to retire a
   /// detached op).
   static Operation *create(Context &Ctx, const OperationState &State);
 
-  /// Frees a detached operation. The results must be unused and the
-  /// references of the nested ops dropped (dropAllReferences()).
+  /// Retires a detached operation and its nested ops. The results must be
+  /// unused and the references of the nested ops dropped
+  /// (dropAllReferences()). The memory stays in the context's arena;
+  /// under AddressSanitizer it is poisoned, so a later use is reported.
   void destroy();
 
   Operation(const Operation &) = delete;
@@ -78,21 +86,21 @@ public:
   unsigned getNumOperands() const { return NumOperands; }
   Value getOperand(unsigned Index) const {
     assert(Index < NumOperands && "operand index out of range");
-    return Operands[Index].get();
+    return operandStorage()[Index].get();
   }
   void setOperand(unsigned Index, Value NewValue) {
     assert(Index < NumOperands && "operand index out of range");
-    Operands[Index].set(NewValue);
+    operandStorage()[Index].set(NewValue);
   }
   OpOperand &getOpOperand(unsigned Index) {
     assert(Index < NumOperands && "operand index out of range");
-    return Operands[Index];
+    return operandStorage()[Index];
   }
   std::vector<Value> getOperands() const {
     std::vector<Value> Result;
     Result.reserve(NumOperands);
     for (unsigned I = 0; I < NumOperands; ++I)
-      Result.push_back(Operands[I].get());
+      Result.push_back(getOperand(I));
     return Result;
   }
 
@@ -103,13 +111,13 @@ public:
   unsigned getNumResults() const { return NumResults; }
   Value getResult(unsigned Index = 0) const {
     assert(Index < NumResults && "result index out of range");
-    return Value(&Results[Index]);
+    return Value(&resultStorage()[Index]);
   }
   std::vector<Value> getResults() const {
     std::vector<Value> Result;
     Result.reserve(NumResults);
     for (unsigned I = 0; I < NumResults; ++I)
-      Result.push_back(Value(&Results[I]));
+      Result.push_back(getResult(I));
     return Result;
   }
   /// True if no result of this op has a use.
@@ -133,32 +141,33 @@ public:
   //===--------------------------------------------------------------------===//
 
   /// Returns the attribute named \p Name or the null attribute.
-  Attribute getAttr(const std::string &Name) const;
-  bool hasAttr(const std::string &Name) const {
+  Attribute getAttr(std::string_view Name) const;
+  bool hasAttr(std::string_view Name) const {
     return static_cast<bool>(getAttr(Name));
   }
   /// Sets (or replaces) the attribute \p Name.
-  void setAttr(const std::string &Name, Attribute Attr);
+  void setAttr(std::string_view Name, Attribute Attr);
   /// Removes the attribute \p Name if present.
-  void removeAttr(const std::string &Name);
-  const std::vector<NamedAttribute> &getAttrs() const { return Attrs; }
+  void removeAttr(std::string_view Name);
+  /// The attributes, sorted by name; names are interned in the Context.
+  std::span<const NamedAttribute> getAttrs() const {
+    return {Attrs, NumAttrs};
+  }
 
   /// Convenience accessors with kind casts; assert on kind mismatch when
   /// the attribute is present, return the fallback when absent.
-  int64_t getIntAttr(const std::string &Name, int64_t Fallback = 0) const;
-  double getFloatAttr(const std::string &Name, double Fallback = 0.0) const;
-  bool getBoolAttr(const std::string &Name, bool Fallback = false) const;
+  int64_t getIntAttr(std::string_view Name, int64_t Fallback = 0) const;
+  double getFloatAttr(std::string_view Name, double Fallback = 0.0) const;
+  bool getBoolAttr(std::string_view Name, bool Fallback = false) const;
 
   //===--------------------------------------------------------------------===//
   // Regions and position
   //===--------------------------------------------------------------------===//
 
-  unsigned getNumRegions() const {
-    return static_cast<unsigned>(Regions.size());
-  }
+  unsigned getNumRegions() const { return NumRegions; }
   Region &getRegion(unsigned Index = 0) {
-    assert(Index < Regions.size() && "region index out of range");
-    return *Regions[Index];
+    assert(Index < NumRegions && "region index out of range");
+    return regionStorage()[Index];
   }
 
   /// Returns the block containing this op (null if detached).
@@ -170,13 +179,16 @@ public:
 
   /// Unlinks this op from its block without destroying it.
   void remove();
-  /// Unlinks and destroys this op.
+  /// Unlinks, drops the references of and destroys this op.
   void erase();
   /// Moves this op directly before \p Other (same or different block).
   void moveBefore(Operation *Other);
 
   /// Position of this op in its parent block list.
-  Block::iterator getIterator() const { return PositionInBlock; }
+  Block::iterator getIterator() {
+    assert(ParentBlock && "detached op has no position");
+    return Block::iterator(this);
+  }
 
   /// Dense index of this op in its block as of the block's last
   /// numberOperations(); stale once ops are inserted, moved or erased
@@ -198,24 +210,57 @@ public:
 
 private:
   Operation(Context &Ctx, const OpInfo *Info, unsigned NumOperands,
-            unsigned NumResults);
-  ~Operation();
+            unsigned NumResults, unsigned NumRegions, unsigned NumAttrs);
+
+  // The trailing arrays, in allocation order.
+  OpOperand *operandStorage() const {
+    return reinterpret_cast<OpOperand *>(const_cast<Operation *>(this + 1));
+  }
+  OpResultImpl *resultStorage() const {
+    return reinterpret_cast<OpResultImpl *>(operandStorage() + NumOperands);
+  }
+  Region *regionStorage() const {
+    return reinterpret_cast<Region *>(resultStorage() + NumResults);
+  }
+  NamedAttribute *inlineAttrStorage() const {
+    return reinterpret_cast<NamedAttribute *>(regionStorage() + NumRegions);
+  }
+  /// Bytes of the allocation holding this op and its trailing arrays.
+  size_t allocationSize() const;
 
   Context *Ctx;
   const OpInfo *Info;
   Block *ParentBlock = nullptr;
-  Block::iterator PositionInBlock;
+  /// Sorted by name for deterministic printing and hashing; starts in the
+  /// trailing array, moves to a larger arena array when setAttr grows it.
+  NamedAttribute *Attrs;
   unsigned OrderIndex = 0;
   unsigned NumOperands;
   unsigned NumResults;
-  std::unique_ptr<OpOperand[]> Operands;
-  std::unique_ptr<OpResultImpl[]> Results;
-  /// Sorted by name for deterministic printing and hashing.
-  std::vector<NamedAttribute> Attrs;
-  std::vector<std::unique_ptr<Region>> Regions;
+  unsigned NumRegions;
+  unsigned NumAttrs;
+  unsigned AttrCapacity;
+  unsigned NumInlineAttrs;
+  /// Position + 1 in GreedyDriver's worklist, 0 if unqueued.
+  unsigned WorklistIndex = 0;
 
   friend class Block;
+  friend class GreedyDriver;
 };
+
+inline Operation *OpIterator::operator*() const {
+  return static_cast<Operation *>(Node);
+}
+
+inline Operation *Block::front() {
+  assert(!empty() && "front() on empty block");
+  return static_cast<Operation *>(Sentinel.Next);
+}
+
+inline Operation *Block::back() {
+  assert(!empty() && "back() on empty block");
+  return static_cast<Operation *>(Sentinel.Prev);
+}
 
 } // namespace ir
 } // namespace spnc

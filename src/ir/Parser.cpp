@@ -441,7 +441,7 @@ private:
       return Type();
     TypeStorage Proto;
     Proto.Kind = IsTensor ? TypeKind::Tensor : TypeKind::MemRef;
-    Proto.Shape = std::move(Shape);
+    Proto.Shape = Shape;
     Proto.Element = Element.getImpl();
     return Type(Ctx.uniqueType(std::move(Proto)));
   }
@@ -628,7 +628,7 @@ private:
       error("expected operation name string");
       return nullptr;
     }
-    OperationState State(Current.Text);
+    OperationState State(Ctx.internString(Current.Text));
     consume();
 
     // Operand list.
@@ -667,14 +667,14 @@ private:
     // regions contain full ops, simplest is to create the op after
     // parsing everything. To do that we parse regions into detached
     // blocks first.
-    std::vector<std::unique_ptr<Block>> RegionBlocks;
+    std::vector<Block *> RegionBlocks;
     if (HasRegions) {
       consume(); // (
       do {
         auto TheBlock = parseDetachedRegionBlock();
         if (!TheBlock)
           return nullptr;
-        RegionBlocks.push_back(std::move(TheBlock));
+        RegionBlocks.push_back(TheBlock);
         ++State.NumRegions;
       } while (consumeIf(TokenKind::Comma));
       if (!expect(TokenKind::RParen, "')' after regions"))
@@ -697,7 +697,7 @@ private:
           Attribute Value = parseAttribute();
           if (!Value)
             return nullptr;
-          State.addAttribute(Name, Value);
+          State.addAttribute(Ctx.internString(Name), Value);
         } while (consumeIf(TokenKind::Comma));
       }
       if (!expect(TokenKind::RBrace, "'}'"))
@@ -755,7 +755,7 @@ private:
     Op = Operation::create(Ctx, State);
     // Adopt the parsed region blocks.
     for (unsigned R = 0; R < RegionBlocks.size(); ++R)
-      adoptBlock(Op->getRegion(R), std::move(RegionBlocks[R]));
+      adoptBlock(Op->getRegion(R), RegionBlocks[R]);
     // Register result names.
     for (size_t I = 0; I < ResultNames.size(); ++I)
       ValueByName[ResultNames[I]] = Op->getResult(I);
@@ -766,10 +766,10 @@ private:
   }
 
   /// Parses `{ [^bb(args):] op* }` into a detached block.
-  std::unique_ptr<Block> parseDetachedRegionBlock() {
+  Block *parseDetachedRegionBlock() {
     if (!expect(TokenKind::LBrace, "'{' starting a region"))
       return nullptr;
-    auto TheBlock = std::make_unique<Block>();
+    Block *TheBlock = Block::create(Ctx);
     if (Current.Kind == TokenKind::Caret) {
       consume();
       if (!expect(TokenKind::LParen, "'('"))
@@ -799,7 +799,7 @@ private:
         error("unterminated region");
         return nullptr;
       }
-      if (!parseOperation(TheBlock.get()))
+      if (!parseOperation(TheBlock))
         return nullptr;
     }
     consume(); // }
@@ -807,7 +807,7 @@ private:
   }
 
   /// Moves the contents of \p Source into a fresh block of \p TheRegion.
-  void adoptBlock(Region &TheRegion, std::unique_ptr<Block> Source) {
+  void adoptBlock(Region &TheRegion, Block *Source) {
     Block &Target = TheRegion.emplaceBlock();
     // Move arguments: recreate them and RAUW the parsed placeholders.
     for (unsigned I = 0; I < Source->getNumArguments(); ++I) {

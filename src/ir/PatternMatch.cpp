@@ -8,9 +8,7 @@
 #include "ir/PatternMatch.h"
 
 #include <algorithm>
-#include <deque>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace spnc;
 using namespace spnc::ir;
@@ -27,8 +25,7 @@ Value spnc::ir::tryFold(Operation *Op, OpBuilder &Builder) {
     return Value();
 
   // Collect constant operand attributes (null for non-constants).
-  std::vector<Attribute> OperandConstants;
-  OperandConstants.reserve(Op->getNumOperands());
+  SmallVector<Attribute, 4> OperandConstants;
   for (unsigned I = 0; I < Op->getNumOperands(); ++I) {
     Attribute Constant;
     if (Operation *Def = Op->getOperand(I).getDefiningOp())
@@ -98,14 +95,19 @@ public:
     // Fixpoint iteration with a generous safety bound.
     size_t Steps = 0;
     const size_t MaxSteps = 1000000 + 100 * Worklist.size();
-    while (!Worklist.empty()) {
-      if (++Steps > MaxSteps)
+    while (Head < Worklist.size()) {
+      if (++Steps > MaxSteps) {
+        clearWorklist();
         return failure(); // Pattern set does not converge.
-      Operation *Op = Worklist.front();
-      Worklist.pop_front();
-      if (!InWorklist.count(Op))
-        continue; // Erased or deduplicated entry.
-      InWorklist.erase(Op);
+      }
+      Operation *Op = Worklist[Head++];
+      if (Head == Worklist.size()) {
+        Worklist.clear();
+        Head = 0;
+      }
+      if (!Op)
+        continue; // Erased while queued.
+      Op->WorklistIndex = 0;
 
       if (processOp(Op))
         AnyChange = true;
@@ -115,12 +117,21 @@ public:
     return success();
   }
 
+  /// Queues \p Op at the back unless it is queued already.
   void addToWorklist(Operation *Op) {
-    if (InWorklist.insert(Op).second)
-      Worklist.push_back(Op);
+    if (Op->WorklistIndex)
+      return;
+    Worklist.push_back(Op);
+    Op->WorklistIndex = static_cast<unsigned>(Worklist.size());
   }
 
-  void notifyErased(Operation *Op) { InWorklist.erase(Op); }
+  /// Drops \p Op, about to be erased, from the worklist.
+  void notifyErased(Operation *Op) {
+    if (!Op->WorklistIndex)
+      return;
+    Worklist[Op->WorklistIndex - 1] = nullptr;
+    Op->WorklistIndex = 0;
+  }
 
   /// Queues the producers of \p Op's operands (they may have become dead)
   /// and is called right before erasing/replacing an op.
@@ -132,8 +143,7 @@ public:
 
   /// Queues all users of \p V (their input changed).
   void queueUsers(Value V) {
-    for (Operation *User : V.getUsers())
-      addToWorklist(User);
+    V.forEachUse([&](OpOperand &Use) { addToWorklist(Use.getOwner()); });
   }
 
 private:
@@ -170,11 +180,22 @@ private:
     return TryPatterns(Index.Generic);
   }
 
+  /// Unqueues every op left in the worklist.
+  void clearWorklist() {
+    for (size_t I = Head; I < Worklist.size(); ++I)
+      if (Worklist[I])
+        Worklist[I]->WorklistIndex = 0;
+    Worklist.clear();
+    Head = 0;
+  }
+
   Operation *Scope;
   PatternRewriter Rewriter;
   PatternIndex Index;
-  std::deque<Operation *> Worklist;
-  std::unordered_set<Operation *> InWorklist;
+  /// FIFO of queued ops from Head on; an op queued here records its
+  /// position + 1 in Operation::WorklistIndex, an erased one is nulled.
+  std::vector<Operation *> Worklist;
+  size_t Head = 0;
 };
 
 } // namespace ir

@@ -22,7 +22,7 @@ using namespace spnc::ir;
 // Type printing
 //===----------------------------------------------------------------------===//
 
-static void printShape(const std::vector<int64_t> &Shape, RawOStream &OS) {
+static void printShape(std::span<const int64_t> Shape, RawOStream &OS) {
   for (int64_t Dim : Shape) {
     if (Dim == TypeStorage::kDynamic)
       OS << '?';
@@ -119,7 +119,7 @@ void Attribute::print(RawOStream &OS) const {
     return;
   case AttrKind::String: {
     OS << '"';
-    for (char C : Impl->StringValue) {
+    for (char C : Impl->getString()) {
       if (C == '"' || C == '\\')
         OS << '\\';
       OS << C;
@@ -133,7 +133,7 @@ void Attribute::print(RawOStream &OS) const {
   case AttrKind::Array: {
     OS << '[';
     bool First = true;
-    for (const AttrStorage *Element : Impl->Elements) {
+    for (const AttrStorage *Element : Impl->getElements()) {
       if (!First)
         OS << ", ";
       First = false;
@@ -145,7 +145,7 @@ void Attribute::print(RawOStream &OS) const {
   case AttrKind::DenseF64: {
     OS << "dense<[";
     bool First = true;
-    for (double Value : Impl->Doubles) {
+    for (double Value : Impl->getDoubles()) {
       if (!First)
         OS << ", ";
       First = false;

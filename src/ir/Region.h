@@ -9,6 +9,8 @@
 /// A Region is an ordered list of blocks owned by an operation. Regions
 /// give the IR its nesting capability (paper §II-B): the graph of an
 /// `hi_spn.joint_query` or the body of a `lo_spn.task` are regions.
+/// A region is stored inside its operation; its block list lives in the
+/// context's arena.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,9 +19,6 @@
 
 #include "ir/Block.h"
 
-#include <memory>
-#include <vector>
-
 namespace spnc {
 namespace ir {
 
@@ -27,47 +26,43 @@ class Operation;
 
 class Region {
 public:
-  Region() = default;
+  explicit Region(Operation *ParentOp) : ParentOp(ParentOp) {}
 
   Region(const Region &) = delete;
   Region &operator=(const Region &) = delete;
 
-  /// Returns the operation owning this region (null while detached).
+  /// Returns the operation owning this region.
   Operation *getParentOp() const { return ParentOp; }
 
-  bool empty() const { return Blocks.empty(); }
-  size_t size() const { return Blocks.size(); }
+  bool empty() const { return NumBlocks == 0; }
+  size_t size() const { return NumBlocks; }
 
   Block &front() {
-    assert(!Blocks.empty() && "front() on empty region");
-    return *Blocks.front();
+    assert(NumBlocks > 0 && "front() on empty region");
+    return *Blocks[0];
   }
   Block &getBlock(size_t Index) {
-    assert(Index < Blocks.size() && "block index out of range");
+    assert(Index < NumBlocks && "block index out of range");
     return *Blocks[Index];
   }
 
   /// Creates and appends a new empty block.
-  Block &emplaceBlock() {
-    Blocks.push_back(std::make_unique<Block>());
-    Blocks.back()->ParentRegion = this;
-    return *Blocks.back();
-  }
+  Block &emplaceBlock();
 
   /// Drops operand references in all contained blocks.
   void dropAllReferences() {
-    for (auto &TheBlock : Blocks)
+    for (Block *TheBlock : *this)
       TheBlock->dropAllReferences();
   }
 
-  auto begin() { return Blocks.begin(); }
-  auto end() { return Blocks.end(); }
+  Block **begin() { return Blocks; }
+  Block **end() { return Blocks + NumBlocks; }
 
 private:
-  Operation *ParentOp = nullptr;
-  std::vector<std::unique_ptr<Block>> Blocks;
-
-  friend class Operation;
+  Operation *ParentOp;
+  Block **Blocks = nullptr;
+  unsigned NumBlocks = 0;
+  unsigned Capacity = 0;
 };
 
 } // namespace ir

@@ -11,7 +11,7 @@
 #include "ir/PatternMatch.h"
 #include "support/Hashing.h"
 
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 using namespace spnc;
@@ -23,48 +23,48 @@ using namespace spnc::ir;
 
 namespace {
 
-/// Structural key of a pure operation: name, operand identities,
-/// attributes, result types.
-struct OpKey {
-  const OpInfo *Info;
-  std::vector<ValueImpl *> Operands;
-  std::vector<const AttrStorage *> Attrs;
-  std::vector<const TypeStorage *> ResultTypes;
-
-  bool operator==(const OpKey &Other) const {
-    return Info == Other.Info && Operands == Other.Operands &&
-           Attrs == Other.Attrs && ResultTypes == Other.ResultTypes;
-  }
-};
-
-struct OpKeyHash {
-  size_t operator()(const OpKey &Key) const {
-    size_t Seed = std::hash<const void *>()(Key.Info);
-    for (ValueImpl *Operand : Key.Operands)
-      hashCombineSeed(Seed, std::hash<void *>()(Operand));
-    for (const AttrStorage *Attr : Key.Attrs)
-      hashCombineSeed(Seed, std::hash<const void *>()(Attr));
-    for (const TypeStorage *Ty : Key.ResultTypes)
-      hashCombineSeed(Seed, std::hash<const void *>()(Ty));
-    return Seed;
-  }
-};
-
-static OpKey makeKey(Operation *Op) {
-  OpKey Key;
-  Key.Info = Op->getInfo();
+/// Hash of the structural key of a pure operation: name, operand
+/// identities, attributes and result types, read in place.
+static size_t hashOp(Operation *Op) {
+  size_t Seed = std::hash<const void *>()(Op->getInfo());
   for (unsigned I = 0; I < Op->getNumOperands(); ++I)
-    Key.Operands.push_back(Op->getOperand(I).getImpl());
+    hashCombineSeed(Seed, std::hash<void *>()(Op->getOperand(I).getImpl()));
   for (const NamedAttribute &Entry : Op->getAttrs())
-    Key.Attrs.push_back(Entry.Value.getImpl());
+    hashCombineSeed(Seed, std::hash<const void *>()(Entry.Value.getImpl()));
   for (unsigned I = 0; I < Op->getNumResults(); ++I)
-    Key.ResultTypes.push_back(Op->getResult(I).getType().getImpl());
-  return Key;
+    hashCombineSeed(Seed, std::hash<const void *>()(
+                              Op->getResult(I).getType().getImpl()));
+  return static_cast<size_t>(splitmix64(Seed));
 }
 
-/// Scoped value-numbering table: one map per nesting level; lookups walk
-/// outward, so expressions already available in an enclosing block are
-/// reused inside nested regions.
+/// True if \p A and \p B have equal structural keys. Attribute names are
+/// interned, so equal names have equal pointers.
+static bool isEquivalent(Operation *A, Operation *B) {
+  if (A->getInfo() != B->getInfo() ||
+      A->getNumOperands() != B->getNumOperands() ||
+      A->getNumResults() != B->getNumResults() ||
+      A->getAttrs().size() != B->getAttrs().size())
+    return false;
+  for (unsigned I = 0; I < A->getNumOperands(); ++I)
+    if (A->getOperand(I) != B->getOperand(I))
+      return false;
+  std::span<const NamedAttribute> AttrsA = A->getAttrs();
+  std::span<const NamedAttribute> AttrsB = B->getAttrs();
+  for (size_t I = 0; I < AttrsA.size(); ++I)
+    if (AttrsA[I].Value != AttrsB[I].Value ||
+        AttrsA[I].Name.data() != AttrsB[I].Name.data())
+      return false;
+  for (unsigned I = 0; I < A->getNumResults(); ++I)
+    if (A->getResult(I).getType() != B->getResult(I).getType())
+      return false;
+  return true;
+}
+
+/// Scoped value-numbering table. Entries are kept in insertion order and
+/// a block's scope is a suffix of them, dropped when the block is done;
+/// lookups therefore see exactly the expressions available from the
+/// enclosing blocks. The open-addressing index is (re)built in insertion
+/// order, so dropping the newest entry can simply empty its slot.
 class CSEDriver {
 public:
   unsigned run(Operation *Scope) {
@@ -73,14 +73,19 @@ public:
   }
 
 private:
+  struct Entry {
+    size_t Hash;
+    Operation *Op;
+  };
+
   void processRegionsOf(Operation *Op) {
     for (unsigned R = 0; R < Op->getNumRegions(); ++R)
-      for (auto &TheBlock : Op->getRegion(R))
+      for (Block *TheBlock : Op->getRegion(R))
         processBlock(*TheBlock);
   }
 
   void processBlock(Block &TheBlock) {
-    Scopes.emplace_back();
+    size_t ScopeBegin = Entries.size();
     auto It = TheBlock.begin();
     while (It != TheBlock.end()) {
       Operation *Op = *It;
@@ -92,30 +97,59 @@ private:
         processRegionsOf(Op);
         continue;
       }
-      OpKey Key = makeKey(Op);
-      if (Operation *Existing = lookup(Key)) {
-        std::vector<Value> Replacements = Existing->getResults();
-        Op->replaceAllUsesWith(Replacements);
+      if (Operation *Existing = lookupOrInsert(Op)) {
+        for (unsigned I = 0; I < Op->getNumResults(); ++I)
+          Op->getResult(I).replaceAllUsesWith(Existing->getResult(I));
         Op->erase();
         ++NumErased;
-        continue;
       }
-      Scopes.back().emplace(std::move(Key), Op);
     }
-    Scopes.pop_back();
+    while (Entries.size() > ScopeBegin)
+      popEntry();
   }
 
-  Operation *lookup(const OpKey &Key) const {
-    for (auto ScopeIt = Scopes.rbegin(); ScopeIt != Scopes.rend();
-         ++ScopeIt) {
-      auto Found = ScopeIt->find(Key);
-      if (Found != ScopeIt->end())
-        return Found->second;
+  /// Returns the available op equivalent to \p Op, or records \p Op and
+  /// returns null.
+  Operation *lookupOrInsert(Operation *Op) {
+    if (2 * (Entries.size() + 1) > Slots.size())
+      rebuildIndex(Slots.empty() ? 1024 : 2 * Slots.size());
+    size_t Hash = hashOp(Op);
+    size_t Mask = Slots.size() - 1;
+    size_t I = Hash & Mask;
+    for (; Slots[I]; I = (I + 1) & Mask) {
+      const Entry &Candidate = Entries[Slots[I] - 1];
+      if (Candidate.Hash == Hash && isEquivalent(Candidate.Op, Op))
+        return Candidate.Op;
     }
+    Entries.push_back(Entry{Hash, Op});
+    Slots[I] = static_cast<uint32_t>(Entries.size());
     return nullptr;
   }
 
-  std::vector<std::unordered_map<OpKey, Operation *, OpKeyHash>> Scopes;
+  void popEntry() {
+    size_t Mask = Slots.size() - 1;
+    auto Position = static_cast<uint32_t>(Entries.size());
+    size_t I = Entries.back().Hash & Mask;
+    while (Slots[I] != Position)
+      I = (I + 1) & Mask;
+    Slots[I] = 0;
+    Entries.pop_back();
+  }
+
+  void rebuildIndex(size_t NumSlots) {
+    Slots.assign(NumSlots, 0);
+    size_t Mask = NumSlots - 1;
+    for (size_t P = 0; P < Entries.size(); ++P) {
+      size_t I = Entries[P].Hash & Mask;
+      while (Slots[I])
+        I = (I + 1) & Mask;
+      Slots[I] = static_cast<uint32_t>(P + 1);
+    }
+  }
+
+  std::vector<Entry> Entries;
+  /// 1 + the position in Entries, or 0 for an empty slot.
+  std::vector<uint32_t> Slots;
   unsigned NumErased = 0;
 };
 

@@ -22,7 +22,8 @@
 
 #include <cassert>
 #include <cstdint>
-#include <vector>
+#include <initializer_list>
+#include <span>
 
 namespace spnc {
 
@@ -47,8 +48,9 @@ enum class TypeKind : uint8_t {
   Vector,
 };
 
-/// Uniqued immutable storage shared by all type kinds. Field use depends on
-/// the kind; unused fields keep their defaults and participate in uniquing.
+/// Uniqued immutable storage shared by all type kinds, kept in the
+/// context's arena. Field use depends on the kind; unused fields keep
+/// their defaults and participate in uniquing.
 struct TypeStorage {
   TypeKind Kind = TypeKind::None;
   Context *Ctx = nullptr;
@@ -56,8 +58,9 @@ struct TypeStorage {
   unsigned Width = 0;
   /// Element type of Log/Tensor/MemRef/Vector.
   const TypeStorage *Element = nullptr;
-  /// Shape of Tensor/MemRef; kDynamic encodes a dynamic dimension.
-  std::vector<int64_t> Shape;
+  /// Shape of Tensor/MemRef; kDynamic encodes a dynamic dimension. The
+  /// uniqued storage points at a copy in the context's arena.
+  std::span<const int64_t> Shape;
 
   static constexpr int64_t kDynamic = -1;
 };
@@ -159,9 +162,14 @@ public:
 class TensorType : public Type {
 public:
   using Type::Type;
-  static TensorType get(Context &Ctx, std::vector<int64_t> Shape,
+  static TensorType get(Context &Ctx, std::span<const int64_t> Shape,
                         Type ElementType);
-  const std::vector<int64_t> &getShape() const { return getImpl()->Shape; }
+  static TensorType get(Context &Ctx, std::initializer_list<int64_t> Shape,
+                        Type ElementType) {
+    return get(Ctx, std::span<const int64_t>(Shape.begin(), Shape.size()),
+               ElementType);
+  }
+  std::span<const int64_t> getShape() const { return getImpl()->Shape; }
   Type getElementType() const { return Type(getImpl()->Element); }
   static bool classof(Type T) {
     return T && T.getKind() == TypeKind::Tensor;
@@ -173,9 +181,14 @@ public:
 class MemRefType : public Type {
 public:
   using Type::Type;
-  static MemRefType get(Context &Ctx, std::vector<int64_t> Shape,
+  static MemRefType get(Context &Ctx, std::span<const int64_t> Shape,
                         Type ElementType);
-  const std::vector<int64_t> &getShape() const { return getImpl()->Shape; }
+  static MemRefType get(Context &Ctx, std::initializer_list<int64_t> Shape,
+                        Type ElementType) {
+    return get(Ctx, std::span<const int64_t>(Shape.begin(), Shape.size()),
+               ElementType);
+  }
+  std::span<const int64_t> getShape() const { return getImpl()->Shape; }
   Type getElementType() const { return Type(getImpl()->Element); }
   static bool classof(Type T) {
     return T && T.getKind() == TypeKind::MemRef;

@@ -151,11 +151,11 @@ private:
 
 /// A single use of a Value by an Operation, linked into the value's
 /// use-list. OpOperand objects live inline in their owning Operation and
-/// have stable addresses for the operation's lifetime.
+/// have stable addresses for the operation's lifetime. Nothing unlinks an
+/// operand implicitly: erasing an op drops its references first.
 class OpOperand {
 public:
   OpOperand() = default;
-  ~OpOperand() { removeFromUseList(); }
 
   OpOperand(const OpOperand &) = delete;
   OpOperand &operator=(const OpOperand &) = delete;

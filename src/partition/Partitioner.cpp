@@ -7,6 +7,8 @@
 
 #include "partition/Partitioner.h"
 
+#include "support/SmallVector.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -100,9 +102,9 @@ static uint64_t valueCost(const Graph &TheGraph, uint32_t N,
   uint32_t Own = Part[N];
   uint64_t Cost = 0;
   // Successor partition sets are tiny; avoid a hash set for the common
-  // cases by collecting and deduplicating.
+  // cases by collecting and deduplicating, inline.
   uint64_t Loads = 0;
-  std::vector<uint32_t> External;
+  SmallVector<uint32_t, 8> External;
   for (uint32_t Succ : TheGraph.successors(N)) {
     uint32_t SuccPart = Part[Succ];
     if (SuccPart != Own &&

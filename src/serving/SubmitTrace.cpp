@@ -8,9 +8,9 @@
 #include "serving/SubmitTrace.h"
 
 #include "support/FileIO.h"
+#include "support/StringUtils.h"
 
 #include <algorithm>
-#include <charconv>
 #include <random>
 
 using namespace spnc;
@@ -20,13 +20,6 @@ namespace {
 
 /// What separates the fields of a line.
 constexpr std::string_view kBlank = " \t\r";
-
-/// Reads all of \p Field as an unsigned decimal integer.
-template <typename T> bool parseUnsigned(std::string_view Field, T &Out) {
-  const char *End = Field.data() + Field.size();
-  auto [Ptr, Ec] = std::from_chars(Field.data(), End, Out);
-  return Ec == std::errc() && Ptr == End;
-}
 
 /// Parses one request line into \p Event; false when it is malformed.
 bool parseLine(std::string_view Line, size_t DefaultSamples,

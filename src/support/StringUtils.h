@@ -7,16 +7,23 @@
 ///
 /// \file
 /// printf-style string formatting used for diagnostics and benchmark
-/// reporting, avoiding `<iostream>` in library code.
+/// reporting, avoiding `<iostream>` in library code, and the one checked
+/// parser of unsigned numbers in flags and text formats.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPNC_SUPPORT_STRINGUTILS_H
 #define SPNC_SUPPORT_STRINGUTILS_H
 
+#include <charconv>
 #include <cstdarg>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 namespace spnc {
@@ -54,6 +61,21 @@ inline std::vector<std::string> splitString(const std::string &Input,
     }
   }
   return Pieces;
+}
+
+/// Reads all of \p Text as a decimal integer that \p Out's type can hold
+/// and is not negative. A sign, a blank, trailing characters, an empty
+/// text or an overflow make it fail and leave \p Out unchanged.
+template <typename T> bool parseUnsigned(std::string_view Text, T &Out) {
+  static_assert(std::is_integral_v<T>, "parses integers");
+  uint64_t Value = 0;
+  const char *End = Text.data() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, Value);
+  if (Ec != std::errc() || Ptr != End ||
+      Value > static_cast<uint64_t>(std::numeric_limits<T>::max()))
+    return false;
+  Out = static_cast<T>(Value);
+  return true;
 }
 
 } // namespace spnc

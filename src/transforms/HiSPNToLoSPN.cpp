@@ -20,6 +20,7 @@
 
 #include "dialects/hispn/HiSPNOps.h"
 #include "dialects/lospn/LoSPNOps.h"
+#include "ir/ValueMap.h"
 #include "transforms/Passes.h"
 
 #include <cassert>
@@ -174,11 +175,11 @@ private:
 
     // Translate the DAG children-first (the graph body is already in
     // def-before-use order).
-    std::unordered_map<Operation *, Value> Lowered;
+    ValueMap<Value> Lowered;
     Value RootValue;
     for (Operation *Op : Graph.getBody()) {
       if (hispn::RootOp Root = dyn_cast_op<hispn::RootOp>(Op)) {
-        RootValue = Lowered.at(Root.getRootValue().getDefiningOp());
+        RootValue = Lowered.at(Root.getRootValue().getImpl());
         continue;
       }
       // Likelihood queries: leaf ops inherit their `param` base
@@ -214,9 +215,9 @@ private:
         if (ParamAttr)
           Result.getDefiningOp()->setAttr("param", ParamAttr);
       } else if (isa_op<hispn::ProductOp>(Op)) {
-        Result = Lowered.at(Op->getOperand(0).getDefiningOp());
+        Result = Lowered.at(Op->getOperand(0).getImpl());
         for (unsigned I = 1; I < Op->getNumOperands(); ++I) {
-          Value Rhs = Lowered.at(Op->getOperand(I).getDefiningOp());
+          Value Rhs = Lowered.at(Op->getOperand(I).getImpl());
           Result =
               Builder.create<lospn::MulOp>(Result, Rhs)->getResult(0);
         }
@@ -226,13 +227,13 @@ private:
         // weighted terms with max instead (max-product); the
         // left-associative chain is what makes argmax ties resolve to
         // the lowest child index during traceback.
-        std::vector<double> Weights = Sum.getWeights();
+        std::span<const double> Weights = Sum.getWeights();
         int64_t ParamBase =
             ParamAttr ? ParamAttr.cast<IntAttr>().getValue() : -1;
         Value Acc;
         for (unsigned I = 0; I < Op->getNumOperands(); ++I) {
           double Weight = Log ? std::log(Weights[I]) : Weights[I];
-          Value Child = Lowered.at(Op->getOperand(I).getDefiningOp());
+          Value Child = Lowered.at(Op->getOperand(I).getImpl());
           Value WeightConst =
               Builder.create<lospn::ConstantOp>(Weight, ComputeTy)
                   ->getResult(0);
@@ -254,7 +255,7 @@ private:
         Ctx.emitError("unexpected op in hi_spn.graph: " + Op->getName());
         return failure();
       }
-      Lowered.emplace(Op, Result);
+      Lowered[Op->getResult(0).getImpl()] = Result;
     }
     if (!RootValue) {
       Ctx.emitError("graph has no root value");

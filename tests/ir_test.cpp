@@ -16,6 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 using namespace spnc;
 using namespace spnc::ir;
 
@@ -148,6 +151,30 @@ TEST_F(IRTest, AttributesAreUniqued) {
   // Int and bool are distinct kinds even for "equal" values.
   EXPECT_NE(Attribute(IntAttr::get(Ctx, 1)),
             Attribute(BoolAttr::get(Ctx, true)));
+}
+
+TEST_F(IRTest, FloatAttributesAreUniquedByBits) {
+  // -0.0 and +0.0 are two constants, whichever is created first.
+  FloatAttr Pos = FloatAttr::get(Ctx, 0.0);
+  FloatAttr Neg = FloatAttr::get(Ctx, -0.0);
+  EXPECT_NE(Attribute(Pos), Attribute(Neg));
+  EXPECT_FALSE(std::signbit(Pos.getValue()));
+  EXPECT_TRUE(std::signbit(Neg.getValue()));
+  Context Reversed;
+  FloatAttr NegFirst = FloatAttr::get(Reversed, -0.0);
+  FloatAttr PosSecond = FloatAttr::get(Reversed, 0.0);
+  EXPECT_TRUE(std::signbit(NegFirst.getValue()));
+  EXPECT_FALSE(std::signbit(PosSecond.getValue()));
+
+  // A NaN is one attribute, not a new one per request.
+  double NaN = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(FloatAttr::get(Ctx, NaN), FloatAttr::get(Ctx, NaN));
+
+  // Dense arrays compare their values by bits too.
+  EXPECT_NE(Attribute(DenseF64Attr::get(Ctx, {0.5, 0.0})),
+            Attribute(DenseF64Attr::get(Ctx, {0.5, -0.0})));
+  EXPECT_EQ(DenseF64Attr::get(Ctx, {0.5, NaN}),
+            DenseF64Attr::get(Ctx, {0.5, NaN}));
 }
 
 TEST_F(IRTest, ArrayAttr) {
@@ -443,6 +470,20 @@ TEST_F(IRTest, MoveBeforeAcrossBlocks) {
   EXPECT_EQ(Inner.front(), C.getOperation());
   EXPECT_EQ(Module.get().getBody().size(), 1u); // just the container
 }
+
+#ifdef SPNC_ADDRESS_SANITIZER
+TEST_F(IRTest, ErasedOpMemoryIsPoisoned) {
+  // Erasing frees nothing back to the heap, so AddressSanitizer sees a
+  // use after erase() only through the poisoning of the op's memory.
+  TestConstOp Kept = Builder->create<TestConstOp>(1.0);
+  TestConstOp Erased = Builder->create<TestConstOp>(2.0);
+  Operation *Op = Erased.getOperation();
+  EXPECT_FALSE(__asan_address_is_poisoned(Op));
+  Op->erase();
+  EXPECT_TRUE(__asan_address_is_poisoned(Op));
+  EXPECT_FALSE(__asan_address_is_poisoned(Kept.getOperation()));
+}
+#endif
 
 TEST_F(IRTest, WalkCallbackMayEraseVisitedOp) {
   Builder->create<TestConstOp>(1.0);

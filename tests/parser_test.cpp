@@ -24,6 +24,11 @@ using namespace spnc::ir;
 
 namespace {
 
+/// Copies an IR span (type shapes, dense attributes) for comparison.
+template <typename T> std::vector<T> toVector(std::span<const T> Values) {
+  return std::vector<T>(Values.begin(), Values.end());
+}
+
 class ParserTest : public ::testing::Test {
 protected:
   void SetUp() override {
@@ -101,12 +106,12 @@ TEST_F(ParserTest, ParsesShapedAndDialectTypes) {
   lospn::KernelOp Kernel(Module->get().getBody().front());
   Type In = Kernel.getBody().getArgument(0).getType();
   ASSERT_TRUE(In.isa<MemRefType>());
-  EXPECT_EQ(In.cast<MemRefType>().getShape(),
+  EXPECT_EQ(toVector(In.cast<MemRefType>().getShape()),
             (std::vector<int64_t>{TypeStorage::kDynamic, 26}));
   EXPECT_EQ(In.cast<MemRefType>().getElementType(),
             Type(FloatType::getF64(Ctx)));
   Type Out = Kernel.getBody().getArgument(1).getType();
-  EXPECT_EQ(Out.cast<MemRefType>().getShape(),
+  EXPECT_EQ(toVector(Out.cast<MemRefType>().getShape()),
             (std::vector<int64_t>{2, TypeStorage::kDynamic}));
   EXPECT_TRUE(lospn::isLogSpace(
       Out.cast<MemRefType>().getElementType()));
@@ -121,7 +126,7 @@ TEST_F(ParserTest, ParsesDenseAndSpecialFloats) {
   Expected<OwningOpRef<ModuleOp>> Module = parseSourceString(Ctx, Source);
   ASSERT_TRUE(static_cast<bool>(Module)) << Module.getError().message();
   Operation *Op = Module->get().getBody().front();
-  EXPECT_EQ(Op->getAttr("weights").cast<DenseF64Attr>().getValues(),
+  EXPECT_EQ(toVector(Op->getAttr("weights").cast<DenseF64Attr>().getValues()),
             (std::vector<double>{0.25, 0.75}));
   EXPECT_TRUE(std::isinf(Op->getFloatAttr("lo")));
   EXPECT_TRUE(std::isnan(Op->getFloatAttr("bad")));

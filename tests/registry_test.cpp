@@ -207,7 +207,7 @@ std::optional<Error> corruptModule(detail::StageContext &C) {
       return;
     ir::Block *TheBlock = Op->getBlock();
     if (Op->isTerminator() && TheBlock &&
-        TheBlock->getOperations().size() > 1 &&
+        TheBlock->size() > 1 &&
         TheBlock->back() == Op)
       Victim = Op;
   });

@@ -251,35 +251,35 @@ bool parseArguments(int Argc, char **Argv, CliOptions &Options) {
       const char *V = NextValue();
       if (!V)
         return false;
-      Options.Seed = std::strtoull(V, nullptr, 10);
+      if (!parseUnsigned(V, Options.Seed))
+        return false;
     } else if (Arg == "--samples") {
       const char *V = NextValue();
       if (!V)
         return false;
-      Options.NumSynthetic =
-          static_cast<size_t>(std::strtoull(V, nullptr, 10));
-      if (Options.NumSynthetic == 0)
+      if (!parseUnsigned(V, Options.NumSynthetic) ||
+          Options.NumSynthetic == 0)
         return false;
     } else if (Arg == "--opt") {
       const char *V = NextValue();
       if (!V)
         return false;
-      Options.Compile.OptLevel =
-          static_cast<unsigned>(std::strtoul(V, nullptr, 10));
+      if (!parseUnsigned(V, Options.Compile.OptLevel))
+        return false;
       Options.ExplicitKnobs.push_back("opt-level");
     } else if (Arg == "--vector-width") {
       const char *V = NextValue();
       if (!V)
         return false;
-      Options.Compile.Execution.VectorWidth =
-          static_cast<unsigned>(std::strtoul(V, nullptr, 10));
+      if (!parseUnsigned(V, Options.Compile.Execution.VectorWidth))
+        return false;
       Options.ExplicitKnobs.push_back("vector-width");
     } else if (Arg == "--partition") {
       const char *V = NextValue();
       if (!V)
         return false;
-      Options.Compile.MaxPartitionSize =
-          static_cast<uint32_t>(std::strtoul(V, nullptr, 10));
+      if (!parseUnsigned(V, Options.Compile.MaxPartitionSize))
+        return false;
       Options.ExplicitKnobs.push_back("partition-size");
     } else if (Arg == "--save-kernel") {
       const char *V = NextValue();
@@ -295,13 +295,14 @@ bool parseArguments(int Argc, char **Argv, CliOptions &Options) {
       const char *V = NextValue();
       if (!V)
         return false;
-      Options.KernelCacheCapacity =
-          static_cast<size_t>(std::strtoull(V, nullptr, 10));
+      if (!parseUnsigned(V, Options.KernelCacheCapacity))
+        return false;
     } else if (Arg == "--kernel-cache-disk-budget") {
       const char *V = NextValue();
       if (!V)
         return false;
-      Options.KernelCacheDiskBudget = std::strtoull(V, nullptr, 10);
+      if (!parseUnsigned(V, Options.KernelCacheDiskBudget))
+        return false;
     } else if (Arg == "--backend") {
       const char *V = NextValue();
       if (!V)

@@ -34,6 +34,7 @@
 #include "serving/InferenceServer.h"
 #include "serving/ServingReports.h"
 #include "serving/SubmitTrace.h"
+#include "support/StringUtils.h"
 #include "tuning/TuningRecord.h"
 
 #include <atomic>
@@ -165,11 +166,7 @@ bool parseArguments(int Argc, char **Argv, ServeOptions &Options) {
     };
     auto NextUnsigned = [&](auto &Out) -> bool {
       const char *V = NextValue();
-      if (!V)
-        return false;
-      Out = static_cast<std::remove_reference_t<decltype(Out)>>(
-          std::strtoull(V, nullptr, 10));
-      return true;
+      return V && parseUnsigned(V, Out);
     };
     // "--flag=value" spelling.
     auto EqualsValue = [&](const char *Flag, std::string &Out) -> bool {
@@ -187,20 +184,20 @@ bool parseArguments(int Argc, char **Argv, ServeOptions &Options) {
       continue;
     std::string EqualsNumber;
     if (EqualsValue("--shards", EqualsNumber)) {
-      Options.Server.NumShards = static_cast<unsigned>(
-          std::strtoull(EqualsNumber.c_str(), nullptr, 10));
+      if (!parseUnsigned(EqualsNumber, Options.Server.NumShards))
+        return false;
       Options.ExplicitKnobs.push_back("num-shards");
       continue;
     }
     if (EqualsValue("--priority-weight", EqualsNumber)) {
-      Options.Server.InteractiveWeight = static_cast<unsigned>(
-          std::strtoull(EqualsNumber.c_str(), nullptr, 10));
+      if (!parseUnsigned(EqualsNumber, Options.Server.InteractiveWeight))
+        return false;
       Options.ExplicitKnobs.push_back("priority-weight");
       continue;
     }
     if (EqualsValue("--clients", EqualsNumber)) {
-      Options.Clients = static_cast<unsigned>(
-          std::strtoull(EqualsNumber.c_str(), nullptr, 10));
+      if (!parseUnsigned(EqualsNumber, Options.Clients))
+        return false;
       continue;
     }
     if (EqualsValue("--backend", Options.BackendName)) {

@@ -21,6 +21,7 @@
 #include "frontend/Serializer.h"
 #include "runtime/KernelCache.h"
 #include "support/RawOStream.h"
+#include "support/StringUtils.h"
 #include "tuning/Tuner.h"
 #include "tuning/TuningRecord.h"
 
@@ -95,11 +96,7 @@ bool parseArguments(int Argc, char **Argv, TuneOptions &Options) {
     };
     auto NextUnsigned = [&](auto &Out) -> bool {
       const char *V = NextValue();
-      if (!V)
-        return false;
-      Out = static_cast<std::remove_reference_t<decltype(Out)>>(
-          std::strtoull(V, nullptr, 10));
-      return true;
+      return V && parseUnsigned(V, Out);
     };
     if (Arg == "--objective") {
       const char *V = NextValue();
