@@ -9,8 +9,9 @@
 /// The seam between the target-independent compilation pipeline and the
 /// ways a compiled kernel can actually run. A `Backend` turns the
 /// pipeline's portable `vm::KernelProgram` into a loaded
-/// `ExecutionEngine` — the bytecode engine (`VmBackend`), or a
-/// natively compiled shared object (`CppBackend`) — and contributes an
+/// `ExecutionEngine` (`materialize`, the one step each backend
+/// implements) — the bytecode engine (`VmBackend`), or a natively
+/// compiled shared object (`CppBackend`) — and contributes an
 /// `artifactFingerprint()` to the kernel-cache key so kernels produced
 /// by different backends never alias.
 ///
@@ -37,19 +38,6 @@
 
 namespace spnc {
 namespace backend {
-
-/// The result of backend compilation: a loaded, executable engine plus
-/// the identity of the backend that produced it. The name/fingerprint
-/// pair is what the kernel cache folds into its keys (see
-/// KernelCache::makeKey), so artifacts from different backends — or
-/// from incompatible versions of one backend — never collide.
-struct CompiledArtifact {
-  std::shared_ptr<runtime::ExecutionEngine> Engine;
-  /// Name of the producing backend ("vm", "cpp", ...).
-  std::string BackendName;
-  /// The producing backend's artifactFingerprint() at compile time.
-  uint64_t Fingerprint = 0;
-};
 
 /// Abstract compilation backend. Implementations must be immutable
 /// after construction: `compile` and `materialize` may be called
@@ -111,22 +99,39 @@ public:
   /// the resulting program into a loaded engine. The pipeline is
   /// caller-prepared (validated config, custom stages already
   /// registered) so cache keying over the configured stage set stays in
-  /// the caller's hands. Fails on unsupported targets (validateTarget
-  /// diagnostics), pipeline failures, or backend-specific lowering
-  /// errors. Thread-safe.
-  virtual Expected<CompiledArtifact>
+  /// the caller's hands. The target and the backend's availability are
+  /// checked before the pipeline runs, so an unsupported target
+  /// (validateTarget diagnostic) or a missing toolchain ("<name> backend
+  /// unavailable: <reason>") fails without spending pipeline time.
+  /// Fails on pipeline and backend-specific lowering errors too.
+  /// Thread-safe.
+  Expected<std::shared_ptr<runtime::ExecutionEngine>>
   compile(const runtime::CompilationPipeline &Pipeline,
           const spn::Model &Model, const spn::QueryConfig &Query,
-          runtime::CompileStats *Stats = nullptr) const = 0;
+          runtime::CompileStats *Stats = nullptr) const {
+    if (std::optional<Error> Err =
+            validateTarget(Pipeline.getConfig().getOptions().TheTarget))
+      return *Err;
+    std::string Reason;
+    if (!isAvailable(&Reason))
+      return makeError(getName() + " backend unavailable: " + Reason);
+    Expected<vm::KernelProgram> Program =
+        Pipeline.compile(Model, Query, Stats);
+    if (!Program)
+      return Program.getError();
+    return materialize(Program.takeValue(), Pipeline.getConfig(), Stats);
+  }
 
-  /// Turns an already-compiled portable program (e.g. a `.spnk`
-  /// disk-cache hit) into a loaded engine under \p Config, skipping the
-  /// pipeline. May fail for backends that re-lower the program on the
-  /// host (missing toolchain); the kernel cache treats such failures
-  /// like disk corruption and recompiles. Thread-safe.
-  virtual Expected<CompiledArtifact>
+  /// Turns a compiled portable program (the pipeline's output, or a
+  /// `.spnk` disk-cache hit) into a loaded engine under \p Config. With
+  /// \p Stats, a backend that builds on the host adds its build stages.
+  /// May fail for backends that re-lower the program on the host
+  /// (missing toolchain); the kernel cache treats such failures like
+  /// disk corruption and recompiles. Thread-safe.
+  virtual Expected<std::shared_ptr<runtime::ExecutionEngine>>
   materialize(vm::KernelProgram Program,
-              const runtime::PipelineConfig &Config) const = 0;
+              const runtime::PipelineConfig &Config,
+              runtime::CompileStats *Stats = nullptr) const = 0;
 };
 
 } // namespace backend

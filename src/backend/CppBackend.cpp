@@ -347,36 +347,10 @@ bool CppBackend::isAvailable(std::string *Reason) const {
 #endif
 }
 
-Expected<CompiledArtifact>
-CppBackend::compile(const runtime::CompilationPipeline &Pipeline,
-                    const spn::Model &Model,
-                    const spn::QueryConfig &Query,
-                    runtime::CompileStats *Stats) const {
-  // Validate the target before spending pipeline time: a GPU request
-  // must fail with the backend diagnostic, not a lowering artifact.
-  if (std::optional<Error> Err =
-          validateTarget(Pipeline.getConfig().getOptions().TheTarget))
-    return *Err;
-  std::string Reason;
-  if (!isAvailable(&Reason))
-    return makeError("cpp backend unavailable: " + Reason);
-  Expected<vm::KernelProgram> Program =
-      Pipeline.compile(Model, Query, Stats);
-  if (!Program)
-    return Program.getError();
-  return build(Program.takeValue(), Pipeline.getConfig(), Stats);
-}
-
-Expected<CompiledArtifact>
+Expected<std::shared_ptr<runtime::ExecutionEngine>>
 CppBackend::materialize(vm::KernelProgram Program,
-                        const runtime::PipelineConfig &Config) const {
-  return build(std::move(Program), Config, nullptr);
-}
-
-Expected<CompiledArtifact>
-CppBackend::build(vm::KernelProgram Program,
-                  const runtime::PipelineConfig &Config,
-                  runtime::CompileStats *Stats) const {
+                        const runtime::PipelineConfig &Config,
+                        runtime::CompileStats *Stats) const {
 #ifndef SPNC_CPP_BACKEND_POSIX
   (void)Config;
   (void)Stats;
@@ -502,12 +476,9 @@ CppBackend::build(vm::KernelProgram Program,
     Description += " " + Flag;
   Description += ")";
 
-  CompiledArtifact Artifact;
-  Artifact.Engine =
+  std::shared_ptr<runtime::ExecutionEngine> Engine =
       std::make_shared<NativeEngine>(std::move(Program), Lanes, Handle, Entry,
                                      Dir, Keep, std::move(Description));
-  Artifact.BackendName = getName();
-  Artifact.Fingerprint = artifactFingerprint();
   if (Stats) {
     uint64_t LinkNs = LinkTimer.elapsedNs();
     // The native build as three extra stages of the §V-B1 breakdown.
@@ -516,6 +487,6 @@ CppBackend::build(vm::KernelProgram Program,
     Stats->Stages.push_back({"cpp-link-load", LinkNs});
     Stats->TotalNs += EmitNs + CompileNs + LinkNs;
   }
-  return Artifact;
+  return Engine;
 #endif
 }

@@ -72,14 +72,12 @@ public:
   /// a working compiler on PATH.
   bool isAvailable(std::string *Reason = nullptr) const override;
 
-  Expected<CompiledArtifact>
-  compile(const runtime::CompilationPipeline &Pipeline,
-          const spn::Model &Model, const spn::QueryConfig &Query,
-          runtime::CompileStats *Stats = nullptr) const override;
-
-  Expected<CompiledArtifact>
+  /// Emits, compiles, links and loads \p Program; with \p Stats,
+  /// records the cpp-emit, cpp-compile and cpp-link-load stages.
+  Expected<std::shared_ptr<runtime::ExecutionEngine>>
   materialize(vm::KernelProgram Program,
-              const runtime::PipelineConfig &Config) const override;
+              const runtime::PipelineConfig &Config,
+              runtime::CompileStats *Stats = nullptr) const override;
 
   const CppBackendOptions &getOptions() const { return Options; }
 
@@ -88,12 +86,6 @@ public:
   std::string resolveCompiler() const;
 
 private:
-  /// Emits, compiles, links and loads \p Program; with \p Stats, records
-  /// the cpp-emit, cpp-compile and cpp-link-load stages.
-  Expected<CompiledArtifact> build(vm::KernelProgram Program,
-                                   const runtime::PipelineConfig &Config,
-                                   runtime::CompileStats *Stats) const;
-
   CppBackendOptions Options;
   /// Availability probe result, filled on first isAvailable() call.
   mutable std::mutex ProbeMutex;

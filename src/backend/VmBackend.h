@@ -50,36 +50,21 @@ public:
     return Seed;
   }
 
-  Expected<CompiledArtifact>
-  compile(const runtime::CompilationPipeline &Pipeline,
-          const spn::Model &Model, const spn::QueryConfig &Query,
-          runtime::CompileStats *Stats = nullptr) const override {
-    if (std::optional<Error> Err = validateTarget(
-            Pipeline.getConfig().getOptions().TheTarget))
-      return *Err;
-    Expected<vm::KernelProgram> Program =
-        Pipeline.compile(Model, Query, Stats);
-    if (!Program)
-      return Program.getError();
-    return materialize(Program.takeValue(), Pipeline.getConfig());
-  }
-
-  Expected<CompiledArtifact>
+  Expected<std::shared_ptr<runtime::ExecutionEngine>>
   materialize(vm::KernelProgram Program,
-              const runtime::PipelineConfig &Config) const override {
+              const runtime::PipelineConfig &Config,
+              runtime::CompileStats * = nullptr) const override {
     const runtime::CompilerOptions &O = Config.getOptions();
     if (std::optional<Error> Err = validateTarget(O.TheTarget))
       return *Err;
-    CompiledArtifact Artifact;
+    std::shared_ptr<runtime::ExecutionEngine> Engine;
     if (O.TheTarget == runtime::Target::GPU)
-      Artifact.Engine = std::make_shared<gpusim::GpuExecutor>(
+      Engine = std::make_shared<gpusim::GpuExecutor>(
           std::move(Program), O.Device, O.GpuBlockSize);
     else
-      Artifact.Engine = std::make_shared<vm::CpuExecutor>(
-          std::move(Program), O.Execution);
-    Artifact.BackendName = getName();
-    Artifact.Fingerprint = artifactFingerprint();
-    return Artifact;
+      Engine = std::make_shared<vm::CpuExecutor>(std::move(Program),
+                                                 O.Execution);
+    return Engine;
   }
 };
 

@@ -31,6 +31,10 @@ namespace {
 constexpr double kLogSqrt2Pi = vm::kLogSqrt2Pi;
 constexpr double kInvSqrt2Pi = vm::kInvSqrt2Pi;
 
+/// Largest dense lookup table generated for histogram leaves; wider
+/// value ranges fall back to select cascades.
+constexpr double kMaxDenseTableSize = 4096;
+
 /// True if all histogram bucket bounds are integral (dense-table
 /// eligible).
 static bool bucketsAreIntegral(std::span<const double> Flat) {
@@ -313,7 +317,7 @@ private:
         Lo = std::min(Lo, Flat[I]);
         Hi = std::max(Hi, Flat[I + 1]);
       }
-      Dense = (Hi - Lo) <= static_cast<double>(Options.MaxDenseTableSize);
+      Dense = (Hi - Lo) <= kMaxDenseTableSize;
       if (Dense) {
         LookupTable Table;
         Table.Lo = Lo;

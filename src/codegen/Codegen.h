@@ -41,9 +41,6 @@ struct CodegenOptions {
   /// Lower discrete leaves to select cascades instead of table lookups
   /// (the GPU lowering strategy, paper §IV-C).
   bool EmitSelectCascades = false;
-  /// Largest dense lookup table generated for histogram leaves; wider
-  /// value ranges fall back to select cascades.
-  unsigned MaxDenseTableSize = 4096;
   /// The query kind the program serves. Joint/marginal programs record
   /// a `ParamSite` for every `param`-tagged constant / leaf op, giving
   /// each its own side-table slot (no constant pooling across sites), so

@@ -184,6 +184,38 @@ std::vector<uint64_t> GpuExecutor::getStreamKernelCounts() const {
 
 namespace {
 
+/// Simulated time of one host<->device transfer of \p Bytes over PCIe.
+uint64_t transferNs(const GpuDeviceConfig &Config, uint64_t Bytes) {
+  // GB/s == bytes/ns.
+  return static_cast<uint64_t>(Config.TransferLatencyUs * 1000.0 +
+                               static_cast<double>(Bytes) /
+                                   Config.PcieBandwidthGBs);
+}
+
+/// Simulated compute time of one launch of \p NumSamples threads of a
+/// task using \p NumRegisters registers each: \p RunThreads measured on
+/// the host and scaled by throughput, occupancy and spilling, plus
+/// \p IntermediateBytes of global-memory traffic and the scheduling of
+/// the launch's blocks over the SMs.
+template <typename Fn>
+uint64_t launchComputeNs(const GpuDeviceConfig &Config, unsigned BlockSize,
+                         uint32_t NumRegisters, size_t NumSamples,
+                         uint64_t IntermediateBytes, Fn &&RunThreads) {
+  Timer HostTimer;
+  RunThreads();
+  uint64_t HostNs = HostTimer.elapsedNs();
+
+  double Occupancy = computeOccupancy(Config, BlockSize, NumRegisters);
+  double Spill = computeSpillSlowdown(Config, BlockSize, NumRegisters);
+  size_t NumBlocks = (NumSamples + BlockSize - 1) / BlockSize;
+  return static_cast<uint64_t>(
+      static_cast<double>(HostNs) * Spill /
+          (Config.PeakSpeedup * Occupancy) +
+      static_cast<double>(IntermediateBytes) / Config.DeviceBandwidthGBs +
+      static_cast<double>(NumBlocks) * Config.BlockScheduleOverheadNs /
+          static_cast<double>(Config.NumSMs));
+}
+
 /// Runs the \p NumSamples rows of a joint/marginal batch on the device
 /// as one launch sequence: one launch per task, whose thread for row I
 /// reads its side tables from Params.get(I, Task).
@@ -193,12 +225,6 @@ void runOnDevice(const KernelProgram &Program,
                  const RowParams &Params, const double *Input,
                  double *Output, size_t NumSamples,
                  GpuExecutionStats &Stats) {
-  const double BytesPerNs = Config.PcieBandwidthGBs; // GB/s == bytes/ns
-  const auto TransferNs = [&](uint64_t Bytes) {
-    return static_cast<uint64_t>(Config.TransferLatencyUs * 1000.0 +
-                                 static_cast<double>(Bytes) / BytesPerNs);
-  };
-
   // Device buffers: intermediates live here; external buffers are
   // modelled by accounting their transfers (the computation reads/writes
   // the host copies directly, which is numerically identical).
@@ -214,7 +240,7 @@ void runOnDevice(const KernelProgram &Program,
   // Initial host->device transfer of the external input.
   for (size_t I = 0; I < Program.Buffers.size(); ++I)
     if (Program.Buffers[I].Role == BufferInfo::Kind::Input) {
-      Stats.TransferNs += TransferNs(BufferBytes(I));
+      Stats.TransferNs += transferNs(Config, BufferBytes(I));
       Stats.BytesHostToDevice += BufferBytes(I);
       ++Stats.NumTransfers;
     }
@@ -259,7 +285,7 @@ void runOnDevice(const KernelProgram &Program,
       if (Info.Role == BufferInfo::Kind::Intermediate &&
           !OnDevice[Access.Buffer]) {
         uint64_t Bytes = BufferBytes(Access.Buffer);
-        Stats.TransferNs += TransferNs(Bytes);
+        Stats.TransferNs += transferNs(Config, Bytes);
         Stats.BytesHostToDevice += Bytes;
         ++Stats.NumTransfers;
         OnDevice[Access.Buffer] = 1;
@@ -267,25 +293,11 @@ void runOnDevice(const KernelProgram &Program,
     }
 
     // Launch: one thread per sample, a one-lane block with the vector
-    // library, measured on the host and scaled by throughput and
-    // occupancy.
+    // library.
     Stats.LaunchNs += static_cast<uint64_t>(
         Config.KernelLaunchOverheadUs * 1000.0);
     ++Stats.NumLaunches;
 
-    Timer HostTimer;
-    for (size_t S = 0; S < NumSamples; ++S) {
-      const TaskParams *Lane = &Params.get(S, TaskIndex);
-      runBlock<T, 1>(Task, &Lane, Bindings.data(), S, 1,
-                     /*UseVecLib=*/true, Registers.data());
-    }
-    uint64_t HostNs = HostTimer.elapsedNs();
-
-    double Occupancy =
-        computeOccupancy(Config, BlockSize, Task.NumRegisters);
-    double Spill =
-        computeSpillSlowdown(Config, BlockSize, Task.NumRegisters);
-    size_t NumBlocks = (NumSamples + BlockSize - 1) / BlockSize;
     // Global-memory traffic for the inter-task buffers this launch reads
     // and writes (one element per sample per interface value).
     uint64_t IntermediateBytes = 0;
@@ -297,13 +309,15 @@ void runOnDevice(const KernelProgram &Program,
       if (Program.Buffers[Access.Buffer].Role ==
           BufferInfo::Kind::Intermediate)
         IntermediateBytes += NumSamples * sizeof(T);
-    Stats.ComputeNs += static_cast<uint64_t>(
-        static_cast<double>(HostNs) * Spill /
-            (Config.PeakSpeedup * Occupancy) +
-        static_cast<double>(IntermediateBytes) /
-            Config.DeviceBandwidthGBs +
-        static_cast<double>(NumBlocks) * Config.BlockScheduleOverheadNs /
-            static_cast<double>(Config.NumSMs));
+    Stats.ComputeNs += launchComputeNs(
+        Config, BlockSize, Task.NumRegisters, NumSamples, IntermediateBytes,
+        [&] {
+          for (size_t S = 0; S < NumSamples; ++S) {
+            const TaskParams *Lane = &Params.get(S, TaskIndex);
+            runBlock<T, 1>(Task, &Lane, Bindings.data(), S, 1,
+                           /*UseVecLib=*/true, Registers.data());
+          }
+        });
 
     // Download produced buffers: intermediates only when not
     // device-resident; the external output at the end (below).
@@ -312,7 +326,7 @@ void runOnDevice(const KernelProgram &Program,
       if (Info.Role == BufferInfo::Kind::Intermediate &&
           !Info.DeviceResident) {
         uint64_t Bytes = BufferBytes(Access.Buffer);
-        Stats.TransferNs += TransferNs(Bytes);
+        Stats.TransferNs += transferNs(Config, Bytes);
         Stats.BytesDeviceToHost += Bytes;
         ++Stats.NumTransfers;
         OnDevice[Access.Buffer] = 0;
@@ -323,7 +337,7 @@ void runOnDevice(const KernelProgram &Program,
   // Final device->host transfer of the external output.
   for (size_t I = 0; I < Program.Buffers.size(); ++I)
     if (Program.Buffers[I].Role == BufferInfo::Kind::Output) {
-      Stats.TransferNs += TransferNs(BufferBytes(I));
+      Stats.TransferNs += transferNs(Config, BufferBytes(I));
       Stats.BytesDeviceToHost += BufferBytes(I);
       ++Stats.NumTransfers;
     }
@@ -344,11 +358,6 @@ void runQueryOnDevice(const KernelProgram &Program,
                       const GpuDeviceConfig &Config, unsigned BlockSize,
                       const runtime::RunRequest &Request,
                       GpuExecutionStats &Stats) {
-  const auto TransferNs = [&](uint64_t Bytes) {
-    return static_cast<uint64_t>(
-        Config.TransferLatencyUs * 1000.0 +
-        static_cast<double>(Bytes) / Config.PcieBandwidthGBs);
-  };
   const TaskProgram &Task = Program.Tasks[0];
   size_t NumSamples = Request.NumSamples;
   uint64_t NumFeatures = 1;
@@ -358,7 +367,7 @@ void runQueryOnDevice(const KernelProgram &Program,
 
   // Evidence upload.
   uint64_t InBytes = NumFeatures * NumSamples * sizeof(T);
-  Stats.TransferNs += TransferNs(InBytes);
+  Stats.TransferNs += transferNs(Config, InBytes);
   Stats.BytesHostToDevice += InBytes;
   ++Stats.NumTransfers;
 
@@ -367,24 +376,14 @@ void runQueryOnDevice(const KernelProgram &Program,
       static_cast<uint64_t>(Config.KernelLaunchOverheadUs * 1000.0);
   ++Stats.NumLaunches;
 
-  Timer HostTimer;
-  interpretRows<T>(Program, ExecutionConfig(), Request);
-  uint64_t HostNs = HostTimer.elapsedNs();
-
-  double Occupancy =
-      computeOccupancy(Config, BlockSize, Task.NumRegisters);
-  double Spill =
-      computeSpillSlowdown(Config, BlockSize, Task.NumRegisters);
-  size_t NumBlocks = (NumSamples + BlockSize - 1) / BlockSize;
-  Stats.ComputeNs += static_cast<uint64_t>(
-      static_cast<double>(HostNs) * Spill /
-          (Config.PeakSpeedup * Occupancy) +
-      static_cast<double>(NumBlocks) * Config.BlockScheduleOverheadNs /
-          static_cast<double>(Config.NumSMs));
+  Stats.ComputeNs += launchComputeNs(
+      Config, BlockSize, Task.NumRegisters, NumSamples,
+      /*IntermediateBytes=*/0,
+      [&] { interpretRows<T>(Program, ExecutionConfig(), Request); });
 
   // Download: the completed rows plus the root values.
   uint64_t OutBytes = (NumFeatures + 1) * NumSamples * sizeof(T);
-  Stats.TransferNs += TransferNs(OutBytes);
+  Stats.TransferNs += transferNs(Config, OutBytes);
   Stats.BytesDeviceToHost += OutBytes;
   ++Stats.NumTransfers;
 }

@@ -108,8 +108,8 @@ public:
   const OpInfo *registerOp(OpInfo Info);
 
   /// Looks up the definition for \p Name. Unregistered names lazily get a
-  /// conservative default definition (impure, unverified), which allows
-  /// the generic parser to construct unknown ops.
+  /// conservative default definition (impure, unverified), so ops of
+  /// unknown names can be built.
   const OpInfo *lookupOrCreateOpInfo(std::string_view Name);
 
   /// Returns the definition for \p Name or null if it was never seen.

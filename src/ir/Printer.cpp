@@ -93,7 +93,7 @@ static void printDouble(double Value, RawOStream &OS) {
     return;
   }
   std::string Text = formatString("%.17g", Value);
-  // Guarantee the token reparses as a float, not an integer.
+  // A printed float reads as a float, not an integer.
   if (Text.find_first_of(".e") == std::string::npos)
     Text += ".0";
   OS << Text;

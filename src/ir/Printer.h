@@ -7,8 +7,9 @@
 ///
 /// \file
 /// Prints operations in MLIR's generic form, e.g.
-/// `%0 = "lo_spn.mul"(%1, %2) : (f32, f32) -> f32`. The output of the
-/// printer round-trips through the generic parser (Parser.h).
+/// `%0 = "lo_spn.mul"(%1, %2) : (f32, f32) -> f32`, for inspection
+/// (`spnc-cli --dump-ir`, the `ir-dump:<stage>` stage). Nothing reads the
+/// text back in: models enter the compiler as `.spnb` files.
 ///
 //===----------------------------------------------------------------------===//
 

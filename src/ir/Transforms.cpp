@@ -209,15 +209,6 @@ public:
   }
 };
 
-class DCEPass : public Pass {
-public:
-  const char *getName() const override { return "dce"; }
-  LogicalResult run(Operation *Module, Context &) override {
-    runDCE(Module);
-    return success();
-  }
-};
-
 class CanonicalizerPass : public Pass {
 public:
   const char *getName() const override { return "canonicalize"; }
@@ -230,9 +221,6 @@ public:
 
 std::unique_ptr<Pass> spnc::ir::createCSEPass() {
   return std::make_unique<CSEPass>();
-}
-std::unique_ptr<Pass> spnc::ir::createDCEPass() {
-  return std::make_unique<DCEPass>();
 }
 std::unique_ptr<Pass> spnc::ir::createCanonicalizerPass() {
   return std::make_unique<CanonicalizerPass>();

@@ -36,7 +36,6 @@ LogicalResult runCanonicalizer(Operation *Scope);
 
 /// Pass wrappers for pipeline assembly.
 std::unique_ptr<Pass> createCSEPass();
-std::unique_ptr<Pass> createDCEPass();
 std::unique_ptr<Pass> createCanonicalizerPass();
 
 } // namespace ir

@@ -9,7 +9,6 @@
 
 #include "ir/Context.h"
 #include "ir/Operation.h"
-#include "ir/Printer.h"
 #include "support/StringUtils.h"
 
 #include <unordered_map>

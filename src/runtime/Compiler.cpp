@@ -27,12 +27,11 @@ spnc::runtime::compileModel(const spn::Model &TheModel,
       CompilationPipeline::create(Options);
   if (!Pipeline)
     return Pipeline.getError();
-  backend::VmBackend Vm;
-  Expected<backend::CompiledArtifact> Artifact =
-      Vm.compile(*Pipeline, TheModel, Config, Stats);
-  if (!Artifact)
-    return Artifact.getError();
-  return CompiledKernel(std::move(Artifact->Engine));
+  Expected<std::shared_ptr<ExecutionEngine>> Engine =
+      backend::VmBackend().compile(*Pipeline, TheModel, Config, Stats);
+  if (!Engine)
+    return Engine.getError();
+  return CompiledKernel(Engine.takeValue());
 }
 
 LogicalResult
@@ -91,10 +90,9 @@ Expected<CompiledKernel> spnc::runtime::loadCompiledKernel(
   Expected<PipelineConfig> Config = PipelineConfig::create(Options);
   if (!Config)
     return Config.getError();
-  backend::VmBackend Vm;
-  Expected<backend::CompiledArtifact> Artifact =
-      Vm.materialize(Program.takeValue(), *Config);
-  if (!Artifact)
-    return Artifact.getError();
-  return CompiledKernel(std::move(Artifact->Engine));
+  Expected<std::shared_ptr<ExecutionEngine>> Engine =
+      backend::VmBackend().materialize(Program.takeValue(), *Config);
+  if (!Engine)
+    return Engine.getError();
+  return CompiledKernel(Engine.takeValue());
 }

@@ -336,18 +336,18 @@ KernelCache::getOrCompileImpl(uint64_t ModelHash, const spn::Model &Model,
       // it back into a live engine (for the native backend that means
       // re-emitting and re-linking the shared object). A materialize
       // failure is handled like corruption: warn and recompile.
-      Expected<backend::CompiledArtifact> Artifact =
+      Expected<std::shared_ptr<ExecutionEngine>> Loaded =
           TheBackend.materialize(Cached.takeValue(),
                                  Pipeline->getConfig());
-      if (Artifact) {
-        Engine = std::move(Artifact->Engine);
+      if (Loaded) {
+        Engine = Loaded.takeValue();
         FromDisk = true;
       } else {
         std::fprintf(stderr,
                      "warning: rejecting kernel cache entry '%s': %s "
                      "(recompiling)\n",
                      Path.c_str(),
-                     Artifact.getError().message().c_str());
+                     Loaded.getError().message().c_str());
       }
     } else if (Existed) {
       std::fprintf(stderr,
@@ -357,11 +357,11 @@ KernelCache::getOrCompileImpl(uint64_t ModelHash, const spn::Model &Model,
     }
   }
   if (!Engine) {
-    Expected<backend::CompiledArtifact> Artifact =
+    Expected<std::shared_ptr<ExecutionEngine>> Compiled =
         TheBackend.compile(*Pipeline, Model, Query, CompStats);
-    if (!Artifact)
-      return Artifact.getError();
-    Engine = std::move(Artifact->Engine);
+    if (!Compiled)
+      return Compiled.getError();
+    Engine = Compiled.takeValue();
     if (!Path.empty() && Engine->getProgram()) {
       // Persist for future processes; failures (e.g. unwritable
       // directory) only cost the next process a recompile.

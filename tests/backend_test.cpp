@@ -87,7 +87,7 @@ backend::CppBackendOptions fastCppOptions() {
 
 /// Compiles \p Model through \p TheBackend with a fresh default-stage
 /// pipeline.
-Expected<backend::CompiledArtifact>
+Expected<std::shared_ptr<ExecutionEngine>>
 compileWith(const backend::Backend &TheBackend, const spn::Model &Model,
             const spn::QueryConfig &Query,
             const CompilerOptions &Options) {
@@ -286,17 +286,15 @@ TEST(VmBackendTest, MatchesCompileModel) {
       << Reference.getError().message();
 
   backend::VmBackend Vm;
-  Expected<backend::CompiledArtifact> Artifact =
+  Expected<std::shared_ptr<ExecutionEngine>> Engine =
       compileWith(Vm, S.Model, Query, Options);
-  ASSERT_TRUE(static_cast<bool>(Artifact))
-      << Artifact.getError().message();
-  EXPECT_EQ(Artifact->BackendName, "vm");
-  EXPECT_EQ(Artifact->Fingerprint, Vm.artifactFingerprint());
+  ASSERT_TRUE(static_cast<bool>(Engine))
+      << Engine.getError().message();
 
   std::vector<double> Expected =
       runEngine(Reference->getEngine(), S.JointData, kNumSamples);
   std::vector<double> Actual =
-      runEngine(*Artifact->Engine, S.JointData, kNumSamples);
+      runEngine(**Engine, S.JointData, kNumSamples);
   for (size_t I = 0; I < kNumSamples; ++I)
     EXPECT_EQ(Actual[I], Expected[I]) << "sample " << I;
 }
@@ -321,10 +319,10 @@ TEST(BackendTargetValidationTest, CppBackendRejectsGpuTarget) {
   Scenario S = makeScenario(1);
   CompilerOptions Options;
   Options.TheTarget = Target::GPU;
-  Expected<backend::CompiledArtifact> Artifact =
+  Expected<std::shared_ptr<ExecutionEngine>> Engine =
       compileWith(Cpp, S.Model, spn::QueryConfig(), Options);
-  ASSERT_FALSE(static_cast<bool>(Artifact));
-  std::string Message = Artifact.getError().message();
+  ASSERT_FALSE(static_cast<bool>(Engine));
+  std::string Message = Engine.getError().message();
   EXPECT_NE(Message.find("backend 'cpp' does not support target 'gpu"),
             std::string::npos)
       << Message;
@@ -382,12 +380,12 @@ TEST(CppBackendTest, MissingCompilerReportsReason) {
       << Reason;
 
   Scenario S = makeScenario(4);
-  Expected<backend::CompiledArtifact> Artifact =
+  Expected<std::shared_ptr<ExecutionEngine>> Engine =
       compileWith(Cpp, S.Model, spn::QueryConfig(), CompilerOptions());
-  ASSERT_FALSE(static_cast<bool>(Artifact));
-  EXPECT_NE(Artifact.getError().message().find("unavailable"),
+  ASSERT_FALSE(static_cast<bool>(Engine));
+  EXPECT_NE(Engine.getError().message().find("unavailable"),
             std::string::npos)
-      << Artifact.getError().message();
+      << Engine.getError().message();
 }
 
 TEST(CppBackendTest, DifferentialSuiteVsInterpreter) {
@@ -417,11 +415,11 @@ TEST(CppBackendTest, DifferentialSuiteVsInterpreter) {
       Options.MaxPartitionSize = static_cast<uint32_t>(
           S.Model.computeStats().NumNodes / 4 + 16);
 
-    Expected<backend::CompiledArtifact> Artifact =
+    Expected<std::shared_ptr<ExecutionEngine>> Engine =
         compileWith(Cpp, S.Model, Query, Options);
-    ASSERT_TRUE(static_cast<bool>(Artifact))
+    ASSERT_TRUE(static_cast<bool>(Engine))
         << "model " << Index << ": "
-        << Artifact.getError().message();
+        << Engine.getError().message();
 
     baselines::InterpreterEngine Interpreter(S.Model);
     for (const std::vector<double> *Data :
@@ -430,7 +428,7 @@ TEST(CppBackendTest, DifferentialSuiteVsInterpreter) {
       for (double Value : Reference)
         ASSERT_TRUE(std::isfinite(Value))
             << "model " << Index << ": reference not finite";
-      expectBatchesMatch(*Artifact->Engine, *Data, Reference, W, Query,
+      expectBatchesMatch(**Engine, *Data, Reference, W, Query,
                          "model " + std::to_string(Index) +
                              (Data == &S.JointData ? " (joint)"
                                                    : " (marginal)"));
@@ -466,11 +464,11 @@ TEST(CppBackendTest, DifferentialSuiteVsInterpreter) {
     Options.OptLevel = 2;
     Options.MaxPartitionSize = Case.MaxPartitionSize;
     Options.Execution.VectorWidth = Case.W;
-    Expected<backend::CompiledArtifact> Artifact =
+    Expected<std::shared_ptr<ExecutionEngine>> Engine =
         compileWith(Cpp, Case.S.Model, Query, Options);
-    ASSERT_TRUE(static_cast<bool>(Artifact))
-        << Case.Name << ": " << Artifact.getError().message();
-    const vm::KernelProgram &Program = *Artifact->Engine->getProgram();
+    ASSERT_TRUE(static_cast<bool>(Engine))
+        << Case.Name << ": " << Engine.getError().message();
+    const vm::KernelProgram &Program = *(*Engine)->getProgram();
     size_t Instructions = 0;
     for (const vm::TaskProgram &Task : Program.Tasks)
       Instructions += Task.Code.size();
@@ -489,7 +487,7 @@ TEST(CppBackendTest, DifferentialSuiteVsInterpreter) {
     baselines::InterpreterEngine Interpreter(Case.S.Model);
     for (const std::vector<double> *Data :
          {&Case.S.JointData, &Case.S.MarginalData})
-      expectBatchesMatch(*Artifact->Engine, *Data,
+      expectBatchesMatch(**Engine, *Data,
                          runEngine(Interpreter, *Data, kMaxRows), Case.W,
                          Query,
                          std::string(Case.Name) +
@@ -507,17 +505,17 @@ TEST(CppBackendTest, DifferentialSuiteVsInterpreter) {
   CompilerOptions Options;
   Options.OptLevel = 2;
   Options.Execution.VectorWidth = 8;
-  Expected<backend::CompiledArtifact> Artifact =
+  Expected<std::shared_ptr<ExecutionEngine>> Engine =
       compileWith(Cpp, S.Model, Query, Options);
-  ASSERT_TRUE(static_cast<bool>(Artifact))
-      << Artifact.getError().message();
+  ASSERT_TRUE(static_cast<bool>(Engine))
+      << Engine.getError().message();
   std::vector<uint32_t> TableOf;
   std::vector<std::vector<double>> References;
   for (const spn::Model *Model : {&S.Model, &Sibling}) {
     Expected<std::vector<double>> Params = merge::extractParams(*Model);
     ASSERT_TRUE(static_cast<bool>(Params));
     int32_t Table =
-        Artifact->Engine->addParamTable(Params->data(), Params->size());
+        (*Engine)->addParamTable(Params->data(), Params->size());
     ASSERT_GE(Table, 0);
     TableOf.push_back(static_cast<uint32_t>(Table));
     References.push_back(runEngine(baselines::InterpreterEngine(*Model),
@@ -527,7 +525,7 @@ TEST(CppBackendTest, DifferentialSuiteVsInterpreter) {
   for (size_t I = 0; I < kMaxRows; ++I)
     Tables[I] = TableOf[(I / 3) % 2];
   std::vector<double> Output(kMaxRows);
-  ASSERT_TRUE(Artifact->Engine->run({.Input = S.JointData.data(),
+  ASSERT_TRUE((*Engine)->run({.Input = S.JointData.data(),
                                      .Output = Output.data(),
                                      .NumSamples = kMaxRows,
                                      .TableIndices = Tables.data()}));
@@ -665,18 +663,18 @@ TEST(CppBackendTest, OneUnitAndSplitBuildsAreBitIdentical) {
       backend::CppBackend Cpp(CppOptions);
       ASSERT_EQ(
           sched_setaffinity(0, sizeof(cpu_set_t), Leg ? &All : &One), 0);
-      Expected<backend::CompiledArtifact> Artifact =
+      Expected<std::shared_ptr<ExecutionEngine>> Engine =
           compileWith(Cpp, S.Model, Query, Options);
       ASSERT_EQ(sched_setaffinity(0, sizeof(All), &All), 0);
-      ASSERT_TRUE(static_cast<bool>(Artifact))
-          << Artifact.getError().message();
+      ASSERT_TRUE(static_cast<bool>(Engine))
+          << Engine.getError().message();
       size_t Units = 0;
       for (const auto &Build :
            std::filesystem::directory_iterator(CppOptions.WorkDir))
         for (const auto &File : std::filesystem::directory_iterator(Build))
           Units += File.path().extension() == ".cpp";
       size_t Segments =
-          (Artifact->Engine->getProgram()->Tasks[0].Code.size() +
+          ((*Engine)->getProgram()->Tasks[0].Code.size() +
            backend::kCppSegmentInstructions - 1) /
           backend::kCppSegmentInstructions;
       EXPECT_EQ(Units, Leg ? std::min<size_t>(CPU_COUNT(&All), Segments)
@@ -684,7 +682,7 @@ TEST(CppBackendTest, OneUnitAndSplitBuildsAreBitIdentical) {
       for (const std::vector<double> *Data :
            {&S.JointData, &S.MarginalData}) {
         std::vector<double> Out =
-            runEngine(*Artifact->Engine, *Data, kNumSamples);
+            runEngine(**Engine, *Data, kNumSamples);
         Outputs[Leg].insert(Outputs[Leg].end(), Out.begin(), Out.end());
       }
     }
@@ -757,12 +755,12 @@ void expectFailedBuildCleansUp(const std::string &FailOn,
   ASSERT_TRUE(Cpp.isAvailable());
 
   Scenario S = makeSplitScenario();
-  Expected<backend::CompiledArtifact> Artifact = [&] {
+  Expected<std::shared_ptr<ExecutionEngine>> Engine = [&] {
     ScopedEnv Tmp("TMPDIR", (Root / "tmp").string());
     return compileWith(Cpp, S.Model, spn::QueryConfig(), CompilerOptions());
   }();
-  ASSERT_FALSE(static_cast<bool>(Artifact));
-  std::string Message = Artifact.getError().message();
+  ASSERT_FALSE(static_cast<bool>(Engine));
+  std::string Message = Engine.getError().message();
   EXPECT_NE(Message.find(Wanted), std::string::npos) << Message;
   EXPECT_NE(Message.find("injected failure"), std::string::npos) << Message;
 
@@ -822,16 +820,16 @@ TEST(CppBackendTest, SelectCascadeLoweringMatchesInterpreter) {
   Expected<PipelineConfig> CpuConfig =
       PipelineConfig::create(CompilerOptions());
   ASSERT_TRUE(static_cast<bool>(CpuConfig));
-  Expected<backend::CompiledArtifact> Artifact =
+  Expected<std::shared_ptr<ExecutionEngine>> Engine =
       Cpp.materialize(Program.takeValue(), *CpuConfig);
-  ASSERT_TRUE(static_cast<bool>(Artifact))
-      << Artifact.getError().message();
+  ASSERT_TRUE(static_cast<bool>(Engine))
+      << Engine.getError().message();
 
   baselines::InterpreterEngine Interpreter(S.Model);
   std::vector<double> Reference =
       runEngine(Interpreter, S.JointData, kNumSamples);
   std::vector<double> Native =
-      runEngine(*Artifact->Engine, S.JointData, kNumSamples);
+      runEngine(**Engine, S.JointData, kNumSamples);
   for (size_t I = 0; I < kNumSamples; ++I)
     EXPECT_NEAR(Native[I], Reference[I], kTolerance) << "sample " << I;
 }
@@ -847,19 +845,19 @@ TEST(CppBackendTest, LinearSpaceMatchesVmBackend) {
   CompilerOptions Options;
 
   backend::VmBackend Vm;
-  Expected<backend::CompiledArtifact> VmArtifact =
+  Expected<std::shared_ptr<ExecutionEngine>> VmEngine =
       compileWith(Vm, S.Model, Query, Options);
-  ASSERT_TRUE(static_cast<bool>(VmArtifact))
-      << VmArtifact.getError().message();
-  Expected<backend::CompiledArtifact> CppArtifact =
+  ASSERT_TRUE(static_cast<bool>(VmEngine))
+      << VmEngine.getError().message();
+  Expected<std::shared_ptr<ExecutionEngine>> CppEngine =
       compileWith(Cpp, S.Model, Query, Options);
-  ASSERT_TRUE(static_cast<bool>(CppArtifact))
-      << CppArtifact.getError().message();
+  ASSERT_TRUE(static_cast<bool>(CppEngine))
+      << CppEngine.getError().message();
 
   std::vector<double> VmOut =
-      runEngine(*VmArtifact->Engine, S.JointData, kNumSamples);
+      runEngine(**VmEngine, S.JointData, kNumSamples);
   std::vector<double> CppOut =
-      runEngine(*CppArtifact->Engine, S.JointData, kNumSamples);
+      runEngine(**CppEngine, S.JointData, kNumSamples);
   for (size_t I = 0; I < kNumSamples; ++I) {
     EXPECT_GE(VmOut[I], 0.0);
     EXPECT_NEAR(CppOut[I], VmOut[I],
@@ -919,16 +917,14 @@ TEST(CppBackendTest, EngineDescribesNativeKernel) {
   SKIP_WITHOUT_HOST_COMPILER(Cpp);
 
   Scenario S = makeScenario(8);
-  Expected<backend::CompiledArtifact> Artifact = compileWith(
+  Expected<std::shared_ptr<ExecutionEngine>> Engine = compileWith(
       Cpp, S.Model, spn::QueryConfig(), CompilerOptions());
-  ASSERT_TRUE(static_cast<bool>(Artifact))
-      << Artifact.getError().message();
-  EXPECT_EQ(Artifact->BackendName, "cpp");
-  EXPECT_EQ(Artifact->Fingerprint, Cpp.artifactFingerprint());
-  EXPECT_NE(Artifact->Engine->describe().find("cpp native"),
+  ASSERT_TRUE(static_cast<bool>(Engine))
+      << Engine.getError().message();
+  EXPECT_NE((*Engine)->describe().find("cpp native"),
             std::string::npos);
   // The native engine retains the portable program, so .spnk saving
   // and work accounting behave exactly as with the VM engines.
-  ASSERT_NE(Artifact->Engine->getProgram(), nullptr);
-  EXPECT_FALSE(Artifact->Engine->getProgram()->Tasks.empty());
+  ASSERT_NE((*Engine)->getProgram(), nullptr);
+  EXPECT_FALSE((*Engine)->getProgram()->Tasks.empty());
 }

@@ -414,13 +414,13 @@ TEST(DifferentialTest, MpeCppBackendFullAndPartialEvidence) {
     Expected<CompilationPipeline> Pipeline =
         CompilationPipeline::create(Options);
     ASSERT_TRUE(static_cast<bool>(Pipeline));
-    Expected<backend::CompiledArtifact> Artifact =
+    Expected<std::shared_ptr<ExecutionEngine>> Engine =
         Cpp.compile(*Pipeline, S.Model, Query);
-    ASSERT_TRUE(static_cast<bool>(Artifact))
-        << "model " << I << ": " << Artifact.getError().message();
-    expectMpeMatchesOracle(*Artifact->Engine, S, S.JointData, I,
+    ASSERT_TRUE(static_cast<bool>(Engine))
+        << "model " << I << ": " << Engine.getError().message();
+    expectMpeMatchesOracle(**Engine, S, S.JointData, I,
                            "cpp/full");
-    expectMpeMatchesOracle(*Artifact->Engine, S, S.MarginalData, I,
+    expectMpeMatchesOracle(**Engine, S, S.MarginalData, I,
                            "cpp/partial");
   }
 
@@ -438,15 +438,15 @@ TEST(DifferentialTest, MpeCppBackendFullAndPartialEvidence) {
   Expected<CompilationPipeline> Pipeline =
       CompilationPipeline::create(CompilerOptions());
   ASSERT_TRUE(static_cast<bool>(Pipeline));
-  Expected<backend::CompiledArtifact> Artifact =
+  Expected<std::shared_ptr<ExecutionEngine>> Engine =
       Cpp.compile(*Pipeline, S.Model, Query);
-  ASSERT_TRUE(static_cast<bool>(Artifact))
-      << "split model: " << Artifact.getError().message();
-  EXPECT_GT(Artifact->Engine->getProgram()->Tasks[0].Code.size(),
+  ASSERT_TRUE(static_cast<bool>(Engine))
+      << "split model: " << Engine.getError().message();
+  EXPECT_GT((*Engine)->getProgram()->Tasks[0].Code.size(),
             3 * backend::kCppSegmentInstructions);
-  expectMpeMatchesOracle(*Artifact->Engine, S, S.JointData, kNumModels,
+  expectMpeMatchesOracle(**Engine, S, S.JointData, kNumModels,
                          "cpp/split/full");
-  expectMpeMatchesOracle(*Artifact->Engine, S, S.MarginalData, kNumModels,
+  expectMpeMatchesOracle(**Engine, S, S.MarginalData, kNumModels,
                          "cpp/split/partial");
 }
 

@@ -94,6 +94,17 @@ protected:
     return Stats.Gpu;
   }
 
+  /// The model compiled for the GPU: a one-input, one-output program,
+  /// the kind a GpuExecutor runs.
+  vm::KernelProgram gpuProgram() {
+    CompilerOptions Options;
+    Options.TheTarget = Target::GPU;
+    Expected<CompiledKernel> Kernel =
+        compileModel(*Model, spn::QueryConfig(), Options);
+    EXPECT_TRUE(static_cast<bool>(Kernel));
+    return Kernel ? Kernel->getProgram() : vm::KernelProgram();
+  }
+
   static constexpr size_t kNumSamples = 2048;
   std::unique_ptr<spn::Model> Model;
   std::vector<double> Data;
@@ -346,14 +357,14 @@ TEST_F(BlockSizeTest, ClampedToDeviceLimit) {
   // the executor (the pipeline rejects out-of-range requests earlier,
   // so exercise the executor directly too).
   EXPECT_EQ(blockSizeFor(0, Device), 64u);
-  GpuExecutor Direct(vm::KernelProgram(), Device, /*BlockSize=*/512);
+  GpuExecutor Direct(gpuProgram(), Device, /*BlockSize=*/512);
   EXPECT_EQ(Direct.getBlockSize(), 256u);
 }
 
 TEST_F(BlockSizeTest, DirectConstructionDefaults) {
-  GpuExecutor Defaulted(vm::KernelProgram(), {}, /*BlockSize=*/0);
+  GpuExecutor Defaulted(gpuProgram(), {}, /*BlockSize=*/0);
   EXPECT_EQ(Defaulted.getBlockSize(), GpuExecutor::kDefaultBlockSize);
-  GpuExecutor Overridden(vm::KernelProgram(), {}, /*BlockSize=*/96);
+  GpuExecutor Overridden(gpuProgram(), {}, /*BlockSize=*/96);
   EXPECT_EQ(Overridden.getBlockSize(), 96u);
 }
 
@@ -361,20 +372,22 @@ TEST_F(BlockSizeTest, DirectConstructionDefaults) {
 // Streams (simulated device contexts)
 //===----------------------------------------------------------------------===//
 
-TEST(StreamTest, ZeroStreamsBehavesLikeOne) {
-  GpuExecutor Defaulted(vm::KernelProgram(), {}, /*BlockSize=*/0);
+class StreamTest : public GpuStatsTest {};
+
+TEST_F(StreamTest, ZeroStreamsBehavesLikeOne) {
+  GpuExecutor Defaulted(gpuProgram(), {}, /*BlockSize=*/0);
   EXPECT_EQ(Defaulted.getNumStreams(), 1u);
   GpuDeviceConfig Device;
   Device.NumStreams = 4;
-  GpuExecutor FourStreams(vm::KernelProgram(), Device, /*BlockSize=*/0);
+  GpuExecutor FourStreams(gpuProgram(), Device, /*BlockSize=*/0);
   EXPECT_EQ(FourStreams.getNumStreams(), 4u);
   EXPECT_EQ(FourStreams.getStreamKernelCounts().size(), 4u);
 }
 
-TEST(StreamTest, ThreadAssignmentIsStickyAndRoundRobin) {
+TEST_F(StreamTest, ThreadAssignmentIsStickyAndRoundRobin) {
   GpuDeviceConfig Device;
   Device.NumStreams = 4;
-  GpuExecutor Executor(vm::KernelProgram(), Device, /*BlockSize=*/0);
+  GpuExecutor Executor(gpuProgram(), Device, /*BlockSize=*/0);
   // Sticky: the calling thread keeps its stream across calls.
   unsigned Mine = Executor.streamForCallingThread();
   EXPECT_EQ(Executor.streamForCallingThread(), Mine);

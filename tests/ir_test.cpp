@@ -5,6 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "dialects/hispn/HiSPNOps.h"
+#include "dialects/lospn/LoSPNOps.h"
 #include "ir/BuiltinOps.h"
 #include "ir/Context.h"
 #include "ir/PassManager.h"
@@ -13,6 +15,7 @@
 #include "ir/Transforms.h"
 #include "ir/Verifier.h"
 #include "support/RawOStream.h"
+#include "transforms/Passes.h"
 
 #include <gtest/gtest.h>
 
@@ -317,6 +320,322 @@ TEST_F(IRTest, PrintsTypes) {
             "memref<4x?xf32>");
   EXPECT_EQ(TypeToString(VectorType::get(Ctx, 8, FloatType::getF32(Ctx))),
             "vector<8xf32>");
+}
+
+//===----------------------------------------------------------------------===//
+// Printer golden text
+//===----------------------------------------------------------------------===//
+
+/// Each test builds a module with the builder API and compares its
+/// printed text with golden text, so the format of `spnc-cli --dump-ir`
+/// and of the `ir-dump:<stage>` stage cannot change unnoticed. Nothing
+/// parses IR text; these goldens are the printer's only check.
+class PrinterTest : public IRTest {
+protected:
+  void SetUp() override {
+    IRTest::SetUp();
+    hispn::registerHiSPNDialect(Ctx);
+    lospn::registerLoSPNDialect(Ctx);
+  }
+
+  void expectModulePrints(std::string_view Golden) {
+    EXPECT_EQ(opToString(Module.get().getOperation()), Golden);
+  }
+};
+
+TEST_F(PrinterTest, EmptyModule) {
+  expectModulePrints(R"ir("builtin.module"() ({
+}) : () -> ()
+)ir");
+}
+
+TEST_F(PrinterTest, OpsValuesAndScalarAttributes) {
+  TestConstOp C1 = Builder->create<TestConstOp>(0.25);
+  TestConstOp C2 = Builder->create<TestConstOp>(-1.5);
+  TestAddOp Add =
+      Builder->create<TestAddOp>(C1->getResult(0), C2->getResult(0));
+  OperationState State("test.op");
+  State.addOperand(Add->getResult(0));
+  State.addOperand(C1->getResult(0));
+  State.addAttribute("count", IntAttr::get(Ctx, -7));
+  State.addAttribute("whole", FloatAttr::get(Ctx, 3.0));
+  State.addAttribute("third", FloatAttr::get(Ctx, 1.0 / 3.0));
+  State.addAttribute("tiny", FloatAttr::get(Ctx, 1e-300));
+  State.addAttribute("huge", FloatAttr::get(Ctx, 1e20));
+  State.addAttribute("on", BoolAttr::get(Ctx, true));
+  State.addAttribute("off", BoolAttr::get(Ctx, false));
+  State.addAttribute("marker", UnitAttr::get(Ctx));
+  State.addAttribute("name", StringAttr::get(Ctx, "say \"hi\" \\ bye"));
+  State.addAttribute("type", TypeAttr::get(Ctx, IntegerType::get(Ctx, 32)));
+  State.addAttribute(
+      "list", ArrayAttr::get(Ctx, {IntAttr::get(Ctx, 1),
+                                   FloatAttr::get(Ctx, 2.5),
+                                   StringAttr::get(Ctx, "x")}));
+  State.addAttribute("empty", ArrayAttr::get(Ctx, {}));
+  State.addResultType(FloatType::getF32(Ctx));
+  State.addResultType(IntegerType::get(Ctx, 1));
+  Operation *TwoResults = Builder->createOperation(State);
+  Builder->create<TestSinkOp>(TwoResults->getResult(1));
+  expectModulePrints(R"ir("builtin.module"() ({
+  %0 = "test.const"() {value = 0.25} : () -> f64
+  %1 = "test.const"() {value = -1.5} : () -> f64
+  %2 = "test.add"(%0, %1) : (f64, f64) -> f64
+  %3, %4 = "test.op"(%2, %0) {count = -7, empty = [], huge = 1e+20, list = [1, 2.5, "x"], marker = unit, name = "say \"hi\" \\ bye", off = false, on = true, third = 0.33333333333333331, tiny = 1e-300, type = i32, whole = 3.0} : (f64, f64) -> (f32, i1)
+  "test.sink"(%4) : (i1) -> ()
+}) : () -> ()
+)ir");
+}
+
+TEST_F(PrinterTest, HiSPNQueryModule) {
+  Type F64 = FloatType::getF64(Ctx);
+  auto Query = Builder->create<hispn::JointQueryOp>(
+      /*NumFeatures=*/2, F64, /*BatchSize=*/64, /*SupportMarginal=*/true,
+      /*LogSpace=*/false);
+  OpBuilder B = OpBuilder::atBlockEnd(Ctx, &Query->getRegion(0).emplaceBlock());
+  auto Graph = B.create<hispn::GraphOp>(2);
+  Block &Body = Graph->getRegion(0).emplaceBlock();
+  Value X0 = Body.addArgument(F64);
+  Value X1 = Body.addArgument(F64);
+  B.setInsertionPointToEnd(&Body);
+  Value G0 = B.create<hispn::GaussianOp>(X0, 0.0, 1.0)->getResult(0);
+  Value G1 = B.create<hispn::GaussianOp>(X1, 1.0, 2.0)->getResult(0);
+  Value H1 = B.create<hispn::HistogramOp>(
+                  X1, std::vector<double>{0.0, 1.0, 0.25, 1.0, 2.0, 0.75})
+                 ->getResult(0);
+  std::vector<Value> Left = {G0, G1}, Right = {G0, H1};
+  Value P0 = B.create<hispn::ProductOp>(Left)->getResult(0);
+  Value P1 = B.create<hispn::ProductOp>(Right)->getResult(0);
+  std::vector<Value> Children = {P0, P1};
+  Value S = B.create<hispn::SumOp>(Children, std::vector<double>{0.3, 0.7})
+                ->getResult(0);
+  B.create<hispn::RootOp>(S);
+  ASSERT_TRUE(succeeded(verify(Module.get().getOperation())));
+  expectModulePrints(R"ir("builtin.module"() ({
+  "hi_spn.joint_query"() ({
+    "hi_spn.graph"() ({
+    ^bb(%arg0: f64, %arg1: f64):
+      %0 = "hi_spn.gaussian"(%arg0) {mean = 0.0, stddev = 1.0} : (f64) -> !hi_spn.prob
+      %1 = "hi_spn.gaussian"(%arg1) {mean = 1.0, stddev = 2.0} : (f64) -> !hi_spn.prob
+      %2 = "hi_spn.histogram"(%arg1) {bucketCount = 2, buckets = dense<[0.0, 1.0, 0.25, 1.0, 2.0, 0.75]>} : (f64) -> !hi_spn.prob
+      %3 = "hi_spn.product"(%0, %1) : (!hi_spn.prob, !hi_spn.prob) -> !hi_spn.prob
+      %4 = "hi_spn.product"(%0, %2) : (!hi_spn.prob, !hi_spn.prob) -> !hi_spn.prob
+      %5 = "hi_spn.sum"(%3, %4) {weights = dense<[0.29999999999999999, 0.69999999999999996]>} : (!hi_spn.prob, !hi_spn.prob) -> !hi_spn.prob
+      "hi_spn.root"(%5) : (!hi_spn.prob) -> ()
+    }) {numFeatures = 2} : () -> ()
+  }) {batchSize = 64, inputType = f64, logSpace = false, numFeatures = 2, supportMarginal = true} : () -> ()
+}) : () -> ()
+)ir");
+}
+
+TEST_F(PrinterTest, RegionsWithBlockArguments) {
+  // An op with two regions: two blocks with arguments, then a block
+  // without.
+  Type F64 = FloatType::getF64(Ctx);
+  TestConstOp C = Builder->create<TestConstOp>(4.0);
+  OperationState State("test.regions");
+  State.addOperand(C->getResult(0));
+  State.addResultType(F64);
+  State.addRegion();
+  State.addRegion();
+  Operation *Regions = Builder->createOperation(State);
+  Block &First = Regions->getRegion(0).emplaceBlock();
+  Value I = First.addArgument(IndexType::get(Ctx));
+  OpBuilder B = OpBuilder::atBlockEnd(Ctx, &First);
+  OperationState Use("test.use");
+  Use.addOperand(I);
+  B.createOperation(Use);
+  Block &Second = Regions->getRegion(0).emplaceBlock();
+  Second.addArgument(F64);
+  Second.addArgument(IntegerType::get(Ctx, 1));
+  B.setInsertionPointToEnd(&Second);
+  B.create<TestConstOp>(1.0);
+  B.setInsertionPointToEnd(&Regions->getRegion(1).emplaceBlock());
+  B.create<TestConstOp>(2.0);
+  expectModulePrints(R"ir("builtin.module"() ({
+  %0 = "test.const"() {value = 4.0} : () -> f64
+  %1 = "test.regions"(%0) ({
+  ^bb(%arg0: index):
+    "test.use"(%arg0) : (index) -> ()
+  ^bb(%arg1: f64, %arg2: i1):
+    %2 = "test.const"() {value = 1.0} : () -> f64
+  }, {
+    %3 = "test.const"() {value = 2.0} : () -> f64
+  }) : (f64) -> f64
+}) : () -> ()
+)ir");
+}
+
+TEST_F(PrinterTest, ShapedAndDialectTypes) {
+  constexpr int64_t Dyn = TypeStorage::kDynamic;
+  Type F32 = FloatType::getF32(Ctx), F64 = FloatType::getF64(Ctx);
+  OperationState State("test.types");
+  State.addAttribute("type",
+                     TypeAttr::get(Ctx, TensorType::get(
+                                            Ctx, {Dyn, Dyn},
+                                            lospn::LogType::get(Ctx, F64))));
+  State.addResultType(VectorType::get(Ctx, 8, F32));
+  State.addResultType(hispn::ProbType::get(Ctx));
+  State.addResultType(lospn::LogType::get(Ctx, F64));
+  State.addResultType(IndexType::get(Ctx));
+  State.addResultType(NoneType::get(Ctx));
+  State.addRegion();
+  Operation *Types = Builder->createOperation(State);
+  Block &Body = Types->getRegion(0).emplaceBlock();
+  Body.addArgument(MemRefType::get(Ctx, {Dyn, 26}, F64));
+  Body.addArgument(
+      MemRefType::get(Ctx, {2, Dyn}, lospn::LogType::get(Ctx, F32)));
+  Body.addArgument(TensorType::get(Ctx, {Dyn, 26}, F64));
+  Body.addArgument(TensorType::get(Ctx, std::span<const int64_t>(), F32));
+  Body.addArgument(IntegerType::get(Ctx, 64));
+  OperationState Inner("test.inner");
+  for (unsigned I = 0; I < Body.getNumArguments(); ++I)
+    Inner.addOperand(Body.getArgument(I));
+  Inner.addResultType(hispn::ProbType::get(Ctx));
+  OpBuilder::atBlockEnd(Ctx, &Body).createOperation(Inner);
+  expectModulePrints(R"ir("builtin.module"() ({
+  %0, %1, %2, %3, %4 = "test.types"() ({
+  ^bb(%arg0: memref<?x26xf64>, %arg1: memref<2x?x!lo_spn.log<f32>>, %arg2: tensor<?x26xf64>, %arg3: tensor<f32>, %arg4: i64):
+    %5 = "test.inner"(%arg0, %arg1, %arg2, %arg3, %arg4) : (memref<?x26xf64>, memref<2x?x!lo_spn.log<f32>>, tensor<?x26xf64>, tensor<f32>, i64) -> !hi_spn.prob
+  }) {type = tensor<?x?x!lo_spn.log<f64>>} : () -> (vector<8xf32>, !hi_spn.prob, !lo_spn.log<f64>, index, none)
+}) : () -> ()
+)ir");
+}
+
+TEST_F(PrinterTest, DenseArraysWithSpecialFloats) {
+  constexpr double NaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+  OperationState State("test.dense");
+  State.addAttribute("values",
+                     DenseF64Attr::get(Ctx, {0.25, NaN, Inf, -Inf, -0.0, 0.0,
+                                             1.0, 0.1, 1e300, 5e-324}));
+  State.addAttribute("none", DenseF64Attr::get(Ctx, std::span<const double>()));
+  State.addAttribute("nan", FloatAttr::get(Ctx, NaN));
+  State.addAttribute("negative_nan", FloatAttr::get(Ctx, -NaN));
+  State.addAttribute("inf", FloatAttr::get(Ctx, Inf));
+  State.addAttribute("negative_inf", FloatAttr::get(Ctx, -Inf));
+  State.addAttribute("negative_zero", FloatAttr::get(Ctx, -0.0));
+  State.addResultType(FloatType::getF64(Ctx));
+  Builder->createOperation(State);
+  expectModulePrints(R"ir("builtin.module"() ({
+  %0 = "test.dense"() {inf = inf, nan = nan, negative_inf = -inf, negative_nan = nan, negative_zero = -0.0, none = dense<[]>, values = dense<[0.25, nan, inf, -inf, -0.0, 0.0, 1.0, 0.10000000000000001, 1.0000000000000001e+300, 4.9406564584124654e-324]>} : () -> f64
+}) : () -> ()
+)ir");
+}
+
+TEST_F(PrinterTest, BufferizedPartitionedLoSPNKernel) {
+  // A three-feature joint query, partitioned into tasks of at most four
+  // ops and bufferized as the compiler does.
+  Type F64 = FloatType::getF64(Ctx);
+  auto Query = Builder->create<hispn::JointQueryOp>(
+      /*NumFeatures=*/3, F64, /*BatchSize=*/1, /*SupportMarginal=*/false,
+      /*LogSpace=*/true);
+  OpBuilder B = OpBuilder::atBlockEnd(Ctx, &Query->getRegion(0).emplaceBlock());
+  auto Graph = B.create<hispn::GraphOp>(3);
+  Block &Body = Graph->getRegion(0).emplaceBlock();
+  Value X0 = Body.addArgument(F64);
+  Value X1 = Body.addArgument(F64);
+  Value X2 = Body.addArgument(F64);
+  B.setInsertionPointToEnd(&Body);
+  Value G0 = B.create<hispn::GaussianOp>(X0, 0.5, 2.0)->getResult(0);
+  Value G1 = B.create<hispn::GaussianOp>(X0, -1.0, 0.5)->getResult(0);
+  Value H1 = B.create<hispn::HistogramOp>(
+                  X1, std::vector<double>{0.0, 1.0, 0.25, 1.0, 2.0, 0.75})
+                 ->getResult(0);
+  Value C2 = B.create<hispn::CategoricalOp>(
+                  X2, std::vector<double>{0.125, 0.375, 0.5})
+                 ->getResult(0);
+  Value C2b = B.create<hispn::CategoricalOp>(
+                   X2, std::vector<double>{0.5, 0.25, 0.25})
+                  ->getResult(0);
+  std::vector<Value> Left = {G0, H1, C2}, Right = {G1, H1, C2b};
+  Value P0 = B.create<hispn::ProductOp>(Left)->getResult(0);
+  Value P1 = B.create<hispn::ProductOp>(Right)->getResult(0);
+  std::vector<Value> Children = {P0, P1};
+  Value S = B.create<hispn::SumOp>(Children, std::vector<double>{0.4, 0.6})
+                ->getResult(0);
+  B.create<hispn::RootOp>(S);
+
+  PassManager PM(Ctx);
+  PM.addPass(transforms::createHiSPNToLoSPNLoweringPass());
+  partition::PartitionOptions Partition;
+  Partition.MaxPartitionSize = 4;
+  PM.addPass(transforms::createTaskPartitioningPass(Partition));
+  PM.addPass(transforms::createBufferizationPass());
+  ASSERT_TRUE(succeeded(PM.run(Module.get().getOperation())));
+  ASSERT_TRUE(succeeded(verify(Module.get().getOperation())));
+  unsigned Tasks = 0;
+  Module.get().getOperation()->walk([&](Operation *Op) {
+    Tasks += isa_op<lospn::TaskOp>(Op);
+  });
+  EXPECT_GT(Tasks, 1u);
+  expectModulePrints(R"ir("builtin.module"() ({
+  "lo_spn.kernel"() ({
+  ^bb(%arg0: memref<?x3xf64>, %arg1: memref<1x?x!lo_spn.log<f32>>):
+    %0 = "lo_spn.alloc"() : () -> memref<2x?x!lo_spn.log<f32>>
+    "lo_spn.task"(%arg0, %0) ({
+    ^bb(%arg2: index, %arg3: memref<?x3xf64>, %arg4: memref<2x?x!lo_spn.log<f32>>):
+      %1 = "lo_spn.batch_read"(%arg3, %arg2) {staticIndex = 0, transposed = false} : (memref<?x3xf64>, index) -> f64
+      %2 = "lo_spn.batch_read"(%arg3, %arg2) {staticIndex = 1, transposed = false} : (memref<?x3xf64>, index) -> f64
+      %3, %4 = "lo_spn.body"(%1, %2) ({
+      ^bb(%arg5: f64, %arg6: f64):
+        %5 = "lo_spn.gaussian"(%arg5) {mean = 0.5, stddev = 2.0, supportMarginal = false} : (f64) -> !lo_spn.log<f32>
+        %6 = "lo_spn.histogram"(%arg6) {bucketCount = 2, buckets = dense<[0.0, 1.0, 0.25, 1.0, 2.0, 0.75]>, supportMarginal = false} : (f64) -> !lo_spn.log<f32>
+        %7 = "lo_spn.mul"(%5, %6) : (!lo_spn.log<f32>, !lo_spn.log<f32>) -> !lo_spn.log<f32>
+        "lo_spn.yield"(%6, %7) : (!lo_spn.log<f32>, !lo_spn.log<f32>) -> ()
+      }) : (f64, f64) -> (!lo_spn.log<f32>, !lo_spn.log<f32>)
+      "lo_spn.batch_write"(%arg4, %arg2, %3, %4) {transposed = true} : (memref<2x?x!lo_spn.log<f32>>, index, !lo_spn.log<f32>, !lo_spn.log<f32>) -> ()
+    }) {batchSize = 1, numInputs = 1} : (memref<?x3xf64>, memref<2x?x!lo_spn.log<f32>>) -> ()
+    %8 = "lo_spn.alloc"() : () -> memref<1x?x!lo_spn.log<f32>>
+    "lo_spn.task"(%arg0, %0, %8) ({
+    ^bb(%arg7: index, %arg8: memref<?x3xf64>, %arg9: memref<2x?x!lo_spn.log<f32>>, %arg10: memref<1x?x!lo_spn.log<f32>>):
+      %9 = "lo_spn.batch_read"(%arg8, %arg7) {staticIndex = 2, transposed = false} : (memref<?x3xf64>, index) -> f64
+      %10 = "lo_spn.batch_read"(%arg9, %arg7) {staticIndex = 1, transposed = true} : (memref<2x?x!lo_spn.log<f32>>, index) -> !lo_spn.log<f32>
+      %11 = "lo_spn.body"(%9, %10) ({
+      ^bb(%arg11: f64, %arg12: !lo_spn.log<f32>):
+        %12 = "lo_spn.categorical"(%arg11) {probabilities = dense<[0.125, 0.375, 0.5]>, supportMarginal = false} : (f64) -> !lo_spn.log<f32>
+        %13 = "lo_spn.mul"(%arg12, %12) : (!lo_spn.log<f32>, !lo_spn.log<f32>) -> !lo_spn.log<f32>
+        %14 = "lo_spn.constant"() {value = -0.916290731874155} : () -> !lo_spn.log<f32>
+        %15 = "lo_spn.mul"(%13, %14) : (!lo_spn.log<f32>, !lo_spn.log<f32>) -> !lo_spn.log<f32>
+        "lo_spn.yield"(%15) : (!lo_spn.log<f32>) -> ()
+      }) : (f64, !lo_spn.log<f32>) -> !lo_spn.log<f32>
+      "lo_spn.batch_write"(%arg10, %arg7, %11) {transposed = true} : (memref<1x?x!lo_spn.log<f32>>, index, !lo_spn.log<f32>) -> ()
+    }) {batchSize = 1, numInputs = 2} : (memref<?x3xf64>, memref<2x?x!lo_spn.log<f32>>, memref<1x?x!lo_spn.log<f32>>) -> ()
+    %16 = "lo_spn.alloc"() : () -> memref<1x?x!lo_spn.log<f32>>
+    "lo_spn.task"(%arg0, %0, %16) ({
+    ^bb(%arg13: index, %arg14: memref<?x3xf64>, %arg15: memref<2x?x!lo_spn.log<f32>>, %arg16: memref<1x?x!lo_spn.log<f32>>):
+      %17 = "lo_spn.batch_read"(%arg14, %arg13) {staticIndex = 0, transposed = false} : (memref<?x3xf64>, index) -> f64
+      %18 = "lo_spn.batch_read"(%arg14, %arg13) {staticIndex = 2, transposed = false} : (memref<?x3xf64>, index) -> f64
+      %19 = "lo_spn.batch_read"(%arg15, %arg13) {staticIndex = 0, transposed = true} : (memref<2x?x!lo_spn.log<f32>>, index) -> !lo_spn.log<f32>
+      %20 = "lo_spn.body"(%17, %18, %19) ({
+      ^bb(%arg17: f64, %arg18: f64, %arg19: !lo_spn.log<f32>):
+        %21 = "lo_spn.gaussian"(%arg17) {mean = -1.0, stddev = 0.5, supportMarginal = false} : (f64) -> !lo_spn.log<f32>
+        %22 = "lo_spn.categorical"(%arg18) {probabilities = dense<[0.5, 0.25, 0.25]>, supportMarginal = false} : (f64) -> !lo_spn.log<f32>
+        %23 = "lo_spn.mul"(%21, %arg19) : (!lo_spn.log<f32>, !lo_spn.log<f32>) -> !lo_spn.log<f32>
+        %24 = "lo_spn.mul"(%23, %22) : (!lo_spn.log<f32>, !lo_spn.log<f32>) -> !lo_spn.log<f32>
+        "lo_spn.yield"(%24) : (!lo_spn.log<f32>) -> ()
+      }) : (f64, f64, !lo_spn.log<f32>) -> !lo_spn.log<f32>
+      "lo_spn.batch_write"(%arg16, %arg13, %20) {transposed = true} : (memref<1x?x!lo_spn.log<f32>>, index, !lo_spn.log<f32>) -> ()
+    }) {batchSize = 1, numInputs = 2} : (memref<?x3xf64>, memref<2x?x!lo_spn.log<f32>>, memref<1x?x!lo_spn.log<f32>>) -> ()
+    "lo_spn.dealloc"(%0) : (memref<2x?x!lo_spn.log<f32>>) -> ()
+    "lo_spn.task"(%16, %8, %arg1) ({
+    ^bb(%arg20: index, %arg21: memref<1x?x!lo_spn.log<f32>>, %arg22: memref<1x?x!lo_spn.log<f32>>, %arg23: memref<1x?x!lo_spn.log<f32>>):
+      %25 = "lo_spn.batch_read"(%arg21, %arg20) {staticIndex = 0, transposed = true} : (memref<1x?x!lo_spn.log<f32>>, index) -> !lo_spn.log<f32>
+      %26 = "lo_spn.batch_read"(%arg22, %arg20) {staticIndex = 0, transposed = true} : (memref<1x?x!lo_spn.log<f32>>, index) -> !lo_spn.log<f32>
+      %27 = "lo_spn.body"(%25, %26) ({
+      ^bb(%arg24: !lo_spn.log<f32>, %arg25: !lo_spn.log<f32>):
+        %28 = "lo_spn.constant"() {value = -0.51082562376599072} : () -> !lo_spn.log<f32>
+        %29 = "lo_spn.mul"(%arg24, %28) : (!lo_spn.log<f32>, !lo_spn.log<f32>) -> !lo_spn.log<f32>
+        %30 = "lo_spn.add"(%arg25, %29) : (!lo_spn.log<f32>, !lo_spn.log<f32>) -> !lo_spn.log<f32>
+        "lo_spn.yield"(%30) : (!lo_spn.log<f32>) -> ()
+      }) : (!lo_spn.log<f32>, !lo_spn.log<f32>) -> !lo_spn.log<f32>
+      "lo_spn.batch_write"(%arg23, %arg20, %27) {transposed = true} : (memref<1x?x!lo_spn.log<f32>>, index, !lo_spn.log<f32>) -> ()
+    }) {batchSize = 1, numInputs = 2} : (memref<1x?x!lo_spn.log<f32>>, memref<1x?x!lo_spn.log<f32>>, memref<1x?x!lo_spn.log<f32>>) -> ()
+    "lo_spn.dealloc"(%8) : (memref<1x?x!lo_spn.log<f32>>) -> ()
+    "lo_spn.dealloc"(%16) : (memref<1x?x!lo_spn.log<f32>>) -> ()
+    "lo_spn.return"() : () -> ()
+  }) {numInputs = 1, sym_name = "spn_kernel"} : () -> ()
+}) : () -> ()
+)ir");
 }
 
 //===----------------------------------------------------------------------===//

@@ -260,11 +260,11 @@ CompiledKernel compileFor(const spn::Model &Model, spn::QueryKind Kind,
     Backend = std::make_unique<backend::CppBackend>(Fast);
   else
     Backend = std::make_unique<backend::VmBackend>();
-  Expected<backend::CompiledArtifact> Artifact =
+  Expected<std::shared_ptr<ExecutionEngine>> Compiled =
       Backend->compile(*Pipeline, Model, Query);
-  EXPECT_TRUE(static_cast<bool>(Artifact))
-      << Engine << ": " << Artifact.getError().message();
-  return Artifact ? CompiledKernel(std::move(Artifact->Engine))
+  EXPECT_TRUE(static_cast<bool>(Compiled))
+      << Engine << ": " << Compiled.getError().message();
+  return Compiled ? CompiledKernel(Compiled.takeValue())
                   : CompiledKernel();
 }
 

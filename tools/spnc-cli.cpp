@@ -618,11 +618,11 @@ int main(int Argc, char **Argv) {
             PipelineConfig::create(Options.Compile);
         if (!Config)
           return Config.getError();
-        Expected<backend::CompiledArtifact> Artifact =
+        Expected<std::shared_ptr<ExecutionEngine>> Engine =
             TheBackend->materialize(Program.takeValue(), *Config);
-        if (!Artifact)
-          return Artifact.getError();
-        return CompiledKernel(std::move(Artifact->Engine));
+        if (!Engine)
+          return Engine.getError();
+        return CompiledKernel(Engine.takeValue());
       }();
     if (!Kernel) {
       std::fprintf(stderr, "failed to load kernel: %s\n",
@@ -807,14 +807,14 @@ int main(int Argc, char **Argv) {
                    static_cast<unsigned long long>(
                        CacheStats.CorruptedDiskEntries));
   } else {
-    Expected<backend::CompiledArtifact> Artifact =
+    Expected<std::shared_ptr<ExecutionEngine>> Engine =
         TheBackend->compile(*Pipeline, *Model, Options.Query, &CStats);
-    if (!Artifact) {
+    if (!Engine) {
       std::fprintf(stderr, "compilation failed: %s\n",
-                   Artifact.getError().message().c_str());
+                   Engine.getError().message().c_str());
       return 1;
     }
-    Kernel = CompiledKernel(std::move(Artifact->Engine));
+    Kernel = CompiledKernel(Engine.takeValue());
   }
   if (CStats.TotalNs > 0)
     std::fprintf(stderr,
