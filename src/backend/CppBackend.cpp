@@ -316,12 +316,12 @@ std::string CppBackend::resolveCompiler() const {
 uint64_t CppBackend::artifactFingerprint() const {
   // Everything that changes the produced .so for a fixed program:
   // emitter semantics, toolchain identity, codegen flags.
-  size_t Seed = fnv1a64("cpp", 3);
+  size_t Seed = xxh64("cpp", 3);
   hashCombineSeed(Seed, kCppEmitterVersion);
   std::string Compiler = resolveCompiler();
-  hashCombineSeed(Seed, fnv1a64(Compiler.data(), Compiler.size()));
+  hashCombineSeed(Seed, xxh64(Compiler.data(), Compiler.size()));
   for (const std::string &Flag : Options.ExtraFlags)
-    hashCombineSeed(Seed, fnv1a64(Flag.data(), Flag.size()));
+    hashCombineSeed(Seed, xxh64(Flag.data(), Flag.size()));
   return Seed;
 }
 

@@ -45,7 +45,7 @@ public:
   /// The artifact is the portable program itself, interpreted; the
   /// binary-format version is the only thing that can change it.
   uint64_t artifactFingerprint() const override {
-    size_t Seed = fnv1a64("vm", 2);
+    size_t Seed = xxh64("vm", 2);
     hashCombineSeed(Seed, vm::kProgramBinaryVersion);
     return Seed;
   }

@@ -22,7 +22,6 @@
 #include <initializer_list>
 #include <span>
 #include <string_view>
-#include <vector>
 
 namespace spnc {
 
@@ -41,7 +40,6 @@ enum class AttrKind : uint8_t {
   Float,
   String,
   Type,
-  Array,
   /// Dense array of doubles; used for sum weights, categorical
   /// probabilities and flattened histogram buckets.
   DenseF64,
@@ -57,17 +55,14 @@ struct AttrStorage {
     int64_t IntValue = 0;
     double FloatValue;
     const TypeStorage *TypeValue;
-    /// String characters, Array elements or DenseF64 values.
+    /// String characters or DenseF64 values.
     const void *Data;
   };
-  /// Element count of a String, Array or DenseF64 payload.
+  /// Element count of a String or DenseF64 payload.
   size_t Size = 0;
 
   std::string_view getString() const {
     return {static_cast<const char *>(Data), Size};
-  }
-  std::span<const AttrStorage *const> getElements() const {
-    return {static_cast<const AttrStorage *const *>(Data), Size};
   }
   std::span<const double> getDoubles() const {
     return {static_cast<const double *>(Data), Size};
@@ -173,21 +168,6 @@ public:
   Type getValue() const { return Type(getImpl()->TypeValue); }
   static bool classof(Attribute A) {
     return A && A.getKind() == AttrKind::Type;
-  }
-};
-
-/// Heterogeneous array of attributes.
-class ArrayAttr : public Attribute {
-public:
-  using Attribute::Attribute;
-  static ArrayAttr get(Context &Ctx, const std::vector<Attribute> &Elements);
-  size_t size() const { return getImpl()->Size; }
-  Attribute getElement(size_t Index) const {
-    assert(Index < size() && "ArrayAttr index out of range");
-    return Attribute(getImpl()->getElements()[Index]);
-  }
-  static bool classof(Attribute A) {
-    return A && A.getKind() == AttrKind::Array;
   }
 };
 

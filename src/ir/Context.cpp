@@ -36,13 +36,11 @@ static bool typeEquals(const TypeStorage &A, const TypeStorage &B) {
                     B.Shape.end());
 }
 
-/// Bytes of the payload of a String, Array or DenseF64 attribute.
+/// Bytes of the payload of a String or DenseF64 attribute.
 static size_t payloadBytes(const AttrStorage &A) {
   switch (A.Kind) {
   case AttrKind::String:
     return A.Size;
-  case AttrKind::Array:
-    return A.Size * sizeof(const AttrStorage *);
   case AttrKind::DenseF64:
     return A.Size * sizeof(double);
   default:
@@ -57,7 +55,7 @@ static size_t hashAttr(const AttrStorage &A) {
   if (A.Kind == AttrKind::Type)
     hashCombineSeed(Seed, reinterpret_cast<uintptr_t>(A.TypeValue));
   else
-    hashCombineSeed(Seed, fnv1a64(A.Data, payloadBytes(A)));
+    hashCombineSeed(Seed, xxh64(A.Data, payloadBytes(A)));
   return Seed;
 }
 
@@ -134,7 +132,6 @@ const AttrStorage *Context::newAttr(const AttrStorage &Prototype) {
     std::memcpy(Payload, Prototype.Data, Bytes);
     Storage->Data = Payload;
   } else if (Prototype.Kind == AttrKind::String ||
-             Prototype.Kind == AttrKind::Array ||
              Prototype.Kind == AttrKind::DenseF64) {
     // An empty payload must not keep pointing into the caller's memory.
     Storage->Data = nullptr;
@@ -229,12 +226,6 @@ DiagnosticHandler Context::setDiagnosticHandler(DiagnosticHandler Handler) {
 // Type factory methods
 //===----------------------------------------------------------------------===//
 
-NoneType NoneType::get(Context &Ctx) {
-  TypeStorage Proto;
-  Proto.Kind = TypeKind::None;
-  return NoneType(Ctx.uniqueType(Proto));
-}
-
 IndexType IndexType::get(Context &Ctx) {
   TypeStorage Proto;
   Proto.Kind = TypeKind::Index;
@@ -282,16 +273,6 @@ MemRefType MemRefType::get(Context &Ctx, std::span<const int64_t> Shape,
   return MemRefType(Ctx.uniqueType(Proto));
 }
 
-VectorType VectorType::get(Context &Ctx, unsigned NumLanes,
-                           Type ElementType) {
-  assert(NumLanes > 0 && "vector must have at least one lane");
-  TypeStorage Proto;
-  Proto.Kind = TypeKind::Vector;
-  Proto.Width = NumLanes;
-  Proto.Element = ElementType.getImpl();
-  return VectorType(Ctx.uniqueType(Proto));
-}
-
 //===----------------------------------------------------------------------===//
 // Attribute factory methods
 //===----------------------------------------------------------------------===//
@@ -337,21 +318,6 @@ TypeAttr TypeAttr::get(Context &Ctx, Type Value) {
   Proto.Kind = AttrKind::Type;
   Proto.TypeValue = Value.getImpl();
   return TypeAttr(Ctx.uniqueAttr(Proto));
-}
-
-ArrayAttr ArrayAttr::get(Context &Ctx,
-                         const std::vector<Attribute> &Elements) {
-  std::vector<const AttrStorage *> Impls;
-  Impls.reserve(Elements.size());
-  for (Attribute Element : Elements) {
-    assert(Element && "ArrayAttr elements must be non-null");
-    Impls.push_back(Element.getImpl());
-  }
-  AttrStorage Proto;
-  Proto.Kind = AttrKind::Array;
-  Proto.Data = Impls.data();
-  Proto.Size = Impls.size();
-  return ArrayAttr(Ctx.uniqueAttr(Proto));
 }
 
 DenseF64Attr DenseF64Attr::get(Context &Ctx, std::span<const double> Values) {

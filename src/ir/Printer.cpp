@@ -38,9 +38,6 @@ void Type::print(RawOStream &OS) const {
     return;
   }
   switch (Impl->Kind) {
-  case TypeKind::None:
-    OS << "none";
-    return;
   case TypeKind::Index:
     OS << "index";
     return;
@@ -67,11 +64,6 @@ void Type::print(RawOStream &OS) const {
   case TypeKind::MemRef:
     OS << "memref<";
     printShape(Impl->Shape, OS);
-    Type(Impl->Element).print(OS);
-    OS << '>';
-    return;
-  case TypeKind::Vector:
-    OS << "vector<" << Impl->Width << 'x';
     Type(Impl->Element).print(OS);
     OS << '>';
     return;
@@ -130,18 +122,6 @@ void Attribute::print(RawOStream &OS) const {
   case AttrKind::Type:
     Type(Impl->TypeValue).print(OS);
     return;
-  case AttrKind::Array: {
-    OS << '[';
-    bool First = true;
-    for (const AttrStorage *Element : Impl->getElements()) {
-      if (!First)
-        OS << ", ";
-      First = false;
-      Attribute(Element).print(OS);
-    }
-    OS << ']';
-    return;
-  }
   case AttrKind::DenseF64: {
     OS << "dense<[";
     bool First = true;

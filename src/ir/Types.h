@@ -11,7 +11,7 @@
 /// Pointer equality of the underlying storage is type equality.
 ///
 /// The core provides the builtin types (integer, float, index, tensor,
-/// memref, vector, none) plus the storage for the two SPN-dialect types
+/// memref) plus the storage for the two SPN-dialect types
 /// (`!hi_spn.prob` and `!lo_spn.log<T>`); the dialect-facing wrappers for
 /// the latter live with their dialects.
 ///
@@ -35,7 +35,6 @@ class Context;
 
 /// Discriminator for the built-in type storage.
 enum class TypeKind : uint8_t {
-  None,
   Index,
   Integer,
   Float,
@@ -45,18 +44,17 @@ enum class TypeKind : uint8_t {
   Log,
   Tensor,
   MemRef,
-  Vector,
 };
 
 /// Uniqued immutable storage shared by all type kinds, kept in the
 /// context's arena. Field use depends on the kind; unused fields keep
 /// their defaults and participate in uniquing.
 struct TypeStorage {
-  TypeKind Kind = TypeKind::None;
+  TypeKind Kind = TypeKind::Index;
   Context *Ctx = nullptr;
-  /// Integer bit width, float bit width (32/64) or vector lane count.
+  /// Integer bit width or float bit width (32/64).
   unsigned Width = 0;
-  /// Element type of Log/Tensor/MemRef/Vector.
+  /// Element type of Log/Tensor/MemRef.
   const TypeStorage *Element = nullptr;
   /// Shape of Tensor/MemRef; kDynamic encodes a dynamic dimension. The
   /// uniqued storage points at a copy in the context's arena.
@@ -112,16 +110,6 @@ public:
 
 private:
   const TypeStorage *Impl = nullptr;
-};
-
-/// The empty type, used where an op has no meaningful result type.
-class NoneType : public Type {
-public:
-  using Type::Type;
-  static NoneType get(Context &Ctx);
-  static bool classof(Type T) {
-    return T && T.getKind() == TypeKind::None;
-  }
 };
 
 /// The platform-sized index type used for batch indices.
@@ -192,18 +180,6 @@ public:
   Type getElementType() const { return Type(getImpl()->Element); }
   static bool classof(Type T) {
     return T && T.getKind() == TypeKind::MemRef;
-  }
-};
-
-/// Fixed-width SIMD vector type used by the CPU vectorization.
-class VectorType : public Type {
-public:
-  using Type::Type;
-  static VectorType get(Context &Ctx, unsigned NumLanes, Type ElementType);
-  unsigned getNumLanes() const { return getImpl()->Width; }
-  Type getElementType() const { return Type(getImpl()->Element); }
-  static bool classof(Type T) {
-    return T && T.getKind() == TypeKind::Vector;
   }
 };
 

@@ -32,17 +32,18 @@ static uint64_t bits(double Value) { return std::bit_cast<uint64_t>(Value); }
 
 } // namespace
 
-/// Feeds the structural signature of \p Model to \p Emit word by word.
+/// Feeds the structural signature of \p Model, walked in its topological
+/// order \p Order, to \p Emit word by word.
 template <typename EmitFn>
-static void emitSignature(const spn::Model &Model, EmitFn &&Emit) {
-  std::vector<spn::Node *> Order = Model.topologicalOrder();
+static void emitSignature(const spn::Model &Model,
+                          std::span<spn::Node *const> Order, EmitFn &&Emit) {
   // Children are referenced by their position in the walk, which is
   // deterministic (depth-first from the root, children in stored order,
   // shared nodes visited once) — node ids, which depend on construction
   // order, stay out of the signature; they only index the positions.
-  std::vector<uint64_t> Position(Model.getNumNodes());
+  std::vector<uint32_t> Position(Model.getNumNodes());
   for (size_t I = 0; I < Order.size(); ++I)
-    Position[Order[I]->getId()] = I;
+    Position[Order[I]->getId()] = static_cast<uint32_t>(I);
 
   Emit(TagFeatures);
   Emit(Model.getNumFeatures());
@@ -79,18 +80,22 @@ static void emitSignature(const spn::Model &Model, EmitFn &&Emit) {
 StructuralSignature
 spnc::merge::structuralSignature(const spn::Model &Model) {
   StructuralSignature Sig;
-  emitSignature(Model, [&](uint64_t Item) { Sig.Items.push_back(Item); });
+  emitSignature(Model, Model.topologicalOrder(),
+                [&](uint64_t Item) { Sig.Items.push_back(Item); });
   return Sig;
 }
 
 uint64_t spnc::merge::structuralHash(const spn::Model &Model) {
-  // FNV-1a over the item bytes, streamed: the same value as hashing the
+  return structuralHash(Model, Model.topologicalOrder());
+}
+
+uint64_t spnc::merge::structuralHash(const spn::Model &Model,
+                                     std::span<spn::Node *const> Order) {
+  // XXH64 over the item bytes, streamed: the same value as hashing the
   // whole signature vector, without building it.
-  uint64_t Hash = kFnv1a64Basis;
-  emitSignature(Model, [&](uint64_t Item) {
-    Hash = fnv1a64(&Item, sizeof(Item), Hash);
-  });
-  return Hash;
+  WordHasher Hash;
+  emitSignature(Model, Order, [&](uint64_t Item) { Hash.add(Item); });
+  return Hash.finish();
 }
 
 bool spnc::merge::isStructurallyIsomorphic(const spn::Model &A,
@@ -100,8 +105,13 @@ bool spnc::merge::isStructurallyIsomorphic(const spn::Model &A,
 
 Expected<std::vector<double>>
 spnc::merge::extractParams(const spn::Model &Model) {
+  return extractParams(Model.topologicalOrder());
+}
+
+Expected<std::vector<double>>
+spnc::merge::extractParams(std::span<spn::Node *const> Order) {
   std::vector<double> Params;
-  for (const spn::Node *N : Model.topologicalOrder()) {
+  for (const spn::Node *N : Order) {
     if (std::string Why = spn::checkNodeParams(*N); !Why.empty())
       return makeError("invalid SPN model: " + Why);
     if (const auto *Sum = dyn_cast<spn::SumNode>(N)) {
@@ -167,7 +177,7 @@ spnc::merge::discoverMergeGroups(std::span<const spn::Model *const> Models) {
     if (!Placed) {
       MergeGroup Group;
       Group.Hash =
-          fnv1a64(Sig.Items.data(), Sig.Items.size() * sizeof(uint64_t));
+          xxh64(Sig.Items.data(), Sig.Items.size() * sizeof(uint64_t));
       Group.Members.push_back(I);
       Groups.push_back(std::move(Group));
       Signatures.push_back(std::move(Sig));

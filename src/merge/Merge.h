@@ -17,7 +17,7 @@
 ///    scopes, histogram bucket bounds and categorical cardinalities,
 ///    while excluding every tunable parameter (sum weights, bucket
 ///    masses, category probabilities, Gaussian mean/stddev);
-///  * the **structural hash** (a stable FNV-1a over the signature) and
+///  * the **structural hash** (a stable XXH64 over the signature) and
 ///    the pairwise isomorphism check (signature equality);
 ///  * the **canonical parameter vector** `extractParams`, which lists a
 ///    model's tunable parameters in the exact order the compiler assigns
@@ -60,10 +60,17 @@ struct StructuralSignature {
 /// must not be mutated concurrently.
 StructuralSignature structuralSignature(const spn::Model &Model);
 
-/// Stable 64-bit hash of the structural signature (FNV-1a over the item
-/// bytes); weight-only or leaf-parameter-only edits never change it.
-/// Suitable as a disk-cache key component. Thread-safe.
+/// Stable 64-bit hash of the structural signature (XXH64 over the item
+/// bytes, support/Hashing.h); weight-only or leaf-parameter-only edits
+/// never change it. Suitable as a disk-cache key component: every input
+/// bit reaches every output bit, so two structures that differ anywhere
+/// collide only by chance. Thread-safe.
 uint64_t structuralHash(const spn::Model &Model);
+
+/// structuralHash over \p Order, the model's `topologicalOrder()`, for
+/// callers that walk the model once for several purposes.
+uint64_t structuralHash(const spn::Model &Model,
+                        std::span<spn::Node *const> Order);
 
 /// True when \p A and \p B have equal structural signatures, i.e. they
 /// can share one kernel. Thread-safe.
@@ -78,6 +85,9 @@ bool isStructurallyIsomorphic(const spn::Model &A, const spn::Model &B);
 /// checked on the way (spn::checkNodeParams); the first invalid one
 /// fails the extraction. Thread-safe.
 Expected<std::vector<double>> extractParams(const spn::Model &Model);
+
+/// extractParams over \p Order, a model's `topologicalOrder()`.
+Expected<std::vector<double>> extractParams(std::span<spn::Node *const> Order);
 
 /// Structure counters for merge-group debugging (`--model-info`).
 struct ModelCounts {

@@ -72,7 +72,7 @@ uint64_t KernelCache::stageFingerprint(
     const CompilationPipeline &Pipeline) {
   size_t Seed = hashCombine(Pipeline.getStages().size());
   for (const PipelineStage &Stage : Pipeline.getStages())
-    hashCombineSeed(Seed, fnv1a64(Stage.Name.data(), Stage.Name.size()));
+    hashCombineSeed(Seed, xxh64(Stage.Name.data(), Stage.Name.size()));
   return Seed;
 }
 
@@ -97,7 +97,7 @@ uint64_t combineKey(uint64_t ModelHash, const spn::QueryConfig &Query,
   hashCombineSeed(Seed, Config.hash());
   hashCombineSeed(Seed, StageFingerprint);
   const std::string &Name = TheBackend.getName();
-  hashCombineSeed(Seed, fnv1a64(Name.data(), Name.size()));
+  hashCombineSeed(Seed, xxh64(Name.data(), Name.size()));
   hashCombineSeed(Seed, TheBackend.artifactFingerprint());
   return Seed;
 }
@@ -107,6 +107,18 @@ uint64_t combineKey(uint64_t ModelHash, const spn::QueryConfig &Query,
 bool isLikelihood(const spn::QueryConfig &Query) {
   return Query.Kind == spn::QueryKind::Joint ||
          Query.Kind == spn::QueryKind::Marginal;
+}
+
+/// The checked canonical parameters of \p Model, with its structural
+/// hash in \p Hash, from one topological walk. The walk is freed on
+/// return, before a miss compiles.
+Expected<std::vector<double>> paramsAndStructuralHash(const spn::Model &Model,
+                                                      uint64_t &Hash) {
+  std::vector<spn::Node *> Order = Model.topologicalOrder();
+  Expected<std::vector<double>> Params = merge::extractParams(Order);
+  if (Params)
+    Hash = merge::structuralHash(Model, Order);
+  return Params;
 }
 
 } // namespace
@@ -231,12 +243,13 @@ KernelCache::getOrCompile(const spn::Model &Model,
   // and this model's table on it. Extracting the table checks every
   // parameter, so a cache hit never serves an invalid model (the
   // structure was validated when the kernel compiled).
-  Expected<std::vector<double>> Params = merge::extractParams(Model);
+  uint64_t Hash = 0;
+  Expected<std::vector<double>> Params = paramsAndStructuralHash(Model, Hash);
   if (!Params)
     return Params.getError();
   bool Fresh = false;
   Expected<std::shared_ptr<ExecutionEngine>> Engine = getOrCompileImpl(
-      structuralHash(Model), Model, Resolved, Options, CompStats, &Fresh);
+      Hash, Model, Resolved, Options, CompStats, &Fresh);
   if (!Engine)
     return Engine.getError();
   if (Fresh) {

@@ -194,7 +194,9 @@ public:
   /// A joint/marginal kernel answers for \p Model through its weight
   /// table: the model's parameters (merge::extractParams, which checks
   /// each of them) are registered on the structure's shared engine and
-  /// the returned kernel carries their table index. A fresh compile is
+  /// the returned kernel carries their table index. One topological
+  /// walk of the model yields both the parameters and the structural
+  /// hash that keys the engine. A fresh compile is
   /// checked with vm::verifySelfBinding before being trusted: binding
   /// the generating model's own parameters must reproduce the program's
   /// side tables bit-for-bit.

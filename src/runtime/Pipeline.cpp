@@ -14,10 +14,12 @@
 #include "support/FileIO.h"
 #include "support/Hashing.h"
 #include "support/RawOStream.h"
+#include "support/StringUtils.h"
 #include "support/Timer.h"
 #include "vm/ProgramBinary.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -28,6 +30,33 @@ using namespace spnc::runtime;
 //===----------------------------------------------------------------------===//
 // PipelineConfig
 //===----------------------------------------------------------------------===//
+
+/// Rejects a simulated device whose fields the GPU simulator would
+/// divide by, or turn into a NaN, infinite or negative time: counts and
+/// rates must be positive, fixed costs non-negative, all of them finite.
+static std::optional<Error> checkDevice(const gpusim::GpuDeviceConfig &D) {
+  auto Fail = [](const char *Field, double Value, const char *Rule) {
+    return makeError(formatString(
+        "invalid GPU device: %s is %g, must be %s", Field, Value, Rule));
+  };
+  const std::pair<const char *, double> Positive[] = {
+      {"NumSMs", D.NumSMs},
+      {"MaxThreadsPerSM", D.MaxThreadsPerSM},
+      {"PeakSpeedup", D.PeakSpeedup},
+      {"PcieBandwidthGBs", D.PcieBandwidthGBs},
+      {"DeviceBandwidthGBs", D.DeviceBandwidthGBs}};
+  for (auto [Field, Value] : Positive)
+    if (!std::isfinite(Value) || Value <= 0.0)
+      return Fail(Field, Value, "finite and positive");
+  const std::pair<const char *, double> NonNegative[] = {
+      {"TransferLatencyUs", D.TransferLatencyUs},
+      {"KernelLaunchOverheadUs", D.KernelLaunchOverheadUs},
+      {"BlockScheduleOverheadNs", D.BlockScheduleOverheadNs}};
+  for (auto [Field, Value] : NonNegative)
+    if (!std::isfinite(Value) || Value < 0.0)
+      return Fail(Field, Value, "finite and non-negative");
+  return std::nullopt;
+}
 
 Expected<PipelineConfig> PipelineConfig::create(CompilerOptions Options) {
   // Compiling under Auto selects the CPU; only kernel loading defers the
@@ -50,6 +79,9 @@ Expected<PipelineConfig> PipelineConfig::create(CompilerOptions Options) {
                      " exceeds the device limit of " +
                      std::to_string(Options.Device.MaxThreadsPerBlock) +
                      " threads per block");
+  if (Options.TheTarget == Target::GPU)
+    if (std::optional<Error> Err = checkDevice(Options.Device))
+      return *Err;
   return PipelineConfig(std::move(Options));
 }
 

@@ -121,8 +121,10 @@ struct CompileStats {
 class PipelineConfig {
 public:
   /// Validates \p Options; fails with a descriptive message on any
-  /// out-of-range knob (e.g. OptLevel > 3, unsupported vector width).
-  /// Thread-safe.
+  /// out-of-range knob (e.g. OptLevel > 3, unsupported vector width,
+  /// and for a GPU target a simulated-device field that is zero, NaN,
+  /// infinite or negative where the simulator cannot use it; the
+  /// message names the field). Thread-safe.
   static Expected<PipelineConfig> create(CompilerOptions Options);
 
   /// The validated, normalized options. Thread-safe; the reference is

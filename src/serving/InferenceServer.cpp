@@ -93,6 +93,8 @@ struct InferenceServer::ModelEntry {
   /// Model names routed to this entry (1 unless Merged); Name is the
   /// first. Guarded by RoutingMutex, read only for error messages.
   size_t NumMembers = 1;
+  /// The shard whose queues hold this entry's requests.
+  size_t ShardIndex = 0;
   std::array<std::deque<Request>, kNumPriorities> Queues;
   /// Samples queued (not yet formed into a batch), per class.
   std::array<size_t, kNumPriorities> QueuedSamples{};
@@ -299,6 +301,7 @@ InferenceServer::addModel(const std::string &Name,
   Entry->Kernel = Kernel.takeValue();
   Entry->Query = Query;
   Entry->NumFeatures = Model.getNumFeatures();
+  Entry->ShardIndex = ShardIndex;
   ModelEntry *Raw = Entry.get();
 
   // Publish: route first under RoutingMutex (re-checking the duplicate
@@ -314,12 +317,12 @@ InferenceServer::addModel(const std::string &Name,
     (void)It;
     if (!Inserted)
       return makeError("model '" + Name + "' is already registered");
+    OwnedModels.push_back(std::move(Entry));
   }
   {
     std::lock_guard<std::mutex> Lock(TheShard.Mutex);
     TheShard.Models.push_back(Raw);
   }
-  OwnedModels.push_back(std::move(Entry));
   return std::nullopt;
 }
 
@@ -336,13 +339,21 @@ InferenceServer::addMergedModel(const std::string &Name,
   if (!Merged)
     return Merged.getError();
 
-  // Placement hashes the structural hash, not the content hash: every
-  // member of a merge group must land on the shard that owns the
-  // group's shared queue.
-  size_t ShardIndex = placeOnShard(
-      runtime::KernelCache::structuralHash(Model), Shards.size());
-  Shard &TheShard = *Shards[ShardIndex];
+  // Placement: a group's first member is placed by the structural hash
+  // (the kernel's key), and every later member joins the group's entry
+  // and shard, where the group's shared queue lives. Only the first
+  // member pays for a hash.
   const void *EngineKey = Merged->getEngineShared().get();
+  std::optional<size_t> ShardIndex;
+  {
+    std::lock_guard<std::mutex> Lock(RoutingMutex);
+    auto GroupIt = MergedGroups.find(EngineKey);
+    if (GroupIt != MergedGroups.end())
+      ShardIndex = GroupIt->second->ShardIndex;
+  }
+  if (!ShardIndex)
+    ShardIndex = placeOnShard(runtime::KernelCache::structuralHash(Model),
+                              Shards.size());
 
   std::unique_ptr<ModelEntry> Fresh;
   ModelEntry *Raw = nullptr;
@@ -353,8 +364,9 @@ InferenceServer::addMergedModel(const std::string &Name,
                        "': server is shutting down");
     auto GroupIt = MergedGroups.find(EngineKey);
     if (GroupIt != MergedGroups.end()) {
-      // An isomorphic sibling already serves this group; the new name
-      // joins its entry (and therefore its queues and batches).
+      // An isomorphic sibling already serves this group (perhaps one
+      // registered since the look-up above); the new name joins its
+      // entry (and therefore its shard, queues and batches).
       Raw = GroupIt->second;
       assert(Raw->NumFeatures == Model.getNumFeatures() &&
              "isomorphic models disagree on feature count");
@@ -365,26 +377,25 @@ InferenceServer::addMergedModel(const std::string &Name,
       Fresh->Query = Query;
       Fresh->NumFeatures = Model.getNumFeatures();
       Fresh->Merged = true;
+      Fresh->ShardIndex = *ShardIndex;
       Raw = Fresh.get();
     }
     auto [It, Inserted] = Routing.emplace(
-        Name,
-        Route{ShardIndex, Raw, Raw->NumFeatures, Merged->getTableIndex()});
+        Name, Route{Raw->ShardIndex, Raw, Raw->NumFeatures,
+                    Merged->getTableIndex()});
     (void)It;
     if (!Inserted)
       return makeError("model '" + Name + "' is already registered");
-    if (Fresh)
-      MergedGroups.emplace(EngineKey, Raw);
-    else
+    if (!Fresh) {
       ++Raw->NumMembers;
-  }
-  if (Fresh) {
-    {
-      std::lock_guard<std::mutex> Lock(TheShard.Mutex);
-      TheShard.Models.push_back(Raw);
+      return std::nullopt;
     }
+    MergedGroups.emplace(EngineKey, Raw);
     OwnedModels.push_back(std::move(Fresh));
   }
+  Shard &TheShard = *Shards[Raw->ShardIndex];
+  std::lock_guard<std::mutex> Lock(TheShard.Mutex);
+  TheShard.Models.push_back(Raw);
   return std::nullopt;
 }
 

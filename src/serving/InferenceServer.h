@@ -254,7 +254,9 @@ public:
 
   /// Registers \p Model under \p Name, acquiring its engine through the
   /// kernel cache (compiling at most once per cache key) and placing it
-  /// on the shard the consistent-hash ring maps its model hash to.
+  /// on the shard the consistent-hash ring maps its model hash to (its
+  /// content hash; under MergeModels a merge group's first member is
+  /// placed by its structural hash and later members join its shard).
   /// GPU-targeted models whose device config leaves NumStreams at 0
   /// (auto) are compiled with one stream per shard worker, so
   /// NumWorkers > 1 overlaps on the simulated device. Fails on

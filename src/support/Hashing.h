@@ -6,16 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Hash-combining helpers used by the IR uniquer and CSE. The mixing
-/// function follows the boost::hash_combine recipe with a 64-bit constant.
+/// Hash-combining helpers used by the IR uniquer and CSE (the mixing
+/// function follows the boost::hash_combine recipe with a 64-bit
+/// constant), the XXH64 content hash over bytes or a stream of 64-bit
+/// words, and the SplitMix64 finalizer.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SPNC_SUPPORT_HASHING_H
 #define SPNC_SUPPORT_HASHING_H
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 
 namespace spnc {
@@ -33,23 +37,118 @@ size_t hashCombine(const Ts &...Values) {
   return Seed;
 }
 
-/// The FNV-1a 64-bit offset basis: the hash of the empty range.
-inline constexpr uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
+namespace xxh64_detail {
 
-/// 64-bit FNV-1a over a byte range. Used as the content checksum of the
-/// `.spnk` kernel-binary format (see docs/spnk-format.md): cheap, has no
-/// dependencies, and detects the truncations and bit flips a disk-backed
-/// cache must survive. Not cryptographic. Passing the hash of a prefix as
-/// \p Hash continues it: hashing a range in pieces gives the same value.
-inline uint64_t fnv1a64(const void *Data, size_t Size,
-                        uint64_t Hash = kFnv1a64Basis) {
-  const auto *Bytes = static_cast<const uint8_t *>(Data);
-  for (size_t I = 0; I < Size; ++I) {
-    Hash ^= Bytes[I];
-    Hash *= 0x100000001b3ULL; // FNV prime
-  }
-  return Hash;
+inline constexpr uint64_t P1 = 0x9E3779B185EBCA87ULL;
+inline constexpr uint64_t P2 = 0xC2B2AE3D27D4EB4FULL;
+inline constexpr uint64_t P3 = 0x165667B19E3779F9ULL;
+inline constexpr uint64_t P4 = 0x85EBCA77C2B2AE63ULL;
+inline constexpr uint64_t P5 = 0x27D4EB2F165667C5ULL;
+
+inline uint64_t xxRound(uint64_t Acc, uint64_t Lane) {
+  return std::rotl(Acc + Lane * P2, 31) * P1;
 }
+
+inline uint64_t load64(const uint8_t *Bytes) {
+  uint64_t Word;
+  std::memcpy(&Word, Bytes, sizeof(Word));
+  return Word;
+}
+
+/// The four lane accumulators of a run of whole 32-byte stripes.
+struct Lanes {
+  uint64_t Acc[4];
+
+  explicit Lanes(uint64_t Seed)
+      : Acc{Seed + P1 + P2, Seed + P2, Seed, Seed - P1} {}
+  void stripe(const uint64_t Words[4]) {
+    for (int L = 0; L < 4; ++L)
+      Acc[L] = xxRound(Acc[L], Words[L]);
+  }
+  uint64_t converge() const {
+    uint64_t Hash = std::rotl(Acc[0], 1) + std::rotl(Acc[1], 7) +
+                    std::rotl(Acc[2], 12) + std::rotl(Acc[3], 18);
+    for (uint64_t A : Acc)
+      Hash = (Hash ^ xxRound(0, A)) * P1 + P4;
+    return Hash;
+  }
+};
+
+/// Adds the input length, consumes the last `Length % 32` bytes
+/// (\p Tail, \p Size) and avalanches.
+inline uint64_t finish(uint64_t Hash, uint64_t Length, const uint8_t *Tail,
+                       size_t Size) {
+  Hash += Length;
+  for (; Size >= 8; Tail += 8, Size -= 8)
+    Hash = std::rotl(Hash ^ xxRound(0, load64(Tail)), 27) * P1 + P4;
+  if (Size >= 4) {
+    uint32_t Word;
+    std::memcpy(&Word, Tail, sizeof(Word));
+    Hash = std::rotl(Hash ^ (Word * P1), 23) * P2 + P3;
+    Tail += 4;
+    Size -= 4;
+  }
+  for (; Size > 0; ++Tail, --Size)
+    Hash = std::rotl(Hash ^ (*Tail * P5), 11) * P1;
+  Hash = (Hash ^ (Hash >> 33)) * P2;
+  Hash = (Hash ^ (Hash >> 29)) * P3;
+  return Hash ^ (Hash >> 32);
+}
+
+} // namespace xxh64_detail
+
+/// XXH64 of a byte range (https://github.com/Cyan4973/xxHash,
+/// doc/xxhash_spec.md): reads its input a 64-bit word at a time in four
+/// independent lanes, and every input bit affects every output bit. It
+/// is the project's one content hash: the `.spnk` payload checksum (see
+/// docs/spnk-format.md), the structural hash of a model, and the hash of
+/// stage names, backend names, toolchain flags and IR attribute
+/// payloads. Not cryptographic; words are read in host (little-endian)
+/// order.
+inline uint64_t xxh64(const void *Data, size_t Size, uint64_t Seed = 0) {
+  using namespace xxh64_detail;
+  const auto *Bytes = static_cast<const uint8_t *>(Data);
+  uint64_t Hash = Seed + P5;
+  if (Size >= 32) {
+    Lanes State(Seed);
+    const uint8_t *End = Bytes + Size / 32 * 32;
+    for (; Bytes != End; Bytes += 32) {
+      uint64_t Words[4] = {load64(Bytes), load64(Bytes + 8),
+                           load64(Bytes + 16), load64(Bytes + 24)};
+      State.stripe(Words);
+    }
+    Hash = State.converge();
+  }
+  return finish(Hash, Size, Bytes, Size % 32);
+}
+
+/// XXH64 of a stream of 64-bit words fed one at a time: the same value as
+/// xxh64 over the words' bytes, without storing the stream.
+class WordHasher {
+public:
+  explicit WordHasher(uint64_t Seed = 0) : Seed(Seed), State(Seed) {}
+
+  void add(uint64_t Word) {
+    Pending[NumWords++ % 4] = Word;
+    if (NumWords % 4 == 0)
+      State.stripe(Pending);
+  }
+
+  uint64_t finish() const {
+    uint64_t Hash =
+        NumWords >= 4 ? State.converge() : Seed + xxh64_detail::P5;
+    return xxh64_detail::finish(
+        Hash, NumWords * sizeof(uint64_t),
+        reinterpret_cast<const uint8_t *>(Pending),
+        NumWords % 4 * sizeof(uint64_t));
+  }
+
+private:
+  uint64_t Seed;
+  xxh64_detail::Lanes State;
+  uint64_t Pending[4] = {};
+  uint64_t NumWords = 0;
+};
 
 /// SplitMix64 finalizer: a bijective avalanche mix of a 64-bit value.
 /// Every input bit affects every output bit, which makes it suitable for

@@ -133,7 +133,7 @@ std::vector<uint8_t> spnc::vm::encodeProgram(const KernelProgram &P) {
   }
   std::vector<uint8_t> Bytes = W.take();
   uint64_t Checksum =
-      fnv1a64(Bytes.data() + kPayloadOffset, Bytes.size() - kPayloadOffset);
+      xxh64(Bytes.data() + kPayloadOffset, Bytes.size() - kPayloadOffset);
   std::memcpy(Bytes.data() + kChecksumOffset, &Checksum, sizeof(Checksum));
   return Bytes;
 }
@@ -407,7 +407,7 @@ spnc::vm::decodeProgram(std::span<const uint8_t> Blob) {
   if (R.bad() || Blob.size() < kPayloadOffset)
     return makeError("truncated program header");
   uint64_t Actual =
-      fnv1a64(Blob.data() + kPayloadOffset, Blob.size() - kPayloadOffset);
+      xxh64(Blob.data() + kPayloadOffset, Blob.size() - kPayloadOffset);
   if (Actual != Expected)
     return makeError("kernel program checksum mismatch (truncated or "
                      "corrupted blob)");

@@ -44,9 +44,10 @@ namespace vm {
 /// joint/marginal program carries sites) and added the fold sites of
 /// the -O2 weight fold (docs/merging.md), v7 made LogSumExpN weighted
 /// (its Args list the operand registers, then their weights' const-pool
-/// slots). A `.spnk` is only a cache, so older files are rejected and
-/// recompiled rather than read.
-inline constexpr uint32_t kProgramBinaryVersion = 7;
+/// slots), v8 replaced the FNV-1a checksum with XXH64 (payload
+/// unchanged). A `.spnk` is only a cache, so older files are rejected
+/// and recompiled rather than read.
+inline constexpr uint32_t kProgramBinaryVersion = 8;
 
 /// Encodes \p Program into a self-contained, checksummed byte blob in
 /// the current format. Never fails.

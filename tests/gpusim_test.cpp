@@ -16,6 +16,8 @@
 
 #include <atomic>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -366,6 +368,95 @@ TEST_F(BlockSizeTest, DirectConstructionDefaults) {
   EXPECT_EQ(Defaulted.getBlockSize(), GpuExecutor::kDefaultBlockSize);
   GpuExecutor Overridden(gpuProgram(), {}, /*BlockSize=*/96);
   EXPECT_EQ(Overridden.getBlockSize(), 96u);
+}
+
+//===----------------------------------------------------------------------===//
+// Device validation
+//===----------------------------------------------------------------------===//
+
+/// The error PipelineConfig::create reports for a GPU target whose
+/// default device \p Edit changed, or an empty string if it accepts it.
+std::string deviceError(const std::function<void(GpuDeviceConfig &)> &Edit,
+                        Target TheTarget = Target::GPU) {
+  CompilerOptions Options;
+  Options.TheTarget = TheTarget;
+  Edit(Options.Device);
+  Expected<PipelineConfig> Config = PipelineConfig::create(Options);
+  return Config ? std::string() : Config.getError().message();
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Expects every value of \p Bad in \p Field to be rejected with a
+/// message naming the field.
+void expectRejected(const char *Field, double GpuDeviceConfig::*Member,
+                    std::initializer_list<double> Bad) {
+  for (double Value : Bad) {
+    std::string Error =
+        deviceError([&](GpuDeviceConfig &D) { D.*Member = Value; });
+    EXPECT_NE(Error.find(Field), std::string::npos)
+        << Field << " = " << Value << ": '" << Error << "'";
+  }
+}
+
+TEST(DeviceValidationTest, DefaultsAndValidEditsPass) {
+  EXPECT_EQ(deviceError([](GpuDeviceConfig &) {}), "");
+  // Fixed costs may be zero.
+  EXPECT_EQ(deviceError([](GpuDeviceConfig &D) {
+              D.TransferLatencyUs = 0;
+              D.KernelLaunchOverheadUs = 0;
+              D.BlockScheduleOverheadNs = 0;
+            }),
+            "");
+  // Only a GPU target simulates the device.
+  EXPECT_EQ(deviceError([](GpuDeviceConfig &D) { D.NumSMs = 0; },
+                        Target::CPU),
+            "");
+}
+
+TEST(DeviceValidationTest, RejectsZeroNumSMs) {
+  EXPECT_NE(deviceError([](GpuDeviceConfig &D) { D.NumSMs = 0; })
+                .find("NumSMs"),
+            std::string::npos);
+}
+
+TEST(DeviceValidationTest, RejectsZeroMaxThreadsPerSM) {
+  EXPECT_NE(deviceError([](GpuDeviceConfig &D) { D.MaxThreadsPerSM = 0; })
+                .find("MaxThreadsPerSM"),
+            std::string::npos);
+}
+
+TEST(DeviceValidationTest, RejectsBadPeakSpeedup) {
+  expectRejected("PeakSpeedup", &GpuDeviceConfig::PeakSpeedup,
+                 {0.0, -1.0, kNaN, kInf});
+}
+
+TEST(DeviceValidationTest, RejectsBadPcieBandwidth) {
+  expectRejected("PcieBandwidthGBs", &GpuDeviceConfig::PcieBandwidthGBs,
+                 {0.0, -1.0, kNaN, kInf});
+}
+
+TEST(DeviceValidationTest, RejectsBadDeviceBandwidth) {
+  expectRejected("DeviceBandwidthGBs", &GpuDeviceConfig::DeviceBandwidthGBs,
+                 {0.0, -1.0, kNaN, kInf});
+}
+
+TEST(DeviceValidationTest, RejectsBadTransferLatency) {
+  expectRejected("TransferLatencyUs", &GpuDeviceConfig::TransferLatencyUs,
+                 {-1.0, kNaN, kInf});
+}
+
+TEST(DeviceValidationTest, RejectsBadKernelLaunchOverhead) {
+  expectRejected("KernelLaunchOverheadUs",
+                 &GpuDeviceConfig::KernelLaunchOverheadUs,
+                 {-1.0, kNaN, kInf});
+}
+
+TEST(DeviceValidationTest, RejectsBadBlockScheduleOverhead) {
+  expectRejected("BlockScheduleOverheadNs",
+                 &GpuDeviceConfig::BlockScheduleOverheadNs,
+                 {-1.0, kNaN, kInf});
 }
 
 //===----------------------------------------------------------------------===//

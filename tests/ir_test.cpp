@@ -132,11 +132,11 @@ TEST_F(IRTest, TypesAreUniqued) {
 }
 
 TEST_F(IRTest, TypeCasting) {
-  Type T = VectorType::get(Ctx, 8, FloatType::getF32(Ctx));
-  ASSERT_TRUE(T.isa<VectorType>());
+  Type T = MemRefType::get(Ctx, {4, 8}, FloatType::getF32(Ctx));
+  ASSERT_TRUE(T.isa<MemRefType>());
   EXPECT_FALSE(T.isa<TensorType>());
-  EXPECT_EQ(T.cast<VectorType>().getNumLanes(), 8u);
-  EXPECT_EQ(T.cast<VectorType>().getElementType(),
+  EXPECT_EQ(T.cast<MemRefType>().getShape()[1], 8);
+  EXPECT_EQ(T.cast<MemRefType>().getElementType(),
             Type(FloatType::getF32(Ctx)));
   EXPECT_FALSE(static_cast<bool>(T.dyn_cast<TensorType>()));
 }
@@ -178,14 +178,6 @@ TEST_F(IRTest, FloatAttributesAreUniquedByBits) {
             Attribute(DenseF64Attr::get(Ctx, {0.5, -0.0})));
   EXPECT_EQ(DenseF64Attr::get(Ctx, {0.5, NaN}),
             DenseF64Attr::get(Ctx, {0.5, NaN}));
-}
-
-TEST_F(IRTest, ArrayAttr) {
-  ArrayAttr Arr = ArrayAttr::get(
-      Ctx, {IntAttr::get(Ctx, 1), StringAttr::get(Ctx, "x")});
-  ASSERT_EQ(Arr.size(), 2u);
-  EXPECT_EQ(Arr.getElement(0).cast<IntAttr>().getValue(), 1);
-  EXPECT_EQ(Arr.getElement(1).cast<StringAttr>().getValue(), "x");
 }
 
 //===----------------------------------------------------------------------===//
@@ -318,8 +310,6 @@ TEST_F(IRTest, PrintsTypes) {
   EXPECT_EQ(TypeToString(MemRefType::get(Ctx, {4, TypeStorage::kDynamic},
                                          FloatType::getF32(Ctx))),
             "memref<4x?xf32>");
-  EXPECT_EQ(TypeToString(VectorType::get(Ctx, 8, FloatType::getF32(Ctx))),
-            "vector<8xf32>");
 }
 
 //===----------------------------------------------------------------------===//
@@ -367,11 +357,6 @@ TEST_F(PrinterTest, OpsValuesAndScalarAttributes) {
   State.addAttribute("marker", UnitAttr::get(Ctx));
   State.addAttribute("name", StringAttr::get(Ctx, "say \"hi\" \\ bye"));
   State.addAttribute("type", TypeAttr::get(Ctx, IntegerType::get(Ctx, 32)));
-  State.addAttribute(
-      "list", ArrayAttr::get(Ctx, {IntAttr::get(Ctx, 1),
-                                   FloatAttr::get(Ctx, 2.5),
-                                   StringAttr::get(Ctx, "x")}));
-  State.addAttribute("empty", ArrayAttr::get(Ctx, {}));
   State.addResultType(FloatType::getF32(Ctx));
   State.addResultType(IntegerType::get(Ctx, 1));
   Operation *TwoResults = Builder->createOperation(State);
@@ -380,7 +365,7 @@ TEST_F(PrinterTest, OpsValuesAndScalarAttributes) {
   %0 = "test.const"() {value = 0.25} : () -> f64
   %1 = "test.const"() {value = -1.5} : () -> f64
   %2 = "test.add"(%0, %1) : (f64, f64) -> f64
-  %3, %4 = "test.op"(%2, %0) {count = -7, empty = [], huge = 1e+20, list = [1, 2.5, "x"], marker = unit, name = "say \"hi\" \\ bye", off = false, on = true, third = 0.33333333333333331, tiny = 1e-300, type = i32, whole = 3.0} : (f64, f64) -> (f32, i1)
+  %3, %4 = "test.op"(%2, %0) {count = -7, huge = 1e+20, marker = unit, name = "say \"hi\" \\ bye", off = false, on = true, third = 0.33333333333333331, tiny = 1e-300, type = i32, whole = 3.0} : (f64, f64) -> (f32, i1)
   "test.sink"(%4) : (i1) -> ()
 }) : () -> ()
 )ir");
@@ -473,11 +458,9 @@ TEST_F(PrinterTest, ShapedAndDialectTypes) {
                      TypeAttr::get(Ctx, TensorType::get(
                                             Ctx, {Dyn, Dyn},
                                             lospn::LogType::get(Ctx, F64))));
-  State.addResultType(VectorType::get(Ctx, 8, F32));
   State.addResultType(hispn::ProbType::get(Ctx));
   State.addResultType(lospn::LogType::get(Ctx, F64));
   State.addResultType(IndexType::get(Ctx));
-  State.addResultType(NoneType::get(Ctx));
   State.addRegion();
   Operation *Types = Builder->createOperation(State);
   Block &Body = Types->getRegion(0).emplaceBlock();
@@ -493,10 +476,10 @@ TEST_F(PrinterTest, ShapedAndDialectTypes) {
   Inner.addResultType(hispn::ProbType::get(Ctx));
   OpBuilder::atBlockEnd(Ctx, &Body).createOperation(Inner);
   expectModulePrints(R"ir("builtin.module"() ({
-  %0, %1, %2, %3, %4 = "test.types"() ({
+  %0, %1, %2 = "test.types"() ({
   ^bb(%arg0: memref<?x26xf64>, %arg1: memref<2x?x!lo_spn.log<f32>>, %arg2: tensor<?x26xf64>, %arg3: tensor<f32>, %arg4: i64):
-    %5 = "test.inner"(%arg0, %arg1, %arg2, %arg3, %arg4) : (memref<?x26xf64>, memref<2x?x!lo_spn.log<f32>>, tensor<?x26xf64>, tensor<f32>, i64) -> !hi_spn.prob
-  }) {type = tensor<?x?x!lo_spn.log<f64>>} : () -> (vector<8xf32>, !hi_spn.prob, !lo_spn.log<f64>, index, none)
+    %3 = "test.inner"(%arg0, %arg1, %arg2, %arg3, %arg4) : (memref<?x26xf64>, memref<2x?x!lo_spn.log<f32>>, tensor<?x26xf64>, tensor<f32>, i64) -> !hi_spn.prob
+  }) {type = tensor<?x?x!lo_spn.log<f64>>} : () -> (!hi_spn.prob, !lo_spn.log<f64>, index)
 }) : () -> ()
 )ir");
 }

@@ -667,6 +667,83 @@ TEST_F(ServingTest, MergedModelsShareOneKernelAndBatchAcrossModels) {
   Server.shutdown();
 }
 
+TEST_F(ServingTest, MergedGroupMembersShareTheFirstMembersShard) {
+  // The first member of a merge group is placed by its structural hash;
+  // every later member joins the group's entry, so the whole group
+  // lands on that one shard. Tenants differ in their content hashes,
+  // so placing them one by one would spread them over the shards.
+  constexpr unsigned kTenants = 10;
+  constexpr size_t kShards = 4;
+  workloads::RatSpnOptions Rat;
+  Rat.NumFeatures = 16;
+  Rat.Depth = 2;
+  Rat.Replicas = 2;
+  Rat.SumsPerRegion = 3;
+  Rat.LeafDistributions = 4;
+  Rat.Seed = 23;
+  std::vector<spn::Model> Tenants;
+  for (unsigned Class = 0; Class < kTenants; ++Class)
+    Tenants.push_back(workloads::generateRatSpn(Rat, Class));
+
+  KernelCache Cache;
+  ServerConfig Config;
+  Config.MergeModels = true;
+  Config.NumShards = kShards;
+  InferenceServer Server(Config, &Cache);
+  for (unsigned T = 0; T < kTenants; ++T)
+    ASSERT_FALSE(Server.addModel("tenant" + std::to_string(T),
+                                 Tenants[T], Query, Compile))
+        << "tenant " << T;
+
+  size_t GroupShard = InferenceServer::placeOnShard(
+      KernelCache::structuralHash(Tenants[0]), kShards);
+  for (unsigned T = 0; T < kTenants; ++T) {
+    std::optional<size_t> Placed =
+        Server.getModelShard("tenant" + std::to_string(T));
+    ASSERT_TRUE(Placed.has_value()) << "tenant " << T;
+    EXPECT_EQ(*Placed, GroupShard) << "tenant " << T;
+  }
+  Server.shutdown();
+}
+
+TEST_F(ServingTest, ConcurrentRegistrationsAllRoute) {
+  // Registration is thread-safe like every public member: names added
+  // from several threads at once, merged or not, all route and answer.
+  KernelCache Cache;
+  std::vector<double> Expected = directResults(Cache, Query, Compile);
+  constexpr unsigned kThreads = 4;
+  constexpr unsigned kPerThread = 4;
+  // Appended rather than "m" + ..., which GCC 12 flags with -Wrestrict.
+  std::vector<std::string> Names(kThreads * kPerThread, "m");
+  for (unsigned M = 0; M < Names.size(); ++M)
+    Names[M] += std::to_string(M);
+  for (bool Merge : {false, true}) {
+    ServerConfig Config;
+    Config.MergeModels = Merge;
+    Config.NumShards = 2;
+    InferenceServer Server(Config, &Cache);
+    std::atomic<unsigned> Failures{0};
+    std::vector<std::thread> Threads;
+    for (unsigned T = 0; T < kThreads; ++T)
+      Threads.emplace_back([&, T] {
+        for (unsigned I = 0; I < kPerThread; ++I)
+          if (Server.addModel(Names[T * kPerThread + I], *Model, Query,
+                              Compile))
+            ++Failures;
+      });
+    for (std::thread &Thread : Threads)
+      Thread.join();
+    EXPECT_EQ(Failures.load(), 0u) << "merged: " << Merge;
+    for (unsigned M = 0; M < Names.size(); ++M) {
+      InferenceResult Result = Server.submit(Names[M], sampleRow(M), 1).take();
+      ASSERT_EQ(Result.Status, RequestStatus::Ok) << Names[M];
+      EXPECT_EQ(Result.LogLikelihoods[0], Expected[M % kNumSamples])
+          << Names[M];
+    }
+    Server.shutdown();
+  }
+}
+
 TEST_F(ServingTest, MergeModelsFallsBackForUnsupportedQueries) {
   // MPE kernels bake their parameters: the server must silently fall
   // back to a per-model queue, not fail registration.

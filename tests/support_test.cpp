@@ -22,10 +22,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <filesystem>
 #include <numeric>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 using namespace spnc;
@@ -104,6 +106,53 @@ TEST(HashingTest, CombineIsOrderSensitive) {
   EXPECT_EQ(hashCombine(1, 2, 3), hashCombine(1, 2, 3));
   std::vector<int> A{1, 2, 3}, B{3, 2, 1};
   EXPECT_NE(hashRange(A.begin(), A.end()), hashRange(B.begin(), B.end()));
+}
+
+TEST(HashingTest, Xxh64MatchesReferenceVectors) {
+  auto Hash = [](std::string_view Text, uint64_t Seed = 0) {
+    return xxh64(Text.data(), Text.size(), Seed);
+  };
+  EXPECT_EQ(Hash(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(Hash("abc"), 0x44BC2CF5AD770999ULL);
+  // 39 bytes: one 32-byte stripe, then a 4-byte and three 1-byte steps.
+  EXPECT_EQ(Hash("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ULL);
+  EXPECT_EQ(Hash("xxhash", 20141025), 0xB559B98D844E0635ULL);
+}
+
+TEST(HashingTest, WordHasherEqualsXxh64OverTheWords) {
+  std::vector<uint64_t> Words;
+  for (uint64_t N = 0; N <= 9; ++N) {
+    WordHasher Stream;
+    for (uint64_t Word : Words)
+      Stream.add(Word);
+    EXPECT_EQ(Stream.finish(),
+              xxh64(Words.data(), Words.size() * sizeof(uint64_t)))
+        << N << " words";
+    Words.push_back(splitmix64(N));
+  }
+}
+
+TEST(HashingTest, HighInputBitsReachLowOutputBits) {
+  // A structural cache hit trusts the hash alone, so a change anywhere
+  // in the input must reach every output bit: flipping the top bit of
+  // one word of a stream flips about half of the low 32 output bits.
+  constexpr int kTrials = 1000;
+  int FlippedBits = 0;
+  for (int Trial = 0; Trial < kTrials; ++Trial) {
+    WordHasher A, B;
+    for (uint64_t I = 0; I < 6; ++I) {
+      uint64_t Word = splitmix64(Trial * 8 + I);
+      A.add(Word);
+      B.add(I == 2 ? Word ^ (uint64_t(1) << 63) : Word);
+    }
+    uint32_t Low = static_cast<uint32_t>(A.finish() ^ B.finish());
+    EXPECT_NE(Low, 0u) << "trial " << Trial;
+    FlippedBits += std::popcount(Low);
+  }
+  double Mean = static_cast<double>(FlippedBits) / kTrials;
+  EXPECT_GT(Mean, 14.0);
+  EXPECT_LT(Mean, 18.0);
 }
 
 TEST(StringUtilsTest, FormatAndSplit) {

@@ -719,7 +719,7 @@ TEST(ProgramBinaryTest, ReadProgramFileReportsReadAndDecodeErrors) {
 }
 
 TEST(ProgramBinaryTest, ReportsCurrentVersionAndChecksum) {
-  // Header: magic, version word, then the FNV-1a checksum of the payload
+  // Header: magic, version word, then the XXH64 checksum of the payload
   // that starts at byte 16 (docs/spnk-format.md).
   std::vector<uint8_t> Blob = encodeProgram(makeSampleProgram());
   ASSERT_GT(Blob.size(), 16u);
@@ -728,7 +728,7 @@ TEST(ProgramBinaryTest, ReportsCurrentVersionAndChecksum) {
   EXPECT_EQ(Version, kProgramBinaryVersion);
   uint64_t Checksum = 0;
   std::memcpy(&Checksum, Blob.data() + 8, sizeof(Checksum));
-  EXPECT_EQ(Checksum, fnv1a64(Blob.data() + 16, Blob.size() - 16));
+  EXPECT_EQ(Checksum, xxh64(Blob.data() + 16, Blob.size() - 16));
   EXPECT_TRUE(static_cast<bool>(decodeProgram(Blob)));
 }
 
