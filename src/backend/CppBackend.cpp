@@ -142,9 +142,8 @@ runtime::EngineCapabilities
 nativeCapabilities(const vm::KernelProgram &Program,
                    const NativeEntryPoints &Entry) {
   runtime::EngineCapabilities Caps = runtime::EngineCapabilities::of(Program);
-  if (!Entry.Upward)
-    Caps.Kinds &= ~(runtime::kindBit(vm::QueryKind::Mpe) |
-                    runtime::kindBit(vm::QueryKind::Sample));
+  if (!Entry.Upward && spn::needsTraceback(Program.Query))
+    Caps.Kinds = 0;
   for (const vm::BufferInfo &Info : Program.Buffers)
     if (Info.Columns > 1 &&
         ((Info.Role == vm::BufferInfo::Kind::Input && Info.Transposed) ||
@@ -215,8 +214,7 @@ public:
       return false;
     return timedRun(Request, Stats, [&](runtime::ExecutionStats &) {
       size_t N = Request.NumSamples;
-      if (Request.Kind == vm::QueryKind::Mpe ||
-          Request.Kind == vm::QueryKind::Sample) {
+      if (spn::needsTraceback(Request.Kind)) {
         if (Program.UseF32)
           runMpeOrSample<float>(Request);
         else
@@ -316,13 +314,13 @@ std::string CppBackend::resolveCompiler() const {
 uint64_t CppBackend::artifactFingerprint() const {
   // Everything that changes the produced .so for a fixed program:
   // emitter semantics, toolchain identity, codegen flags.
-  size_t Seed = xxh64("cpp", 3);
-  hashCombineSeed(Seed, kCppEmitterVersion);
   std::string Compiler = resolveCompiler();
-  hashCombineSeed(Seed, xxh64(Compiler.data(), Compiler.size()));
+  WordHasher Hash;
+  Hash.addFields(xxh64("cpp", 3), kCppEmitterVersion,
+                 xxh64(Compiler.data(), Compiler.size()));
   for (const std::string &Flag : Options.ExtraFlags)
-    hashCombineSeed(Seed, xxh64(Flag.data(), Flag.size()));
-  return Seed;
+    Hash.add(xxh64(Flag.data(), Flag.size()));
+  return Hash.finish();
 }
 
 bool CppBackend::isAvailable(std::string *Reason) const {

@@ -541,8 +541,7 @@ spnc::backend::emitCppKernel(const KernelProgram &Program, unsigned Lanes,
     return makeError("cpp emitter: lane width " + std::to_string(Lanes) +
                      " is not a power of two of at most " +
                      std::to_string(kCppMaxVectorBytes) + " bytes");
-  bool NeedsPlan =
-      Program.Query == QueryKind::Mpe || Program.Query == QueryKind::Sample;
+  bool NeedsPlan = spn::needsTraceback(Program.Query);
   if (NeedsPlan) {
     if (Program.Plan.empty())
       return makeError(

@@ -45,9 +45,9 @@ public:
   /// The artifact is the portable program itself, interpreted; the
   /// binary-format version is the only thing that can change it.
   uint64_t artifactFingerprint() const override {
-    size_t Seed = xxh64("vm", 2);
-    hashCombineSeed(Seed, vm::kProgramBinaryVersion);
-    return Seed;
+    WordHasher Hash;
+    Hash.addFields(xxh64("vm", 2), vm::kProgramBinaryVersion);
+    return Hash.finish();
   }
 
   Expected<std::shared_ptr<runtime::ExecutionEngine>>

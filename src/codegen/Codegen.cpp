@@ -13,10 +13,12 @@
 #include "vm/ParamTable.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <optional>
 #include <span>
+#include <unordered_map>
 
 using namespace spnc;
 using namespace spnc::ir;
@@ -411,27 +413,26 @@ private:
     Program.ParamSites.push_back(Site);
   }
 
+  /// The first structural slot holding a value equal to \p Value, or a
+  /// new one: +0.0 and -0.0 share a slot (they compare equal), and so
+  /// does every NaN.
   uint32_t poolConstant(double Value) {
-    for (size_t I = 0; I < Program.ConstPool.size(); ++I) {
-      // Never pool into a tunable slot: a structural constant that
-      // happens to equal the generating model's weight would change
-      // under rebinding.
-      if (I < PoolSlotIsParam.size() && PoolSlotIsParam[I])
-        continue;
-      double Existing = Program.ConstPool[I];
-      if (Existing == Value ||
-          (std::isnan(Existing) && std::isnan(Value)))
-        return static_cast<uint32_t>(I);
-    }
-    Program.ConstPool.push_back(Value);
-    PoolSlotIsParam.push_back(false);
-    return static_cast<uint32_t>(Program.ConstPool.size() - 1);
+    double Canonical = Value == 0.0        ? 0.0
+                       : std::isnan(Value) ? kQuietNan
+                                           : Value;
+    auto [It, Inserted] = StructuralSlotOf.try_emplace(
+        std::bit_cast<uint64_t>(Canonical),
+        static_cast<uint32_t>(Program.ConstPool.size()));
+    if (Inserted)
+      Program.ConstPool.push_back(Value);
+    return It->second;
   }
 
-  /// A fresh, never-deduplicated constant-pool slot for a tunable value.
+  /// A fresh constant-pool slot for a tunable value, never handed out
+  /// by poolConstant: a structural constant that happens to equal the
+  /// generating model's weight would change under rebinding.
   uint32_t paramPoolSlot(double Value) {
     Program.ConstPool.push_back(Value);
-    PoolSlotIsParam.push_back(true);
     return static_cast<uint32_t>(Program.ConstPool.size() - 1);
   }
 
@@ -453,9 +454,10 @@ private:
   /// Traceback plan under construction (null for joint/marginal).
   TracebackPlan *Plan;
   TaskProgram Program;
-  /// Parallel to Program.ConstPool: slots holding a tunable parameter
-  /// (excluded from constant pooling).
-  std::vector<uint8_t> PoolSlotIsParam;
+  static constexpr double kQuietNan =
+      std::numeric_limits<double>::quiet_NaN();
+  /// The structural (non-parameter) pool slot per canonical value bits.
+  std::unordered_map<uint64_t, uint32_t> StructuralSlotOf;
   ValueMap<uint32_t> RegOf;
   /// Input feature index a value carries (plan building only).
   ValueMap<uint32_t> FeatureOf;
@@ -1112,8 +1114,7 @@ spnc::codegen::emitKernelProgram(KernelOp Kernel,
   // registers by index, so every SSA value must keep its own register:
   // force direct emission regardless of the requested level (the
   // pipeline also skips task partitioning for these queries).
-  bool NeedsPlan = Options.Query == QueryKind::Mpe ||
-                   Options.Query == QueryKind::Sample;
+  bool NeedsPlan = spn::needsTraceback(Options.Query);
   unsigned OptLevel = NeedsPlan ? 0 : Options.OptLevel;
 
   // Buffer plan from the kernel signature and allocs.

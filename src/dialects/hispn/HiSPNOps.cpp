@@ -39,13 +39,12 @@ static LogicalResult verifyAllProb(OpView Op) {
 }
 
 //===----------------------------------------------------------------------===//
-// JointQueryOp
+// QueryOp (JointQueryOp, MpeQueryOp, SampleQueryOp)
 //===----------------------------------------------------------------------===//
 
-void JointQueryOp::build(OpBuilder &Builder, OperationState &State,
-                         unsigned NumFeatures, Type InputType,
-                         unsigned BatchSize, bool SupportMarginal,
-                         bool LogSpace) {
+void QueryOp::build(OpBuilder &Builder, OperationState &State,
+                    unsigned NumFeatures, Type InputType, unsigned BatchSize,
+                    bool SupportMarginal, bool LogSpace) {
   Context &Ctx = Builder.getContext();
   State.addAttribute("numFeatures", IntAttr::get(Ctx, NumFeatures));
   State.addAttribute("inputType", TypeAttr::get(Ctx, InputType));
@@ -55,14 +54,19 @@ void JointQueryOp::build(OpBuilder &Builder, OperationState &State,
   State.addRegion();
 }
 
-Operation *JointQueryOp::getGraph() const {
+bool QueryOp::classof(Operation *Op) {
+  return isa_op<JointQueryOp>(Op) || isa_op<MpeQueryOp>(Op) ||
+         isa_op<SampleQueryOp>(Op);
+}
+
+Operation *QueryOp::getGraph() const {
   Region &TheRegion = TheOp->getRegion(0);
   if (TheRegion.empty() || TheRegion.front().empty())
     return nullptr;
   return TheRegion.front().front();
 }
 
-LogicalResult JointQueryOp::verify() {
+LogicalResult QueryOp::verify() {
   if (TheOp->getNumRegions() != 1)
     return emitOpError(*this, "requires exactly one region");
   if (!TheOp->hasAttr("numFeatures") || !TheOp->hasAttr("batchSize") ||
@@ -75,77 +79,6 @@ LogicalResult JointQueryOp::verify() {
   if (cast_op<GraphOp>(Graph).getNumFeatures() != getNumFeatures())
     return emitOpError(*this, "numFeatures mismatch with nested graph");
   return success();
-}
-
-//===----------------------------------------------------------------------===//
-// MpeQueryOp / SampleQueryOp (same structure as JointQueryOp)
-//===----------------------------------------------------------------------===//
-
-/// Shared attribute setup of the three query ops.
-static void buildQueryOp(OpBuilder &Builder, OperationState &State,
-                         unsigned NumFeatures, Type InputType,
-                         unsigned BatchSize, bool SupportMarginal,
-                         bool LogSpace) {
-  Context &Ctx = Builder.getContext();
-  State.addAttribute("numFeatures", IntAttr::get(Ctx, NumFeatures));
-  State.addAttribute("inputType", TypeAttr::get(Ctx, InputType));
-  State.addAttribute("batchSize", IntAttr::get(Ctx, BatchSize));
-  State.addAttribute("supportMarginal", BoolAttr::get(Ctx, SupportMarginal));
-  State.addAttribute("logSpace", BoolAttr::get(Ctx, LogSpace));
-  State.addRegion();
-}
-
-/// Shared structural verification of the three query ops.
-static LogicalResult verifyQueryOp(OpView Op, Operation *Graph,
-                                   unsigned NumFeatures) {
-  if (Op->getNumRegions() != 1)
-    return emitOpError(Op, "requires exactly one region");
-  if (!Op->hasAttr("numFeatures") || !Op->hasAttr("batchSize") ||
-      !Op->hasAttr("inputType"))
-    return emitOpError(Op, "requires numFeatures, batchSize and inputType");
-  if (!Graph || !isa_op<GraphOp>(Graph))
-    return emitOpError(Op, "region must contain a single hi_spn.graph");
-  if (cast_op<GraphOp>(Graph).getNumFeatures() != NumFeatures)
-    return emitOpError(Op, "numFeatures mismatch with nested graph");
-  return success();
-}
-
-void MpeQueryOp::build(OpBuilder &Builder, OperationState &State,
-                       unsigned NumFeatures, Type InputType,
-                       unsigned BatchSize, bool SupportMarginal,
-                       bool LogSpace) {
-  buildQueryOp(Builder, State, NumFeatures, InputType, BatchSize,
-               SupportMarginal, LogSpace);
-}
-
-Operation *MpeQueryOp::getGraph() const {
-  Region &TheRegion = TheOp->getRegion(0);
-  if (TheRegion.empty() || TheRegion.front().empty())
-    return nullptr;
-  return TheRegion.front().front();
-}
-
-LogicalResult MpeQueryOp::verify() {
-  return verifyQueryOp(*this, getGraph(), getNumFeatures());
-}
-
-void SampleQueryOp::build(OpBuilder &Builder, OperationState &State,
-                          unsigned NumFeatures, Type InputType,
-                          unsigned BatchSize, bool SupportMarginal,
-                          bool LogSpace) {
-  buildQueryOp(Builder, State, NumFeatures, InputType, BatchSize,
-               SupportMarginal, LogSpace);
-}
-
-Operation *SampleQueryOp::getGraph() const {
-  Region &TheRegion = TheOp->getRegion(0);
-  if (TheRegion.empty() || TheRegion.front().empty())
-    return nullptr;
-  return TheRegion.front().front();
-}
-
-LogicalResult SampleQueryOp::verify() {
-  return verifyQueryOp(*this, getGraph(), getNumFeatures());
 }
 
 //===----------------------------------------------------------------------===//

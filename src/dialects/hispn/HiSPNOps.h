@@ -12,7 +12,8 @@
 /// values of the abstract `!hi_spn.prob` type, deferring the choice of the
 /// concrete computation datatype to the lowering.
 ///
-/// Structure of a query:
+/// Structure of a query (hi_spn.mpe_query and hi_spn.sample_query have
+/// the same one, see QueryOp):
 ///   hi_spn.joint_query {numFeatures, batchSize, inputType,
 ///                       supportMarginal, logSpace} (
 ///     hi_spn.graph {numFeatures} (
@@ -52,19 +53,21 @@ void registerHiSPNDialect(ir::Context &Ctx);
 // Query and structure ops
 //===----------------------------------------------------------------------===//
 
-/// Top-level joint-probability query over one SPN graph. A marginal query
-/// is a joint query with `supportMarginal = true`, where NaN evidence
-/// marginalizes the corresponding feature (paper §V-A).
-class JointQueryOp : public ir::OpView {
+/// The attributes, builder, verifier and accessors the three top-level
+/// query ops share: each holds one hi_spn.graph, and its name says what
+/// the lowering compiles the graph for. Not an op of its own.
+class QueryOp : public ir::OpView {
 public:
   using OpView::OpView;
-  static const char *getOperationName() { return "hi_spn.joint_query"; }
   static constexpr bool kIsPure = false;
   static constexpr bool kIsTerminator = false;
 
   static void build(ir::OpBuilder &Builder, ir::OperationState &State,
                     unsigned NumFeatures, ir::Type InputType,
                     unsigned BatchSize, bool SupportMarginal, bool LogSpace);
+
+  /// True if \p Op is one of the three query ops.
+  static bool classof(ir::Operation *Op);
 
   unsigned getNumFeatures() const {
     return static_cast<unsigned>(TheOp->getIntAttr("numFeatures"));
@@ -87,73 +90,32 @@ public:
   LogicalResult verify();
 };
 
+/// Top-level joint-probability query over one SPN graph. A marginal query
+/// is a joint query with `supportMarginal = true`, where NaN evidence
+/// marginalizes the corresponding feature (paper §V-A).
+class JointQueryOp : public QueryOp {
+public:
+  using QueryOp::QueryOp;
+  static const char *getOperationName() { return "hi_spn.joint_query"; }
+};
+
 /// Top-level MPE (max-product) query over one SPN graph: the lowering
 /// replaces sum-combines with maxes, and the compiled kernel returns an
 /// argmax-completed assignment plus its max-product (log-)probability.
 /// NaN evidence marks the features to complete (docs/queries.md).
-class MpeQueryOp : public ir::OpView {
+class MpeQueryOp : public QueryOp {
 public:
-  using OpView::OpView;
+  using QueryOp::QueryOp;
   static const char *getOperationName() { return "hi_spn.mpe_query"; }
-  static constexpr bool kIsPure = false;
-  static constexpr bool kIsTerminator = false;
-
-  static void build(ir::OpBuilder &Builder, ir::OperationState &State,
-                    unsigned NumFeatures, ir::Type InputType,
-                    unsigned BatchSize, bool SupportMarginal, bool LogSpace);
-
-  unsigned getNumFeatures() const {
-    return static_cast<unsigned>(TheOp->getIntAttr("numFeatures"));
-  }
-  unsigned getBatchSize() const {
-    return static_cast<unsigned>(TheOp->getIntAttr("batchSize"));
-  }
-  ir::Type getInputType() const {
-    return TheOp->getAttr("inputType").cast<ir::TypeAttr>().getValue();
-  }
-  bool getSupportMarginal() const {
-    return TheOp->getBoolAttr("supportMarginal");
-  }
-  bool getLogSpace() const { return TheOp->getBoolAttr("logSpace"); }
-
-  /// The single hi_spn.graph op nested in the query region.
-  ir::Operation *getGraph() const;
-
-  LogicalResult verify();
 };
 
 /// Top-level ancestral-sampling query over one SPN graph: the upward
 /// pass is the marginal evidence program, and the compiled kernel draws
 /// seeded i.i.d. samples conditioned on the non-NaN evidence.
-class SampleQueryOp : public ir::OpView {
+class SampleQueryOp : public QueryOp {
 public:
-  using OpView::OpView;
+  using QueryOp::QueryOp;
   static const char *getOperationName() { return "hi_spn.sample_query"; }
-  static constexpr bool kIsPure = false;
-  static constexpr bool kIsTerminator = false;
-
-  static void build(ir::OpBuilder &Builder, ir::OperationState &State,
-                    unsigned NumFeatures, ir::Type InputType,
-                    unsigned BatchSize, bool SupportMarginal, bool LogSpace);
-
-  unsigned getNumFeatures() const {
-    return static_cast<unsigned>(TheOp->getIntAttr("numFeatures"));
-  }
-  unsigned getBatchSize() const {
-    return static_cast<unsigned>(TheOp->getIntAttr("batchSize"));
-  }
-  ir::Type getInputType() const {
-    return TheOp->getAttr("inputType").cast<ir::TypeAttr>().getValue();
-  }
-  bool getSupportMarginal() const {
-    return TheOp->getBoolAttr("supportMarginal");
-  }
-  bool getLogSpace() const { return TheOp->getBoolAttr("logSpace"); }
-
-  /// The single hi_spn.graph op nested in the query region.
-  ir::Operation *getGraph() const;
-
-  LogicalResult verify();
 };
 
 /// Container for the SPN DAG. Block arguments are the feature values.

@@ -32,39 +32,22 @@ spnc::spn::translateToHiSPN(Context &Ctx, const Model &TheModel,
 
   // Features arrive as f64 evidence values (SPFlow uses float64 numpy
   // arrays); the abstract probability type defers the compute type.
-  // MPE and sampling always support marginalized (NaN) evidence: that
-  // is how features are marked as to-be-completed (docs/queries.md).
+  // The resolved query spells a marginal query one way, and MPE and
+  // sampling always support marginalized (NaN) evidence: that is how
+  // features are marked as to-be-completed (docs/queries.md).
+  QueryConfig Query = resolveQuery(TheModel, Config);
   Type InputType = FloatType::getF64(Ctx);
   unsigned NumFeatures = TheModel.getNumFeatures();
-  bool Marginal = Config.SupportMarginal ||
-                  Config.Kind == QueryKind::Marginal ||
-                  Config.Kind == QueryKind::Mpe ||
-                  Config.Kind == QueryKind::Sample;
-  Operation *QueryOp = nullptr;
-  switch (Config.Kind) {
-  case QueryKind::Joint:
-  case QueryKind::Marginal:
-    QueryOp = Builder
-                  .create<hispn::JointQueryOp>(NumFeatures, InputType,
-                                               Config.BatchSize, Marginal,
-                                               Config.LogSpace)
-                  .getOperation();
-    break;
-  case QueryKind::Mpe:
-    QueryOp = Builder
-                  .create<hispn::MpeQueryOp>(NumFeatures, InputType,
-                                             Config.BatchSize, Marginal,
-                                             Config.LogSpace)
-                  .getOperation();
-    break;
-  case QueryKind::Sample:
-    QueryOp = Builder
-                  .create<hispn::SampleQueryOp>(NumFeatures, InputType,
-                                                Config.BatchSize, Marginal,
-                                                Config.LogSpace)
-                  .getOperation();
-    break;
-  }
+  auto Create = [&]<typename OpTy>(OpTy) -> Operation * {
+    return Builder
+        .create<OpTy>(NumFeatures, InputType, Query.BatchSize,
+                      Query.SupportMarginal, Query.LogSpace)
+        .getOperation();
+  };
+  Operation *QueryOp =
+      Query.Kind == QueryKind::Mpe      ? Create(hispn::MpeQueryOp())
+      : Query.Kind == QueryKind::Sample ? Create(hispn::SampleQueryOp())
+                                        : Create(hispn::JointQueryOp());
   Block &QueryBlock = QueryOp->getRegion(0).emplaceBlock();
   Builder.setInsertionPointToEnd(&QueryBlock);
 
@@ -83,8 +66,7 @@ spnc::spn::translateToHiSPN(Context &Ctx, const Model &TheModel,
   // Node ids are dense, so the translation is indexed by id.
   std::vector<Value> Translated(TheModel.getNumNodes());
   std::vector<Value> Operands;
-  bool Tagged =
-      Config.Kind == QueryKind::Joint || Config.Kind == QueryKind::Marginal;
+  bool Tagged = isLikelihood(Query.Kind);
   int64_t NextParam = 0;
   auto TagParams = [&](Operation *Op, int64_t Count) {
     if (!Tagged)

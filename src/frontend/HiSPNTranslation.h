@@ -8,7 +8,8 @@
 /// \file
 /// Entry point into the MLIR-style compilation flow (paper §IV-A2):
 /// translates an SPFlow-equivalent model plus a query description into a
-/// module holding a `hi_spn.joint_query`. The translation is
+/// module holding one HiSPN query op (`hi_spn.joint_query`,
+/// `hi_spn.mpe_query` or `hi_spn.sample_query`). The translation is
 /// straightforward because HiSPN deliberately mirrors SPFlow's internal
 /// representation.
 ///
@@ -25,9 +26,10 @@ namespace spnc {
 namespace spn {
 
 /// Translates \p TheModel with query \p Config into a fresh module in
-/// \p Ctx. Shared DAG nodes translate to a single operation whose result
-/// is reused by every parent. Returns a null ref if the model fails
-/// validation.
+/// \p Ctx. \p Config is resolved first (spn::resolveQuery), so every
+/// spelling of a marginal query translates alike. Shared DAG nodes
+/// translate to a single operation whose result is reused by every
+/// parent. Returns a null ref if the model fails validation.
 ///
 /// Joint and marginal queries tag every sum and leaf op with a `param`
 /// integer attribute: the index of its first tunable parameter in the

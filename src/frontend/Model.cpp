@@ -309,8 +309,8 @@ double Model::minLogProbabilityBound() const {
 
 QueryConfig spnc::spn::resolveQuery(const Model &TheModel,
                                     QueryConfig Query) {
-  if (Query.Kind == QueryKind::Mpe || Query.Kind == QueryKind::Sample)
-    Query.SupportMarginal = true;
+  Query.Kind = resolvedKind(Query);
+  Query.SupportMarginal = Query.Kind != QueryKind::Joint;
   if (Query.DataType == ComputeType::Auto)
     Query.DataType =
         !Query.LogSpace &&

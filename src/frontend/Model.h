@@ -372,14 +372,15 @@ std::string checkNodeParams(const Node &N, double WeightTolerance = 1e-6);
 /// to zero (log FLT_MIN is about -87.3).
 inline constexpr double kF32MinLogProbability = -85.0;
 
-/// Resolves \p Query against \p TheModel: MPE and sampling always
-/// support marginalized evidence, and an Auto compute type becomes F32 in
-/// log space (underflow-safe) and in linear space unless the model's
-/// log-probability bound falls below kF32MinLogProbability, where it
-/// becomes F64 (paper §III-A: the abstract probability type defers the
-/// width to "characteristics ... of the SPN"). The result never holds
-/// ComputeType::Auto; it is the query the compiler lowers and the kernel
-/// cache keys on.
+/// Resolves \p Query against \p TheModel. It folds SupportMarginal into
+/// the kind: a joint query with SupportMarginal becomes Marginal, and
+/// Marginal, MPE and sampling always support marginalized evidence. An
+/// Auto compute type becomes F32 in log space (underflow-safe) and in
+/// linear space unless the model's log-probability bound falls below
+/// kF32MinLogProbability, where it becomes F64 (paper §III-A: the
+/// abstract probability type defers the width to "characteristics ...
+/// of the SPN"). The result never holds ComputeType::Auto; it is the
+/// query the compiler lowers and the kernel cache keys on.
 QueryConfig resolveQuery(const Model &TheModel, QueryConfig Query);
 
 } // namespace spn

@@ -27,9 +27,10 @@ namespace spn {
 /// depth of the graph").
 enum class ComputeType : uint8_t { Auto, F32, F64 };
 
-/// The inference task a kernel is compiled for (docs/queries.md). The
-/// numeric values are a stable on-disk contract (kernel cache keys and
-/// the `.spnk` header) and must not be reordered.
+/// The inference task a kernel is compiled for (docs/queries.md), and
+/// the one definition of the query kinds: the vm layer names it as
+/// `vm::QueryKind`. The numeric values are a stable on-disk contract
+/// (the `.spnk` header's query byte) and must not be reordered.
 enum class QueryKind : uint8_t {
   /// Joint probability of fully observed evidence.
   Joint = 0,
@@ -44,6 +45,24 @@ enum class QueryKind : uint8_t {
   /// evidence (NaN = unobserved).
   Sample = 3,
 };
+static_assert(static_cast<uint8_t>(QueryKind::Joint) == 0 &&
+                  static_cast<uint8_t>(QueryKind::Marginal) == 1 &&
+                  static_cast<uint8_t>(QueryKind::Mpe) == 2 &&
+                  static_cast<uint8_t>(QueryKind::Sample) == 3,
+              "the .spnk header stores these values");
+
+/// True for the likelihood kinds (joint and marginal): one
+/// (log-)probability per row, a kernel keyed on the model's structure
+/// that takes weight tables.
+constexpr bool isLikelihood(QueryKind Kind) {
+  return Kind == QueryKind::Joint || Kind == QueryKind::Marginal;
+}
+
+/// True for the kinds that complete rows through a downward traceback
+/// after the upward pass (MPE and sampling).
+constexpr bool needsTraceback(QueryKind Kind) {
+  return Kind == QueryKind::Mpe || Kind == QueryKind::Sample;
+}
 
 /// Returns the stable query-kind name used by `--query=` flags.
 inline const char *queryKindName(QueryKind Kind) {
@@ -80,13 +99,14 @@ inline bool parseQueryKind(const char *Name, QueryKind &Kind) {
 }
 
 /// A probabilistic query over a batch of samples. Marginal inference
-/// is joint inference with SupportMarginal = true and NaN evidence for
-/// the marginalized features; MPE and sampling reuse the same NaN
-/// contract for their unobserved features (see docs/queries.md).
+/// is joint inference with NaN evidence for the marginalized features;
+/// MPE and sampling reuse the same NaN contract for their unobserved
+/// features (see docs/queries.md).
 struct QueryConfig {
-  /// The inference task to compile for. `Marginal` is `Joint` plus
-  /// SupportMarginal; `Mpe`/`Sample` always imply SupportMarginal
-  /// (conditioning needs NaN evidence handling).
+  /// The inference task to compile for. `Joint` with SupportMarginal
+  /// is another spelling of `Marginal`: spn::resolveQuery folds it into
+  /// the kind, and the compiler, the kernel cache and the engines read
+  /// the resolved kind only.
   QueryKind Kind = QueryKind::Joint;
   /// Optimization hint: chunk size used for multi-threading on CPU and
   /// block size for GPU kernel launches. The compiled kernel still
@@ -94,12 +114,23 @@ struct QueryConfig {
   uint32_t BatchSize = 4096;
   /// Compute in log-space to avoid arithmetic underflow (paper §III-B).
   bool LogSpace = true;
-  /// Generate NaN checks so features can be marginalized at run time.
+  /// Generate NaN checks so features can be marginalized at run time:
+  /// an input spelling of `Kind = Marginal`. `Marginal`, `Mpe` and
+  /// `Sample` always support marginalized evidence, so after
+  /// resolution it is true exactly for the non-joint kinds.
   bool SupportMarginal = false;
   /// Input feature datatype is always a float here (f64); the compute
   /// type may be narrower.
   ComputeType DataType = ComputeType::Auto;
 };
+
+/// The kind \p Query asks for: a joint query with SupportMarginal is a
+/// marginal one (spn::resolveQuery stores it in the kind).
+constexpr QueryKind resolvedKind(const QueryConfig &Query) {
+  return Query.Kind == QueryKind::Joint && Query.SupportMarginal
+             ? QueryKind::Marginal
+             : Query.Kind;
+}
 
 } // namespace spn
 } // namespace spnc

@@ -414,7 +414,7 @@ bool GpuExecutor::run(const runtime::RunRequest &Request,
     S.HasGpuStats = true;
     size_t N = Request.NumSamples;
     StreamLease Lease(*this);
-    if (Request.Kind == QueryKind::Mpe || Request.Kind == QueryKind::Sample) {
+    if (spn::needsTraceback(Request.Kind)) {
       if (Program.UseF32)
         runQueryOnDevice<float>(Program, Config, BlockSize, Request, S.Gpu);
       else

@@ -54,8 +54,7 @@ public:
   bool run(const RunRequest &Request,
            ExecutionStats *Stats = nullptr) const {
     if (TableIndex < 0 || Request.hasTables() ||
-        !(Request.Kind == vm::QueryKind::Joint ||
-          Request.Kind == vm::QueryKind::Marginal))
+        !spn::isLikelihood(Request.Kind))
       return Engine->run(Request, Stats);
     RunRequest Own = Request;
     Own.Table = TableIndex;

@@ -202,8 +202,7 @@ public:
   bool serves(const RunRequest &Request) const {
     if (!Capabilities.serves(Request.Kind))
       return false;
-    bool Likelihood = Request.Kind == vm::QueryKind::Joint ||
-                      Request.Kind == vm::QueryKind::Marginal;
+    bool Likelihood = spn::isLikelihood(Request.Kind);
     if (Request.hasTables() && !(Likelihood && Capabilities.ParamTables))
       return false;
     return Request.NumSamples == 0 ||

@@ -70,43 +70,33 @@ uint64_t KernelCache::structuralHash(const spn::Model &Model) {
 
 uint64_t KernelCache::stageFingerprint(
     const CompilationPipeline &Pipeline) {
-  size_t Seed = hashCombine(Pipeline.getStages().size());
+  WordHasher Hash;
+  Hash.add(Pipeline.getStages().size());
   for (const PipelineStage &Stage : Pipeline.getStages())
-    hashCombineSeed(Seed, xxh64(Stage.Name.data(), Stage.Name.size()));
-  return Seed;
+    Hash.add(xxh64(Stage.Name.data(), Stage.Name.size()));
+  return Hash.finish();
 }
 
 namespace {
 
-/// Folds the non-model key components onto \p ModelHash — shared by the
-/// classic (contentHash-seeded) and merged (structuralHash-seeded) key
-/// paths.
+/// Streams the non-model key components after \p ModelHash — shared by
+/// the classic (contentHash-seeded) and merged (structuralHash-seeded)
+/// key paths. \p Query is resolved, so its kind is the one spelling of
+/// what the kernel answers.
 uint64_t combineKey(uint64_t ModelHash, const spn::QueryConfig &Query,
                     const PipelineConfig &Config,
                     uint64_t StageFingerprint,
                     const backend::Backend &TheBackend) {
-  size_t Seed = ModelHash;
   // Query.Kind participates in the key, so a cache populated with
   // joint/marginal kernels never serves an MPE or sampling request — it
   // misses and recompiles transparently.
-  hashCombineSeed(Seed,
-                  hashCombine(Query.BatchSize, Query.LogSpace,
-                              Query.SupportMarginal,
-                              static_cast<unsigned>(Query.DataType),
-                              static_cast<unsigned>(Query.Kind)));
-  hashCombineSeed(Seed, Config.hash());
-  hashCombineSeed(Seed, StageFingerprint);
+  WordHasher Hash;
   const std::string &Name = TheBackend.getName();
-  hashCombineSeed(Seed, xxh64(Name.data(), Name.size()));
-  hashCombineSeed(Seed, TheBackend.artifactFingerprint());
-  return Seed;
-}
-
-/// True for the queries whose kernels take weight tables and are shared
-/// by every model of one structure.
-bool isLikelihood(const spn::QueryConfig &Query) {
-  return Query.Kind == spn::QueryKind::Joint ||
-         Query.Kind == spn::QueryKind::Marginal;
+  Hash.addFields(ModelHash, Query.BatchSize, Query.LogSpace,
+                 Query.DataType, Query.Kind, Config.hash(),
+                 StageFingerprint, xxh64(Name.data(), Name.size()),
+                 TheBackend.artifactFingerprint());
+  return Hash.finish();
 }
 
 /// The checked canonical parameters of \p Model, with its structural
@@ -129,8 +119,8 @@ uint64_t KernelCache::makeKey(const spn::Model &Model,
                               uint64_t StageFingerprint,
                               const backend::Backend &TheBackend) {
   spn::QueryConfig Resolved = spn::resolveQuery(Model, Query);
-  return combineKey(isLikelihood(Resolved) ? structuralHash(Model)
-                                           : contentHash(Model),
+  return combineKey(spn::isLikelihood(Resolved.Kind) ? structuralHash(Model)
+                                                    : contentHash(Model),
                     Resolved, Config, StageFingerprint, TheBackend);
 }
 
@@ -231,7 +221,7 @@ KernelCache::getOrCompile(const spn::Model &Model,
                           const CompilerOptions &Options,
                           CompileStats *CompStats) {
   spn::QueryConfig Resolved = spn::resolveQuery(Model, Query);
-  if (!isLikelihood(Resolved)) {
+  if (!spn::isLikelihood(Resolved.Kind)) {
     Expected<std::shared_ptr<ExecutionEngine>> Engine = getOrCompileImpl(
         contentHash(Model), Model, Resolved, Options, CompStats, nullptr);
     if (!Engine)
@@ -276,7 +266,7 @@ KernelCache::getOrCompileMerged(const spn::Model &Model,
                                 const spn::QueryConfig &Query,
                                 const CompilerOptions &Options,
                                 CompileStats *CompStats) {
-  if (!isLikelihood(Query))
+  if (!spn::isLikelihood(Query.Kind))
     return makeError("MPE and sampling kernels bake their parameters and "
                      "take no weight tables (docs/merging.md)");
   Expected<CompiledKernel> Kernel =
@@ -332,8 +322,7 @@ KernelCache::getOrCompileImpl(uint64_t ModelHash, const spn::Model &Model,
     // checksum mismatch, older format version) is a corrupt entry.
     Existed = true;
     Expected<vm::KernelProgram> Cached = vm::readProgramFile(Path);
-    if (Cached &&
-        Cached->Query != static_cast<vm::QueryKind>(Query.Kind)) {
+    if (Cached && Cached->Query != Query.Kind) {
       // Defense in depth: the query kind participates in the cache key,
       // so this only triggers when a hand-copied file occupies the slot.
       // Serving it would answer the wrong inference task — recompile

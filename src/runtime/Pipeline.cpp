@@ -89,32 +89,27 @@ uint64_t PipelineConfig::hash() const {
   // Only what the pipeline and the target's engine read, so options
   // neither reads never split the kernel cache.
   const CompilerOptions &O = Options;
-  size_t Seed =
-      hashCombine(static_cast<unsigned>(O.TheTarget), O.OptLevel,
-                  O.MaxPartitionSize, O.AvoidBufferCopies);
+  WordHasher Hash;
+  Hash.addFields(O.TheTarget, O.OptLevel, O.MaxPartitionSize,
+                 O.AvoidBufferCopies);
   // The partitioner runs only with a size bound, which the pipeline
   // sets from MaxPartitionSize.
   if (O.MaxPartitionSize > 0)
-    hashCombineSeed(
-        Seed, hashCombine(O.Partitioning.Slack,
-                          static_cast<unsigned>(O.Partitioning.Strategy)));
+    Hash.addFields(O.Partitioning.Slack, O.Partitioning.Strategy);
   if (O.TheTarget == Target::GPU)
-    hashCombineSeed(
-        Seed,
-        hashCombine(O.GpuBlockSize, O.GpuTransferElimination,
-                    O.Device.NumSMs, O.Device.MaxThreadsPerBlock,
-                    O.Device.MaxThreadsPerSM, O.Device.MaxBlocksPerSM,
-                    O.Device.RegistersPerSM, O.Device.PeakSpeedup,
-                    O.Device.PcieBandwidthGBs, O.Device.TransferLatencyUs,
-                    O.Device.KernelLaunchOverheadUs,
-                    O.Device.BlockScheduleOverheadNs,
-                    O.Device.DeviceBandwidthGBs, O.Device.NumStreams));
+    Hash.addFields(O.GpuBlockSize, O.GpuTransferElimination,
+                   O.Device.NumSMs, O.Device.MaxThreadsPerBlock,
+                   O.Device.MaxThreadsPerSM, O.Device.MaxBlocksPerSM,
+                   O.Device.RegistersPerSM, O.Device.PeakSpeedup,
+                   O.Device.PcieBandwidthGBs, O.Device.TransferLatencyUs,
+                   O.Device.KernelLaunchOverheadUs,
+                   O.Device.BlockScheduleOverheadNs,
+                   O.Device.DeviceBandwidthGBs, O.Device.NumStreams);
   else
-    hashCombineSeed(
-        Seed, hashCombine(O.Execution.VectorWidth, O.Execution.UseVecLib,
-                          O.Execution.UseShuffle, O.Execution.NumThreads,
-                          O.Execution.ChunkSize));
-  return Seed;
+    Hash.addFields(O.Execution.VectorWidth, O.Execution.UseVecLib,
+                   O.Execution.UseShuffle, O.Execution.NumThreads,
+                   O.Execution.ChunkSize);
+  return Hash.finish();
 }
 
 using runtime::detail::StageContext;
@@ -138,13 +133,6 @@ CompilationPipeline::CompilationPipeline(PipelineConfig TheConfig)
 }
 
 namespace {
-
-/// MPE/sampling programs carry a traceback plan whose register
-/// references require a single unpartitioned task (see Codegen.h).
-bool queryNeedsTraceback(const spn::QueryConfig &Query) {
-  return Query.Kind == spn::QueryKind::Mpe ||
-         Query.Kind == spn::QueryKind::Sample;
-}
 
 /// The pass list of the target-independent IR pipeline (paper §IV-A),
 /// as human-readable text for stage introspection.
@@ -340,7 +328,7 @@ void CompilationPipeline::buildStages() {
         C.Query.DataType == spn::ComputeType::F64 ? 64 : 32));
     // Task partitioning would split the kernel; MPE/sampling tracebacks
     // need the whole graph in one task's register file.
-    if (O.MaxPartitionSize > 0 && !queryNeedsTraceback(C.Query)) {
+    if (O.MaxPartitionSize > 0 && !spn::needsTraceback(C.Query.Kind)) {
       partition::PartitionOptions PartOptions = O.Partitioning;
       PartOptions.MaxPartitionSize = O.MaxPartitionSize;
       PM.addPass(transforms::createTaskPartitioningPass(PartOptions));
@@ -353,7 +341,7 @@ void CompilationPipeline::buildStages() {
     // A traceback task must store its root value to the output itself:
     // every engine's per-row upward pass runs the task, never a copy.
     BufOptions.AvoidCopies =
-        O.AvoidBufferCopies || queryNeedsTraceback(C.Query);
+        O.AvoidBufferCopies || spn::needsTraceback(C.Query.Kind);
     PM.addPass(transforms::createBufferizationPass(BufOptions));
     if (O.TheTarget == Target::GPU && O.GpuTransferElimination)
       PM.addPass(transforms::createGpuBufferTransferEliminationPass());
@@ -379,8 +367,7 @@ void CompilationPipeline::buildStages() {
     codegen::CodegenOptions CGOptions;
     CGOptions.OptLevel = O.OptLevel;
     CGOptions.EmitSelectCascades = O.TheTarget == Target::GPU;
-    // spn::QueryKind and vm::QueryKind share numeric values by contract.
-    CGOptions.Query = static_cast<vm::QueryKind>(C.Query.Kind);
+    CGOptions.Query = C.Query.Kind;
     Expected<vm::KernelProgram> Program =
         codegen::emitKernelProgram(C.Kernel, CGOptions, &C.Stats.Codegen);
     if (!Program)

@@ -279,8 +279,7 @@ InferenceServer::addModel(const std::string &Name,
   // Merged serving for likelihood queries, whose kernels take weight
   // tables (docs/merging.md). MPE and sampling fall through to the
   // per-model path below, merging or not.
-  if (Config.MergeModels && (Query.Kind == spn::QueryKind::Joint ||
-                             Query.Kind == spn::QueryKind::Marginal))
+  if (Config.MergeModels && spn::isLikelihood(Query.Kind))
     return addMergedModel(Name, Model, Query, Effective);
 
   // Compile (or fetch) outside the locks: compilation is slow and the
@@ -783,15 +782,15 @@ void InferenceServer::runBatch(Shard &TheShard, Batch TheBatch) {
   // counter is server-wide, so no two batches of any shard share a
   // stream).
   runtime::RunRequest Run;
-  Run.Kind = static_cast<vm::QueryKind>(Model.Query.Kind);
+  Run.Kind = Model.Query.Kind;
   Run.Input = Input.data();
   Run.Output = Output.data();
   Run.NumSamples = TheBatch.TotalSamples;
   if (Model.Merged)
     Run.TableIndices = TableIndices.data();
   std::vector<double> Rows;
-  if (Model.Query.Kind == spn::QueryKind::Mpe ||
-      Model.Query.Kind == spn::QueryKind::Sample) {
+  bool WantRows = spn::needsTraceback(Model.Query.Kind);
+  if (WantRows) {
     Rows.resize(TheBatch.TotalSamples * NumFeatures);
     Run.Rows = Rows.data();
   }
@@ -843,8 +842,6 @@ void InferenceServer::runBatch(Shard &TheShard, Batch TheBatch) {
     return;
   }
 
-  bool WantRows = Model.Query.Kind == spn::QueryKind::Mpe ||
-                  Model.Query.Kind == spn::QueryKind::Sample;
   bool WantLogLikelihoods = Model.Query.Kind != spn::QueryKind::Sample;
   Offset = 0;
   for (size_t I = 0; I < TheBatch.Requests.size(); ++I) {

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <type_traits>
 
 namespace spnc {
 
@@ -134,6 +135,12 @@ public:
       State.stripe(Pending);
   }
 
+  /// Adds each of \p Fields as one word: integers, bools and enums by
+  /// value, doubles by their bits.
+  template <typename... Ts> void addFields(const Ts &...Fields) {
+    (add(toWord(Fields)), ...);
+  }
+
   uint64_t finish() const {
     uint64_t Hash =
         NumWords >= 4 ? State.converge() : Seed + xxh64_detail::P5;
@@ -144,6 +151,15 @@ public:
   }
 
 private:
+  template <typename T> static uint64_t toWord(const T &Field) {
+    static_assert(std::is_same_v<T, double> || std::is_integral_v<T> ||
+                  std::is_enum_v<T>);
+    if constexpr (std::is_same_v<T, double>)
+      return std::bit_cast<uint64_t>(Field);
+    else
+      return static_cast<uint64_t>(Field);
+  }
+
   uint64_t Seed;
   xxh64_detail::Lanes State;
   uint64_t Pending[4] = {};

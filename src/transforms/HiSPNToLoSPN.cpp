@@ -45,74 +45,38 @@ public:
 
   LogicalResult run(Operation *Module, Context &Ctx) override {
     lospn::registerLoSPNDialect(Ctx);
-    std::vector<Operation *> Queries;
-    for (Operation *Op : cast_op<ModuleOp>(Module).getBody()) {
-      if (isa_op<hispn::MpeQueryOp>(Op) ||
-          isa_op<hispn::SampleQueryOp>(Op) ||
-          isa_op<hispn::JointQueryOp>(Op))
-        Queries.push_back(Op);
-    }
-    for (Operation *Query : Queries)
-      if (failed(lowerQuery(makeQueryInfo(Query), Ctx)))
+    std::vector<hispn::QueryOp> Queries;
+    for (Operation *Op : cast_op<ModuleOp>(Module).getBody())
+      if (hispn::QueryOp::classof(Op))
+        Queries.push_back(hispn::QueryOp(Op));
+    for (hispn::QueryOp Query : Queries)
+      if (failed(lowerQuery(Query, Ctx)))
         return failure();
     return success();
   }
 
 private:
-  /// The query-op attributes the lowering needs, extracted uniformly
-  /// from the three HiSPN query op kinds. `MaxProduct` selects the MPE
-  /// sum-combine (lo_spn.max instead of lo_spn.add).
-  struct QueryInfo {
-    Operation *Op = nullptr;
-    Operation *Graph = nullptr;
-    unsigned NumFeatures = 0;
-    unsigned BatchSize = 0;
-    Type InputType;
-    bool SupportMarginal = false;
-    bool LogSpace = true;
-    bool MaxProduct = false;
-  };
-
-  static QueryInfo makeQueryInfo(Operation *Op) {
-    QueryInfo Info;
-    Info.Op = Op;
-    auto Extract = [&](auto Query) {
-      Info.Graph = Query.getGraph();
-      Info.NumFeatures = Query.getNumFeatures();
-      Info.BatchSize = Query.getBatchSize();
-      Info.InputType = Query.getInputType();
-      Info.SupportMarginal = Query.getSupportMarginal();
-      Info.LogSpace = Query.getLogSpace();
-    };
-    if (isa_op<hispn::MpeQueryOp>(Op)) {
-      Extract(hispn::MpeQueryOp(Op));
-      Info.MaxProduct = true;
-    } else if (isa_op<hispn::SampleQueryOp>(Op)) {
-      Extract(hispn::SampleQueryOp(Op));
-    } else {
-      Extract(hispn::JointQueryOp(Op));
-    }
-    return Info;
-  }
   /// The concrete computation type: the resolved width, wrapped in
   /// !lo_spn.log<> for log-space queries.
-  Type selectComputationType(const QueryInfo &Query, Context &Ctx) {
+  Type selectComputationType(hispn::QueryOp Query, Context &Ctx) {
     Type Storage = ComputeWidth == 64 ? Type(FloatType::getF64(Ctx))
                                       : Type(FloatType::getF32(Ctx));
-    return Query.LogSpace ? Type(lospn::LogType::get(Ctx, Storage))
-                          : Storage;
+    return Query.getLogSpace() ? Type(lospn::LogType::get(Ctx, Storage))
+                               : Storage;
   }
 
-  LogicalResult lowerQuery(const QueryInfo &Query, Context &Ctx) {
-    hispn::GraphOp Graph(Query.Graph);
+  LogicalResult lowerQuery(hispn::QueryOp Query, Context &Ctx) {
+    hispn::GraphOp Graph(Query.getGraph());
     Type ComputeTy = selectComputationType(Query, Ctx);
-    Type InputTy = Query.InputType;
-    bool Marginal = Query.SupportMarginal;
+    Type InputTy = Query.getInputType();
+    bool Marginal = Query.getSupportMarginal();
+    // MPE replaces the sum-combine (lo_spn.max instead of lo_spn.add).
+    bool MaxProduct = isa_op<hispn::MpeQueryOp>(Query.getOperation());
     bool Log = lospn::isLogSpace(ComputeTy);
-    unsigned NumFeatures = Query.NumFeatures;
+    unsigned NumFeatures = Query.getNumFeatures();
 
     OpBuilder Builder(Ctx);
-    Builder.setInsertionPoint(Query.Op);
+    Builder.setInsertionPoint(Query.getOperation());
 
     // Kernel with one input tensor [batch x features].
     auto Kernel = Builder.create<lospn::KernelOp>("spn_kernel", 1u);
@@ -128,7 +92,7 @@ private:
     Type TaskResults[1] = {ResultTensorTy};
     auto Task = Builder.create<lospn::TaskOp>(
         std::span<const Value>(TaskOperands),
-        std::span<const Type>(TaskResults), Query.BatchSize, 1u);
+        std::span<const Type>(TaskResults), Query.getBatchSize(), 1u);
     Block &TaskBlock = Task->getRegion(0).emplaceBlock();
     Value BatchIndex = TaskBlock.addArgument(IndexType::get(Ctx));
     Value TensorArg = TaskBlock.addArgument(InputTensor.getType());
@@ -245,7 +209,7 @@ private:
                   ->getResult(0);
           if (!Acc)
             Acc = Term;
-          else if (Query.MaxProduct)
+          else if (MaxProduct)
             Acc = Builder.create<lospn::MaxOp>(Acc, Term)->getResult(0);
           else
             Acc = Builder.create<lospn::AddOp>(Acc, Term)->getResult(0);
@@ -276,7 +240,7 @@ private:
     Builder.create<lospn::ReturnOp>(std::span<const Value>(Returned));
 
     // The query op is fully lowered; remove it.
-    Query.Op->erase();
+    Query->erase();
     return success();
   }
 

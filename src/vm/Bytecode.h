@@ -26,6 +26,8 @@
 #ifndef SPNC_VM_BYTECODE_H
 #define SPNC_VM_BYTECODE_H
 
+#include "frontend/Query.h"
+
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -248,15 +250,10 @@ enum class LoweringKind : uint8_t {
   SelectCascade = 2,
 };
 
-/// The inference task a program was generated for. Mirrors
-/// `spn::QueryKind` (the vm layer must not depend on the frontend);
-/// numeric values are the on-disk contract of the `.spnk` header.
-enum class QueryKind : uint8_t {
-  Joint = 0,
-  Marginal = 1,
-  Mpe = 2,
-  Sample = 3,
-};
+/// The inference task a program was generated for: the frontend's
+/// header-only enum (the frontend sits below vm), whose values are the
+/// `.spnk` header's query byte.
+using spn::QueryKind;
 
 /// Node kinds of the downward-traceback plan attached to MPE/sampling
 /// programs (docs/queries.md).

@@ -720,7 +720,7 @@ bool CpuExecutor::run(const runtime::RunRequest &Request,
   if (!Params)
     return false;
   return timedRun(Request, Stats, [&](runtime::ExecutionStats &) {
-    if (Request.Kind == QueryKind::Mpe || Request.Kind == QueryKind::Sample) {
+    if (spn::needsTraceback(Request.Kind)) {
       if (Program.UseF32)
         interpretRows<float>(Program, Config, Request);
       else

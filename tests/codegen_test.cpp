@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 using namespace spnc;
 using namespace spnc::ir;
@@ -402,6 +403,91 @@ TEST_F(CodegenTest, LinearSpaceUsesFmaFusion) {
   };
   EXPECT_EQ(CountFma(*P1), 0u);
   EXPECT_GT(CountFma(*P2), 0u);
+}
+
+TEST_F(CodegenTest, ConstantPoolSharesEqualStructuralValues) {
+  // A hand-built bufferized kernel: out = x * c0 * c1 * ... for the
+  // constants below, baked (untagged) or tunable (`param`-tagged).
+  struct PoolCase {
+    double Value;
+    int64_t Param; // -1: a structural constant.
+    uint32_t Slot; // The const-pool slot its Const must read.
+  };
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const PoolCase Cases[] = {
+      {+0.0, -1, 0}, {-0.0, -1, 0}, // +0.0 == -0.0: one slot.
+      {NaN, -1, 1},  {-NaN, -1, 1}, // Every NaN: one slot.
+      {2.5, 0, 2},                  // A parameter gets its own slot...
+      {2.5, -1, 3},                 // ...which no equal constant reuses,
+      {2.5, 1, 4},                  // nor another parameter.
+      {2.5, -1, 3},  {+0.0, -1, 0},
+  };
+  lospn::registerLoSPNDialect(Ctx);
+  Module = ModuleOp::create(Ctx);
+  OpBuilder Builder = OpBuilder::atBlockEnd(Ctx, &Module.get().getBody());
+  Type F64 = FloatType::getF64(Ctx);
+  auto Kernel = Builder.create<lospn::KernelOp>("k", 1u);
+  Block &KBody = Kernel->getRegion(0).emplaceBlock();
+  Value In = KBody.addArgument(
+      MemRefType::get(Ctx, {TypeStorage::kDynamic, 1}, F64));
+  Value Out = KBody.addArgument(
+      MemRefType::get(Ctx, {1, TypeStorage::kDynamic}, F64));
+  OpBuilder KB = OpBuilder::atBlockEnd(Ctx, &KBody);
+  Value TaskOperands[2] = {In, Out};
+  auto Task = KB.create<lospn::TaskOp>(
+      std::span<const Value>(TaskOperands), std::span<const Type>{}, 8u,
+      1u);
+  KB.create<lospn::ReturnOp>(std::span<const Value>{});
+  Block &TBody = Task->getRegion(0).emplaceBlock();
+  Value Index = TBody.addArgument(IndexType::get(Ctx));
+  Value InArg = TBody.addArgument(In.getType());
+  Value OutArg = TBody.addArgument(Out.getType());
+  OpBuilder TB = OpBuilder::atBlockEnd(Ctx, &TBody);
+  Value X =
+      TB.create<lospn::BatchReadOp>(InArg, Index, 0u, false)->getResult(0);
+  Value BodyOperands[1] = {X};
+  Type BodyResults[1] = {F64};
+  auto Body = TB.create<lospn::BodyOp>(std::span<const Value>(BodyOperands),
+                                       std::span<const Type>(BodyResults));
+  Block &Inner = Body->getRegion(0).emplaceBlock();
+  Value Product = Inner.addArgument(F64);
+  OpBuilder B = OpBuilder::atBlockEnd(Ctx, &Inner);
+  for (const PoolCase &Case : Cases) {
+    Operation *Const = B.create<lospn::ConstantOp>(Case.Value, F64)
+                           .getOperation();
+    if (Case.Param >= 0)
+      Const->setAttr("param", IntAttr::get(Ctx, Case.Param));
+    Product =
+        B.create<lospn::MulOp>(Product, Const->getResult(0))->getResult(0);
+  }
+  Value Yielded[1] = {Product};
+  B.create<lospn::YieldOp>(std::span<const Value>(Yielded));
+  Value Written[1] = {Body->getResult(0)};
+  TB.create<lospn::BatchWriteOp>(OutArg, Index,
+                                 std::span<const Value>(Written), true);
+
+  codegen::CodegenOptions O0;
+  O0.OptLevel = 0;
+  Expected<KernelProgram> Program =
+      codegen::emitKernelProgram(lospn::KernelOp(Kernel.getOperation()), O0);
+  ASSERT_TRUE(static_cast<bool>(Program)) << Program.getError().message();
+  const TaskProgram &Emitted = Program->Tasks.front();
+  std::vector<uint32_t> Slots;
+  for (const Instruction &Inst : Emitted.Code)
+    if (Inst.Op == OpCode::Const)
+      Slots.push_back(Inst.A);
+  ASSERT_EQ(Slots.size(), std::size(Cases));
+  for (size_t I = 0; I < Slots.size(); ++I)
+    EXPECT_EQ(Slots[I], Cases[I].Slot) << "constant " << I;
+  ASSERT_EQ(Emitted.ConstPool.size(), 5u);
+  EXPECT_FALSE(std::signbit(Emitted.ConstPool[0])); // The first zero's.
+  EXPECT_TRUE(std::isnan(Emitted.ConstPool[1]));
+  // The two parameters and nothing else are tunable.
+  std::vector<uint32_t> ParamSlots;
+  for (const ParamSite &Site : Emitted.ParamSites)
+    if (Site.Kind == ParamSlotKind::ConstPool)
+      ParamSlots.push_back(Site.Index);
+  EXPECT_EQ(ParamSlots, (std::vector<uint32_t>{2, 4}));
 }
 
 } // namespace

@@ -131,32 +131,38 @@ TEST_F(KernelCacheTest, SecondRequestIsAHit) {
 TEST_F(KernelCacheTest, KeyIsSensitiveToPipelineAndQueryConfig) {
   CompilerOptions Base;
   Base.OptLevel = 1;
+  // Distinct keys differ in their top 16 bits too: every field moves
+  // the whole key, not only its low bits.
+  auto ExpectDistinct = [](uint64_t A, uint64_t B) {
+    EXPECT_NE(A, B);
+    EXPECT_NE(A >> 48, B >> 48) << std::hex << A << " vs " << B;
+  };
 
   // A different optimization level changes the pipeline, so it must
   // change the key.
   CompilerOptions O2 = Base;
   O2.OptLevel = 2;
-  EXPECT_NE(keyFor(*Model, spn::QueryConfig(), Base),
-            keyFor(*Model, spn::QueryConfig(), O2));
+  ExpectDistinct(keyFor(*Model, spn::QueryConfig(), Base),
+                 keyFor(*Model, spn::QueryConfig(), O2));
 
   // So do the execution-affecting knobs...
   CompilerOptions Vectorized = Base;
   Vectorized.Execution.VectorWidth = 8;
-  EXPECT_NE(keyFor(*Model, spn::QueryConfig(), Base),
-            keyFor(*Model, spn::QueryConfig(), Vectorized));
+  ExpectDistinct(keyFor(*Model, spn::QueryConfig(), Base),
+                 keyFor(*Model, spn::QueryConfig(), Vectorized));
 
   CompilerOptions Gpu = Base;
   Gpu.TheTarget = Target::GPU;
-  EXPECT_NE(keyFor(*Model, spn::QueryConfig(), Base),
-            keyFor(*Model, spn::QueryConfig(), Gpu));
+  ExpectDistinct(keyFor(*Model, spn::QueryConfig(), Base),
+                 keyFor(*Model, spn::QueryConfig(), Gpu));
 
   // Partitioner options matter once partitioning is on.
   CompilerOptions Partitioned = Base;
   Partitioned.MaxPartitionSize = 100;
   CompilerOptions PartitionedSlack = Partitioned;
   PartitionedSlack.Partitioning.Slack = 0.05;
-  EXPECT_NE(keyFor(*Model, spn::QueryConfig(), Partitioned),
-            keyFor(*Model, spn::QueryConfig(), PartitionedSlack));
+  ExpectDistinct(keyFor(*Model, spn::QueryConfig(), Partitioned),
+                 keyFor(*Model, spn::QueryConfig(), PartitionedSlack));
 
   // Options neither the pipeline nor the target's engine reads leave
   // the key alone: each pair compiles the same program for the same
@@ -184,24 +190,32 @@ TEST_F(KernelCacheTest, KeyIsSensitiveToPipelineAndQueryConfig) {
   GpuVectorized.Execution.VectorWidth = 8;
   ExpectSameKey(Gpu, GpuVectorized, "vector width on the GPU");
 
-  // ...and the query configuration.
+  // ...and the query configuration. A marginal query has one key
+  // whichever way it is spelled.
   spn::QueryConfig Marginal;
   Marginal.SupportMarginal = true;
-  EXPECT_NE(keyFor(*Model, spn::QueryConfig(), Base),
-            keyFor(*Model, Marginal, Base));
+  ExpectDistinct(keyFor(*Model, spn::QueryConfig(), Base),
+                 keyFor(*Model, Marginal, Base));
+  spn::QueryConfig MarginalKind;
+  MarginalKind.Kind = spn::QueryKind::Marginal;
+  EXPECT_EQ(keyFor(*Model, Marginal, Base),
+            keyFor(*Model, MarginalKind, Base));
+  MarginalKind.SupportMarginal = true;
+  EXPECT_EQ(keyFor(*Model, Marginal, Base),
+            keyFor(*Model, MarginalKind, Base));
 
   spn::QueryConfig Batched;
   Batched.BatchSize = 64;
-  EXPECT_NE(keyFor(*Model, spn::QueryConfig(), Base),
-            keyFor(*Model, Batched, Base));
+  ExpectDistinct(keyFor(*Model, spn::QueryConfig(), Base),
+                 keyFor(*Model, Batched, Base));
 
   // A structurally different model gets a different key too.
   workloads::SpeakerModelOptions Other;
   Other.TargetOperations = 300;
   Other.Seed = 77;
   spn::Model OtherModel = workloads::generateSpeakerModel(Other);
-  EXPECT_NE(keyFor(*Model, spn::QueryConfig(), Base),
-            keyFor(OtherModel, spn::QueryConfig(), Base));
+  ExpectDistinct(keyFor(*Model, spn::QueryConfig(), Base),
+                 keyFor(OtherModel, spn::QueryConfig(), Base));
 
   // Joint/marginal kernels key on structure: a weight-only edit shares
   // the key (and the kernel, under its own weight table). MPE kernels
@@ -221,7 +235,7 @@ TEST_F(KernelCacheTest, KeyIsSensitiveToPipelineAndQueryConfig) {
             keyFor(*Edited, spn::QueryConfig(), Base));
   spn::QueryConfig Mpe;
   Mpe.Kind = spn::QueryKind::Mpe;
-  EXPECT_NE(keyFor(*Model, Mpe, Base), keyFor(*Edited, Mpe, Base));
+  ExpectDistinct(keyFor(*Model, Mpe, Base), keyFor(*Edited, Mpe, Base));
 
   // The cache keeps distinct engines for distinct keys.
   KernelCache Cache;
@@ -233,6 +247,66 @@ TEST_F(KernelCacheTest, KeyIsSensitiveToPipelineAndQueryConfig) {
       Cache.getOrCompile(*Model, Marginal, Base)));
   EXPECT_EQ(Cache.size(), 3u);
   EXPECT_EQ(Cache.getStats().Hits, 0u);
+}
+
+TEST_F(KernelCacheTest, MarginalSpellingsShareOneKernel) {
+  // Joint + SupportMarginal, Marginal, and Marginal + SupportMarginal
+  // are one query: one compile, one engine, one disk entry.
+  spn::QueryConfig Spellings[3];
+  Spellings[0].SupportMarginal = true;
+  Spellings[1].Kind = spn::QueryKind::Marginal;
+  Spellings[2].Kind = spn::QueryKind::Marginal;
+  Spellings[2].SupportMarginal = true;
+  KernelCache Cache(TempDir.string());
+  std::vector<CompiledKernel> Kernels;
+  for (const spn::QueryConfig &Query : Spellings) {
+    Expected<CompiledKernel> Kernel =
+        Cache.getOrCompile(*Model, Query, CompilerOptions());
+    ASSERT_TRUE(static_cast<bool>(Kernel)) << Kernel.getError().message();
+    Kernels.push_back(Kernel.takeValue());
+  }
+  KernelCache::Stats Stats = Cache.getStats();
+  EXPECT_EQ(Stats.Misses, 1u);
+  EXPECT_EQ(Stats.Hits, 2u);
+  EXPECT_EQ(Cache.size(), 1u);
+  for (const CompiledKernel &Kernel : Kernels)
+    EXPECT_EQ(&Kernel.getEngine(), &Kernels.front().getEngine());
+
+  // The entry the Joint + SupportMarginal compile wrote records
+  // Marginal, and reloaded it serves marginal and joint requests alike.
+  std::vector<std::string> Entries;
+  for (const auto &Entry : std::filesystem::directory_iterator(TempDir))
+    if (Entry.path().extension() == ".spnk")
+      Entries.push_back(Entry.path().string());
+  ASSERT_EQ(Entries.size(), 1u);
+  Expected<vm::KernelProgram> Saved =
+      vm::decodeProgram(readFile(Entries.front()));
+  ASSERT_TRUE(static_cast<bool>(Saved)) << Saved.getError().message();
+  EXPECT_EQ(Saved->Query, spn::QueryKind::Marginal);
+  Expected<CompiledKernel> Loaded = loadCompiledKernel(Entries.front());
+  ASSERT_TRUE(static_cast<bool>(Loaded)) << Loaded.getError().message();
+
+  std::vector<double> Noisy = Data;
+  for (size_t I = 0; I < Noisy.size(); I += 3)
+    Noisy[I] = std::nan("");
+  for (spn::QueryKind Kind :
+       {spn::QueryKind::Marginal, spn::QueryKind::Joint}) {
+    SCOPED_TRACE(spn::queryKindName(Kind));
+    const std::vector<double> &Input =
+        Kind == spn::QueryKind::Marginal ? Noisy : Data;
+    std::vector<double> Compiled(kNumSamples), Reloaded(kNumSamples, 1.0);
+    ASSERT_TRUE(Kernels.front().run({.Kind = Kind,
+                                     .Input = Input.data(),
+                                     .Output = Compiled.data(),
+                                     .NumSamples = kNumSamples}));
+    ASSERT_TRUE(Loaded->run({.Kind = Kind,
+                             .Input = Input.data(),
+                             .Output = Reloaded.data(),
+                             .NumSamples = kNumSamples}));
+    EXPECT_EQ(Reloaded, Compiled);
+    for (double V : Reloaded)
+      EXPECT_TRUE(std::isfinite(V));
+  }
 }
 
 TEST_F(KernelCacheTest, InvalidOptionsPropagateTheError) {
@@ -772,6 +846,28 @@ TEST_F(KernelCacheTamperTest, ResealedBadIndexIsRecompiled) {
       {Source::Merged, "slot index 1048576",
        [&](vm::KernelProgram &P) {
          Task0(P).ParamSites.front().Index = kFar;
+       }},
+      // The enum bytes: each one past its enum's last value.
+      {Source::Speaker, "invalid lowering kind",
+       [](vm::KernelProgram &P) {
+         P.Lowering = static_cast<vm::LoweringKind>(3);
+       }},
+      {Source::Speaker, "invalid query kind",
+       [](vm::KernelProgram &P) {
+         P.Query = spn::QueryKind{4};
+       }},
+      {Source::Mpe, "invalid plan node kind",
+       [](vm::KernelProgram &P) {
+         P.Plan.Nodes.front().Kind = static_cast<vm::PlanNodeKind>(5);
+       }},
+      {Source::Merged, "invalid parameter-site kind",
+       [&](vm::KernelProgram &P) {
+         Task0(P).ParamSites.front().Kind = static_cast<vm::ParamSlotKind>(9);
+       }},
+      {Source::Merged, "invalid parameter transform",
+       [&](vm::KernelProgram &P) {
+         Task0(P).ParamSites.front().Transform =
+             static_cast<vm::ParamTransform>(9);
        }},
   };
   for (size_t C = 0; C < std::size(Cases); ++C) {

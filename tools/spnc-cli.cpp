@@ -138,7 +138,9 @@ void printUsage() {
       "  --vector-width N   SIMD lanes 1/4/8/16 (default 8)\n"
       "  --partition N      max operations per task (default: no "
       "partitioning)\n"
-      "  --marginal         enable marginalized (NaN) evidence\n"
+      "  --marginal         enable marginalized (NaN) evidence: with "
+      "joint,\n"
+      "                     the same query as --query=marginal\n"
       "  --no-log-space     compute linear probabilities\n"
       "  --f32, --f64       force the compute precision (default: the\n"
       "                     lowering decides, typically f32)\n"
@@ -421,12 +423,11 @@ int runQuery(CompiledKernel &Kernel, spn::QueryKind Kind,
     return 0;
   }
 
-  bool Likelihood =
-      Kind == spn::QueryKind::Joint || Kind == spn::QueryKind::Marginal;
+  bool Likelihood = spn::isLikelihood(Kind);
   std::vector<double> Output(Kind == spn::QueryKind::Sample ? 0 : NumSamples);
   std::vector<double> Rows(Likelihood ? 0 : NumSamples * NumFeatures);
   RunRequest Run;
-  Run.Kind = static_cast<vm::QueryKind>(Kind);
+  Run.Kind = Kind;
   Run.Input = Data.data();
   Run.Output = Output.data();
   Run.Rows = Rows.data();
@@ -630,18 +631,21 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     unsigned NumFeatures = Kernel->getProgram().Buffers[0].Columns;
-    // The .spnk records the query kind it was compiled for. An explicit
-    // --query that differs is an error — the kernel physically lacks the
-    // other entry point — while a bare invocation adopts the recorded
-    // kind.
-    spn::QueryKind RecordedKind =
-        static_cast<spn::QueryKind>(Kernel->getProgram().Query);
-    if (Options.QueryExplicit && RecordedKind != Options.Query.Kind) {
+    // The .spnk records the query kind it was compiled for. A bare
+    // invocation adopts the recorded kind; a requested one (--query, or
+    // --marginal) must be one the kernel serves (a marginal kernel
+    // serves joint requests too), since the kernel physically lacks any
+    // other entry point.
+    spn::QueryKind RecordedKind = Kernel->getProgram().Query;
+    bool Requested = Options.QueryExplicit || Options.Query.SupportMarginal;
+    spn::QueryKind Kind =
+        Requested ? spn::resolvedKind(Options.Query) : RecordedKind;
+    if (Requested && !Kernel->getEngine().getCapabilities().serves(Kind)) {
       std::fprintf(stderr,
                    "kernel '%s' was compiled for --query=%s, not "
                    "--query=%s; recompile from the .spnb model\n",
                    ModelPath.c_str(), spn::queryKindName(RecordedKind),
-                   spn::queryKindName(Options.Query.Kind));
+                   spn::queryKindName(Kind));
       return 1;
     }
     std::fprintf(stderr,
@@ -650,7 +654,7 @@ int main(int Argc, char **Argv) {
                  Kernel->getProgram().Tasks.size(), NumFeatures,
                  spn::queryKindName(RecordedKind),
                  Kernel->getEngine().describe().c_str());
-    return runQuery(*Kernel, RecordedKind, NumFeatures, Options);
+    return runQuery(*Kernel, Kind, NumFeatures, Options);
   }
 
   Expected<CompilationPipeline> Pipeline =
