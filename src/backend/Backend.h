@@ -97,9 +97,8 @@ public:
 
   /// Compiles \p Model for \p Query by running \p Pipeline and lowering
   /// the resulting program into a loaded engine. The pipeline is
-  /// caller-prepared (validated config, custom stages already
-  /// registered) so cache keying over the configured stage set stays in
-  /// the caller's hands. The target and the backend's availability are
+  /// caller-prepared (validated config, diagnostics already switched
+  /// on). The target and the backend's availability are
   /// checked before the pipeline runs, so an unsupported target
   /// (validateTarget diagnostic) or a missing toolchain ("<name> backend
   /// unavailable: <reason>") fails without spending pipeline time.

@@ -68,24 +68,14 @@ uint64_t KernelCache::structuralHash(const spn::Model &Model) {
   return merge::structuralHash(Model);
 }
 
-uint64_t KernelCache::stageFingerprint(
-    const CompilationPipeline &Pipeline) {
-  WordHasher Hash;
-  Hash.add(Pipeline.getStages().size());
-  for (const PipelineStage &Stage : Pipeline.getStages())
-    Hash.add(xxh64(Stage.Name.data(), Stage.Name.size()));
-  return Hash.finish();
-}
-
 namespace {
 
-/// Streams the non-model key components after \p ModelHash — shared by
-/// the classic (contentHash-seeded) and merged (structuralHash-seeded)
-/// key paths. \p Query is resolved, so its kind is the one spelling of
-/// what the kernel answers.
+/// Streams the non-model key components after \p ModelHash (the
+/// structural hash for likelihood queries, the content hash otherwise).
+/// \p Query is resolved, so its kind is the one spelling of what the
+/// kernel answers.
 uint64_t combineKey(uint64_t ModelHash, const spn::QueryConfig &Query,
                     const PipelineConfig &Config,
-                    uint64_t StageFingerprint,
                     const backend::Backend &TheBackend) {
   // Query.Kind participates in the key, so a cache populated with
   // joint/marginal kernels never serves an MPE or sampling request — it
@@ -94,7 +84,7 @@ uint64_t combineKey(uint64_t ModelHash, const spn::QueryConfig &Query,
   const std::string &Name = TheBackend.getName();
   Hash.addFields(ModelHash, Query.BatchSize, Query.LogSpace,
                  Query.DataType, Query.Kind, Config.hash(),
-                 StageFingerprint, xxh64(Name.data(), Name.size()),
+                 xxh64(Name.data(), Name.size()),
                  TheBackend.artifactFingerprint());
   return Hash.finish();
 }
@@ -116,12 +106,11 @@ Expected<std::vector<double>> paramsAndStructuralHash(const spn::Model &Model,
 uint64_t KernelCache::makeKey(const spn::Model &Model,
                               const spn::QueryConfig &Query,
                               const PipelineConfig &Config,
-                              uint64_t StageFingerprint,
                               const backend::Backend &TheBackend) {
   spn::QueryConfig Resolved = spn::resolveQuery(Model, Query);
   return combineKey(spn::isLikelihood(Resolved.Kind) ? structuralHash(Model)
                                                     : contentHash(Model),
-                    Resolved, Config, StageFingerprint, TheBackend);
+                    Resolved, Config, TheBackend);
 }
 
 std::string KernelCache::entryPath(uint64_t Key) const {
@@ -285,17 +274,12 @@ KernelCache::getOrCompileImpl(uint64_t ModelHash, const spn::Model &Model,
                               bool *FreshlyCompiled) {
   if (FreshlyCompiled)
     *FreshlyCompiled = false;
-  Expected<CompilationPipeline> Pipeline =
-      CompilationPipeline::create(Options);
-  if (!Pipeline)
-    return Pipeline.getError();
-  if (TheConfig.ConfigurePipeline)
-    if (std::optional<Error> Err = TheConfig.ConfigurePipeline(*Pipeline))
-      return *Err;
+  Expected<PipelineConfig> Config = PipelineConfig::create(Options);
+  if (!Config)
+    return Config.getError();
   const backend::Backend &TheBackend =
       TheConfig.TheBackend ? *TheConfig.TheBackend : defaultBackend();
-  uint64_t Key = combineKey(ModelHash, Query, Pipeline->getConfig(),
-                            stageFingerprint(*Pipeline), TheBackend);
+  uint64_t Key = combineKey(ModelHash, Query, *Config, TheBackend);
 
   {
     std::lock_guard<std::mutex> Lock(Mutex);
@@ -339,8 +323,7 @@ KernelCache::getOrCompileImpl(uint64_t ModelHash, const spn::Model &Model,
       // re-emitting and re-linking the shared object). A materialize
       // failure is handled like corruption: warn and recompile.
       Expected<std::shared_ptr<ExecutionEngine>> Loaded =
-          TheBackend.materialize(Cached.takeValue(),
-                                 Pipeline->getConfig());
+          TheBackend.materialize(Cached.takeValue(), *Config);
       if (Loaded) {
         Engine = Loaded.takeValue();
         FromDisk = true;
@@ -359,8 +342,14 @@ KernelCache::getOrCompileImpl(uint64_t ModelHash, const spn::Model &Model,
     }
   }
   if (!Engine) {
+    // Only a compile needs the pipeline; the hook switches on the
+    // diagnostics, which never change the program the key names.
+    CompilationPipeline Pipeline(*Config);
+    if (TheConfig.ConfigurePipeline)
+      if (std::optional<Error> Err = TheConfig.ConfigurePipeline(Pipeline))
+        return *Err;
     Expected<std::shared_ptr<ExecutionEngine>> Compiled =
-        TheBackend.compile(*Pipeline, Model, Query, CompStats);
+        TheBackend.compile(Pipeline, Model, Query, CompStats);
     if (!Compiled)
       return Compiled.getError();
     Engine = Compiled.takeValue();

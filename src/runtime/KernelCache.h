@@ -10,9 +10,9 @@
 /// scenarios that mix repeated queries over a fixed set of models (the
 /// compile-once/run-many regime the paper's §V-B compile-time
 /// measurements motivate). Kernels are keyed by (model, resolved query
-/// configuration, pipeline configuration, registered-stage fingerprint,
-/// backend identity); a second request with the same key returns the
-/// already-constructed ExecutionEngine instead of recompiling. The model
+/// configuration, pipeline configuration, backend identity); a second
+/// request with the same key returns the already-constructed
+/// ExecutionEngine instead of recompiling. The model
 /// component of a joint/marginal kernel is its structure alone: such
 /// kernels take weight tables, so every structurally-isomorphic model
 /// shares one engine and gets its own table on it (docs/merging.md).
@@ -49,6 +49,7 @@
 #include "runtime/Compiler.h"
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -63,9 +64,9 @@ class Backend;
 
 namespace runtime {
 
-/// Thread-safe map from (model, query, pipeline config, stage set,
-/// backend) to a shared ExecutionEngine. All public members may be
-/// called concurrently.
+/// Thread-safe map from (model, query, pipeline config, backend) to a
+/// shared ExecutionEngine. All public members may be called
+/// concurrently.
 class KernelCache {
 public:
   /// Default in-memory capacity: generous for a per-process model set,
@@ -87,16 +88,14 @@ public:
     /// oldest files first; the newest entry is never pruned, so one
     /// oversized kernel may exceed the budget by itself.
     uint64_t DiskBudgetBytes = 0;
-    /// Applied to every pipeline the cache builds (once per compiling
-    /// getOrCompile) before compilation — the hook for registering
-    /// custom stages on the cache path, diagnostic or transforming. A
-    /// returned error fails the request. Must be safe to invoke
-    /// concurrently. The cache key covers the configured pipeline's
-    /// stage fingerprint (registered stage names, in order), so caches
-    /// with different stage sets never share entries; the name is the
-    /// stage's identity, though — re-registering the *same* name with a
-    /// different runner still collides, and the hook must behave
-    /// deterministically (the same stages every invocation).
+    /// Applied to the pipeline the cache builds for a compile (memory
+    /// and disk hits build none) — the hook that switches on the
+    /// pipeline's diagnostics (CompilationPipeline::enableStageReport
+    /// and its siblings) on the cache path. A returned error fails the
+    /// request. Must be safe to invoke concurrently. Diagnostics never
+    /// change the compiled program, so the hook is not part of the key:
+    /// caches with and without it share entries, and a kernel served
+    /// from either tier ran no diagnostic in this process.
     std::function<std::optional<Error>(CompilationPipeline &)>
         ConfigurePipeline;
     /// The backend that turns compiled programs into engines on this
@@ -165,23 +164,17 @@ public:
   /// merge::structuralHash. Thread-safe.
   static uint64_t structuralHash(const spn::Model &Model);
 
-  /// Order-sensitive hash of \p Pipeline's registered stage names — the
-  /// cache-key component that distinguishes pipelines carrying custom
-  /// `Config::ConfigurePipeline` stages. Thread-safe once registration
-  /// is finished; never fails.
-  static uint64_t stageFingerprint(const CompilationPipeline &Pipeline);
-
   /// The key getOrCompile uses for compiling \p Model for \p Query
   /// (resolved against the model, spn::resolveQuery; structuralHash for
-  /// joint/marginal queries, contentHash otherwise) under \p Config,
-  /// with a pipeline whose stage fingerprint is
-  /// \p StageFingerprint (see stageFingerprint()) on \p TheBackend (its
-  /// name and artifact fingerprint; a cache without a configured
-  /// backend uses backend::VmBackend). Thread-safe; never fails.
+  /// joint/marginal queries, contentHash otherwise) under \p Config on
+  /// \p TheBackend (its name and artifact fingerprint; a cache without a
+  /// configured backend uses backend::VmBackend), whatever diagnostics
+  /// the cache's `ConfigurePipeline` hook switches on.
+  /// entryPath(makeKey(...)) is the `.spnk` such a compile leaves.
+  /// Thread-safe; never fails.
   static uint64_t makeKey(const spn::Model &Model,
                           const spn::QueryConfig &Query,
                           const PipelineConfig &Config,
-                          uint64_t StageFingerprint,
                           const backend::Backend &TheBackend);
 
   /// Returns the kernel for (\p Model, \p Query, \p Options), compiling

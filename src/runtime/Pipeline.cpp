@@ -16,11 +16,12 @@
 #include "support/RawOStream.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
+#include "transforms/Passes.h"
 #include "vm/ProgramBinary.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <utility>
 
 using namespace spnc;
@@ -112,11 +113,190 @@ uint64_t PipelineConfig::hash() const {
   return Hash.finish();
 }
 
-using runtime::detail::StageContext;
-
 //===----------------------------------------------------------------------===//
 // CompilationPipeline
 //===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Mutable state threaded through the stages of one compile() run. Each
+/// run owns a fresh context, which is what keeps a shared pipeline object
+/// safe to use from concurrent compiles. Fields are populated
+/// progressively (Module after "translate", Kernel after "ir-pipeline",
+/// Program after "codegen").
+struct StageContext {
+  StageContext(const spn::Model &Model, spn::QueryConfig Query,
+               const CompilerOptions &Options, CompileStats &Stats)
+      : Model(Model), Query(Query), Options(Options), Stats(Stats) {}
+
+  const spn::Model &Model;
+  spn::QueryConfig Query;
+  const CompilerOptions &Options;
+  CompileStats &Stats;
+
+  ir::Context Ctx;
+  ir::OwningOpRef<ir::ModuleOp> Module;
+  lospn::KernelOp Kernel{nullptr};
+  vm::KernelProgram Program;
+};
+
+/// One pass of the target-independent IR pipeline (paper §IV-A).
+struct IrPass {
+  /// The pass's entry in the "ir-pipeline" stage detail.
+  std::string Label;
+  /// Builds the pass for a resolved query.
+  std::function<std::unique_ptr<Pass>(const spn::QueryConfig &)> Create;
+  /// False for a pass that MPE and sampling queries skip.
+  bool ForTraceback = true;
+};
+
+/// The IR pipeline under \p O: the one list that both the stage detail
+/// and every compile's pass manager are built from.
+std::vector<IrPass> irPasses(const CompilerOptions &O) {
+  using Query = const spn::QueryConfig &;
+  std::vector<IrPass> Passes;
+  if (O.OptLevel >= 1) // HiSPN-level early opts
+    Passes.push_back(
+        {"canonicalize", [](Query) { return createCanonicalizerPass(); }});
+  Passes.push_back({"lower-hispn-to-lospn", [](Query Q) {
+                      return transforms::createHiSPNToLoSPNLoweringPass(
+                          Q.DataType == spn::ComputeType::F64 ? 64 : 32);
+                    }});
+  // Task partitioning would split the kernel; MPE/sampling tracebacks
+  // need the whole graph in one task's register file.
+  if (O.MaxPartitionSize > 0) {
+    partition::PartitionOptions PartOptions = O.Partitioning;
+    PartOptions.MaxPartitionSize = O.MaxPartitionSize;
+    Passes.push_back({"partition-tasks(max=" +
+                          std::to_string(O.MaxPartitionSize) +
+                          "; likelihood queries only)",
+                      [PartOptions](Query) {
+                        return transforms::createTaskPartitioningPass(
+                            PartOptions);
+                      },
+                      /*ForTraceback=*/false});
+  }
+  if (O.OptLevel >= 1) {
+    Passes.push_back(
+        {"canonicalize", [](Query) { return createCanonicalizerPass(); }});
+    Passes.push_back({"cse", [](Query) { return createCSEPass(); }});
+  }
+  Passes.push_back({"bufferize", [AvoidCopies = O.AvoidBufferCopies](Query Q) {
+                      transforms::BufferizationOptions BufOptions;
+                      // A traceback task must store its root value to the
+                      // output itself: every engine's per-row upward pass
+                      // runs the task, never a copy.
+                      BufOptions.AvoidCopies =
+                          AvoidCopies || spn::needsTraceback(Q.Kind);
+                      return transforms::createBufferizationPass(BufOptions);
+                    }});
+  if (O.TheTarget == Target::GPU && O.GpuTransferElimination)
+    Passes.push_back({"gpu-transfer-elimination", [](Query) {
+                        return transforms::
+                            createGpuBufferTransferEliminationPass();
+                      }});
+  return Passes;
+}
+
+// The core stages (paper §IV).
+
+/// Translation into the HiSPN dialect (paper §IV-A2). For likelihood
+/// queries the translation tags every sum/leaf op with its canonical
+/// parameter base index (docs/merging.md).
+std::optional<Error> translate(StageContext &C) {
+  C.Module = spn::translateToHiSPN(C.Ctx, C.Model, C.Query);
+  if (!C.Module)
+    return makeError("translation to HiSPN failed (invalid model?)");
+  return std::nullopt;
+}
+
+/// The target-independent IR pipeline (paper §IV-A).
+std::optional<Error> runIrPipeline(StageContext &C) {
+  PassManager PM(C.Ctx, C.Options.VerifyIR);
+  for (IrPass &P : irPasses(C.Options))
+    if (P.ForTraceback || !spn::needsTraceback(C.Query.Kind))
+      PM.addPass(P.Create(C.Query));
+  if (failed(PM.run(C.Module.get().getOperation())))
+    return makeError("compilation pipeline failed");
+  C.Stats.PassTimings = PM.getTimings();
+
+  for (Operation *Op : C.Module.get().getBody())
+    if (isa_op<lospn::KernelOp>(Op))
+      C.Kernel = lospn::KernelOp(Op);
+  if (!C.Kernel)
+    return makeError("pipeline produced no kernel");
+  return std::nullopt;
+}
+
+/// Code generation (paper §IV-B / §IV-C).
+std::optional<Error> generateCode(StageContext &C) {
+  const CompilerOptions &O = C.Options;
+  codegen::CodegenOptions CGOptions;
+  CGOptions.OptLevel = O.OptLevel;
+  CGOptions.EmitSelectCascades = O.TheTarget == Target::GPU;
+  CGOptions.Query = C.Query.Kind;
+  Expected<vm::KernelProgram> Program =
+      codegen::emitKernelProgram(C.Kernel, CGOptions, &C.Stats.Codegen);
+  if (!Program)
+    return Program.getError();
+  C.Program = Program.takeValue();
+  C.Stats.NumTasks = C.Program.Tasks.size();
+  C.Stats.NumInstructions = C.Program.totalInstructions();
+  return std::nullopt;
+}
+
+/// GPU only: assemble and reload the device binary, the analog of the
+/// PTX -> CUBIN translation that dominates GPU compile time in the
+/// paper (§V-B1).
+std::optional<Error> encodeBinary(StageContext &C) {
+  std::vector<uint8_t> Blob = vm::encodeProgram(C.Program);
+  Expected<vm::KernelProgram> Reloaded = vm::decodeProgram(Blob);
+  if (!Reloaded)
+    return makeError("device binary round-trip failed");
+  C.Program = Reloaded.takeValue();
+  return std::nullopt;
+}
+
+// The diagnostics, each observing the module after a core stage (the
+// verify check is the public verifyAfterStage). Translation either
+// builds the module or fails the compile, so every diagnostic finds one.
+
+/// Prints the module after the core stage \p Stage in generic form: to
+/// stderr, or to \p Path when non-empty.
+std::optional<Error> dumpIr(StageContext &C, const std::string &Stage,
+                            const std::string &Path) {
+  if (Path.empty()) {
+    FileOStream OS(stderr);
+    OS << "// IR after stage '" << Stage << "'\n";
+    ir::printOperation(C.Module.get().getOperation(), OS);
+    return std::nullopt;
+  }
+  std::string Reason;
+  if (failed(writeRenderedFile(Path, &Reason, [&](RawOStream &OS) {
+        ir::printOperation(C.Module.get().getOperation(), OS);
+      })))
+    return makeError("IR dump: " + Reason);
+  return std::nullopt;
+}
+
+/// Operations in the module threaded through \p C.
+size_t countModuleOps(StageContext &C) {
+  size_t NumOps = 0;
+  C.Module.get().getOperation()->walk([&](Operation *) { ++NumOps; });
+  return NumOps;
+}
+
+} // namespace
+
+std::optional<Error>
+spnc::runtime::verifyAfterStage(Operation *Module, const std::string &Stage) {
+  std::string FirstDiagnostic;
+  if (succeeded(ir::verify(Module, &FirstDiagnostic)))
+    return std::nullopt;
+  return makeError("IR verification failed after stage '" + Stage + "'" +
+                   (FirstDiagnostic.empty() ? std::string()
+                                            : ": " + FirstDiagnostic));
+}
 
 Expected<CompilationPipeline>
 CompilationPipeline::create(CompilerOptions Options) {
@@ -132,266 +312,75 @@ CompilationPipeline::CompilationPipeline(PipelineConfig TheConfig)
   buildStages();
 }
 
-namespace {
-
-/// The pass list of the target-independent IR pipeline (paper §IV-A),
-/// as human-readable text for stage introspection.
-std::string describeIrPipeline(const CompilerOptions &Options) {
-  std::string Detail;
-  auto Append = [&](const std::string &Pass) {
-    if (!Detail.empty())
-      Detail += ", ";
-    Detail += Pass;
+void CompilationPipeline::buildStages() {
+  const CompilerOptions &O = Config.getOptions();
+  Stages.clear();
+  Kinds.clear();
+  auto Add = [&](StageKind Kind, std::string Name, std::string Detail,
+                 bool Diagnostic) {
+    Stages.push_back({std::move(Name), std::move(Detail), Diagnostic});
+    Kinds.push_back(Kind);
   };
-  if (Options.OptLevel >= 1)
-    Append("canonicalize");
-  Append("lower-hispn-to-lospn");
-  if (Options.MaxPartitionSize > 0)
-    Append("partition-tasks(max=" +
-           std::to_string(Options.MaxPartitionSize) + ")");
-  if (Options.OptLevel >= 1) {
-    Append("canonicalize");
-    Append("cse");
-  }
-  Append("bufferize");
-  if (Options.TheTarget == Target::GPU && Options.GpuTransferElimination)
-    Append("gpu-transfer-elimination");
-  return Detail;
-}
+  // A core stage, then its enabled diagnostics in their fixed order.
+  auto AddCore = [&](StageKind Kind, const std::string &Name,
+                     std::string Detail) {
+    Add(Kind, Name, std::move(Detail), /*Diagnostic=*/false);
+    if (auto Dump = IrDumps.find(Name); Dump != IrDumps.end())
+      Add(StageKind::IrDump, "ir-dump:" + Name,
+          "module dump after '" + Name + "' to " +
+              (Dump->second.empty() ? "stderr" : "'" + Dump->second + "'"),
+          /*Diagnostic=*/true);
+    if (VerifyEachStage)
+      Add(StageKind::Verify, "verify:" + Name,
+          "IR verification after '" + Name + "'", /*Diagnostic=*/true);
+    if (StageReport)
+      Add(StageKind::StageReport, "stage-report:" + Name,
+          "module op count after '" + Name + "'", /*Diagnostic=*/true);
+  };
 
-/// Operations in the module threaded through \p C, 0 when no module
-/// exists at this point of the run.
-size_t countModuleOps(StageContext &C) {
-  if (!C.Module)
-    return 0;
-  size_t NumOps = 0;
-  C.Module.get().getOperation()->walk([&](Operation *) { ++NumOps; });
-  return NumOps;
-}
-
-} // namespace
-
-bool CompilationPipeline::hasStage(const std::string &Name) const {
-  return std::any_of(
-      Stages.begin(), Stages.end(),
-      [&](const PipelineStage &Stage) { return Stage.Name == Name; });
-}
-
-std::optional<Error>
-CompilationPipeline::registerStage(PipelineStage Info, StageRunner Runner,
-                                   StageAnchor Anchor) {
-  if (Info.Name.empty())
-    return makeError("pipeline stage name must not be empty");
-  if (hasStage(Info.Name))
-    return makeError("duplicate pipeline stage name '" + Info.Name +
-                     "': every stage must be registered under a unique "
-                     "name");
-  size_t Index = Stages.size();
-  if (Anchor.getPlacement() != StageAnchor::Placement::End) {
-    auto It = std::find_if(Stages.begin(), Stages.end(),
-                           [&](const PipelineStage &Stage) {
-                             return Stage.Name == Anchor.getReference();
-                           });
-    if (It == Stages.end())
-      return makeError(
-          "cannot anchor stage '" + Info.Name + "' " +
-          (Anchor.getPlacement() == StageAnchor::Placement::Before
-               ? "before"
-               : "after") +
-          " unknown stage '" + Anchor.getReference() + "'");
-    Index = static_cast<size_t>(It - Stages.begin());
-    if (Anchor.getPlacement() == StageAnchor::Placement::After)
-      ++Index;
-  }
-  Stages.insert(Stages.begin() + static_cast<ptrdiff_t>(Index),
-                std::move(Info));
-  Runners.insert(Runners.begin() + static_cast<ptrdiff_t>(Index),
-                 std::move(Runner));
-  return std::nullopt;
+  std::string IrPipelineDetail;
+  for (const IrPass &P : irPasses(O))
+    IrPipelineDetail += (IrPipelineDetail.empty() ? "" : ", ") + P.Label;
+  AddCore(StageKind::Translate, "translate", "model -> HiSPN dialect");
+  AddCore(StageKind::IrPipeline, "ir-pipeline", IrPipelineDetail);
+  AddCore(StageKind::Codegen, "codegen",
+          O.TheTarget == Target::GPU
+              ? "LoSPN -> bytecode (select-cascade leaves)"
+              : "LoSPN -> bytecode (table-lookup leaves)");
+  if (O.TheTarget == Target::GPU)
+    AddCore(StageKind::BinaryEncode, "binary-encode",
+            "device binary round-trip");
 }
 
 std::optional<Error> CompilationPipeline::enableVerifyAfterEachStage() {
-  // Snapshot first: registering mutates the stage list we iterate.
-  std::vector<std::string> Anchors;
-  for (const PipelineStage &Stage : Stages)
-    if (!Stage.Diagnostic)
-      Anchors.push_back(Stage.Name);
-  for (const std::string &Anchor : Anchors) {
-    PipelineStage Info{"verify:" + Anchor,
-                       "IR verification after '" + Anchor + "'",
-                       /*Diagnostic=*/true};
-    std::optional<Error> Err = registerStage(
-        std::move(Info),
-        [Anchor](StageContext &C) -> std::optional<Error> {
-          if (!C.Module)
-            return std::nullopt;
-          std::string FirstDiagnostic;
-          if (failed(ir::verify(C.Module.get().getOperation(),
-                                &FirstDiagnostic)))
-            return makeError(
-                "IR verification failed after stage '" + Anchor + "'" +
-                (FirstDiagnostic.empty() ? std::string()
-                                         : ": " + FirstDiagnostic));
-          return std::nullopt;
-        },
-        StageAnchor::after(Anchor));
-    if (Err)
-      return Err;
-  }
+  VerifyEachStage = true;
+  buildStages();
   return std::nullopt;
 }
 
 std::optional<Error>
 CompilationPipeline::addIrDumpStage(const std::string &AfterStage,
                                     std::string OutputPath) {
-  PipelineStage Info{"ir-dump:" + AfterStage,
-                     OutputPath.empty()
-                         ? "module dump after '" + AfterStage +
-                               "' to stderr"
-                         : "module dump after '" + AfterStage + "' to '" +
-                               OutputPath + "'",
-                     /*Diagnostic=*/true};
-  return registerStage(
-      std::move(Info),
-      [AfterStage,
-       Path = std::move(OutputPath)](StageContext &C) -> std::optional<Error> {
-        if (!C.Module)
-          return std::nullopt;
-        if (Path.empty()) {
-          FileOStream OS(stderr);
-          OS << "// IR after stage '" << AfterStage << "'\n";
-          ir::printOperation(C.Module.get().getOperation(), OS);
-          return std::nullopt;
-        }
-        std::string Reason;
-        if (failed(writeRenderedFile(Path, &Reason, [&](RawOStream &OS) {
-              ir::printOperation(C.Module.get().getOperation(), OS);
-            })))
-          return makeError("IR dump: " + Reason);
-        return std::nullopt;
-      },
-      StageAnchor::after(AfterStage));
-}
-
-std::optional<Error> CompilationPipeline::enableStageReport() {
-  std::vector<std::string> Anchors;
-  for (const PipelineStage &Stage : Stages)
-    if (!Stage.Diagnostic)
-      Anchors.push_back(Stage.Name);
-  for (const std::string &Anchor : Anchors) {
-    PipelineStage Info{"stage-report:" + Anchor,
-                       "module op count after '" + Anchor + "'",
-                       /*Diagnostic=*/true};
-    std::optional<Error> Err = registerStage(
-        std::move(Info),
-        [Anchor](StageContext &C) -> std::optional<Error> {
-          C.Stats.OpCounts.push_back({Anchor, countModuleOps(C)});
-          return std::nullopt;
-        },
-        StageAnchor::after(Anchor));
-    if (Err)
-      return Err;
+  std::string CoreStages;
+  bool Known = false;
+  for (const PipelineStage &Stage : Stages) {
+    if (Stage.Diagnostic)
+      continue;
+    Known |= Stage.Name == AfterStage;
+    CoreStages += (CoreStages.empty() ? "" : ", ") + Stage.Name;
   }
+  if (!Known)
+    return makeError("cannot dump the IR after unknown stage '" +
+                     AfterStage + "' (stages: " + CoreStages + ")");
+  IrDumps[AfterStage] = std::move(OutputPath);
+  buildStages();
   return std::nullopt;
 }
 
-void CompilationPipeline::buildStages() {
-  const CompilerOptions &O = Config.getOptions();
-  // The default registration set. Names are unique and the anchors refer
-  // to already-registered stages, so none of these can fail.
-  auto MustRegister = [&](PipelineStage Info, StageRunner Runner) {
-    std::optional<Error> Err =
-        registerStage(std::move(Info), std::move(Runner));
-    (void)Err;
-    assert(!Err && "default stage registration failed");
-  };
-
-  // Stage 1: translation into the HiSPN dialect (paper §IV-A2). For
-  // likelihood queries the translation tags every sum/leaf op with its
-  // canonical parameter base index (docs/merging.md).
-  MustRegister({"translate", "model -> HiSPN dialect"},
-               [](StageContext &C) -> std::optional<Error> {
-    C.Module = spn::translateToHiSPN(C.Ctx, C.Model, C.Query);
-    if (!C.Module)
-      return makeError("translation to HiSPN failed (invalid model?)");
-    return std::nullopt;
-  });
-
-  // Stage 2: the target-independent IR pipeline (paper §IV-A).
-  MustRegister({"ir-pipeline", describeIrPipeline(O)},
-               [](StageContext &C) -> std::optional<Error> {
-    const CompilerOptions &O = C.Options;
-    PassManager PM(C.Ctx, O.VerifyIR);
-    if (O.OptLevel >= 1)
-      PM.addPass(createCanonicalizerPass()); // HiSPN-level early opts
-    PM.addPass(transforms::createHiSPNToLoSPNLoweringPass(
-        C.Query.DataType == spn::ComputeType::F64 ? 64 : 32));
-    // Task partitioning would split the kernel; MPE/sampling tracebacks
-    // need the whole graph in one task's register file.
-    if (O.MaxPartitionSize > 0 && !spn::needsTraceback(C.Query.Kind)) {
-      partition::PartitionOptions PartOptions = O.Partitioning;
-      PartOptions.MaxPartitionSize = O.MaxPartitionSize;
-      PM.addPass(transforms::createTaskPartitioningPass(PartOptions));
-    }
-    if (O.OptLevel >= 1) {
-      PM.addPass(createCanonicalizerPass());
-      PM.addPass(createCSEPass());
-    }
-    transforms::BufferizationOptions BufOptions;
-    // A traceback task must store its root value to the output itself:
-    // every engine's per-row upward pass runs the task, never a copy.
-    BufOptions.AvoidCopies =
-        O.AvoidBufferCopies || spn::needsTraceback(C.Query.Kind);
-    PM.addPass(transforms::createBufferizationPass(BufOptions));
-    if (O.TheTarget == Target::GPU && O.GpuTransferElimination)
-      PM.addPass(transforms::createGpuBufferTransferEliminationPass());
-
-    if (failed(PM.run(C.Module.get().getOperation())))
-      return makeError("compilation pipeline failed");
-    C.Stats.PassTimings = PM.getTimings();
-
-    for (Operation *Op : C.Module.get().getBody())
-      if (isa_op<lospn::KernelOp>(Op))
-        C.Kernel = lospn::KernelOp(Op);
-    if (!C.Kernel)
-      return makeError("pipeline produced no kernel");
-    return std::nullopt;
-  });
-
-  // Stage 3: code generation (paper §IV-B / §IV-C).
-  MustRegister({"codegen", O.TheTarget == Target::GPU
-                               ? "LoSPN -> bytecode (select-cascade leaves)"
-                               : "LoSPN -> bytecode (table-lookup leaves)"},
-               [](StageContext &C) -> std::optional<Error> {
-    const CompilerOptions &O = C.Options;
-    codegen::CodegenOptions CGOptions;
-    CGOptions.OptLevel = O.OptLevel;
-    CGOptions.EmitSelectCascades = O.TheTarget == Target::GPU;
-    CGOptions.Query = C.Query.Kind;
-    Expected<vm::KernelProgram> Program =
-        codegen::emitKernelProgram(C.Kernel, CGOptions, &C.Stats.Codegen);
-    if (!Program)
-      return Program.getError();
-    C.Program = Program.takeValue();
-    C.Stats.NumTasks = C.Program.Tasks.size();
-    C.Stats.NumInstructions = C.Program.totalInstructions();
-    return std::nullopt;
-  });
-
-  // Stage 4 (GPU only): assemble and reload the device binary, the
-  // analog of the PTX -> CUBIN translation that dominates GPU compile
-  // time in the paper (§V-B1).
-  if (O.TheTarget == Target::GPU) {
-    MustRegister({"binary-encode", "device binary round-trip"},
-                 [](StageContext &C) -> std::optional<Error> {
-      std::vector<uint8_t> Blob = vm::encodeProgram(C.Program);
-      Expected<vm::KernelProgram> Reloaded = vm::decodeProgram(Blob);
-      if (!Reloaded)
-        return makeError("device binary round-trip failed");
-      C.Program = Reloaded.takeValue();
-      return std::nullopt;
-    });
-  }
+std::optional<Error> CompilationPipeline::enableStageReport() {
+  StageReport = true;
+  buildStages();
+  return std::nullopt;
 }
 
 Expected<vm::KernelProgram>
@@ -399,28 +388,56 @@ CompilationPipeline::compile(const spn::Model &Model,
                              const spn::QueryConfig &Query,
                              CompileStats *Stats) const {
   Timer TotalTimer;
-  CompileStats LocalStats;
-  CompileStats &S = Stats ? *Stats : LocalStats;
-  S = CompileStats();
-
+  CompileStats S;
   vm::KernelProgram Program;
   {
     StageContext C(Model, spn::resolveQuery(Model, Query),
                    Config.getOptions(), S);
-    for (size_t I = 0; I < Runners.size(); ++I) {
+    // The core stage the diagnostics that follow it observe.
+    const std::string *Observed = nullptr;
+    for (size_t I = 0; I < Stages.size(); ++I) {
+      const std::string &Name = Stages[I].Name;
+      if (!Stages[I].Diagnostic)
+        Observed = &Name;
       Timer StageTimer;
-      if (std::optional<Error> Err = Runners[I](C))
+      std::optional<Error> Err;
+      switch (Kinds[I]) {
+      case StageKind::Translate:
+        Err = translate(C);
+        break;
+      case StageKind::IrPipeline:
+        Err = runIrPipeline(C);
+        break;
+      case StageKind::Codegen:
+        Err = generateCode(C);
+        break;
+      case StageKind::BinaryEncode:
+        Err = encodeBinary(C);
+        break;
+      case StageKind::IrDump:
+        Err = dumpIr(C, *Observed, IrDumps.at(*Observed));
+        break;
+      case StageKind::Verify:
+        Err = verifyAfterStage(C.Module.get().getOperation(), *Observed);
+        break;
+      case StageKind::StageReport:
+        S.OpCounts.push_back({*Observed, countModuleOps(C)});
+        break;
+      }
+      if (Err)
         return *Err;
       uint64_t Ns = StageTimer.elapsedNs();
-      S.Stages.push_back({Stages[I].Name, Ns});
+      S.Stages.push_back({Name, Ns});
       // Keep the dedicated stat fields of the §V-B1 breakdown populated.
-      if (Stages[I].Name == "translate")
+      if (Kinds[I] == StageKind::Translate)
         S.TranslationNs = Ns;
-      else if (Stages[I].Name == "binary-encode")
+      else if (Kinds[I] == StageKind::BinaryEncode)
         S.BinaryEncodeNs = Ns;
     }
     Program = std::move(C.Program);
   } // Tears down the IR module and its context: part of the compile.
   S.TotalNs = TotalTimer.elapsedNs();
+  if (Stats)
+    *Stats = std::move(S);
   return Program;
 }

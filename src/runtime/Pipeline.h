@@ -8,15 +8,13 @@
 /// \file
 /// The staged compilation pipeline behind `runtime::compileModel`: a
 /// `CompilationPipeline` is built once from a validated `PipelineConfig`
-/// and populates an open stage registry with the default stage set
-/// (translate -> ir-pipeline -> codegen -> binary-encode). Additional
-/// named stages — diagnostic or transforming — can be registered with
-/// `registerStage`, anchored before/after any existing stage; three
-/// built-in diagnostic stages (verify-after-each, ir-dump, stage-report)
-/// exercise that hook. The pipeline runs its stages with per-stage
-/// wall-clock timing feeding `CompileStats` and produces a portable
-/// `vm::KernelProgram`; turning that program into a loaded
-/// `ExecutionEngine` is the job of a `backend::Backend`
+/// and runs the paper's fixed stage list (§IV): translate -> ir-pipeline
+/// -> codegen, plus binary-encode on the GPU target. Three built-in
+/// diagnostics (ir-dump, verify, stage-report) can be switched on; each
+/// observes the module after a stage and never changes the compiled
+/// program. The pipeline times every stage into `CompileStats` and
+/// produces a portable `vm::KernelProgram`; turning that program into a
+/// loaded `ExecutionEngine` is the job of a `backend::Backend`
 /// (backend/Backend.h). Benchmarks, the CLI and the kernel cache all
 /// drive this one object instead of re-assembling pass lists and
 /// options by hand.
@@ -30,18 +28,17 @@
 #include "frontend/Model.h"
 #include "frontend/Query.h"
 #include "gpusim/GpuSimulator.h"
-#include "ir/BuiltinOps.h"
-#include "ir/Context.h"
 #include "ir/PassManager.h"
+#include "partition/Partitioner.h"
 #include "runtime/ExecutionEngine.h"
 #include "support/Expected.h"
-#include "transforms/Passes.h"
 #include "vm/Executor.h"
 
-#include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace spnc {
@@ -85,15 +82,14 @@ struct StageTiming {
 struct StageOpCount {
   /// The stage after which the module was measured.
   std::string Stage;
-  /// Operations in the module at that point (0 once the module has been
-  /// consumed or before it exists).
+  /// Operations in the module at that point.
   size_t NumOps = 0;
 };
 
 /// Compile-time measurements (the paper's §V-B1 breakdown).
 struct CompileStats {
   /// Wall clock per named pipeline stage, in execution order (includes
-  /// registered diagnostic stages).
+  /// the enabled diagnostic stages).
   std::vector<StageTiming> Stages;
   /// Module op counts per stage; populated by enableStageReport().
   std::vector<StageOpCount> OpCounts;
@@ -134,7 +130,7 @@ public:
   /// Stable structural hash over the knobs the pipeline or the target's
   /// engine reads, and no others (the partitioner's options only when
   /// partitioning is on, the GPU device options only on the GPU target,
-  /// the CPU execution options only on the CPU); one of the three
+  /// the CPU execution options only on the CPU); one of the four
   /// kernel-cache key components. Thread-safe; never fails.
   uint64_t hash() const;
 
@@ -145,100 +141,31 @@ private:
 
 /// Introspectable description of one pipeline stage.
 struct PipelineStage {
-  /// Stable stage name, unique within a pipeline. Default stages:
+  /// Stable stage name, unique within a pipeline. Core stages:
   /// "translate", "ir-pipeline", "codegen", "binary-encode"; the
-  /// built-in diagnostics register as "verify:<stage>",
-  /// "ir-dump:<stage>" and "stage-report:<stage>".
+  /// built-in diagnostics are named "ir-dump:<stage>", "verify:<stage>"
+  /// and "stage-report:<stage>" after the core stage they observe.
   std::string Name;
   /// Human-readable summary of the work the stage will perform under the
   /// pipeline's configuration (e.g. the pass list of "ir-pipeline").
   std::string Detail;
-  /// True for observing stages (verification, dumps, reporting) that
-  /// never change the compilation result. Diagnostic stages are skipped
-  /// when further diagnostics are anchored "after each stage".
+  /// True for the observing stages (IR dumps, verification, op-count
+  /// reports), which never change the compilation result.
   bool Diagnostic = false;
 };
 
-namespace detail {
-
-/// Mutable state threaded through the stages of one compile() run. Each
-/// run owns a fresh context, which is what keeps a shared pipeline object
-/// safe to use from concurrent compiles. Registered stage runners receive
-/// this context and may inspect or transform any of it; fields are
-/// populated progressively (Module after "translate", Kernel after
-/// "ir-pipeline", Program after "codegen").
-struct StageContext {
-  StageContext(const spn::Model &Model, spn::QueryConfig Query,
-               const CompilerOptions &Options, CompileStats &Stats)
-      : Model(Model), Query(Query), Options(Options), Stats(Stats) {}
-
-  const spn::Model &Model;
-  spn::QueryConfig Query;
-  const CompilerOptions &Options;
-  CompileStats &Stats;
-
-  ir::Context Ctx;
-  ir::OwningOpRef<ir::ModuleOp> Module;
-  lospn::KernelOp Kernel{nullptr};
-  vm::KernelProgram Program;
-};
-
-} // namespace detail
-
-/// Where a registered stage is inserted relative to the stages already in
-/// the registry.
-class StageAnchor {
-public:
-  enum class Placement {
-    /// Append at the end of the current stage list (the default).
-    End,
-    /// Insert immediately before the referenced stage.
-    Before,
-    /// Insert immediately after the referenced stage.
-    After,
-  };
-
-  StageAnchor() = default;
-
-  static StageAnchor end() { return StageAnchor(); }
-  static StageAnchor before(std::string Reference) {
-    return StageAnchor(Placement::Before, std::move(Reference));
-  }
-  static StageAnchor after(std::string Reference) {
-    return StageAnchor(Placement::After, std::move(Reference));
-  }
-
-  Placement getPlacement() const { return Where; }
-  const std::string &getReference() const { return Reference; }
-
-private:
-  StageAnchor(Placement Where, std::string Reference)
-      : Where(Where), Reference(std::move(Reference)) {}
-
-  Placement Where = Placement::End;
-  std::string Reference;
-};
-
-/// The work of one registered stage: invoked once per compile() with the
-/// run's private context; returning an Error aborts the compilation with
-/// that diagnostic. Runners on one pipeline may be invoked concurrently
-/// (one compile per thread), so they must not mutate shared state without
-/// synchronization.
-using StageRunner =
-    std::function<std::optional<Error>(detail::StageContext &)>;
-
 /// The staged compile path (paper §IV): translate -> IR pipeline ->
-/// codegen -> binary encode (GPU), held in an open, ordered stage
-/// registry. Built once from a validated config and reusable across
-/// models; `compile` may be called concurrently from multiple threads.
-/// Stage registration is NOT thread-safe: register every custom stage
-/// before the first compile().
+/// codegen -> binary encode (GPU). The stage list is fixed by the
+/// configuration; after each core stage the enabled diagnostics run, in
+/// the order ir-dump, verify, stage-report. Built once from a validated
+/// config and reusable across models; `compile` may be called
+/// concurrently from multiple threads. Enabling a diagnostic is NOT
+/// thread-safe: do it before the first compile().
 class CompilationPipeline {
 public:
-  /// Validates \p Options and builds the pipeline with the default stage
-  /// registrations. Fails exactly when PipelineConfig::create fails
-  /// (invalid knobs); a returned pipeline is always runnable.
-  /// Thread-safe.
+  /// Validates \p Options and builds the pipeline. Fails exactly when
+  /// PipelineConfig::create fails (invalid knobs); a returned pipeline
+  /// is always runnable. Thread-safe.
   static Expected<CompilationPipeline> create(CompilerOptions Options);
 
   /// Builds the pipeline from an already-validated config; never fails.
@@ -248,42 +175,29 @@ public:
   /// lifetime.
   const PipelineConfig &getConfig() const { return Config; }
 
-  /// The registered stages, in execution order. Thread-safe once
-  /// registration is finished.
+  /// The stages compile() runs, in execution order, diagnostics
+  /// included. Thread-safe once the diagnostics are set up.
   const std::vector<PipelineStage> &getStages() const { return Stages; }
 
-  /// True when a stage named \p Name is registered.
-  bool hasStage(const std::string &Name) const;
-
-  /// Registers \p Runner as the named stage \p Info, inserted where
-  /// \p Anchor says. Fails with a diagnostic when the stage name is
-  /// already registered or the anchor references an unknown stage; the
-  /// registry is unchanged on failure. Not thread-safe — call before
-  /// the first compile().
-  std::optional<Error> registerStage(PipelineStage Info, StageRunner Runner,
-                                     StageAnchor Anchor = StageAnchor::end());
-
-  /// Built-in diagnostic: inserts a "verify:<stage>" stage after every
-  /// currently registered non-diagnostic stage. Each one runs the IR
-  /// `ir::verify` over the module (when it exists at that point) and
-  /// fails the compilation naming the offending stage and the first
-  /// verifier diagnostic. Fails only if the verify stages were already
-  /// registered.
+  /// Built-in diagnostic: a "verify:<stage>" stage after every core
+  /// stage runs `ir::verify` over the module and fails the compilation
+  /// naming the stage and the first verifier diagnostic. Never fails; a
+  /// repeated call is a no-op.
   std::optional<Error> enableVerifyAfterEachStage();
 
-  /// Built-in diagnostic: inserts an "ir-dump:<stage>" stage after
-  /// \p AfterStage that prints the module in generic form — to stderr,
-  /// or to \p OutputPath when non-empty (overwritten per compile).
-  /// Fails when \p AfterStage is not registered or the dump stage
-  /// already exists.
+  /// Built-in diagnostic: an "ir-dump:<stage>" stage after the core
+  /// stage \p AfterStage prints the module in generic form — to stderr,
+  /// or to \p OutputPath when non-empty (overwritten per compile). A
+  /// repeated call for one stage replaces its output path. Fails when
+  /// \p AfterStage is not a core stage of this pipeline; the message
+  /// lists the core stages.
   std::optional<Error> addIrDumpStage(const std::string &AfterStage,
                                       std::string OutputPath = "");
 
-  /// Built-in diagnostic: inserts a "stage-report:<stage>" stage after
-  /// every currently registered non-diagnostic stage, recording the
-  /// module's op count at that point into `CompileStats::OpCounts`
-  /// (timings are always recorded, report or not). Fails only if the
-  /// report stages were already registered.
+  /// Built-in diagnostic: a "stage-report:<stage>" stage after every
+  /// core stage records the module's op count at that point into
+  /// `CompileStats::OpCounts` (timings are always recorded, report or
+  /// not). Never fails; a repeated call is a no-op.
   std::optional<Error> enableStageReport();
 
   /// Runs every stage over \p Model for \p Query resolved against it
@@ -299,12 +213,37 @@ public:
                                       CompileStats *Stats = nullptr) const;
 
 private:
+  /// What one entry of `Stages` runs.
+  enum class StageKind : uint8_t {
+    Translate,
+    IrPipeline,
+    Codegen,
+    BinaryEncode,
+    IrDump,
+    Verify,
+    StageReport,
+  };
+
+  /// Rebuilds `Stages` and `Kinds` from the configuration and the
+  /// enabled diagnostics.
   void buildStages();
 
   PipelineConfig Config;
+  bool VerifyEachStage = false;
+  bool StageReport = false;
+  /// Output path per core stage with an IR dump; an empty path prints
+  /// to stderr.
+  std::map<std::string, std::string> IrDumps;
   std::vector<PipelineStage> Stages;
-  std::vector<StageRunner> Runners;
+  /// Parallel to `Stages`.
+  std::vector<StageKind> Kinds;
 };
+
+/// The check of a "verify:<stage>" diagnostic: runs `ir::verify` over
+/// \p Module and, on failure, returns an error naming \p Stage and the
+/// first verifier diagnostic. Thread-safe for distinct modules.
+std::optional<Error> verifyAfterStage(ir::Operation *Module,
+                                      const std::string &Stage);
 
 } // namespace runtime
 } // namespace spnc

@@ -16,7 +16,7 @@ using namespace spnc::runtime;
 
 namespace {
 
-/// The registered stage description matching \p Name, or nullptr.
+/// The stage description matching \p Name, or nullptr.
 const PipelineStage *findStage(const std::vector<PipelineStage> *Stages,
                                const std::string &Name) {
   if (!Stages)

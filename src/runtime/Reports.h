@@ -12,7 +12,7 @@
 /// covered by golden tests (report_test.cpp), so serving dashboards can
 /// scrape the documents without defensive parsing.
 ///
-/// Pipeline report shape (one "stages" entry per registered stage, in
+/// Pipeline report shape (one "stages" entry per stage that ran, in
 /// execution order):
 ///
 ///   {
@@ -51,7 +51,7 @@ class RawOStream;
 namespace runtime {
 
 /// Writes the JSON pipeline report for \p Stats to \p OS. \p Stages,
-/// when non-null, supplies the registered stage descriptions (detail
+/// when non-null, supplies the pipeline's stage descriptions (detail
 /// text and the diagnostic flag) matched to the timings by stage name.
 void writePipelineReport(const CompileStats &Stats,
                          const std::vector<PipelineStage> *Stages,
@@ -69,7 +69,8 @@ struct ModelPipelineReport {
   /// Display name (the CLI uses the model path).
   std::string Model;
   CompileStats Stats;
-  /// Registered stage descriptions, or null (as in writePipelineReport).
+  /// The pipeline's stage descriptions, or null (as in
+  /// writePipelineReport).
   const std::vector<PipelineStage> *Stages = nullptr;
 };
 

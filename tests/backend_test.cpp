@@ -343,12 +343,8 @@ TEST(BackendCacheKeyTest, BackendIdentityChangesKey) {
 
   backend::VmBackend Vm;
   backend::CppBackend Cpp;
-  uint64_t Fingerprint = 0;
-  uint64_t VmKey = KernelCache::makeKey(S.Model, Query, *Config,
-                                        Fingerprint, Vm);
-  uint64_t CppKey = KernelCache::makeKey(S.Model, Query, *Config,
-                                         Fingerprint, Cpp);
-  EXPECT_NE(VmKey, CppKey);
+  EXPECT_NE(KernelCache::makeKey(S.Model, Query, *Config, Vm),
+            KernelCache::makeKey(S.Model, Query, *Config, Cpp));
 }
 
 TEST(BackendCacheKeyTest, ToolchainFlagsChangeCppKey) {
@@ -360,9 +356,8 @@ TEST(BackendCacheKeyTest, ToolchainFlagsChangeCppKey) {
 
   backend::CppBackend Default;
   backend::CppBackend Fast(fastCppOptions());
-  EXPECT_NE(
-      KernelCache::makeKey(S.Model, Query, *Config, 0, Default),
-      KernelCache::makeKey(S.Model, Query, *Config, 0, Fast));
+  EXPECT_NE(KernelCache::makeKey(S.Model, Query, *Config, Default),
+            KernelCache::makeKey(S.Model, Query, *Config, Fast));
 }
 
 //===----------------------------------------------------------------------===//

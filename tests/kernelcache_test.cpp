@@ -56,17 +56,14 @@ protected:
 
   void TearDown() override { std::filesystem::remove_all(TempDir); }
 
-  /// The disk key an unconfigured cache uses for (Model, Query,
-  /// Options): the default pipeline's stage set on the VM backend.
+  /// The disk key a cache without a backend uses for (Model, Query,
+  /// Options): the VM backend's.
   static uint64_t keyFor(const spn::Model &M,
                          const spn::QueryConfig &Query,
                          const CompilerOptions &Options) {
     Expected<PipelineConfig> Config = PipelineConfig::create(Options);
     EXPECT_TRUE(static_cast<bool>(Config));
-    return KernelCache::makeKey(
-        M, Query, *Config,
-        KernelCache::stageFingerprint(CompilationPipeline(*Config)),
-        backend::VmBackend());
+    return KernelCache::makeKey(M, Query, *Config, backend::VmBackend());
   }
 
   /// Reads a cache file's bytes.
@@ -959,90 +956,38 @@ TEST_F(KernelCacheTest, ClearDropsEnginesButKeepsDisk) {
   EXPECT_EQ(CacheStats.Recompiles, 1u);
 }
 
-/// A ConfigurePipeline hook registering one no-op custom stage named
-/// \p Name.
-KernelCache::Config customStageConfig(const std::string &Directory,
-                                      const std::string &Name) {
-  KernelCache::Config Config;
-  Config.Directory = Directory;
-  Config.ConfigurePipeline =
-      [Name](CompilationPipeline &P) -> std::optional<Error> {
-    return P.registerStage(
-        PipelineStage{Name, "test stage", /*Diagnostic=*/true},
-        [](detail::StageContext &) { return std::nullopt; });
-  };
-  return Config;
-}
-
-TEST_F(KernelCacheTest, StageFingerprintSeparatesConfiguredPipelines) {
+TEST_F(KernelCacheTest, DiagnosticHooksShareOneEntry) {
+  // Diagnostics never change the compiled program, so caches that
+  // switch different ones on share one disk entry, and makeKey predicts
+  // its path whatever the hook — the contract external tooling relies
+  // on to prewarm cache directories.
   CompilerOptions Options;
-
-  // Seed the disk tier with a default-pipeline entry.
-  {
-    KernelCache Default(TempDir.string());
+  std::function<std::optional<Error>(CompilationPipeline &)> Hooks[] = {
+      nullptr,
+      [](CompilationPipeline &P) { return P.enableStageReport(); },
+      [](CompilationPipeline &P) { return P.enableVerifyAfterEachStage(); }};
+  uint64_t Recompiles = 0, DiskHits = 0;
+  for (const auto &Hook : Hooks) {
+    KernelCache::Config Config;
+    Config.Directory = TempDir.string();
+    Config.ConfigurePipeline = Hook;
+    KernelCache Cache(Config);
     ASSERT_TRUE(static_cast<bool>(
-        Default.getOrCompile(*Model, spn::QueryConfig(), Options)));
-    EXPECT_EQ(Default.getStats().Recompiles, 1u);
+        Cache.getOrCompile(*Model, spn::QueryConfig(), Options)));
+    Recompiles += Cache.getStats().Recompiles;
+    DiskHits += Cache.getStats().DiskHits;
   }
+  EXPECT_EQ(Recompiles, 1u);
+  EXPECT_EQ(DiskHits, 2u);
 
-  // A cache whose pipelines carry a custom stage must not pick up the
-  // default pipeline's entry: the stage fingerprint is part of the key.
-  {
-    KernelCache Custom(
-        customStageConfig(TempDir.string(), "custom:checkpoint"));
-    ASSERT_TRUE(static_cast<bool>(
-        Custom.getOrCompile(*Model, spn::QueryConfig(), Options)));
-    KernelCache::Stats Stats = Custom.getStats();
-    EXPECT_EQ(Stats.DiskHits, 0u);
-    EXPECT_EQ(Stats.Recompiles, 1u);
-  }
-
-  // A second cache with the identical hook shares the custom entry.
-  {
-    KernelCache Again(
-        customStageConfig(TempDir.string(), "custom:checkpoint"));
-    ASSERT_TRUE(static_cast<bool>(
-        Again.getOrCompile(*Model, spn::QueryConfig(), Options)));
-    KernelCache::Stats Stats = Again.getStats();
-    EXPECT_EQ(Stats.DiskHits, 1u);
-    EXPECT_EQ(Stats.Recompiles, 0u);
-  }
-
-  // A differently named stage is a different pipeline again.
-  {
-    KernelCache Other(
-        customStageConfig(TempDir.string(), "custom:other"));
-    ASSERT_TRUE(static_cast<bool>(
-        Other.getOrCompile(*Model, spn::QueryConfig(), Options)));
-    KernelCache::Stats Stats = Other.getStats();
-    EXPECT_EQ(Stats.DiskHits, 0u);
-    EXPECT_EQ(Stats.Recompiles, 1u);
-  }
-}
-
-TEST_F(KernelCacheTest, DefaultKeyMatchesUnconfiguredGetOrCompile) {
-  // makeKey with the default pipeline's stage fingerprint and the VM
-  // backend must keep predicting the disk location getOrCompile uses
-  // when neither a ConfigurePipeline hook nor a backend is installed —
-  // the contract external tooling relies on to prewarm cache dirs.
-  CompilerOptions Options;
-  KernelCache Cache(TempDir.string());
-  ASSERT_TRUE(static_cast<bool>(
-      Cache.getOrCompile(*Model, spn::QueryConfig(), Options)));
-  uint64_t Key = keyFor(*Model, spn::QueryConfig(), Options);
-  EXPECT_TRUE(std::filesystem::exists(Cache.entryPath(Key)));
-
-  // Registering a stage changes the fingerprint, and with it the key.
-  Expected<PipelineConfig> Config = PipelineConfig::create(Options);
-  ASSERT_TRUE(static_cast<bool>(Config));
-  CompilationPipeline Custom(*Config);
-  ASSERT_FALSE(Custom.registerStage(
-      PipelineStage{"custom:checkpoint", "test stage",
-                    /*Diagnostic=*/true},
-      [](detail::StageContext &) { return std::nullopt; }));
-  EXPECT_NE(Key, KernelCache::makeKey(*Model, spn::QueryConfig(), *Config,
-                                      KernelCache::stageFingerprint(Custom),
-                                      backend::VmBackend()));
+  std::vector<std::filesystem::path> Entries;
+  for (const auto &Entry : std::filesystem::directory_iterator(TempDir))
+    if (Entry.path().extension() == ".spnk")
+      Entries.push_back(Entry.path());
+  ASSERT_EQ(Entries.size(), 1u);
+  KernelCache Probe(TempDir.string());
+  EXPECT_EQ(Entries[0], std::filesystem::path(Probe.entryPath(
+                            keyFor(*Model, spn::QueryConfig(), Options))));
 }
 
 } // namespace

@@ -9,16 +9,25 @@
 /// The central correctness property of the whole system: every execution
 /// configuration (scalar / vectorized / gather / shuffle / log / linear /
 /// GPU / all optimization levels / partitioned) must agree with the
-/// reference model evaluator.
+/// reference model evaluator. Also the pipeline's fixed stage list, the
+/// pass list its "ir-pipeline" detail names, and the built-in
+/// diagnostics (ir-dump, verify, stage-report).
 ///
 //===----------------------------------------------------------------------===//
 
+#include "frontend/HiSPNTranslation.h"
+#include "ir/Operation.h"
 #include "runtime/Compiler.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <filesystem>
+#include <string>
+#include <vector>
 
 using namespace spnc;
 using namespace spnc::runtime;
@@ -68,6 +77,16 @@ protected:
   std::unique_ptr<spn::Model> Model;
   std::vector<double> Data;
 };
+
+/// A model whose product's children share a feature, so translation
+/// rejects it.
+spn::Model makeNonDecomposableModel() {
+  spn::Model Broken(2);
+  spn::Node *G0 = Broken.makeGaussian(0, 0.0, 1.0);
+  spn::Node *G1 = Broken.makeGaussian(0, 1.0, 1.0);
+  Broken.setRoot(Broken.makeProduct({G0, G1}));
+  return Broken;
+}
 
 } // namespace
 
@@ -271,4 +290,297 @@ TEST_F(PipelineTest, CompileStatsArePopulated) {
   EXPECT_FALSE(Stats.PassTimings.empty());
   EXPECT_EQ(Stats.NumTasks, 1u);
   EXPECT_GT(Stats.NumInstructions, 0u);
+}
+
+TEST_F(PipelineTest, FailedCompileLeavesStatsUntouched) {
+  spn::Model Broken = makeNonDecomposableModel();
+  Expected<CompilationPipeline> Pipeline =
+      CompilationPipeline::create(CompilerOptions());
+  ASSERT_TRUE(static_cast<bool>(Pipeline));
+  ASSERT_FALSE(Pipeline->enableStageReport());
+
+  // The stats of an earlier, successful compile survive a failed one.
+  CompileStats Stats;
+  ASSERT_TRUE(static_cast<bool>(
+      Pipeline->compile(*Model, spn::QueryConfig(), &Stats)));
+  CompileStats Before = Stats;
+  ASSERT_FALSE(static_cast<bool>(
+      Pipeline->compile(Broken, spn::QueryConfig(), &Stats)));
+  ASSERT_EQ(Stats.Stages.size(), Before.Stages.size());
+  for (size_t I = 0; I < Stats.Stages.size(); ++I) {
+    EXPECT_EQ(Stats.Stages[I].Name, Before.Stages[I].Name);
+    EXPECT_EQ(Stats.Stages[I].WallNs, Before.Stages[I].WallNs);
+  }
+  ASSERT_EQ(Stats.OpCounts.size(), Before.OpCounts.size());
+  for (size_t I = 0; I < Stats.OpCounts.size(); ++I)
+    EXPECT_EQ(Stats.OpCounts[I].NumOps, Before.OpCounts[I].NumOps);
+  EXPECT_EQ(Stats.PassTimings.size(), Before.PassTimings.size());
+  EXPECT_EQ(Stats.TranslationNs, Before.TranslationNs);
+  EXPECT_EQ(Stats.TotalNs, Before.TotalNs);
+  EXPECT_EQ(Stats.NumTasks, Before.NumTasks);
+  EXPECT_EQ(Stats.NumInstructions, Before.NumInstructions);
+}
+
+//===----------------------------------------------------------------------===//
+// The stage list and its built-in diagnostics
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+spn::Model makeSmallModel() {
+  workloads::SpeakerModelOptions Options;
+  Options.TargetOperations = 150;
+  Options.Seed = 11;
+  return workloads::generateSpeakerModel(Options);
+}
+
+std::vector<std::string> stageNames(const CompilationPipeline &Pipeline) {
+  std::vector<std::string> Names;
+  for (const PipelineStage &Stage : Pipeline.getStages())
+    Names.push_back(Stage.Name);
+  return Names;
+}
+
+/// Corrupts \p Module: moves the terminator of the first multi-op block
+/// it finds away from the block's end, which the structural verifier
+/// must flag. False when there is no such block.
+bool corruptModule(ir::Operation *Module) {
+  ir::Operation *Victim = nullptr;
+  Module->walk([&](ir::Operation *Op) {
+    if (Victim)
+      return;
+    ir::Block *TheBlock = Op->getBlock();
+    if (Op->isTerminator() && TheBlock && TheBlock->size() > 1 &&
+        TheBlock->back() == Op)
+      Victim = Op;
+  });
+  if (!Victim)
+    return false;
+  Victim->moveBefore(*Victim->getBlock()->begin());
+  return true;
+}
+
+} // namespace
+
+TEST(StageRegistryTest, DefaultStagesRegistered) {
+  Expected<CompilationPipeline> Cpu =
+      CompilationPipeline::create(CompilerOptions());
+  ASSERT_TRUE(static_cast<bool>(Cpu));
+  EXPECT_EQ(stageNames(*Cpu),
+            (std::vector<std::string>{"translate", "ir-pipeline",
+                                      "codegen"}));
+
+  CompilerOptions GpuOptions;
+  GpuOptions.TheTarget = Target::GPU;
+  Expected<CompilationPipeline> Gpu =
+      CompilationPipeline::create(GpuOptions);
+  ASSERT_TRUE(static_cast<bool>(Gpu));
+  EXPECT_EQ(stageNames(*Gpu),
+            (std::vector<std::string>{"translate", "ir-pipeline",
+                                      "codegen", "binary-encode"}));
+}
+
+TEST(StageRegistryTest, UnknownAnchorRejectedWithDiagnostic) {
+  // An IR dump is anchored after a core stage; any other name is
+  // rejected with a message naming it and listing the core stages, and
+  // the stage list stays as it was.
+  Expected<CompilationPipeline> Pipeline =
+      CompilationPipeline::create(CompilerOptions());
+  ASSERT_TRUE(static_cast<bool>(Pipeline));
+  ASSERT_FALSE(Pipeline->enableVerifyAfterEachStage());
+  std::vector<std::string> Before = stageNames(*Pipeline);
+  for (std::string Bad : {"no-such-stage", "verify:translate", ""}) {
+    std::optional<Error> Err = Pipeline->addIrDumpStage(Bad);
+    ASSERT_TRUE(Err.has_value()) << Bad;
+    EXPECT_NE(Err->message().find("'" + Bad + "'"), std::string::npos)
+        << Err->message();
+    EXPECT_NE(Err->message().find("translate, ir-pipeline, codegen"),
+              std::string::npos)
+        << Err->message();
+  }
+  EXPECT_EQ(stageNames(*Pipeline), Before);
+}
+
+TEST(StageRegistryTest, RegisteredStagesRunInListOrder) {
+  // The diagnostics follow each core stage in one fixed order (ir-dump,
+  // verify, stage-report) whatever order they are switched on in, a
+  // repeated switch adds nothing, and compile() runs exactly the listed
+  // stages.
+  CompilerOptions Options;
+  Options.TheTarget = Target::GPU;
+  Expected<CompilationPipeline> Pipeline =
+      CompilationPipeline::create(Options);
+  ASSERT_TRUE(static_cast<bool>(Pipeline));
+  std::string Path =
+      ::testing::TempDir() + "/pipeline_test_stage_order_dump.txt";
+  ASSERT_FALSE(Pipeline->addIrDumpStage("ir-pipeline", Path));
+  ASSERT_FALSE(Pipeline->enableVerifyAfterEachStage());
+  ASSERT_FALSE(Pipeline->enableStageReport());
+  ASSERT_FALSE(Pipeline->enableStageReport());
+  ASSERT_FALSE(Pipeline->enableVerifyAfterEachStage());
+  std::vector<std::string> Listed = {
+      "translate",           "verify:translate",
+      "stage-report:translate",
+      "ir-pipeline",         "ir-dump:ir-pipeline",
+      "verify:ir-pipeline",  "stage-report:ir-pipeline",
+      "codegen",             "verify:codegen",
+      "stage-report:codegen",
+      "binary-encode",       "verify:binary-encode",
+      "stage-report:binary-encode"};
+  EXPECT_EQ(stageNames(*Pipeline), Listed);
+  for (const PipelineStage &Stage : Pipeline->getStages())
+    EXPECT_EQ(Stage.Diagnostic, Stage.Name.find(':') != std::string::npos)
+        << Stage.Name;
+
+  spn::Model Model = makeSmallModel();
+  CompileStats Stats;
+  Expected<vm::KernelProgram> Program =
+      Pipeline->compile(Model, spn::QueryConfig(), &Stats);
+  std::remove(Path.c_str());
+  ASSERT_TRUE(static_cast<bool>(Program)) << Program.getError().message();
+  std::vector<std::string> Ran;
+  for (const StageTiming &Stage : Stats.Stages)
+    Ran.push_back(Stage.Name);
+  EXPECT_EQ(Ran, Listed);
+  EXPECT_EQ(Stats.OpCounts.size(), 4u);
+}
+
+TEST(StageRegistryTest, StageErrorAbortsCompilation) {
+  // A failing stage ends the compile: no later stage runs, so the IR
+  // dump after codegen is never written.
+  spn::Model Broken = makeNonDecomposableModel();
+  Expected<CompilationPipeline> Pipeline =
+      CompilationPipeline::create(CompilerOptions());
+  ASSERT_TRUE(static_cast<bool>(Pipeline));
+  std::string Path =
+      ::testing::TempDir() + "/pipeline_test_aborted_dump.txt";
+  std::remove(Path.c_str());
+  ASSERT_FALSE(Pipeline->addIrDumpStage("codegen", Path));
+  Expected<vm::KernelProgram> Program =
+      Pipeline->compile(Broken, spn::QueryConfig());
+  ASSERT_FALSE(static_cast<bool>(Program));
+  EXPECT_NE(Program.getError().message().find("translation to HiSPN failed"),
+            std::string::npos)
+      << Program.getError().message();
+  EXPECT_FALSE(std::filesystem::exists(Path));
+}
+
+TEST(StageRegistryTest, VerifyAfterEachCatchesMalformedModule) {
+  spn::Model Model = makeSmallModel();
+  ir::Context Ctx;
+  ir::OwningOpRef<ir::ModuleOp> Module = spn::translateToHiSPN(
+      Ctx, Model, spn::resolveQuery(Model, spn::QueryConfig()));
+  ASSERT_TRUE(static_cast<bool>(Module));
+  ir::Operation *Op = Module.get().getOperation();
+  EXPECT_FALSE(verifyAfterStage(Op, "translate"));
+
+  ASSERT_TRUE(corruptModule(Op));
+  std::optional<Error> Err = verifyAfterStage(Op, "translate");
+  ASSERT_TRUE(Err.has_value());
+  EXPECT_NE(
+      Err->message().find("IR verification failed after stage 'translate'"),
+      std::string::npos)
+      << Err->message();
+}
+
+TEST(StageRegistryTest, VerifyAfterEachPassesOnHealthyPipeline) {
+  CompilerOptions Options;
+  Options.OptLevel = 2;
+  Options.MaxPartitionSize = 64;
+  Expected<CompilationPipeline> Pipeline =
+      CompilationPipeline::create(Options);
+  ASSERT_TRUE(static_cast<bool>(Pipeline));
+  EXPECT_FALSE(Pipeline->enableVerifyAfterEachStage());
+  // One verify stage per core stage, each directly after it.
+  EXPECT_EQ(stageNames(*Pipeline),
+            (std::vector<std::string>{"translate", "verify:translate",
+                                      "ir-pipeline", "verify:ir-pipeline",
+                                      "codegen", "verify:codegen"}));
+
+  spn::Model Model = makeSmallModel();
+  CompileStats Stats;
+  Expected<vm::KernelProgram> Program =
+      Pipeline->compile(Model, spn::QueryConfig(), &Stats);
+  ASSERT_TRUE(static_cast<bool>(Program)) << Program.getError().message();
+  EXPECT_EQ(Stats.Stages.size(), 6u);
+}
+
+TEST(StageRegistryTest, StageReportRecordsOpCounts) {
+  Expected<CompilationPipeline> Pipeline =
+      CompilationPipeline::create(CompilerOptions());
+  ASSERT_TRUE(static_cast<bool>(Pipeline));
+  EXPECT_FALSE(Pipeline->enableStageReport());
+  spn::Model Model = makeSmallModel();
+  CompileStats Stats;
+  Expected<vm::KernelProgram> Program =
+      Pipeline->compile(Model, spn::QueryConfig(), &Stats);
+  ASSERT_TRUE(static_cast<bool>(Program)) << Program.getError().message();
+  ASSERT_EQ(Stats.OpCounts.size(), 3u);
+  EXPECT_EQ(Stats.OpCounts[0].Stage, "translate");
+  EXPECT_EQ(Stats.OpCounts[1].Stage, "ir-pipeline");
+  EXPECT_EQ(Stats.OpCounts[2].Stage, "codegen");
+  for (const StageOpCount &Count : Stats.OpCounts)
+    EXPECT_GT(Count.NumOps, 0u);
+}
+
+TEST(StageRegistryTest, IrDumpStageWritesFile) {
+  Expected<CompilationPipeline> Pipeline =
+      CompilationPipeline::create(CompilerOptions());
+  ASSERT_TRUE(static_cast<bool>(Pipeline));
+  std::string Path = ::testing::TempDir() + "/pipeline_test_ir_dump.txt";
+  EXPECT_FALSE(Pipeline->addIrDumpStage("translate", Path));
+
+  spn::Model Model = makeSmallModel();
+  Expected<vm::KernelProgram> Program =
+      Pipeline->compile(Model, spn::QueryConfig());
+  ASSERT_TRUE(static_cast<bool>(Program)) << Program.getError().message();
+  std::FILE *File = std::fopen(Path.c_str(), "r");
+  ASSERT_NE(File, nullptr);
+  char Buffer[256] = {};
+  size_t Read = std::fread(Buffer, 1, sizeof(Buffer) - 1, File);
+  std::fclose(File);
+  std::remove(Path.c_str());
+  EXPECT_GT(Read, 0u);
+  EXPECT_NE(std::string(Buffer).find("module"), std::string::npos);
+}
+
+TEST(StageRegistryTest, IrPipelineDetailNamesThePassesThatRun) {
+  // The "ir-pipeline" detail and the pass manager come from one list:
+  // the detail states that partitioning runs for likelihood queries
+  // only, and each query runs exactly the passes the detail promises it.
+  CompilerOptions Options;
+  Options.OptLevel = 2;
+  Options.MaxPartitionSize = 80;
+  Expected<CompilationPipeline> Pipeline =
+      CompilationPipeline::create(Options);
+  ASSERT_TRUE(static_cast<bool>(Pipeline));
+  const std::string &Detail = Pipeline->getStages()[1].Detail;
+  EXPECT_EQ(Detail, "canonicalize, lower-hispn-to-lospn, "
+                    "partition-tasks(max=80; likelihood queries only), "
+                    "canonicalize, cse, bufferize");
+
+  spn::Model Model = makeSmallModel();
+  for (spn::QueryKind Kind : {spn::QueryKind::Joint, spn::QueryKind::Marginal,
+                              spn::QueryKind::Mpe, spn::QueryKind::Sample}) {
+    std::vector<std::string> Promised;
+    for (size_t Begin = 0; Begin < Detail.size();) {
+      size_t End = std::min(Detail.find(", ", Begin), Detail.size());
+      std::string Label = Detail.substr(Begin, End - Begin);
+      Begin = End + 2;
+      if (Label.find("likelihood queries only") != std::string::npos &&
+          !spn::isLikelihood(Kind))
+        continue;
+      Promised.push_back(Label.substr(0, Label.find('(')));
+    }
+    spn::QueryConfig Query;
+    Query.Kind = Kind;
+    CompileStats Stats;
+    Expected<vm::KernelProgram> Program =
+        Pipeline->compile(Model, Query, &Stats);
+    ASSERT_TRUE(static_cast<bool>(Program)) << Program.getError().message();
+    std::vector<std::string> Ran;
+    for (const ir::PassTiming &Pass : Stats.PassTimings)
+      Ran.push_back(Pass.PassName);
+    EXPECT_EQ(Ran, Promised) << spn::queryKindName(Kind);
+  }
 }

@@ -40,7 +40,7 @@ spn::Model makeModel() {
 }
 
 /// Compiles a small model with the stage report on and returns the
-/// pipeline report text plus the registered stage names.
+/// pipeline report text plus the pipeline's stage names.
 struct EmittedReport {
   std::string Text;
   std::vector<std::string> StageNames;
@@ -137,8 +137,7 @@ TEST(PipelineReportTest, OneEntryPerRegisteredStageInOrder) {
     ASSERT_NE(WallNs, nullptr);
     EXPECT_TRUE(WallNs->isNumber());
   }
-  // stage-report op counts surfaced: one sample per non-diagnostic
-  // stage present at enableStageReport() time.
+  // stage-report op counts surfaced: one sample per core stage.
   const json::Value *OpCounts = Doc->find("op_counts");
   ASSERT_NE(OpCounts, nullptr);
   ASSERT_EQ(OpCounts->getArray().size(), 3u);

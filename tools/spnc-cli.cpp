@@ -665,9 +665,9 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  // Registers the requested diagnostic stages on \p P; shared between
-  // the direct pipeline and the kernel-cache path (which builds its own
-  // pipelines).
+  // Switches the requested diagnostics on for \p P; shared between the
+  // direct pipeline and the kernel-cache path (which builds its own
+  // pipeline for a compile).
   auto ConfigureDiagnostics =
       [&Options](CompilationPipeline &P) -> std::optional<Error> {
     if (!Options.PipelineReportPath.empty())
@@ -684,9 +684,6 @@ int main(int Argc, char **Argv) {
   if (std::optional<Error> Err = ConfigureDiagnostics(*Pipeline)) {
     std::fprintf(stderr, "invalid diagnostic configuration: %s\n",
                  Err->message().c_str());
-    std::fprintf(stderr, "registered stages:\n");
-    for (const PipelineStage &Stage : Pipeline->getStages())
-      std::fprintf(stderr, "  %s\n", Stage.Name.c_str());
     return 1;
   }
 
@@ -793,6 +790,12 @@ int main(int Argc, char **Argv) {
     if (CacheStats.DiskHits > 0)
       std::fprintf(stderr, "kernel cache: reused entry from '%s'\n",
                    Options.KernelCacheDir.c_str());
+    if (CStats.Stages.empty() &&
+        (!Options.PipelineReportPath.empty() || Options.VerifyEachStage ||
+         !Options.DumpIrAfter.empty()))
+      std::fprintf(stderr, "no pipeline stage ran: the kernel came from "
+                           "the kernel cache, so the pipeline diagnostics "
+                           "observed no compile\n");
     if (Options.KernelCacheStats)
       std::fprintf(stderr,
                    "kernel cache stats: hits=%llu misses=%llu "
