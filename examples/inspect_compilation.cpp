@@ -69,6 +69,8 @@ const char *opcodeName(vm::OpCode Op) {
     return "logsumexp.n";
   case vm::OpCode::Max:
     return "max";
+  case vm::OpCode::LogSumExpGroup:
+    return "logsumexp.grp";
   }
   return "<unknown>";
 }
@@ -143,7 +145,11 @@ int main() {
     std::printf("task %zu: %zu instructions, %u registers\n", TaskIdx,
                 Task.Code.size(), Task.NumRegisters);
     for (const vm::Instruction &Inst : Task.Code) {
-      std::printf("  r%-3u <- %-13s", Inst.Dst, opcodeName(Inst.Op));
+      // A group writes the destinations it lists after its children.
+      if (Inst.Op == vm::OpCode::LogSumExpGroup)
+        std::printf("         %-13s", opcodeName(Inst.Op));
+      else
+        std::printf("  r%-3u <- %-13s", Inst.Dst, opcodeName(Inst.Op));
       switch (Inst.Op) {
       case vm::OpCode::Const:
         std::printf("%g", Task.ConstPool[Inst.A]);
@@ -168,6 +174,20 @@ int main() {
           std::printf("%sr%u%+g", N ? ", " : "", Task.Args[Inst.A + N],
                       Task.ConstPool[Task.Args[Inst.C + N]]);
         break;
+      case vm::OpCode::LogSumExpGroup: {
+        // The children, then each sum's destination and raw weights.
+        const uint32_t *Args = &Task.Args[Inst.A];
+        for (uint32_t N = 0; N < Inst.B; ++N)
+          std::printf("%sr%u", N ? ", " : "", Args[N]);
+        for (uint32_t S = 0; S < Inst.C; ++S) {
+          std::printf(" -> r%u *", Args[Inst.B + S]);
+          for (uint32_t N = 0; N < Inst.B; ++N)
+            std::printf(" %g",
+                        Task.ConstPool[Args[Inst.B + Inst.C +
+                                            S * Inst.B + N]]);
+        }
+        break;
+      }
       default:
         std::printf("r%u, r%u", Inst.A, Inst.B);
         break;

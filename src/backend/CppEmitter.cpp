@@ -197,6 +197,45 @@ void emitInstruction(std::string &Out, const TaskProgram &Task,
            " = mx == kNegInf ? mx : mx + spnc_log(sum);\n  }\n";
     return;
   }
+  case OpCode::LogSumExpGroup: {
+    // The children into locals first (a destination may share a child's
+    // register), their maximum and one exponential each; then per sum
+    // its weighted linear sum and spnc_group_log, which also gets the
+    // log-weights for the lanes whose sum underflowed.
+    const uint32_t *Children = &Task.Args[I.A];
+    const uint32_t *Dsts = Children + I.B;
+    const uint32_t *Slots = Dsts + I.C;
+    std::string List;
+    for (uint32_t N = 0; N < I.B; ++N)
+      List += (N ? ", " : "") + reg(Children[N]);
+    Out += formatString("  {\n    const vec_t c[%u] = {%s};\n", I.B,
+                        List.c_str());
+    Out += "    vec_t mx = splat(kNegInf);\n";
+    for (uint32_t N = 0; N < I.B; ++N)
+      Out += formatString("    mx = c[%u] > mx ? c[%u] : mx;\n", N, N);
+    for (uint32_t N = 0; N < I.B; ++N)
+      Out += formatString("    vec_t e%u = spnc_group_exp(c[%u] - mx);\n", N,
+                          N);
+    for (uint32_t S = 0; S < I.C; ++S) {
+      const uint32_t *Weights = Slots + static_cast<size_t>(S) * I.B;
+      Out += "    {\n      vec_t sum = splat(0);\n";
+      std::string Logs;
+      for (uint32_t N = 0; N < I.B; ++N) {
+        Out += formatString(
+            "      sum += %s * e%u;\n",
+            paramExpr(PL.ConstSlot[TaskIdx][Weights[N]]).c_str(), N);
+        Logs += (N ? ", " : "") +
+                paramExpr(PL.LogConstSlot[TaskIdx][Weights[N]]);
+      }
+      Out += formatString("      const value_t lw[%u] = {%s};\n", I.B,
+                          Logs.c_str());
+      Out += "      " + reg(Dsts[S]) +
+             formatString(" = spnc_group_log(sum, mx, c, lw, %u);\n    }\n",
+                          I.B);
+    }
+    Out += "  }\n";
+    return;
+  }
   }
   Out += "  " + reg(I.Dst) + " = " + Value + ";\n";
 }
@@ -255,7 +294,8 @@ std::string segmentName(const Segment &Seg) {
 
 /// Emits exp, log and log1p(exp) over lanes as the VM's vector engine
 /// computes them with its vector library, plus the guard it puts on
-/// log-sum-exp differences.
+/// log-sum-exp differences and, for a program with a LogSumExpGroup, the
+/// group's helpers.
 void emitMath(std::string &Out, const KernelProgram &Program,
               unsigned Lanes) {
   if (Program.UseF32) {
@@ -295,6 +335,54 @@ void emitMath(std::string &Out, const KernelProgram &Program,
          "inline vec_t spnc_guard(vec_t d) {\n"
          "  return d != d ? splat(kNegInf) : d;\n"
          "}\n";
+  // The group helpers only where a group needs them: a program without
+  // one (a speaker kernel) keeps the units of the emitter before them.
+  bool HasGroup = false;
+  for (const TaskProgram &Task : Program.Tasks)
+    for (const Instruction &I : Task.Code)
+      HasGroup = HasGroup || I.Op == OpCode::LogSumExpGroup;
+  if (!HasGroup)
+    return;
+  double Cut = Program.UseF32 ? SharedExpLimits<float>::Cut
+                              : SharedExpLimits<double>::Cut;
+  double Floor = Program.UseF32 ? SharedExpLimits<float>::Floor
+                                : SharedExpLimits<double>::Floor;
+  Out += formatString(
+      "\n"
+      "// LogSumExpGroup (vm::SharedExpLimits): exp of a child's distance d\n"
+      "// to the maximum, 0 below the cut; then m + log of a sum, and the\n"
+      "// lanes whose sum fell below the floor recomputed in double as\n"
+      "// log sum_j exp(c_j + lw_j) from the log-weights lw.\n"
+      "const value_t kGroupCut = %s;\n"
+      "const value_t kGroupFloor = %s;\n"
+      "inline vec_t spnc_group_exp(vec_t d) {\n"
+      "  d = spnc_guard(d);\n"
+      "  return d >= -kGroupCut ? spnc_exp(d) : splat(0);\n"
+      "}\n"
+      "SPNC_OUTLINE vec_t spnc_group_log(vec_t sum, vec_t mx, const vec_t *c,\n"
+      "                                  const value_t *lw, size_t n) {\n"
+      "  vec_t v = mx + spnc_log(sum);\n"
+      "  v = mx == kNegInf ? mx : v;\n"
+      "  for (size_t l = 0; l < kLanes; ++l) {\n"
+      "    if (!(sum[l] < kGroupFloor) || mx[l] == kNegInf)\n"
+      "      continue;\n"
+      "    double t[%u], m = -__builtin_inf(), s = 0.0;\n"
+      "    for (size_t j = 0; j < n; ++j) {\n"
+      "      t[j] = (double)c[j][l] + (double)lw[j];\n"
+      "      m = t[j] > m ? t[j] : m;\n"
+      "    }\n"
+      "    if (m == -__builtin_inf()) {\n"
+      "      v[l] = kNegInf;\n"
+      "      continue;\n"
+      "    }\n"
+      "    for (size_t j = 0; j < n; ++j)\n"
+      "      if (t[j] - m == t[j] - m)\n"
+      "        s += __builtin_exp(t[j] - m);\n"
+      "    v[l] = (value_t)(m + __builtin_log(s));\n"
+      "  }\n"
+      "  return v;\n"
+      "}\n",
+      formatValue(Cut).c_str(), formatValue(Floor).c_str(), kMaxNaryArgs);
 }
 
 /// Emits the head every unit shares: the compute type, the register
@@ -593,14 +681,24 @@ CppParamLayout spnc::backend::layoutCppParams(const KernelProgram &Program) {
       if (Const[Slot] == CppParamLayout::kUnused)
         Const[Slot] = Off++;
     };
+    std::vector<size_t> &Log = Layout.LogConstSlot.emplace_back(
+        Task.ConstPool.size(), CppParamLayout::kUnused);
     for (const Instruction &I : Task.Code) {
-      if (I.Op == OpCode::Const)
+      if (I.Op == OpCode::Const) {
         Read(I.A);
-      else if (I.Op == OpCode::NanBlend)
+      } else if (I.Op == OpCode::NanBlend) {
         Read(I.B);
-      else if (I.Op == OpCode::LogSumExpN)
+      } else if (I.Op == OpCode::LogSumExpN) {
         for (uint32_t N = 0; N < I.B; ++N)
           Read(Task.Args[I.C + N]);
+      } else if (I.Op == OpCode::LogSumExpGroup) {
+        const uint32_t *Slots = &Task.Args[I.A + I.B + I.C];
+        for (size_t N = 0; N < static_cast<size_t>(I.B) * I.C; ++N) {
+          Read(Slots[N]);
+          if (Log[Slots[N]] == CppParamLayout::kUnused)
+            Log[Slots[N]] = Off++;
+        }
+      }
     }
     Layout.GaussianBase.push_back(Off);
     Off += Task.Gaussians.size() * 4;
@@ -622,9 +720,12 @@ spnc::backend::fillCppParams(const KernelProgram &Program,
   std::vector<double> Block(Layout.Size);
   for (size_t T = 0; T < Program.Tasks.size(); ++T) {
     const TaskProgram &Task = Program.Tasks[T];
-    for (size_t I = 0; I < Task.ConstPool.size(); ++I)
+    for (size_t I = 0; I < Task.ConstPool.size(); ++I) {
       if (Layout.ConstSlot[T][I] != CppParamLayout::kUnused)
         Block[Layout.ConstSlot[T][I]] = Task.ConstPool[I];
+      if (Layout.LogConstSlot[T][I] != CppParamLayout::kUnused)
+        Block[Layout.LogConstSlot[T][I]] = std::log(Task.ConstPool[I]);
+    }
     double *Gauss = Block.data() + Layout.GaussianBase[T];
     for (const GaussianParams &G : Task.Gaussians) {
       *Gauss++ = G.Mean;

@@ -54,8 +54,10 @@ namespace backend {
 /// polynomials), and spnc_kernel_upward runs one block; v8 adds each
 /// LogSumExpN operand's weight from the parameter block; v9 gives MPE
 /// and sampling kernels the arithmetic of likelihood kernels, and more
-/// accurate f32 exp and log1p polynomials.
-inline constexpr unsigned kCppEmitterVersion = 9;
+/// accurate f32 exp and log1p polynomials; v10 emits LogSumExpGroup, one
+/// maximum and exponential per child shared by a group's sums, whose
+/// underflowed lanes read log-weights from the parameter block.
+inline constexpr unsigned kCppEmitterVersion = 10;
 
 /// Upper bound on the instructions of one segment function.
 inline constexpr size_t kCppSegmentInstructions = 256;
@@ -96,16 +98,24 @@ inline constexpr const char *kCppUpwardSymbol = "spnc_kernel_upward";
 /// Where each side-table value of a program sits in the parameter block
 /// the emitted code reads, an array of the program's compute type
 /// (float for UseF32 programs, double otherwise). Per task, in order:
-/// the constant-pool slots an instruction reads (Const, NanBlend; slots
-/// of weights the peephole folded away stay out), then (Mean,
-/// InvStdDev, Coefficient, MarginalValue) per Gaussian, then each lookup
-/// table's Values followed by its DefaultValue and MarginalValue, then
-/// one Value per select. Bucket bounds are structural and stay literals.
+/// the constant-pool slots an instruction reads (Const, NanBlend, the
+/// weights of LogSumExpN and LogSumExpGroup; slots of weights the
+/// peephole folded away stay out), each raw weight of a LogSumExpGroup
+/// followed by its log, then (Mean, InvStdDev, Coefficient,
+/// MarginalValue) per Gaussian, then each lookup table's Values followed
+/// by its DefaultValue and MarginalValue, then one Value per select.
+/// Bucket bounds are structural and stay literals. The block is in the
+/// compute type, where a tiny raw weight rounds to 0 (1e-60 in f32), so
+/// a group's underflowed lanes read the log-weights instead.
 struct CppParamLayout {
-  /// Sentinel of ConstSlot for a slot no instruction reads.
+  /// Sentinel of ConstSlot and LogConstSlot for a slot no instruction
+  /// reads.
   static constexpr size_t kUnused = ~size_t(0);
   /// Per task: block offset of each const-pool slot, or kUnused.
   std::vector<std::vector<size_t>> ConstSlot;
+  /// Per task: block offset of the log of each const-pool slot a
+  /// LogSumExpGroup weighs with, or kUnused.
+  std::vector<std::vector<size_t>> LogConstSlot;
   /// Per task: block offset of the first Gaussian's Mean.
   std::vector<size_t> GaussianBase;
   /// Per task: block offset of each lookup table's first value.

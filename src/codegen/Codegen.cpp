@@ -8,6 +8,7 @@
 #include "codegen/Codegen.h"
 
 #include "ir/ValueMap.h"
+#include "support/Hashing.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
 #include "vm/ParamTable.h"
@@ -109,8 +110,14 @@ public:
                        Op->getName().c_str()));
     }
     Program.NumRegisters = NextReg;
+    LinearWeights.resize(Program.ConstPool.size(), kQuietNan);
     return std::move(Program);
   }
+
+  /// Per const-pool slot of the emitted task: the raw weight of a
+  /// log-space sum weight (the lowering's `weight` attribute), NaN for
+  /// every other slot.
+  std::vector<double> takeLinearWeights() { return std::move(LinearWeights); }
 
 private:
   LogicalResult emitBody(BodyOp Body) {
@@ -150,6 +157,10 @@ private:
           addSite(ParamSlotKind::ConstPool,
                   Log ? ParamTransform::Log : ParamTransform::Identity,
                   Slot, Param);
+          if (Log && Op->hasAttr("weight")) {
+            LinearWeights.resize(Slot + 1, kQuietNan);
+            LinearWeights[Slot] = Op->getFloatAttr("weight");
+          }
         } else {
           Slot = poolConstant(Const.getValue());
         }
@@ -458,6 +469,7 @@ private:
       std::numeric_limits<double>::quiet_NaN();
   /// The structural (non-parameter) pool slot per canonical value bits.
   std::unordered_map<uint64_t, uint32_t> StructuralSlotOf;
+  std::vector<double> LinearWeights;
   ValueMap<uint32_t> RegOf;
   /// Input feature index a value carries (plan building only).
   ValueMap<uint32_t> FeatureOf;
@@ -477,9 +489,23 @@ static bool readsDst(const Instruction &Inst) {
          Inst.Op == OpCode::NanBlend;
 }
 
-/// True if the instruction writes its Dst field.
+/// True if the instruction writes its Dst field (a LogSumExpGroup
+/// writes the destinations in its Args instead; see forEachDef).
 static bool writesDst(const Instruction &Inst) {
-  return Inst.Op != OpCode::Store;
+  return Inst.Op != OpCode::Store && Inst.Op != OpCode::LogSumExpGroup;
+}
+
+/// Calls \p Fn for each register \p Inst writes: its Dst, or the
+/// destinations of a LogSumExpGroup.
+template <typename DefFn>
+static void forEachDef(const TaskProgram &Program, const Instruction &Inst,
+                       DefFn Fn) {
+  if (Inst.Op == OpCode::LogSumExpGroup) {
+    for (uint32_t S = 0; S < Inst.C; ++S)
+      Fn(Program.Args[Inst.A + Inst.B + S]);
+  } else if (writesDst(Inst)) {
+    Fn(Inst.Dst);
+  }
 }
 
 /// True for n-ary instructions whose operands live in the Args pool. The
@@ -491,8 +517,8 @@ static bool isNary(const Instruction &Inst) {
 }
 
 /// Collects the registers read by \p Inst into \p Uses (for LogSumExpN
-/// the register half of its operands; its weight slots index the const
-/// pool).
+/// the register half of its operands, for LogSumExpGroup its children;
+/// their weight slots index the const pool).
 static void collectUses(const TaskProgram &Program,
                         const Instruction &Inst,
                         std::vector<uint32_t> &Uses) {
@@ -529,6 +555,7 @@ static void collectUses(const TaskProgram &Program,
   case OpCode::AddN:
   case OpCode::MulN:
   case OpCode::LogSumExpN:
+  case OpCode::LogSumExpGroup:
     for (uint32_t N = 0; N < Inst.B; ++N)
       Uses.push_back(Program.Args[Inst.A + N]);
     break;
@@ -571,10 +598,27 @@ static void rewriteRegs(TaskProgram &Program, Instruction &Inst,
   case OpCode::AddN:
   case OpCode::MulN:
   case OpCode::LogSumExpN:
+  case OpCode::LogSumExpGroup:
     for (uint32_t N = 0; N < Inst.B; ++N)
       Program.Args[Inst.A + N] = Map(Program.Args[Inst.A + N]);
     break;
   }
+}
+
+/// The first const-pool slot of \p Program that holds \p Value bit for
+/// bit and that no parameter site names, or a new one. Never a weight's
+/// slot, which binding a weight table rewrites.
+static uint32_t structuralSlot(TaskProgram &Program, double Value) {
+  std::vector<uint8_t> IsWeight(Program.ConstPool.size(), 0);
+  for (const ParamSite &Site : Program.ParamSites)
+    if (Site.Kind == ParamSlotKind::ConstPool)
+      IsWeight[Site.Index] = 1;
+  for (size_t S = 0; S < Program.ConstPool.size(); ++S)
+    if (!IsWeight[S] && std::bit_cast<uint64_t>(Program.ConstPool[S]) ==
+                            std::bit_cast<uint64_t>(Value))
+      return static_cast<uint32_t>(S);
+  Program.ConstPool.push_back(Value);
+  return static_cast<uint32_t>(Program.ConstPool.size() - 1);
 }
 
 //===----------------------------------------------------------------------===//
@@ -617,24 +661,11 @@ static void runChainCollapse(TaskProgram &Program) {
       LastWriteOf[Code[I].Dst] = static_cast<int32_t>(I);
 
   // The pool slot of a structural 0.0, which an unweighted log-sum-exp
-  // operand names (r + 0.0 changes no log-sum-exp result bit). Never a
-  // weight's slot, which binding a weight table rewrites.
+  // operand names (r + 0.0 changes no log-sum-exp result bit).
   std::optional<uint32_t> ZeroSlot;
   auto Zero = [&] {
-    if (ZeroSlot)
-      return *ZeroSlot;
-    std::vector<uint8_t> IsWeight(Program.ConstPool.size(), 0);
-    for (const ParamSite &Site : Program.ParamSites)
-      if (Site.Kind == ParamSlotKind::ConstPool)
-        IsWeight[Site.Index] = 1;
-    for (size_t S = 0; S < Program.ConstPool.size() && !ZeroSlot; ++S)
-      if (!IsWeight[S] && Program.ConstPool[S] == 0.0 &&
-          !std::signbit(Program.ConstPool[S]))
-        ZeroSlot = static_cast<uint32_t>(S);
-    if (!ZeroSlot) {
-      ZeroSlot = static_cast<uint32_t>(Program.ConstPool.size());
-      Program.ConstPool.push_back(0.0);
-    }
+    if (!ZeroSlot)
+      ZeroSlot = structuralSlot(Program, 0.0);
     return *ZeroSlot;
   };
 
@@ -795,6 +826,159 @@ static void runChainCollapse(TaskProgram &Program) {
       Compacted.push_back(Code[I]);
   }
   Code = std::move(Compacted);
+}
+
+//===----------------------------------------------------------------------===//
+// Shared exponentials (O2+): one group per set of sums over the same
+// children
+//===----------------------------------------------------------------------===//
+
+/// A LogSumExpN's register list in Args, as a hash-map key.
+struct RegisterList {
+  const uint32_t *Regs;
+  uint32_t Size;
+  bool operator==(const RegisterList &Other) const {
+    return Size == Other.Size && std::equal(Regs, Regs + Size, Other.Regs);
+  }
+};
+
+struct RegisterListHash {
+  size_t operator()(const RegisterList &List) const {
+    return static_cast<size_t>(xxh64(List.Regs, List.Size * sizeof(uint32_t)));
+  }
+};
+
+/// Emits the LogSumExpN instructions of \p Program that read the same
+/// registers in the same order (the sums of one RAT-SPN region, which
+/// the chain collapse chunks alike) as one LogSumExpGroup per group of
+/// two or more, at its first member's position, where every child is
+/// defined and no destination is read yet: one maximum and one
+/// exponential per child then serve every sum of the group. Its weights
+/// are linear. Each grouped weight keeps its slot, which takes the raw
+/// weight from \p LinearWeights (the lowering's `weight` attribute), and
+/// its site becomes Identity, so binding a table skips the log; an
+/// unweighted operand names a structural 1.0. A LogSumExpN whose weight
+/// has no raw value, or whose slot another instruction reads, stays as
+/// it is. Linear in the code: groups are found through a hash map over
+/// the register lists, and Args is rebuilt in one pass.
+static void runSharedExponentials(TaskProgram &Program,
+                                  std::span<const double> LinearWeights) {
+  std::vector<Instruction> &Code = Program.Code;
+  std::vector<double> &Pool = Program.ConstPool;
+  // The ConstPool site of each slot (-1: a structural constant), and how
+  // many operands and instructions read each slot.
+  std::vector<int32_t> SiteOf(Pool.size(), -1);
+  for (size_t S = 0; S < Program.ParamSites.size(); ++S)
+    if (Program.ParamSites[S].Kind == ParamSlotKind::ConstPool)
+      SiteOf[Program.ParamSites[S].Index] = static_cast<int32_t>(S);
+  std::vector<uint32_t> Reads(Pool.size(), 0);
+  for (const Instruction &Inst : Code) {
+    if (Inst.Op == OpCode::Const)
+      ++Reads[Inst.A];
+    else if (Inst.Op == OpCode::NanBlend)
+      ++Reads[Inst.B];
+    else if (Inst.Op == OpCode::LogSumExpN)
+      for (uint32_t N = 0; N < Inst.B; ++N)
+        ++Reads[Program.Args[Inst.C + N]];
+  }
+  // A group keeps its children in the engines' kMaxNaryArgs arrays.
+  auto Groupable = [&](const Instruction &Inst) {
+    if (Inst.B > kMaxNaryArgs)
+      return false;
+    for (uint32_t N = 0; N < Inst.B; ++N) {
+      uint32_t Slot = Program.Args[Inst.C + N];
+      bool Weight = SiteOf[Slot] >= 0;
+      if (Weight ? Reads[Slot] != 1 || std::isnan(LinearWeights[Slot])
+                 : std::bit_cast<uint64_t>(Pool[Slot]) != 0)
+        return false;
+    }
+    return true;
+  };
+
+  // Group of each instruction (-1: none) and members per group.
+  std::unordered_map<RegisterList, uint32_t, RegisterListHash> GroupOf;
+  std::vector<int32_t> GroupOfInst(Code.size(), -1);
+  std::vector<uint32_t> NumMembers;
+  bool AnyShared = false;
+  for (size_t I = 0; I < Code.size(); ++I) {
+    const Instruction &Inst = Code[I];
+    if (Inst.Op != OpCode::LogSumExpN || !Groupable(Inst))
+      continue;
+    auto [It, New] = GroupOf.try_emplace(
+        RegisterList{&Program.Args[Inst.A], Inst.B},
+        static_cast<uint32_t>(NumMembers.size()));
+    if (New)
+      NumMembers.push_back(0);
+    AnyShared = AnyShared || NumMembers[It->second] == 1;
+    ++NumMembers[It->second];
+    GroupOfInst[I] = static_cast<int32_t>(It->second);
+  }
+  if (!AnyShared)
+    return;
+
+  // The members of each group, in program order (a counting sort).
+  std::vector<uint32_t> First(NumMembers.size() + 1, 0);
+  for (size_t G = 0; G < NumMembers.size(); ++G)
+    First[G + 1] = First[G] + NumMembers[G];
+  std::vector<uint32_t> Members(First.back());
+  std::vector<uint32_t> Next(First.begin(), First.end() - 1);
+  for (size_t I = 0; I < Code.size(); ++I)
+    if (GroupOfInst[I] >= 0)
+      Members[Next[GroupOfInst[I]]++] = static_cast<uint32_t>(I);
+
+  uint32_t One = structuralSlot(Program, 1.0);
+  std::vector<Instruction> Emitted;
+  Emitted.reserve(Code.size());
+  std::vector<uint32_t> Args;
+  Args.reserve(Program.Args.size());
+  // Appends Program.Args[Begin .. Begin + Count) and returns its offset.
+  auto CopyArgs = [&](uint32_t Begin, uint32_t Count) {
+    uint32_t At = static_cast<uint32_t>(Args.size());
+    Args.insert(Args.end(), Program.Args.begin() + Begin,
+                Program.Args.begin() + Begin + Count);
+    return At;
+  };
+  for (size_t I = 0; I < Code.size(); ++I) {
+    Instruction Inst = Code[I];
+    int32_t G = GroupOfInst[I];
+    if (G >= 0 && NumMembers[G] >= 2) {
+      if (Members[First[G]] != I)
+        continue; // Emitted with its group's first member.
+      Instruction Group;
+      Group.Op = OpCode::LogSumExpGroup;
+      Group.A = CopyArgs(Inst.A, Inst.B);
+      Group.B = Inst.B;
+      Group.C = NumMembers[G];
+      for (uint32_t M = First[G]; M < First[G + 1]; ++M)
+        Args.push_back(Code[Members[M]].Dst);
+      for (uint32_t M = First[G]; M < First[G + 1]; ++M) {
+        const Instruction &Member = Code[Members[M]];
+        for (uint32_t N = 0; N < Member.B; ++N) {
+          uint32_t Slot = Program.Args[Member.C + N];
+          if (SiteOf[Slot] < 0) {
+            Args.push_back(One);
+            continue;
+          }
+          Pool[Slot] = LinearWeights[Slot];
+          Program.ParamSites[SiteOf[Slot]].Transform =
+              ParamTransform::Identity;
+          Args.push_back(Slot);
+        }
+      }
+      Emitted.push_back(Group);
+      continue;
+    }
+    if (Inst.Op == OpCode::AddN || Inst.Op == OpCode::MulN ||
+        Inst.Op == OpCode::LogSumExpN) {
+      uint32_t Slots = Inst.C;
+      Inst.A = CopyArgs(Inst.A, Inst.B);
+      if (Inst.Op == OpCode::LogSumExpN)
+        Inst.C = CopyArgs(Slots, Inst.B);
+    }
+    Emitted.push_back(Inst);
+  }
+  Code = std::move(Emitted);
+  Program.Args = std::move(Args);
 }
 
 //===----------------------------------------------------------------------===//
@@ -960,8 +1144,9 @@ static void runScheduling(TaskProgram &Program) {
   std::vector<Instruction> &Code = Program.Code;
   std::vector<int32_t> DefOf(Program.NumRegisters, -1);
   for (size_t I = 0; I < Code.size(); ++I)
-    if (writesDst(Code[I]))
-      DefOf[Code[I].Dst] = static_cast<int32_t>(I);
+    forEachDef(Program, Code[I], [&](uint32_t Reg) {
+      DefOf[Reg] = static_cast<int32_t>(I);
+    });
 
   std::vector<Instruction> Scheduled;
   Scheduled.reserve(Code.size());
@@ -1055,6 +1240,23 @@ static void runRegisterAllocation(TaskProgram &Program) {
     });
     if (readsDst(Original) && Original.Op != OpCode::Store)
       Inst.Dst = Assignment[Original.Dst];
+
+    // A group's destinations: the engines read every child before they
+    // write one, so a destination may take a register dying here.
+    if (Original.Op == OpCode::LogSumExpGroup) {
+      for (uint32_t VReg : Dying)
+        FreeList.push_back(Assignment[VReg]);
+      uint32_t *Dsts = &Program.Args[Original.A + Original.B];
+      for (uint32_t S = 0; S < Original.C; ++S)
+        Allocate(Dsts[S]);
+      for (uint32_t S = 0; S < Original.C; ++S) {
+        uint32_t VDst = Dsts[S];
+        Dsts[S] = Assignment[VDst];
+        if (LastUse[VDst] < static_cast<int32_t>(I))
+          FreeList.push_back(Dsts[S]);
+      }
+      continue;
+    }
 
     // Assign the def. Accumulators keep their existing assignment; a
     // fresh def may reuse a register dying at this very instruction —
@@ -1204,6 +1406,7 @@ spnc::codegen::emitKernelProgram(KernelOp Kernel,
       Timer PeepholeTimer;
       runPeephole(*TaskProg, Program.LogSpace);
       runChainCollapse(*TaskProg);
+      runSharedExponentials(*TaskProg, Emitter.takeLinearWeights());
       T.PeepholeNs += PeepholeTimer.elapsedNs();
     }
     if (OptLevel >= 3) {

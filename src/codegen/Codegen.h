@@ -19,7 +19,9 @@
 ///   -O1: + linear-scan register allocation (register reuse).
 ///   -O2: + peephole fusion (FMA in linear space; folding sum weights
 ///        into leaf coefficients and tables, each fold recorded as a
-///        parameter site so weight tables replay it).
+///        parameter site so weight tables replay it), n-ary chain
+///        collapse, and shared exponentials: the log-sum-exps of one
+///        task that read the same children become one LogSumExpGroup.
 ///   -O3: + consumer-first instruction scheduling to shorten live ranges,
 ///        followed by a second register allocation round.
 ///

@@ -470,6 +470,15 @@ void ConstantOp::build(OpBuilder &Builder, OperationState &State,
   State.addResultType(ResultType);
 }
 
+void ConstantOp::build(OpBuilder &Builder, OperationState &State,
+                       double TheValue, Type ResultType, int64_t Param,
+                       std::optional<double> Raw) {
+  build(Builder, State, TheValue, ResultType);
+  State.addAttribute("param", IntAttr::get(Builder.getContext(), Param));
+  if (Raw)
+    State.addAttribute("weight", FloatAttr::get(Builder.getContext(), *Raw));
+}
+
 LogicalResult ConstantOp::verify() {
   if (TheOp->getNumResults() != 1 || !TheOp->hasAttr("value"))
     return emitOpError(*this, "requires a value attribute and one result");

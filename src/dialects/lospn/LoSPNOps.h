@@ -34,6 +34,8 @@
 #include "ir/OpDefinition.h"
 #include "ir/PatternMatch.h"
 
+#include <optional>
+
 namespace spnc {
 namespace lospn {
 
@@ -373,6 +375,14 @@ public:
 
   static void build(ir::OpBuilder &Builder, ir::OperationState &State,
                     double Value, ir::Type ResultType);
+  /// A sum weight tagged with its canonical parameter index \p Param
+  /// (docs/merging.md) and, in log space, with \p Raw, the raw weight
+  /// whose log \p Value is (the `weight` attribute, which the -O2 shared
+  /// exponentials weigh with). One state holds every attribute, so the
+  /// op is allocated once.
+  static void build(ir::OpBuilder &Builder, ir::OperationState &State,
+                    double Value, ir::Type ResultType, int64_t Param,
+                    std::optional<double> Raw);
 
   double getValue() const { return TheOp->getFloatAttr("value"); }
 

@@ -25,6 +25,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <optional>
 #include <unordered_map>
 
 using namespace spnc;
@@ -198,12 +199,17 @@ private:
         for (unsigned I = 0; I < Op->getNumOperands(); ++I) {
           double Weight = Log ? std::log(Weights[I]) : Weights[I];
           Value Child = Lowered.at(Op->getOperand(I).getImpl());
+          // A tagged log-weight carries its raw weight too: the -O2
+          // shared exponentials weigh linear terms, and the log does not
+          // round-trip through exp.
           Value WeightConst =
-              Builder.create<lospn::ConstantOp>(Weight, ComputeTy)
+              (ParamBase < 0
+                   ? Builder.create<lospn::ConstantOp>(Weight, ComputeTy)
+                   : Builder.create<lospn::ConstantOp>(
+                         Weight, ComputeTy, ParamBase + I,
+                         Log ? std::optional<double>(Weights[I])
+                             : std::nullopt))
                   ->getResult(0);
-          if (ParamBase >= 0)
-            WeightConst.getDefiningOp()->setAttr(
-                "param", IntAttr::get(Ctx, ParamBase + I));
           Value Term =
               Builder.create<lospn::MulOp>(Child, WeightConst)
                   ->getResult(0);

@@ -77,14 +77,48 @@ enum class OpCode : uint8_t {
   /// queries; identical in linear and log space (max is monotonic under
   /// log).
   Max,
+  /// The weighted log-sum-exps of C sums over the same B children (a
+  /// RAT-SPN region's sums), sharing one maximum and one exponential per
+  /// child. Args[A .. A+B) are the children c_j, Args[A+B .. A+B+C) the
+  /// destinations d_i, and Args[A+B+C + i*B + j] the const-pool slot of
+  /// the raw (linear) weight w_ij of child j in sum i; Dst is unused.
+  /// With m = max_j c_j and e_j = exp(c_j - m), or 0 where c_j - m is
+  /// below -SharedExpLimits<T>::Cut or NaN:
+  ///   d_i <- m + log sum_j w_ij * e_j,   -inf where m is -inf.
+  /// A lane whose linear sum falls below SharedExpLimits<T>::Floor
+  /// recomputes d_i as log sum_j exp(c_j + log w_ij), the log taken of
+  /// the double weight. Engines read every child before they write a
+  /// destination, so a destination may share a child's register.
+  /// 1 <= B <= kMaxNaryArgs and C >= 1 (checked by decodeProgram).
+  LogSumExpGroup,
 };
 
 /// Most operands of an n-ary instruction the -O2 chain collapse emits:
 /// larger fan-in is split into a tree of chunked n-ary ops, because
 /// unbounded n-ary ops would keep every operand register live
 /// simultaneously, destroying GPU occupancy (and CPU register-file
-/// locality). Engines may rely on it for speed, not for correctness.
+/// locality). Engines may rely on it for speed, not for correctness;
+/// LogSumExpGroup's children are bounded by it.
 inline constexpr uint32_t kMaxNaryArgs = 8;
+
+/// The limits of LogSumExpGroup in compute type T (float or double).
+/// Cut: a child more than Cut nats below the maximum counts as exactly
+/// 0, so every kept product w * e_j is normal for weights w >= 2^-39
+/// (f32: e^-60 * 2^-39 > 2^-126) or w >= 2^-156 (f64: e^-600 * 2^-156 >
+/// 2^-1022); a subnormal product costs a microcode assist per lane.
+/// Floor: a linear sum below it is recomputed exactly, and above it the
+/// terms the cut drops (at most kMaxNaryArgs * e^-Cut for weights <= 1)
+/// stay below half an ulp of the sum (f32: 8 * e^-60 < 2^-50 * 2^-25;
+/// f64: 8 * e^-600 < 2^-800 * 2^-54).
+template <typename T> struct SharedExpLimits;
+template <> struct SharedExpLimits<float> {
+  static constexpr float Cut = 60.0f;
+  static constexpr float Floor = 0x1p-50f;
+};
+template <> struct SharedExpLimits<double> {
+  static constexpr double Cut = 600.0;
+  static constexpr double Floor = 0x1p-800;
+};
 
 /// One bytecode instruction. Register operands index the per-sample
 /// register file; immediate operands index per-program side tables.
@@ -136,7 +170,9 @@ inline constexpr double kInvSqrt2Pi = 0.39894228040143267794;
 /// Which side-table slot of a task a tunable parameter lands in
 /// (docs/merging.md).
 enum class ParamSlotKind : uint8_t {
-  /// ConstPool[Index] (a sum-weight constant).
+  /// ConstPool[Index] (a sum-weight constant: the log-weight through a
+  /// Log transform in log space, the raw weight through Identity in
+  /// linear space and for the weights of a LogSumExpGroup).
   ConstPool = 0,
   /// Gaussians[Index].Mean.
   GaussianMean = 1,
@@ -217,8 +253,9 @@ struct TaskProgram : TaskParams {
   uint32_t NumRegisters = 0;
   std::vector<BufferAccess> Loads;
   std::vector<BufferAccess> Stores;
-  /// Operand lists of the n-ary instructions: registers, and the
-  /// const-pool slots of LogSumExpN's weights.
+  /// Operand lists of the n-ary instructions: registers, the const-pool
+  /// slots of LogSumExpN's and LogSumExpGroup's weights, and
+  /// LogSumExpGroup's destination registers.
   std::vector<uint32_t> Args;
   /// Tunable slots (joint/marginal programs; empty for MPE/sampling,
   /// whose traceback plan bakes values). The inherited side tables hold

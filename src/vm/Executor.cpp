@@ -237,6 +237,48 @@ static SPNC_ALWAYS_INLINE Piece<T, P> logPos(Piece<T, P> X, bool UseVecLib,
     return polyLogPos<Vec<T, P>, Vec<int32_t, P>>(X);
 }
 
+/// True if any lane of the comparison result \p Mask is set (a scalar
+/// comparison at P = 1).
+template <typename M> static SPNC_ALWAYS_INLINE bool anyLane(M Mask) {
+  if constexpr (std::is_arithmetic_v<M>) {
+    return Mask != 0;
+  } else {
+    uint64_t Words[sizeof(M) / sizeof(uint64_t)];
+    __builtin_memcpy(Words, &Mask, sizeof(M));
+    uint64_t Any = 0;
+    for (uint64_t Word : Words)
+      Any |= Word;
+    return Any != 0;
+  }
+}
+
+/// One lane of a LogSumExpGroup sum whose linear sum fell below
+/// SharedExpLimits<T>::Floor: log sum_j exp(c_j + log w_j) over the \p N
+/// children \p Children, w_j = Pool[Slots[j]], in double. The log is
+/// taken of the double weight and rounded to T, as a LogSumExpN slot
+/// holds it, so a weight below T's range still counts. NaN children
+/// count as -inf, as in LogSumExpN. Out of line: no benchmark row comes
+/// here.
+template <typename T>
+static SPNC_NOINLINE T exactGroupSum(const T *Children, uint32_t N,
+                                     const std::vector<double> &Pool,
+                                     const uint32_t *Slots) {
+  double Terms[kMaxNaryArgs];
+  double Max = -std::numeric_limits<double>::infinity();
+  for (uint32_t J = 0; J < N; ++J) {
+    Terms[J] = static_cast<double>(Children[J]) +
+               static_cast<double>(static_cast<T>(std::log(Pool[Slots[J]])));
+    Max = Terms[J] > Max ? Terms[J] : Max;
+  }
+  if (Max == -std::numeric_limits<double>::infinity())
+    return static_cast<T>(Max);
+  double Sum = 0.0;
+  for (uint32_t J = 0; J < N; ++J)
+    if (double Diff = Terms[J] - Max; Diff == Diff)
+      Sum += std::exp(Diff);
+  return static_cast<T>(Max + std::log(Sum));
+}
+
 } // namespace
 
 /// Every instruction reads its operands from the register file as
@@ -467,6 +509,55 @@ SPNC_NOINLINE void spnc::vm::runBlock(const TaskProgram &Task,
         Value =
             Max == NegInf ? Max : Max + logPos<T, P>(Sum, UseVecLib, N);
         break;
+      }
+      case OpCode::LogSumExpGroup: {
+        // One maximum and one exponential per child, then per sum a
+        // weighted linear sum and one log. Every child is read before a
+        // destination is written.
+        const uint32_t *Children = &Task.Args[Inst.A];
+        const uint32_t *Dsts = Children + Inst.B;
+        const uint32_t *Slots = Dsts + Inst.C;
+        const V Cut = -SharedExpLimits<T>::Cut - V{};
+        V Child[kMaxNaryArgs], Scaled[kMaxNaryArgs];
+        V Max = NegInf;
+        for (uint32_t J = 0; J < Inst.B; ++J) {
+          Child[J] = Reg(Children[J]);
+          Max = Child[J] > Max ? Child[J] : Max;
+        }
+        for (uint32_t J = 0; J < Inst.B; ++J) {
+          V Diff = Guard(Child[J] - Max);
+          Scaled[J] = Diff >= Cut ? expNeg<T, P>(Diff, UseVecLib, N) : V{};
+        }
+        for (uint32_t S = 0; S < Inst.C; ++S) {
+          const uint32_t *Weights = Slots + static_cast<size_t>(S) * Inst.B;
+          V Sum{};
+          for (uint32_t J = 0; J < Inst.B; ++J)
+            Sum += Param([&](const TaskParams &Params) {
+                     return Params.ConstPool[Weights[J]];
+                   }) *
+                   Scaled[J];
+          V Result = Max + logPos<T, P>(Sum, UseVecLib, N);
+          Result = Max == NegInf ? Max : Result;
+          // Lanes whose sum underflowed, each on its own: a row's bits
+          // never depend on its neighbours.
+          if (anyLane((Sum < SharedExpLimits<T>::Floor) & (Max != NegInf)))
+              [[unlikely]] {
+            for (unsigned L = 0; L < N; ++L) {
+              if (!(getLane<T>(Sum, L) < SharedExpLimits<T>::Floor) ||
+                  getLane<T>(Max, L) == -std::numeric_limits<T>::infinity())
+                continue;
+              T Lane[kMaxNaryArgs];
+              for (uint32_t J = 0; J < Inst.B; ++J)
+                Lane[J] = getLane<T>(Child[J], L);
+              setLane<T>(Result, L,
+                         exactGroupSum<T>(Lane, Inst.B,
+                                          Lanes[C + L]->ConstPool, Weights));
+            }
+          }
+          __builtin_memcpy(Regs + static_cast<size_t>(Dsts[S]) * W + C,
+                           &Result, sizeof(V));
+        }
+        continue;
       }
       default:
         // Decoding validates every opcode.

@@ -217,9 +217,9 @@ std::string checkIndices(const KernelProgram &P) {
     for (size_t N = 0; N < Task.Code.size(); ++N) {
       const Instruction &I = Task.Code[N];
       auto At = [&] { return Where + ", instruction " + std::to_string(N); };
-      if (I.Op > OpCode::Max)
+      if (I.Op > OpCode::LogSumExpGroup)
         return outOfRange(At(), "opcode", static_cast<int64_t>(I.Op),
-                          static_cast<size_t>(OpCode::Max) + 1);
+                          static_cast<size_t>(OpCode::LogSumExpGroup) + 1);
       // The leading register operands of I (Dst, A, B, C in that order)
       // and the side-table slot its immediate names, if any.
       const uint32_t Registers[] = {I.Dst, I.A, I.B, I.C};
@@ -302,6 +302,34 @@ std::string checkIndices(const KernelProgram &P) {
             return outOfRange(Operand(), "weight slot", Task.Args[I.C + K],
                               Task.ConstPool.size());
         }
+        break;
+      }
+      case OpCode::LogSumExpGroup: {
+        // B children, C destinations, then C * B weight slots from
+        // Args[A]; Dst is unused. The engines keep the children in
+        // kMaxNaryArgs-sized arrays.
+        NumRegisters = 0;
+        if (I.B == 0 || I.B > kMaxNaryArgs)
+          return outOfRange(At(), "child count", I.B, kMaxNaryArgs + 1);
+        if (I.C == 0)
+          return At() + ": group of no sum";
+        uint64_t End = static_cast<uint64_t>(I.A) + I.B + I.C +
+                       static_cast<uint64_t>(I.B) * I.C;
+        if (End > Task.Args.size())
+          return outOfRange(At(), "arg range end",
+                            static_cast<int64_t>(End), Task.Args.size());
+        for (uint32_t K = 0; K < I.B + I.C; ++K)
+          if (Task.Args[I.A + K] >= Task.NumRegisters)
+            return outOfRange(At() + (K < I.B ? ", child " : ", destination ") +
+                                  std::to_string(K < I.B ? K : K - I.B),
+                              "register", Task.Args[I.A + K],
+                              Task.NumRegisters);
+        uint64_t Weights = End - static_cast<uint64_t>(I.B) * I.C;
+        for (uint64_t K = Weights; K < End; ++K)
+          if (Task.Args[K] >= Task.ConstPool.size())
+            return outOfRange(At() + ", weight " + std::to_string(K - Weights),
+                              "weight slot", Task.Args[K],
+                              Task.ConstPool.size());
         break;
       }
       }

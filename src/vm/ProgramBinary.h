@@ -45,9 +45,12 @@ namespace vm {
 /// the -O2 weight fold (docs/merging.md), v7 made LogSumExpN weighted
 /// (its Args list the operand registers, then their weights' const-pool
 /// slots), v8 replaced the FNV-1a checksum with XXH64 (payload
-/// unchanged). A `.spnk` is only a cache, so older files are rejected
-/// and recompiled rather than read.
-inline constexpr uint32_t kProgramBinaryVersion = 8;
+/// unchanged), v9 added LogSumExpGroup (the sums of one RAT-SPN region
+/// sharing their exponentials; its Args list the children, the
+/// destinations, then one raw-weight slot per sum and child). A `.spnk`
+/// is only a cache, so older files are rejected and recompiled rather
+/// than read.
+inline constexpr uint32_t kProgramBinaryVersion = 9;
 
 /// Encodes \p Program into a self-contained, checksummed byte blob in
 /// the current format. Never fails.

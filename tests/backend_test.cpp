@@ -13,8 +13,10 @@
 /// against the reference interpreter at the same 1e-9 f64 bound the
 /// VM differential suite uses, at every lane width on batches around it,
 /// programs that span several segment functions and translation units,
-/// and the failure path of a parallel build. Native-compilation tests
-/// skip gracefully when the host has no working C++ compiler.
+/// and the failure path of a parallel build — and the weights-near-
+/// underflow edge model of the shared exponentials on the VM, gpusim and
+/// the cpp backend. Native-compilation tests skip gracefully when the
+/// host has no working C++ compiler.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +35,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -922,4 +925,134 @@ TEST(CppBackendTest, EngineDescribesNativeKernel) {
   // and work accounting behave exactly as with the VM engines.
   ASSERT_NE((*Engine)->getProgram(), nullptr);
   EXPECT_FALSE((*Engine)->getProgram()->Tasks.empty());
+}
+
+namespace {
+
+/// The underflow edge model: a mixture of two sums over the same three
+/// Gaussians (means 0, 30 and 60, stddev 1), whose first weights are
+/// \p FirstA and \p FirstB. At -O2 the two sums are one LogSumExpGroup.
+spn::Model makeUnderflowModel(double FirstA, double FirstB) {
+  spn::Model Model(1, "underflow");
+  std::vector<spn::Node *> Leaves = {Model.makeGaussian(0, 0.0, 1.0),
+                                     Model.makeGaussian(0, 30.0, 1.0),
+                                     Model.makeGaussian(0, 60.0, 1.0)};
+  spn::Node *A = Model.makeSum(Leaves, {FirstA, 0.5, 0.5 - FirstA});
+  spn::Node *B = Model.makeSum(Leaves, {FirstB, 0.25, 0.75 - FirstB});
+  Model.setRoot(Model.makeSum({A, B}, {0.5, 0.5}));
+  return Model;
+}
+
+} // namespace
+
+/// Weights near log-space underflow, one of ROADMAP's edge models. A raw
+/// weight of 1e-40 is subnormal in f32, and 1e-60, 1e-200 and 1e-300
+/// round to 0 there. Where the child a tiny weight multiplies dominates
+/// (x near 0), a group's linear sum falls below SharedExpLimits::Floor,
+/// and
+/// the exact per-lane path must produce the row. Every row matches the
+/// interpreter (at perfbench's f32 allowance and at 1e-9 in f64): on the
+/// VM at W 1/4/8/16 under the model's own table, the other model's
+/// table for every row and a mix of both; on gpusim for each model; and
+/// on the cpp backend under the same three table choices.
+TEST(SharedExpTest, WeightsNearLogSpaceUnderflow) {
+  const spn::Model Models[] = {makeUnderflowModel(1e-40, 1e-60),
+                               makeUnderflowModel(1e-300, 1e-200)};
+  const double Xs[] = {-5.0, 0.0, 2.5, 10.0, 30.0, 45.0, 60.0};
+  constexpr size_t kRows = 61;
+  std::vector<double> Rows(kRows);
+  for (size_t I = 0; I < kRows; ++I)
+    Rows[I] = Xs[I % std::size(Xs)];
+  std::vector<double> Reference[2], Params[2];
+  for (size_t M = 0; M < 2; ++M) {
+    Reference[M] =
+        runEngine(baselines::InterpreterEngine(Models[M]), Rows, kRows);
+    Expected<std::vector<double>> Raw = merge::extractParams(Models[M]);
+    ASSERT_TRUE(static_cast<bool>(Raw));
+    Params[M] = Raw.takeValue();
+  }
+  const std::vector<uint32_t> Other(kRows, 1);
+  std::vector<uint32_t> Mixed(kRows);
+  for (size_t I = 0; I < kRows; ++I)
+    Mixed[I] = (I * 7 / 3) % 2;
+
+  // Runs \p Engine over every row, with \p Model's table; with
+  // \p Tables, also under the other model's table and the mix.
+  auto Check = [&](ExecutionEngine &Engine, size_t Model, bool F32,
+                   bool Tables, const std::string &Leg) {
+    auto Expect = [&](const std::vector<double> &Got,
+                      const uint32_t *TableOf, const std::string &Run) {
+      for (size_t I = 0; I < kRows; ++I) {
+        double Want = Reference[TableOf ? TableOf[I] : Model][I];
+        double Bound = F32 ? 1e-3 + 1e-5 * std::abs(Want) : kTolerance;
+        EXPECT_NEAR(Got[I], Want, Bound)
+            << Leg << ", " << Run << ", row " << I << " (x = " << Rows[I]
+            << ")";
+      }
+    };
+    Expect(runEngine(Engine, Rows, kRows), nullptr, "own table");
+    if (!Tables)
+      return;
+    ASSERT_EQ(Engine.addParamTable(Params[0].data(), Params[0].size()), 0)
+        << Leg;
+    ASSERT_EQ(Engine.addParamTable(Params[1].data(), Params[1].size()), 1)
+        << Leg;
+    for (const std::vector<uint32_t> *TableOf :
+         {&Other, static_cast<const std::vector<uint32_t> *>(&Mixed)}) {
+      std::vector<double> Out(kRows);
+      ASSERT_TRUE(Engine.run({.Input = Rows.data(),
+                              .Output = Out.data(),
+                              .NumSamples = kRows,
+                              .TableIndices = TableOf->data()}))
+          << Leg;
+      Expect(Out, TableOf->data(),
+             TableOf == &Other ? "other table" : "mixed tables");
+    }
+  };
+
+  backend::VmBackend Vm;
+  backend::CppBackend Cpp(fastCppOptions());
+  // Without a host compiler only the cpp legs are left out.
+  bool HaveCompiler = Cpp.isAvailable();
+  for (bool F32 : {true, false}) {
+    spn::QueryConfig Query;
+    Query.DataType = F32 ? spn::ComputeType::F32 : spn::ComputeType::F64;
+    std::string Type = F32 ? "f32" : "f64";
+    for (unsigned W : kLaneWidths) {
+      CompilerOptions Options;
+      Options.OptLevel = 2;
+      Options.Execution.VectorWidth = W;
+      Expected<std::shared_ptr<ExecutionEngine>> Engine =
+          compileWith(Vm, Models[0], Query, Options);
+      ASSERT_TRUE(static_cast<bool>(Engine)) << Engine.getError().message();
+      const vm::KernelProgram &Program = *(*Engine)->getProgram();
+      size_t Groups = 0;
+      for (const vm::TaskProgram &Task : Program.Tasks)
+        Groups += std::count_if(
+            Task.Code.begin(), Task.Code.end(), [](const vm::Instruction &I) {
+              return I.Op == vm::OpCode::LogSumExpGroup;
+            });
+      EXPECT_EQ(Groups, 1u) << Type;
+      Check(**Engine, 0, F32, true, "vm " + Type + " W=" + std::to_string(W));
+    }
+    for (size_t M = 0; M < 2; ++M) {
+      CompilerOptions Options;
+      Options.OptLevel = 2;
+      Options.TheTarget = Target::GPU;
+      Expected<std::shared_ptr<ExecutionEngine>> Engine =
+          compileWith(Vm, Models[M], Query, Options);
+      ASSERT_TRUE(static_cast<bool>(Engine)) << Engine.getError().message();
+      Check(**Engine, M, F32, false,
+            "gpusim " + Type + " model " + std::to_string(M));
+    }
+    if (!HaveCompiler)
+      continue;
+    CompilerOptions Options;
+    Options.OptLevel = 2;
+    Options.Execution.VectorWidth = 8;
+    Expected<std::shared_ptr<ExecutionEngine>> Engine =
+        compileWith(Cpp, Models[0], Query, Options);
+    ASSERT_TRUE(static_cast<bool>(Engine)) << Engine.getError().message();
+    Check(**Engine, 0, F32, true, "cpp " + Type + " W=8");
+  }
 }

@@ -24,6 +24,8 @@
 
 #include <cmath>
 #include <limits>
+#include <set>
+#include <vector>
 
 using namespace spnc;
 using namespace spnc::ir;
@@ -280,24 +282,32 @@ TEST_F(CodegenTest, ChainCollapseBoundsNaryFanIn) {
     return IsWeight;
   };
   // Every n-ary op has 2..8 operands inside Args; a LogSumExpN's weights
-  // are const-pool slots, also inside Args. Returns the LogSumExpN
-  // operands whose weight is a sum weight.
+  // are const-pool slots, also inside Args, and so are a
+  // LogSumExpGroup's destinations and its weights, one per sum and
+  // child. Returns the log-sum-exp operands (of either kind) whose
+  // weight is a sum weight.
   auto CheckNary = [&](const TaskProgram &Task) {
     std::vector<uint8_t> IsWeight = WeightSlots(Task);
     unsigned NumNary = 0, NumWeighted = 0;
     for (const Instruction &Inst : Task.Code) {
       if (Inst.Op != OpCode::AddN && Inst.Op != OpCode::MulN &&
-          Inst.Op != OpCode::LogSumExpN)
+          Inst.Op != OpCode::LogSumExpN && Inst.Op != OpCode::LogSumExpGroup)
         continue;
       ++NumNary;
       EXPECT_GE(Inst.B, 2u); // tail chunks may pair just two values
       EXPECT_LE(Inst.B, 8u); // chunked tree keeps fan-in bounded
       EXPECT_LE(static_cast<size_t>(Inst.A) + Inst.B, Task.Args.size());
-      if (Inst.Op != OpCode::LogSumExpN)
+      if (Inst.Op == OpCode::AddN || Inst.Op == OpCode::MulN)
         continue;
-      EXPECT_LE(static_cast<size_t>(Inst.C) + Inst.B, Task.Args.size());
-      for (uint32_t N = 0; N < Inst.B; ++N) {
-        uint32_t Slot = Task.Args[Inst.C + N];
+      // The weight slots: B after C for a LogSumExpN, C * B after the
+      // children and destinations for a group of C >= 2 sums.
+      bool Group = Inst.Op == OpCode::LogSumExpGroup;
+      EXPECT_TRUE(!Group || Inst.C >= 2);
+      size_t First = Group ? size_t(Inst.A) + Inst.B + Inst.C : Inst.C;
+      size_t Count = Group ? size_t(Inst.B) * Inst.C : Inst.B;
+      EXPECT_LE(First + Count, Task.Args.size());
+      for (size_t N = 0; N < Count && First + N < Task.Args.size(); ++N) {
+        uint32_t Slot = Task.Args[First + N];
         EXPECT_LT(Slot, Task.ConstPool.size());
         NumWeighted += Slot < IsWeight.size() && IsWeight[Slot];
       }
@@ -337,6 +347,7 @@ TEST_F(CodegenTest, ChainCollapseBoundsNaryFanIn) {
     case OpCode::AddN:
     case OpCode::MulN:
     case OpCode::LogSumExpN:
+    case OpCode::LogSumExpGroup:
       Reads.assign(Task.Args.begin() + Inst.A,
                    Task.Args.begin() + Inst.A + Inst.B);
       break;
@@ -363,11 +374,71 @@ TEST_F(CodegenTest, ChainCollapseBoundsNaryFanIn) {
     }
     if (Inst.Op == OpCode::Store)
       continue;
+    if (Inst.Op == OpCode::LogSumExpGroup) {
+      for (uint32_t S = 0; S < Inst.C; ++S) {
+        uint32_t Dst = Task.Args[Inst.A + Inst.B + S];
+        Weight[Dst] = Term[Dst] = 0;
+      }
+      continue;
+    }
     bool IsWeightConst = Inst.Op == OpCode::Const && IsWeight[Inst.A];
     bool IsTerm =
         Inst.Op == OpCode::Add && (Weight[Inst.A] || Weight[Inst.B]);
     Weight[Inst.Dst] = IsWeightConst;
     Term[Inst.Dst] = IsTerm;
+  }
+}
+
+/// After -O2, no two LogSumExpN of one task read the same values: the
+/// log-sum-exps over one list of children, the sums of a RAT-SPN region,
+/// share one LogSumExpGroup. Registers are compared as values (register
+/// and defining instruction), since allocation reuses them.
+TEST_F(CodegenTest, SharedExponentialsLeaveNoRepeatedLogSumExp) {
+  workloads::RatSpnOptions Rat;
+  Rat.NumFeatures = 64;
+  Rat.Depth = 3;
+  Rat.Replicas = 2;
+  Rat.SumsPerRegion = 4;
+  Rat.LeafDistributions = 8;
+  Rat.Seed = 7;
+  Model = std::make_unique<spn::Model>(workloads::generateRatSpn(Rat, 2));
+  codegen::CodegenOptions O2;
+  O2.OptLevel = 2;
+  for (unsigned Opt : {2u, 3u}) {
+    O2.OptLevel = Opt;
+    Expected<KernelProgram> Program = emit(O2);
+    ASSERT_TRUE(static_cast<bool>(Program)) << Program.getError().message();
+    for (const TaskProgram &Task : Program->Tasks) {
+      std::vector<uint32_t> Version(Task.NumRegisters, 0);
+      std::set<std::vector<uint64_t>> Lists;
+      size_t NumGroups = 0, NumGrouped = 0, NumSingle = 0;
+      for (size_t I = 0; I < Task.Code.size(); ++I) {
+        const Instruction &Inst = Task.Code[I];
+        if (Inst.Op == OpCode::LogSumExpN) {
+          std::vector<uint64_t> Values;
+          for (uint32_t N = 0; N < Inst.B; ++N) {
+            uint32_t Reg = Task.Args[Inst.A + N];
+            Values.push_back(uint64_t(Reg) << 32 | Version[Reg]);
+          }
+          EXPECT_TRUE(Lists.insert(Values).second)
+              << "-O" << Opt << ": LogSumExpN at " << I
+              << " repeats another's children";
+          ++NumSingle;
+        }
+        if (Inst.Op == OpCode::LogSumExpGroup) {
+          ++NumGroups;
+          NumGrouped += Inst.C;
+          for (uint32_t S = 0; S < Inst.C; ++S)
+            Version[Task.Args[Inst.A + Inst.B + S]] = uint32_t(I + 1);
+        } else if (Inst.Op != OpCode::Store) {
+          Version[Inst.Dst] = uint32_t(I + 1);
+        }
+      }
+      // Each region's sums are one group, and only the root's sums stay
+      // single.
+      EXPECT_GT(NumGroups, 0u) << "-O" << Opt;
+      EXPECT_GT(NumGrouped, NumSingle) << "-O" << Opt;
+    }
   }
 }
 

@@ -707,7 +707,15 @@ vm::Instruction &firstOf(vm::KernelProgram &P,
 }
 
 /// The kernels the tampered fields live in.
-enum class Source { Speaker, SpeakerO2, HistogramCpu, HistogramGpu, Mpe, Merged };
+enum class Source {
+  Speaker,
+  SpeakerO2,
+  RatSpnO2,
+  HistogramCpu,
+  HistogramGpu,
+  Mpe,
+  Merged
+};
 
 /// One tampered field: the kernel holding it, the corruption, and the
 /// text the decode error must carry to name the field.
@@ -728,6 +736,9 @@ protected:
     case Source::SpeakerO2:
       Options.OptLevel = 2;
       break;
+    case Source::RatSpnO2:
+      Options.OptLevel = 2;
+      return Cache.getOrCompile(RatSpn, Query, Options);
     case Source::HistogramCpu:
       return Cache.getOrCompile(Histograms, Query, Options);
     case Source::HistogramGpu:
@@ -758,6 +769,17 @@ protected:
   }
 
   spn::Model Histograms = makeHistogramModel();
+  /// A RAT-SPN whose -O2 program holds LogSumExpGroups.
+  spn::Model RatSpn = [] {
+    workloads::RatSpnOptions Options;
+    Options.NumFeatures = 16;
+    Options.Depth = 2;
+    Options.Replicas = 2;
+    Options.SumsPerRegion = 3;
+    Options.LeafDistributions = 4;
+    Options.Seed = 17;
+    return workloads::generateRatSpn(Options, 0);
+  }();
 };
 
 TEST_F(KernelCacheTamperTest, ResealedBadIndexIsRecompiled) {
@@ -814,6 +836,40 @@ TEST_F(KernelCacheTamperTest, ResealedBadIndexIsRecompiled) {
                return;
              }
          ADD_FAILURE() << "program has no LogSumExpN";
+       }},
+      // A LogSumExpGroup: B children, C destinations, then C * B weight
+      // slots from Args[A].
+      {Source::RatSpnO2, "child count 0",
+       [&](vm::KernelProgram &P) {
+         firstOf(P, {vm::OpCode::LogSumExpGroup}).B = 0;
+       }},
+      {Source::RatSpnO2, "child count 9",
+       [&](vm::KernelProgram &P) {
+         firstOf(P, {vm::OpCode::LogSumExpGroup}).B = vm::kMaxNaryArgs + 1;
+       }},
+      {Source::RatSpnO2, "destination 1: register 1048576",
+       [&](vm::KernelProgram &P) {
+         for (vm::TaskProgram &Task : P.Tasks)
+           for (const vm::Instruction &I : Task.Code)
+             if (I.Op == vm::OpCode::LogSumExpGroup) {
+               Task.Args[I.A + I.B + 1] = kFar;
+               return;
+             }
+         ADD_FAILURE() << "program has no LogSumExpGroup";
+       }},
+      {Source::RatSpnO2, "weight 1: weight slot 1048576",
+       [&](vm::KernelProgram &P) {
+         for (vm::TaskProgram &Task : P.Tasks)
+           for (const vm::Instruction &I : Task.Code)
+             if (I.Op == vm::OpCode::LogSumExpGroup) {
+               Task.Args[I.A + I.B + I.C + 1] = kFar;
+               return;
+             }
+         ADD_FAILURE() << "program has no LogSumExpGroup";
+       }},
+      {Source::RatSpnO2, "arg range end",
+       [&](vm::KernelProgram &P) {
+         firstOf(P, {vm::OpCode::LogSumExpGroup}).A = kFar;
        }},
       {Source::Speaker, "buffer 1048576",
        [&](vm::KernelProgram &P) { Task0(P).Loads.front().Buffer = kFar; }},

@@ -458,6 +458,128 @@ TEST_F(OpcodeTest, LogSumExpN) {
     }
 }
 
+TEST_F(OpcodeTest, LogSumExpGroup) {
+  // Three sums over the same three children, once as one LogSumExpGroup
+  // (destinations r3..r5, raw weights) and once as three LogSumExpN
+  // (r6..r8, log-weights), stored side by side. The second sum's middle
+  // operand is unweighted: the group names the structural 1.0 (slot 4),
+  // the LogSumExpN the structural 0.0 (slot 13). The third sum's tiny
+  // weights round to 0 in f32 (1e-60, 1e-300), and where its heavy
+  // child lies beyond the cut (row 14: 650 nats, past the f64 cut too)
+  // its linear sum falls below the floor in both types, so the exact
+  // per-lane path must produce the row. Rows hold finite, -inf and NaN
+  // children, all -inf, all NaN, and children beyond the f32 cut. On
+  // every row both forms agree with each other and with the
+  // log-sum-exp in double, at W 1/4/8/16 in f32 and f64.
+  constexpr uint32_t kFeatures = 3;
+  constexpr uint32_t kSums = 3;
+  constexpr size_t kRows = 77;
+  const double Weights[kSums][kFeatures] = {
+      {0.5, 0.3, 0.2}, {0.25, 1.0, 0.125}, {1e-300, 1e-60, 0.5}};
+  TaskProgram Task;
+  for (const auto &Sum : Weights)
+    for (double W : Sum)
+      Task.ConstPool.push_back(W);
+  for (const auto &Sum : Weights)
+    for (double W : Sum)
+      Task.ConstPool.push_back(std::log(W));
+  Task.Loads = {BufferAccess{0, 0}, BufferAccess{0, 1}, BufferAccess{0, 2}};
+  // The group: children r0..r2, destinations r3..r5, then each sum's raw
+  // weights (Args[6 .. 15)).
+  Task.Args = {0, 1, 2, 3, 4, 5};
+  for (uint32_t Slot = 0; Slot < kSums * kFeatures; ++Slot)
+    Task.Args.push_back(Slot);
+  Task.Code = {make(OpCode::Load, 0, 0), make(OpCode::Load, 1, 1),
+               make(OpCode::Load, 2, 2),
+               make(OpCode::LogSumExpGroup, 0, /*ArgOffset=*/0,
+                    /*Children=*/kFeatures, /*Sums=*/kSums)};
+  for (uint32_t S = 0; S < kSums; ++S) {
+    // LogSumExpN S: the children, then its log-weights.
+    auto Offset = static_cast<uint32_t>(Task.Args.size());
+    Task.Args.insert(Task.Args.end(), {0, 1, 2});
+    for (uint32_t F = 0; F < kFeatures; ++F)
+      Task.Args.push_back(kSums * kFeatures + S * kFeatures + F);
+    Task.Code.push_back(make(OpCode::LogSumExpN, 6 + S, Offset, kFeatures,
+                             Offset + kFeatures));
+  }
+  for (uint32_t R = 0; R < 2 * kSums; ++R) {
+    Task.Stores.push_back(BufferAccess{1, R});
+    Task.Code.push_back(make(OpCode::Store, 3 + R, R));
+  }
+  Task.NumRegisters = 3 + 2 * kSums;
+  KernelProgram Program;
+  Program.Buffers = {
+      BufferInfo{BufferInfo::Kind::Input, kFeatures, false},
+      BufferInfo{BufferInfo::Kind::Output, 2 * kSums, true}};
+  Program.NumInputs = 1;
+  Program.NumOutputs = 1;
+  Program.Tasks = {Task};
+  Program.Steps = {KernelStep{0, -1, -1}};
+  ASSERT_TRUE(static_cast<bool>(decodeProgram(encodeProgram(Program))));
+
+  const double NegInf = -std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  Rng R(2718);
+  std::vector<double> Input(kRows * kFeatures);
+  for (size_t Row = 0; Row < kRows; ++Row)
+    for (uint32_t F = 0; F < kFeatures; ++F) {
+      double &X = Input[Row * kFeatures + F];
+      X = R.uniform(-30.0, 0.0);
+      if (Row % 7 == 1 && Row / 7 % kFeatures == F)
+        X = NegInf;
+      if (Row % 7 == 2 && Row / 7 % kFeatures == F)
+        X = NaN;
+      if (Row == 5 || (Row == 8 && F != 0))
+        X = NegInf;
+      if (Row == 6 || (Row == 8 && F == 0))
+        X = NaN;
+      if (Row == 13)
+        X = -70.0 * F; // beyond the f32 cut: 0, -70, -140
+      if (Row == 14)
+        X = F == 0 ? 0.0 : F == 1 ? NegInf : -650.0;
+      if (Row == 15)
+        X = F == 0 ? -3.0 : F == 1 ? NaN : NegInf;
+    }
+  for (bool F32 : {false, true})
+    for (unsigned W : kWidths) {
+      Program.UseF32 = F32;
+      ExecutionConfig Config;
+      Config.VectorWidth = W;
+      CpuExecutor Exec(Program, Config);
+      std::vector<double> Out(2 * kSums * kRows);
+      ASSERT_TRUE(Exec.run(
+          {.Input = Input.data(), .Output = Out.data(), .NumSamples = kRows}));
+      for (size_t Row = 0; Row < kRows; ++Row)
+        for (size_t S = 0; S < kSums; ++S) {
+          double Group = Out[S * kRows + Row];
+          double Single = Out[(kSums + S) * kRows + Row];
+          // log sum_j exp(x_j + log w_j) in double, NaN children left
+          // out.
+          double Max = NegInf, Sum = 0.0;
+          for (uint32_t F = 0; F < kFeatures; ++F)
+            if (double X = Input[Row * kFeatures + F]; !std::isnan(X))
+              Max = std::max(Max, X + std::log(Weights[S][F]));
+          for (uint32_t F = 0; F < kFeatures; ++F)
+            if (double X = Input[Row * kFeatures + F];
+                !std::isnan(X) && Max != NegInf)
+              Sum += std::exp(X + std::log(Weights[S][F]) - Max);
+          double Want = Max == NegInf ? NegInf : Max + std::log(Sum);
+          std::string Where = std::string(F32 ? "f32" : "f64") +
+                              " W=" + std::to_string(W) + " row " +
+                              std::to_string(Row) + " sum " +
+                              std::to_string(S);
+          if (Want == NegInf) {
+            EXPECT_EQ(Group, NegInf) << Where;
+            EXPECT_EQ(Single, NegInf) << Where;
+            continue;
+          }
+          double Bound = (F32 ? 1e-6 : 1e-13) * (1.0 + std::abs(Want));
+          EXPECT_NEAR(Group, Single, Bound) << Where;
+          EXPECT_NEAR(Group, Want, Bound) << Where;
+        }
+    }
+}
+
 //===----------------------------------------------------------------------===//
 // Buffer addressing
 //===----------------------------------------------------------------------===//

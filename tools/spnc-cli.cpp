@@ -47,6 +47,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 using namespace spnc;
@@ -113,7 +114,9 @@ void printUsage() {
       "mode)\n"
       "  and --pipeline-report emits a JSON array, one document per "
       "model;\n"
-      "  --input/--dump-ir/--save-kernel then do not apply.\n"
+      "  --input, --dump-ir, --save-kernel, --kernel-cache,\n"
+      "  --kernel-cache-stats, --kernel-cache-report and --backend then\n"
+      "  do not apply (exit 2).\n"
       "  --input FILE       samples, one per line (whitespace/comma "
       "separated;\n"
       "                     'nan' marginalizes a feature)\n"
@@ -696,6 +699,22 @@ int main(int Argc, char **Argv) {
                            "require a single MODEL\n");
       return 2;
     }
+    // Batch mode compiles through the pipeline alone, so a flag of the
+    // kernel cache or the backend would go unused.
+    const std::pair<bool, const char *> Unused[] = {
+        {!Options.KernelCacheDir.empty(), "--kernel-cache"},
+        {Options.KernelCacheStats, "--kernel-cache-stats"},
+        {!Options.KernelCacheReportPath.empty(), "--kernel-cache-report"},
+        {std::ranges::count(Options.ExplicitKnobs, "backend") > 0,
+         "--backend"}};
+    for (auto [Given, Flag] : Unused)
+      if (Given) {
+        std::fprintf(stderr,
+                     "%s requires a single MODEL (several MODELs compile "
+                     "through the pipeline only)\n",
+                     Flag);
+        return 2;
+      }
     std::vector<ModelPipelineReport> Reports;
     for (const std::string &Path : Options.ModelPaths) {
       Expected<spn::Model> Model = spn::loadModel(Path);
