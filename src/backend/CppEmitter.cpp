@@ -41,6 +41,7 @@
 #include "backend/CppEmitter.h"
 
 #include "support/StringUtils.h"
+#include "vm/Operands.h"
 
 #include <algorithm>
 #include <cmath>
@@ -683,22 +684,14 @@ CppParamLayout spnc::backend::layoutCppParams(const KernelProgram &Program) {
     };
     std::vector<size_t> &Log = Layout.LogConstSlot.emplace_back(
         Task.ConstPool.size(), CppParamLayout::kUnused);
+    // A group's raw weights also need their logs (its exact path).
     for (const Instruction &I : Task.Code) {
-      if (I.Op == OpCode::Const) {
-        Read(I.A);
-      } else if (I.Op == OpCode::NanBlend) {
-        Read(I.B);
-      } else if (I.Op == OpCode::LogSumExpN) {
-        for (uint32_t N = 0; N < I.B; ++N)
-          Read(Task.Args[I.C + N]);
-      } else if (I.Op == OpCode::LogSumExpGroup) {
-        const uint32_t *Slots = &Task.Args[I.A + I.B + I.C];
-        for (size_t N = 0; N < static_cast<size_t>(I.B) * I.C; ++N) {
-          Read(Slots[N]);
-          if (Log[Slots[N]] == CppParamLayout::kUnused)
-            Log[Slots[N]] = Off++;
-        }
-      }
+      bool Group = opcodeInfo(I.Op).Args == ArgsLayout::Group;
+      forEachConstRead(Task, I, [&](uint32_t Slot) {
+        Read(Slot);
+        if (Group && Log[Slot] == CppParamLayout::kUnused)
+          Log[Slot] = Off++;
+      });
     }
     Layout.GaussianBase.push_back(Off);
     Off += Task.Gaussians.size() * 4;

@@ -11,6 +11,7 @@
 #include "support/Hashing.h"
 #include "support/StringUtils.h"
 #include "support/Timer.h"
+#include "vm/Operands.h"
 #include "vm/ParamTable.h"
 
 #include <algorithm>
@@ -478,133 +479,6 @@ private:
   uint32_t NextReg = 0;
 };
 
-//===----------------------------------------------------------------------===//
-// Instruction-level helpers (operand/def classification)
-//===----------------------------------------------------------------------===//
-
-/// True if the instruction reads its Dst field (store sources and
-/// read-modify-write accumulators).
-static bool readsDst(const Instruction &Inst) {
-  return Inst.Op == OpCode::Store || Inst.Op == OpCode::SelectInRange ||
-         Inst.Op == OpCode::NanBlend;
-}
-
-/// True if the instruction writes its Dst field (a LogSumExpGroup
-/// writes the destinations in its Args instead; see forEachDef).
-static bool writesDst(const Instruction &Inst) {
-  return Inst.Op != OpCode::Store && Inst.Op != OpCode::LogSumExpGroup;
-}
-
-/// Calls \p Fn for each register \p Inst writes: its Dst, or the
-/// destinations of a LogSumExpGroup.
-template <typename DefFn>
-static void forEachDef(const TaskProgram &Program, const Instruction &Inst,
-                       DefFn Fn) {
-  if (Inst.Op == OpCode::LogSumExpGroup) {
-    for (uint32_t S = 0; S < Inst.C; ++S)
-      Fn(Program.Args[Inst.A + Inst.B + S]);
-  } else if (writesDst(Inst)) {
-    Fn(Inst.Dst);
-  }
-}
-
-/// True for n-ary instructions whose operands live in the Args pool. The
-/// vector engine accumulates into Dst while operands are still read, so
-/// Dst must not alias any operand register.
-static bool isNary(const Instruction &Inst) {
-  return Inst.Op == OpCode::AddN || Inst.Op == OpCode::MulN ||
-         Inst.Op == OpCode::LogSumExpN;
-}
-
-/// Collects the registers read by \p Inst into \p Uses (for LogSumExpN
-/// the register half of its operands, for LogSumExpGroup its children;
-/// their weight slots index the const pool).
-static void collectUses(const TaskProgram &Program,
-                        const Instruction &Inst,
-                        std::vector<uint32_t> &Uses) {
-  Uses.clear();
-  switch (Inst.Op) {
-  case OpCode::Const:
-  case OpCode::Load:
-    break;
-  case OpCode::Store:
-    Uses.push_back(Inst.Dst);
-    break;
-  case OpCode::Add:
-  case OpCode::Mul:
-  case OpCode::LogSumExp:
-  case OpCode::Max:
-    Uses.push_back(Inst.A);
-    Uses.push_back(Inst.B);
-    break;
-  case OpCode::FusedMulAdd:
-    Uses.push_back(Inst.A);
-    Uses.push_back(Inst.B);
-    Uses.push_back(Inst.C);
-    break;
-  case OpCode::Gaussian:
-  case OpCode::GaussianLog:
-  case OpCode::TableLookup:
-    Uses.push_back(Inst.A);
-    break;
-  case OpCode::SelectInRange:
-  case OpCode::NanBlend:
-    Uses.push_back(Inst.A);
-    Uses.push_back(Inst.Dst);
-    break;
-  case OpCode::AddN:
-  case OpCode::MulN:
-  case OpCode::LogSumExpN:
-  case OpCode::LogSumExpGroup:
-    for (uint32_t N = 0; N < Inst.B; ++N)
-      Uses.push_back(Program.Args[Inst.A + N]);
-    break;
-  }
-}
-
-/// Rewrites the registers read by \p Inst through \p Map (the ones
-/// collectUses lists).
-template <typename MapFn>
-static void rewriteRegs(TaskProgram &Program, Instruction &Inst,
-                        MapFn Map) {
-  switch (Inst.Op) {
-  case OpCode::Const:
-  case OpCode::Load:
-    break;
-  case OpCode::Store:
-    Inst.Dst = Map(Inst.Dst);
-    return; // Store has no def.
-  case OpCode::Add:
-  case OpCode::Mul:
-  case OpCode::LogSumExp:
-  case OpCode::Max:
-    Inst.A = Map(Inst.A);
-    Inst.B = Map(Inst.B);
-    break;
-  case OpCode::FusedMulAdd:
-    Inst.A = Map(Inst.A);
-    Inst.B = Map(Inst.B);
-    Inst.C = Map(Inst.C);
-    break;
-  case OpCode::Gaussian:
-  case OpCode::GaussianLog:
-  case OpCode::TableLookup:
-    Inst.A = Map(Inst.A);
-    break;
-  case OpCode::SelectInRange:
-  case OpCode::NanBlend:
-    Inst.A = Map(Inst.A);
-    break;
-  case OpCode::AddN:
-  case OpCode::MulN:
-  case OpCode::LogSumExpN:
-  case OpCode::LogSumExpGroup:
-    for (uint32_t N = 0; N < Inst.B; ++N)
-      Program.Args[Inst.A + N] = Map(Program.Args[Inst.A + N]);
-    break;
-  }
-}
-
 /// The first const-pool slot of \p Program that holds \p Value bit for
 /// bit and that no parameter site names, or a new one. Never a weight's
 /// slot, which binding a weight table rewrites.
@@ -637,28 +511,25 @@ static uint32_t structuralSlot(TaskProgram &Program, double Value) {
 static void runChainCollapse(TaskProgram &Program) {
   std::vector<Instruction> &Code = Program.Code;
   std::vector<uint32_t> UseCounts(Program.NumRegisters, 0);
+  // First and last write per register: select cascades and NaN blends
+  // write their register several times. The first write identifies the
+  // defining op for chain expansion; a chunk op reading such a register
+  // must be placed after the *final* write.
   std::vector<int32_t> DefOf(Program.NumRegisters, -1);
-  std::vector<uint32_t> Uses;
+  std::vector<int32_t> LastWriteOf(Program.NumRegisters, -1);
   for (size_t I = 0; I < Code.size(); ++I) {
-    collectUses(Program, Code[I], Uses);
-    for (uint32_t Reg : Uses)
-      ++UseCounts[Reg];
-    if (writesDst(Code[I]) && DefOf[Code[I].Dst] < 0)
-      DefOf[Code[I].Dst] = static_cast<int32_t>(I);
+    forEachRegisterRead(Program, Code[I],
+                        [&](uint32_t Reg) { ++UseCounts[Reg]; });
+    forEachRegisterWrite(Program, Code[I], [&](uint32_t Reg) {
+      if (DefOf[Reg] < 0)
+        DefOf[Reg] = static_cast<int32_t>(I);
+      LastWriteOf[Reg] = static_cast<int32_t>(I);
+    });
   }
 
   std::vector<uint8_t> Dead(Code.size(), 0);
   // Instructions to emit directly before position I (chunked subtrees).
   std::vector<std::vector<Instruction>> Prefix(Code.size());
-
-  // Last write per register: select cascades and NaN blends write their
-  // register several times, and a chunk op reading such a register must
-  // be placed after the *final* write (DefOf above records the first
-  // write, which identifies the defining op for chain expansion).
-  std::vector<int32_t> LastWriteOf(Program.NumRegisters, -1);
-  for (size_t I = 0; I < Code.size(); ++I)
-    if (writesDst(Code[I]))
-      LastWriteOf[Code[I].Dst] = static_cast<int32_t>(I);
 
   // The pool slot of a structural 0.0, which an unweighted log-sum-exp
   // operand names (r + 0.0 changes no log-sum-exp result bit).
@@ -872,15 +743,8 @@ static void runSharedExponentials(TaskProgram &Program,
     if (Program.ParamSites[S].Kind == ParamSlotKind::ConstPool)
       SiteOf[Program.ParamSites[S].Index] = static_cast<int32_t>(S);
   std::vector<uint32_t> Reads(Pool.size(), 0);
-  for (const Instruction &Inst : Code) {
-    if (Inst.Op == OpCode::Const)
-      ++Reads[Inst.A];
-    else if (Inst.Op == OpCode::NanBlend)
-      ++Reads[Inst.B];
-    else if (Inst.Op == OpCode::LogSumExpN)
-      for (uint32_t N = 0; N < Inst.B; ++N)
-        ++Reads[Program.Args[Inst.C + N]];
-  }
+  for (const Instruction &Inst : Code)
+    forEachConstRead(Program, Inst, [&](uint32_t Slot) { ++Reads[Slot]; });
   // A group keeps its children in the engines' kMaxNaryArgs arrays.
   auto Groupable = [&](const Instruction &Inst) {
     if (Inst.B > kMaxNaryArgs)
@@ -932,7 +796,7 @@ static void runSharedExponentials(TaskProgram &Program,
   std::vector<uint32_t> Args;
   Args.reserve(Program.Args.size());
   // Appends Program.Args[Begin .. Begin + Count) and returns its offset.
-  auto CopyArgs = [&](uint32_t Begin, uint32_t Count) {
+  auto CopyArgs = [&](uint32_t Begin, uint64_t Count) {
     uint32_t At = static_cast<uint32_t>(Args.size());
     Args.insert(Args.end(), Program.Args.begin() + Begin,
                 Program.Args.begin() + Begin + Count);
@@ -968,13 +832,9 @@ static void runSharedExponentials(TaskProgram &Program,
       Emitted.push_back(Group);
       continue;
     }
-    if (Inst.Op == OpCode::AddN || Inst.Op == OpCode::MulN ||
-        Inst.Op == OpCode::LogSumExpN) {
-      uint32_t Slots = Inst.C;
-      Inst.A = CopyArgs(Inst.A, Inst.B);
-      if (Inst.Op == OpCode::LogSumExpN)
-        Inst.C = CopyArgs(Slots, Inst.B);
-    }
+    forEachArgsRange(Inst, [&](uint32_t &Begin, uint64_t Count) {
+      Begin = CopyArgs(Begin, Count);
+    });
     Emitted.push_back(Inst);
   }
   Code = std::move(Emitted);
@@ -1002,14 +862,10 @@ static void runPeephole(TaskProgram &Program, bool LogSpace) {
   // its Const alive.
   auto CountUses = [&] {
     std::vector<uint32_t> Counts(Program.NumRegisters, 0);
-    std::vector<uint32_t> Uses;
-    for (size_t I = 0; I < Code.size(); ++I) {
-      if (Dead[I])
-        continue;
-      collectUses(Program, Code[I], Uses);
-      for (uint32_t Reg : Uses)
-        ++Counts[Reg];
-    }
+    for (size_t I = 0; I < Code.size(); ++I)
+      if (!Dead[I])
+        forEachRegisterRead(Program, Code[I],
+                            [&](uint32_t Reg) { ++Counts[Reg]; });
     return Counts;
   };
   std::vector<uint32_t> UseCounts = CountUses();
@@ -1018,8 +874,10 @@ static void runPeephole(TaskProgram &Program, bool LogSpace) {
   // write, the Const).
   std::vector<int32_t> DefOf(Program.NumRegisters, -1);
   for (size_t I = 0; I < Code.size(); ++I)
-    if (writesDst(Code[I]) && DefOf[Code[I].Dst] < 0)
-      DefOf[Code[I].Dst] = static_cast<int32_t>(I);
+    forEachRegisterWrite(Program, Code[I], [&](uint32_t Reg) {
+      if (DefOf[Reg] < 0)
+        DefOf[Reg] = static_cast<int32_t>(I);
+    });
 
   auto IsLeafFoldTarget = [&](int32_t Def) {
     if (Def < 0)
@@ -1108,18 +966,21 @@ static void runPeephole(TaskProgram &Program, bool LogSpace) {
   // Dead code elimination: drop unused pure defs (including consts left
   // over from the folds above).
   UseCounts = CountUses();
-  // Recompute after rewrites; then sweep backwards so chains die.
-  std::vector<uint32_t> Uses;
+  // Recompute after rewrites; then sweep backwards so chains die. An
+  // instruction that writes no register (a store) or reads one it writes
+  // (an accumulator, whose cascade's first write defines it) stays.
   for (size_t I = Code.size(); I-- > 0;) {
-    Instruction &Inst = Code[I];
-    if (Dead[I] || !writesDst(Inst) || readsDst(Inst))
+    const OpcodeInfo &Info = opcodeInfo(Code[I].Op);
+    bool Writes = false, Live = Info.Reads & Info.Writes;
+    forEachRegisterWrite(Program, Code[I], [&](uint32_t Reg) {
+      Writes = true;
+      Live = Live || UseCounts[Reg] != 0;
+    });
+    if (Dead[I] || !Writes || Live)
       continue;
-    if (UseCounts[Inst.Dst] == 0) {
-      Dead[I] = 1;
-      collectUses(Program, Inst, Uses);
-      for (uint32_t Reg : Uses)
-        --UseCounts[Reg];
-    }
+    Dead[I] = 1;
+    forEachRegisterRead(Program, Code[I],
+                        [&](uint32_t Reg) { --UseCounts[Reg]; });
   }
 
   std::vector<Instruction> Compacted;
@@ -1138,13 +999,13 @@ static void runScheduling(TaskProgram &Program) {
   // Read-modify-write cascades impose write-after-write ordering the
   // simple dependence model below does not capture; skip such programs.
   for (const Instruction &Inst : Program.Code)
-    if (Inst.Op == OpCode::SelectInRange || Inst.Op == OpCode::NanBlend)
+    if (opcodeInfo(Inst.Op).Reads & opcodeInfo(Inst.Op).Writes)
       return;
 
   std::vector<Instruction> &Code = Program.Code;
   std::vector<int32_t> DefOf(Program.NumRegisters, -1);
   for (size_t I = 0; I < Code.size(); ++I)
-    forEachDef(Program, Code[I], [&](uint32_t Reg) {
+    forEachRegisterWrite(Program, Code[I], [&](uint32_t Reg) {
       DefOf[Reg] = static_cast<int32_t>(I);
     });
 
@@ -1164,7 +1025,9 @@ static void runScheduling(TaskProgram &Program) {
     Stack.emplace_back(RootIdx, 0);
     while (!Stack.empty()) {
       auto &[Idx, NextUse] = Stack.back();
-      collectUses(Program, Code[Idx], Uses);
+      Uses.clear();
+      forEachRegisterRead(Program, Code[Idx],
+                          [&](uint32_t Reg) { Uses.push_back(Reg); });
       if (NextUse < Uses.size()) {
         int32_t Def = DefOf[Uses[NextUse++]];
         if (Def >= 0 && !Emitted[Def]) {
@@ -1197,12 +1060,10 @@ static void runRegisterAllocation(TaskProgram &Program) {
 
   // Last read of each virtual register over the final order.
   std::vector<int32_t> LastUse(Program.NumRegisters, -1);
-  std::vector<uint32_t> Uses;
-  for (size_t I = 0; I < Code.size(); ++I) {
-    collectUses(Program, Code[I], Uses);
-    for (uint32_t Reg : Uses)
+  for (size_t I = 0; I < Code.size(); ++I)
+    forEachRegisterRead(Program, Code[I], [&](uint32_t Reg) {
       LastUse[Reg] = static_cast<int32_t>(I);
-  }
+    });
 
   constexpr uint32_t kUnassigned = 0xffffffffu;
   std::vector<uint32_t> Assignment(Program.NumRegisters, kUnassigned);
@@ -1220,73 +1081,45 @@ static void runRegisterAllocation(TaskProgram &Program) {
     }
   };
 
-  std::vector<uint32_t> Dying;
+  std::vector<uint32_t> Dying, Defs;
   for (size_t I = 0; I < Code.size(); ++I) {
-    const Instruction Original = Code[I];
     Instruction &Inst = Code[I];
 
-    // Virtual registers whose live range ends at this instruction.
+    // Virtual registers whose live range ends at this instruction, and
+    // the ones it writes.
     Dying.clear();
-    collectUses(Program, Original, Uses);
-    for (uint32_t VReg : Uses)
+    forEachRegisterRead(Program, Inst, [&](uint32_t VReg) {
       if (LastUse[VReg] == static_cast<int32_t>(I) &&
           std::find(Dying.begin(), Dying.end(), VReg) == Dying.end())
         Dying.push_back(VReg);
+    });
+    Defs.clear();
+    forEachRegisterWrite(Program, Inst,
+                         [&](uint32_t VReg) { Defs.push_back(VReg); });
 
     // Rewrite reads (including the Dst read of stores and accumulators).
-    rewriteRegs(Program, Inst, [&](uint32_t VReg) {
-      assert(Assignment[VReg] != kUnassigned && "use before def");
-      return Assignment[VReg];
+    forEachRegisterRead(Program, Inst, [&](uint32_t &Reg) {
+      assert(Assignment[Reg] != kUnassigned && "use before def");
+      Reg = Assignment[Reg];
     });
-    if (readsDst(Original) && Original.Op != OpCode::Store)
-      Inst.Dst = Assignment[Original.Dst];
 
-    // A group's destinations: the engines read every child before they
-    // write one, so a destination may take a register dying here.
-    if (Original.Op == OpCode::LogSumExpGroup) {
-      for (uint32_t VReg : Dying)
+    // Assign the defs. Accumulators keep their existing assignment; a
+    // fresh def may reuse a register dying at this very instruction,
+    // since every engine reads all operands before it writes; but not a
+    // register this instruction still writes.
+    for (uint32_t VReg : Dying)
+      if (std::find(Defs.begin(), Defs.end(), VReg) == Defs.end())
         FreeList.push_back(Assignment[VReg]);
-      uint32_t *Dsts = &Program.Args[Original.A + Original.B];
-      for (uint32_t S = 0; S < Original.C; ++S)
-        Allocate(Dsts[S]);
-      for (uint32_t S = 0; S < Original.C; ++S) {
-        uint32_t VDst = Dsts[S];
-        Dsts[S] = Assignment[VDst];
-        if (LastUse[VDst] < static_cast<int32_t>(I))
-          FreeList.push_back(Dsts[S]);
-      }
-      continue;
-    }
-
-    // Assign the def. Accumulators keep their existing assignment; a
-    // fresh def may reuse a register dying at this very instruction —
-    // except for n-ary ops, whose engines accumulate into Dst while the
-    // operands are still being read (no aliasing allowed).
-    if (writesDst(Original)) {
-      uint32_t VDst = Original.Dst;
-      if (isNary(Original)) {
-        Allocate(VDst);
-        for (uint32_t VReg : Dying)
-          if (VReg != VDst)
-            FreeList.push_back(Assignment[VReg]);
-        Inst.Dst = Assignment[VDst];
-        if (LastUse[VDst] < static_cast<int32_t>(I))
-          FreeList.push_back(Assignment[VDst]);
-        continue;
-      }
-      // Do not free-and-reuse a register this instruction still writes.
-      for (uint32_t VReg : Dying)
-        if (VReg != VDst)
-          FreeList.push_back(Assignment[VReg]);
-      Allocate(VDst);
-      Inst.Dst = Assignment[VDst];
+    for (uint32_t VReg : Defs)
+      Allocate(VReg);
+    size_t Def = 0;
+    forEachRegisterWrite(Program, Inst, [&](uint32_t &Reg) {
+      uint32_t VReg = Defs[Def++];
+      Reg = Assignment[VReg];
       // A def that is never read dies immediately.
-      if (LastUse[VDst] < static_cast<int32_t>(I))
-        FreeList.push_back(Assignment[VDst]);
-    } else {
-      for (uint32_t VReg : Dying)
-        FreeList.push_back(Assignment[VReg]);
-    }
+      if (LastUse[VReg] < static_cast<int32_t>(I))
+        FreeList.push_back(Reg);
+    });
   }
 
   Program.NumRegisters = std::max(NumPhys, 1u);

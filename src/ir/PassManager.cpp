@@ -22,13 +22,19 @@ LogicalResult PassManager::run(Operation *Module) {
   for (auto &ThePass : Passes) {
     Timer PassTimer;
     LogicalResult Result = ThePass->run(Module, Ctx);
-    Timings.push_back(PassTiming{ThePass->getName(), PassTimer.elapsedNs()});
+    Timings.push_back(
+        PassTiming{ThePass->getName(), PassTimer.elapsedNs(), 0});
     if (failed(Result)) {
       Ctx.emitError(
           formatString("pass '%s' failed", ThePass->getName()));
       return failure();
     }
-    if (VerifyAfterEachPass && failed(verify(Module))) {
+    if (!VerifyAfterEachPass)
+      continue;
+    Timer VerifyTimer;
+    LogicalResult Verified = verify(Module);
+    Timings.back().VerifyNs = VerifyTimer.elapsedNs();
+    if (failed(Verified)) {
       Ctx.emitError(formatString("IR verification failed after pass '%s'",
                                  ThePass->getName()));
       return failure();

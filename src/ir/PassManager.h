@@ -45,6 +45,9 @@ public:
 struct PassTiming {
   std::string PassName;
   uint64_t WallNs = 0;
+  /// Wall clock of the verification after the pass; 0 when the pass
+  /// manager does not verify.
+  uint64_t VerifyNs = 0;
 };
 
 /// Runs a sequence of passes over a module, recording timings and

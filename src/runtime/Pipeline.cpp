@@ -210,9 +210,10 @@ std::optional<Error> translate(StageContext &C) {
   return std::nullopt;
 }
 
-/// The target-independent IR pipeline (paper §IV-A).
-std::optional<Error> runIrPipeline(StageContext &C) {
-  PassManager PM(C.Ctx, C.Options.VerifyIR);
+/// The target-independent IR pipeline (paper §IV-A), verifying the
+/// module after each pass when \p VerifyEachPass.
+std::optional<Error> runIrPipeline(StageContext &C, bool VerifyEachPass) {
+  PassManager PM(C.Ctx, VerifyEachPass);
   for (IrPass &P : irPasses(C.Options))
     if (P.ForTraceback || !spn::needsTraceback(C.Query.Kind))
       PM.addPass(P.Create(C.Query));
@@ -406,7 +407,7 @@ CompilationPipeline::compile(const spn::Model &Model,
         Err = translate(C);
         break;
       case StageKind::IrPipeline:
-        Err = runIrPipeline(C);
+        Err = runIrPipeline(C, VerifyEachStage);
         break;
       case StageKind::Codegen:
         Err = generateCode(C);

@@ -66,8 +66,6 @@ struct CompilerOptions {
   /// Write returned task results directly into kernel outputs
   /// (paper §IV-A5); disable only for the ablation.
   bool AvoidBufferCopies = true;
-  /// Verify the IR after each pass (slow for very large graphs).
-  bool VerifyIR = false;
   partition::PartitionOptions Partitioning;
 };
 
@@ -181,8 +179,10 @@ public:
 
   /// Built-in diagnostic: a "verify:<stage>" stage after every core
   /// stage runs `ir::verify` over the module and fails the compilation
-  /// naming the stage and the first verifier diagnostic. Never fails; a
-  /// repeated call is a no-op.
+  /// naming the stage and the first verifier diagnostic; the
+  /// ir-pipeline stage's pass manager also verifies after each pass
+  /// (slow for very large graphs). Never fails; a repeated call is a
+  /// no-op.
   std::optional<Error> enableVerifyAfterEachStage();
 
   /// Built-in diagnostic: an "ir-dump:<stage>" stage after the core

@@ -35,12 +35,15 @@
 namespace spnc {
 namespace vm {
 
+/// The opcodes' semantics. Which of an instruction's fields and Args
+/// each one reads, writes or indexes a side table with is described
+/// once, in vm/Operands.h.
 enum class OpCode : uint8_t {
-  /// dst <- constant pool [A].
+  /// dst <- ConstPool[A].
   Const,
-  /// dst <- buffer[A] element (B = static index); layout per buffer plan.
+  /// dst <- the buffer element Loads[A]; layout per buffer plan.
   Load,
-  /// buffer[A] element (B = static slot) <- src register (Dst field).
+  /// The buffer element Stores[A] <- register Dst.
   Store,
   /// dst <- a + b (also log-space multiplication).
   Add,
@@ -51,14 +54,14 @@ enum class OpCode : uint8_t {
   /// dst <- log(exp(a) + exp(b)) (log-space addition; uses the vector
   /// math library when enabled).
   LogSumExp,
-  /// dst <- gaussian pdf (linear), params[A].
+  /// dst <- gaussian pdf (linear) of a, Gaussians[B].
   Gaussian,
-  /// dst <- gaussian log-pdf, params[A].
+  /// dst <- gaussian log-pdf of a, Gaussians[B].
   GaussianLog,
-  /// dst <- table lookup (histogram / categorical), tables[A]. The table
+  /// dst <- lookup of a in Tables[B] (histogram / categorical). The table
   /// values are log-probabilities when the task computes in log space.
   TableLookup,
-  /// dst <- (lo <= a < hi) ? v : dst, selects[A]. The GPU lowering emits
+  /// dst <- (lo <= a < hi) ? v : dst, Selects[B]. The GPU lowering emits
   /// cascades of these instead of table lookups (paper §IV-C).
   SelectInRange,
   /// dst <- isnan(a) ? constpool[B] : dst. Emitted after select cascades

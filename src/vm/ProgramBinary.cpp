@@ -10,7 +10,9 @@
 #include "support/ByteStream.h"
 #include "support/FileIO.h"
 #include "support/Hashing.h"
+#include "vm/Operands.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -146,6 +148,82 @@ std::string outOfRange(const std::string &Where, const char *Field,
          " out of range (limit " + std::to_string(Limit) + ")";
 }
 
+/// The name the index checks give \p Table's index, and its size in
+/// \p Task.
+std::pair<const char *, size_t> sideTable(const TaskProgram &Task,
+                                          SideTable Table) {
+  switch (Table) {
+  case SideTable::ConstPool:
+    return {"const-pool index", Task.ConstPool.size()};
+  case SideTable::Loads:
+    return {"load index", Task.Loads.size()};
+  case SideTable::Stores:
+    return {"store index", Task.Stores.size()};
+  case SideTable::Gaussians:
+    return {"gaussian index", Task.Gaussians.size()};
+  case SideTable::Tables:
+    return {"table index", Task.Tables.size()};
+  case SideTable::Selects:
+    return {"select index", Task.Selects.size()};
+  case SideTable::None:
+    break;
+  }
+  return {"", 0};
+}
+
+/// Checks what \p I lists in \p Task's Args: the counts the engines rely
+/// on, the ranges (operands, then weights), then each register and weight
+/// slot. Returns an error naming the first offending field, located by
+/// \p At, or an empty string.
+template <typename AtFn>
+std::string checkArgs(const TaskProgram &Task, const Instruction &I,
+                      AtFn At) {
+  const OpcodeInfo &Info = opcodeInfo(I.Op);
+  if (Info.Args == ArgsLayout::Group) {
+    // The engines keep a group's children in kMaxNaryArgs-sized arrays.
+    if (I.B == 0 || I.B > kMaxNaryArgs)
+      return outOfRange(At(), "child count", I.B, kMaxNaryArgs + 1);
+    if (I.C == 0)
+      return At() + ": group of no sum";
+  } else if (I.B == 0) {
+    // The engines address an n-ary instruction's Args at its first
+    // operand.
+    return At() + ": n-ary instruction of no operand";
+  }
+  uint64_t Ends[2] = {};
+  unsigned NumRanges = 0;
+  forEachArgsRange(I, [&](uint32_t Begin, uint64_t Size) {
+    Ends[NumRanges++] = Begin + Size;
+  });
+  for (unsigned R = 0; R < NumRanges; ++R)
+    if (Ends[R] > Task.Args.size())
+      return outOfRange(At(), R == 0 ? "arg range end" : "weight range end",
+                        static_cast<int64_t>(Ends[R]), Task.Args.size());
+  // The largest register and weight slot first (a loop without early
+  // exits), the first offender only when one is out of range.
+  uint32_t MaxReg = 0, MaxSlot = 0;
+  forEachArg(Task, I, [&](ArgRole Role, uint64_t, uint32_t Entry) {
+    uint32_t &Max = Role == ArgRole::ConstSlot ? MaxSlot : MaxReg;
+    Max = std::max(Max, Entry);
+  });
+  std::string Err;
+  if (MaxReg < Task.NumRegisters && MaxSlot < Task.ConstPool.size())
+    return Err;
+  forEachArg(Task, I, [&](ArgRole Role, uint64_t K, uint32_t Entry) {
+    bool Slot = Role == ArgRole::ConstSlot;
+    size_t Limit = Slot ? Task.ConstPool.size() : Task.NumRegisters;
+    if (!Err.empty() || Entry < Limit)
+      return;
+    const char *List = Info.Args != ArgsLayout::Group ? "operand"
+                       : Role == ArgRole::Read        ? "child"
+                       : Role == ArgRole::Write       ? "destination"
+                                                      : "weight";
+    Err = outOfRange(At() + ", " + List + " " + std::to_string(K),
+                     Slot ? "weight slot" : "register", Entry, Limit);
+  });
+  return Err;
+}
+
 /// Checks, in one linear pass, every value of \p P that the engines, the
 /// traceback or the cpp emitter use to index a table, a buffer or the
 /// register file. Returns an error naming the first offending field, or
@@ -153,7 +231,7 @@ std::string outOfRange(const std::string &Where, const char *Field,
 /// formatted on failure, so the pass costs a few compares per field.
 std::string checkIndices(const KernelProgram &P) {
   size_t NumBuffers = P.Buffers.size();
-  uint32_t NumIn = 0, NumOut = 0, NumFeatures = 0;
+  uint32_t NumIn = 0, NumOut = 0, NumFeatures = 0, OutputColumns = 0;
   for (size_t I = 0; I < NumBuffers; ++I) {
     const BufferInfo &B = P.Buffers[I];
     if (B.Role > BufferInfo::Kind::Intermediate)
@@ -164,6 +242,7 @@ std::string checkIndices(const KernelProgram &P) {
       NumFeatures = B.Columns;
     } else if (B.Role == BufferInfo::Kind::Output) {
       ++NumOut;
+      OutputColumns = B.Columns;
     }
   }
   // Every engine runs kernels with one input and one output buffer.
@@ -194,6 +273,12 @@ std::string checkIndices(const KernelProgram &P) {
              " cannot hold copy source " + std::to_string(S.CopySrc);
   }
 
+  // Columns of each buffer its stores and copy steps fill.
+  std::vector<uint64_t> Filled(NumBuffers, 0);
+  for (const KernelStep &S : P.Steps)
+    if (S.Task < 0)
+      Filled[S.CopyDst] += P.Buffers[S.CopySrc].Columns;
+
   for (size_t T = 0; T < P.Tasks.size(); ++T) {
     const TaskProgram &Task = P.Tasks[T];
     std::string Where = "task " + std::to_string(T);
@@ -212,134 +297,38 @@ std::string checkIndices(const KernelProgram &P) {
         if (A.Index >= P.Buffers[A.Buffer].Columns)
           return outOfRange(At(), "column", A.Index,
                             P.Buffers[A.Buffer].Columns);
+        if (Store)
+          ++Filled[A.Buffer];
       }
     }
+    uint64_t Writes = 0;
     for (size_t N = 0; N < Task.Code.size(); ++N) {
       const Instruction &I = Task.Code[N];
       auto At = [&] { return Where + ", instruction " + std::to_string(N); };
-      if (I.Op > OpCode::LogSumExpGroup)
+      if (static_cast<size_t>(I.Op) >= kNumOpCodes)
         return outOfRange(At(), "opcode", static_cast<int64_t>(I.Op),
-                          static_cast<size_t>(OpCode::LogSumExpGroup) + 1);
-      // The leading register operands of I (Dst, A, B, C in that order)
-      // and the side-table slot its immediate names, if any.
-      const uint32_t Registers[] = {I.Dst, I.A, I.B, I.C};
-      unsigned NumRegisters = 1;
-      const char *Table = nullptr;
-      uint32_t Slot = 0;
-      size_t TableSize = 0;
-      switch (I.Op) {
-      case OpCode::Const:
-        Table = "const-pool index";
-        Slot = I.A;
-        TableSize = Task.ConstPool.size();
-        break;
-      case OpCode::Load:
-        Table = "load index";
-        Slot = I.A;
-        TableSize = Task.Loads.size();
-        break;
-      case OpCode::Store:
-        Table = "store index";
-        Slot = I.A;
-        TableSize = Task.Stores.size();
-        break;
-      case OpCode::Add:
-      case OpCode::Mul:
-      case OpCode::LogSumExp:
-      case OpCode::Max:
-        NumRegisters = 3;
-        break;
-      case OpCode::FusedMulAdd:
-        NumRegisters = 4;
-        break;
-      case OpCode::Gaussian:
-      case OpCode::GaussianLog:
-        NumRegisters = 2;
-        Table = "gaussian index";
-        Slot = I.B;
-        TableSize = Task.Gaussians.size();
-        break;
-      case OpCode::TableLookup:
-        NumRegisters = 2;
-        Table = "table index";
-        Slot = I.B;
-        TableSize = Task.Tables.size();
-        break;
-      case OpCode::SelectInRange:
-        NumRegisters = 2;
-        Table = "select index";
-        Slot = I.B;
-        TableSize = Task.Selects.size();
-        break;
-      case OpCode::NanBlend:
-        NumRegisters = 2;
-        Table = "const-pool index";
-        Slot = I.B;
-        TableSize = Task.ConstPool.size();
-        break;
-      case OpCode::AddN:
-      case OpCode::MulN:
-      case OpCode::LogSumExpN: {
-        // Registers in Args[A .. A+B); LogSumExpN's weights in
-        // Args[C .. C+B), const-pool slots.
-        bool Weighted = I.Op == OpCode::LogSumExpN;
-        if (static_cast<uint64_t>(I.A) + I.B > Task.Args.size())
-          return outOfRange(At(), "arg range end",
-                            static_cast<int64_t>(I.A) + I.B,
-                            Task.Args.size());
-        if (Weighted && static_cast<uint64_t>(I.C) + I.B > Task.Args.size())
-          return outOfRange(At(), "weight range end",
-                            static_cast<int64_t>(I.C) + I.B,
-                            Task.Args.size());
-        for (uint32_t K = 0; K < I.B; ++K) {
-          auto Operand = [&] {
-            return At() + ", operand " + std::to_string(K);
-          };
-          if (Task.Args[I.A + K] >= Task.NumRegisters)
-            return outOfRange(Operand(), "register", Task.Args[I.A + K],
-                              Task.NumRegisters);
-          if (Weighted && Task.Args[I.C + K] >= Task.ConstPool.size())
-            return outOfRange(Operand(), "weight slot", Task.Args[I.C + K],
-                              Task.ConstPool.size());
-        }
-        break;
-      }
-      case OpCode::LogSumExpGroup: {
-        // B children, C destinations, then C * B weight slots from
-        // Args[A]; Dst is unused. The engines keep the children in
-        // kMaxNaryArgs-sized arrays.
-        NumRegisters = 0;
-        if (I.B == 0 || I.B > kMaxNaryArgs)
-          return outOfRange(At(), "child count", I.B, kMaxNaryArgs + 1);
-        if (I.C == 0)
-          return At() + ": group of no sum";
-        uint64_t End = static_cast<uint64_t>(I.A) + I.B + I.C +
-                       static_cast<uint64_t>(I.B) * I.C;
-        if (End > Task.Args.size())
-          return outOfRange(At(), "arg range end",
-                            static_cast<int64_t>(End), Task.Args.size());
-        for (uint32_t K = 0; K < I.B + I.C; ++K)
-          if (Task.Args[I.A + K] >= Task.NumRegisters)
-            return outOfRange(At() + (K < I.B ? ", child " : ", destination ") +
-                                  std::to_string(K < I.B ? K : K - I.B),
-                              "register", Task.Args[I.A + K],
-                              Task.NumRegisters);
-        uint64_t Weights = End - static_cast<uint64_t>(I.B) * I.C;
-        for (uint64_t K = Weights; K < End; ++K)
-          if (Task.Args[K] >= Task.ConstPool.size())
-            return outOfRange(At() + ", weight " + std::to_string(K - Weights),
-                              "weight slot", Task.Args[K],
-                              Task.ConstPool.size());
-        break;
-      }
-      }
-      for (unsigned R = 0; R < NumRegisters; ++R)
-        if (Registers[R] >= Task.NumRegisters)
-          return outOfRange(At(), "register", Registers[R],
+                          kNumOpCodes);
+      const OpcodeInfo &Info = opcodeInfo(I.Op);
+      if (Info.Args != ArgsLayout::None)
+        if (std::string Err = checkArgs(Task, I, At); !Err.empty())
+          return Err;
+      for (OperandField F : {FieldDst, FieldA, FieldB, FieldC})
+        if ((Info.Reads | Info.Writes) & F &&
+            field(I, F) >= Task.NumRegisters)
+          return outOfRange(At(), "register", field(I, F),
                             Task.NumRegisters);
-      if (Table && Slot >= TableSize)
-        return outOfRange(At(), Table, Slot, TableSize);
+      if (Info.Table != SideTable::None) {
+        auto [Name, Size] = sideTable(Task, Info.Table);
+        if (field(I, Info.TableField) >= Size)
+          return outOfRange(At(), Name, field(I, Info.TableField), Size);
+      }
+      forEachRegisterWrite(Task, I, [&](uint32_t) { ++Writes; });
     }
+    // Engines allocate NumRegisters values per lane: no more than the
+    // code writes (at least one).
+    if (Task.NumRegisters > std::max<uint64_t>(Writes, 1))
+      return outOfRange(Where, "register count", Task.NumRegisters,
+                        std::max<uint64_t>(Writes, 1) + 1);
 
     for (size_t I = 0; I < Task.ParamSites.size(); ++I) {
       const ParamSite &S = Task.ParamSites[I];
@@ -376,12 +365,27 @@ std::string checkIndices(const KernelProgram &P) {
     }
   }
 
+  // Engines allocate Columns values per row of an intermediate buffer:
+  // no more than its stores and copy steps fill.
+  for (size_t I = 0; I < NumBuffers; ++I)
+    if (P.Buffers[I].Role == BufferInfo::Kind::Intermediate &&
+        P.Buffers[I].Columns > Filled[I])
+      return outOfRange("buffer " + std::to_string(I), "column count",
+                        P.Buffers[I].Columns, Filled[I] + 1);
+
   const TracebackPlan &Plan = P.Plan;
   if (Plan.Root < -1 ||
       Plan.Root >= static_cast<int64_t>(Plan.Nodes.size()))
     return outOfRange("plan", "root", Plan.Root, Plan.Nodes.size());
   if (!Plan.Nodes.empty() && P.Tasks.empty())
     return "plan: no task holds the registers the plan reads";
+  // Engines complete MPE and sampling rows from the registers of the one
+  // task and its one output column.
+  if (spn::needsTraceback(P.Query) &&
+      (Plan.empty() || P.Tasks.size() != 1 || OutputColumns != 1))
+    return std::string("plan: ") + spn::queryKindName(P.Query) +
+           " programs need a traceback plan, one task and one output "
+           "column";
   for (size_t I = 0; I < Plan.Nodes.size(); ++I) {
     const PlanNode &N = Plan.Nodes[I];
     auto At = [&] { return "plan node " + std::to_string(I); };

@@ -9,6 +9,9 @@
 #include "baselines/Baselines.h"
 #include "frontend/Serializer.h"
 #include "runtime/KernelCache.h"
+#include "support/Hashing.h"
+#include "support/Random.h"
+#include "vm/Executor.h"
 #include "vm/ProgramBinary.h"
 #include "workloads/Workloads.h"
 
@@ -710,6 +713,7 @@ vm::Instruction &firstOf(vm::KernelProgram &P,
 enum class Source {
   Speaker,
   SpeakerO2,
+  SpeakerPartitioned,
   RatSpnO2,
   HistogramCpu,
   HistogramGpu,
@@ -735,6 +739,9 @@ protected:
       break;
     case Source::SpeakerO2:
       Options.OptLevel = 2;
+      break;
+    case Source::SpeakerPartitioned:
+      Options.MaxPartitionSize = 100;
       break;
     case Source::RatSpnO2:
       Options.OptLevel = 2;
@@ -871,6 +878,19 @@ TEST_F(KernelCacheTamperTest, ResealedBadIndexIsRecompiled) {
        [&](vm::KernelProgram &P) {
          firstOf(P, {vm::OpCode::LogSumExpGroup}).A = kFar;
        }},
+      // Engines allocate a task's register file and an intermediate
+      // buffer's columns as the program states them.
+      {Source::Speaker, "register count 4294967280",
+       [&](vm::KernelProgram &P) { Task0(P).NumRegisters = 0xFFFFFFF0u; }},
+      {Source::SpeakerPartitioned, "column count 2147483647",
+       [](vm::KernelProgram &P) {
+         for (vm::BufferInfo &Buffer : P.Buffers)
+           if (Buffer.Role == vm::BufferInfo::Kind::Intermediate) {
+             Buffer.Columns = 0x7FFFFFFFu;
+             return;
+           }
+         ADD_FAILURE() << "program has no intermediate buffer";
+       }},
       {Source::Speaker, "buffer 1048576",
        [&](vm::KernelProgram &P) { Task0(P).Loads.front().Buffer = kFar; }},
       {Source::Speaker, "role 9",
@@ -971,6 +991,300 @@ TEST_F(KernelCacheTest, TamperedKernelFileFailsToLoad) {
   EXPECT_NE(Loaded.getError().message().find("const-pool index"),
             std::string::npos)
       << Loaded.getError().message();
+}
+
+//===----------------------------------------------------------------------===//
+// Decoder mutations: seeded damage to resealed blobs
+//===----------------------------------------------------------------------===//
+
+/// Rows a decoded mutant runs: one full and one padded W=8 block.
+constexpr size_t kMutantRows = 9;
+
+/// A compiled program the mutations start from, and rows to run it on.
+struct MutationSource {
+  const char *Name;
+  vm::KernelProgram Program;
+  std::vector<double> Input;
+};
+
+/// The speaker kernel at -O2, `ratspn_tiny` (spnc-modelgen) at -O2 with
+/// partition 80, whose tasks hold LogSumExpGroups, an MPE program with
+/// its traceback plan, and a marginal GPU program of select cascades
+/// and NaN blends.
+std::vector<MutationSource> mutationSources() {
+  workloads::SpeakerModelOptions Speaker;
+  Speaker.TargetOperations = 300;
+  Speaker.Seed = 31;
+  spn::Model SpeakerModel = workloads::generateSpeakerModel(Speaker);
+  workloads::RatSpnOptions Rat = workloads::ratSpnSmallScale();
+  Rat.NumFeatures = 64;
+  Rat.Depth = 3;
+  Rat.Replicas = 2;
+  Rat.SumsPerRegion = 4;
+  Rat.LeafDistributions = 8;
+  spn::Model RatSpn = workloads::generateRatSpn(Rat, 0);
+
+  std::vector<double> Clean =
+      workloads::generateSpeechData(Speaker, kMutantRows, 5);
+  std::vector<double> Noisy = Clean;
+  for (size_t I = 0; I < Noisy.size(); I += 3)
+    Noisy[I] = std::nan("");
+  std::vector<double> Images = workloads::generateImageData(
+      Rat.NumFeatures, 1, kMutantRows, 5, nullptr);
+
+  auto Compile = [](const spn::Model &Model, CompilerOptions Options,
+                    spn::QueryKind Kind) {
+    spn::QueryConfig Query;
+    Query.Kind = Kind;
+    Expected<CompilationPipeline> Pipeline =
+        CompilationPipeline::create(Options);
+    EXPECT_TRUE(static_cast<bool>(Pipeline));
+    Expected<vm::KernelProgram> Program = Pipeline->compile(Model, Query);
+    EXPECT_TRUE(static_cast<bool>(Program));
+    return Program.takeValue();
+  };
+  CompilerOptions O2;
+  O2.OptLevel = 2;
+  CompilerOptions Partitioned = O2;
+  Partitioned.MaxPartitionSize = 80;
+  CompilerOptions Gpu;
+  Gpu.TheTarget = Target::GPU;
+  std::vector<MutationSource> Sources;
+  Sources.push_back({"speaker -O2",
+                     Compile(SpeakerModel, O2, spn::QueryKind::Joint), Clean});
+  Sources.push_back(
+      {"ratspn_tiny partition 80",
+       Compile(RatSpn, Partitioned, spn::QueryKind::Joint), Images});
+  Sources.push_back({"speaker MPE",
+                     Compile(SpeakerModel, CompilerOptions(),
+                             spn::QueryKind::Mpe),
+                     Noisy});
+  Sources.push_back({"speaker GPU marginal",
+                     Compile(SpeakerModel, Gpu, spn::QueryKind::Marginal),
+                     Noisy});
+  return Sources;
+}
+
+/// The fields of \p P a decoder reads as a count, an index, a register
+/// or an enum: its u32 fields (the signed ones through their bits) and
+/// its enum bytes.
+struct ProgramFields {
+  std::vector<uint32_t *> Words;
+  std::vector<uint8_t *> Bytes;
+};
+
+ProgramFields fieldsOf(vm::KernelProgram &P) {
+  ProgramFields F;
+  auto Word = [&](auto &Field) {
+    static_assert(sizeof(Field) == sizeof(uint32_t));
+    F.Words.push_back(reinterpret_cast<uint32_t *>(&Field));
+  };
+  auto Byte = [&](auto &Field) {
+    static_assert(sizeof(Field) == sizeof(uint8_t));
+    F.Bytes.push_back(reinterpret_cast<uint8_t *>(&Field));
+  };
+  Byte(P.Lowering);
+  Byte(P.Query);
+  for (vm::PlanNode &N : P.Plan.Nodes) {
+    Byte(N.Kind);
+    for (auto *Field : {&N.A, &N.B})
+      Word(*Field);
+    for (auto *Field :
+         {&N.RegA, &N.RegB, &N.Feature, &N.TableBegin, &N.TableCount})
+      Word(*Field);
+  }
+  Word(P.Plan.Root);
+  for (auto *Field : {&P.NumParams, &P.BatchSize, &P.NumInputs,
+                      &P.NumOutputs})
+    Word(*Field);
+  for (vm::BufferInfo &B : P.Buffers) {
+    Byte(B.Role);
+    Word(B.Columns);
+  }
+  for (vm::KernelStep &S : P.Steps)
+    for (auto *Field : {&S.Task, &S.CopySrc, &S.CopyDst})
+      Word(*Field);
+  for (vm::TaskProgram &T : P.Tasks) {
+    Word(T.NumRegisters);
+    for (vm::Instruction &I : T.Code) {
+      Byte(I.Op);
+      for (auto *Field : {&I.Dst, &I.A, &I.B, &I.C})
+        Word(*Field);
+    }
+    for (std::vector<vm::BufferAccess> *Accesses : {&T.Loads, &T.Stores})
+      for (vm::BufferAccess &A : *Accesses)
+        for (auto *Field : {&A.Buffer, &A.Index})
+          Word(*Field);
+    for (uint32_t &Arg : T.Args)
+      Word(Arg);
+    for (vm::ParamSite &S : T.ParamSites) {
+      Byte(S.Kind);
+      Byte(S.Transform);
+      for (auto *Field : {&S.Index, &S.Slot, &S.Count, &S.Param})
+        Word(*Field);
+    }
+  }
+  return F;
+}
+
+/// A seeded edge value for a u32 field that holds \p Old.
+uint32_t edgeValue(uint32_t Old, Rng &R) {
+  const uint32_t Values[] = {0u,
+                             1u,
+                             2u,
+                             8u,
+                             9u,
+                             16u,
+                             255u,
+                             0x7FFFFFFFu,
+                             0x80000000u,
+                             0xFFFFFFF0u,
+                             0xFFFFFFFFu,
+                             Old + 1,
+                             Old - 1,
+                             Old * 2,
+                             Old ^ (1u << R.uniformInt(32)),
+                             static_cast<uint32_t>(R.next())};
+  return Values[R.uniformInt(std::size(Values))];
+}
+
+/// One seeded mutant of \p Program, resealed: one to three mutations,
+/// each a whole u32 field set to an edge value, an enum byte set to a
+/// value up to 16, or a payload byte of the encoded blob XORed with a
+/// nonzero mask (which also reaches the counts, lengths and doubles).
+std::vector<uint8_t> mutant(const vm::KernelProgram &Program, Rng &R) {
+  vm::KernelProgram P = Program;
+  ProgramFields Fields = fieldsOf(P);
+  unsigned ByteFlips = 0;
+  for (uint64_t K = 1 + R.uniformInt(3); K > 0; --K) {
+    switch (R.uniformInt(3)) {
+    case 0: {
+      uint32_t *Word = Fields.Words[R.uniformInt(Fields.Words.size())];
+      *Word = edgeValue(*Word, R);
+      break;
+    }
+    case 1:
+      *Fields.Bytes[R.uniformInt(Fields.Bytes.size())] =
+          static_cast<uint8_t>(R.uniformInt(17));
+      break;
+    default:
+      ++ByteFlips;
+    }
+  }
+  std::vector<uint8_t> Blob = vm::encodeProgram(P);
+  for (; ByteFlips > 0; --ByteFlips)
+    Blob[16 + R.uniformInt(Blob.size() - 16)] ^=
+        static_cast<uint8_t>(1 + R.uniformInt(255));
+  uint64_t Checksum = xxh64(Blob.data() + 16, Blob.size() - 16);
+  std::memcpy(Blob.data() + 8, &Checksum, sizeof(Checksum));
+  return Blob;
+}
+
+/// True when \p A and \p B have the same buffer roles and columns: the
+/// rows and the output room sized for one fit the other.
+bool sameBuffers(const vm::KernelProgram &A, const vm::KernelProgram &B) {
+  if (A.Buffers.size() != B.Buffers.size())
+    return false;
+  for (size_t I = 0; I < A.Buffers.size(); ++I)
+    if (A.Buffers[I].Role != B.Buffers[I].Role ||
+        A.Buffers[I].Columns != B.Buffers[I].Columns)
+      return false;
+  return true;
+}
+
+/// Runs \p Program over \p Input on the CPU engine at W=8, as a request
+/// of the program's own query kind; false when the engine refuses it.
+bool serves(vm::KernelProgram Program, const std::vector<double> &Input) {
+  size_t Columns = 1;
+  for (const vm::BufferInfo &Buffer : Program.Buffers)
+    if (Buffer.Role == vm::BufferInfo::Kind::Output)
+      Columns = Buffer.Columns;
+  std::vector<double> Output(Columns * kMutantRows), Rows(Input.size());
+  RunRequest Request;
+  Request.Kind = Program.Query;
+  Request.Input = Input.data();
+  Request.Output = Output.data();
+  Request.Rows = Rows.data();
+  Request.NumSamples = kMutantRows;
+  Request.Seed = 7;
+  vm::ExecutionConfig Config;
+  Config.VectorWidth = 8;
+  return vm::CpuExecutor(std::move(Program), Config).run(Request);
+}
+
+TEST(DecoderMutationTest, SeededMutantsFailOrServe) {
+  // Each mutant, resealed, either fails to decode with a message, has
+  // other buffer roles or columns than its original (the rows do not
+  // fit it), or serves a request; run under ASan/UBSan, serving also
+  // means reading and writing only what the program owns.
+  constexpr size_t kMutantsPerSource = 1500;
+  Rng R(29);
+  for (const MutationSource &Source : mutationSources()) {
+    SCOPED_TRACE(Source.Name);
+    ASSERT_TRUE(static_cast<bool>(
+        vm::decodeProgram(vm::encodeProgram(Source.Program))));
+    ASSERT_TRUE(serves(Source.Program, Source.Input));
+    size_t Failed = 0, Served = 0;
+    for (size_t M = 0; M < kMutantsPerSource; ++M) {
+      Expected<vm::KernelProgram> Decoded =
+          vm::decodeProgram(mutant(Source.Program, R));
+      if (!Decoded) {
+        EXPECT_FALSE(Decoded.getError().message().empty());
+        ++Failed;
+        continue;
+      }
+      if (!sameBuffers(*Decoded, Source.Program))
+        continue;
+      EXPECT_TRUE(serves(Decoded.takeValue(), Source.Input))
+          << "mutant " << M;
+      ++Served;
+    }
+    EXPECT_GT(Failed, 0u);
+    EXPECT_GT(Served, 0u);
+  }
+}
+
+TEST(DecoderMutationTest, TracebackKindWithoutPlanIsRejected) {
+  // Found by the mutations above (seed 2, a marginal GPU program whose
+  // query byte became MPE): the program decoded, and every engine then
+  // refused every request, since MPE and sampling complete rows through
+  // a traceback plan the program does not carry.
+  std::vector<MutationSource> Sources = mutationSources();
+  const MutationSource &Gpu = Sources.back();
+  for (spn::QueryKind Kind : {spn::QueryKind::Mpe, spn::QueryKind::Sample}) {
+    vm::KernelProgram Program = Gpu.Program;
+    Program.Query = Kind;
+    Expected<vm::KernelProgram> Decoded =
+        vm::decodeProgram(vm::encodeProgram(Program));
+    ASSERT_FALSE(static_cast<bool>(Decoded)) << spn::queryKindName(Kind);
+    EXPECT_NE(Decoded.getError().message().find(
+                  "programs need a traceback plan"),
+              std::string::npos)
+        << Decoded.getError().message();
+  }
+}
+
+TEST(DecoderMutationTest, NaryWithoutOperandsIsRejected) {
+  // Found by the mutations above under UBSan (another seed: an opcode
+  // byte of the GPU marginal program, whose task lists no Args, became
+  // AddN with B = 0): the program decoded, and the VM then addressed
+  // Args at an operand that does not exist.
+  std::vector<MutationSource> Sources = mutationSources();
+  const MutationSource &Gpu = Sources.back();
+  ASSERT_TRUE(Gpu.Program.Tasks[0].Args.empty());
+  for (vm::OpCode Op :
+       {vm::OpCode::AddN, vm::OpCode::MulN, vm::OpCode::LogSumExpN}) {
+    vm::KernelProgram Program = Gpu.Program;
+    vm::Instruction &I = Program.Tasks[0].Code[0];
+    I = {Op, I.Dst, 0, 0, 0};
+    Expected<vm::KernelProgram> Decoded =
+        vm::decodeProgram(vm::encodeProgram(Program));
+    ASSERT_FALSE(static_cast<bool>(Decoded)) << static_cast<int>(Op);
+    EXPECT_NE(Decoded.getError().message().find(
+                  "instruction 0: n-ary instruction of no operand"),
+              std::string::npos)
+        << Decoded.getError().message();
+  }
 }
 
 TEST_F(KernelCacheTest, BaselineEnginesReportAccounting) {

@@ -15,6 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "backend/VmBackend.h"
 #include "frontend/HiSPNTranslation.h"
 #include "ir/Operation.h"
 #include "runtime/Compiler.h"
@@ -34,16 +35,38 @@ using namespace spnc::runtime;
 
 namespace {
 
+/// compileModel, with the pipeline's verify diagnostic on when
+/// \p VerifyEachStage: the module is then verified after every stage
+/// and after each IR pass.
+Expected<CompiledKernel> compileVerified(const spn::Model &Model,
+                                         const spn::QueryConfig &Query,
+                                         const CompilerOptions &Options,
+                                         bool VerifyEachStage) {
+  if (!VerifyEachStage)
+    return compileModel(Model, Query, Options);
+  Expected<CompilationPipeline> Pipeline =
+      CompilationPipeline::create(Options);
+  if (!Pipeline)
+    return Pipeline.getError();
+  if (std::optional<Error> Err = Pipeline->enableVerifyAfterEachStage())
+    return *Err;
+  Expected<std::shared_ptr<ExecutionEngine>> Engine =
+      backend::VmBackend().compile(*Pipeline, Model, Query);
+  if (!Engine)
+    return Engine.getError();
+  return CompiledKernel(Engine.takeValue());
+}
+
 /// Compiles and runs a model over samples; checks results against the
 /// reference evaluator within f32 tolerance.
 void expectMatchesReference(const spn::Model &Model,
                             const std::vector<double> &Data,
                             size_t NumSamples,
                             const CompilerOptions &Options,
-                            spn::QueryConfig Query = {}) {
-  CompileStats Stats;
+                            spn::QueryConfig Query = {},
+                            bool VerifyEachStage = false) {
   Expected<CompiledKernel> Kernel =
-      compileModel(Model, Query, Options, &Stats);
+      compileVerified(Model, Query, Options, VerifyEachStage);
   ASSERT_TRUE(static_cast<bool>(Kernel)) << Kernel.getError().message();
 
   std::vector<double> Output(NumSamples, 0.0);
@@ -92,15 +115,15 @@ spn::Model makeNonDecomposableModel() {
 
 TEST_F(PipelineTest, ScalarCpuMatchesReference) {
   CompilerOptions Options;
-  Options.VerifyIR = true;
-  expectMatchesReference(*Model, Data, kNumSamples, Options);
+  expectMatchesReference(*Model, Data, kNumSamples, Options, {},
+                         /*VerifyEachStage=*/true);
 }
 
 TEST_F(PipelineTest, VectorizedCpuMatchesReference) {
   CompilerOptions Options;
-  Options.VerifyIR = true;
   Options.Execution.VectorWidth = 8;
-  expectMatchesReference(*Model, Data, kNumSamples, Options);
+  expectMatchesReference(*Model, Data, kNumSamples, Options, {},
+                         /*VerifyEachStage=*/true);
 }
 
 TEST_F(PipelineTest, GatherLoadsMatchReference) {
@@ -119,16 +142,16 @@ TEST_F(PipelineTest, NoVecLibMatchesReference) {
 
 TEST_F(PipelineTest, GpuMatchesReference) {
   CompilerOptions Options;
-  Options.VerifyIR = true;
   Options.TheTarget = Target::GPU;
-  expectMatchesReference(*Model, Data, kNumSamples, Options);
+  expectMatchesReference(*Model, Data, kNumSamples, Options, {},
+                         /*VerifyEachStage=*/true);
 }
 
 TEST_F(PipelineTest, PartitionedKernelMatchesReference) {
   CompilerOptions Options;
-  Options.VerifyIR = true;
   Options.MaxPartitionSize = 64;
-  expectMatchesReference(*Model, Data, kNumSamples, Options);
+  expectMatchesReference(*Model, Data, kNumSamples, Options, {},
+                         /*VerifyEachStage=*/true);
 }
 
 TEST_F(PipelineTest, PartitionedVectorizedMatchesReference) {
@@ -149,19 +172,19 @@ TEST_F(PipelineTest, AllOptLevelsMatchReference) {
   for (unsigned OptLevel = 0; OptLevel <= 3; ++OptLevel) {
     CompilerOptions Options;
     Options.OptLevel = OptLevel;
-    Options.VerifyIR = true;
-    expectMatchesReference(*Model, Data, kNumSamples, Options);
+    expectMatchesReference(*Model, Data, kNumSamples, Options, {},
+                           /*VerifyEachStage=*/true);
   }
 }
 
 TEST_F(PipelineTest, LinearSpaceMatchesReference) {
   CompilerOptions Options;
-  Options.VerifyIR = true;
   spn::QueryConfig Query;
   Query.LogSpace = false;
   // Linear f32 underflows on deep graphs; force f64 compute.
   Query.DataType = spn::ComputeType::F64;
-  expectMatchesReference(*Model, Data, kNumSamples, Options, Query);
+  expectMatchesReference(*Model, Data, kNumSamples, Options, Query,
+                         /*VerifyEachStage=*/true);
 }
 
 TEST_F(PipelineTest, MarginalInferenceMatchesReference) {
@@ -173,12 +196,13 @@ TEST_F(PipelineTest, MarginalInferenceMatchesReference) {
   spn::QueryConfig Query;
   Query.SupportMarginal = true;
   CompilerOptions Options;
-  Options.VerifyIR = true;
-  expectMatchesReference(*Model, Noisy, kNumSamples, Options, Query);
+  expectMatchesReference(*Model, Noisy, kNumSamples, Options, Query,
+                         /*VerifyEachStage=*/true);
 
   // Vectorized and GPU marginal paths.
   Options.Execution.VectorWidth = 8;
-  expectMatchesReference(*Model, Noisy, kNumSamples, Options, Query);
+  expectMatchesReference(*Model, Noisy, kNumSamples, Options, Query,
+                         /*VerifyEachStage=*/true);
   CompilerOptions GpuOptions;
   GpuOptions.TheTarget = Target::GPU;
   expectMatchesReference(*Model, Noisy, kNumSamples, GpuOptions, Query);
@@ -193,10 +217,10 @@ TEST_F(PipelineTest, MultiThreadedMatchesReference) {
 
 TEST_F(PipelineTest, CopyAvoidanceAblationMatchesReference) {
   CompilerOptions Options;
-  Options.VerifyIR = true;
   Options.MaxPartitionSize = 64;
   Options.AvoidBufferCopies = false;
-  expectMatchesReference(*Model, Data, kNumSamples, Options);
+  expectMatchesReference(*Model, Data, kNumSamples, Options, {},
+                         /*VerifyEachStage=*/true);
 }
 
 TEST_F(PipelineTest, GpuWithoutTransferEliminationMatchesReference) {
@@ -213,9 +237,8 @@ TEST_F(PipelineTest, SingleLeafModelCompiles) {
   for (Target TheTarget : {Target::CPU, Target::GPU}) {
     CompilerOptions Options;
     Options.TheTarget = TheTarget;
-    Options.VerifyIR = true;
-    Expected<CompiledKernel> Kernel =
-        compileModel(Tiny, spn::QueryConfig(), Options);
+    Expected<CompiledKernel> Kernel = compileVerified(
+        Tiny, spn::QueryConfig(), Options, /*VerifyEachStage=*/true);
     ASSERT_TRUE(static_cast<bool>(Kernel))
         << Kernel.getError().message();
     double Input[2] = {1.0, 3.5};
@@ -542,6 +565,28 @@ TEST(StageRegistryTest, IrDumpStageWritesFile) {
   std::remove(Path.c_str());
   EXPECT_GT(Read, 0u);
   EXPECT_NE(std::string(Buffer).find("module"), std::string::npos);
+}
+
+TEST(StageRegistryTest, VerifyDiagnosticVerifiesAfterEachIrPass) {
+  // With the verify diagnostic on, the ir-pipeline stage's pass manager
+  // verifies the module after every pass; without it, after none.
+  CompilerOptions Options;
+  Options.MaxPartitionSize = 80;
+  spn::Model Model = makeSmallModel();
+  for (bool Verify : {false, true}) {
+    Expected<CompilationPipeline> Pipeline =
+        CompilationPipeline::create(Options);
+    ASSERT_TRUE(static_cast<bool>(Pipeline));
+    if (Verify) {
+      ASSERT_FALSE(Pipeline->enableVerifyAfterEachStage());
+    }
+    CompileStats Stats;
+    ASSERT_TRUE(static_cast<bool>(
+        Pipeline->compile(Model, spn::QueryConfig(), &Stats)));
+    ASSERT_FALSE(Stats.PassTimings.empty());
+    for (const ir::PassTiming &Pass : Stats.PassTimings)
+      EXPECT_EQ(Pass.VerifyNs > 0, Verify) << Pass.PassName;
+  }
 }
 
 TEST(StageRegistryTest, IrPipelineDetailNamesThePassesThatRun) {

@@ -493,18 +493,20 @@ TEST_F(TransformsTest, VerifiedPartitionedCompileEmitsTheSameProgram) {
   runtime::CompilerOptions Options;
   Options.OptLevel = 2;
   Options.MaxPartitionSize = 80;
-  auto Compile = [&](bool VerifyIR) {
-    Options.VerifyIR = VerifyIR;
+  auto Compile = [&](bool Verify) {
     Expected<runtime::CompilationPipeline> Pipeline =
         runtime::CompilationPipeline::create(Options);
     EXPECT_TRUE(static_cast<bool>(Pipeline));
+    if (Verify) {
+      EXPECT_FALSE(Pipeline->enableVerifyAfterEachStage());
+    }
     Expected<vm::KernelProgram> Program =
         Pipeline->compile(RatSpn, spn::QueryConfig());
     EXPECT_TRUE(static_cast<bool>(Program));
     EXPECT_GT(Program->Tasks.size(), 1u);
     return vm::encodeProgram(*Program);
   };
-  EXPECT_EQ(Compile(/*VerifyIR=*/true), Compile(/*VerifyIR=*/false));
+  EXPECT_EQ(Compile(/*Verify=*/true), Compile(/*Verify=*/false));
 }
 
 } // namespace

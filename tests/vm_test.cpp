@@ -737,12 +737,11 @@ KernelProgram makeSampleProgram() {
   Task.Selects = {SelectRange{0.0, 1.0, 0.25}};
   Task.Loads = {BufferAccess{0, 3}};
   Task.Stores = {BufferAccess{1, 0}};
-  Instruction I;
-  I.Op = OpCode::GaussianLog;
-  I.Dst = 2;
-  I.A = 1;
-  I.B = 0;
-  Task.Code = {I};
+  // Each register is written: the decoder rejects a register file larger
+  // than the code's register writes.
+  Task.Code = {Instruction{OpCode::Load, 1, 0, 0, 0},
+               Instruction{OpCode::Const, 0, 1, 0, 0},
+               Instruction{OpCode::GaussianLog, 2, 1, 0, 0}};
   Program.Tasks = {Task};
   Program.Steps = {KernelStep{0, -1, -1}};
   return Program;
@@ -765,8 +764,8 @@ TEST(ProgramBinaryTest, RoundTrips) {
   const TaskProgram &Task = Restored->Tasks[0];
   EXPECT_EQ(Task.NumRegisters, 3u);
   EXPECT_EQ(Task.ConstPool, (std::vector<double>{1.0, 2.5}));
-  ASSERT_EQ(Task.Code.size(), 1u);
-  EXPECT_EQ(Task.Code[0].Op, OpCode::GaussianLog);
+  ASSERT_EQ(Task.Code.size(), 3u);
+  EXPECT_EQ(Task.Code[2].Op, OpCode::GaussianLog);
   EXPECT_DOUBLE_EQ(Task.Gaussians[0].InvStdDev, 2.0);
   EXPECT_TRUE(Task.Gaussians[0].SupportMarginal);
   EXPECT_EQ(Task.Tables[0].Values.size(), 2u);

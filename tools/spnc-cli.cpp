@@ -332,7 +332,6 @@ bool parseArguments(int Argc, char **Argv, CliOptions &Options) {
       Options.DumpIr = true;
     } else if (Arg == "--verify-each-stage") {
       Options.VerifyEachStage = true;
-      Options.Compile.VerifyIR = true;
     } else if (Arg == "--dump-ir-after") {
       const char *V = NextValue();
       if (!V)
