@@ -477,6 +477,11 @@ void BM_MergedMultiTenant(benchmark::State &State) {
   State.counters["mean_batch"] = Stats.meanBatchSize();
   State.counters["cross_model_batches"] =
       static_cast<double>(Stats.CrossModelBatches);
+  State.counters["batcher_wakeups_per_batch"] =
+      Stats.BatchesDispatched
+          ? static_cast<double>(Stats.BatcherWakeups) /
+                static_cast<double>(Stats.BatchesDispatched)
+          : 0.0;
   Server.shutdown();
 }
 

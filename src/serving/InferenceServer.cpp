@@ -11,6 +11,10 @@
 #include "support/ThreadPool.h"
 #include "vm/Traceback.h"
 
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
+
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
@@ -140,11 +144,25 @@ struct InferenceServer::Shard {
   /// by arrival after all.
   size_t InFlightBatches = 0;
   bool ShuttingDown = false;
+  /// When the waiting batcher wakes: the time it waits until, or
+  /// time_point::max() while it waits for a notification only;
+  /// time_point::min() while it runs. A submit notifies it only when
+  /// its request is due before this.
+  Clock::time_point BatcherWakeAt = Clock::time_point::min();
+  /// Queued requests that carry a deadline. The deadline walks run only
+  /// while it is non-zero.
+  size_t QueuedDeadlines = 0;
 
   ServerStats Stats;
 
   std::unique_ptr<ThreadPool> Workers;
   std::thread Batcher;
+
+  /// True while the batcher holds off dispatching: NumWorkers + 1
+  /// batches are in flight.
+  bool throttled(unsigned NumWorkers) const {
+    return InFlightBatches >= NumWorkers + size_t(1);
+  }
 };
 
 //===----------------------------------------------------------------------===//
@@ -531,13 +549,36 @@ ResultFuture InferenceServer::submit(const std::string &Name,
   ResultFuture TheFuture = TheRequest.ResultPromise.getFuture();
 
   size_t Class = static_cast<size_t>(ThePriority);
-  Model.Queues[Class].push_back(std::move(TheRequest));
+  std::deque<Request> &Queue = Model.Queues[Class];
+  Queue.push_back(std::move(TheRequest));
   Model.QueuedSamples[Class] += NumSamples;
+  if (Queue.back().Deadline != Clock::time_point::max())
+    ++TheShard.QueuedDeadlines;
   TheShard.OutstandingSamples += NumSamples;
   TheShard.Stats.PeakQueueDepth = std::max(
       TheShard.Stats.PeakQueueDepth, TheShard.OutstandingSamples);
-  TheShard.WorkAvailable.notify_one();
+  // The batcher re-reads every queue whenever it wakes, so it needs a
+  // notification only when this request is due before it would wake
+  // anyway.
+  if (dueTime(TheShard, Model, Queue.back()) < TheShard.BatcherWakeAt)
+    TheShard.WorkAvailable.notify_one();
   return TheFuture;
+}
+
+InferenceServer::Clock::time_point
+InferenceServer::dueTime(const Shard &TheShard, const ModelEntry &Model,
+                         const Request &TheRequest) const {
+  Clock::time_point Due = TheRequest.Deadline;
+  // While throttled, only a batch completion (which notifies) lets the
+  // batcher dispatch.
+  if (TheShard.throttled(Config.NumWorkers))
+    return Due;
+  size_t Class = static_cast<size_t>(TheRequest.ThePriority);
+  const Request &Front = Model.Queues[Class].front();
+  if (Model.QueuedSamples[Class] >= Config.MaxBatchSamples)
+    return std::min(Due, Front.Enqueued);
+  return std::min(Due, Front.Enqueued + std::chrono::microseconds(
+                                            Config.MaxQueueDelayUs));
 }
 
 //===----------------------------------------------------------------------===//
@@ -560,6 +601,8 @@ void InferenceServer::failRequest(Request &TheRequest,
 void InferenceServer::collectExpired(Shard &TheShard,
                                      Clock::time_point Now,
                                      std::vector<Request> &Expired) {
+  if (TheShard.QueuedDeadlines == 0)
+    return;
   for (ModelEntry *Model : TheShard.Models) {
     for (size_t Class = 0; Class < kNumPriorities; ++Class) {
       std::deque<Request> &Queue = Model->Queues[Class];
@@ -570,6 +613,7 @@ void InferenceServer::collectExpired(Shard &TheShard,
         }
         Model->QueuedSamples[Class] -= It->NumSamples;
         TheShard.OutstandingSamples -= It->NumSamples;
+        --TheShard.QueuedDeadlines;
         ++TheShard.Stats.TimedOutRequests;
         Expired.push_back(std::move(*It));
         It = Queue.erase(It);
@@ -631,7 +675,7 @@ bool InferenceServer::selectReady(Shard &TheShard, Clock::time_point Now,
   return false;
 }
 
-InferenceServer::Batch InferenceServer::formBatch(Shard &,
+InferenceServer::Batch InferenceServer::formBatch(Shard &TheShard,
                                                   ModelEntry &Model,
                                                   Priority ThePriority) {
   size_t Class = static_cast<size_t>(ThePriority);
@@ -649,6 +693,8 @@ InferenceServer::Batch InferenceServer::formBatch(Shard &,
       break;
     TheBatch.TotalSamples += Front.NumSamples;
     Model.QueuedSamples[Class] -= Front.NumSamples;
+    if (Front.Deadline != Clock::time_point::max())
+      --TheShard.QueuedDeadlines;
     TheBatch.Requests.push_back(std::move(Front));
     Queue.pop_front();
   }
@@ -656,6 +702,11 @@ InferenceServer::Batch InferenceServer::formBatch(Shard &,
 }
 
 void InferenceServer::batcherLoop(Shard &TheShard) {
+#ifdef __linux__
+  // Only the window timer below dispatches a batch under the cap, and
+  // the default 50 us timer slack would fire it up to that much late.
+  prctl(PR_SET_TIMERSLACK, 1UL, 0UL, 0UL, 0UL);
+#endif
   std::unique_lock<std::mutex> Lock(TheShard.Mutex);
   for (;;) {
     Clock::time_point Now = Clock::now();
@@ -685,8 +736,7 @@ void InferenceServer::batcherLoop(Shard &TheShard) {
     // one queued batch: requests the workers cannot start yet stay in
     // the class queues, where a later Interactive arrival can still
     // overtake them.
-    bool Throttled =
-        TheShard.InFlightBatches >= Config.NumWorkers + size_t(1);
+    bool Throttled = TheShard.throttled(Config.NumWorkers);
     ModelEntry *Ready = nullptr;
     Priority ReadyPriority = Priority::Bulk;
     if (!Throttled && selectReady(TheShard, Now, Ready, ReadyPriority)) {
@@ -710,7 +760,8 @@ void InferenceServer::batcherLoop(Shard &TheShard) {
     // comes due. While throttled only deadlines matter — batch
     // completion wakes WorkAvailable, so the batching windows need no
     // timer (re-arming them here would spin when the window is
-    // already open).
+    // already open). The wake time is published for submit, which
+    // notifies only for a request due before it.
     std::chrono::microseconds Delay(Config.MaxQueueDelayUs);
     bool AnyQueued = false;
     Clock::time_point WakeAt = Clock::time_point::max();
@@ -722,16 +773,20 @@ void InferenceServer::batcherLoop(Shard &TheShard) {
         AnyQueued = true;
         if (!Throttled)
           WakeAt = std::min(WakeAt, Queue.front().Enqueued + Delay);
-        for (const Request &TheRequest : Queue)
-          WakeAt = std::min(WakeAt, TheRequest.Deadline);
+        if (TheShard.QueuedDeadlines != 0)
+          for (const Request &TheRequest : Queue)
+            WakeAt = std::min(WakeAt, TheRequest.Deadline);
       }
     }
     if (TheShard.ShuttingDown && !AnyQueued)
       return;
-    if (!AnyQueued || WakeAt == Clock::time_point::max())
+    TheShard.BatcherWakeAt = WakeAt;
+    if (WakeAt == Clock::time_point::max())
       TheShard.WorkAvailable.wait(Lock);
     else
       TheShard.WorkAvailable.wait_until(Lock, WakeAt);
+    TheShard.BatcherWakeAt = Clock::time_point::min();
+    ++TheShard.Stats.BatcherWakeups;
   }
 }
 
@@ -941,6 +996,7 @@ ServerStats InferenceServer::getStats() const {
     Aggregate.QueueDepth += S.QueueDepth;
     Aggregate.PeakQueueDepth += S.PeakQueueDepth;
     Aggregate.ExecutionNs += S.ExecutionNs;
+    Aggregate.BatcherWakeups += S.BatcherWakeups;
     Aggregate.BatchSizes.merge(S.BatchSizes);
     Aggregate.LatencyNs.merge(S.LatencyNs);
     for (size_t Class = 0; Class < kNumPriorities; ++Class)

@@ -29,7 +29,9 @@
 ///  * a shard's batcher coalesces queued requests of one (model,
 ///    priority) pair into micro-batches of up to `MaxBatchSamples`
 ///    samples, or dispatches earlier once the oldest request has waited
-///    `MaxQueueDelayUs`;
+///    `MaxQueueDelayUs`. It sleeps until the earliest such window or
+///    deadline, and a submit wakes it only when its request is due
+///    before that (docs/serving.md);
 ///  * admission control bounds the outstanding work per shard: beyond
 ///    `MaxQueueDepth` samples, submits are rejected or block per policy
 ///    (backpressure is counted either way, on the shard);
@@ -217,6 +219,9 @@ struct ServerStats {
   uint64_t ExecutionNs = 0;
   /// Wall clock since server construction.
   uint64_t ElapsedNs = 0;
+  /// Returns of the batcher from its wait (notified, timed out or
+  /// spurious). Not part of the JSON report.
+  uint64_t BatcherWakeups = 0;
   /// Samples per dispatched micro-batch.
   Histogram BatchSizes;
   /// Submit-to-completion latency of Ok requests, in nanoseconds.
@@ -361,6 +366,12 @@ private:
   /// queue. Caller holds the shard mutex.
   Batch formBatch(Shard &TheShard, ModelEntry &Model,
                   Priority ThePriority);
+  /// The earliest time \p TheRequest, just queued for \p Model, can
+  /// make \p TheShard's batcher act: its deadline, and on an
+  /// unthrottled shard its queue's batching window or, at the sample
+  /// cap, now. Caller holds the shard mutex.
+  Clock::time_point dueTime(const Shard &TheShard, const ModelEntry &Model,
+                            const Request &TheRequest) const;
   /// Executes \p TheBatch on its model's engine and completes the
   /// futures. Runs on a worker thread, no lock held.
   void runBatch(Shard &TheShard, Batch TheBatch);

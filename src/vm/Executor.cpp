@@ -623,7 +623,7 @@ void spnc::vm::interpretRows(const KernelProgram &Program,
   const TaskParams *Lanes[16]; // W <= 16
   std::fill_n(Lanes, W, &Task);
   auto RunBlock = blockFunction<T>(W);
-  std::vector<T> Block(static_cast<size_t>(Task.NumRegisters) * W);
+  BlockBuffer<T> Block(static_cast<size_t>(Task.NumRegisters) * W);
   completeRows<T>(Program, Request, Up.data(), [&](size_t I, T *Registers) {
     size_t Lane = I % W;
     if (Lane == 0)
@@ -681,7 +681,7 @@ namespace {
 /// vector load.
 template <typename T>
 BufferBinding<T> stageTransposed(const BufferBinding<T> &B, size_t Rows,
-                                 unsigned W, std::vector<T> &Data) {
+                                 unsigned W, BlockBuffer<T> &Data) {
   Data.resize(static_cast<size_t>(B.Columns) * Rows);
   const double *Src = B.ExternalIn + B.Offset * B.Columns;
   // Block by block, feature-major: contiguous vectorizable writes per
@@ -733,9 +733,9 @@ void runChunkTyped(const KernelProgram &Program,
   };
 
   unsigned W = Config.VectorWidth;
-  std::vector<T> Registers(static_cast<size_t>(MaxRegs) * W);
+  BlockBuffer<T> Registers(static_cast<size_t>(MaxRegs) * W);
   // Stage row-major inputs once for the loads+shuffles path.
-  std::vector<std::vector<T>> Staged(Program.Buffers.size());
+  std::vector<BlockBuffer<T>> Staged(Program.Buffers.size());
   if (Config.UseShuffle && W > 1)
     for (size_t I = 0; I < Bindings.size(); ++I)
       if (!Bindings[I].Transposed && Bindings[I].ExternalIn)

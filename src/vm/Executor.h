@@ -36,6 +36,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <new>
 #include <vector>
 
 namespace spnc {
@@ -120,6 +121,33 @@ private:
 // Block execution (shared with the GPU simulator)
 //===----------------------------------------------------------------------===//
 
+/// Allocates on a 64-byte boundary: a cache line, and the widest vector
+/// runBlock moves (16 f32 or 8 f64 lanes). So where the heap puts a
+/// buffer does not decide whether its W-lane vectors straddle lines.
+template <typename T>
+struct BlockAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t Alignment{64};
+
+  BlockAllocator() = default;
+  template <typename U>
+  BlockAllocator(const BlockAllocator<U> &) {}
+
+  T *allocate(size_t N) {
+    return static_cast<T *>(::operator new(N * sizeof(T), Alignment));
+  }
+  void deallocate(T *P, size_t) { ::operator delete(P, Alignment); }
+
+  friend bool operator==(const BlockAllocator &, const BlockAllocator &) {
+    return true;
+  }
+};
+
+/// The storage runBlock reads and writes as W-lane vectors: a block's
+/// register file, a chunk's staged input and its intermediate buffers.
+template <typename T>
+using BlockBuffer = std::vector<T, BlockAllocator<T>>;
+
 /// Bound buffer view used by runBlock. Exactly one of the three pointers
 /// is set, matching the buffer's role.
 template <typename T>
@@ -140,7 +168,7 @@ struct BufferBinding {
 template <typename T>
 struct BoundBuffers {
   std::vector<BufferBinding<T>> Bindings;
-  std::vector<std::vector<T>> Intermediates;
+  std::vector<BlockBuffer<T>> Intermediates;
 };
 
 /// Binds \p Program's buffers for rows [Begin, End) of a batch of

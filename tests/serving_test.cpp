@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -782,6 +783,81 @@ TEST_F(ServingTest, MergeModelsFallsBackForUnsupportedQueries) {
   EXPECT_NEAR(GpuResult.LogLikelihoods[0], Want,
               1e-4 * std::fabs(Want) + 1e-4);
   Server.shutdown();
+}
+
+// The batcher is woken only by a submit that is due before the time it
+// already waits until: a burst under the cap, inside one long window,
+// wakes it at most once (plus a spurious return). The submits are
+// spaced so that a batcher woken by each would be back asleep before
+// the next.
+TEST_F(ServingTest, SubCapBurstDoesNotWakeTheBatcherPerSubmit) {
+  ServerConfig Config;
+  Config.MaxBatchSamples = 64;
+  Config.MaxQueueDelayUs = 10000000;
+  InferenceServer Server(Config);
+  ASSERT_FALSE(Server.addModel("speaker", *Model, Query, Compile));
+
+  constexpr unsigned kBurst = 32;
+  std::vector<ResultFuture> Futures;
+  for (unsigned I = 0; I < kBurst; ++I) {
+    Futures.push_back(Server.submit("speaker", sampleRow(I), 1));
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ServerStats Before = Server.getStats();
+  EXPECT_LE(Before.BatcherWakeups, 2u);
+  EXPECT_EQ(Before.BatchesDispatched, 0u);
+
+  Server.shutdown();
+  for (ResultFuture &Future : Futures)
+    EXPECT_EQ(Future.take().Status, RequestStatus::Ok);
+}
+
+// A submit that fills the sample cap wakes the batcher although the
+// window is far away. Spaced submits leave the batcher asleep on the
+// window when the last one arrives.
+TEST_F(ServingTest, SubmitReachingTheCapDispatchesAtOnce) {
+  ServerConfig Config;
+  Config.MaxBatchSamples = 8;
+  Config.MaxQueueDelayUs = 10000000;
+  InferenceServer Server(Config);
+  ASSERT_FALSE(Server.addModel("speaker", *Model, Query, Compile));
+
+  std::vector<ResultFuture> Futures;
+  for (unsigned I = 0; I < Config.MaxBatchSamples; ++I) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    Futures.push_back(Server.submit("speaker", sampleRow(I), 1));
+  }
+  for (ResultFuture &Future : Futures) {
+    ASSERT_TRUE(Future.waitFor(2000000000));
+    EXPECT_EQ(Future.get().Status, RequestStatus::Ok);
+    EXPECT_EQ(Future.get().BatchSamples, Config.MaxBatchSamples);
+  }
+  Server.shutdown();
+}
+
+// A deadline queued behind a long window still wakes the batcher on
+// time, and the count of queued deadlines stays consistent across an
+// expiry: a later deadline times out on time too.
+TEST_F(ServingTest, DeadlineBehindALongWindowTimesOutOnTime) {
+  ServerConfig Config;
+  Config.MaxBatchSamples = 256;
+  Config.MaxQueueDelayUs = 10000000;
+  InferenceServer Server(Config);
+  ASSERT_FALSE(Server.addModel("speaker", *Model, Query, Compile));
+
+  ResultFuture Patient = Server.submit("speaker", sampleRow(0), 1);
+  for (unsigned Round = 0; Round < 2; ++Round) {
+    ResultFuture Hurried =
+        Server.submit("speaker", sampleRow(1), 1, /*DeadlineUs=*/20000);
+    ASSERT_TRUE(Hurried.waitFor(2000000000)) << "round " << Round;
+    EXPECT_EQ(Hurried.get().Status, RequestStatus::TimedOut);
+  }
+  EXPECT_FALSE(Patient.ready());
+  EXPECT_EQ(Server.getStats().TimedOutRequests, 2u);
+
+  Server.shutdown();
+  ASSERT_TRUE(Patient.ready());
+  EXPECT_EQ(Patient.get().Status, RequestStatus::Ok);
 }
 
 //===----------------------------------------------------------------------===//
